@@ -36,8 +36,8 @@ Ten jobs:
    across modes, error rate exactly 0, /metrics accounted for the
    load) — the "serving" record;
 7. run one fixed workload on every execution backend — serial, process,
-   array-namespace, and distributed (two localhost repro.worker
-   subprocesses) — assert the four estimates identical, and record
+   and distributed (two localhost repro.worker subprocesses) — assert
+   the three estimates identical, and record
    per-backend chunk throughput, the distributed-over-process overhead
    ratio (floor: >= 0.5x on localhost), and the hot-kernel
    temporaries-audit micro-bench — the "backend" record;
@@ -652,9 +652,9 @@ def backend_record(quick: bool) -> dict:
     """Chunks/s of one fixed workload on every execution backend.
 
     Runs the same ``(scenario, estimator, trials, seed)`` workload on
-    the serial, process (2 workers), array (NumPy namespace), and
-    distributed (2 localhost ``repro.worker`` subprocesses) backends,
-    asserts all four estimates identical — the backend choice is purely
+    the serial, process (2 workers), and distributed (2 localhost
+    ``repro.worker`` subprocesses) backends, asserts all three
+    estimates identical — the backend choice is purely
     a wall-clock knob — and records per-backend chunk throughput plus
     ``distributed_overhead_ratio`` (distributed over process chunks/s;
     main() enforces the >= 0.5x localhost floor).  Worker/pool startup
@@ -671,7 +671,6 @@ def backend_record(quick: bool) -> dict:
     """
     from repro.engine.distributed import DistributedBackend
     from repro.engine.parallel import ProcessBackend, SerialBackend
-    from repro.engine.array_backend import ArrayBackend
     from repro.engine.runner import ExperimentRunner
     from repro.engine import kernels
     import numpy as np
@@ -715,7 +714,6 @@ def backend_record(quick: bool) -> dict:
 
         timed("serial", SerialBackend())
         timed("process", ProcessBackend(2))
-        timed("array", ArrayBackend())
         timed(
             "distributed",
             DistributedBackend.from_spec(",".join(worker_hosts)),

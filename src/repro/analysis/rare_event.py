@@ -197,7 +197,6 @@ class TiltedSettlementViolation:
                 "scenario law does not match the tilt of this estimator; "
                 "build the pair with importance_scenario()"
             )
-        xp = kernels.array_namespace(batch.symbols)
         _rho, mu = kernels.joint_final_states(
             batch.symbols, batch.start_columns, batch.initial_reaches
         )
@@ -217,7 +216,7 @@ class TiltedSettlementViolation:
                 + batch.initial_reaches
                 * (math.log(beta) - math.log(beta_tilted))
             )
-        return xp.where(violated, xp.exp(log_w), 0.0)
+        return np.where(violated, np.exp(log_w), 0.0)
 
 
 def importance_scenario(

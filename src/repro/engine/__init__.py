@@ -20,14 +20,11 @@ Five layers (bottom to top):
   :class:`SweepGrid` expands parameter grids into scenario points,
   :class:`ProcessBackend` fans chunks across cores with identical
   results, and :class:`ResultCache` content-addresses every computed
-  point on disk so nothing is estimated twice.  Two further backends
-  drive the same chunk contract elsewhere:
-  :class:`~repro.engine.array_backend.ArrayBackend` evaluates chunks
-  through an array-API namespace (NumPy, CuPy, …; see
-  :mod:`repro.engine.array_api`) and
-  :class:`~repro.engine.distributed.DistributedBackend` ships them to
-  ``python -m repro.worker`` hosts over a socket protocol — all four
-  backends are bit-identical by the per-chunk seed-tree contract.
+  point on disk so nothing is estimated twice.
+  :class:`~repro.engine.distributed.DistributedBackend` drives the same
+  chunk contract on ``python -m repro.worker`` hosts over a socket
+  protocol — all three backends are bit-identical by the per-chunk
+  seed-tree contract.
 * :mod:`repro.engine.protocol` — the protocol-execution workload:
   :class:`ProtocolScenario` describes a full Section 2 protocol
   configuration, samples batches of independent ``Simulation`` runs
@@ -74,13 +71,6 @@ from repro.engine.parallel import (
     SerialBackend,
     default_workers,
 )
-from repro.engine.array_api import (
-    array_namespace,
-    default_namespace,
-    set_default_namespace,
-    use_namespace,
-)
-from repro.engine.array_backend import ArrayBackend, run_chunk_array
 from repro.engine.distributed import DistributedBackend, RemoteTaskError
 from repro.engine.protocol import (
     ProtocolBatch,
@@ -102,7 +92,6 @@ from repro.engine.sweeps import (
 )
 
 __all__ = [
-    "ArrayBackend",
     "Backend",
     "Batch",
     "ChunkAccumulator",
@@ -125,11 +114,9 @@ __all__ = [
     "WORKERS_ENV",
     "accumulate_weights",
     "adversarial_stake_sweep",
-    "array_namespace",
     "as_accumulator",
     "cache_from_env",
     "chunk_sizes",
-    "default_namespace",
     "default_workers",
     "delta_settlement_violation",
     "estimate_from_hits",
@@ -146,10 +133,7 @@ __all__ = [
     "register",
     "register_grid",
     "run_chunk",
-    "run_chunk_array",
     "run_grid",
-    "set_default_namespace",
-    "use_namespace",
     "run_protocol_scalar",
     "run_scenario",
     "scenario_names",

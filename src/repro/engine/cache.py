@@ -15,9 +15,7 @@ The cache has two granularities:
 * **The chunk ledger** — per-chunk weighted accumulators, keyed by
   ``(scenario, estimator, seed, chunk_size)`` with one
   ``(sum_w, sum_w2, trials)`` triple per *full* chunk index (schema
-  v2; v1 files stored a bare hit count per index and are read-migrated
-  transparently — an integer ``h`` is exactly the degenerate triple
-  ``(h, h, chunk_size)``).  Because the runner's spawned
+  v2).  Because the runner's spawned
   ``SeedSequence`` children form a prefix-stable stream (chunk ``i`` is
   seeded by ``SeedSequence(seed, spawn_key=(i,))`` regardless of how
   many chunks a run needs), ``trials`` is merely a *prefix length* of
@@ -85,9 +83,8 @@ __all__ = [
     "LEDGER_VERSION",
 ]
 
-#: Current on-disk chunk-ledger schema.  v1 stored one integer hit
-#: count per chunk index; v2 stores the ``[sum_w, sum_w2, trials]``
-#: accumulator triple.  Readers accept both (see ``_load_ledger``).
+#: Current on-disk chunk-ledger schema: one ``[sum_w, sum_w2, trials]``
+#: accumulator triple per chunk index.
 LEDGER_VERSION = 2
 
 
@@ -305,10 +302,7 @@ class ResultCache:
 
         Returns ``{index: ChunkAccumulator}`` for every requested index
         present in the ledger; absent indices are simply missing from
-        the result.  v1 ledgers (bare integer hit counts) are migrated
-        on read — an integer ``h`` *is* the degenerate triple
-        ``(h, h, chunk_size)`` — so warm pre-v2 ledgers are reused
-        without resampling.  Found and absent indices count toward
+        the result.  Found and absent indices count toward
         ``chunk_hits`` / ``chunk_misses``.  A corrupt or type-invalid
         ledger file is an all-miss (and is healed by the next
         :meth:`put_chunks`).
@@ -335,10 +329,8 @@ class ResultCache:
         """Merge ``chunks`` (``{index: accumulator}``) into the ledger.
 
         Values may be :class:`~repro.engine.runner.ChunkAccumulator`
-        instances, plain triples, or legacy integer hit counts — all are
-        normalised before writing, and the file is always written in the
-        v2 triple schema (so one extension run upgrades a v1 ledger in
-        place).  Existing entries are kept (they are bit-identical to
+        instances or plain triples — both are normalised before writing.
+        Existing entries are kept (they are bit-identical to
         whatever a re-computation would produce, by the reproducibility
         contract); the merged ledger is rewritten through the same
         atomic-rename discipline as :meth:`put`.  Returns the ledger
@@ -456,14 +448,11 @@ class ResultCache:
     ) -> dict[int, ChunkAccumulator]:
         """The validated ``{index: accumulator}`` map of one ledger file.
 
-        Two entry shapes are accepted per index: a bare integer hit
-        count (schema v1, migrated to the degenerate triple
-        ``(h, h, chunk_size)``) and a ``[sum_w, sum_w2, trials]`` triple
-        (schema v2).  Anything malformed — non-integer indices, v1
-        counts outside ``[0, chunk_size]``, v2 triples with non-finite
-        moments, negative ``sum_w2``, or a trial count other than
-        ``chunk_size`` — degrades to an empty ledger (an all-miss): the
-        ledger is as disposable as every other entry.
+        Every entry must be a ``[sum_w, sum_w2, trials]`` triple.
+        Anything malformed — non-integer indices, bare numbers, triples
+        with non-finite moments, negative ``sum_w2``, or a trial count
+        other than ``chunk_size`` — degrades to an empty ledger (an
+        all-miss): the ledger is as disposable as every other entry.
         """
         try:
             entry = json.loads(path.read_text())
@@ -473,19 +462,9 @@ class ResultCache:
         if not isinstance(chunks, dict):
             return {}
         validated: dict[int, ChunkAccumulator] = {}
-        migrated = 0
         for index, stored in chunks.items():
             if not isinstance(index, str) or not index.isdigit():
                 return {}
-            if isinstance(stored, int) and not isinstance(stored, bool):
-                # v1: a bare hit count.
-                if not 0 <= stored <= chunk_size:
-                    return {}
-                validated[int(index)] = ChunkAccumulator.from_hits(
-                    stored, chunk_size
-                )
-                migrated += 1
-                continue
             if not isinstance(stored, list) or len(stored) != 3:
                 return {}
             sum_w, sum_w2, trials = stored
@@ -498,11 +477,6 @@ class ResultCache:
             validated[int(index)] = ChunkAccumulator(
                 float(sum_w), float(sum_w2), chunk_size
             )
-        if migrated:
-            metrics.counter(
-                "repro_cache_ledger_migrations_total",
-                "v1 ledger entries migrated to accumulator triples on read",
-            ).inc(migrated)
         return validated
 
     def __len__(self) -> int:

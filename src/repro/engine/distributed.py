@@ -26,11 +26,8 @@ One TCP connection per worker, length-prefixed pickle frames both ways:
   ``shutdown`` (graceful worker exit);
 * reply   = ``{"ok": True, "result": ...}`` or ``{"ok": False,
   "error": <traceback string>}``.  A ``chunk`` reply's ``result`` is
-  the plain ``(sum_w, sum_w2, trials)`` accumulator triple (protocol
-  v2); clients normalise replies through
-  :func:`repro.engine.runner.as_accumulator`, which also accepts the
-  bare v1 hit count, so a mixed-version cluster degrades gracefully
-  instead of corrupting aggregates.
+  the plain ``(sum_w, sum_w2, trials)`` accumulator triple; clients
+  normalise replies through :func:`repro.engine.runner.as_accumulator`.
 
 Requests are answered in order on each connection; the backend keeps at
 most one request in flight per worker, so the worker needs no request

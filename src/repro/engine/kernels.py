@@ -37,36 +37,16 @@ the same blocks in the same order and map uniforms to symbols with the
 same thresholds — see ``*_from_uniforms`` below, which make the mapping
 explicit and deterministic given the uniform block.
 
-Array-namespace dispatch
-------------------------
-
-The hot kernels resolve their array namespace from their inputs
-(:func:`repro.engine.array_api.array_namespace`): feed them NumPy arrays
-and they compute on the CPU, feed them CuPy (or any NumPy-compatible
-namespace's) arrays and the same code path runs on the accelerator.
-Randomness stays on the host either way — the samplers draw from a
-``numpy.random.Generator`` and the boundary conversion lives in
-:class:`repro.engine.array_backend.ArrayBackend` — so every namespace
-consumes identical uniform bits.  Integer recurrences are exact
-everywhere; the float threshold comparisons are bit-identical wherever
-the namespace implements IEEE-754 doubles (see ``array_api``'s contract
-note).  The NumPy path additionally uses ``out=``/in-place forms where
-the result is bit-identical (the temporaries audit;
-``BENCH_engine.json``'s ``backend.kernel_microbench`` records the
-throughput).  The settlement-DP grids at the bottom of this module are
-small dense float64 tables consumed by the exact-DP layer and stay
-NumPy-only.
+The kernels use ``out=``/in-place forms where the result is
+bit-identical (the temporaries audit; ``BENCH_engine.json``'s
+``backend.kernel_microbench`` records the throughput).  The
+settlement-DP grids at the bottom of this module are small dense
+float64 tables consumed by the exact-DP layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.engine.array_api import (
-    array_namespace,
-    prefix_maximum,
-    prefix_minimum,
-)
 
 from repro.core.alphabet import (
     ADVERSARIAL,
@@ -180,9 +160,8 @@ def symbols_from_uniforms(
     probabilities: SlotProbabilities, uniforms: np.ndarray
 ) -> np.ndarray:
     """Map a uniform array to i.i.d. symbol codes (shape-preserving)."""
-    xp = array_namespace(uniforms)
     t_h, t_bigh, t_adv = symbol_thresholds(probabilities)
-    codes = (uniforms >= t_h).astype(xp.uint8)
+    codes = (uniforms >= t_h).astype(np.uint8)
     codes += uniforms >= t_bigh
     codes += uniforms >= t_adv
     return codes
@@ -215,20 +194,19 @@ def martingale_from_uniforms(
     """
     if not 0 <= correlation <= 1:
         raise ValueError("correlation must lie in [0, 1]")
-    xp = array_namespace(uniforms)
     p_h, p_bigh, p_adv, _p_empty = probabilities.as_tuple()
     trials, length = uniforms.shape
-    codes = xp.empty((trials, length), dtype=xp.uint8)
-    previous_adversarial = xp.zeros(trials, dtype=bool)
+    codes = np.empty((trials, length), dtype=np.uint8)
+    previous_adversarial = np.zeros(trials, dtype=bool)
     for t in range(length):
-        adv = xp.where(previous_adversarial, p_adv * correlation, p_adv)
+        adv = np.where(previous_adversarial, p_adv * correlation, p_adv)
         slack = p_adv - adv
         t_h = p_h + slack
         t_bigh = t_h + p_bigh
         t_adv = t_bigh + adv
         u = uniforms[:, t]
         codes[:, t] = (
-            (u >= t_h).astype(xp.uint8) + (u >= t_bigh) + (u >= t_adv)
+            (u >= t_h).astype(np.uint8) + (u >= t_bigh) + (u >= t_adv)
         )
         previous_adversarial = codes[:, t] == CODE_ADVERSARIAL
     return codes
@@ -256,10 +234,9 @@ def initial_reaches_from_uniforms(
     :func:`repro.analysis.montecarlo.sample_initial_reach`:
     ``X = ⌊log u / log β⌋`` satisfies ``Pr[X ≥ k] = Pr[u < β^k] = β^k``.
     """
-    xp = array_namespace(uniforms)
     beta = stationary_reach_ratio(epsilon)
-    safe = xp.clip(uniforms, np.finfo(float).tiny, None)
-    return xp.floor(xp.log(safe) / np.log(beta)).astype(xp.int64)
+    safe = np.clip(uniforms, np.finfo(float).tiny, None)
+    return np.floor(np.log(safe) / np.log(beta)).astype(np.int64)
 
 
 def sample_initial_reaches(
@@ -283,8 +260,7 @@ def walk_step_matrix(symbols: np.ndarray) -> np.ndarray:
     allocates two temporaries instead of the four of the masked-
     assignment form it replaced.
     """
-    xp = array_namespace(symbols)
-    steps = (symbols == CODE_ADVERSARIAL).astype(xp.int64)
+    steps = (symbols == CODE_ADVERSARIAL).astype(np.int64)
     steps -= symbols < CODE_ADVERSARIAL
     return steps
 
@@ -292,20 +268,16 @@ def walk_step_matrix(symbols: np.ndarray) -> np.ndarray:
 def prefix_sum_matrix(symbols: np.ndarray) -> np.ndarray:
     """``(n, T+1)`` prefix sums ``S_0 = 0, …, S_T`` of the walk.
 
-    On NumPy the walk steps are written straight into the output
-    buffer's ``[:, 1:]`` view and accumulated there in place — no
-    separate step matrix is ever materialized.
+    The walk steps are written straight into the output buffer's
+    ``[:, 1:]`` view and accumulated there in place — no separate step
+    matrix is ever materialized.
     """
-    xp = array_namespace(symbols)
     trials = symbols.shape[0]
-    sums = xp.zeros((trials, symbols.shape[1] + 1), dtype=xp.int64)
+    sums = np.zeros((trials, symbols.shape[1] + 1), dtype=np.int64)
     body = sums[:, 1:]
     body += symbols == CODE_ADVERSARIAL
     body -= symbols < CODE_ADVERSARIAL
-    if xp is np:
-        np.cumsum(body, axis=1, out=body)
-    else:
-        sums[:, 1:] = xp.cumsum(body, axis=1)
+    np.cumsum(body, axis=1, out=body)
     return sums
 
 
@@ -320,13 +292,12 @@ def reach_trajectories(
     initial headroom, ``X_t = S_t − min(−r₀, min_{i ≤ t} S_i)``.
     Agrees exactly with :func:`repro.core.reach.reach_sequence`.
     """
-    xp = array_namespace(symbols)
     sums = prefix_sum_matrix(symbols)
-    floor = prefix_minimum(xp, sums)
+    floor = np.minimum.accumulate(sums, axis=1)
     if initial_reaches is not None:
         # min with a per-row constant preserves monotonicity, so no
         # further accumulate pass is needed
-        floor = xp.minimum(floor, -initial_reaches[:, None])
+        floor = np.minimum(floor, -initial_reaches[:, None])
     return sums - floor
 
 
@@ -341,11 +312,10 @@ def final_reaches(
     Bit-identical to the trajectory's last column, without materializing
     the ``(n, T+1)`` floor and trajectory matrices.
     """
-    xp = array_namespace(symbols)
     sums = prefix_sum_matrix(symbols)
     floor = sums.min(axis=1)
     if initial_reaches is not None:
-        floor = xp.minimum(floor, -initial_reaches)
+        floor = np.minimum(floor, -initial_reaches)
     return sums[:, -1] - floor
 
 
@@ -363,19 +333,18 @@ def batched_margin_step(
     ``ρ(xy)`` *before* consuming the column.  Empty symbols are the
     identity (used for padding).
     """
-    xp = array_namespace(rho, mu, column)
     adversarial = column == CODE_ADVERSARIAL
     honest = column < CODE_ADVERSARIAL  # codes h = 0, H = 1
     stays_zero = (mu == 0) & ((rho > 0) | (column == CODE_MULTI))
-    new_mu = xp.where(
+    new_mu = np.where(
         adversarial,
         mu + 1,
-        xp.where(honest, xp.where(stays_zero, 0, mu - 1), mu),
+        np.where(honest, np.where(stays_zero, 0, mu - 1), mu),
     )
-    new_rho = xp.where(
+    new_rho = np.where(
         adversarial,
         rho + 1,
-        xp.where(honest, xp.maximum(rho - 1, 0), rho),
+        np.where(honest, np.maximum(rho - 1, 0), rho),
     )
     return new_rho, new_mu
 
@@ -393,21 +362,20 @@ def joint_final_states(
     over.  ``initial_reaches`` seeds ``ρ`` before the first symbol (the
     X_∞ model of Table 1); it defaults to zero.
     """
-    xp = array_namespace(symbols)
     trials, length = symbols.shape
-    starts = xp.broadcast_to(
-        xp.asarray(prefix_lengths, dtype=xp.int64), (trials,)
+    starts = np.broadcast_to(
+        np.asarray(prefix_lengths, dtype=np.int64), (trials,)
     )
     rho = (
-        xp.zeros(trials, dtype=xp.int64)
+        np.zeros(trials, dtype=np.int64)
         if initial_reaches is None
-        else initial_reaches.astype(xp.int64).copy()
+        else initial_reaches.astype(np.int64).copy()
     )
     mu = rho.copy()
     for t in range(length):
         new_rho, new_mu = batched_margin_step(rho, mu, symbols[:, t])
         in_prefix = t < starts
-        mu = xp.where(in_prefix, new_rho, new_mu)
+        mu = np.where(in_prefix, new_rho, new_mu)
         rho = new_rho
     return rho, mu
 
@@ -424,23 +392,22 @@ def margin_trajectories(
     column ``|x|`` is ``μ_x(ε) = ρ(x)``, matching
     :func:`repro.core.margin.margin_sequence` entry 0).
     """
-    xp = array_namespace(symbols)
     trials, length = symbols.shape
-    starts = xp.broadcast_to(
-        xp.asarray(prefix_lengths, dtype=xp.int64), (trials,)
+    starts = np.broadcast_to(
+        np.asarray(prefix_lengths, dtype=np.int64), (trials,)
     )
     rho = (
-        xp.zeros(trials, dtype=xp.int64)
+        np.zeros(trials, dtype=np.int64)
         if initial_reaches is None
-        else initial_reaches.astype(xp.int64).copy()
+        else initial_reaches.astype(np.int64).copy()
     )
     mu = rho.copy()
-    out = xp.empty((trials, length + 1), dtype=xp.int64)
+    out = np.empty((trials, length + 1), dtype=np.int64)
     out[:, 0] = mu
     for t in range(length):
         new_rho, new_mu = batched_margin_step(rho, mu, symbols[:, t])
         in_prefix = t < starts
-        mu = xp.where(in_prefix, new_rho, new_mu)
+        mu = np.where(in_prefix, new_rho, new_mu)
         rho = new_rho
         out[:, t + 1] = mu
     return out
@@ -459,10 +426,9 @@ def catalan_slot_mask(symbols: np.ndarray) -> np.ndarray:
     (right-Catalan).  Padding rows with ``⊥`` is harmless — the walk is
     flat there and ``⊥`` is never honest.
     """
-    xp = array_namespace(symbols)
     sums = prefix_sum_matrix(symbols)
-    prefix_min = prefix_minimum(xp, sums)
-    suffix_max = prefix_maximum(xp, sums[:, ::-1])[:, ::-1]
+    prefix_min = np.minimum.accumulate(sums, axis=1)
+    suffix_max = np.maximum.accumulate(sums[:, ::-1], axis=1)[:, ::-1]
     honest = symbols < CODE_ADVERSARIAL  # codes h = 0, H = 1
     new_minimum = sums[:, 1:] < prefix_min[:, :-1]
     never_returns = suffix_max[:, 1:] < sums[:, :-1]
@@ -503,12 +469,11 @@ def reduce_matrix(
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
-    xp = array_namespace(symbols)
     trials, width = symbols.shape
     if lengths is None:
-        lengths = xp.full(trials, width, dtype=xp.int64)
+        lengths = np.full(trials, width, dtype=np.int64)
 
-    columns = xp.arange(width)
+    columns = np.arange(width)
     valid = columns[None, :] < lengths[:, None]
 
     if mode == MODE_EMPTY_RUN:
@@ -521,29 +486,26 @@ def reduce_matrix(
     # Window check: positions j+1 … j+Δ must all be allowed and lie inside
     # the row (j + Δ < length).  Prefix sums of the allowed mask give every
     # window count in one subtraction.
-    counts = xp.zeros((trials, width + 1), dtype=xp.int64)
+    counts = np.zeros((trials, width + 1), dtype=np.int64)
     body = counts[:, 1:]
     body += allowed & valid
-    if xp is np:
-        np.cumsum(body, axis=1, out=body)
-    else:
-        counts[:, 1:] = xp.cumsum(body, axis=1)
-    hi = xp.minimum(columns[None, :] + 1 + delta, width)
-    window = xp.take_along_axis(
-        counts, xp.broadcast_to(hi, (trials, width)), axis=1
+    np.cumsum(body, axis=1, out=body)
+    hi = np.minimum(columns[None, :] + 1 + delta, width)
+    window = np.take_along_axis(
+        counts, np.broadcast_to(hi, (trials, width)), axis=1
     ) - counts[:, 1:]
     quiet = (window == delta) & (columns[None, :] + delta < lengths[:, None])
 
     honest = symbols < CODE_ADVERSARIAL  # codes h = 0, H = 1
-    relabeled = xp.where(
-        honest & ~quiet, xp.uint8(CODE_ADVERSARIAL), symbols
+    relabeled = np.where(
+        honest & ~quiet, np.uint8(CODE_ADVERSARIAL), symbols
     )
 
     keep = valid & (symbols != CODE_EMPTY)
     reduced_lengths = keep.sum(axis=1)
-    positions = xp.cumsum(keep, axis=1) - 1
-    reduced = xp.full((trials, width), CODE_EMPTY, dtype=xp.uint8)
-    rows = xp.nonzero(keep)[0]
+    positions = np.cumsum(keep, axis=1) - 1
+    reduced = np.full((trials, width), CODE_EMPTY, dtype=np.uint8)
+    rows = np.nonzero(keep)[0]
     reduced[rows, positions[keep]] = relabeled[keep]
     return reduced, reduced_lengths
 
@@ -559,16 +521,15 @@ def reduced_slot_columns(
     target slot is empty (no image — vacuously settled in Definition 23)
     or out of range get the sentinel ``−1``.
     """
-    xp = array_namespace(symbols)
     trials, width = symbols.shape
     if not 1 <= target_slot <= width:
         raise ValueError(f"slot {target_slot} outside [1, {width}]")
     if lengths is None:
-        lengths = xp.full(trials, width, dtype=xp.int64)
+        lengths = np.full(trials, width, dtype=np.int64)
     non_empty = symbols[:, :target_slot] != CODE_EMPTY
     rank = non_empty.sum(axis=1) - 1
     has_image = non_empty[:, -1] & (target_slot <= lengths)
-    return xp.where(has_image, rank, -1)
+    return np.where(has_image, rank, -1)
 
 
 # ----------------------------------------------------------------------
@@ -589,11 +550,10 @@ def reflected_walk_heights_from_uniforms(
     steps land as int64 straight out of ``where`` (the audit dropped a
     full-matrix ``astype`` copy and the ``(n, T+1)`` floor matrix).
     """
-    xp = array_namespace(uniforms)
     p, _q = bias_probabilities(epsilon)
-    steps = xp.where(uniforms < p, np.int64(1), np.int64(-1))
-    sums = xp.cumsum(steps, axis=1)
-    floor = xp.minimum(sums.min(axis=1), 0)
+    steps = np.where(uniforms < p, np.int64(1), np.int64(-1))
+    sums = np.cumsum(steps, axis=1)
+    floor = np.minimum(sums.min(axis=1), 0)
     return sums[:, -1] - floor
 
 

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: Names accepted by :func:`make_backend` (the CLI ``--backend`` values).
-BACKEND_NAMES = ("serial", "process", "array", "distributed")
+BACKEND_NAMES = ("serial", "process", "distributed")
 
 
 def make_backend(
@@ -65,22 +65,14 @@ def make_backend(
 
     The single factory behind every ``--backend`` flag (sweep CLI,
     oracle builder, benchmarks): ``serial``, ``process`` (pool of
-    ``workers``), ``array`` (in-process array-namespace evaluation;
-    NumPy unless :func:`repro.engine.array_api.set_default_namespace`
-    chose otherwise), or ``distributed`` (``hosts`` is the required
+    ``workers``), or ``distributed`` (``hosts`` is the required
     ``"host:port,host:port"`` worker list).  Imports lazily so the
-    serial/process path never pays for the socket or namespace
-    machinery.
+    serial/process path never pays for the socket machinery.
     """
     if name == "serial":
         return SerialBackend()
     if name == "process":
         return ProcessBackend(workers)
-    if name == "array":
-        from repro.engine.array_api import default_namespace
-        from repro.engine.array_backend import ArrayBackend
-
-        return ArrayBackend(default_namespace())
     if name == "distributed":
         if not hosts:
             raise ValueError(

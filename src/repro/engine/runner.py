@@ -62,14 +62,18 @@ so the realized trial count is a deterministic function of
 ``(seed, stopping rule)`` — identical for every backend and worker
 count, and fully ledger-cacheable.
 
-Passing an existing ``numpy.random.Generator`` instead of an integer
-selects the legacy *streaming* path: the generator is consumed strictly
-sequentially, one chunk at a time, which lets callers continue an
-existing stream but is serial-only and never cached.
+Both modes resolve chunks through one path: a *wave* of chunk indices is
+looked up in the ledger, the missing chunks are dispatched to the
+backend, collected, folded into one accumulator in index order, and the
+new full chunks are written back.  A fixed budget is a single wave over
+its whole partition; :meth:`ExperimentRunner.run_until` loops waves.
+Seeds are integers: a ``numpy.random.Generator`` cannot be replayed
+chunk by chunk and is rejected.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -83,7 +87,7 @@ from repro.obs.trace import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.cache import ResultCache
-    from repro.engine.parallel import Backend, ProcessBackend
+    from repro.engine.parallel import Backend
 
 #: An estimator maps (scenario, batch) to a per-trial weight vector:
 #: boolean hits for plain Monte Carlo, non-negative float likelihood
@@ -183,25 +187,26 @@ class ChunkAccumulator:
 
 
 def as_accumulator(value, size: int) -> ChunkAccumulator:
-    """Normalise a chunk result to a :class:`ChunkAccumulator`.
+    """Normalise a chunk result of ``size`` trials to a
+    :class:`ChunkAccumulator`.
 
-    Accepts the accumulator itself, the plain ``(sum_w, sum_w2, trials)``
-    triple the distributed wire and the v2 ledger carry, or a bare
-    integer hit count — the v1 wire/ledger form, kept so mixed-version
-    clusters and warm v1 ledgers keep working (``size`` supplies the
-    trial count those legacy payloads omitted).
+    Accepts the accumulator itself or the plain ``(sum_w, sum_w2,
+    trials)`` triple the distributed wire and the ledger carry; a result
+    whose trial count is not ``size`` is rejected.
     """
-    if isinstance(value, ChunkAccumulator):
-        return value
     if isinstance(value, (tuple, list)) and len(value) == 3:
-        return ChunkAccumulator(
+        value = ChunkAccumulator(
             float(value[0]), float(value[1]), int(value[2])
         )
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return ChunkAccumulator.from_hits(int(value), size)
-    raise TypeError(
-        f"cannot interpret chunk result {value!r} as an accumulator"
-    )
+    if not isinstance(value, ChunkAccumulator):
+        raise TypeError(
+            f"cannot interpret chunk result {value!r} as an accumulator"
+        )
+    if value.trials != size:
+        raise ValueError(
+            f"chunk result covers {value.trials} trials, expected {size}"
+        )
+    return value
 
 
 def accumulate_weights(weights: np.ndarray, size: int) -> ChunkAccumulator:
@@ -319,12 +324,11 @@ def delta_settlement_violation(scenario: Scenario, batch: Batch) -> np.ndarray:
     :func:`repro.delta.settlement.is_k_delta_settled`.  Rows whose target
     slot was empty (start column ``−1``) are vacuously settled.
     """
-    xp = kernels.array_namespace(batch.symbols)
     starts = batch.start_columns
     margins = kernels.margin_trajectories(
-        batch.symbols, xp.maximum(starts, 0), batch.initial_reaches
+        batch.symbols, np.maximum(starts, 0), batch.initial_reaches
     )
-    columns = xp.arange(margins.shape[1])[None, :]
+    columns = np.arange(margins.shape[1])[None, :]
     in_window = (columns >= (starts + scenario.depth)[:, None]) & (
         columns <= batch.lengths[:, None]
     )
@@ -490,85 +494,111 @@ class RunReport:
     waves: int
     from_cache: bool
 
+    @classmethod
+    def of_waves(cls, trials: int, waves: list["_Wave"]) -> "RunReport":
+        """The report of a run of ``trials`` resolved through ``waves``."""
+        sampled = sum(wave.sampled_trials for wave in waves)
+        return cls(
+            trials=trials,
+            reused_trials=trials - sampled,
+            sampled_trials=sampled,
+            reused_chunks=sum(len(wave.reused) for wave in waves),
+            sampled_chunks=sum(len(wave.futures) for wave in waves),
+            waves=len(waves),
+            from_cache=sampled == 0,
+        )
+
+
+@dataclass
+class _Wave:
+    """A range of chunk indices, resolved against the ledger and
+    dispatched by :meth:`ExperimentRunner._dispatch`.
+
+    ``reused`` holds the ledgered full chunks and ``futures`` the
+    in-flight rest (the ragged remainder included), both keyed by chunk
+    index.  ``trials`` is the budget whose partition the indices belong
+    to: it fixes each chunk's size and which chunks are full.
+    """
+
+    runner: "ExperimentRunner"
+    indices: range
+    trials: int
+    ledger_key: dict | None
+    reused: dict[int, ChunkAccumulator]
+    futures: dict[int, object]
+
+    def size(self, index: int) -> int:
+        """The trial count of chunk ``index`` in the partition."""
+        chunk_size = self.runner.chunk_size
+        return min(chunk_size, self.trials - index * chunk_size)
+
+    @property
+    def sampled_trials(self) -> int:
+        return sum(self.size(index) for index in self.futures)
+
+    def collect(self) -> ChunkAccumulator:
+        """Block on the futures, ledger the fresh full chunks, and fold
+        every chunk of the wave, in index order, into one accumulator."""
+        chunks = dict(self.reused)
+        for index, future in self.futures.items():
+            chunks[index] = as_accumulator(future.result(), self.size(index))
+        full = self.trials // self.runner.chunk_size
+        fresh = {i: chunks[i] for i in self.futures if i < full}
+        if self.ledger_key is not None and fresh:
+            self.runner.cache.put_chunks(self.ledger_key, fresh)
+        total = ChunkAccumulator.zero()
+        for index in self.indices:
+            total += chunks[index]
+        return total
+
 
 @dataclass
 class PendingEstimate:
-    """A dispatched run: resolves to an :class:`Estimate` on demand.
+    """A dispatched fixed-budget run: resolves to an :class:`Estimate`.
 
-    Produced by :meth:`ExperimentRunner.submit`.  ``from_cache`` marks a
-    run served entirely from the whole-run cache (no chunks were
-    submitted); otherwise :meth:`result` blocks on the chunk futures —
-    only the ones the chunk ledger could not serve — aggregates, stores
-    new full-chunk hits into the ledger, and stores the estimate under
-    ``key`` when the runner has a cache.
+    Produced by :meth:`ExperimentRunner.submit`.  ``wave`` is ``None``
+    for a run served entirely from the whole-run cache; otherwise
+    :meth:`result` collects the wave (which ledgers its new full
+    chunks), aggregates, and stores the estimate under ``key`` when the
+    runner has a cache.
     """
 
     runner: "ExperimentRunner"
     trials: int
     key: dict | None
-    futures: list
-    #: True when the run was served from the cache (no estimation at all).
-    from_cache: bool = False
-    #: Ledger key of the run configuration (``None`` without a cache).
-    ledger_key: dict | None = None
-    #: Chunk indices the futures correspond to, positionally aligned.
-    submitted: tuple[int, ...] = ()
-    #: Number of *full* chunks in the partition (ragged excluded).
-    full_chunks: int = 0
-    #: Aggregate accumulator of the ledger-served chunks.
-    reused: ChunkAccumulator | None = None
-    #: Trials served by the ledger (``reused_chunks * chunk_size``).
-    reused_trials: int = 0
+    wave: _Wave | None
     _resolved: Estimate | None = None
     report: RunReport | None = None
 
-    def _chunk_trials(self, index: int) -> int:
-        """The trial count of chunk ``index`` in this run's partition."""
-        if index < self.full_chunks:
-            return self.runner.chunk_size
-        return self.trials - self.full_chunks * self.runner.chunk_size
+    @property
+    def from_cache(self) -> bool:
+        """True when the run was served from the cache (no estimation)."""
+        return self.wave is None
 
     def result(self) -> Estimate:
         """Block until every submitted chunk is done; the aggregate."""
-        if self._resolved is not None:
-            if self.report is not None:
-                self.runner.last_report = self.report
-            return self._resolved
-        total = self.reused or ChunkAccumulator.zero()
-        new_chunks: dict[int, ChunkAccumulator] = {}
-        with span(
-            "runner.run",
-            scenario=self.runner.scenario.name,
-            trials=self.trials,
-            submitted=len(self.submitted),
-        ):
-            for index, future in zip(self.submitted, self.futures):
-                chunk = as_accumulator(
-                    future.result(), self._chunk_trials(index)
-                )
-                total += chunk
-                if index < self.full_chunks:
-                    new_chunks[index] = chunk
-            estimate = estimate_from_moments(total)
-        if self.ledger_key is not None and new_chunks:
-            self.runner.cache.put_chunks(self.ledger_key, new_chunks)
-        if self.key is not None:
-            self.runner.cache.put(self.key, estimate)
-        sampled = self.trials - self.reused_trials
-        self.report = RunReport(
-            trials=self.trials,
-            reused_trials=self.reused_trials,
-            sampled_trials=sampled,
-            reused_chunks=self.full_chunks - len(new_chunks),
-            sampled_chunks=len(self.submitted),
-            waves=1,
-            from_cache=sampled == 0,
-        )
-        _record_report(self.report)
+        if self._resolved is None:
+            with span(
+                "runner.run",
+                scenario=self.runner.scenario.name,
+                trials=self.trials,
+                submitted=len(self.wave.futures),
+            ):
+                self._resolved = estimate_from_moments(self.wave.collect())
+            if self.key is not None:
+                self.runner.cache.put(self.key, self._resolved)
+            self.report = RunReport.of_waves(self.trials, [self.wave])
+            _record_report(self.report)
         self.runner.last_report = self.report
-        self._resolved = estimate
-        self.futures = []
-        return estimate
+        return self._resolved
+
+
+def _require_integer_seed(seed) -> None:
+    if isinstance(seed, np.random.Generator):
+        raise ValueError(
+            "runs need an integer seed: chunk i is replayed from child i "
+            "of SeedSequence(seed), which a Generator cannot provide"
+        )
 
 
 class ExperimentRunner:
@@ -587,7 +617,7 @@ class ExperimentRunner:
     for every worker count (see the module docstring).
 
     ``cache`` is an optional :class:`repro.engine.cache.ResultCache`;
-    when set, integer-seeded runs are looked up by their
+    when set, runs are looked up by their
     ``(scenario, estimator, seed, trials, chunk_size)`` key before any
     sampling happens and stored after.
     """
@@ -628,65 +658,97 @@ class ExperimentRunner:
             else settlement_violation
         )
 
-    def run(
-        self,
-        trials: int,
-        seed: int | np.random.Generator,
-        backend: "ProcessBackend | None" = None,
-    ) -> Estimate:
-        """Run ``trials`` trials and aggregate into an :class:`Estimate`.
-
-        ``seed`` is an integer (preferred: the run is then self-contained,
-        cacheable, and bit-reproducible across backends) or an existing
-        generator to continue a stream (serial-only, never cached).
-
-        ``backend`` optionally supplies an already-running
-        :class:`~repro.engine.parallel.ProcessBackend` to reuse across
-        many runs (as the sweep orchestrator does); otherwise
-        ``workers > 1`` starts an ephemeral pool for this run only.
-        """
-        if trials < 1:
-            raise ValueError("trials must be positive")
-        if isinstance(seed, np.random.Generator):
-            if backend is not None or self.workers > 1:
-                raise ValueError(
-                    "generator continuation is serial-only; pass an "
-                    "integer seed to use the process backend"
-                )
-            return self._run_streaming(trials, seed)
-
+    @contextlib.contextmanager
+    def _backend(self, backend: "Backend | None"):
+        """``backend`` itself, else an ephemeral pool of ``workers``
+        processes (closed on exit) when ``workers > 1``, else serial."""
         if backend is not None:
-            return self.submit(trials, seed, backend).result()
-        if self.workers > 1:
+            yield backend
+        elif self.workers > 1:
             from repro.engine.parallel import ProcessBackend
 
             with ProcessBackend(self.workers) as pool:
-                return self.submit(trials, seed, pool).result()
-        from repro.engine.parallel import SerialBackend
+                yield pool
+        else:
+            from repro.engine.parallel import SerialBackend
 
-        return self.submit(trials, seed, SerialBackend()).result()
+            yield SerialBackend()
+
+    def _dispatch(
+        self,
+        seed: int,
+        indices: range,
+        trials: int,
+        backend: "Backend",
+    ) -> _Wave:
+        """The one path from chunk indices to accumulators, first half.
+
+        Looks the full chunks among ``indices`` up in the chunk ledger
+        and submits the rest to ``backend``, each from its own
+        ``SeedSequence(seed)`` child; :meth:`_Wave.collect` is the
+        second half.  ``trials`` is the budget whose partition the
+        indices come from.
+        """
+        ledger_key = None
+        reused: dict[int, ChunkAccumulator] = {}
+        full = min(indices.stop, trials // self.chunk_size)
+        if self.cache is not None:
+            ledger_key = self.cache.ledger_key(
+                self.scenario, self.estimator, seed, self.chunk_size
+            )
+            if indices.start < full:
+                reused = self.cache.get_chunks(
+                    ledger_key, range(indices.start, full)
+                )
+        wave = _Wave(self, indices, trials, ledger_key, reused, futures={})
+        missing = [index for index in indices if index not in reused]
+        futures = backend.submit_chunks(
+            self.scenario,
+            self.estimator,
+            [wave.size(index) for index in missing],
+            [np.random.SeedSequence(seed, spawn_key=(i,)) for i in missing],
+        )
+        wave.futures.update(zip(missing, futures))
+        return wave
+
+    def run(
+        self,
+        trials: int,
+        seed: int,
+        backend: "Backend | None" = None,
+    ) -> Estimate:
+        """Run ``trials`` trials and aggregate into an :class:`Estimate`.
+
+        ``backend`` optionally supplies an already-running backend to
+        reuse across many runs (as the sweep orchestrator does);
+        otherwise ``workers > 1`` starts an ephemeral pool for this run
+        only.
+        """
+        if trials < 1:
+            raise ValueError("trials must be positive")
+        with self._backend(backend) as active:
+            return self.submit(trials, seed, active).result()
 
     def submit(
         self, trials: int, seed: int, backend: "Backend"
-    ) -> "PendingEstimate":
+    ) -> PendingEstimate:
         """Dispatch a run to ``backend`` without waiting for it.
 
         Cache lookups still happen immediately: a whole-run estimate hit
-        returns an already-resolved pending, and on a miss the chunk
-        ledger is consulted — full chunks it already holds are reused
+        returns an already-resolved pending; otherwise the run is one
+        wave over its whole partition — ledgered full chunks are reused
         bit-identically (the prefix property) and only the missing full
-        chunks plus the ragged remainder are submitted to the pool.  The
-        returned :class:`PendingEstimate` aggregates — and stores new
-        chunks and the estimate back to the cache — when
+        chunks plus the ragged remainder are submitted.  The returned
+        :class:`PendingEstimate` aggregates — and stores new chunks and
+        the estimate back to the cache — when
         :meth:`~PendingEstimate.result` is called.  Submitting many runs
         before collecting any result is what keeps pool workers busy
         across sweep-point boundaries.
         """
         if trials < 1:
             raise ValueError("trials must be positive")
-        key = ledger_key = None
-        reused: dict[int, ChunkAccumulator] = {}
-        full = trials // self.chunk_size
+        _require_integer_seed(seed)
+        key = None
         if self.cache is not None:
             key = self.cache.key(
                 self.scenario, self.estimator, seed, trials, self.chunk_size
@@ -697,47 +759,18 @@ class ExperimentRunner:
                     trials=trials,
                     reused_trials=trials,
                     sampled_trials=0,
-                    reused_chunks=full,
+                    reused_chunks=trials // self.chunk_size,
                     sampled_chunks=0,
                     waves=0,
                     from_cache=True,
                 )
                 _record_report(report)
                 return PendingEstimate(
-                    self,
-                    trials,
-                    None,
-                    [],
-                    from_cache=True,
-                    _resolved=cached,
-                    report=report,
+                    self, trials, None, None, _resolved=cached, report=report
                 )
-            ledger_key = self.cache.ledger_key(
-                self.scenario, self.estimator, seed, self.chunk_size
-            )
-            reused = self.cache.get_chunks(ledger_key, range(full))
-        sizes = chunk_sizes(trials, self.chunk_size)
-        children = np.random.SeedSequence(seed).spawn(len(sizes))
-        submitted = tuple(
-            index for index in range(len(sizes)) if index not in reused
-        )
-        futures = backend.submit_chunks(
-            self.scenario,
-            self.estimator,
-            [sizes[index] for index in submitted],
-            [children[index] for index in submitted],
-        )
-        return PendingEstimate(
-            self,
-            trials,
-            key,
-            futures,
-            ledger_key=ledger_key,
-            submitted=submitted,
-            full_chunks=full,
-            reused=sum(reused.values(), ChunkAccumulator.zero()),
-            reused_trials=len(reused) * self.chunk_size,
-        )
+        chunks = len(chunk_sizes(trials, self.chunk_size))
+        wave = self._dispatch(seed, range(chunks), trials, backend)
+        return PendingEstimate(self, trials, key, wave)
 
     def run_until(
         self,
@@ -767,8 +800,8 @@ class ExperimentRunner:
         At least one of the two must be given; either alone or both
         together (stop at the first that holds).  When every full chunk
         under ``max_trials`` is spent and the target is still unmet, the
-        ragged remainder runs last and the final estimate — at exactly
-        ``max_trials`` trials, bit-identical to
+        ragged remainder runs as a last wave and the final estimate — at
+        exactly ``max_trials`` trials, bit-identical to
         ``run(max_trials, seed)`` — is returned regardless.
 
         Because per-chunk accumulators are backend-independent and each
@@ -778,9 +811,9 @@ class ExperimentRunner:
         trial count is a deterministic function of
         ``(seed, stopping rule)``: 1, 2, and 4 workers return
         bit-identical estimates with identical trial counts.
-        Full chunks read and write the cache's chunk ledger exactly as
-        fixed-budget runs do — a warm adaptive rerun samples nothing,
-        and a later ``run(realized_trials, seed)`` reuses every chunk.
+        Every wave goes through the same ledger path as a fixed-budget
+        run — a warm adaptive rerun samples nothing, and a later
+        ``run(realized_trials, seed)`` reuses every chunk.
         """
         if target_se is None and rel_se is None:
             raise ValueError("run_until needs target_se and/or rel_se")
@@ -792,28 +825,7 @@ class ExperimentRunner:
             raise ValueError("max_trials must be positive")
         if initial_chunks < 1:
             raise ValueError("initial_chunks must be positive")
-        if isinstance(seed, np.random.Generator):
-            raise ValueError(
-                "adaptive runs need an integer seed (the stopping rule "
-                "must be replayable); generator continuation is the "
-                "fixed-budget streaming path only"
-            )
-        if backend is None:
-            if self.workers > 1:
-                from repro.engine.parallel import ProcessBackend
-
-                with ProcessBackend(self.workers) as pool:
-                    return self.run_until(
-                        seed,
-                        target_se=target_se,
-                        rel_se=rel_se,
-                        max_trials=max_trials,
-                        initial_chunks=initial_chunks,
-                        backend=pool,
-                    )
-            from repro.engine.parallel import SerialBackend
-
-            backend = SerialBackend()
+        _require_integer_seed(seed)
 
         def met(estimate: Estimate) -> bool:
             if (
@@ -827,98 +839,59 @@ class ExperimentRunner:
                 and estimate.standard_error <= rel_se * estimate.value
             )
 
-        full_max, ragged = divmod(max_trials, self.chunk_size)
-        ledger_key = None
-        if self.cache is not None:
-            ledger_key = self.cache.ledger_key(
-                self.scenario, self.estimator, seed, self.chunk_size
-            )
+        full_max = max_trials // self.chunk_size
+        chunks = len(chunk_sizes(max_trials, self.chunk_size))
         total = ChunkAccumulator.zero()
-        chunks_done = 0
-        reused_trials = sampled_trials = 0
-        reused_chunks = sampled_chunks = waves = 0
+        waves: list[_Wave] = []
         estimate: Estimate | None = None
-        while chunks_done < full_max:
-            if chunks_done == 0:
-                goal = min(full_max, initial_chunks)
-            else:
-                # The largest active threshold at the current value is
-                # the easiest target to meet; project the trials needed
-                # to reach it from the aggregate so far, and grow by at
-                # most 2x but never (knowingly) past the projection.
-                threshold = max(
-                    target_se if target_se is not None else 0.0,
-                    rel_se * estimate.value if rel_se is not None else 0.0,
-                )
-                if threshold > 0:
-                    projected = math.ceil(
-                        estimate.trials
-                        * (estimate.standard_error / threshold) ** 2
-                        / self.chunk_size
+        done = 0
+        with self._backend(backend) as active:
+            while done < chunks and (estimate is None or not met(estimate)):
+                if done == full_max:
+                    # Every full chunk is spent: the ragged remainder —
+                    # computed, never ledgered — tops the run up to
+                    # exactly max_trials.
+                    goal = chunks
+                elif done == 0:
+                    goal = min(full_max, initial_chunks)
+                else:
+                    # The largest active threshold at the current value
+                    # is the easiest target to meet; project the trials
+                    # needed to reach it from the aggregate so far, and
+                    # grow by at most 2x but never (knowingly) past the
+                    # projection.
+                    threshold = max(
+                        target_se if target_se is not None else 0.0,
+                        rel_se * estimate.value if rel_se is not None else 0.0,
                     )
-                else:  # rel-only rule while value == 0: no signal yet
-                    projected = 2 * chunks_done
-                goal = min(
-                    full_max,
-                    max(chunks_done + 1, min(2 * chunks_done, projected)),
-                )
-            wave = range(chunks_done, goal)
-            with span(
-                "runner.wave",
-                scenario=self.scenario.name,
-                wave=waves,
-                chunks=len(wave),
-            ):
-                children = np.random.SeedSequence(seed).spawn(goal)
-                reused: dict[int, ChunkAccumulator] = {}
-                if ledger_key is not None:
-                    reused = self.cache.get_chunks(ledger_key, wave)
-                to_sample = [index for index in wave if index not in reused]
-                futures = backend.submit_chunks(
-                    self.scenario,
-                    self.estimator,
-                    [self.chunk_size] * len(to_sample),
-                    [children[index] for index in to_sample],
-                )
-                fresh = {
-                    index: as_accumulator(future.result(), self.chunk_size)
-                    for index, future in zip(to_sample, futures)
-                }
-                if ledger_key is not None and fresh:
-                    self.cache.put_chunks(ledger_key, fresh)
-                total += sum(reused.values(), ChunkAccumulator.zero())
-                total += sum(fresh.values(), ChunkAccumulator.zero())
-                reused_trials += len(reused) * self.chunk_size
-                sampled_trials += len(fresh) * self.chunk_size
-                reused_chunks += len(reused)
-                sampled_chunks += len(fresh)
-                chunks_done = goal
-                waves += 1
-                estimate = estimate_from_moments(total)
-            metrics.gauge(
-                "repro_runner_standard_error",
-                "SE trajectory of the current adaptive run",
-            ).set(estimate.standard_error)
-            if met(estimate):
-                break
-        else:
-            # Every full chunk is spent (or none fits): the ragged
-            # remainder — computed, never ledgered — tops the run up to
-            # exactly max_trials.
-            if ragged:
-                children = np.random.SeedSequence(seed).spawn(full_max + 1)
-                (future,) = backend.submit_chunks(
-                    self.scenario,
-                    self.estimator,
-                    [ragged],
-                    [children[full_max]],
-                )
-                total += as_accumulator(future.result(), ragged)
-                sampled_trials += ragged
-                sampled_chunks += 1
-                waves += 1
-                estimate = estimate_from_moments(total)
-        assert estimate is not None  # max_trials >= 1 guarantees a wave
+                    if threshold > 0:
+                        projected = math.ceil(
+                            estimate.trials
+                            * (estimate.standard_error / threshold) ** 2
+                            / self.chunk_size
+                        )
+                    else:  # rel-only rule while value == 0: no signal yet
+                        projected = 2 * done
+                    goal = min(
+                        full_max, max(done + 1, min(2 * done, projected))
+                    )
+                with span(
+                    "runner.wave",
+                    scenario=self.scenario.name,
+                    wave=len(waves),
+                    chunks=goal - done,
+                ):
+                    wave = self._dispatch(
+                        seed, range(done, goal), max_trials, active
+                    )
+                    total += wave.collect()
+                    waves.append(wave)
+                    estimate = estimate_from_moments(total)
+                done = goal
+                metrics.gauge(
+                    "repro_runner_standard_error",
+                    "SE trajectory of the current adaptive run",
+                ).set(estimate.standard_error)
         if self.cache is not None:
             key = self.cache.key(
                 self.scenario,
@@ -929,31 +902,9 @@ class ExperimentRunner:
             )
             if not self.cache.contains(key):
                 self.cache.put(key, estimate)
-        self.last_report = RunReport(
-            trials=estimate.trials,
-            reused_trials=reused_trials,
-            sampled_trials=sampled_trials,
-            reused_chunks=reused_chunks,
-            sampled_chunks=sampled_chunks,
-            waves=waves,
-            from_cache=sampled_trials == 0,
-        )
+        self.last_report = RunReport.of_waves(estimate.trials, waves)
         _record_report(self.last_report)
         return estimate
-
-    def _run_streaming(
-        self, trials: int, generator: np.random.Generator
-    ) -> Estimate:
-        """Legacy sequential path: consume an existing generator in order."""
-        total = ChunkAccumulator.zero()
-        remaining = trials
-        while remaining > 0:
-            chunk = min(self.chunk_size, remaining)
-            batch = self.scenario.sample_batch(chunk, generator)
-            weights = np.asarray(self.estimator(self.scenario, batch))
-            total += accumulate_weights(weights, chunk)
-            remaining -= chunk
-        return estimate_from_moments(total)
 
 
 def run_scenario(

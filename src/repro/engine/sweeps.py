@@ -290,8 +290,7 @@ def run_grid(
     whole grid (per-point estimates are bit-identical to a serial run —
     the runner's per-chunk seed tree does not depend on the backend).
     An already-open ``backend`` — *any*
-    :class:`~repro.engine.parallel.Backend`: process pool,
-    :class:`~repro.engine.array_backend.ArrayBackend`, or
+    :class:`~repro.engine.parallel.Backend`: process pool or
     :class:`~repro.engine.distributed.DistributedBackend` — is reused
     and left running; it takes precedence over ``workers``.
 

@@ -245,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "execution backend for the DP fan-out and MC cross-check "
-            "(default: serial, or process when --workers > 1); table "
+            "(default: serial, or process when --workers > 1); "
+            "'distributed' ships the work to the --hosts workers — table "
             "cells are bit-identical on all of them"
         ),
     )

@@ -436,9 +436,8 @@ def build_tables(
     when given.
 
     ``backend`` overrides the worker-count heuristic with an explicit
-    :class:`~repro.engine.parallel.Backend` — a shared process pool, an
-    :class:`~repro.engine.array_backend.ArrayBackend`, or a
-    :class:`~repro.engine.distributed.DistributedBackend` — which then
+    :class:`~repro.engine.parallel.Backend` — a shared process pool or
+    a :class:`~repro.engine.distributed.DistributedBackend` — which then
     carries both the DP task fan-out and the Monte-Carlo cross-check.
     The caller keeps ownership: ``build_tables`` never closes it.  By
     the chunk seed-tree contract the backend choice cannot change a

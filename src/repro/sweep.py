@@ -31,11 +31,10 @@ processes.  Estimates are bit-identical for every worker count — the
 per-chunk spawned ``SeedSequence`` tree depends only on
 ``(seed, trials, chunk_size)`` — so ``--workers`` is purely a wall-clock
 knob.  ``--backend`` picks the execution backend explicitly:
-``serial``, ``process``, ``array`` (chunks evaluated through the
-configured array namespace — see ``repro.engine.array_api``), or
-``distributed`` with ``--hosts host:port,host:port`` naming
-``python -m repro.worker`` processes on other machines.  The backend is
-also purely a wall-clock knob: all four produce bit-identical rows.
+``serial``, ``process``, or ``distributed`` with ``--hosts
+host:port,host:port`` naming ``python -m repro.worker`` processes on
+other machines.  The backend is also purely a wall-clock knob: all three
+produce bit-identical rows.
 
 Adaptive precision: ``--target-se`` / ``--rel-se`` switch every point
 to the runner's ``run_until`` path — chunk waves are dispatched until
@@ -178,10 +177,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "execution backend (default: serial, or process when "
-            "--workers > 1); 'array' evaluates chunks through the "
-            "configured array namespace, 'distributed' ships them to "
-            "the --hosts workers — estimates are bit-identical on all "
-            "of them"
+            "--workers > 1); 'distributed' ships chunks to the --hosts "
+            "workers — estimates are bit-identical on all of them"
         ),
     )
     parser.add_argument(

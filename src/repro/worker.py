@@ -9,8 +9,7 @@ TCP port, answers the wire protocol of :mod:`repro.engine.distributed`
 use — reconstructing the chunk's spawned ``SeedSequence`` from the
 shipped ``(entropy, spawn_key)`` pair, so per-chunk accumulators are
 bit-identical to every other backend.  A chunk reply carries the plain
-``(sum_w, sum_w2, trials)`` moment triple (clients also accept the v1
-bare hit count, so mixed-version clusters keep working).
+``(sum_w, sum_w2, trials)`` moment triple.
 
 Usage::
 

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    ArrayBackend,
     DistributedBackend,
     ExperimentRunner,
     ProcessBackend,
@@ -249,7 +248,7 @@ class TestFailover:
 class TestProtocolWanConformance:
     """ISSUE 7 satellite 3: the continuous-time protocol workload obeys
     the same backend contract as analytical chunks — serial ≡ process ≡
-    array ≡ distributed on a ``protocol_wan`` grid point, and a worker
+    distributed on a ``protocol_wan`` grid point, and a worker
     hard-killed mid-run never changes a protocol estimate."""
 
     #: One non-degenerate point of the registered grid (relay topology
@@ -266,14 +265,11 @@ class TestProtocolWanConformance:
         serial = run_grid(grid, trials=8, only=self.POINT)
         with ProcessBackend(2) as pool:
             process = run_grid(grid, trials=8, only=self.POINT, backend=pool)
-        array = run_grid(
-            grid, trials=8, only=self.POINT, backend=ArrayBackend()
-        )
         with _backend(workers) as remote:
             distributed = run_grid(
                 grid, trials=8, only=self.POINT, backend=remote
             )
-        assert serial == process == array == distributed
+        assert serial == process == distributed
         assert serial[0]["trials"] == 8
 
     def test_worker_killed_mid_protocol_run_requeues_onto_survivor(self):

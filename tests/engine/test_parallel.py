@@ -127,11 +127,14 @@ class TestSeedTree:
 
 class TestGuards:
     def test_generator_continuation_is_serial_only(self):
-        runner = ExperimentRunner(
-            get_scenario("iid-settlement", depth=10), workers=2
-        )
-        with pytest.raises(ValueError, match="serial-only"):
-            runner.run(100, np.random.default_rng(1))
+        """A Generator seed cannot be replayed chunk by chunk: rejected
+        on every worker count, with run_until's wording."""
+        for workers in (1, 2):
+            runner = ExperimentRunner(
+                get_scenario("iid-settlement", depth=10), workers=workers
+            )
+            with pytest.raises(ValueError, match="integer seed"):
+                runner.run(100, np.random.default_rng(1))
 
     def test_estimator_shape_validated(self):
         runner = ExperimentRunner(
@@ -166,9 +169,9 @@ class TestGuards:
 class TestBackendProtocolCompliance:
     """Every backend serves the same submit_task/submit_chunks surface."""
 
-    @pytest.fixture(params=["serial", "process", "array", "distributed"])
+    @pytest.fixture(params=["serial", "process", "distributed"])
     def backend(self, request):
-        from repro.engine import ArrayBackend, Backend, DistributedBackend
+        from repro.engine import Backend, DistributedBackend
 
         if request.param == "serial":
             from repro.engine import SerialBackend
@@ -176,8 +179,6 @@ class TestBackendProtocolCompliance:
             built, server = SerialBackend(), None
         elif request.param == "process":
             built, server = ProcessBackend(2), None
-        elif request.param == "array":
-            built, server = ArrayBackend(), None
         else:
             from repro.worker import serve
 

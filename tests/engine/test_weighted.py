@@ -4,13 +4,12 @@ Three pinned properties:
 
 * **Degenerate bit-identity** — an estimator returning 0/1 *weights*
   (floats) produces the very same ``Estimate`` objects as the boolean
-  hit-count path, across seeds, chunk sizes, and all four backends:
+  hit-count path, across seeds, chunk sizes, and all three backends:
   ``estimate_from_moments`` delegates degenerate triples wholesale to
   ``estimate_from_hits``, so PR 7 results are reproduced bit for bit.
-* **Ledger migration** — v1 ledgers (bare integer hit counts) are read
-  as degenerate triples and reused without resampling; the next write
-  upgrades the file to the v2 triple schema in place; corrupt v2
-  triples degrade to an all-miss and heal.
+* **Ledger validation** — malformed entries (bare integer hit counts
+  included) degrade the whole ledger to an all-miss, which the next
+  write heals.
 * **Weighted standard errors** — non-degenerate accumulators estimate
   ``se`` from the second moment, with the all-equal-weights guard that
   keeps ``run_until`` from terminating on a spuriously zero ``se``.
@@ -76,14 +75,16 @@ class TestAccumulatorAlgebra:
         assert as_accumulator(reference, 8) is reference
         assert as_accumulator((2.0, 2.0, 8), 8) == reference
         assert as_accumulator([2.0, 2.0, 8], 8) == reference
-        # v1 wire/ledger form: a bare hit count.
-        assert as_accumulator(2, 8) == reference
 
     def test_as_accumulator_rejects_junk(self):
         with pytest.raises(TypeError):
             as_accumulator("2", 8)
         with pytest.raises(TypeError):
             as_accumulator(True, 8)
+        with pytest.raises(TypeError):
+            as_accumulator(2, 8)  # a bare hit count is not a triple
+        with pytest.raises(ValueError, match="expected 8"):
+            as_accumulator((2.0, 2.0, 7), 8)
 
     def test_accumulate_weights_bool_is_exact_hits(self):
         weights = np.array([True, False, True, True])
@@ -123,10 +124,10 @@ class TestDegenerateBitIdentity:
         assert weighted.run(3_000, seed=seed) == boolean.run(3_000, seed=seed)
 
     @pytest.mark.parametrize(
-        "backend_name", ["serial", "process", "array", "distributed"]
+        "backend_name", ["serial", "process", "distributed"]
     )
     def test_bit_identical_on_every_backend(self, backend_name):
-        from repro.engine import ArrayBackend, DistributedBackend
+        from repro.engine import DistributedBackend
 
         scenario = get_scenario("iid-settlement", depth=15)
         reference = ExperimentRunner(scenario, chunk_size=512).run(
@@ -140,8 +141,6 @@ class TestDegenerateBitIdentity:
             backend = SerialBackend()
         elif backend_name == "process":
             backend = ProcessBackend(2)
-        elif backend_name == "array":
-            backend = ArrayBackend()
         else:
             from repro.worker import serve
 
@@ -222,63 +221,7 @@ def make_runner(cache=None, chunk_size=512):
     return ExperimentRunner(scenario, chunk_size=chunk_size, cache=cache)
 
 
-def _rewrite_ledger_as_v1(cache):
-    """Downgrade every ledger in ``cache`` to the pre-PR-8 schema:
-    bare integer hit counts, no version marker."""
-    for path in cache.directory.glob("*.ledger.json"):
-        payload = json.loads(path.read_text())
-        payload.pop("version", None)
-        payload["chunks"] = {
-            index: int(triple[0])
-            for index, triple in payload["chunks"].items()
-        }
-        path.write_text(json.dumps(payload))
-
-
 class TestLedgerMigration:
-    def test_v1_ledger_is_reused_without_resampling(
-        self, cache, counting_run_chunk
-    ):
-        runner = make_runner(cache)
-        runner.run(2_048, seed=17)  # 4 full chunks
-        _rewrite_ledger_as_v1(cache)
-        reopened = ResultCache(cache.directory)
-        extended = ExperimentRunner(
-            runner.scenario, chunk_size=512, cache=reopened
-        )
-        del counting_run_chunk[:]
-        result = extended.run(4_096, seed=17)
-        assert counting_run_chunk == [512] * 4  # chunks 4..7 only
-        assert reopened.chunk_hits == 4
-        assert result == make_runner().run(4_096, seed=17)
-
-    def test_extension_upgrades_v1_file_to_v2(self, cache):
-        runner = make_runner(cache)
-        runner.run(2_048, seed=19)
-        _rewrite_ledger_as_v1(cache)
-        reopened = ResultCache(cache.directory)
-        ExperimentRunner(
-            runner.scenario, chunk_size=512, cache=reopened
-        ).run(4_096, seed=19)
-        (path,) = cache.directory.glob("*.ledger.json")
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        assert len(payload["chunks"]) == 8
-        for triple in payload["chunks"].values():
-            assert isinstance(triple, list) and len(triple) == 3
-            assert triple[2] == 512
-
-    def test_v1_count_out_of_range_is_all_miss(self, cache):
-        runner = make_runner(cache)
-        first = runner.run(2_048, seed=23)
-        (path,) = cache.directory.glob("*.ledger.json")
-        payload = json.loads(path.read_text())
-        payload["chunks"] = {"0": 513}  # > chunk_size: impossible v1 count
-        path.write_text(json.dumps(payload))
-        extended = runner.run(4_096, seed=23)
-        assert extended == make_runner().run(4_096, seed=23)
-        assert runner.run(2_048, seed=23) == first
-
     @pytest.mark.parametrize(
         "triple",
         [
@@ -287,6 +230,7 @@ class TestLedgerMigration:
             [1.0, -1.0, 512],  # negative second moment
             [1.0, 1.0],  # wrong arity
             "many",  # wrong type entirely
+            51,  # a bare hit count, not a triple
         ],
     )
     def test_corrupt_v2_triple_is_all_miss_and_heals(

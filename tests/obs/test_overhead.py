@@ -2,7 +2,7 @@
 
 Metrics and tracing must consume zero RNG, never enter cache keys or
 ledger schemas, and leave every estimate bit-identical to an
-uninstrumented run — on all four backends.  These tests run the same
+uninstrumented run — on all three backends.  These tests run the same
 workload with telemetry off and fully on (metrics + tracing) and
 require exact equality: values, standard errors, realized trial counts,
 and the on-disk cache bytes.
@@ -11,7 +11,6 @@ and the on-disk cache bytes.
 import pytest
 
 from repro.engine import (
-    ArrayBackend,
     DistributedBackend,
     ExperimentRunner,
     ProcessBackend,
@@ -51,7 +50,6 @@ def backends():
     yield {
         "serial": SerialBackend,
         "process": lambda: ProcessBackend(2),
-        "array": ArrayBackend,
         "distributed": distributed,
     }
     for server in servers:
@@ -59,9 +57,7 @@ def backends():
         server.server_close()
 
 
-@pytest.mark.parametrize(
-    "name", ["serial", "process", "array", "distributed"]
-)
+@pytest.mark.parametrize("name", ["serial", "process", "distributed"])
 class TestBitIdentity:
     def test_run_is_bit_identical(self, name, backends, tmp_path):
         with backends[name]() as backend:

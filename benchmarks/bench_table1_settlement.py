@@ -3,8 +3,9 @@
 Regenerates a representative sub-grid of the paper's Table 1 with the
 Section 6.6 exact algorithm and asserts agreement with the printed
 values to their 3 published digits.  The full 180-cell grid is produced
-by ``examples/generate_table1.py`` (≈ 7 minutes); this benchmark keeps
-per-cell cost low by using the k = 100 and k = 200 rows.
+by ``examples/generate_table1.py`` (under 15 seconds) and checked at
+k ≤ 400 by ``tests/analysis/test_table1.py``; this benchmark times
+single cells from the k = 100 and k = 200 rows.
 
 Run: ``pytest benchmarks/bench_table1_settlement.py --benchmark-only``
 """

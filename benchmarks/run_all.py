@@ -1,6 +1,6 @@
 """Run the benchmark suite and record the engine performance baseline.
 
-Ten jobs:
+Eleven jobs:
 
 1. measure scalar-vs-batched throughput of the Monte-Carlo estimators
    (the batched-engine acceptance point: >= 10x on
@@ -41,21 +41,26 @@ Ten jobs:
    per-backend chunk throughput, the distributed-over-process overhead
    ratio (floor: >= 0.5x on localhost), and the hot-kernel
    temporaries-audit micro-bench — the "backend" record;
-7. measure the continuous-time network layer — raw EventScheduler
+8. measure the continuous-time network layer — raw EventScheduler
    events/s, WAN-transport trials/s against the slot-quantized
    simulator's trials/s (floor: >= 0.5x — physics costs something, but
    not more than half the throughput), and the degenerate-configuration
    bit-identity assert — the "wan" record;
-8. resolve the rare-event acceptance cell (alpha = 0.20, fraction 1.0,
+9. resolve the rare-event acceptance cell (alpha = 0.20, fraction 1.0,
    depth 120; exact DP ~8.45e-10, beyond direct MC at any affordable
    budget) by exponential-tilting importance sampling — the
    "rare_event" record: within 6 sigma of the exact DP, and the
    variance-reduction floor — realized IS trials <= 0.1x the direct-MC
    projection (1-p)/(p*rel_se^2);
-9. optionally execute the pytest benchmark suite (skipped with
-   --perf-only; shrunk with --quick for CI).  The suite inherits the
-   cache via $REPRO_SWEEP_CACHE, so its sweep-driven benches also skip
-   already-computed points.
+10. time the exact Section 6.6 DP — one banded sweep at alpha = 0.30,
+    fraction 0.9 to k = 100, 200, 300 and 500 (median of 5, with min
+    and max) and, outside --quick, the full 180-cell Table 1 — and
+    assert that every read-out at k <= 400 prints Table 1's three
+    digits — the "exact" record;
+11. optionally execute the pytest benchmark suite (skipped with
+    --perf-only; shrunk with --quick for CI).  The suite inherits the
+    cache via $REPRO_SWEEP_CACHE, so its sweep-driven benches also skip
+    already-computed points.
 
 All records land in BENCH_engine.json at the repo root.
 
@@ -99,8 +104,12 @@ from repro.engine.protocol import (  # noqa: E402
 from repro.engine.scenarios import get_scenario  # noqa: E402
 from repro.engine.sweeps import get_grid, run_grid  # noqa: E402
 from repro.analysis.exact import (  # noqa: E402
+    compute_settlement_probabilities,
+    settlement_table,
     settlement_violation_probability,
 )
+from repro.core.distributions import from_adversarial_stake  # noqa: E402
+from repro.data.table1 import PAPER_TABLE1  # noqa: E402
 from repro.oracle import (  # noqa: E402
     SettlementOracle,
     TINY_SPEC,
@@ -379,6 +388,65 @@ def adaptive_record(quick: bool, workers: int) -> dict:
         "se_no_worse": adaptive_max_se <= target_se,
         "warm_extension_resamples_only_new_chunks": extension_ok,
     }
+
+
+#: Law, depths and repeat count of the exact-DP timings.
+EXACT_CELL = (0.9, 0.30)  # (unique fraction, alpha)
+EXACT_DEPTHS = (100, 200, 300, 500)
+EXACT_REPEATS = 5
+
+
+def _printed_mismatches(cells: dict) -> list[str]:
+    """Cells at a printed depth (k <= 400) whose three digits differ from
+    Table 1's; ``cells`` maps ``(fraction, alpha, k)`` to a value."""
+    return [
+        f"({fraction}, {alpha}, k={k}): {value:.2e} != paper "
+        f"{PAPER_TABLE1[(fraction, alpha, k)]:.2e}"
+        for (fraction, alpha, k), value in sorted(cells.items())
+        if k <= 400
+        and f"{value:.2e}" != f"{PAPER_TABLE1[(fraction, alpha, k)]:.2e}"
+    ]
+
+
+def exact_record(quick: bool) -> dict:
+    """The exact-DP record (E1): banded Section 6.6 sweep timings.
+
+    Each depth is one ``compute_settlement_probabilities`` sweep, timed
+    EXACT_REPEATS times; the full 180-cell ``settlement_table()`` is timed
+    once outside --quick.  Every read-out at a printed depth must match
+    Table 1's digits; main() fails the run otherwise.
+    """
+    fraction, alpha = EXACT_CELL
+    probabilities = from_adversarial_stake(alpha, fraction)
+    cells = {}
+    dp_seconds = {}
+    for k in EXACT_DEPTHS:
+        times = []
+        for _ in range(EXACT_REPEATS):
+            seconds, computation = _time(
+                compute_settlement_probabilities, probabilities, [k]
+            )
+            times.append(seconds)
+        cells[(fraction, alpha, k)] = computation[k]
+        times.sort()
+        dp_seconds[str(k)] = {
+            "median": round(times[len(times) // 2], 5),
+            "min": round(times[0], 5),
+            "max": round(times[-1], 5),
+        }
+    record = {
+        "law": {"alpha": alpha, "unique_fraction": fraction},
+        "repeats": EXACT_REPEATS,
+        "dp_seconds": dp_seconds,
+    }
+    if not quick:
+        table_s, table = _time(settlement_table)
+        cells.update(table)
+        record["table1_seconds"] = round(table_s, 3)
+        record["table1_cells"] = len(table)
+    record["printed_cells_checked"] = sum(1 for key in cells if key[2] <= 400)
+    record["printed_mismatches"] = _printed_mismatches(cells)
+    return record
 
 
 def oracle_record(quick: bool, workers: int) -> dict:
@@ -833,6 +901,7 @@ def main() -> int:
     record["protocol_sweep"] = protocol_sweep_record(args.quick, args.workers)
     record["sweep"] = sweep_record(args.quick, args.workers)
     record["adaptive"] = adaptive_record(args.quick, args.workers)
+    record["exact"] = exact_record(args.quick)
     record["oracle"] = oracle_record(args.quick, args.workers)
     record["serving"] = serving_record(args.quick)
     record["backend"] = backend_record(args.quick)
@@ -886,6 +955,20 @@ def main() -> int:
         f"{adaptive['target_se']:.2g}; warm trials bump re-sampled "
         f"{'only new' if adaptive['warm_extension_resamples_only_new_chunks'] else 'OLD'}"
         " chunks"
+    )
+    exact = record["exact"]
+    timings = ", ".join(
+        f"k={k} {entry['median']}s" for k, entry in exact["dp_seconds"].items()
+    )
+    table_note = (
+        f", full Table 1 {exact['table1_seconds']}s"
+        if "table1_seconds" in exact
+        else ""
+    )
+    print(
+        f"exact DP (median of {exact['repeats']}): {timings}{table_note}; "
+        f"{exact['printed_cells_checked']} printed cells checked, "
+        f"{len(exact['printed_mismatches'])} mismatched"
     )
     oracle = record["oracle"]
     print(
@@ -985,6 +1068,13 @@ def main() -> int:
         print(
             "FAIL: warm-ledger trials bump re-sampled previously "
             "ledgered chunks",
+            file=sys.stderr,
+        )
+        return 1
+    if exact["printed_mismatches"]:
+        print(
+            "FAIL: exact DP does not reproduce Table 1's printed digits: "
+            + "; ".join(exact["printed_mismatches"]),
             file=sys.stderr,
         )
         return 1

@@ -6,13 +6,12 @@ p_h/(1 − α) ∈ {1.0, 0.9, 0.8, 0.5, 0.25, 0.01},
 k ∈ {100, 200, 300, 400, 500} — and prints our value next to the paper's
 for every cell with the relative deviation.
 
-The full grid takes ~7 minutes; pass ``--fast`` to restrict to
-k ∈ {100, 200} (~1 minute).
+One banded DP sweep per (fraction, α) pair serves all five depths; the
+full grid takes under 15 seconds.
 
-Run:  python examples/generate_table1.py [--fast]
+Run:  python examples/generate_table1.py
 """
 
-import sys
 import time
 
 from repro.analysis.exact import (
@@ -25,8 +24,7 @@ from repro.data.table1 import PAPER_TABLE1
 
 
 def main() -> None:
-    fast = "--fast" in sys.argv
-    depths = (100, 200) if fast else (100, 200, 300, 400, 500)
+    depths = (100, 200, 300, 400, 500)
 
     start = time.time()
     worst_by_depth: dict[int, float] = {k: 0.0 for k in depths}

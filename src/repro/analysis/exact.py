@@ -11,36 +11,51 @@ initial state is ``(ρ(x), ρ(x))``; for ``|x| → ∞`` the reach ``ρ(x)`` is
 distributed as the dominating geometric law X_∞ of Eq. (9).  Table 1 of
 the paper tabulates these probabilities; this module regenerates them.
 
-Exactness of the finite grid
-----------------------------
+The band of live states
+-----------------------
 
-The DP state space is truncated to ``r ∈ [0, R]``, ``m ∈ [−k_max, R]``
-with ``R = k_max + 2``.  The truncation is *exact* (not an approximation)
-for horizons ``t ≤ k_max``:
+One forward sweep to ``k_max = max(checkpoints)`` reads out every
+checkpoint.  It never stores the whole (reach, margin) plane, only the
+band of states that can still change a read-out.  Four facts about
+characteristic strings (Theorem 5; cf. "Linear Consistency for
+Proof-of-Stake Blockchains", Blum et al.) make the band exact.  Reach
+and margin each move by at most one per slot.  The margin starts at
+``ρ(x) ≥ 0``.  The margin transition reads the reach only through the
+predicate ``r = 0``.  And ``m ≤ r`` always holds: it holds at the start
+(``m = r``), ``A`` raises both by one, an honest symbol lowers ``m`` by
+one and ``r`` by at most one, and where ``m = 0`` stays put, ``r ≥ 0``
+is all that is needed.  So row 0 holds no positive margin, which the
+honest step uses.
 
-* the margin transition depends on ``r`` only through the predicate
-  ``r = 0``; once ``r`` hits the cap ``R``, the remaining ``t ≤ k_max``
-  steps can lower it by at most ``k_max``, so ``r ≥ 2 > 0`` throughout —
-  capped states behave identically to their uncapped counterparts;
-* the sign of the margin at a checkpoint is all that matters, and a
-  capped margin satisfies ``m ≥ R − k_max = 2 > 0`` for the remaining
-  horizon, as does the (larger) true margin;
-* the margin can fall at most one per step, so ``m ≥ −k_max`` always
-  (the initial margin ``ρ(x)`` is non-negative);
-* initial X_∞ mass at or above the cap (total ``β^R``) is placed in the
-  absorbing corner ``(R, R)`` — correct because any initial reach
-  ``r₀ ≥ R > k_max`` makes every checkpoint a certain violation
-  (``m ≥ r₀ − k ≥ 0``).
+With t steps done and ``s = k_max − t`` steps left:
 
-Everything else is plain float64 convolution; the subtractive boundary
-corrections cancel exactly in floating point (a value is subtracted from
-itself), so no catastrophic cancellation occurs even for probabilities
-near 1e-300.
+* **decided** — a state with ``m ≥ s`` keeps ``m ≥ 0`` at every
+  remaining checkpoint, so its mass moves into one ``decided`` scalar;
+* **dropped** — a state with ``m < −s`` can never climb back to 0, so
+  its mass leaves the sweep;
+* **empty** — ``m ≥ −t`` (the margin starts non-negative), so the band
+  starts at margin ``−min(t, s)``;
+* **merged top row** — a reach ``r ≥ s`` stays positive for the
+  remaining steps, so every such row acts like one row ``s``;
+* **read-out** — a checkpoint's value is ``decided`` plus the band's
+  mass at ``m ≥ 0``;
+* **start** — an initial reach ``r₀ ≥ k_max`` gives ``m ≥ r₀ − t ≥ 0``
+  at every checkpoint, so that mass is decided before the first step:
+  ``β^k_max`` under X_∞, and for a finite prefix the top cell of its
+  exact reach law, accumulated as it arises rather than as ``1 −`` the
+  rest.
 
-The per-symbol transition steps of the DP are shared with the batched
-Monte-Carlo engine and live in :mod:`repro.engine.kernels`
-(``settlement_*_step``); this module owns only the sweep orchestration
-and the Table 1 presentation.
+Every cell is a sum of non-negative products: there is no subtraction
+anywhere, and the margin-0 mass of an honest step is placed in its
+column directly.  A step touches at most ``(s + 1) × (s + min(t, s))``
+cells, about a quarter of a full ``(k + 1) × 2k`` plane on average, and
+the two ping-pong buffers are updated in place.  Different horizons
+prune different states, so a per-k run and a multi-checkpoint sweep may
+differ in the last ulp.
+
+The band kernels (``settlement_*``) live in :mod:`repro.engine.kernels`
+beside the batched Monte-Carlo kernels; this module owns only the sweep
+orchestration and the Table 1 presentation.
 """
 
 from __future__ import annotations
@@ -50,8 +65,10 @@ from dataclasses import dataclass
 from repro.core.distributions import SlotProbabilities, from_adversarial_stake
 from repro.engine.kernels import (
     settlement_adversarial_step,
+    settlement_buffers,
+    settlement_decided_mass,
     settlement_honest_step,
-    settlement_initial_grid,
+    settlement_initial_band,
     settlement_violation_mass,
 )
 
@@ -97,10 +114,8 @@ def compute_settlement_probabilities(
 ) -> SettlementComputation:
     """Run the joint (reach, margin) DP, reading out each checkpoint.
 
-    One DP sweep to ``max(checkpoints)`` serves every requested ``k``:
-    the grid is sized for the largest horizon, which only widens the cap
-    (the exactness argument needs ``R > k`` for each read-out, and
-    ``R = k_max + 2 > k`` holds for all of them).
+    One banded sweep to ``max(checkpoints)`` serves every requested
+    ``k`` (see the module docstring for why the band is exact).
     """
     if probabilities.p_empty:
         raise ValueError(
@@ -112,20 +127,24 @@ def compute_settlement_probabilities(
     k_max = max(checkpoints)
     wanted = set(checkpoints)
 
-    grid = settlement_initial_grid(probabilities, k_max, prefix_length)
-    p_h = probabilities.p_unique
-    p_bigh = probabilities.p_multi
+    src, dst = settlement_buffers(k_max)
+    decided = settlement_initial_band(probabilities, prefix_length, src)
     p_adv = probabilities.p_adversarial
+    low = 0  # lowest live margin
 
     results: dict[int, float] = {}
     for t in range(1, k_max + 1):
-        grid = (
-            p_adv * settlement_adversarial_step(grid)
-            + p_h * settlement_honest_step(grid, k_max, unique=True)
-            + p_bigh * settlement_honest_step(grid, k_max, unique=False)
+        left = k_max - t
+        settlement_adversarial_step(src, dst, left + 1, low, p_adv)
+        settlement_honest_step(
+            src, dst, left + 1, low,
+            probabilities.p_unique, probabilities.p_multi,
         )
+        decided += settlement_decided_mass(dst, left)
+        low = -min(t, left)
         if t in wanted:
-            results[t] = settlement_violation_mass(grid, k_max)
+            results[t] = decided + settlement_violation_mass(dst, left)
+        src, dst = dst, src
 
     model = "x->infinity" if prefix_length is None else f"|x|={prefix_length}"
     return SettlementComputation(probabilities, model, results)

@@ -40,8 +40,8 @@ explicit and deterministic given the uniform block.
 The kernels use ``out=``/in-place forms where the result is
 bit-identical (the temporaries audit; ``BENCH_engine.json``'s
 ``backend.kernel_microbench`` records the throughput).  The
-settlement-DP grids at the bottom of this module are small dense
-float64 tables consumed by the exact-DP layer.
+settlement-DP kernels at the bottom of this module update the band of a
+float64 (reach, margin) table in place for the exact-DP layer.
 """
 
 from __future__ import annotations
@@ -586,111 +586,170 @@ def descent_times(
 
 
 # ----------------------------------------------------------------------
-# The Section 6.6 settlement DP (transition steps shared with
-# repro.analysis.exact)
+# The Section 6.6 settlement DP: band kernels driven by
+# repro.analysis.exact (which proves the band exact and owns the sweep)
 # ----------------------------------------------------------------------
+#
+# A DP of horizon k_max lives in two ping-pong buffers from
+# settlement_buffers().  Row r holds reach r; column ``zero + m`` holds
+# margin m, where ``zero = shape[1] − shape[0]`` is the column of m = 0.
+# With s steps left and lowest live margin ``low``, the live band is
+# rows [0, s] × margins [low, s − 1]; row s is the merged top row
+# (every reach ≥ s).  Cells outside the band are stale and never read.
+# One step reads the band of ``src`` and writes rows [0, s − 1] ×
+# margins [low − 1, s] of ``dst``: the adversarial step first (it
+# overwrites), then the honest step (it adds, and consumes ``src``).
 
 
-def settlement_grid_shape(k_max: int) -> tuple[int, int]:
-    """Rows index reach ``r ∈ [0, R]``; columns index ``m ∈ [−k_max, R]``.
+def settlement_buffers(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two zeroed ``(k_max + 1, k_max + k_max // 2 + 2)`` band buffers.
 
-    ``R = k_max + 2``; see :mod:`repro.analysis.exact` for the proof that
-    this truncation is exact for horizons ``t ≤ k_max``.
+    Margins span [−(k_max // 2) − 1, k_max]: a margin never falls below
+    −t after t steps, and below −s it is dropped, so the band's lowest
+    margin is −min(t, s) ≥ −(k_max // 2), and one step lowers it by one.
     """
-    cap = k_max + 2
-    return cap + 1, k_max + cap + 1
+    shape = (k_max + 1, k_max + k_max // 2 + 2)
+    return np.zeros(shape), np.zeros(shape)
 
 
-def settlement_initial_grid(
+def _zero_column(grid: np.ndarray) -> int:
+    """Column of margin 0 in a :func:`settlement_buffers` buffer."""
+    return grid.shape[1] - grid.shape[0]
+
+
+def settlement_initial_band(
     probabilities: SlotProbabilities,
-    k_max: int,
     prefix_length: int | None,
-) -> np.ndarray:
-    """Initial joint law of ``(ρ(x), μ_x(ε))`` on the DP grid.
+    grid: np.ndarray,
+) -> float:
+    """Write the law of ``(ρ(x), μ_x(ε)) = (r₀, r₀)`` into a fresh
+    :func:`settlement_buffers` buffer.
 
-    ``prefix_length=None`` places the X_∞ geometric law on the diagonal
-    (absorbing excess mass in the certain-violation corner); an integer
-    uses the exact reach distribution of an i.i.d. prefix of that length.
+    Returns the decided mass ``Pr[r₀ ≥ k_max]``: such a start keeps
+    ``m ≥ r₀ − t ≥ 0`` at every checkpoint.  ``prefix_length=None`` uses
+    the X_∞ geometric law; an integer uses the exact reach law of an
+    i.i.d. prefix of that length.
     """
-    rows, cols = settlement_grid_shape(k_max)
-    cap = rows - 1
-    offset = k_max  # column index of m == 0
-    grid = np.zeros((rows, cols))
-
+    k_max = grid.shape[0] - 1
+    zero = _zero_column(grid)
     if prefix_length is None:
         beta = stationary_reach_ratio(probabilities.epsilon)
-        for r in range(cap):
-            grid[r, offset + r] = (1.0 - beta) * beta**r
-        grid[cap, offset + cap] = beta**cap  # absorbed tail: certain violation
+        reach = (1.0 - beta) * beta ** np.arange(k_max)
+        decided = beta**k_max
     else:
-        reach_pmf = prefix_reach_pmf(probabilities, prefix_length, cap)
-        for r in range(cap):
-            grid[r, offset + r] = reach_pmf[r]
-        grid[cap, offset + cap] = max(1.0 - reach_pmf[:cap].sum(), 0.0)
-    return grid
+        pmf = prefix_reach_pmf(probabilities, prefix_length, k_max)
+        reach, decided = pmf[:k_max], pmf[k_max]
+    diagonal = np.arange(k_max)
+    grid[diagonal, zero + diagonal] = reach
+    return float(decided)
 
 
 def prefix_reach_pmf(
     probabilities: SlotProbabilities, length: int, cap: int
 ) -> np.ndarray:
-    """Distribution of ρ(x) for an i.i.d. prefix of given length.
+    """Law of ρ(x) for an i.i.d. prefix of given length, cut at ``cap``.
 
-    The reach recurrence is a reflected walk: +1 on ``A`` (probability
-    p_A), max(·−1, 0) on honest symbols.  Mass at or above ``cap`` is
-    accumulated in the top cell (same saturation argument as the joint
-    grid).
+    ``pmf[r] = Pr[ρ(x) = r]`` for ``r < cap`` and ``pmf[cap] = Pr[ρ(x) ≥
+    cap]``.  The reach recurrence is a reflected walk: +1 on ``A``
+    (probability p_A), max(·−1, 0) on honest symbols.  It moves by one per
+    slot, so with u slots left a reach ≥ cap + u ends ≥ cap; that mass
+    moves to the top cell as it arises.  The walk itself is never
+    saturated, so every cell is exact; the price is work quadratic in
+    ``length`` once it exceeds ``cap``.
     """
     p_adv = probabilities.p_adversarial
     p_honest = probabilities.p_honest
+    live = np.ones(1)
+    above = 0.0
+    for left in range(length - 1, -1, -1):  # slots left after this one
+        nxt = np.zeros(live.size + 1)
+        nxt[1:] += p_adv * live
+        nxt[:-2] += p_honest * live[1:]
+        nxt[0] += p_honest * live[0]
+        keep = cap + left
+        if nxt.size > keep:
+            above += float(nxt[keep:].sum())
+            nxt = nxt[:keep]
+        live = nxt
     pmf = np.zeros(cap + 1)
-    pmf[0] = 1.0
-    for _ in range(length):
-        nxt = np.zeros_like(pmf)
-        nxt[1:] += p_adv * pmf[:-1]
-        nxt[-1] += p_adv * pmf[-1]
-        nxt[:-1] += p_honest * pmf[1:]
-        nxt[0] += p_honest * pmf[0]
-        pmf = nxt
+    pmf[: min(live.size, cap)] = live[:cap]
+    pmf[cap] = above + float(live[cap:].sum())
     return pmf
 
 
-def settlement_adversarial_step(grid: np.ndarray) -> np.ndarray:
-    """DP transition on ``A``: ``(r, m) → (r+1, m+1)``, saturating at the cap."""
-    out = np.zeros_like(grid)
-    out[1:, 1:] = grid[:-1, :-1]
-    out[-1, 1:] += grid[-1, :-1]
-    out[1:, -1] += grid[:-1, -1]
-    out[-1, -1] += grid[-1, -1]
-    return out
+def settlement_adversarial_step(
+    src: np.ndarray,
+    dst: np.ndarray,
+    steps_left: int,
+    low: int,
+    p_adversarial: float,
+) -> None:
+    """``A``: ``(r, m) → (r+1, m+1)`` with weight p_A; overwrites ``dst``.
+
+    Rows at or above the new top row ``s − 1`` merge into it.  The cells
+    only the honest step reaches (row 0 and margins ``low − 1``, ``low``)
+    are zeroed, so ``dst`` is fully written over the step's output band.
+    """
+    s = steps_left
+    top = s - 1
+    zero = _zero_column(src)
+    first, last = zero + low, zero + s  # source margins [low, s − 1]
+    shifted = max(top - 1, 0)  # source rows that land below the top row
+    dst[0, first - 1 : last + 1] = 0.0
+    dst[:s, first - 1 : first + 1] = 0.0
+    np.multiply(
+        src[:shifted, first:last], p_adversarial,
+        out=dst[1 : shifted + 1, first + 1 : last + 1],
+    )
+    merged = dst[top, first + 1 : last + 1]
+    np.sum(src[shifted : s + 1, first:last], axis=0, out=merged)
+    merged *= p_adversarial
 
 
 def settlement_honest_step(
-    grid: np.ndarray, k_max: int, unique: bool
-) -> np.ndarray:
-    """DP transition on ``h`` (unique) or ``H`` (multi); Theorem 5, Eq. (14).
+    src: np.ndarray,
+    dst: np.ndarray,
+    steps_left: int,
+    low: int,
+    p_unique: float,
+    p_multi: float,
+) -> None:
+    """``h``/``H``: Theorem 5, Eq. (14); adds into ``dst``, scales ``src``.
 
-    Generic motion is ``(r, m) → (max(r−1, 0), m−1)``; the m = 0 column is
-    then corrected: with r > 0 the margin stays at 0 for both symbols,
-    with r = 0 it stays at 0 only for ``H``.
+    Reach moves ``r → max(r−1, 0)``.  Margin moves ``m → m−1``, except at
+    m = 0: with r > 0 it stays 0 for both symbols, and with r = 0 it
+    stays 0 only for ``H``.  That m = 0 mass is placed in its column
+    directly.  Row 0 holds no margin above 0 (m ≤ r), so only its
+    m ≤ 0 cells move within row 0.
     """
-    offset = k_max  # column of m == 0
-    colshift = np.zeros_like(grid)
-    colshift[:, :-1] = grid[:, 1:]
-
-    out = np.zeros_like(grid)
-    out[:-1, :] += colshift[1:, :]
-    out[0, :] += colshift[0, :]
-
-    # m == 0, r > 0: margin stays 0 (was shifted to m = −1 above).
-    out[:-1, offset - 1] -= grid[1:, offset]
-    out[:-1, offset] += grid[1:, offset]
-    if not unique:
-        # m == 0, r == 0, symbol H: margin stays 0 as well.
-        out[0, offset - 1] -= grid[0, offset]
-        out[0, offset] += grid[0, offset]
-    return out
+    s = steps_left
+    zero = _zero_column(src)
+    first, last = zero + low, zero + s  # source margins [low, s − 1]
+    corner = src[0, zero]  # (r, m) = (0, 0), before scaling
+    band = src[: s + 1, first:last]
+    np.multiply(band, p_unique + p_multi, out=band)
+    below = src[1 : s + 1]
+    dst[:s, first - 1 : zero - 1] += below[:, first:zero]
+    dst[:s, zero : last - 1] += below[:, zero + 1 : last]
+    dst[:s, zero] += below[:, zero]
+    dst[0, first - 1 : zero - 1] += src[0, first:zero]
+    dst[0, zero - 1] += p_unique * corner
+    dst[0, zero] += p_multi * corner
 
 
-def settlement_violation_mass(grid: np.ndarray, k_max: int) -> float:
-    """``Pr[m ≥ 0]`` — total mass in the non-negative margin columns."""
-    return float(grid[:, k_max:].sum())
+def settlement_decided_mass(grid: np.ndarray, steps_left: int) -> float:
+    """Mass a step pushed to ``m ≥ s`` (s = ``steps_left``, after it).
+
+    Such states violate at every remaining checkpoint.  One step reaches
+    at most margin s + 1, so two columns hold all of it.
+    """
+    zero = _zero_column(grid)
+    s = steps_left
+    return float(grid[: s + 1, zero + s : zero + s + 2].sum())
+
+
+def settlement_violation_mass(grid: np.ndarray, steps_left: int) -> float:
+    """Band mass at ``m ≥ 0``; add the decided mass for ``Pr[m ≥ 0]``."""
+    zero = _zero_column(grid)
+    s = steps_left
+    return float(grid[: s + 1, zero : zero + s].sum())

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.exact import (
@@ -18,6 +19,7 @@ from repro.core.distributions import (
 )
 from repro.core.margin import margin_step
 from repro.core.walks import stationary_reach_ratio
+from repro.engine.kernels import prefix_reach_pmf
 
 
 def brute_force_violation_probability(probs, depth, reach_cap=80):
@@ -39,6 +41,113 @@ def brute_force_violation_probability(probs, depth, reach_cap=80):
                 nxt[key] = nxt.get(key, 0.0) + mass * weight
         states = nxt
     return sum(m for (r, mm), m in states.items() if mm >= 0) + tail
+
+
+def unsaturated_prefix_reach_pmf(probs, length):
+    """Law of ρ(x) for an i.i.d. prefix, on cells 0..length (no cap)."""
+    pmf = np.zeros(length + 1)
+    pmf[0] = 1.0
+    for _ in range(length):
+        nxt = np.zeros_like(pmf)
+        nxt[1:] += probs.p_adversarial * pmf[:-1]
+        nxt[:-1] += probs.p_honest * pmf[1:]
+        nxt[0] += probs.p_honest * pmf[0]
+        pmf = nxt
+    return pmf
+
+
+def dense_reference(probs, k_max, prefix_length=None):
+    """The full-grid (reach, margin) DP, kept here as an oracle.
+
+    Rows index reach r ∈ [0, R] with R = k_max + 2 (reach saturates at
+    R, which no horizon t ≤ k_max can tell apart); columns index margin
+    m ∈ [−k_max, R].  Initial mass at r₀ ≥ R sits in the corner (R, R),
+    taken from the accumulated tail of the reach law, not as 1 − the
+    rest.  Returns ``Pr[m ≥ 0]`` after every step t = 1..k_max.
+    """
+    cap = k_max + 2
+    zero = k_max  # column of m = 0
+    grid = np.zeros((cap + 1, k_max + cap + 1))
+    if prefix_length is None:
+        beta = stationary_reach_ratio(probs.epsilon)
+        reach = [(1.0 - beta) * beta**r for r in range(cap)]
+        tail = beta**cap
+    else:
+        pmf = unsaturated_prefix_reach_pmf(probs, prefix_length)
+        reach = [pmf[r] if r < pmf.size else 0.0 for r in range(cap)]
+        tail = float(pmf[cap:].sum())
+    for r in range(cap):
+        grid[r, zero + r] = reach[r]
+    grid[cap, zero + cap] = tail
+
+    def adversarial(g):
+        out = np.zeros_like(g)
+        out[1:, 1:] = g[:-1, :-1]
+        out[-1, 1:] += g[-1, :-1]
+        out[1:, -1] += g[:-1, -1]
+        out[-1, -1] += g[-1, -1]
+        return out
+
+    def honest(g, unique):
+        shifted = np.zeros_like(g)
+        shifted[:, :-1] = g[:, 1:]
+        out = np.zeros_like(g)
+        out[:-1, :] += shifted[1:, :]
+        out[0, :] += shifted[0, :]
+        out[:-1, zero - 1] -= g[1:, zero]
+        out[:-1, zero] += g[1:, zero]
+        if not unique:
+            out[0, zero - 1] -= g[0, zero]
+            out[0, zero] += g[0, zero]
+        return out
+
+    values = []
+    for _ in range(k_max):
+        grid = (
+            probs.p_adversarial * adversarial(grid)
+            + probs.p_unique * honest(grid, unique=True)
+            + probs.p_multi * honest(grid, unique=False)
+        )
+        values.append(float(grid[:, zero:].sum()))
+    return values
+
+
+def relative_gap(value, reference):
+    if value == reference:
+        return 0.0
+    return abs(value - reference) / abs(reference)
+
+
+EQUIVALENCE_DEPTHS = (1, 2, 3, 7, 60, 150)
+
+
+class TestAgainstDenseReference:
+    """The banded sweep equals the full-grid DP to rounding."""
+
+    @pytest.mark.parametrize("prefix_length", [None, 0, 12, 600])
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.01])
+    @pytest.mark.parametrize("alpha", [0.01, 0.2, 0.49])
+    def test_banded_matches_dense(self, alpha, fraction, prefix_length):
+        probs = from_adversarial_stake(alpha, fraction)
+        for k_max in EQUIVALENCE_DEPTHS:
+            reference = dense_reference(probs, k_max, prefix_length)
+            dense = list(range(1, k_max + 1))
+            for checkpoints in ([1, k_max], dense):
+                run = compute_settlement_probabilities(
+                    probs, checkpoints, prefix_length=prefix_length
+                )
+                for k in checkpoints:
+                    gap = relative_gap(run[k], reference[k - 1])
+                    assert gap <= 1e-13, (k_max, k, run[k], reference[k - 1])
+
+    @pytest.mark.parametrize("alpha,fraction", [(0.01, 1.0), (0.3, 0.5), (0.49, 0.01)])
+    @pytest.mark.parametrize("k", [1, 2, 5, 40, 100])
+    def test_horizon_consistency(self, alpha, fraction, k):
+        """A read-out does not depend on how far the sweep continues."""
+        probs = from_adversarial_stake(alpha, fraction)
+        alone = compute_settlement_probabilities(probs, [k])[k]
+        swept = compute_settlement_probabilities(probs, [k, 3 * k])[k]
+        assert relative_gap(alone, swept) <= 1e-13
 
 
 class TestAgainstBruteForce:
@@ -117,6 +226,34 @@ class TestStructure:
                 probs, 25, prefix_length=prefix_length
             )
             assert finite <= infinite + 1e-12
+
+    @pytest.mark.parametrize("prefix_length", [0, 5, 50, 600])
+    @pytest.mark.parametrize("alpha", [0.01, 0.1])
+    def test_finite_prefix_dominated_in_relative_terms(
+        self, alpha, prefix_length
+    ):
+        """No spurious tail mass: at α = 0.01, k = 60 the violation
+        probability is ~1e-33, far below one float64 rounding of 1."""
+        probs = from_adversarial_stake(alpha, 1.0)
+        infinite = settlement_violation_probability(probs, 60)
+        finite = settlement_violation_probability(
+            probs, 60, prefix_length=prefix_length
+        )
+        assert finite <= infinite * (1 + 1e-12), (finite, infinite)
+
+    def test_long_prefix_reach_law_is_exact(self):
+        """A 600-slot prefix at α = 0.49 often climbs far above k: its
+        reach law must not saturate at any cap near k."""
+        probs = from_adversarial_stake(0.49, 1.0)
+        exact = unsaturated_prefix_reach_pmf(probs, 600)
+        for cap in (1, 3, 20):
+            pmf = prefix_reach_pmf(probs, 600, cap)
+            assert pmf[:cap] == pytest.approx(exact[:cap], rel=1e-12)
+            assert pmf[cap] == pytest.approx(exact[cap:].sum(), rel=1e-12)
+        # k = 1: violation unless the first symbol is h from reach 0.
+        value = settlement_violation_probability(probs, 1, prefix_length=600)
+        expected = 1.0 - probs.p_unique * exact[0]
+        assert math.isclose(value, expected, rel_tol=1e-12)
 
     def test_finite_prefix_converges_to_stationary(self):
         probs = from_adversarial_stake(0.35, 0.8)

@@ -40,7 +40,8 @@ Eleven jobs:
    the three estimates identical, and record
    per-backend chunk throughput, the distributed-over-process overhead
    ratio (floor: >= 0.5x on localhost), and the hot-kernel
-   temporaries-audit micro-bench — the "backend" record;
+   micro-bench (reach kernels, and the slot-major margin scan at
+   4096 x 40 and 4096 x 100, median of 5) — the "backend" record;
 8. measure the continuous-time network layer — raw EventScheduler
    events/s, WAN-transport trials/s against the slot-quantized
    simulator's trials/s (floor: >= 0.5x — physics costs something, but
@@ -125,6 +126,25 @@ def _time(callable_, *args, **kwargs):
     start = time.perf_counter()
     result = callable_(*args, **kwargs)
     return time.perf_counter() - start, result
+
+
+def _repeated(repeats, scale, digits, callable_, *args, **kwargs):
+    """Time ``repeats`` calls: ``({median, min, max}, last result)``.
+
+    Each time is multiplied by ``scale`` (1 for seconds, 1e3 for
+    milliseconds) and rounded to ``digits`` places.
+    """
+    times = []
+    for _ in range(repeats):
+        seconds, result = _time(callable_, *args, **kwargs)
+        times.append(seconds * scale)
+    times.sort()
+    spread = {
+        "median": round(times[len(times) // 2], digits),
+        "min": round(times[0], digits),
+        "max": round(times[-1], digits),
+    }
+    return spread, result
 
 
 def perf_record(quick: bool) -> dict:
@@ -394,6 +414,7 @@ def adaptive_record(quick: bool, workers: int) -> dict:
 EXACT_CELL = (0.9, 0.30)  # (unique fraction, alpha)
 EXACT_DEPTHS = (100, 200, 300, 500)
 EXACT_REPEATS = 5
+KERNEL_REPEATS = 5
 
 
 def _printed_mismatches(cells: dict) -> list[str]:
@@ -421,19 +442,11 @@ def exact_record(quick: bool) -> dict:
     cells = {}
     dp_seconds = {}
     for k in EXACT_DEPTHS:
-        times = []
-        for _ in range(EXACT_REPEATS):
-            seconds, computation = _time(
-                compute_settlement_probabilities, probabilities, [k]
-            )
-            times.append(seconds)
+        dp_seconds[str(k)], computation = _repeated(
+            EXACT_REPEATS, 1.0, 5,
+            compute_settlement_probabilities, probabilities, [k],
+        )
         cells[(fraction, alpha, k)] = computation[k]
-        times.sort()
-        dp_seconds[str(k)] = {
-            "median": round(times[len(times) // 2], 5),
-            "min": round(times[0], 5),
-            "max": round(times[-1], 5),
-        }
     record = {
         "law": {"alpha": alpha, "unique_fraction": fraction},
         "repeats": EXACT_REPEATS,
@@ -729,13 +742,11 @@ def backend_record(quick: bool) -> dict:
     runs before the timed region: the record measures steady-state
     dispatch overhead, not interpreter boot.
 
-    The record also carries the hot-kernel micro-bench backing the
-    temporaries audit: per-call milliseconds of the settlement pipeline
-    stages after the in-place/rewrite pass (`prefix_sum_matrix` writing
-    through a column view with `out=`-accumulated cumsum,
-    `final_reaches` reduced to row min/max without materializing the
-    trajectory matrix, single-comparison honest masks, and the
-    reflected walk dropping its `(n, T+1)` floor matrix).
+    The record also carries the hot-kernel micro-bench: per-call
+    milliseconds of the reach kernels on one ``4096 × 256`` matrix, and
+    of the slot-major margin scan (``joint_final_states`` with
+    stationary initial reaches) at ``4096 × 40`` and ``4096 × 100``,
+    each the median of ``KERNEL_REPEATS`` with min and max.
     """
     from repro.engine.distributed import DistributedBackend
     from repro.engine.parallel import ProcessBackend, SerialBackend
@@ -796,8 +807,8 @@ def backend_record(quick: bool) -> dict:
     identical = all(value == reference for value in estimates.values())
     assert identical, f"backend changed the estimate: {estimates}"
 
-    # Hot-kernel micro-bench (the temporaries-audit numbers): one
-    # settlement pipeline pass on a fixed matrix, per-stage timings.
+    # Hot-kernel micro-bench: the reach kernels on one fixed matrix, and
+    # the margin scan at the widths of the Table 1 MC depths.
     rng = np.random.default_rng(seed)
     uniforms = rng.random((chunk_size, 256))
     symbols = kernels.symbols_from_uniforms(scenario.probabilities, uniforms)
@@ -813,7 +824,20 @@ def backend_record(quick: bool) -> dict:
         "prefix_sum_matrix_ms": round(sums_s * 1e3, 3),
         "final_reaches_ms": round(final_s * 1e3, 3),
         "reflected_walk_ms": round(walk_s * 1e3, 3),
+        "joint_final_states_ms": {},
     }
+    initial = kernels.sample_initial_reaches(
+        scenario.probabilities.epsilon, chunk_size, rng
+    )
+    for width in (40, 100):
+        columns = np.ascontiguousarray(symbols[:, :width])
+        kernels.joint_final_states(columns, 0, initial)  # warm
+        kernel_bench["joint_final_states_ms"][f"{chunk_size}x{width}"], _ = (
+            _repeated(
+                KERNEL_REPEATS, 1e3, 3,
+                kernels.joint_final_states, columns, 0, initial,
+            )
+        )
 
     return {
         "workload": scenario.name,
@@ -829,11 +853,13 @@ def backend_record(quick: bool) -> dict:
         ),
         "kernels": kernel_bench,
         "temporaries_audit": (
-            "prefix_sum_matrix fills a [:, 1:] view and accumulates with "
-            "out=; final_reaches/reflected walk reduce to per-row "
-            "min/max without trajectory or floor matrices; honest masks "
-            "are one comparison (codes < CODE_ADVERSARIAL); no float64 "
-            "round-trips outside the uniform draws themselves"
+            "joint_final_states/margin_trajectories run one slot-major "
+            "scan: the codes are transposed and decoded once, then "
+            "(rho, mu) update in place per slot with preallocated "
+            "boolean scratch, in int32 unless a huge initial reach "
+            "needs int64; prefix_sum_matrix fills a [:, 1:] view and "
+            "accumulates with out=; final_reaches/reflected walk reduce "
+            "to per-row min/max without trajectory or floor matrices"
         ),
     }
 

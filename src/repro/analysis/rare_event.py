@@ -336,11 +336,10 @@ def splitting_settlement_estimate(
     if stage_length < 1:
         raise ValueError(f"stage_length must be positive, got {stage_length}")
     generator = np.random.default_rng(np.random.SeedSequence(seed))
-    reaches = kernels.sample_initial_reaches(
+    # (ρ, μ) = (r₀, r₀); the scan never writes the arrays it is given
+    rho = mu = kernels.sample_initial_reaches(
         probabilities.epsilon, particles, generator
     )
-    rho = reaches.astype(np.int64)
-    mu = rho.copy()
     stage_times = tuple(range(stage_length, depth, stage_length)) + (depth,)
     fractions: list[float] = []
     time = 0
@@ -348,10 +347,7 @@ def splitting_settlement_estimate(
         symbols = kernels.sample_characteristic_matrix(
             probabilities, particles, stage_end - time, generator
         )
-        for column in range(symbols.shape[1]):
-            rho, mu = kernels.batched_margin_step(
-                rho, mu, symbols[:, column]
-            )
+        rho, mu = kernels.margin_scan(symbols, rho, mu)
         time = stage_end
         survivors = np.flatnonzero(mu >= -(depth - stage_end))
         fraction = survivors.size / particles
@@ -367,8 +363,7 @@ def splitting_settlement_estimate(
             chosen = survivors[
                 generator.integers(0, survivors.size, size=particles)
             ]
-            rho = rho[chosen].copy()
-            mu = mu[chosen].copy()
+            rho, mu = rho[chosen], mu[chosen]
     value = float(np.prod(fractions))
     relative_variance = sum(
         (1.0 - fraction) / (particles * fraction) for fraction in fractions

@@ -38,10 +38,12 @@ same thresholds — see ``*_from_uniforms`` below, which make the mapping
 explicit and deterministic given the uniform block.
 
 The kernels use ``out=``/in-place forms where the result is
-bit-identical (the temporaries audit; ``BENCH_engine.json``'s
-``backend.kernel_microbench`` records the throughput).  The
-settlement-DP kernels at the bottom of this module update the band of a
-float64 (reach, margin) table in place for the exact-DP layer.
+bit-identical (``BENCH_engine.json``'s ``backend.kernels`` records the
+throughput).  The joint margin recurrence is one slot-major, in-place
+scan in int32 — int64 when a huge initial reach could leave the int32
+range, so narrowing never changes a value.  The settlement-DP kernels
+at the bottom of this module update the band of a float64 (reach,
+margin) table in place for the exact-DP layer.
 """
 
 from __future__ import annotations
@@ -322,6 +324,116 @@ def final_reaches(
 # ----------------------------------------------------------------------
 # The joint (reach, margin) recurrence (Theorem 5, Eq. (14))
 # ----------------------------------------------------------------------
+#
+# One slot-major scan runs the recurrence for every caller.  The codes
+# are transposed once, so slot t is one contiguous row of every trial,
+# and decoded once into the walk step (+1 for A, −1 honest, 0 for ⊥) and
+# the honest and H masks.  Each slot then updates (ρ, μ) in place with
+# preallocated boolean scratch:
+#
+#     hold = (μ == 0) & (honest & (ρ > 0) | H)     read before the step
+#     ρ += step;  ρ = max(ρ, 0);  μ += step;  μ += hold
+#
+# which is margin_step's case split: A raises both, an honest slot
+# lowers both, except that μ = 0 holds when ρ > 0 or the slot is H.
+
+
+def _decode_slots(codes: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
+    """Walk steps (in ``dtype``), honest mask and H mask of some codes."""
+    honest = codes < CODE_ADVERSARIAL  # codes h = 0, H = 1
+    steps = (codes == CODE_ADVERSARIAL).astype(dtype)
+    steps -= honest
+    return steps, honest, codes == CODE_MULTI
+
+
+def _margin_step_in_place(
+    rho: np.ndarray,
+    mu: np.ndarray,
+    steps: np.ndarray,
+    honest: np.ndarray,
+    multi: np.ndarray,
+    hold: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """One joint transition of every trial, written over ``rho`` and ``mu``.
+
+    ``steps``, ``honest`` and ``multi`` decode one slot (see
+    :func:`_decode_slots`); ``hold`` and ``scratch`` are boolean buffers
+    of the state's shape.  Empty symbols are the identity.
+    """
+    np.greater(rho, 0, out=hold)
+    hold &= honest
+    hold |= multi
+    np.equal(mu, 0, out=scratch)
+    hold &= scratch
+    rho += steps
+    np.maximum(rho, 0, out=rho)
+    mu += steps
+    mu += hold
+
+
+def _working_state(
+    rho: np.ndarray, mu: np.ndarray, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh copies of ``(ρ, μ)`` in the narrowest safe integer type.
+
+    Each slot moves ρ and μ by at most one, so int32 can never wrap while
+    ``max |state| + length < 2³¹``.  The stationary initial reach exceeds
+    that when ε < ~1.6e-7 (α just below ½); such a batch runs in int64.
+    """
+    bound = length
+    if rho.size:
+        bound += max(int(np.abs(rho).max()), int(np.abs(mu).max()))
+    dtype = np.int32 if bound < 2**31 else np.int64
+    return rho.astype(dtype), mu.astype(dtype)
+
+
+def _margin_scan(
+    symbols: np.ndarray,
+    rho: np.ndarray,
+    mu: np.ndarray,
+    prefix_lengths: np.ndarray | int,
+    record: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Run Eq. (14) over every column of ``symbols`` from ``(ρ, μ)``.
+
+    Returns the final ``(ρ, μ)`` as int64 and, with ``record``, the
+    slot-major ``(T+1, n)`` margins (row 0 the state passed in).  While
+    column ``t`` is inside a row's prefix (``t < prefix_lengths``) its
+    margin tracks the reach.  The inputs are not modified.
+    """
+    trials, length = symbols.shape
+    starts = np.broadcast_to(
+        np.asarray(prefix_lengths, dtype=np.int64), (trials,)
+    )
+    prefix_end = int(starts.max()) if trials else 0
+    rho, mu = _working_state(rho, mu, length)
+    steps, honest, multi = _decode_slots(symbols.T.copy(), rho.dtype)
+    hold = np.empty(trials, dtype=bool)
+    scratch = np.empty(trials, dtype=bool)
+    margins = None
+    if record:
+        margins = np.empty((length + 1, trials), dtype=mu.dtype)
+        margins[0] = mu
+    for t in range(length):
+        _margin_step_in_place(
+            rho, mu, steps[t], honest[t], multi[t], hold, scratch
+        )
+        if t < prefix_end:
+            np.less(t, starts, out=scratch)
+            np.copyto(mu, rho, where=scratch)
+        if record:
+            margins[t + 1] = mu
+    return rho.astype(np.int64), mu.astype(np.int64), margins
+
+
+def _initial_state(
+    trials: int, initial_reaches: np.ndarray | None
+) -> np.ndarray:
+    """ρ before the first symbol (zero unless the X_∞ model seeds it)."""
+    if initial_reaches is None:
+        return np.zeros(trials, dtype=np.int64)
+    return np.asarray(initial_reaches)
 
 
 def batched_margin_step(
@@ -331,22 +443,32 @@ def batched_margin_step(
 
     Vector form of :func:`repro.core.margin.margin_step`; ``rho`` is
     ``ρ(xy)`` *before* consuming the column.  Empty symbols are the
-    identity (used for padding).
+    identity (used for padding).  The scan's in-place step, applied to
+    int64 copies of the state.
     """
-    adversarial = column == CODE_ADVERSARIAL
-    honest = column < CODE_ADVERSARIAL  # codes h = 0, H = 1
-    stays_zero = (mu == 0) & ((rho > 0) | (column == CODE_MULTI))
-    new_mu = np.where(
-        adversarial,
-        mu + 1,
-        np.where(honest, np.where(stays_zero, 0, mu - 1), mu),
+    rho = np.array(rho, dtype=np.int64)
+    mu = np.array(mu, dtype=np.int64)
+    hold = np.empty(rho.shape, dtype=bool)
+    _margin_step_in_place(
+        rho, mu, *_decode_slots(column, np.int64), hold, np.empty_like(hold)
     )
-    new_rho = np.where(
-        adversarial,
-        rho + 1,
-        np.where(honest, np.maximum(rho - 1, 0), rho),
-    )
-    return new_rho, new_mu
+    return rho, mu
+
+
+def margin_scan(
+    symbols: np.ndarray,
+    rho: np.ndarray,
+    mu: np.ndarray,
+    prefix_lengths: np.ndarray | int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ρ, μ)`` after every column of ``symbols``, from a given state.
+
+    The state-in, state-out form of the scan: a staged caller (the
+    splitting estimator) resumes each stage from the last one's state.
+    Returns new int64 arrays; ``rho`` and ``mu`` are left as they were.
+    """
+    rho, mu, _ = _margin_scan(symbols, rho, mu, prefix_lengths, False)
+    return rho, mu
 
 
 def joint_final_states(
@@ -361,22 +483,15 @@ def joint_final_states(
     (``μ_x(ε) = ρ(x)``), after which the Theorem 5 margin transition takes
     over.  ``initial_reaches`` seeds ``ρ`` before the first symbol (the
     X_∞ model of Table 1); it defaults to zero.
+
+    One slot-major pass updates the state in place, in int32 unless a
+    huge initial reach could wrap it (then int64); the values returned
+    are int64 either way.
     """
-    trials, length = symbols.shape
-    starts = np.broadcast_to(
-        np.asarray(prefix_lengths, dtype=np.int64), (trials,)
+    initial = _initial_state(symbols.shape[0], initial_reaches)
+    rho, mu, _ = _margin_scan(
+        symbols, initial, initial, prefix_lengths, False
     )
-    rho = (
-        np.zeros(trials, dtype=np.int64)
-        if initial_reaches is None
-        else initial_reaches.astype(np.int64).copy()
-    )
-    mu = rho.copy()
-    for t in range(length):
-        new_rho, new_mu = batched_margin_step(rho, mu, symbols[:, t])
-        in_prefix = t < starts
-        mu = np.where(in_prefix, new_rho, new_mu)
-        rho = new_rho
     return rho, mu
 
 
@@ -385,32 +500,20 @@ def margin_trajectories(
     prefix_lengths: np.ndarray | int = 0,
     initial_reaches: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``(n, T+1)`` margin values along every row.
+    """``(n, T+1)`` int64 margin values along every row.
 
     Column ``t`` holds ``μ_x(y_1 … y_{t−|x|})`` once ``t ≥ |x|`` and the
     running reach ``ρ(w_1 … w_t)`` while still inside the prefix (so that
     column ``|x|`` is ``μ_x(ε) = ρ(x)``, matching
-    :func:`repro.core.margin.margin_sequence` entry 0).
+    :func:`repro.core.margin.margin_sequence` entry 0).  The same scan as
+    :func:`joint_final_states` (and the same int32 guard), recording
+    each slot's margins slot-major and transposing once at the end.
     """
-    trials, length = symbols.shape
-    starts = np.broadcast_to(
-        np.asarray(prefix_lengths, dtype=np.int64), (trials,)
+    initial = _initial_state(symbols.shape[0], initial_reaches)
+    _rho, _mu, margins = _margin_scan(
+        symbols, initial, initial, prefix_lengths, True
     )
-    rho = (
-        np.zeros(trials, dtype=np.int64)
-        if initial_reaches is None
-        else initial_reaches.astype(np.int64).copy()
-    )
-    mu = rho.copy()
-    out = np.empty((trials, length + 1), dtype=np.int64)
-    out[:, 0] = mu
-    for t in range(length):
-        new_rho, new_mu = batched_margin_step(rho, mu, symbols[:, t])
-        in_prefix = t < starts
-        mu = np.where(in_prefix, new_rho, new_mu)
-        rho = new_rho
-        out[:, t + 1] = mu
-    return out
+    return np.ascontiguousarray(margins.T, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

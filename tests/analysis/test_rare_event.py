@@ -100,6 +100,14 @@ class TestAgainstExactDP:
         )
         assert abs(estimate.value - exact) <= 6.0 * estimate.standard_error
 
+    def test_table1_cell_at_depth_300(self):
+        law = from_adversarial_stake(0.40, 1.0)
+        exact = settlement_violation_probability(law, 300)
+        estimate = settlement_is_estimate(
+            scenario_for(law, 300), seed=11, trials=20_000
+        )
+        assert abs(estimate.value - exact) <= 6.0 * estimate.standard_error
+
     def test_weights_are_nonnegative_and_finite(self):
         law = bernoulli_condition(0.4, 0.5)
         scenario = scenario_for(law, 15)
@@ -164,6 +172,38 @@ class TestSplitting:
         # delta-method SE does not cover; allow one extra SE for it.
         assert abs(estimate.value - exact) <= 7.0 * estimate.standard_error
         assert estimate.as_estimate().trials == 20_000
+
+    @pytest.mark.parametrize(
+        "seed,value,standard_error,fractions",
+        [
+            (
+                5,
+                0.010851076846934461,
+                0.0002574257342253116,
+                (1.0, 1.0, 1.0, 0.9999, 0.83485, 0.2938, 0.12935, 0.34205),
+            ),
+            (
+                11,
+                0.010719149076483268,
+                0.0002553473135101005,
+                (1.0, 1.0, 1.0, 0.9998, 0.8403, 0.2919, 0.1282, 0.34095),
+            ),
+        ],
+    )
+    def test_pinned_estimates(self, seed, value, standard_error, fractions):
+        # Exact values of the per-column margin step the stage scan
+        # replaced: the scan must reproduce them bit for bit.
+        law = from_adversarial_stake(0.30, 0.9)
+        estimate = splitting_settlement_estimate(
+            law, depth=60, particles=20_000, seed=seed
+        )
+        assert estimate == SplittingEstimate(
+            value,
+            standard_error,
+            20_000,
+            (8, 16, 24, 32, 40, 48, 56, 60),
+            fractions,
+        )
 
     def test_stage_fractions_multiply_to_value(self):
         law = from_adversarial_stake(0.25, 1.0)

@@ -157,6 +157,137 @@ class TestMarginEquivalence:
         assert trajectory.tolist() == [3, 2, 1]
 
 
+def expected_margin_row(word, prefix_length, width):
+    """One ⊥-padded row of ``margin_trajectories``, from the scalar layer.
+
+    Reach inside the prefix, ``margin_sequence`` after it, and the last
+    value repeated over the padding (⊥ is the identity).
+    """
+    start = min(prefix_length, len(word))
+    row = reach_sequence(word)[:start] + margin_sequence(word, prefix_length)
+    return row + [row[-1]] * (width + 1 - len(row))
+
+
+def scalar_margins_from(initial, word, prefix_length):
+    """``margin_sequence`` generalised to a reach ``initial`` before ``word``.
+
+    Iterates the scalar ``margin_step`` in Python ints; for a small
+    ``initial`` it equals ``margin_sequence("A" * initial + word, …)``.
+    """
+    reach = initial
+    for symbol in word[:prefix_length]:
+        reach, _ = margin_step(reach, 0, symbol)
+    margin = reach
+    margins = [margin]
+    for symbol in word[prefix_length:]:
+        reach, margin = margin_step(reach, margin, symbol)
+        margins.append(margin)
+    return reach, margins
+
+
+class TestMarginScanEdges:
+    """The slot-major scan on ragged, prefixed, seeded and empty batches."""
+
+    def test_ragged_rows_with_per_row_prefixes(self):
+        words = random_strings("hHA", 120, 0, 45, seed=21)
+        rng = random.Random(22)
+        # prefixes up to five slots past the row's end
+        prefixes = [rng.randint(0, len(w) + 5) for w in words]
+        matrix, _ = kernels.encode_words(words)
+        starts = np.array(prefixes, dtype=np.int64)
+        trajectories = kernels.margin_trajectories(matrix, starts)
+        final_rho, final_mu = kernels.joint_final_states(matrix, starts)
+        assert trajectories.dtype == np.int64
+        for i, (word, prefix) in enumerate(zip(words, prefixes)):
+            expected = expected_margin_row(word, prefix, matrix.shape[1])
+            assert trajectories[i].tolist() == expected
+            assert final_mu[i] == margin_sequence(word, prefix)[-1]
+            assert final_rho[i] == rho(word)
+
+    def test_stationary_initial_reaches(self):
+        words = random_strings("hHA", 120, 0, 40, seed=23)
+        matrix, _ = kernels.encode_words(words)
+        generator = np.random.default_rng(24)
+        initial = kernels.sample_initial_reaches(0.2, len(words), generator)
+        assert initial.max() > 5  # the seeded reaches are exercised
+        rng = random.Random(25)
+        prefixes = [rng.randint(0, len(w) + 2) for w in words]
+        starts = np.array(prefixes, dtype=np.int64)
+        trajectories = kernels.margin_trajectories(matrix, starts, initial)
+        final_rho, final_mu = kernels.joint_final_states(
+            matrix, starts, initial
+        )
+        for i, (word, prefix) in enumerate(zip(words, prefixes)):
+            # an initial reach r is a prefix of r adversarial slots
+            r = int(initial[i])
+            seeded = "A" * r + word
+            expected = expected_margin_row(
+                seeded, r + prefix, r + matrix.shape[1]
+            )
+            assert trajectories[i].tolist() == expected[r:]
+            assert final_mu[i] == expected[-1]
+            assert final_rho[i] == rho(seeded)
+
+    @pytest.mark.parametrize("initial", [2**40, 2**31 - 2])
+    def test_huge_initial_reaches_never_wrap(self, initial):
+        # int32 would wrap both: 2**40 on narrowing, 2**31 - 2 after two
+        # adversarial slots.
+        words = ["AAAAAAAA", "hhhhhhhh", "AhHAHhAh", "HHHhhhAA", "AAAAhhhh"]
+        prefixes = [0, 0, 3, 8, 2]
+        matrix, _ = kernels.encode_words(words)
+        starts = np.array(prefixes, dtype=np.int64)
+        reaches = np.full(len(words), initial, dtype=np.int64)
+        trajectories = kernels.margin_trajectories(matrix, starts, reaches)
+        final_rho, final_mu = kernels.joint_final_states(
+            matrix, starts, reaches
+        )
+        for i, (word, prefix) in enumerate(zip(words, prefixes)):
+            reach, margins = scalar_margins_from(initial, word, prefix)
+            assert trajectories[i, prefix:].tolist() == margins
+            assert (int(final_rho[i]), int(final_mu[i])) == (
+                reach, margins[-1]
+            )
+
+    def test_scalar_reference_is_margin_sequence(self):
+        for word in random_strings("hHA", 30, 0, 20, seed=26):
+            for prefix in (0, len(word) // 2, len(word)):
+                _, margins = scalar_margins_from(0, word, prefix)
+                assert margins == margin_sequence(word, prefix)
+
+    @pytest.mark.parametrize("shape", [(0, 7), (5, 0), (0, 0)])
+    def test_empty_batches(self, shape):
+        matrix = np.full(shape, kernels.CODE_ADVERSARIAL, dtype=np.uint8)
+        reaches = np.arange(shape[0], dtype=np.int64)
+        starts = np.zeros(shape[0], dtype=np.int64)
+        final_rho, final_mu = kernels.joint_final_states(
+            matrix, starts, reaches
+        )
+        assert final_rho.dtype == final_mu.dtype == np.int64
+        assert final_rho.tolist() == final_mu.tolist() == reaches.tolist()
+        trajectories = kernels.margin_trajectories(matrix, 0)
+        assert trajectories.shape == (shape[0], shape[1] + 1)
+        assert trajectories.dtype == np.int64
+        assert trajectories.tolist() == [
+            list(range(shape[1] + 1)) for _ in range(shape[0])
+        ]
+
+    def test_scan_resumes_from_its_state(self):
+        words = random_strings("hHA", 60, 30, 30, seed=27)
+        matrix, _ = kernels.encode_words(words)
+        initial = kernels.sample_initial_reaches(
+            0.3, len(words), np.random.default_rng(28)
+        )
+        whole = kernels.joint_final_states(matrix, 0, initial)
+        state = (initial, initial)
+        for cut in ((0, 11), (11, 12), (12, 30)):
+            state = kernels.margin_scan(matrix[:, slice(*cut)], *state)
+        assert [s.tolist() for s in state] == [w.tolist() for w in whole]
+        # the state passed in is left as it was
+        assert initial.tolist() == kernels.sample_initial_reaches(
+            0.3, len(words), np.random.default_rng(28)
+        ).tolist()
+
+
 class TestCatalanEquivalence:
     def test_matches_catalan_slots(self):
         words = random_strings("hHA", 120, 1, 60, seed=7)

@@ -1,16 +1,14 @@
-"""Over-the-wire SLO bench: every oracle serving mode under load.
+"""Over-the-wire SLO bench: single-process and pre-fork serving under load.
 
 ``bench_oracle_throughput.py`` measures the oracle's *in-process* query
 paths; this module measures what a deployment actually gets: real
 HTTP/1.1 requests on localhost, with concurrent persistent-connection
-clients on both query shapes, swept across the serving tier's modes:
+clients on both query shapes, in two serving modes:
 
-* **threaded** — the classic ``ThreadingHTTPServer`` (one thread per
+* **threaded** — one ``ThreadingHTTPServer`` (one thread per
   connection, stdlib ``BaseHTTPRequestHandler`` parsing);
-* **async** — the single-threaded asyncio event loop with the
-  hand-rolled HTTP/1.1 parser and keep-alive pipelining;
-* **prefork4** — four forked worker processes (async transport)
-  sharing one listening socket, the scale-out mode.
+* **prefork4** — four forked worker processes, each a threaded server
+  on one shared listening socket, the scale-out mode.
 
 Per mode, both shapes are driven:
 
@@ -23,9 +21,6 @@ Recorded SLO floors (asserted here and by ``run_all.py``):
 
 * threaded batch sustains >= 50 000 queries/second over the wire —
   the historical floor; HTTP framing must not eat the batch advantage;
-* async scalar >= 1.3x threaded scalar — the hand-rolled parser must
-  actually out-run ``BaseHTTPRequestHandler``'s email-module parsing
-  (a single-core property, asserted everywhere);
 * prefork4 batch >= factor x threaded batch, where the factor scales
   with the cores the host actually has: 2.0 with >= 4 cores (the CI
   shape), 1.2 with 2-3, and 0.5 on a single core (four processes on
@@ -34,7 +29,7 @@ Recorded SLO floors (asserted here and by ``run_all.py``):
   can see which regime produced the number);
 * error rate is exactly 0 across every request of the run;
 * a golden query set (successes *and* errors) returns byte-identical
-  bodies from every mode — the serving tier's parity contract;
+  bodies from both modes — the serving tier's parity contract;
 * the ``/metrics`` endpoint counted the load it served.
 
 Also recorded: the batch-encode micro-benchmark — ``ndarray.tolist()``
@@ -67,7 +62,6 @@ from repro.oracle import (  # noqa: E402
     TINY_SPEC,
     build_tables,
 )
-from repro.oracle.aioserver import AsyncHTTPServer  # noqa: E402
 from repro.oracle.app import OracleApp  # noqa: E402
 from repro.oracle.server import (  # noqa: E402
     make_listening_socket,
@@ -81,7 +75,6 @@ SERVING_SPEC = dataclasses.replace(
 
 QUERY_SEED = 20200707
 BATCH_HTTP_FLOOR = 50_000.0  # queries/s over localhost HTTP (threaded)
-ASYNC_SCALAR_SPEEDUP_FLOOR = 1.3  # vs threaded scalar, any core count
 ERROR_RATE_MAX = 0.0
 PREFORK_WORKERS = 4
 
@@ -178,7 +171,7 @@ def _drive(address, clients: int, requester) -> dict:
 def _prefork_worker(directory: str, sock, index: int) -> None:
     worker_oracle = SettlementOracle.load(directory)
     app = OracleApp(worker_oracle, worker_label=str(index))
-    AsyncHTTPServer(app, sock=sock).run()
+    make_server(app=app, sock=sock).serve_forever()
 
 
 def _wait_ready(address, timeout: float = 60.0) -> None:
@@ -208,9 +201,6 @@ def _boot(mode: str, directory: str, oracle):
             thread.join(timeout=10)
 
         return server.server_address[:2], stop
-    if mode == "async":
-        server = AsyncHTTPServer(OracleApp(oracle)).start()
-        return tuple(server.server_address[:2]), server.shutdown
     assert mode == "prefork4"
     sock = make_listening_socket()
     address = sock.getsockname()[:2]
@@ -313,7 +303,7 @@ def _batch_encode_record(batch_size: int = 2_000) -> dict:
 
 
 def serving_record(quick: bool) -> dict:
-    """Build, serve, and load-test every mode; the ``serving`` record."""
+    """Build, serve, and load-test both modes; the ``serving`` record."""
     import tempfile
 
     clients = 2 if quick else 4
@@ -391,7 +381,7 @@ def serving_record(quick: bool) -> dict:
         modes = {}
         transcripts = {}
         metrics_ok = False
-        for mode in ("threaded", "async", "prefork4"):
+        for mode in ("threaded", "prefork4"):
             address, stop = _boot(mode, directory, oracle)
             try:
                 scalar = _drive(address, clients, scalar_requester)
@@ -429,15 +419,7 @@ def serving_record(quick: bool) -> dict:
             modes[mode] = entry
 
     threaded = modes["threaded"]
-    answers_identical = all(
-        transcripts[mode] == transcripts["threaded"]
-        for mode in ("async", "prefork4")
-    )
-    async_speedup = round(
-        modes["async"]["scalar"]["requests_per_second"]
-        / threaded["scalar"]["requests_per_second"],
-        2,
-    )
+    answers_identical = transcripts["prefork4"] == transcripts["threaded"]
     prefork_speedup = round(
         modes["prefork4"]["batch"]["queries_per_second"]
         / threaded["batch"]["queries_per_second"],
@@ -465,7 +447,6 @@ def serving_record(quick: bool) -> dict:
         "scalar": threaded["scalar"],
         "batch": threaded["batch"],
         "modes": modes,
-        "async_scalar_speedup": async_speedup,
         "prefork_batch_speedup": prefork_speedup,
         "answers_identical_across_modes": answers_identical,
         "batch_encode": _batch_encode_record(),
@@ -473,14 +454,12 @@ def serving_record(quick: bool) -> dict:
         "metrics_endpoint_counted_load": metrics_ok,
         "slo": {
             "batch_queries_per_second_floor": BATCH_HTTP_FLOOR,
-            "async_scalar_speedup_floor": ASYNC_SCALAR_SPEEDUP_FLOOR,
             "prefork_batch_speedup_floor": prefork_floor,
             "error_rate_max": ERROR_RATE_MAX,
         },
     }
     record["slo"]["met"] = (
         threaded["batch"]["queries_per_second"] >= BATCH_HTTP_FLOOR
-        and async_speedup >= ASYNC_SCALAR_SPEEDUP_FLOOR
         and prefork_speedup >= prefork_floor
         and record["error_rate"] <= ERROR_RATE_MAX
         and answers_identical
@@ -494,9 +473,6 @@ def test_serving_meets_slo_floors():
     record = serving_record(quick=True)
     assert record["error_rate"] == 0.0, record
     assert record["batch"]["queries_per_second"] >= BATCH_HTTP_FLOOR, record
-    assert (
-        record["async_scalar_speedup"] >= ASYNC_SCALAR_SPEEDUP_FLOOR
-    ), record
     assert record["prefork_batch_speedup"] >= (
         record["slo"]["prefork_batch_speedup_floor"]
     ), record
@@ -534,8 +510,7 @@ def main() -> int:
             f"p99 {entry['batch']['p99_ms']}ms)"
         )
     print(
-        f"serving: async scalar speedup {record['async_scalar_speedup']}x "
-        f"(floor {ASYNC_SCALAR_SPEEDUP_FLOOR}), prefork4 batch speedup "
+        f"serving: prefork4 batch speedup "
         f"{record['prefork_batch_speedup']}x (floor "
         f"{record['slo']['prefork_batch_speedup_floor']}, "
         f"{record['cpu_count']} cores), batch encode speedup "
@@ -547,9 +522,7 @@ def main() -> int:
         print(
             "FAIL: serving SLO floors not met "
             f"(threaded batch {record['batch']['queries_per_second']} q/s "
-            f"vs {BATCH_HTTP_FLOOR} floor, async scalar speedup "
-            f"{record['async_scalar_speedup']} vs "
-            f"{ASYNC_SCALAR_SPEEDUP_FLOOR}, prefork batch speedup "
+            f"vs {BATCH_HTTP_FLOOR} floor, prefork batch speedup "
             f"{record['prefork_batch_speedup']} vs "
             f"{record['slo']['prefork_batch_speedup_floor']}, error rate "
             f"{record['error_rate']}, parity "

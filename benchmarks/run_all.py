@@ -26,15 +26,14 @@ Eleven jobs:
    and measure both query paths against recomputing the exact DP per
    query (floors: scalar >= 100x the DP, batch >= 50k queries/s) — the
    "oracle" record;
-6. load-test every oracle serving mode over localhost — threaded,
-   async, and prefork(4) — with concurrent persistent-connection
+6. load-test the oracle server over localhost — threaded and
+   prefork(4) threaded workers — with concurrent persistent-connection
    clients on the scalar GET and columnar-batch POST paths, recording
    sustained rates and client-observed p50/p99 latency per mode, with
    asserted SLO floors (threaded batch >= 50k queries/s *over the
-   wire*, async scalar >= 1.3x threaded, prefork batch >= a
-   core-count-scaled multiple of threaded, byte-identical bodies
-   across modes, error rate exactly 0, /metrics accounted for the
-   load) — the "serving" record;
+   wire*, prefork batch >= a core-count-scaled multiple of threaded,
+   byte-identical bodies across modes, error rate exactly 0, /metrics
+   accounted for the load) — the "serving" record;
 7. run one fixed workload on every execution backend — serial, process,
    and distributed (two localhost repro.worker subprocesses) — assert
    the three estimates identical, and record
@@ -1018,8 +1017,7 @@ def main() -> int:
             f"p99 {entry['batch']['p99_ms']}ms)"
         )
     print(
-        f"serving: async scalar speedup {serving['async_scalar_speedup']}x, "
-        f"prefork4 batch speedup {serving['prefork_batch_speedup']}x "
+        f"serving: prefork4 batch speedup {serving['prefork_batch_speedup']}x "
         f"({serving['cpu_count']} cores), batch-encode speedup "
         f"{serving['batch_encode']['speedup']}x, byte parity "
         f"{serving['answers_identical_across_modes']}, error rate "
@@ -1128,16 +1126,6 @@ def main() -> int:
         print(
             "FAIL: oracle serving batch path below the 50k queries/s "
             f"over-HTTP floor ({serving['batch']['queries_per_second']}/s)",
-            file=sys.stderr,
-        )
-        return 1
-    if serving["async_scalar_speedup"] < serving["slo"][
-        "async_scalar_speedup_floor"
-    ]:
-        print(
-            "FAIL: async serving scalar path below its speedup floor "
-            f"({serving['async_scalar_speedup']}x vs "
-            f"{serving['slo']['async_scalar_speedup_floor']}x of threaded)",
             file=sys.stderr,
         )
         return 1

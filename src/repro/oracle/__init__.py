@@ -11,20 +11,18 @@ mmap-loadable artifact (:mod:`repro.oracle.store`).  The in-memory
 and vectorized batch queries from that artifact: bit-identical to the
 DP at grid points, conservatively rounded (never optimistic) between
 them.  A stdlib serving tier exposes it to the network: one
-transport-agnostic route/error/metrics core (:mod:`repro.oracle.app`)
-behind either a threaded HTTP server (:mod:`repro.oracle.server`) or an
-asyncio keep-alive/pipelining server (:mod:`repro.oracle.aioserver`),
-optionally pre-forked across worker processes sharing one listening
-socket, with background traffic-driven refinement
-(:mod:`repro.oracle.refine`) tightening hot off-grid answers while
-every reply stays a certified upper bound.  The ``python -m
-repro.oracle`` CLI (:mod:`repro.oracle.cli`) drives it all.
+route/error/metrics core (:mod:`repro.oracle.app`) behind a threaded
+HTTP server (:mod:`repro.oracle.server`), optionally pre-forked across
+worker processes sharing one listening socket, with background
+traffic-driven refinement (:mod:`repro.oracle.refine`) tightening hot
+off-grid answers while every reply stays a certified upper bound.  The
+``python -m repro.oracle`` CLI (:mod:`repro.oracle.cli`) drives it
+all.
 
 See docs/ARCHITECTURE.md ("Layer 6") for the artifact-format contract.
 """
 
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp
-from repro.oracle.aioserver import AsyncHTTPServer
 from repro.oracle.refine import (
     RefineDaemon,
     SnapTally,
@@ -62,7 +60,6 @@ from repro.oracle.tables import (
 )
 
 __all__ = [
-    "AsyncHTTPServer",
     "BuildReport",
     "DEFAULT_MAX_BODY_BYTES",
     "DEFAULT_SPEC",

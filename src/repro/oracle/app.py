@@ -1,18 +1,16 @@
-"""Transport-agnostic core of the oracle serving tier.
+"""Request-handling core of the oracle serving tier.
 
 :class:`OracleApp` owns everything about serving settlement queries
 that does *not* depend on how bytes arrive: routing, parameter and
 body parsing, the structured error contract, per-request metrics and
 the access log, the request-body size limit, and the traffic tally
-that feeds background refinement.  Both front ends — the threaded
-``http.server`` implementation (:mod:`repro.oracle.server`) and the
-asyncio HTTP/1.1 implementation (:mod:`repro.oracle.aioserver`) — are
-thin byte shovels around one shared app, which is what makes the
-"every serving mode returns byte-identical JSON" contract a structural
-property instead of a test-enforced aspiration: the response body is
-produced exactly once, here.
+that feeds background refinement.  The threaded ``http.server`` front
+end (:mod:`repro.oracle.server`) is a thin byte shovel around it, in
+one process or in each pre-forked worker; the response body is
+produced exactly once, here, so every worker returns byte-identical
+JSON.
 
-Routes (identical across transports)::
+Routes::
 
     GET  /healthz         -> artifact summary + live overlay cell count
     GET  /metrics         -> Prometheus text exposition
@@ -25,7 +23,7 @@ Error contract: every non-200 body is ``{"error": <kind>, "detail":
 <message>}`` with kinds ``bad-request`` (malformed JSON, missing or
 non-numeric parameters, a non-boolean ``strict``), ``out-of-domain``
 (outside the conservative hull), ``not-found``, ``too-large`` (a POST
-body over :attr:`OracleApp.max_body_bytes`, HTTP 413 — transports must
+body over :attr:`OracleApp.max_body_bytes`, HTTP 413 — the server must
 reject on the ``Content-Length`` header *before* reading the body),
 and ``internal`` (genuine bugs, HTTP 500).  All non-2xx statuses are
 counted in ``repro_oracle_errors_total{code=...}``.
@@ -51,7 +49,6 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.metrics import MetricsRegistry
@@ -127,7 +124,7 @@ class OracleApp:
         return self._json(status, {"error": kind, "detail": detail})
 
     def too_large(self, length: int) -> Response:
-        """The 413 a transport returns *instead of reading* an oversized
+        """The 413 the server returns *instead of reading* an oversized
         body; the connection must then be closed (the body was never
         consumed, so the stream framing is gone)."""
         return self.error(
@@ -138,14 +135,13 @@ class OracleApp:
         )
 
     def bad_content_length(self, raw: str) -> Response:
-        """Shared 400 for an unparsable ``Content-Length`` header, so
-        both transports answer with identical bytes."""
+        """The 400 for an unparsable ``Content-Length`` header."""
         return self.error(
             400, "bad-request", f"bad request body: invalid Content-Length {raw!r}"
         )
 
     def unsupported_transfer_encoding(self) -> Response:
-        """Shared 400 for ``Transfer-Encoding`` bodies (not supported;
+        """The 400 for ``Transfer-Encoding`` bodies (not supported;
         the connection must be closed — the framing is unreadable)."""
         return self.error(
             400,
@@ -290,8 +286,8 @@ class OracleApp:
         elapsed: float,
         client: str | None = None,
     ) -> None:
-        """Count one finished request (both transports call this once
-        per request, including error and 413 short-circuits)."""
+        """Count one finished request (the server calls this once per
+        request, including error and 413 short-circuits)."""
         route = path if path in _ROUTES else "other"
         code = str(status)
         self.registry.counter(
@@ -326,8 +322,3 @@ class OracleApp:
             if self.worker_label is not None:
                 entry["worker"] = self.worker_label
             print(json.dumps(entry), file=sys.stderr, flush=True)
-
-
-def request_clock() -> float:
-    """The per-request clock both transports share (monotonic)."""
-    return time.perf_counter()

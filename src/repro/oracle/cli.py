@@ -6,8 +6,8 @@ Verbs::
            [--cache-dir DIR] [--force]
     info   ARTIFACT
     query  ARTIFACT --alpha A --fraction F --delta D (--depth K | --target P)
-    serve  ARTIFACT [--host H] [--port P] [--mode threaded|async]
-           [--workers N] [--max-body-bytes B]
+    serve  ARTIFACT [--host H] [--port P] [--workers N]
+           [--max-body-bytes B]
            [--refine] [--refine-path FILE] [--refine-interval S]
            [--refine-top N]
 
@@ -32,7 +32,7 @@ from repro.engine.parallel import BACKEND_NAMES, make_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES
-from repro.oracle.server import SERVING_MODES, serve_forever
+from repro.oracle.server import serve_forever
 from repro.oracle.service import SettlementOracle
 from repro.oracle.store import StoreError
 from repro.oracle.tables import DEFAULT_SPEC, TINY_SPEC, OracleSpec, build_tables
@@ -185,7 +185,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         quiet=args.quiet,
-        mode=args.mode,
         workers=args.workers,
         max_body_bytes=args.max_body_bytes,
         refine_path=refine_path,
@@ -308,16 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
-    )
-    serve.add_argument(
-        "--mode",
-        choices=SERVING_MODES,
-        default="threaded",
-        help=(
-            "HTTP transport: classic thread-per-connection, or a "
-            "single-threaded asyncio event loop with keep-alive "
-            "pipelining (default: threaded)"
-        ),
     )
     serve.add_argument(
         "--workers",

@@ -1,9 +1,9 @@
 """Threaded front end + serving-tier orchestration for the oracle.
 
 The routing, parsing, error contract, metrics, and refinement tally
-all live in the transport-agnostic :class:`~repro.oracle.app.OracleApp`
-— this module supplies the ``ThreadingHTTPServer`` byte shovel around
-it, plus the pieces every serving mode shares:
+all live in :class:`~repro.oracle.app.OracleApp` — this module
+supplies the ``ThreadingHTTPServer`` byte shovel around it, plus the
+serving orchestration:
 
 * :func:`make_server` — the classic threaded server (one thread per
   connection; the oracle is read-only mmap-backed state, so handler
@@ -13,18 +13,18 @@ it, plus the pieces every serving mode shares:
   socket a pre-fork parent creates once and every forked worker
   inherits.  The kernel's shared accept queue then load-balances
   connections across workers with no userspace coordination.
-* :func:`serve_forever` — the CLI entry.  ``mode`` selects the
-  threaded or asyncio transport (:mod:`repro.oracle.aioserver`);
-  ``workers > 1`` forks that many processes onto one listening socket,
-  each mmap-sharing the same artifact pages and labelling its metrics
-  with a ``worker`` label.  ``refine_path`` starts the tiered-artifact
-  refinement loop (:mod:`repro.oracle.refine`): worker 0 tallies
-  traffic and publishes overlay artifacts, the other workers watch the
-  overlay file's fingerprint and hot-swap it in.
+* :func:`serve_forever` — the CLI entry.  ``workers > 1`` forks that
+  many threaded servers onto one listening socket, each mmap-sharing
+  the same artifact pages and labelling its metrics with a ``worker``
+  label.  ``refine_path`` starts the tiered-artifact refinement loop
+  (:mod:`repro.oracle.refine`): worker 0 tallies traffic and publishes
+  overlay artifacts, the other workers watch the overlay file's
+  fingerprint and hot-swap it in.
 
 Routes, the structured error contract, and telemetry are documented on
-:class:`OracleApp`; both transports return byte-identical JSON bodies
-on every route because the bodies are produced once, in the app.
+:class:`OracleApp`; single-process and pre-fork serving return
+byte-identical JSON bodies on every route because the bodies are
+produced once, in the app.
 """
 
 from __future__ import annotations
@@ -34,17 +34,13 @@ import os
 import signal
 import socket
 import sys
+import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 from repro.obs.metrics import MetricsRegistry
-from repro.oracle.app import (
-    DEFAULT_MAX_BODY_BYTES,
-    OracleApp,
-    Response,
-    request_clock,
-)
+from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp, Response
 from repro.oracle.service import SettlementOracle
 
 __all__ = [
@@ -52,9 +48,6 @@ __all__ = [
     "make_server",
     "serve_forever",
 ]
-
-#: The serving transports ``serve_forever`` (and the CLI) accept.
-SERVING_MODES = ("threaded", "async")
 
 
 def make_listening_socket(
@@ -131,7 +124,7 @@ def make_server(
             self._serve("POST")
 
         def _serve(self, method: str) -> None:
-            started = request_clock()
+            started = time.perf_counter()
             status = 500  # only survives if responding itself raised
             try:
                 if method == "POST":
@@ -145,7 +138,7 @@ def make_server(
                     method,
                     urlsplit(self.path).path,
                     status,
-                    request_clock() - started,
+                    time.perf_counter() - started,
                     client=self.client_address[0],
                 )
 
@@ -198,7 +191,6 @@ def make_server(
 def _worker_main(
     oracle: SettlementOracle,
     sock: socket.socket,
-    mode: str,
     quiet: bool,
     max_body_bytes: int,
     worker_label: str | None,
@@ -222,6 +214,7 @@ def _worker_main(
         worker_label=worker_label,
         tally=tally,
     )
+    server = make_server(app=app, sock=sock)
     if refine_path is not None:
         from repro.oracle.refine import RefineDaemon
 
@@ -235,19 +228,11 @@ def _worker_main(
         )
         daemon.start()
     try:
-        if mode == "async":
-            from repro.oracle.aioserver import AsyncHTTPServer
-
-            AsyncHTTPServer(app, sock=sock).run()
-        else:
-            server = make_server(app=app, sock=sock)
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.server_close()
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
     finally:
+        server.server_close()
         if daemon is not None:
             daemon.stop()
 
@@ -259,7 +244,6 @@ def serve_forever(
     quiet: bool = False,
     announce=print,
     *,
-    mode: str = "threaded",
     workers: int = 1,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
     refine_path=None,
@@ -268,13 +252,11 @@ def serve_forever(
 ) -> None:
     """Bind and serve until interrupted (the CLI ``serve`` verb).
 
-    ``mode`` is ``"threaded"`` or ``"async"``; ``workers > 1`` forks
-    that many worker processes sharing the listening socket (worker 0
-    leads refinement when ``refine_path`` is set, the rest follow the
-    overlay file).  All workers mmap-share the parent's artifact pages.
+    ``workers > 1`` forks that many threaded worker processes sharing
+    the listening socket (worker 0 leads refinement when
+    ``refine_path`` is set, the rest follow the overlay file).  All
+    workers mmap-share the parent's artifact pages.
     """
-    if mode not in SERVING_MODES:
-        raise ValueError(f"mode must be one of {SERVING_MODES}, got {mode!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     sock = make_listening_socket(host, port)
@@ -283,14 +265,13 @@ def serve_forever(
     announce(
         f"settlement oracle serving {oracle.describe()['cells']} cells "
         f"on http://{bound_host}:{bound_port} "
-        f"(mode={mode}, workers={workers}{refined}) (Ctrl-C to stop)"
+        f"(workers={workers}{refined}) (Ctrl-C to stop)"
     )
     if workers == 1:
         try:
             _worker_main(
                 oracle,
                 sock,
-                mode=mode,
                 quiet=quiet,
                 max_body_bytes=max_body_bytes,
                 worker_label=None,
@@ -311,7 +292,6 @@ def serve_forever(
                 _worker_main(
                     oracle,
                     sock,
-                    mode=mode,
                     quiet=quiet,
                     max_body_bytes=max_body_bytes,
                     worker_label=str(index),

@@ -1,0 +1,347 @@
+"""OracleApp without a socket: routing, the error contract, batch
+validation, the traffic tally, and per-request accounting.
+
+The HTTP conformance suite (test_serving_modes.py) drives the same app
+through the threaded and pre-fork servers; these tests call
+:meth:`OracleApp.handle` and :meth:`OracleApp.observe` directly, which
+reaches the branches a well-formed HTTP client never takes.
+"""
+
+import json
+
+import pytest
+
+from repro.analysis.exact import settlement_violation_probability
+from repro.obs.metrics import MetricsRegistry
+from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp
+from repro.oracle.refine import SnapTally, quantize_key
+from repro.oracle.service import SettlementOracle
+from repro.oracle.tables import (
+    OracleSpec,
+    build_tables,
+    effective_probabilities,
+)
+
+SPEC = OracleSpec(
+    alphas=(0.1, 0.2),
+    unique_fractions=(0.5, 1.0),
+    deltas=(0, 2),
+    depths=(5, 10),
+    targets=(1e-1, 1e-2),
+    activity=0.05,
+)
+
+SCALAR = "/v1/violation?alpha=0.2&unique_fraction=1.0&delta=0&depth=10"
+
+BATCH = {
+    "alpha": [0.1, 0.2, 0.13],
+    "unique_fraction": [1.0, 0.5, 0.8],
+    "delta": [0, 2, 1],
+    "depth": [5, 10, 7],
+}
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return SettlementOracle(build_tables(SPEC).tables)
+
+
+@pytest.fixture
+def app(oracle):
+    return OracleApp(oracle)
+
+
+def _post(app, path, payload):
+    if not isinstance(payload, bytes):
+        payload = json.dumps(payload).encode()
+    return app.handle("POST", path, payload)
+
+
+def _error(response):
+    payload = json.loads(response.body)
+    assert set(payload) == {"error", "detail"}
+    return payload
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_non_positive_body_limit_rejected(self, oracle, limit):
+        with pytest.raises(ValueError, match="max_body_bytes"):
+            OracleApp(oracle, max_body_bytes=limit)
+
+    def test_defaults(self, app):
+        assert app.max_body_bytes == DEFAULT_MAX_BODY_BYTES
+        assert app.quiet is True
+        assert app.tally is None
+        assert isinstance(app.registry, MetricsRegistry)
+
+    def test_shared_registry_is_used(self, oracle):
+        registry = MetricsRegistry()
+        app = OracleApp(oracle, registry=registry)
+        assert app.registry is registry
+        app.observe("GET", "/healthz", 200, 0.001)
+        assert "repro_oracle_requests_total" in registry.render()
+
+
+class TestRoutes:
+    def test_healthz_reports_live_overlay_size(self, oracle):
+        app = OracleApp(oracle)
+        assert json.loads(app.handle("GET", "/healthz").body)[
+            "overlay_cells"
+        ] == 0
+        oracle.set_overlay({quantize_key(0.15, 1.0, 0, 10): 0.5})
+        try:
+            payload = json.loads(app.handle("GET", "/healthz").body)
+        finally:
+            oracle.set_overlay(None)
+        assert payload["overlay_cells"] == 1
+        assert payload["cells"] == oracle.describe()["cells"]
+
+    def test_metrics_is_prometheus_text(self, app):
+        app.observe("GET", "/healthz", 200, 0.001)
+        response = app.handle("GET", "/metrics")
+        assert response.status == 200
+        assert response.content_type == "text/plain; version=0.0.4"
+        assert b"repro_oracle_requests_total" in response.body
+
+    def test_scalar_violation_equals_dp(self, app):
+        response = app.handle("GET", SCALAR)
+        assert response.status == 200
+        assert response.content_type == "application/json"
+        law = effective_probabilities(0.2, 1.0, 0, SPEC.activity)
+        assert json.loads(response.body) == {
+            "violation_probability": settlement_violation_probability(
+                law, 10
+            ),
+            "conservative": True,
+        }
+
+    def test_batch_equals_scalar_answers(self, app):
+        batch = json.loads(_post(app, "/v1/violation", BATCH).body)
+        scalars = [
+            json.loads(
+                app.handle(
+                    "GET",
+                    f"/v1/violation?alpha={a}&unique_fraction={f}"
+                    f"&delta={d}&depth={k}",
+                ).body
+            )["violation_probability"]
+            for a, f, d, k in zip(*BATCH.values())
+        ]
+        assert batch["violation_probability"] == scalars
+
+    def test_batch_depth_reports_sources(self, app):
+        payload = json.loads(
+            _post(
+                app,
+                "/v1/depth",
+                {
+                    "alpha": [0.1, 0.2],
+                    "unique_fraction": [1.0, 0.5],
+                    "delta": [0, 2],
+                    "target": [0.1, 0.01],
+                },
+            ).body
+        )
+        assert len(payload["depth"]) == len(payload["source"]) == 2
+        assert set(payload["source"]) <= {"table", "analytic", None}
+
+    def test_responses_are_deterministic_bytes(self, oracle):
+        first, second = OracleApp(oracle), OracleApp(oracle)
+        for target in (SCALAR, "/healthz", "/v2/nothing"):
+            assert first.handle("GET", target).body == (
+                second.handle("GET", target).body
+            )
+        assert _post(first, "/v1/violation", BATCH).body == (
+            _post(second, "/v1/violation", BATCH).body
+        )
+
+
+class TestErrorContract:
+    def test_unsupported_method_is_501(self, app):
+        response = app.handle("DELETE", SCALAR)
+        assert response.status == 501
+        payload = _error(response)
+        assert payload["error"] == "bad-request"
+        assert "'DELETE'" in payload["detail"]
+
+    @pytest.mark.parametrize("path", ["/healthz", "/metrics", "/v2/nothing"])
+    def test_post_outside_query_routes_is_404(self, app, path):
+        response = _post(app, path, BATCH)
+        assert response.status == 404
+        assert _error(response)["error"] == "not-found"
+
+    @pytest.mark.parametrize("body", [b"[1, 2]", b'"text"', b"3"])
+    def test_non_object_batch_is_400(self, app, body):
+        response = _post(app, "/v1/violation", body)
+        assert response.status == 400
+        payload = _error(response)
+        assert payload["error"] == "bad-request"
+        assert "JSON object" in payload["detail"]
+
+    def test_empty_body_names_missing_array(self, app):
+        response = app.handle("POST", "/v1/violation", b"")
+        assert response.status == 400
+        assert "non-empty array 'alpha'" in _error(response)["detail"]
+
+    def test_empty_column_is_400(self, app):
+        response = _post(app, "/v1/violation", {**BATCH, "depth": []})
+        assert response.status == 400
+        assert "'depth'" in _error(response)["detail"]
+
+    def test_unequal_columns_are_400(self, app):
+        response = _post(app, "/v1/violation", {**BATCH, "depth": [5, 10]})
+        assert response.status == 400
+        assert "equal lengths" in _error(response)["detail"]
+
+    def test_non_numeric_parameter_is_400(self, app):
+        response = app.handle(
+            "GET",
+            "/v1/violation?alpha=high&unique_fraction=1.0&delta=0&depth=10",
+        )
+        assert response.status == 400
+        assert _error(response)["error"] == "bad-request"
+
+    def test_missing_parameter_lists_every_name(self, app):
+        response = app.handle("GET", "/v1/depth?alpha=0.1")
+        assert response.status == 400
+        detail = _error(response)["detail"]
+        assert "'unique_fraction'" in detail
+        assert "alpha, unique_fraction, delta, target" in detail
+
+    def test_non_strict_batch_saturates_off_hull(self, app):
+        off_hull = {
+            "alpha": [0.49],
+            "unique_fraction": [1.0],
+            "delta": [0],
+            "depth": [10],
+        }
+        assert _post(app, "/v1/violation", off_hull).status == 400
+        response = _post(app, "/v1/violation", {**off_hull, "strict": False})
+        assert response.status == 200
+        assert json.loads(response.body)["violation_probability"] == [1.0]
+
+    def test_oracle_failure_is_structured_500(self, oracle, monkeypatch):
+        app = OracleApp(oracle)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("table page vanished")
+
+        monkeypatch.setattr(oracle, "violation_probability", broken)
+        response = app.handle("GET", SCALAR)
+        assert response.status == 500
+        assert _error(response) == {
+            "error": "internal",
+            "detail": "RuntimeError: table page vanished",
+        }
+
+    def test_handle_never_raises(self, oracle, monkeypatch):
+        app = OracleApp(oracle)
+        monkeypatch.setattr(
+            type(oracle),
+            "overlay_size",
+            property(lambda self: 1 // 0),
+        )
+        response = app.handle("GET", "/healthz")
+        assert response.status == 500
+        assert _error(response)["detail"].startswith("ZeroDivisionError")
+
+    def test_transport_error_bodies(self, oracle):
+        app = OracleApp(oracle, max_body_bytes=100)
+        too_large = app.too_large(101)
+        assert too_large.status == 413
+        assert _error(too_large) == {
+            "error": "too-large",
+            "detail": "request body of 101 bytes exceeds the 100-byte limit",
+        }
+        bad_length = app.bad_content_length("-5")
+        assert bad_length.status == 400
+        assert "'-5'" in _error(bad_length)["detail"]
+        chunked = app.unsupported_transfer_encoding()
+        assert chunked.status == 400
+        assert "Transfer-Encoding" in _error(chunked)["detail"]
+
+
+class TestTally:
+    def test_violation_queries_are_tallied(self, oracle):
+        tally = SnapTally()
+        app = OracleApp(oracle, tally=tally)
+        assert app.handle("GET", SCALAR).status == 200
+        assert _post(app, "/v1/violation", BATCH).status == 200
+        assert tally.total == 4
+        counts = tally.snapshot()
+        assert counts[quantize_key(0.2, 1.0, 0, 10)] == 1
+        for query in zip(*BATCH.values()):
+            assert counts[quantize_key(*query)] == 1
+
+    def test_depth_and_failed_queries_are_not_tallied(self, oracle):
+        tally = SnapTally()
+        app = OracleApp(oracle, tally=tally)
+        app.handle(
+            "GET", "/v1/depth?alpha=0.1&unique_fraction=1.0&delta=0&target=0.1"
+        )
+        app.handle(
+            "GET",
+            "/v1/violation?alpha=0.49&unique_fraction=1.0&delta=0&depth=10",
+        )
+        _post(app, "/v1/violation", {**BATCH, "strict": "yes"})
+        assert tally.total == 0
+
+
+class TestObserve:
+    def test_unknown_paths_fold_into_other(self, app):
+        for path in ("/wp-admin", "/.env", "/v2/nothing"):
+            app.observe("GET", path, 404, 0.001)
+        text = app.registry.render()
+        assert (
+            'repro_oracle_requests_total{code="404",method="GET",'
+            'route="other"} 3' in text
+        )
+        assert "wp-admin" not in text
+
+    def test_errors_counted_only_from_400(self, app):
+        app.observe("GET", "/healthz", 200, 0.001)
+        app.observe("GET", "/healthz", 399, 0.001)
+        assert "repro_oracle_errors_total" not in app.registry.render()
+        app.observe("GET", "/healthz", 400, 0.001)
+        app.observe("POST", "/v1/violation", 413, 0.001)
+        errors = app.registry.counter("repro_oracle_errors_total", code="413")
+        assert errors.value == 1
+
+    def test_latency_histogram_per_route(self, app):
+        app.observe("GET", "/v1/violation", 200, 0.25)
+        app.observe("POST", "/v1/violation", 200, 0.75)
+        histogram = app.registry.histogram(
+            "repro_oracle_request_seconds", route="/v1/violation"
+        )
+        assert histogram.count == 2
+        assert histogram.sum == pytest.approx(1.0)
+
+    def test_worker_label_on_every_series(self, oracle):
+        app = OracleApp(oracle, worker_label=3)
+        app.observe("GET", "/healthz", 500, 0.001)
+        series = [
+            line
+            for line in app.registry.render().splitlines()
+            if line.startswith("repro_oracle_")
+        ]
+        assert series
+        assert all('worker="3"' in line for line in series)
+
+    def test_quiet_app_writes_no_access_log(self, app, capsys):
+        app.observe("GET", "/healthz", 200, 0.001, client="10.0.0.1")
+        assert capsys.readouterr().err == ""
+
+    def test_access_log_is_one_json_line(self, oracle, capsys):
+        app = OracleApp(oracle, quiet=False, worker_label="1")
+        app.observe("POST", "/v1/depth", 400, 0.0123456, client="10.0.0.1")
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "client": "10.0.0.1",
+            "method": "POST",
+            "path": "/v1/depth",
+            "code": 400,
+            "duration_ms": 12.346,
+            "worker": "1",
+        }

@@ -1,17 +1,12 @@
-"""HTTP server round-trips and the ``python -m repro.oracle`` CLI."""
+"""The ``python -m repro.oracle`` CLI (HTTP serving is covered by
+test_serving_modes.py)."""
 
 import json
-import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.analysis.exact import settlement_violation_probability
-from repro.oracle import app as app_module
 from repro.oracle import cli
-from repro.oracle.server import make_server
-from repro.oracle.service import SettlementOracle
 from repro.oracle.store import save_tables
 from repro.oracle.tables import (
     OracleSpec,
@@ -32,181 +27,6 @@ SPEC = OracleSpec(
 @pytest.fixture(scope="module")
 def tables():
     return build_tables(SPEC).tables
-
-
-@pytest.fixture(scope="module")
-def endpoint(tables):
-    server = make_server(SettlementOracle(tables), port=0)
-    port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def _get(url):
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return json.loads(response.read())
-
-
-def _post(url, body):
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(body).encode(),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=10) as response:
-        return json.loads(response.read())
-
-
-class TestServer:
-    def test_healthz(self, endpoint):
-        health = _get(f"{endpoint}/healthz")
-        assert health["status"] == "ok"
-        assert health["cells"] == 2 * 2 * 2 * 2
-        assert len(health["fingerprint"]) == 64
-
-    def test_single_violation_matches_dp(self, endpoint):
-        answer = _get(
-            f"{endpoint}/v1/violation"
-            "?alpha=0.2&unique_fraction=1.0&delta=0&depth=10"
-        )
-        law = effective_probabilities(0.2, 1.0, 0, SPEC.activity)
-        assert answer["violation_probability"] == (
-            settlement_violation_probability(law, 10)
-        )
-
-    def test_single_depth(self, endpoint, tables):
-        answer = _get(
-            f"{endpoint}/v1/depth"
-            "?alpha=0.1&unique_fraction=1.0&delta=0&target=0.1"
-        )
-        assert answer["depth"] == int(tables.minimal_depth[0, 1, 0, 0])
-
-    def test_batch_violation(self, endpoint):
-        answer = _post(
-            f"{endpoint}/v1/violation",
-            {
-                "alpha": [0.1, 0.2],
-                "unique_fraction": [1.0, 0.5],
-                "delta": [0, 2],
-                "depth": [5, 10],
-            },
-        )
-        assert len(answer["violation_probability"]) == 2
-        assert all(0 <= p <= 1 for p in answer["violation_probability"])
-
-    def test_batch_depth_with_sentinel(self, endpoint):
-        answer = _post(
-            f"{endpoint}/v1/depth",
-            {
-                "alpha": [0.1],
-                "unique_fraction": [1.0],
-                "delta": [0],
-                "target": [0.1],
-            },
-        )
-        assert isinstance(answer["depth"][0], int)
-
-    def test_out_of_hull_is_400(self, endpoint):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(
-                f"{endpoint}/v1/violation"
-                "?alpha=0.49&unique_fraction=1.0&delta=0&depth=10"
-            )
-        assert excinfo.value.code == 400
-        payload = json.loads(excinfo.value.read())
-        assert payload["error"] == "out-of-domain"
-        assert "conservative hull" in payload["detail"]
-
-    def test_missing_parameter_is_400(self, endpoint):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{endpoint}/v1/violation?alpha=0.1")
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["error"] == "bad-request"
-
-    def test_unknown_path_is_404(self, endpoint):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{endpoint}/v2/nothing")
-        assert excinfo.value.code == 404
-        assert json.loads(excinfo.value.read())["error"] == "not-found"
-
-    def test_malformed_batch_is_400(self, endpoint):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{endpoint}/v1/violation", {"alpha": [0.1]})
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["error"] == "bad-request"
-
-    def test_malformed_json_body_is_400(self, endpoint):
-        request = urllib.request.Request(
-            f"{endpoint}/v1/violation",
-            data=b"{not json",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
-        payload = json.loads(excinfo.value.read())
-        assert payload["error"] == "bad-request"
-        assert "bad request body" in payload["detail"]
-
-    def test_non_boolean_strict_is_400(self, endpoint):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(
-                f"{endpoint}/v1/violation",
-                {
-                    "alpha": [0.1],
-                    "unique_fraction": [1.0],
-                    "delta": [0],
-                    "depth": [5],
-                    "strict": "false",  # truthy string, not a boolean
-                },
-            )
-        assert excinfo.value.code == 400
-        payload = json.loads(excinfo.value.read())
-        assert payload["error"] == "bad-request"
-        assert "JSON boolean" in payload["detail"]
-
-    def test_oversized_body_is_structured_413(self, endpoint):
-        request = urllib.request.Request(
-            f"{endpoint}/v1/violation",
-            data=b"{}",
-            headers={
-                "Content-Type": "application/json",
-                # Lie upward: the limit check runs on the header alone.
-                "Content-Length": str(app_module.DEFAULT_MAX_BODY_BYTES + 1),
-            },
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 413
-        payload = json.loads(excinfo.value.read())
-        assert payload["error"] == "too-large"
-        assert str(app_module.DEFAULT_MAX_BODY_BYTES) in payload["detail"]
-
-    def test_metrics_endpoint_counts_requests(self, endpoint):
-        _get(f"{endpoint}/healthz")
-        _get(
-            f"{endpoint}/v1/violation"
-            "?alpha=0.2&unique_fraction=1.0&delta=0&depth=10"
-        )
-        with pytest.raises(urllib.error.HTTPError):
-            _get(f"{endpoint}/v1/violation?alpha=0.1")
-        with urllib.request.urlopen(
-            f"{endpoint}/metrics", timeout=10
-        ) as response:
-            assert response.headers["Content-Type"].startswith("text/plain")
-            text = response.read().decode()
-        assert "# TYPE repro_oracle_requests_total counter" in text
-        assert (
-            'repro_oracle_requests_total{code="200",method="GET",'
-            'route="/v1/violation"}' in text
-        )
-        assert 'repro_oracle_errors_total{code="400"}' in text
-        assert "# TYPE repro_oracle_request_seconds histogram" in text
-        assert 'repro_oracle_request_seconds_count{route="/v1/violation"}' in text
 
 
 class TestCli:
@@ -331,8 +151,6 @@ class TestCli:
                     "--port",
                     "0",
                     "--quiet",
-                    "--mode",
-                    "async",
                     "--workers",
                     "3",
                     "--max-body-bytes",
@@ -346,7 +164,6 @@ class TestCli:
             )
             == 0
         )
-        assert captured["mode"] == "async"
         assert captured["workers"] == 3
         assert captured["max_body_bytes"] == 1024
         assert captured["refine_path"] == str(artifact / "overlay.json")
@@ -363,6 +180,5 @@ class TestCli:
             lambda oracle, **kwargs: captured.update(kwargs),
         )
         assert cli.main(["serve", str(artifact), "--port", "0"]) == 0
-        assert captured["mode"] == "threaded"
         assert captured["workers"] == 1
         assert captured["refine_path"] is None

@@ -1,14 +1,16 @@
-"""Cross-mode serving conformance: threaded, async, and pre-fork.
+"""Serving conformance: single-process threaded and pre-fork.
 
-One parametrized fixture boots the same tiny artifact behind each
-serving mode; every conformance test then runs against all three, so
-the route surface, the structured error contract (including the 413
-body-size limit and strict-boolean validation), keep-alive
-pipelining, concurrency, and metrics accounting are pinned as
-*mode-independent* behavior.  A separate test drives a golden request
-set through all modes at once and asserts the response bodies are
-byte-identical — the serving tier's core contract (the bodies are
-produced once, in :class:`OracleApp`).
+One parametrized fixture boots the same tiny artifact in one threaded
+server and in two pre-forked threaded workers sharing a listening
+socket; every conformance test then runs against both, so the route
+surface, the structured error contract (including the 413 body-size
+limit and strict-boolean validation), keep-alive pipelining,
+concurrency, hostile input (oversized request lines and header
+blocks, stalled clients), and metrics accounting are pinned for each
+way of serving.  A separate test drives a golden request set through
+both at once and asserts the response bodies are byte-identical — the
+serving tier's core contract (the bodies are produced once, in
+:class:`OracleApp`).
 """
 
 import http.client
@@ -21,9 +23,12 @@ import time
 import pytest
 
 from repro.analysis.exact import settlement_violation_probability
-from repro.oracle.aioserver import AsyncHTTPServer
-from repro.oracle.app import OracleApp
-from repro.oracle.server import make_listening_socket, make_server
+from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp
+from repro.oracle.server import (
+    make_listening_socket,
+    make_server,
+    serve_forever,
+)
 from repro.oracle.service import SettlementOracle
 from repro.oracle.store import save_tables
 from repro.oracle.tables import (
@@ -44,7 +49,7 @@ SPEC = OracleSpec(
 #: Small cap so the 413 path is cheap to exercise.
 SMALL_BODY_LIMIT = 64 * 1024
 
-MODES = ("threaded", "async", "prefork")
+MODES = ("threaded", "prefork")
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +71,7 @@ def _prefork_worker(artifact_dir, sock, index):
         worker_label=str(index),
         max_body_bytes=SMALL_BODY_LIMIT,
     )
-    AsyncHTTPServer(app, sock=sock).run()
+    make_server(app=app, sock=sock).serve_forever()
 
 
 def _wait_ready(address, timeout=30.0):
@@ -96,11 +101,6 @@ def _boot(mode, oracle, artifact_dir):
             thread.join(timeout=10)
 
         return server.server_address[:2], stop
-    if mode == "async":
-        server = AsyncHTTPServer(
-            OracleApp(oracle, max_body_bytes=SMALL_BODY_LIMIT)
-        ).start()
-        return tuple(server.server_address[:2]), server.shutdown
     assert mode == "prefork"
     sock = make_listening_socket()
     address = sock.getsockname()[:2]
@@ -149,6 +149,24 @@ def _get(address, target):
     return _exchange(address, "GET", target)
 
 
+def _raw_exchange(address, data, timeout=10):
+    """Write ``data`` on a fresh socket and read until the server
+    closes; returns ``(status, bytes)``.  A server that rejects a
+    request before reading all of it may reset the connection, so a
+    reset after the response arrived ends the read like a close."""
+    received = b""
+    with socket.create_connection(address, timeout=timeout) as raw:
+        try:
+            raw.sendall(data)
+            while chunk := raw.recv(65536):
+                received += chunk
+        except (BrokenPipeError, ConnectionResetError):
+            if not received:
+                raise
+    status_line = received.split(b"\r\n", 1)[0]
+    return int(status_line.split()[1]), received
+
+
 def _post(address, target, payload):
     return _exchange(
         address,
@@ -157,6 +175,30 @@ def _post(address, target, payload):
         body=json.dumps(payload).encode(),
         headers={"Content-Type": "application/json"},
     )
+
+
+def _oversized_post(address, length):
+    """Announce a ``length``-byte POST body without sending it; returns
+    the parsed body of the 413 that must arrive anyway."""
+    with socket.create_connection(address, timeout=10) as raw:
+        raw.sendall(
+            b"POST /v1/violation HTTP/1.1\r\n"
+            b"Host: test\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode()
+        )
+        data = b""
+        while b"\r\n\r\n" not in data or not data.split(b"\r\n\r\n", 1)[1]:
+            chunk = raw.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert b" 413 " in head.split(b"\r\n", 1)[0]
+    payload = json.loads(body)
+    assert payload["error"] == "too-large"
+    assert str(length) in payload["detail"]
+    return payload
 
 
 GOOD_BATCH = {
@@ -176,6 +218,7 @@ class TestConformance:
         assert payload["status"] == "ok"
         assert payload["cells"] == 16
         assert payload["overlay_cells"] == 0
+        assert len(payload["fingerprint"]) == 64
 
     def test_scalar_violation_matches_dp(self, served):
         _, address = served
@@ -189,7 +232,7 @@ class TestConformance:
             settlement_violation_probability(law, 10)
         )
 
-    def test_scalar_depth(self, served):
+    def test_scalar_depth(self, served, oracle):
         _, address = served
         status, body = _get(
             address,
@@ -199,6 +242,9 @@ class TestConformance:
         payload = json.loads(body)
         assert payload["source"] in ("table", "analytic")
         assert payload["depth"] >= 1
+        assert payload["depth"] == int(
+            oracle.tables.minimal_depth[0, 1, 0, 0]
+        )
 
     def test_batch_violation(self, served):
         _, address = served
@@ -230,11 +276,16 @@ class TestConformance:
             "/v1/violation?alpha=0.49&unique_fraction=1.0&delta=0&depth=10",
         )
         assert status == 400
-        assert json.loads(body)["error"] == "out-of-domain"
+        payload = json.loads(body)
+        assert payload["error"] == "out-of-domain"
+        assert "conservative hull" in payload["detail"]
 
     def test_missing_parameter_is_400(self, served):
         _, address = served
         status, body = _get(address, "/v1/violation?alpha=0.1")
+        assert status == 400
+        assert json.loads(body)["error"] == "bad-request"
+        status, body = _post(address, "/v1/violation", {"alpha": [0.1]})
         assert status == 400
         assert json.loads(body)["error"] == "bad-request"
 
@@ -270,45 +321,99 @@ class TestConformance:
         arrives immediately and the connection closes."""
         _, address = served
         huge = SMALL_BODY_LIMIT * 64
-        with socket.create_connection(address, timeout=10) as raw:
-            raw.sendall(
-                b"POST /v1/violation HTTP/1.1\r\n"
-                b"Host: test\r\n"
-                b"Content-Type: application/json\r\n"
-                + f"Content-Length: {huge}\r\n\r\n".encode()
-            )
-            raw.settimeout(10)
-            data = b""
-            while b"\r\n\r\n" not in data or not data.split(
-                b"\r\n\r\n", 1
-            )[1]:
-                chunk = raw.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
-        head, _, body = data.partition(b"\r\n\r\n")
-        assert b" 413 " in head.split(b"\r\n", 1)[0]
-        payload = json.loads(body)
-        assert payload["error"] == "too-large"
+        payload = _oversized_post(address, huge)
         assert str(huge) in payload["detail"]
+        assert str(SMALL_BODY_LIMIT) in payload["detail"]
+
+    def test_default_body_cap_is_413(self, oracle):
+        """With no cap set, the 413 fires one byte past
+        ``DEFAULT_MAX_BODY_BYTES``."""
+        server = make_server(oracle)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            payload = _oversized_post(
+                server.server_address[:2], DEFAULT_MAX_BODY_BYTES + 1
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert str(DEFAULT_MAX_BODY_BYTES) in payload["detail"]
 
     def test_bad_content_length_is_400(self, served):
         _, address = served
-        with socket.create_connection(address, timeout=10) as raw:
-            raw.sendall(
-                b"POST /v1/violation HTTP/1.1\r\n"
-                b"Host: test\r\n"
-                b"Content-Length: banana\r\n\r\n"
-            )
-            raw.settimeout(10)
-            data = b""
-            while True:  # the server closes after responding
-                chunk = raw.recv(65536)
-                if not chunk:
-                    break
-                data += chunk
-        assert b" 400 " in data.split(b"\r\n", 1)[0]
+        status, data = _raw_exchange(
+            address,
+            b"POST /v1/violation HTTP/1.1\r\n"
+            b"Host: test\r\n"
+            b"Content-Length: banana\r\n\r\n",
+        )
+        assert status == 400
         assert b'"bad-request"' in data
+
+    def test_negative_content_length_is_400(self, served):
+        _, address = served
+        status, data = _raw_exchange(
+            address,
+            b"POST /v1/violation HTTP/1.1\r\n"
+            b"Host: test\r\n"
+            b"Content-Length: -1\r\n\r\n",
+        )
+        assert status == 400
+        assert b"invalid Content-Length '-1'" in data
+        assert _get(address, "/healthz")[0] == 200
+
+    def test_transfer_encoding_is_400_and_closes(self, served):
+        """A chunked body is refused before any of it is read, and the
+        connection closes (its framing is unreadable)."""
+        _, address = served
+        status, data = _raw_exchange(
+            address,
+            b"POST /v1/violation HTTP/1.1\r\n"
+            b"Host: test\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n",
+        )
+        assert status == 400
+        assert b"Connection: close" in data
+        assert b"Transfer-Encoding is not supported" in data
+        assert _get(address, "/healthz")[0] == 200
+
+    def test_overlong_request_line_is_414(self, served):
+        _, address = served
+        target = "/v1/violation?pad=" + "a" * (64 * 1024)
+        status, _ = _raw_exchange(
+            address, f"GET {target} HTTP/1.1\r\nHost: test\r\n\r\n".encode()
+        )
+        assert status == 414
+        assert _get(address, "/healthz")[0] == 200
+
+    def test_too_many_headers_is_431(self, served):
+        _, address = served
+        headers = "".join(f"X-Pad-{index}: x\r\n" for index in range(128))
+        status, _ = _raw_exchange(
+            address,
+            f"GET /healthz HTTP/1.1\r\nHost: test\r\n{headers}\r\n".encode(),
+        )
+        assert status == 431
+        assert _get(address, "/healthz")[0] == 200
+
+    def test_stalled_client_does_not_block_others(self, served):
+        """A client that sends half a header block and goes quiet holds
+        only its own connection: a second client is still answered, and
+        the stalled one is answered once it finishes its request."""
+        _, address = served
+        with socket.create_connection(address, timeout=10) as stalled:
+            stalled.sendall(b"GET /healthz HTTP/1.1\r\nHost: te")
+            status, body = _get(address, "/healthz")
+            assert status == 200
+            assert json.loads(body)["status"] == "ok"
+            stalled.sendall(b"st\r\nConnection: close\r\n\r\n")
+            data = b""
+            while chunk := stalled.recv(65536):
+                data += chunk
+        assert data.startswith(b"HTTP/1.1 200 ")
+        assert _get(address, "/healthz")[0] == 200
 
     def test_keep_alive_pipelining(self, served):
         """Two requests written back-to-back on one connection get two
@@ -391,11 +496,18 @@ class TestConformance:
         finally:
             connection.close()
         assert "# TYPE repro_oracle_requests_total counter" in text
-        assert 'route="/v1/violation"' in text
-        assert 'repro_oracle_errors_total{code="400"' in text
+        # Labels render sorted; pre-fork workers add a worker label.
+        close = ',worker="' if mode == "prefork" else "}"
+        assert (
+            'repro_oracle_requests_total{code="200",method="GET",'
+            'route="/v1/violation"' + close in text
+        )
+        assert 'repro_oracle_errors_total{code="400"' + close in text
         assert "# TYPE repro_oracle_request_seconds histogram" in text
-        if mode == "prefork":
-            assert 'worker="' in text
+        assert (
+            'repro_oracle_request_seconds_count{route="/v1/violation"' + close
+            in text
+        )
 
 
 GOLDEN_REQUESTS = (
@@ -432,8 +544,9 @@ GOLDEN_REQUESTS = (
 
 
 def test_golden_set_is_byte_identical_across_modes(oracle, artifact_dir):
-    """Every serving mode returns the same bytes for the same request —
-    successes and every error kind alike."""
+    """Pre-fork workers return the same bytes as the single-process
+    server for the same request — successes and every error kind
+    alike."""
     booted = {
         mode: _boot(mode, oracle, artifact_dir) for mode in MODES
     }
@@ -454,8 +567,37 @@ def test_golden_set_is_byte_identical_across_modes(oracle, artifact_dir):
     finally:
         for _, stop in booted.values():
             stop()
-    threaded = transcripts["threaded"]
-    for mode in ("async", "prefork"):
-        assert transcripts[mode] == threaded, (
-            f"{mode} responses diverge from threaded"
-        )
+    assert transcripts["prefork"] == transcripts["threaded"], (
+        "prefork responses diverge from threaded"
+    )
+
+
+def test_make_server_needs_oracle_or_app():
+    with pytest.raises(TypeError, match="oracle or an app"):
+        make_server()
+
+
+def test_serve_forever_rejects_zero_workers(oracle):
+    announced = []
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        serve_forever(oracle, port=0, announce=announced.append, workers=0)
+    assert announced == []
+
+
+def test_make_server_adopts_listening_socket(oracle):
+    """The pre-fork path: a server built on an inherited socket serves
+    on that socket's address instead of binding its own."""
+    sock = make_listening_socket()
+    assert sock.get_inheritable()
+    address = sock.getsockname()[:2]
+    server = make_server(oracle, sock=sock)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        assert server.socket is sock
+        assert server.server_address[:2] == address
+        assert _get(address, "/healthz")[0] == 200
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)

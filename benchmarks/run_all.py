@@ -467,7 +467,9 @@ def oracle_record(quick: bool, workers: int) -> dict:
     Builds the tiny-preset artifact (the Monte-Carlo cross-check runs
     through run_grid against the shared .sweep-cache, so a warm rerun
     re-checks without re-estimating), asserts an identical rebuild is a
-    manifest-level no-op, then measures the two query paths against the
+    manifest-level no-op, times five in-memory DP-only builds of the same
+    grid (forward cells, minimal-depth rows and the Bound 1 analytic
+    rows, no Monte Carlo), then measures the two query paths against the
     cost of recomputing the exact DP per query.  Floors — scalar ≥ 100x
     the DP, batch ≥ 50k queries/s — are asserted by main().
     """
@@ -492,6 +494,15 @@ def oracle_record(quick: bool, workers: int) -> dict:
         build_tables, TINY_SPEC, out_dir=ORACLE_ARTIFACT_DIR, cache=cache
     )
     assert not rerun.rebuilt, "identical rebuild was not a no-op"
+    dp_build_ms, _ = _repeated(
+        5,
+        1e3,
+        1,
+        build_tables,
+        dataclasses.replace(
+            TINY_SPEC, mc_trials=0, mc_depths=(), mc_target_se=0.0
+        ),
+    )
 
     oracle = SettlementOracle.load(ORACLE_ARTIFACT_DIR)
     spec = oracle.spec
@@ -534,6 +545,7 @@ def oracle_record(quick: bool, workers: int) -> dict:
         "build_seconds": round(build_s, 4),
         "rebuild_seconds": round(rebuild_s, 4),
         "rebuild_noop": not rerun.rebuilt,
+        "dp_build_ms": dp_build_ms,
         "mc_points": report.mc_points,
         "mc_cached": report.mc_cached,
         "dp_per_query_seconds": round(dp_per_query, 6),

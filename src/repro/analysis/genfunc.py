@@ -14,11 +14,12 @@ biased-walk stopping times:
 
 Series are represented as numpy coefficient arrays ``c[0..N]`` truncated
 at a caller-chosen order.  Closed-form coefficients are used where the
-paper provides them (Catalan numbers for ``D`` and ``A``); compositions
-and rational forms are evaluated by exact truncated convolution, so the
-coefficient arrays are the true series coefficients up to the truncation
-order — which is what turns the paper's dominance arguments into
-computable tail bounds.
+paper provides them (Catalan numbers for ``D`` and ``A``); the
+composition ``A(Z · D(Z))`` is solved from its algebraic functional
+equation term by term, and rational forms by the reciprocal-series
+recurrence, so the coefficient arrays are the true series coefficients
+up to the truncation order (to float64 rounding) — which is what turns
+the paper's dominance arguments into computable tail bounds.
 """
 
 from __future__ import annotations
@@ -36,37 +37,6 @@ def series_multiply(left: np.ndarray, right: np.ndarray, order: int) -> np.ndarr
     if len(product) < order + 1:
         product = np.pad(product, (0, order + 1 - len(product)))
     return product
-
-
-def series_power(base: np.ndarray, exponent: int, order: int) -> np.ndarray:
-    """``base**exponent`` truncated to ``order`` terms (square-and-multiply)."""
-    result = np.zeros(order + 1)
-    result[0] = 1.0
-    factor = base[: order + 1].copy()
-    e = exponent
-    while e > 0:
-        if e & 1:
-            result = series_multiply(result, factor, order)
-        e >>= 1
-        if e:
-            factor = series_multiply(factor, factor, order)
-    return result
-
-
-def series_compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
-    """``outer(inner(Z))`` truncated to ``order`` terms.
-
-    Requires ``inner[0] == 0`` (compositions in the paper always have
-    this: the inner series are walk lengths, which take ≥ 1 step).
-    Horner evaluation: O(order) series multiplications.
-    """
-    if abs(inner[0]) > 0:
-        raise ValueError("series composition requires inner[0] == 0")
-    result = np.zeros(order + 1)
-    for coefficient in outer[order::-1] if len(outer) > order else outer[::-1]:
-        result = series_multiply(result, inner, order)
-        result[0] += coefficient
-    return result
 
 
 def series_inverse_one_minus(series: np.ndarray, order: int) -> np.ndarray:
@@ -133,11 +103,31 @@ def z_times(series: np.ndarray, order: int) -> np.ndarray:
 
 
 def ascent_of_z_descent(epsilon: float, order: int) -> np.ndarray:
-    """``A(Z · D(Z))`` — ascend, then descend that many levels (Section 5.1)."""
-    descent = descent_series(epsilon, order)
-    inner = z_times(descent, order)
-    outer = ascent_series(epsilon, order)
-    return series_compose(outer, inner, order)
+    """``A(Z · D(Z))`` — ascend, then descend that many levels (Section 5.1).
+
+    The ascent series solves ``A = pZ + qZ·A²`` (first ascent: step up,
+    or step down and ascend twice), so ``B = A(X)`` with ``X = Z·D(Z)``
+    solves ``B = pX + qX·B²``.  Since ``X₀ = X₁ = 0`` the coefficient
+    ``b_n`` needs ``B²`` only up to ``n − 2``, which is known once
+    ``b_{n−2}`` is: the online recurrence
+
+        ``S_{n−2} = Σ_j b_j b_{n−2−j}``,
+        ``b_n = p X_n + q Σ_{i=2..n} X_i S_{n−i}``
+
+    is two dot products per term, O(order²) in all, against O(order³)
+    for Horner composition.  Every term is non-negative, so no
+    subtraction can cancel digits.
+    """
+    p, q = bias_probabilities(epsilon)
+    inner = z_times(descent_series(epsilon, order), order)
+    composed = np.zeros(order + 1)
+    squared = np.zeros(order + 1)  # squared[m] = [Z^m] B²
+    for n in range(2, order + 1):
+        squared[n - 2] = np.dot(composed[: n - 1], composed[n - 2 :: -1])
+        composed[n] = p * inner[n] + q * np.dot(
+            inner[2 : n + 1], squared[n - 2 :: -1]
+        )
+    return composed
 
 
 def bound1_dominating_series(

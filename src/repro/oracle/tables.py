@@ -85,10 +85,11 @@ __all__ = [
 ]
 
 #: The certified-bound search sweeps to this multiple of the DP depth
-#: horizon.  The bound is a cheap series tail (no DP grid), so the
-#: extra reach costs one coefficient vector per combo; part of the
-#: artifact format (changing it changes ``analytic_depth`` cells, which
-#: the store's FORMAT_VERSION covers).
+#: horizon.  The bound is a series tail (no DP grid): one coefficient
+#: vector per combo, O(order²) because ``A(Z·D(Z))`` comes from its
+#: algebraic fixed point — tens of milliseconds at ``DEFAULT_SPEC``'s
+#: order 1920.  Part of the artifact format (changing it changes
+#: ``analytic_depth`` cells, which the store's FORMAT_VERSION covers).
 ANALYTIC_HORIZON_FACTOR = 8
 
 

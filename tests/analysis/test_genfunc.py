@@ -9,6 +9,22 @@ from repro.analysis import genfunc
 from repro.core.walks import bias_probabilities
 
 
+def horner_compose(outer, inner, order):
+    """``outer(inner(Z))`` truncated to ``order`` terms, by Horner.
+
+    The O(order³) reference for :func:`genfunc.ascent_of_z_descent`:
+    one full-length series multiplication per outer coefficient.
+    Requires ``inner[0] == 0``.
+    """
+    if abs(inner[0]) > 0:
+        raise ValueError("series composition requires inner[0] == 0")
+    result = np.zeros(order + 1)
+    for coefficient in outer[order::-1] if len(outer) > order else outer[::-1]:
+        result = genfunc.series_multiply(result, inner, order)
+        result[0] += coefficient
+    return result
+
+
 class TestSeriesArithmetic:
     def test_multiply(self):
         a = np.array([1.0, 1.0])
@@ -16,23 +32,15 @@ class TestSeriesArithmetic:
         product = genfunc.series_multiply(a, b, 4)
         assert list(product) == [1.0, 3.0, 3.0, 1.0, 0.0]
 
-    def test_power(self):
-        base = np.array([0.0, 1.0, 1.0])
-        cube = genfunc.series_power(base, 3, 6)
-        # (Z + Z^2)^3 = Z^3 + 3Z^4 + 3Z^5 + Z^6
-        assert list(cube) == [0, 0, 0, 1, 3, 3, 1]
-
     def test_compose(self):
         outer = np.array([1.0, 1.0, 1.0])  # 1 + x + x^2
         inner = np.array([0.0, 2.0])  # 2Z
-        composed = genfunc.series_compose(outer, inner, 3)
+        composed = horner_compose(outer, inner, 3)
         assert list(composed) == [1.0, 2.0, 4.0, 0.0]
 
     def test_compose_requires_zero_constant(self):
         with pytest.raises(ValueError):
-            genfunc.series_compose(
-                np.array([1.0]), np.array([1.0, 1.0]), 3
-            )
+            horner_compose(np.array([1.0]), np.array([1.0, 1.0]), 3)
 
     def test_inverse_one_minus(self):
         f = np.array([0.0, 0.5])
@@ -72,6 +80,33 @@ class TestWalkSeries:
         rhs = p * genfunc.z_times(squared, order)
         rhs[1] += q
         assert np.allclose(descent, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("order", [16, 400])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.3, 0.6, 0.9])
+    def test_ascent_of_z_descent_matches_horner(self, epsilon, order):
+        """The fixed-point recurrence reproduces Horner composition."""
+        composed = genfunc.ascent_of_z_descent(epsilon, order)
+        reference = horner_compose(
+            genfunc.ascent_series(epsilon, order),
+            genfunc.z_times(genfunc.descent_series(epsilon, order), order),
+            order,
+        )
+        assert np.array_equal(composed == 0.0, reference == 0.0)
+        normal = reference >= 1e-290
+        assert np.allclose(
+            composed[normal], reference[normal], rtol=1e-13, atol=0.0
+        )
+
+    def test_ascent_of_z_descent_satisfies_functional_equation(self):
+        """B = pX + qX B² with B = A(X), X = Z D(Z), as truncated series."""
+        epsilon = 0.25
+        p, q = bias_probabilities(epsilon)
+        order = 60
+        composed = genfunc.ascent_of_z_descent(epsilon, order)
+        inner = genfunc.z_times(genfunc.descent_series(epsilon, order), order)
+        squared = genfunc.series_multiply(composed, composed, order)
+        rhs = p * inner + q * genfunc.series_multiply(inner, squared, order)
+        assert np.allclose(composed, rhs, atol=1e-12)
 
     def test_ascent_mass_is_ruin_probability(self):
         epsilon = 0.3

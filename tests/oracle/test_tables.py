@@ -9,8 +9,12 @@ from repro.analysis.exact import settlement_violation_probability
 from repro.core.distributions import from_adversarial_stake
 from repro.engine.cache import ResultCache
 from repro.oracle.tables import (
+    ANALYTIC_HORIZON_FACTOR,
+    DEFAULT_SPEC,
+    TINY_SPEC,
     OracleSpec,
     OracleTables,
+    _analytic_depth_row,
     build_tables,
     effective_probabilities,
 )
@@ -26,6 +30,11 @@ SPEC = OracleSpec(
 
 MC_SPEC = dataclasses.replace(
     SPEC, mc_depths=(4, 8), mc_trials=2_000, mc_seed=909
+)
+
+#: TINY_SPEC without the Monte-Carlo cross-check: DP and bound only.
+TINY_DP_SPEC = dataclasses.replace(
+    TINY_SPEC, mc_trials=0, mc_depths=(), mc_target_se=0.0
 )
 
 
@@ -146,3 +155,50 @@ class TestBuild:
                 forward=tables.forward[..., :-1],
                 minimal_depth=tables.minimal_depth,
             )
+
+
+class TestAnalyticDepth:
+    """The Bound 1 fallback column: pinned values and certified dominance."""
+
+    def test_tiny_spec_analytic_depths_golden(self):
+        tables = build_tables(TINY_DP_SPEC).tables
+        assert tables.analytic_depth.tolist() == [
+            [[[8, 16, 25], [15, 32, 52]], [[5, 11, 19], [10, 25, 44]]],
+            [[[16, 36, 58], [34, 80, 135]], [[11, 29, 50], [25, 69, 121]]],
+            [[[43, 106, 179], [125, -1, -1]], [[34, 92, 164], [105, -1, -1]]],
+        ]
+
+    @pytest.mark.parametrize(
+        "alpha, fraction, delta, expected",
+        [
+            (0.30, 0.9, 2, [107, 302, 538, 795, 1065, 1344, -1, -1]),
+            (0.05, 1.0, 0, [4, 7, 11, 16, 21, 26, 37, 48]),
+            (0.20, 0.5, 1, [23, 53, 87, 124, 162, 202, 283, 366]),
+        ],
+    )
+    def test_default_spec_analytic_rows_golden(
+        self, alpha, fraction, delta, expected
+    ):
+        law = effective_probabilities(
+            alpha, fraction, delta, DEFAULT_SPEC.activity
+        )
+        horizon = ANALYTIC_HORIZON_FACTOR * DEFAULT_SPEC.depth_horizon
+        row = _analytic_depth_row(law, horizon, DEFAULT_SPEC.targets)
+        assert row == expected
+
+    @pytest.mark.parametrize("spec", [TINY_DP_SPEC, SPEC], ids=["tiny", "test"])
+    def test_analytic_depth_dominates_minimal_depth(self, spec):
+        """Every analytic depth is a certified upper bound on the DP depth.
+
+        Per cell one holds: the bound certifies nothing (``−1``), the DP
+        depth is finite and no deeper than the bound's, or the DP horizon
+        is too short and the bound's depth lies beyond it.
+        """
+        tables = build_tables(spec).tables
+        analytic, minimal = tables.analytic_depth, tables.minimal_depth
+        ok = (
+            (analytic == -1)
+            | ((minimal >= 0) & (minimal <= analytic))
+            | ((minimal == -1) & (analytic > spec.depth_horizon))
+        )
+        assert ok.all(), np.argwhere(~ok).tolist()

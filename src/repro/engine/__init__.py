@@ -19,8 +19,8 @@ Five layers (bottom to top):
   :mod:`repro.engine.cache`) — the orchestration layer:
   :class:`SweepGrid` expands parameter grids into scenario points,
   :class:`ProcessBackend` fans chunks across cores with identical
-  results, and :class:`ResultCache` content-addresses every computed
-  point on disk so nothing is estimated twice.
+  results, and :class:`ResultCache` ledgers every computed chunk on
+  disk so nothing is sampled twice.
   :class:`~repro.engine.distributed.DistributedBackend` drives the same
   chunk contract on ``python -m repro.worker`` hosts over a socket
   protocol — all three backends are bit-identical by the per-chunk

@@ -1,35 +1,27 @@
-"""Content-addressed on-disk cache for Monte-Carlo estimates and chunks.
+"""Content-addressed on-disk chunk ledger for Monte-Carlo runs.
 
-The cache has two granularities:
-
-* **Estimate entries** — a whole run.  Every point a sweep (or a
-  benchmark, or an example) estimates is fully determined by five
-  values: the frozen :class:`~repro.engine.scenarios.Scenario`, the
-  estimator, the integer seed, the trial count, and the chunk size
-  (which fixes the spawned seed tree — see the
-  :mod:`repro.engine.runner` reproducibility contract).  This module
-  turns that 5-tuple into a canonical JSON *key*, addresses it by its
-  SHA-256 digest, and stores the resulting
-  :class:`~repro.engine.runner.Estimate` as one small JSON file per
-  point.
-* **The chunk ledger** — per-chunk weighted accumulators, keyed by
-  ``(scenario, estimator, seed, chunk_size)`` with one
-  ``(sum_w, sum_w2, trials)`` triple per *full* chunk index (schema
-  v2).  Because the runner's spawned
-  ``SeedSequence`` children form a prefix-stable stream (chunk ``i`` is
-  seeded by ``SeedSequence(seed, spawn_key=(i,))`` regardless of how
-  many chunks a run needs), ``trials`` is merely a *prefix length* of
-  the chunk stream: extending a run reuses every previously computed
-  full chunk bit-identically, and only the new chunks (plus the
-  never-ledgered ragged remainder) are sampled.  One ledger file holds
-  all chunks of a run configuration; the runner merges new chunks in as
-  it computes them.
+The cache has one granularity: the **chunk**.  A run configuration —
+the frozen :class:`~repro.engine.scenarios.Scenario`, the estimator,
+the integer seed and the chunk size — owns one *ledger*, and the ledger
+holds one weighted accumulator ``(sum_w, sum_w2, trials)`` per chunk
+the runner ever computed for it, keyed by ``(index, size)``.  Because
+the runner's spawned ``SeedSequence`` children form a prefix-stable
+stream (chunk ``i`` is seeded by ``SeedSequence(seed, spawn_key=(i,))``
+regardless of how many chunks a run needs — see the
+:mod:`repro.engine.runner` reproducibility contract), a trial count
+merely selects a prefix of the chunk stream: an identical rerun reads
+every chunk back and samples nothing, and extending a run samples only
+the chunks the ledger lacks.  The ragged remainder is a shorter draw
+from the same child, so its size is part of its identity: a run of
+1,000 trials in 512-trial chunks ledgers ``(0, 512)`` and ``(1, 488)``,
+and a later run of 1,500 reuses ``(0, 512)`` but samples ``(1, 512)``
+and ``(2, 476)``.
 
 Invalidation rule: **any key component changes ⇒ miss.**  There is no
-TTL, no versioning, no partial matching — a cache entry is exactly the
-bit-reproducible output of one run configuration, so it can only ever be
-reused for that same configuration.  Deleting the cache directory is
-always safe (everything regenerates).
+TTL and no partial matching — a ledger record is exactly the
+bit-reproducible output of one chunk of one run configuration, so it can
+only ever be reused for that same chunk.  Deleting the cache directory
+is always safe (everything regenerates).
 
 Estimators are identified by a *token*: module-level functions by their
 qualified name, frozen-dataclass estimators (the window estimators) by
@@ -37,39 +29,39 @@ their qualified class name plus field values.  Lambdas and closures have
 no stable identity and are rejected — give the estimator a name (a
 ``def`` or a frozen dataclass) to make it cacheable.
 
-Layout: ``<directory>/<sha256-prefix>.json`` per estimate and
-``<directory>/<sha256-prefix>.ledger.json`` per chunk ledger, each file
-carrying both the human-readable key and the payload, so a cache
-directory doubles as a tidy record of every point ever computed::
-
-    {"key": {"scenario": {...}, "estimator": "...", "seed": 7,
-             "trials": 100000, "chunk_size": 4096},
-     "estimate": {"value": 0.0123, "standard_error": 0.00035,
-                  "trials": 100000}}
+Layout: one append-only JSON-lines file,
+``<directory>/<sha256-prefix>.ledger.jsonl``, per run configuration.
+The first line is a header carrying the human-readable key, so a cache
+directory doubles as a record of every configuration ever run; each
+later line is one chunk record ``[index, sum_w, sum_w2, trials]``::
 
     {"key": {"kind": "chunk-ledger", "scenario": {...},
              "estimator": "...", "seed": 7, "chunk_size": 4096},
-     "version": 2,
-     "chunks": {"0": [51.0, 51.0, 4096], "1": [47.0, 47.0, 4096]}}
+     "version": 3}
+    [0, 51.0, 51.0, 4096]
+    [1, 47.0, 47.0, 4096]
+    [2, 12.0, 12.0, 1808]
+
+Concurrency: :meth:`ResultCache.put_chunks` appends a wave's records in
+one write under an exclusive ``fcntl.flock``, so concurrent writers
+never interleave or drop each other's records.  A reader takes no lock:
+a record still being written is torn, and a torn or malformed record
+makes only its own chunk a miss.  The first valid record per
+``(index, size)`` wins; duplicates arise only from writers racing on
+the same chunk and are bit-identical by the reproducibility contract.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import json
 import math
 import os
 import pathlib
-import tempfile
 
-from repro.engine.runner import (
-    ChunkAccumulator,
-    Estimate,
-    Estimator,
-    as_accumulator,
-)
+from repro.engine.runner import ChunkAccumulator, Estimator, as_accumulator
 from repro.engine.scenarios import Scenario
 from repro.obs import metrics
 
@@ -83,24 +75,19 @@ __all__ = [
     "LEDGER_VERSION",
 ]
 
-#: Current on-disk chunk-ledger schema: one ``[sum_w, sum_w2, trials]``
-#: accumulator triple per chunk index.
-LEDGER_VERSION = 2
+#: Current on-disk chunk-ledger schema: a JSON-lines file of
+#: ``[index, sum_w, sum_w2, trials]`` records after one header line.
+LEDGER_VERSION = 3
 
 
 def format_stats(stats: dict) -> str:
     """One-line rendering of :meth:`ResultCache.stats` for run footers.
 
     Shared by the sweep CLI and the oracle builder log so the two
-    surfaces cannot drift apart.  Chunk-ledger traffic is appended so a
-    trials-extension run can show *how much* of its sampling was served
-    from previously ledgered chunks.
+    surfaces cannot drift apart: it shows how much of a run's sampling
+    was served from previously ledgered chunks.
     """
-    rate = stats["hit_rate"]
-    rendered = "n/a" if rate is None else f"{100.0 * rate:.1f}%"
     return (
-        f"cache: {stats['hits']} hits / {stats['misses']} misses / "
-        f"{stats['stores']} stores ({rendered} hit rate); "
         f"ledger: {stats['chunk_hits']} chunk hits / "
         f"{stats['chunk_misses']} chunk misses / "
         f"{stats['chunk_stores']} chunk stores"
@@ -151,55 +138,45 @@ def estimator_token(estimator: Estimator) -> str:
     return f"{module}.{qualname}"
 
 
-class ResultCache:
-    """A directory of content-addressed estimate files and chunk ledgers.
+def _is_count(value) -> bool:
+    """A JSON integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    The cache counts its traffic — estimate-level (``hits``, ``misses``,
-    ``stores``) and chunk-level (``chunk_hits``, ``chunk_misses``,
-    ``chunk_stores``) — so orchestrators can report *zero re-estimation*
-    on warm reruns and *only the new chunks sampled* on trials
-    extensions.  Corrupt or truncated entries are treated as misses and
-    overwritten on the next store — the cache is disposable by design.
+
+def _is_real(value) -> bool:
+    """A finite JSON number that is not a bool (strings and booleans
+    would load fine and crash — or silently miscompare — much later)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+class ResultCache:
+    """A directory of content-addressed, append-only chunk ledgers.
+
+    The cache counts its traffic (``chunk_hits``, ``chunk_misses``,
+    ``chunk_stores``) so orchestrators can report *zero re-sampling* on
+    warm reruns and *only the new chunks sampled* on trials extensions.
+    Corrupt or torn records are misses that the next run's append
+    heals — the cache is disposable by design.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
         self.chunk_hits = 0
         self.chunk_misses = 0
         self.chunk_stores = 0
 
     # -- keys ----------------------------------------------------------
 
-    def key(
-        self,
-        scenario: Scenario,
-        estimator: Estimator,
-        seed: int,
-        trials: int,
-        chunk_size: int,
-    ) -> dict:
-        """The canonical (JSON-ready) key of one run configuration."""
-        return {
-            "scenario": scenario_fingerprint(scenario),
-            "estimator": estimator_token(estimator),
-            "seed": int(seed),
-            "trials": int(trials),
-            "chunk_size": int(chunk_size),
-        }
-
     @staticmethod
     def digest(key: dict) -> str:
         """SHA-256 of the canonical serialization of ``key``."""
         canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def path(self, key: dict) -> pathlib.Path:
-        """Where the entry for ``key`` lives (whether or not it exists)."""
-        return self.directory / f"{self.digest(key)[:32]}.json"
 
     def ledger_key(
         self,
@@ -212,8 +189,7 @@ class ResultCache:
 
         Deliberately *without* ``trials``: the ledger is the prefix-
         stable chunk stream itself, and a trial count merely selects a
-        prefix of it.  The ``kind`` marker keeps ledger digests disjoint
-        from estimate digests by construction.
+        prefix of it.  The ``kind`` marker names the file in its header.
         """
         return {
             "kind": "chunk-ledger",
@@ -225,157 +201,82 @@ class ResultCache:
 
     def ledger_path(self, key: dict) -> pathlib.Path:
         """Where the ledger for ``key`` lives (whether or not it exists)."""
-        return self.directory / f"{self.digest(key)[:32]}.ledger.json"
+        return self.directory / f"{self.digest(key)[:32]}.ledger.jsonl"
 
     # -- traffic -------------------------------------------------------
 
-    def contains(self, key: dict) -> bool:
-        """Is there a (well-formed) entry for ``key``?  Does not count
-        toward hit/miss statistics."""
-        return self._load(self.path(key)) is not None
+    def get_chunks(
+        self, key: dict, sizes: dict[int, int]
+    ) -> dict[int, ChunkAccumulator]:
+        """Ledgered accumulators for the requested chunks.
 
-    def get(self, key: dict) -> Estimate | None:
-        """Look ``key`` up; ``None`` (and a counted miss) when absent."""
-        entry = self._load(self.path(key))
-        if entry is None:
-            self.misses += 1
-            metrics.counter(
-                "repro_cache_requests_total",
-                "estimate-level cache lookups by outcome",
-                kind="estimate",
-                result="miss",
-            ).inc()
-            return None
-        self.hits += 1
-        metrics.counter(
-            "repro_cache_requests_total", kind="estimate", result="hit"
-        ).inc()
-        stored = entry["estimate"]
-        return Estimate(
-            value=stored["value"],
-            standard_error=stored["standard_error"],
-            trials=stored["trials"],
-        )
-
-    def put(self, key: dict, estimate: Estimate) -> pathlib.Path:
-        """Store ``estimate`` under ``key``; returns the entry path.
-
-        The write goes through a uniquely-named same-directory temporary
-        file and an atomic rename, so a crashed run can leave at worst
-        an orphan temporary, never a truncated entry — and concurrent
-        processes storing the same key (the runs are bit-identical, so
-        either entry is correct) cannot trip over each other's
-        temporaries.
+        ``sizes`` maps each wanted chunk index to its trial count;
+        returns ``{index: ChunkAccumulator}`` for every index whose
+        ``(index, size)`` record is in the ledger, and absent chunks are
+        simply missing from the result.  Found and absent chunks count
+        toward ``chunk_hits`` / ``chunk_misses``.
         """
-        path = self.path(key)
-        payload = {
-            "key": key,
-            "estimate": {
-                "value": estimate.value,
-                "standard_error": estimate.standard_error,
-                "trials": estimate.trials,
-            },
-        }
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self.directory, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                handle.write(json.dumps(payload, indent=2) + "\n")
-            os.replace(temp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(temp_name)
-            raise
-        self.stores += 1
-        metrics.counter(
-            "repro_cache_stores_total",
-            "cache writes by granularity",
-            kind="estimate",
-        ).inc()
-        return path
-
-    # -- chunk ledger --------------------------------------------------
-
-    def get_chunks(self, key: dict, indices) -> dict[int, ChunkAccumulator]:
-        """Ledgered accumulators for the requested chunk ``indices``.
-
-        Returns ``{index: ChunkAccumulator}`` for every requested index
-        present in the ledger; absent indices are simply missing from
-        the result.  Found and absent indices count toward
-        ``chunk_hits`` / ``chunk_misses``.  A corrupt or type-invalid
-        ledger file is an all-miss (and is healed by the next
-        :meth:`put_chunks`).
-        """
-        wanted = list(indices)
         stored = self._load_ledger(
             self.ledger_path(key), int(key["chunk_size"])
         )
-        found = {i: stored[i] for i in wanted if i in stored}
+        found = {
+            index: stored[index, size]
+            for index, size in sizes.items()
+            if (index, size) in stored
+        }
+        missed = len(sizes) - len(found)
         self.chunk_hits += len(found)
-        self.chunk_misses += len(wanted) - len(found)
+        self.chunk_misses += missed
         if metrics.active() is not None:
             metrics.counter(
-                "repro_cache_requests_total", kind="chunk", result="hit"
+                "repro_cache_requests_total",
+                "chunk-ledger lookups by outcome",
+                kind="chunk",
+                result="hit",
             ).inc(len(found))
             metrics.counter(
                 "repro_cache_requests_total", kind="chunk", result="miss"
-            ).inc(len(wanted) - len(found))
+            ).inc(missed)
         return found
 
     def put_chunks(
         self, key: dict, chunks: dict[int, ChunkAccumulator]
     ) -> pathlib.Path:
-        """Merge ``chunks`` (``{index: accumulator}``) into the ledger.
+        """Append ``chunks`` (``{index: accumulator}``) to the ledger.
 
         Values may be :class:`~repro.engine.runner.ChunkAccumulator`
-        instances or plain triples — both are normalised before writing.
-        Existing entries are kept (they are bit-identical to
-        whatever a re-computation would produce, by the reproducibility
-        contract); the merged ledger is rewritten through the same
-        atomic-rename discipline as :meth:`put`.  Returns the ledger
-        path.
-
-        Concurrency: the read-merge-rewrite is not locked, so two
-        processes extending the same configuration simultaneously can
-        each persist a merge that lacks the other's newest chunks
-        (last writer wins).  That never affects correctness — a dropped
-        entry just recomputes bit-identically on the next run — it only
-        weakens the no-resampling guarantee, which assumes one writer
-        per configuration at a time (as the orchestrators provide).
+        instances or plain triples — both are normalised before writing,
+        and each record carries its own trial count.  The records go out
+        in one append under an exclusive ``flock`` (with the header
+        first when the file is new), so the I/O is proportional to the
+        new chunks and concurrent writers lose nothing.  Returns the
+        ledger path.
         """
-        path = self.ledger_path(key)
-        chunk_size = int(key["chunk_size"])
-        merged = self._load_ledger(path, chunk_size)
-        fresh = {
-            int(index): as_accumulator(value, chunk_size)
+        records = "".join(
+            json.dumps([int(index), *as_accumulator(value).as_triple()])
+            + "\n"
             for index, value in chunks.items()
-            if int(index) not in merged
-        }
-        merged.update(fresh)
-        payload = {
-            "key": key,
-            "version": LEDGER_VERSION,
-            "chunks": {
-                str(i): list(merged[i].as_triple()) for i in sorted(merged)
-            },
-        }
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self.directory, suffix=".tmp"
         )
-        try:
-            with os.fdopen(descriptor, "w") as handle:
-                handle.write(json.dumps(payload, indent=2) + "\n")
-            os.replace(temp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(temp_name)
-            raise
-        self.chunk_stores += len(fresh)
-        if fresh:
-            metrics.counter(
-                "repro_cache_stores_total", kind="chunk"
-            ).inc(len(fresh))
+        path = self.ledger_path(key)
+        with open(path, "ab+") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            end = handle.seek(0, os.SEEK_END)
+            if end == 0:
+                header = {"key": key, "version": LEDGER_VERSION}
+                records = json.dumps(header) + "\n" + records
+            else:
+                # A writer that died mid-record left no newline: start
+                # on a fresh line so only the torn record is lost.
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    records = "\n" + records
+            handle.write(records.encode())
+        self.chunk_stores += len(chunks)
+        metrics.counter(
+            "repro_cache_stores_total",
+            "chunk-ledger records appended",
+            kind="chunk",
+        ).inc(len(chunks))
         return path
 
     # -- statistics ----------------------------------------------------
@@ -383,18 +284,11 @@ class ResultCache:
     def stats(self) -> dict:
         """Traffic counters for this cache *instance* (not the directory).
 
-        ``hit_rate`` is over lookups (``get`` calls) only and ``None``
-        before the first lookup — orchestrators print it in their run
-        footers, so it must distinguish "no traffic" from "0% hits".
+        ``chunk_hit_rate`` is ``None`` before the first lookup, so it
+        distinguishes "no traffic" from "0% hits".
         """
-        lookups = self.hits + self.misses
         chunk_lookups = self.chunk_hits + self.chunk_misses
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "lookups": lookups,
-            "hit_rate": (self.hits / lookups) if lookups else None,
             "chunk_hits": self.chunk_hits,
             "chunk_misses": self.chunk_misses,
             "chunk_stores": self.chunk_stores,
@@ -405,87 +299,49 @@ class ResultCache:
         }
 
     @staticmethod
-    def _is_real(value) -> bool:
-        """A finite JSON number that is not a bool (JSON has no separate
-        integer/float estimate fields, but strings and booleans would
-        load fine and crash — or silently miscompare — much later)."""
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        )
-
-    @classmethod
-    def _load(cls, path: pathlib.Path) -> dict | None:
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        estimate = entry.get("estimate") if isinstance(entry, dict) else None
-        if not isinstance(estimate, dict) or not {
-            "value",
-            "standard_error",
-            "trials",
-        } <= estimate.keys():
-            return None
-        # Type-validate the payload: a hand-edited entry (string value,
-        # float trials, ...) must count as a corrupt-entry miss here, not
-        # crash arithmetic somewhere downstream.
-        if not cls._is_real(estimate["value"]) or not cls._is_real(
-            estimate["standard_error"]
-        ):
-            return None
-        trials = estimate["trials"]
-        if not isinstance(trials, int) or isinstance(trials, bool):
-            return None
-        if trials < 1 or estimate["standard_error"] < 0:
-            return None
-        return entry
-
-    @classmethod
     def _load_ledger(
-        cls, path: pathlib.Path, chunk_size: int
-    ) -> dict[int, ChunkAccumulator]:
-        """The validated ``{index: accumulator}`` map of one ledger file.
+        path: pathlib.Path, chunk_size: int
+    ) -> dict[tuple[int, int], ChunkAccumulator]:
+        """The validated ``{(index, size): accumulator}`` map of a ledger.
 
-        Every entry must be a ``[sum_w, sum_w2, trials]`` triple.
-        Anything malformed — non-integer indices, bare numbers, triples
-        with non-finite moments, negative ``sum_w2``, or a trial count
-        other than ``chunk_size`` — degrades to an empty ledger (an
-        all-miss): the ledger is as disposable as every other entry.
+        Each line is judged on its own.  A record must be ``[index,
+        sum_w, sum_w2, trials]`` with a non-negative integer index,
+        finite moments, ``sum_w2 >= 0`` and an integer ``trials`` in
+        ``1..chunk_size``; anything else — a torn tail, a hand-edited
+        string, a bool — is skipped, so only its own chunk misses.  A
+        header from another schema version makes the file an all-miss.
         """
         try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
+            lines = path.read_bytes().splitlines()
+        except OSError:
             return {}
-        chunks = entry.get("chunks") if isinstance(entry, dict) else None
-        if not isinstance(chunks, dict):
-            return {}
-        validated: dict[int, ChunkAccumulator] = {}
-        for index, stored in chunks.items():
-            if not isinstance(index, str) or not index.isdigit():
-                return {}
-            if not isinstance(stored, list) or len(stored) != 3:
-                return {}
-            sum_w, sum_w2, trials = stored
-            if not cls._is_real(sum_w) or not cls._is_real(sum_w2):
-                return {}
-            if isinstance(trials, bool) or trials != chunk_size:
-                return {}
-            if sum_w2 < 0:
-                return {}
-            validated[int(index)] = ChunkAccumulator(
-                float(sum_w), float(sum_w2), chunk_size
-            )
-        return validated
-
-    def __len__(self) -> int:
-        """Estimate entries only (ledger files are not 'points')."""
-        return sum(
-            1
-            for entry in self.directory.glob("*.json")
-            if not entry.name.endswith(".ledger.json")
-        )
+        ledger: dict[tuple[int, int], ChunkAccumulator] = {}
+        for line in lines:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(record, dict):
+                if record.get("version") != LEDGER_VERSION:
+                    return {}
+                continue
+            if not isinstance(record, list) or len(record) != 4:
+                continue
+            index, sum_w, sum_w2, trials = record
+            if (
+                _is_count(index)
+                and index >= 0
+                and _is_real(sum_w)
+                and _is_real(sum_w2)
+                and sum_w2 >= 0
+                and _is_count(trials)
+                and 1 <= trials <= chunk_size
+            ):
+                ledger.setdefault(
+                    (index, trials),
+                    ChunkAccumulator(float(sum_w), float(sum_w2), trials),
+                )
+        return ledger
 
 
 def cache_from_env(default: str | os.PathLike | None = None) -> ResultCache | None:

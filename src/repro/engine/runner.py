@@ -40,17 +40,16 @@ statistically identical, but not bit-identical.)
 Because spawned children form a *prefix-stable* stream (child ``i`` is
 ``SeedSequence(seed, spawn_key=(i,))`` no matter how many children a
 run spawns), ``trials`` is just a prefix length of one infinite chunk
-stream.  The runner exploits this through the cache's **chunk ledger**:
-every *full* chunk's accumulator triple is stored under
-``(scenario, estimator, seed, chunk_size, chunk_index)``, so extending
-a run (say 10k → 50k trials) re-samples only the new chunks and the
-ragged remainder — previously computed full chunks are reused
-bit-identically.  The ragged remainder is computed, never ledgered: a
-shorter chunk drawn from the same child consumes its generator in
-different phase widths, so its hits are not a prefix of the full
-chunk's.  Whole-run :class:`Estimate` entries remain in the cache as a
-fast path (and for compatibility with entries written before the
-ledger existed).
+stream.  The runner exploits this through the cache's **chunk ledger**,
+the cache's only granularity: every chunk's accumulator triple is
+stored under ``(scenario, estimator, seed, chunk_size)`` and keyed by
+``(chunk_index, size)``, so an identical rerun samples nothing and
+extending a run (say 10k → 50k trials) samples only the chunks the
+ledger lacks — everything else is reused bit-identically.  The ragged
+remainder is ledgered under its own size: a shorter chunk drawn from
+the same child consumes its generator in different phase widths, so
+its hits are not a prefix of the full chunk's, and only a run that
+ends on the same ragged remainder reuses it.
 
 :meth:`ExperimentRunner.run_until` adds **adaptive precision
 targeting** on top of the same chunk stream: waves of full chunks are
@@ -65,7 +64,7 @@ count, and fully ledger-cacheable.
 Both modes resolve chunks through one path: a *wave* of chunk indices is
 looked up in the ledger, the missing chunks are dispatched to the
 backend, collected, folded into one accumulator in index order, and the
-new full chunks are written back.  A fixed budget is a single wave over
+new chunks are written back.  A fixed budget is a single wave over
 its whole partition; :meth:`ExperimentRunner.run_until` loops waves.
 Seeds are integers: a ``numpy.random.Generator`` cannot be replayed
 chunk by chunk and is rejected.
@@ -124,7 +123,7 @@ class ChunkAccumulator:
     per-trial weights.
 
     This is the engine's estimation currency: chunk workers return it,
-    the chunk ledger stores it (schema v2), the distributed wire carries
+    the chunk ledger stores it (schema v3), the distributed wire carries
     it as a plain ``(sum_w, sum_w2, trials)`` triple, and
     :func:`estimate_from_moments` turns an aggregate into an
     :class:`Estimate`.  Addition merges disjoint trial sets; ``0`` is
@@ -186,13 +185,14 @@ class ChunkAccumulator:
     __radd__ = __add__
 
 
-def as_accumulator(value, size: int) -> ChunkAccumulator:
+def as_accumulator(value, size: int | None = None) -> ChunkAccumulator:
     """Normalise a chunk result of ``size`` trials to a
     :class:`ChunkAccumulator`.
 
     Accepts the accumulator itself or the plain ``(sum_w, sum_w2,
     trials)`` triple the distributed wire and the ledger carry; a result
-    whose trial count is not ``size`` is rejected.
+    whose trial count is not ``size`` is rejected (``None`` accepts any
+    count — a ledger record carries its own).
     """
     if isinstance(value, (tuple, list)) and len(value) == 3:
         value = ChunkAccumulator(
@@ -202,7 +202,7 @@ def as_accumulator(value, size: int) -> ChunkAccumulator:
         raise TypeError(
             f"cannot interpret chunk result {value!r} as an accumulator"
         )
-    if value.trials != size:
+    if size is not None and value.trials != size:
         raise ValueError(
             f"chunk result covers {value.trials} trials, expected {size}"
         )
@@ -469,7 +469,7 @@ def _record_report(report: "RunReport") -> None:
     ).inc(report.reused_chunks)
     metrics.counter(
         "repro_runner_runs_total",
-        "resolved runs by whole-run cache outcome",
+        "resolved runs by whether anything was sampled (hit: nothing)",
         cache="hit" if report.from_cache else "miss",
     ).inc()
 
@@ -478,12 +478,12 @@ def _record_report(report: "RunReport") -> None:
 class RunReport:
     """Where one resolved run's trials came from.
 
-    ``reused_trials`` were served from the cache — whole-run estimate
-    entries and ledgered full chunks alike — and ``sampled_trials``
-    were freshly computed; the two always sum to the realized trial
-    count.  ``from_cache`` is true when *nothing* was sampled.  The
-    sweep layer copies these numbers into its tidy rows, which is how
-    the CLI's realized-trials and ledger-reuse columns are fed.
+    ``reused_trials`` were served from ledgered chunks and
+    ``sampled_trials`` were freshly computed; the two always sum to the
+    realized trial count.  ``from_cache`` is true when *nothing* was
+    sampled.  The sweep layer copies these numbers into its tidy rows,
+    which is how the CLI's realized-trials and ledger-reuse columns are
+    fed.
     """
 
     trials: int
@@ -514,10 +514,9 @@ class _Wave:
     """A range of chunk indices, resolved against the ledger and
     dispatched by :meth:`ExperimentRunner._dispatch`.
 
-    ``reused`` holds the ledgered full chunks and ``futures`` the
-    in-flight rest (the ragged remainder included), both keyed by chunk
-    index.  ``trials`` is the budget whose partition the indices belong
-    to: it fixes each chunk's size and which chunks are full.
+    ``reused`` holds the ledgered chunks and ``futures`` the in-flight
+    rest, both keyed by chunk index.  ``trials`` is the budget whose
+    partition the indices belong to: it fixes each chunk's size.
     """
 
     runner: "ExperimentRunner"
@@ -537,15 +536,15 @@ class _Wave:
         return sum(self.size(index) for index in self.futures)
 
     def collect(self) -> ChunkAccumulator:
-        """Block on the futures, ledger the fresh full chunks, and fold
-        every chunk of the wave, in index order, into one accumulator."""
-        chunks = dict(self.reused)
-        for index, future in self.futures.items():
-            chunks[index] = as_accumulator(future.result(), self.size(index))
-        full = self.trials // self.runner.chunk_size
-        fresh = {i: chunks[i] for i in self.futures if i < full}
+        """Block on the futures, ledger the fresh chunks, and fold every
+        chunk of the wave, in index order, into one accumulator."""
+        fresh = {
+            index: as_accumulator(future.result(), self.size(index))
+            for index, future in self.futures.items()
+        }
         if self.ledger_key is not None and fresh:
             self.runner.cache.put_chunks(self.ledger_key, fresh)
+        chunks = {**self.reused, **fresh}
         total = ChunkAccumulator.zero()
         for index in self.indices:
             total += chunks[index]
@@ -556,24 +555,22 @@ class _Wave:
 class PendingEstimate:
     """A dispatched fixed-budget run: resolves to an :class:`Estimate`.
 
-    Produced by :meth:`ExperimentRunner.submit`.  ``wave`` is ``None``
-    for a run served entirely from the whole-run cache; otherwise
-    :meth:`result` collects the wave (which ledgers its new full
-    chunks), aggregates, and stores the estimate under ``key`` when the
-    runner has a cache.
+    Produced by :meth:`ExperimentRunner.submit`.  :meth:`result`
+    collects the run's one wave (which ledgers its fresh chunks) and
+    aggregates.
     """
 
     runner: "ExperimentRunner"
     trials: int
-    key: dict | None
-    wave: _Wave | None
+    wave: _Wave
     _resolved: Estimate | None = None
     report: RunReport | None = None
 
     @property
     def from_cache(self) -> bool:
-        """True when the run was served from the cache (no estimation)."""
-        return self.wave is None
+        """True when the wave dispatched nothing: every chunk was
+        ledgered."""
+        return not self.wave.futures
 
     def result(self) -> Estimate:
         """Block until every submitted chunk is done; the aggregate."""
@@ -585,8 +582,6 @@ class PendingEstimate:
                 submitted=len(self.wave.futures),
             ):
                 self._resolved = estimate_from_moments(self.wave.collect())
-            if self.key is not None:
-                self.runner.cache.put(self.key, self._resolved)
             self.report = RunReport.of_waves(self.trials, [self.wave])
             _record_report(self.report)
         self.runner.last_report = self.report
@@ -617,9 +612,9 @@ class ExperimentRunner:
     for every worker count (see the module docstring).
 
     ``cache`` is an optional :class:`repro.engine.cache.ResultCache`;
-    when set, runs are looked up by their
-    ``(scenario, estimator, seed, trials, chunk_size)`` key before any
-    sampling happens and stored after.
+    when set, every chunk is looked up in the chunk ledger of
+    ``(scenario, estimator, seed, chunk_size)`` before it is sampled,
+    and every freshly sampled chunk is appended to it after.
     """
 
     def __init__(
@@ -683,25 +678,21 @@ class ExperimentRunner:
     ) -> _Wave:
         """The one path from chunk indices to accumulators, first half.
 
-        Looks the full chunks among ``indices`` up in the chunk ledger
-        and submits the rest to ``backend``, each from its own
-        ``SeedSequence(seed)`` child; :meth:`_Wave.collect` is the
-        second half.  ``trials`` is the budget whose partition the
+        Looks every chunk of ``indices`` up in the chunk ledger by
+        ``(index, size)`` and submits the rest to ``backend``, each from
+        its own ``SeedSequence(seed)`` child; :meth:`_Wave.collect` is
+        the second half.  ``trials`` is the budget whose partition the
         indices come from.
         """
-        ledger_key = None
-        reused: dict[int, ChunkAccumulator] = {}
-        full = min(indices.stop, trials // self.chunk_size)
+        wave = _Wave(self, indices, trials, None, reused={}, futures={})
         if self.cache is not None:
-            ledger_key = self.cache.ledger_key(
+            wave.ledger_key = self.cache.ledger_key(
                 self.scenario, self.estimator, seed, self.chunk_size
             )
-            if indices.start < full:
-                reused = self.cache.get_chunks(
-                    ledger_key, range(indices.start, full)
-                )
-        wave = _Wave(self, indices, trials, ledger_key, reused, futures={})
-        missing = [index for index in indices if index not in reused]
+            wave.reused = self.cache.get_chunks(
+                wave.ledger_key, {index: wave.size(index) for index in indices}
+            )
+        missing = [index for index in indices if index not in wave.reused]
         futures = backend.submit_chunks(
             self.scenario,
             self.estimator,
@@ -734,13 +725,11 @@ class ExperimentRunner:
     ) -> PendingEstimate:
         """Dispatch a run to ``backend`` without waiting for it.
 
-        Cache lookups still happen immediately: a whole-run estimate hit
-        returns an already-resolved pending; otherwise the run is one
-        wave over its whole partition — ledgered full chunks are reused
-        bit-identically (the prefix property) and only the missing full
-        chunks plus the ragged remainder are submitted.  The returned
-        :class:`PendingEstimate` aggregates — and stores new chunks and
-        the estimate back to the cache — when
+        The run is one wave over its whole partition, looked up in the
+        ledger immediately: ledgered chunks are reused bit-identically
+        (the prefix property) and only the missing ones are submitted.
+        The returned :class:`PendingEstimate` aggregates — and appends
+        the fresh chunks to the ledger — when
         :meth:`~PendingEstimate.result` is called.  Submitting many runs
         before collecting any result is what keeps pool workers busy
         across sweep-point boundaries.
@@ -748,29 +737,9 @@ class ExperimentRunner:
         if trials < 1:
             raise ValueError("trials must be positive")
         _require_integer_seed(seed)
-        key = None
-        if self.cache is not None:
-            key = self.cache.key(
-                self.scenario, self.estimator, seed, trials, self.chunk_size
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                report = RunReport(
-                    trials=trials,
-                    reused_trials=trials,
-                    sampled_trials=0,
-                    reused_chunks=trials // self.chunk_size,
-                    sampled_chunks=0,
-                    waves=0,
-                    from_cache=True,
-                )
-                _record_report(report)
-                return PendingEstimate(
-                    self, trials, None, None, _resolved=cached, report=report
-                )
         chunks = len(chunk_sizes(trials, self.chunk_size))
         wave = self._dispatch(seed, range(chunks), trials, backend)
-        return PendingEstimate(self, trials, key, wave)
+        return PendingEstimate(self, trials, wave)
 
     def run_until(
         self,
@@ -848,9 +817,8 @@ class ExperimentRunner:
         with self._backend(backend) as active:
             while done < chunks and (estimate is None or not met(estimate)):
                 if done == full_max:
-                    # Every full chunk is spent: the ragged remainder —
-                    # computed, never ledgered — tops the run up to
-                    # exactly max_trials.
+                    # Every full chunk is spent: the ragged remainder
+                    # tops the run up to exactly max_trials.
                     goal = chunks
                 elif done == 0:
                     goal = min(full_max, initial_chunks)
@@ -892,16 +860,6 @@ class ExperimentRunner:
                     "repro_runner_standard_error",
                     "SE trajectory of the current adaptive run",
                 ).set(estimate.standard_error)
-        if self.cache is not None:
-            key = self.cache.key(
-                self.scenario,
-                self.estimator,
-                seed,
-                estimate.trials,
-                self.chunk_size,
-            )
-            if not self.cache.contains(key):
-                self.cache.put(key, estimate)
         self.last_report = RunReport.of_waves(estimate.trials, waves)
         _record_report(self.last_report)
         return estimate

@@ -9,9 +9,9 @@ a list of axes, expands their Cartesian product into concrete
 executes every point through :class:`~repro.engine.runner.
 ExperimentRunner` — serially, or fanned across a shared
 :class:`~repro.engine.parallel.ProcessBackend`, with an optional
-:class:`~repro.engine.cache.ResultCache` so a point is never estimated
-twice (and, through the chunk ledger, so no *full chunk* is ever
-sampled twice even when trial budgets change).  Grids may declare
+:class:`~repro.engine.cache.ResultCache` whose chunk ledger means no
+chunk is ever sampled twice — a rerun samples nothing, and a changed
+trial budget samples only the chunks it adds.  Grids may declare
 per-point precision targets (``target_se`` / ``rel_se`` /
 ``max_trials``): the run then goes through the adaptive
 :meth:`~repro.engine.runner.ExperimentRunner.run_until` path and rare

@@ -44,7 +44,7 @@ column then shows each point's *realized* spend and the ``reused``
 column how much of it was served from the chunk ledger; the cache
 footer carries the chunk-level counters.  Raising ``--trials`` on a
 warm cache re-samples only the new chunks (the ledger's prefix
-property) — the old full chunks are reused bit-identically.
+property) — the old chunks are reused bit-identically.
 """
 
 from __future__ import annotations

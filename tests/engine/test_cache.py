@@ -1,9 +1,12 @@
-"""Result cache: round trips are bit-equal, any key change is a miss."""
+"""Chunk ledger: round trips are bit-equal, any key change is a miss."""
 
 import json
+import multiprocessing
 
+import numpy as np
 import pytest
 
+import repro.engine.parallel as parallel_module
 from repro.core.distributions import bernoulli_condition
 from repro.engine import (
     ExperimentRunner,
@@ -11,14 +14,29 @@ from repro.engine import (
     ResultCache,
     delta_settlement_violation,
     get_scenario,
+    run_chunk,
     settlement_violation,
 )
-from repro.engine.cache import cache_from_env, estimator_token
+from repro.engine.cache import LEDGER_VERSION, cache_from_env, estimator_token
 
 
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
+
+
+@pytest.fixture
+def counting_run_chunk(monkeypatch):
+    """Record the size of every chunk actually sampled (patched where
+    the serial backend resolves ``run_chunk``)."""
+    calls = []
+
+    def counted(scenario, estimator, size, child):
+        calls.append(size)
+        return run_chunk(scenario, estimator, size, child)
+
+    monkeypatch.setattr(parallel_module, "run_chunk", counted)
+    return calls
 
 
 def make_runner(cache, **overrides):
@@ -27,38 +45,51 @@ def make_runner(cache, **overrides):
     return ExperimentRunner(scenario, chunk_size=512, cache=cache)
 
 
+#: The positions of a ledger record line.
+RECORD_FIELDS = ("index", "sum_w", "sum_w2", "trials")
+
+
+def ledger_lines(cache) -> list[bytes]:
+    (path,) = cache.directory.glob("*.ledger.jsonl")
+    return path.read_bytes().splitlines()
+
+
 class TestRoundTrip:
     def test_cached_result_is_bit_equal(self, cache):
         runner = make_runner(cache)
-        fresh = runner.run(4_000, seed=17)
-        assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
+        fresh = runner.run(4_000, seed=17)  # 7 full chunks + ragged 416
+        assert (cache.chunk_hits, cache.chunk_misses, cache.chunk_stores) == (
+            0,
+            8,
+            8,
+        )
         warm = runner.run(4_000, seed=17)
         assert warm == fresh  # dataclass equality: value, se, trials
-        assert cache.hits == 1
+        assert cache.chunk_hits == 8 and cache.chunk_stores == 8
 
     def test_warm_run_does_no_sampling(self, cache, monkeypatch):
         runner = make_runner(cache)
-        fresh = runner.run(2_000, seed=1)
-
-        import repro.engine.runner as runner_module
+        fresh = runner.run(2_000, seed=1)  # ends on a ragged chunk
 
         def exploding(*args):  # pragma: no cover - must not run
             raise AssertionError("chunk executed on a warm cache")
 
-        monkeypatch.setattr(runner_module, "run_chunk", exploding)
+        monkeypatch.setattr(parallel_module, "run_chunk", exploding)
         assert runner.run(2_000, seed=1) == fresh
+        assert runner.last_report.from_cache
 
     def test_entry_survives_process_boundary(self, cache):
-        """Entries are plain JSON: a fresh ResultCache over the same
-        directory (a new process, in practice) serves the same bits."""
+        """Ledgers are plain JSON lines: a fresh ResultCache over the
+        same directory (a new process, in practice) serves the same
+        bits."""
         runner = make_runner(cache)
-        fresh = runner.run(3_000, seed=23)
+        fresh = runner.run(3_000, seed=23)  # 5 full chunks + ragged 440
         reopened = ResultCache(cache.directory)
         runner_again = ExperimentRunner(
             runner.scenario, chunk_size=512, cache=reopened
         )
         assert runner_again.run(3_000, seed=23) == fresh
-        assert reopened.hits == 1 and reopened.stores == 0
+        assert reopened.chunk_hits == 6 and reopened.chunk_stores == 0
 
 
 class TestStats:
@@ -66,11 +97,6 @@ class TestStats:
 
     def test_fresh_cache_has_no_rate(self, cache):
         assert cache.stats() == {
-            "hits": 0,
-            "misses": 0,
-            "stores": 0,
-            "lookups": 0,
-            "hit_rate": None,
             "chunk_hits": 0,
             "chunk_misses": 0,
             "chunk_stores": 0,
@@ -80,42 +106,31 @@ class TestStats:
 
     def test_traffic_is_counted(self, cache):
         runner = make_runner(cache)
-        runner.run(1_000, seed=5)  # miss + store
-        runner.run(1_000, seed=5)  # hit
-        runner.run(1_000, seed=6)  # miss + store
+        runner.run(1_000, seed=5)  # 2 chunk misses + stores
+        runner.run(1_000, seed=5)  # 2 chunk hits
+        runner.run(1_000, seed=6)  # 2 chunk misses + stores
         stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-        assert stats["stores"] == 2
-        assert stats["lookups"] == 3
-        assert stats["hit_rate"] == pytest.approx(1 / 3)
-
-    def test_contains_does_not_count(self, cache):
-        runner = make_runner(cache)
-        estimate = runner.run(1_000, seed=5)
-        key = cache.key(
-            runner.scenario, runner.estimator, 5, 1_000, runner.chunk_size
-        )
-        assert cache.contains(key)
-        assert cache.stats()["lookups"] == 1  # only the run's miss
-        assert cache.get(key) == estimate
-        assert cache.stats()["hits"] == 1
+        assert stats["chunk_hits"] == 2
+        assert stats["chunk_misses"] == 4
+        assert stats["chunk_stores"] == 4
+        assert stats["chunk_lookups"] == 6
+        assert stats["chunk_hit_rate"] == pytest.approx(1 / 3)
 
 
 class TestInvalidation:
-    """Any key component changes ⇒ miss."""
+    """Any key component changes ⇒ miss; a trial count is only a prefix."""
 
     def test_changed_seed_misses(self, cache):
         runner = make_runner(cache)
         runner.run(2_000, seed=5)
         runner.run(2_000, seed=6)
-        assert cache.stores == 2 and cache.hits == 0
+        assert cache.chunk_stores == 8 and cache.chunk_hits == 0
 
-    def test_changed_trials_misses(self, cache):
+    def test_changed_trials_reuses_the_prefix(self, cache):
         runner = make_runner(cache)
-        runner.run(2_000, seed=5)
-        runner.run(2_001, seed=5)
-        assert cache.stores == 2 and cache.hits == 0
+        runner.run(2_000, seed=5)  # 3 full chunks + ragged 464
+        runner.run(2_001, seed=5)  # the same 3 full chunks + ragged 465
+        assert cache.chunk_hits == 3 and cache.chunk_stores == 5
 
     def test_changed_chunk_size_misses(self, cache):
         make_runner(cache).run(2_000, seed=5)
@@ -123,24 +138,24 @@ class TestInvalidation:
         ExperimentRunner(scenario, chunk_size=256, cache=cache).run(
             2_000, seed=5
         )
-        assert cache.stores == 2 and cache.hits == 0
+        assert cache.chunk_hits == 0
 
     def test_changed_scenario_field_misses(self, cache):
         make_runner(cache).run(2_000, seed=5)
         make_runner(cache, depth=16).run(2_000, seed=5)
-        assert cache.stores == 2 and cache.hits == 0
+        assert cache.chunk_stores == 8 and cache.chunk_hits == 0
 
     def test_changed_probabilities_miss(self, cache):
         make_runner(cache).run(2_000, seed=5)
         make_runner(
             cache, probabilities=bernoulli_condition(0.4, 0.3)
         ).run(2_000, seed=5)
-        assert cache.stores == 2 and cache.hits == 0
+        assert cache.chunk_stores == 8 and cache.chunk_hits == 0
 
     def test_changed_estimator_misses(self, cache):
         scenario = get_scenario("iid-settlement", depth=15)
-        key_a = cache.key(scenario, settlement_violation, 1, 100, 512)
-        key_b = cache.key(scenario, delta_settlement_violation, 1, 100, 512)
+        key_a = cache.ledger_key(scenario, settlement_violation, 1, 512)
+        key_b = cache.ledger_key(scenario, delta_settlement_violation, 1, 512)
         assert cache.digest(key_a) != cache.digest(key_b)
 
 
@@ -174,51 +189,112 @@ class TestRobustness:
     @pytest.mark.parametrize(
         "field,bad",
         [
-            ("value", "0.25"),  # hand-edited string loads, crashes later
-            ("value", float("nan")),
-            ("standard_error", "tiny"),
-            ("standard_error", -0.1),
-            ("standard_error", True),
-            ("trials", 100.0),  # float trials breaks exact-int arithmetic
-            ("trials", "100"),
+            ("index", "0"),
+            ("index", 0.0),
+            ("index", False),  # a bool compares equal to index 0
+            ("sum_w", "0.25"),  # hand-edited string loads, crashes later
+            ("sum_w", float("nan")),
+            ("sum_w2", "tiny"),
+            ("sum_w2", -0.1),
+            ("sum_w2", True),
+            ("trials", 512.0),  # float trials breaks exact-int arithmetic
+            ("trials", "512"),
             ("trials", 0),
             ("trials", True),
+            ("trials", 513),  # more trials than a chunk holds
         ],
     )
-    def test_type_invalid_entry_is_a_miss(self, cache, field, bad):
-        """The hardening satellite: wrong numeric *types* (not just
-        malformed JSON) must count as corrupt-entry misses instead of
-        loading and crashing downstream."""
+    def test_type_invalid_record_misses_only_its_chunk(
+        self, cache, counting_run_chunk, field, bad
+    ):
+        """Wrong numeric *types* (not just malformed JSON) in one record
+        make that chunk a miss instead of loading and crashing
+        downstream; the run re-samples it and the append heals it."""
         runner = make_runner(cache)
         fresh = runner.run(2_000, seed=9)
-        key = cache.key(runner.scenario, runner.estimator, 9, 2_000, 512)
-        entry = json.loads(cache.path(key).read_text())
-        entry["estimate"][field] = bad
-        cache.path(key).write_text(json.dumps(entry))
-        assert not cache.contains(key)
-        assert cache.get(key) is None
-        assert runner.run(2_000, seed=9) == fresh  # heals by recompute
+        (path,) = cache.directory.glob("*.ledger.jsonl")
+        header, first, *rest = ledger_lines(cache)
+        record = json.loads(first)
+        assert record[0] == 0 and record[3] == 512
+        record[RECORD_FIELDS.index(field)] = bad
+        bad_line = json.dumps(record).encode()
+        path.write_bytes(b"\n".join([header, bad_line, *rest]))
+        del counting_run_chunk[:]
+        reopened = ResultCache(cache.directory)
+        again = ExperimentRunner(
+            runner.scenario, chunk_size=512, cache=reopened
+        )
+        assert again.run(2_000, seed=9) == fresh
+        assert counting_run_chunk == [512]
+        assert reopened.chunk_hits == 3 and reopened.chunk_stores == 1
+        del counting_run_chunk[:]
+        assert make_runner(ResultCache(cache.directory)).run(
+            2_000, seed=9
+        ) == fresh
+        assert counting_run_chunk == []
 
-    def test_corrupt_entry_is_a_miss_and_heals(self, cache):
+    def test_corrupt_file_is_an_all_miss_and_heals(
+        self, cache, counting_run_chunk
+    ):
         runner = make_runner(cache)
         fresh = runner.run(2_000, seed=9)
-        key = cache.key(runner.scenario, runner.estimator, 9, 2_000, 512)
-        cache.path(key).write_text("{not json")
-        assert not cache.contains(key)
-        healed = runner.run(2_000, seed=9)
-        assert healed == fresh
-        assert json.loads(cache.path(key).read_text())["estimate"][
-            "trials"
-        ] == 2_000
+        (path,) = cache.directory.glob("*.ledger.jsonl")
+        path.write_text("{not json")
+        del counting_run_chunk[:]
+        assert runner.run(2_000, seed=9) == fresh
+        assert counting_run_chunk == [512, 512, 512, 464]
+        del counting_run_chunk[:]
+        assert runner.run(2_000, seed=9) == fresh
+        assert counting_run_chunk == []
 
-    def test_entry_file_is_self_describing(self, cache):
+    def test_torn_trailing_record_resamples_only_that_chunk(
+        self, cache, counting_run_chunk
+    ):
+        """A writer that died mid-append leaves a torn last line: only
+        that chunk is re-sampled, and the next append starts on a fresh
+        line so every chunk is reusable afterwards."""
+        runner = make_runner(cache)
+        fresh = runner.run(2_000, seed=9)
+        (path,) = cache.directory.glob("*.ledger.jsonl")
+        data = path.read_bytes()
+        path.write_bytes(data[: data.rindex(b",")])  # cut mid-record
+        uncached = make_runner(None).run(2_000, seed=9)
+        del counting_run_chunk[:]
+        assert runner.run(2_000, seed=9) == uncached
+        assert counting_run_chunk == [464]
+        del counting_run_chunk[:]
+        assert make_runner(ResultCache(cache.directory)).run(
+            2_000, seed=9
+        ) == fresh
+        assert counting_run_chunk == []
+
+    def test_ledger_header_describes_the_file(self, cache):
         runner = make_runner(cache)
         runner.run(2_000, seed=9)
-        key = cache.key(runner.scenario, runner.estimator, 9, 2_000, 512)
-        entry = json.loads(cache.path(key).read_text())
-        assert entry["key"]["seed"] == 9
-        assert entry["key"]["scenario"]["depth"] == 15
-        assert entry["key"]["estimator"].endswith("settlement_violation")
+        header, *records = (json.loads(line) for line in ledger_lines(cache))
+        assert header["version"] == LEDGER_VERSION
+        assert header["key"]["seed"] == 9
+        assert header["key"]["chunk_size"] == 512
+        assert header["key"]["scenario"]["depth"] == 15
+        assert header["key"]["estimator"].endswith("settlement_violation")
+        assert [(r[0], r[3]) for r in records] == [
+            (0, 512),
+            (1, 512),
+            (2, 512),
+            (3, 464),
+        ]
+
+    def test_other_schema_version_is_not_read(self, cache, counting_run_chunk):
+        runner = make_runner(cache)
+        runner.run(1_024, seed=9)
+        (path,) = cache.directory.glob("*.ledger.jsonl")
+        header, *records = ledger_lines(cache)
+        stale = json.loads(header)
+        stale["version"] = LEDGER_VERSION - 1
+        path.write_bytes(b"\n".join([json.dumps(stale).encode(), *records]))
+        del counting_run_chunk[:]
+        runner.run(1_024, seed=9)
+        assert counting_run_chunk == [512, 512]
 
     def test_cache_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
@@ -228,3 +304,54 @@ class TestRobustness:
         assert env_cache is not None
         assert env_cache.directory == tmp_path / "c"
         assert cache_from_env(default=tmp_path / "d").directory == tmp_path / "c"
+
+
+def _ledger_alternate_chunks(directory, parity, barrier) -> None:
+    """One of two racing writers: ledger every other chunk of one run
+    configuration, one single-chunk wave at a time, so the two writers'
+    records are disjoint and any lost append shows as a missing chunk."""
+    cache = ResultCache(directory)
+    runner = make_runner(None)
+    key = cache.ledger_key(runner.scenario, runner.estimator, 3, 512)
+    barrier.wait()
+    for index in range(parity, CONCURRENT_CHUNKS, 2):
+        child = np.random.SeedSequence(3, spawn_key=(index,))
+        chunk = run_chunk(runner.scenario, runner.estimator, 512, child)
+        cache.put_chunks(key, {index: chunk})
+
+
+CONCURRENT_CHUNKS = 64
+
+
+class TestConcurrentWriters:
+    def test_two_writers_lose_no_chunk(self, cache, counting_run_chunk):
+        """Appends are whole and locked, so whatever the interleaving,
+        every chunk either writer ledgered is in the file exactly once:
+        every line decodes and a fresh runner samples nothing."""
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(2)
+        writers = [
+            context.Process(
+                target=_ledger_alternate_chunks,
+                args=(cache.directory, parity, barrier),
+            )
+            for parity in (0, 1)
+        ]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0, 0]
+
+        header, *records = (json.loads(line) for line in ledger_lines(cache))
+        assert header["version"] == LEDGER_VERSION
+        assert sorted((r[0], r[3]) for r in records) == [
+            (index, 512) for index in range(CONCURRENT_CHUNKS)
+        ]
+        trials = CONCURRENT_CHUNKS * 512
+        uncached = make_runner(None).run(trials, seed=3)
+        del counting_run_chunk[:]
+        assert make_runner(ResultCache(cache.directory)).run(
+            trials, seed=3
+        ) == uncached
+        assert counting_run_chunk == []

@@ -2,9 +2,9 @@
 
 Every run — fixed-budget ``run``, deferred ``submit`` and adaptive
 ``run_until`` — turns chunk indices into accumulators the same way:
-look the full chunks up in the ledger, dispatch the missing indices
-(chunk ``i`` from ``SeedSequence(seed, spawn_key=(i,))``), collect,
-ledger the fresh full chunks and fold the chunks in index order.  These
+look every chunk up in the ledger by ``(index, size)``, dispatch the
+missing indices (chunk ``i`` from ``SeedSequence(seed, spawn_key=(i,))``),
+collect, ledger the fresh chunks and fold the chunks in index order.  These
 tests watch that path from the backend's side (which indices are
 dispatched, with which seeds, in which waves), pin the reports it
 produces, the fold order for non-integer weights, how the runner picks
@@ -148,7 +148,7 @@ class TestOneWavePath:
             cache=ResultCache(cache.directory),
         )
         backend = RecordingBackend()
-        # 3 full chunks: a new whole-run key, every chunk in the ledger.
+        # A shorter prefix of the same chunk stream: all in the ledger.
         reopened.run(3 * CHUNK, seed=33, backend=backend)
         assert backend.indices == [[]]
         assert reopened.last_report.sampled_chunks == 0
@@ -176,9 +176,10 @@ class TestOneWavePath:
         assert backend.indices == [[0, 1, 2]]
         assert not pending.from_cache
         key = cache.ledger_key(runner.scenario, runner.estimator, 34, CHUNK)
-        assert cache.get_chunks(key, range(3)) == {}
+        sizes = {index: CHUNK for index in range(3)}
+        assert cache.get_chunks(key, sizes) == {}
         pending.result()
-        assert sorted(cache.get_chunks(key, range(3))) == [0, 1, 2]
+        assert sorted(cache.get_chunks(key, sizes)) == [0, 1, 2]
 
     def test_submit_result_equals_run_and_is_stable(self, cache):
         runner = make_runner(cache)
@@ -203,14 +204,14 @@ class TestRunReports:
         assert (report.sampled_chunks, report.reused_chunks) == (4, 0)
         assert report.waves == 1 and not report.from_cache
 
-    def test_whole_run_cache_hit_has_no_waves(self, cache):
+    def test_warm_fixed_run_reuses_every_chunk(self, cache):
         runner = make_runner(cache)
         runner.run(3 * CHUNK + 10, seed=52)
         runner.run(3 * CHUNK + 10, seed=52)
         report = runner.last_report
-        assert report.waves == 0 and report.from_cache
+        assert report.waves == 1 and report.from_cache
         assert report.reused_trials == 3 * CHUNK + 10
-        assert report.reused_chunks == 3 and report.sampled_chunks == 0
+        assert report.reused_chunks == 4 and report.sampled_chunks == 0
 
     def test_run_until_trials_add_up_over_waves(self, cache):
         runner = make_runner(cache)
@@ -333,4 +334,4 @@ class TestTripleOnlyLedger:
         key = cache.ledger_key(runner.scenario, runner.estimator, 81, CHUNK)
         with pytest.raises(TypeError):
             cache.put_chunks(key, {0: 51})
-        assert cache.get_chunks(key, range(1)) == {}
+        assert cache.get_chunks(key, {0: CHUNK}) == {}

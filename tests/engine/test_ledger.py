@@ -3,11 +3,10 @@
 Pins the two halves of the revised reproducibility contract:
 
 * **Prefix property** — extending ``trials`` over a warm ledger reuses
-  every previously computed full chunk bit-identically and samples only
-  the new chunks plus the ragged remainder (which is computed, never
-  ledgered); a ``chunk_size`` change is a different chunk stream and
-  reuses nothing; estimate-level entries written without any ledger
-  still hit.
+  every previously computed chunk bit-identically and samples only the
+  chunks the ledger lacks (a ragged remainder is keyed by its size, so
+  only a run ending on the same remainder reuses it); a ``chunk_size``
+  change is a different chunk stream and reuses nothing.
 * **Adaptive determinism** — ``run_until`` meets its standard-error
   target with a realized trial count that is a deterministic function
   of ``(seed, stopping rule)``: bit-identical across 1/2/4 workers,
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel_module
-import repro.engine.runner as runner_module
 from repro.engine import (
     ExperimentRunner,
     ResultCache,
@@ -75,10 +73,16 @@ class TestPrefixProperty:
         assert report.sampled_trials == 2_048
         assert report.reused_chunks == 4 and report.sampled_chunks == 4
 
-    def test_ragged_remainder_is_never_ledgered(self, cache, counting_run_chunk):
+    def test_ragged_remainder_is_keyed_by_its_size(
+        self, cache, counting_run_chunk
+    ):
+        """The ragged remainder is ledgered under ``(index, size)``: an
+        identical rerun reuses it, a longer run does not."""
         runner = make_runner(cache)
-        runner.run(1_000, seed=21)  # 1 full chunk + ragged 488
+        first = runner.run(1_000, seed=21)  # 1 full chunk + ragged 488
         del counting_run_chunk[:]
+        assert runner.run(1_000, seed=21) == first
+        assert counting_run_chunk == []
         extended = runner.run(1_500, seed=21)  # 2 full + ragged 476
         # chunk 0 reused; chunk 1 and the new remainder sampled — the
         # old 488-trial remainder is not reusable (different phase
@@ -107,33 +111,21 @@ class TestPrefixProperty:
         assert reopened.chunk_hits == 4 and reopened.chunk_stores == 4
         assert extended == make_runner().run(4_096, seed=9)
 
-    def test_estimate_level_entries_hit_without_any_ledger(
-        self, cache, monkeypatch
+    def test_corrupt_record_is_a_chunk_miss_and_heals(
+        self, cache, counting_run_chunk
     ):
-        """Compatibility read path: a cache holding only whole-run
-        estimate entries (as written before the ledger existed) still
-        serves identical-trials reruns with zero sampling."""
-        runner = make_runner(cache)
-        fresh = runner.run(2_000, seed=7)
-        for ledger in cache.directory.glob("*.ledger.json"):
-            ledger.unlink()
-
-        def exploding(*args):  # pragma: no cover - must not run
-            raise AssertionError("sampled despite an estimate-level hit")
-
-        monkeypatch.setattr(runner_module, "run_chunk", exploding)
-        monkeypatch.setattr(parallel_module, "run_chunk", exploding)
-        assert runner.run(2_000, seed=7) == fresh
-        assert runner.last_report.from_cache
-
-    def test_corrupt_ledger_is_an_all_miss_and_heals(self, cache):
         runner = make_runner(cache)
         first = runner.run(2_048, seed=13)
-        (ledger_file,) = cache.directory.glob("*.ledger.json")
-        ledger_file.write_text('{"chunks": {"0": "many"}}')
+        (ledger_file,) = cache.directory.glob("*.ledger.jsonl")
+        header, _chunk_0, *rest = ledger_file.read_bytes().splitlines()
+        ledger_file.write_bytes(b"\n".join([header, b'[0, "many"]', *rest]))
+        del counting_run_chunk[:]
         extended = runner.run(4_096, seed=13)
+        assert counting_run_chunk == [512] * 5  # chunk 0 and chunks 4..7
         assert extended == make_runner().run(4_096, seed=13)
-        assert runner.run(2_048, seed=13) == first  # estimate-level hit
+        del counting_run_chunk[:]
+        assert runner.run(2_048, seed=13) == first
+        assert counting_run_chunk == []  # the append healed chunk 0
 
     def test_different_seed_different_ledger(self, cache, counting_run_chunk):
         runner = make_runner(cache)
@@ -208,7 +200,7 @@ class TestRunUntil:
         del counting_run_chunk[:]
         fixed = make_runner(cache, chunk_size=512)
         assert fixed.run(estimate.trials, seed=6) == estimate
-        assert counting_run_chunk == []  # estimate-level hit
+        assert counting_run_chunk == []  # every chunk ledgered
 
     def test_ragged_max_trials_cap(self):
         """A cap that is not a chunk multiple still lands exactly on it."""

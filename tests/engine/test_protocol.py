@@ -208,12 +208,13 @@ class TestRunnerIntegration:
     def test_cache_round_trip_zero_reexecution(self, tmp_path):
         cache = ResultCache(tmp_path)
         scenario = get_scenario("protocol-split", total_slots=30)
+        # Four executions are one ragged chunk, ledgered under its size.
         first = ProtocolRunner(scenario, cache=cache).run(4, seed=11)
-        assert cache.stores == 1
+        assert cache.chunk_stores == 1
         second = ProtocolRunner(scenario, cache=cache).run(4, seed=11)
         assert second == first
-        assert cache.hits == 1
-        assert cache.stores == 1  # nothing re-executed, nothing re-stored
+        assert cache.chunk_hits == 1
+        assert cache.chunk_stores == 1  # nothing re-executed or re-stored
 
 
 class TestProtocolGrid:

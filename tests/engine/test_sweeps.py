@@ -148,7 +148,9 @@ class TestRunGrid:
         for cold_row, warm_row in zip(cold, warm):
             assert cold_row["value"] == warm_row["value"]
             assert cold_row["standard_error"] == warm_row["standard_error"]
-        assert cache.stores == len(cold)
+        # 2,000 trials in 512-trial chunks: 4 chunks per point, all
+        # stored cold, none re-stored warm.
+        assert cache.chunk_stores == 4 * len(cold)
 
     def test_trials_override_rekeys(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -336,7 +338,8 @@ class TestSeedAndOnly:
         assert code == 0
         out = capsys.readouterr().out
         assert "6 points" in out  # 1 alpha x 3 fractions x 2 depths
-        assert "cache: 0 hits / 6 misses / 6 stores" in out
+        # 300 trials are one ragged chunk per point.
+        assert "ledger: 0 chunk hits / 6 chunk misses / 6 chunk stores" in out
 
         # Same filtered rerun: all six points served from cache.
         sweep_cli.main(
@@ -356,7 +359,7 @@ class TestSeedAndOnly:
         )
         out = capsys.readouterr().out
         assert "6 from cache" in out
-        assert "cache: 6 hits / 0 misses / 0 stores (100.0% hit rate)" in out
+        assert "ledger: 6 chunk hits / 0 chunk misses / 0 chunk stores" in out
 
     def test_cli_rejects_bad_only(self, capsys):
         assert sweep_cli.main(["table1", "--only", "nope=1"]) == 2

@@ -225,7 +225,7 @@ class TestLedgerMigration:
     @pytest.mark.parametrize(
         "triple",
         [
-            [1.0, 1.0, 256],  # trials != chunk_size
+            [1.0, 1.0, 513],  # trials > chunk_size
             [float("nan"), 1.0, 512],  # non-finite moment
             [1.0, -1.0, 512],  # negative second moment
             [1.0, 1.0],  # wrong arity
@@ -233,30 +233,30 @@ class TestLedgerMigration:
             51,  # a bare hit count, not a triple
         ],
     )
-    def test_corrupt_v2_triple_is_all_miss_and_heals(
+    def test_corrupt_record_misses_only_its_chunk_and_heals(
         self, cache, counting_run_chunk, triple
     ):
         runner = make_runner(cache)
         runner.run(2_048, seed=29)
-        (path,) = cache.directory.glob("*.ledger.json")
-        payload = json.loads(path.read_text())
-        payload["chunks"]["0"] = triple
-        path.write_text(json.dumps(payload))
+        (path,) = cache.directory.glob("*.ledger.jsonl")
+        header, _chunk_0, *rest = path.read_bytes().splitlines()
+        bad = [0, *triple] if isinstance(triple, list) else [0, triple]
+        path.write_bytes(b"\n".join([header, json.dumps(bad).encode(), *rest]))
         reopened = ResultCache(cache.directory)
         fresh_runner = ExperimentRunner(
             runner.scenario, chunk_size=512, cache=reopened
         )
         del counting_run_chunk[:]
         result = fresh_runner.run(4_096, seed=29)
-        assert counting_run_chunk == [512] * 8  # every chunk resampled
+        assert counting_run_chunk == [512] * 5  # chunk 0 and chunks 4..7
         assert result == make_runner().run(4_096, seed=29)
-        # The rewrite healed the file: a second extension reuses all.
+        # The append healed the file: a second extension reuses all.
         del counting_run_chunk[:]
         again = ExperimentRunner(
             runner.scenario, chunk_size=512, cache=ResultCache(cache.directory)
         )
         assert again.run(4_096, seed=29) == result
-        assert counting_run_chunk == []  # estimate-level hit
+        assert counting_run_chunk == []  # every chunk ledgered
 
     def test_weighted_chunks_round_trip_through_ledger(self, cache):
         """Non-degenerate accumulators survive the ledger bit for bit."""

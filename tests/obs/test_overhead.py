@@ -108,8 +108,8 @@ class TestGridAndCache:
         assert traced == baseline
 
     def test_cache_bytes_are_identical(self, tmp_path):
-        """Estimate entries and chunk ledgers must not know whether the
-        run that wrote them was instrumented."""
+        """Chunk ledgers must not know whether the run that wrote them
+        was instrumented."""
 
         def populate(directory):
             cache = ResultCache(directory)
@@ -165,15 +165,12 @@ class TestRecordedTelemetry:
             runner.run(TRIALS, seed=SEED)
             runner.run(TRIALS, seed=SEED)
         text = registry.render()
-        assert (
-            'repro_cache_requests_total{kind="estimate",result="miss"} 1'
-            in text
-        )
-        assert (
-            'repro_cache_requests_total{kind="estimate",result="hit"} 1'
-            in text
-        )
-        assert 'repro_cache_stores_total{kind="estimate"} 1' in text
+        # 1,500 trials in 256-trial chunks: 5 full chunks + ragged 220.
+        requests = "repro_cache_requests_total"
+        assert f'{requests}{{kind="chunk",result="miss"}} 6' in text
+        assert f'{requests}{{kind="chunk",result="hit"}} 6' in text
+        assert 'repro_cache_stores_total{kind="chunk"} 6' in text
+        assert 'kind="estimate"' not in text
 
     def test_traced_run_emits_runner_spans(self, tmp_path):
         from repro.obs.report import load_events

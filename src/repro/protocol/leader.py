@@ -8,7 +8,10 @@ effect the paper analyses.  This module provides:
 
 * :class:`StakeDistribution` — named parties with stakes and corruption
   flags;
-* :class:`VrfLeaderElection` — the Praos lottery via the ideal VRF;
+* :class:`VrfLeaderElection` — the Praos lottery via the ideal VRF,
+  materialised per trial as an eligibility table: one
+  :meth:`~repro.protocol.crypto.IdealVrf.evaluate_many` pass per party
+  over all slots, bit-identical to evaluating each (party, slot) alone;
 * :class:`LeaderSchedule` — a materialised slot→leaders map with its
   induced characteristic string;
 * exact formulas for the induced symbol probabilities ``(p_h, p_H, p_A,
@@ -107,14 +110,21 @@ class VrfLeaderElection:
         self._keys: dict[str, KeyPair] = {
             party.name: self.vrf.generate_keypair() for party in stakes.parties
         }
-        #: (party, slot) → eligibility result.  The VRF is deterministic,
-        #: so the lottery for a slot is evaluated exactly once even though
-        #: the simulation asks again when the elected party mints.
+        #: (party, slot) → eligibility result.  :meth:`schedule` stores
+        #: every winner here, so minting and the adversary's lookups never
+        #: re-run the VRF.  Losers are not stored (at small per-party
+        #: stakes they are nearly the whole table, and nobody asks
+        #: again); a later query for one falls back to
+        #: :meth:`eligibility`'s own evaluation, cached as well.
         self._eligibility_cache: dict[tuple[str, int], tuple[bool, float, str]] = {}
 
     def keypair(self, party: Party) -> KeyPair:
         """The party's VRF key pair."""
         return self._keys[party.name]
+
+    def vrf_input(self, slot: int) -> str:
+        """The VRF input of ``slot`` under this election's randomness."""
+        return f"{self.randomness}|slot-{slot}"
 
     def eligibility(self, party: Party, slot: int) -> tuple[bool, float, str]:
         """``(is_leader, vrf_value, proof)`` for one party and slot."""
@@ -122,9 +132,9 @@ class VrfLeaderElection:
         cached = self._eligibility_cache.get(key)
         if cached is not None:
             return cached
-        keypair = self._keys[party.name]
-        vrf_input = f"{self.randomness}|slot-{slot}"
-        value, proof = self.vrf.evaluate(keypair, vrf_input)
+        value, proof = self.vrf.evaluate(
+            self._keys[party.name], self.vrf_input(slot)
+        )
         threshold = phi(self.activity, self.stakes.relative_stake(party))
         result = (value < threshold, value, proof)
         self._eligibility_cache[key] = result
@@ -139,10 +149,27 @@ class VrfLeaderElection:
         ]
 
     def schedule(self, total_slots: int) -> "LeaderSchedule":
-        """Materialise the slot→leaders map for slots 1..total_slots."""
-        return LeaderSchedule(
-            {slot: self.leaders(slot) for slot in range(1, total_slots + 1)}
-        )
+        """Materialise the slot→leaders map for slots 1..total_slots.
+
+        One :meth:`IdealVrf.evaluate_many` pass per party builds the
+        whole (party × slot) eligibility table; the winners' results
+        land in the eligibility cache, so the later minting and
+        adversary lookups do not touch the VRF again.  The table equals
+        per-slot :meth:`eligibility` calls: same values, same order of
+        leaders within a slot.
+        """
+        slots = range(1, total_slots + 1)
+        inputs = [self.vrf_input(slot) for slot in slots]
+        leaders_by_slot: dict[int, list[Party]] = {slot: [] for slot in slots}
+        cache = self._eligibility_cache
+        for party in self.stakes.parties:
+            threshold = phi(self.activity, self.stakes.relative_stake(party))
+            evaluations = self.vrf.evaluate_many(self._keys[party.name], inputs)
+            for slot, (value, digest) in zip(slots, evaluations):
+                if value < threshold:
+                    cache[(party.name, slot)] = (True, value, digest.hex())
+                    leaders_by_slot[slot].append(party)
+        return LeaderSchedule(leaders_by_slot)
 
 
 class LeaderSchedule:

@@ -20,6 +20,14 @@ execution→fork extraction that converts the run into an abstract fork
 Execution modes
 ---------------
 
+Both modes draw the leader schedule the same way: once per run, as an
+eligibility table built by one VRF pass per party over all slots
+(:meth:`~repro.protocol.leader.VrfLeaderElection.schedule`), whose
+winners' proofs the leaders then mint with.  The modes differ only in
+validation, and in both every received block's VRF proof is still
+verified against the VRF — the table is the lottery, not a shortcut
+around the check.
+
 ``shared_validation=False`` (default) is the *reference* cost model:
 every node hashes, verifies, and judges eligibility for every block it
 receives, exactly as independent deployments would.  With
@@ -28,7 +36,8 @@ receives, exactly as independent deployments would.  With
 computed once per block and shared across the node set: block hashes
 are interned, signature checks and eligibility verdicts memoised, and
 redundant adversary observations skipped.  Results are bit-identical in
-both modes (asserted by ``tests/protocol/test_determinism.py``); only
+both modes (asserted by ``tests/protocol/test_determinism.py``, and
+pinned to known answers by ``tests/protocol/test_golden.py``); only
 wall-clock differs.
 
 Each consistency predicate likewise has two implementations: the public
@@ -189,7 +198,7 @@ class Simulation:
             return False
         party = self._party_by_name[party_name]
         vrf_key = self.election.keypair(party)
-        vrf_input = f"{self.election.randomness}|slot-{slot}"
+        vrf_input = self.election.vrf_input(slot)
         value = self._proof_value(proof)
         if not self.election.vrf.verify(vrf_key.public, vrf_input, value, proof):
             return False

@@ -1,10 +1,13 @@
 """Ideal cryptographic functionalities."""
 
+import math
+
 import pytest
 
 from repro.protocol.crypto import (
     IdealSignatureScheme,
     IdealVrf,
+    _digest_to_unit,
     hash_data,
 )
 
@@ -94,3 +97,48 @@ class TestVrf:
         k1 = first.generate_keypair()
         k2 = second.generate_keypair()
         assert first.evaluate(k1, "s")[0] != second.evaluate(k2, "s")[0]
+
+
+class TestDigestToUnit:
+    def test_max_digest_stays_below_one(self):
+        assert _digest_to_unit("f" * 64) == math.nextafter(1.0, 0.0)
+
+    def test_rounding_tail_is_clamped(self):
+        """Prefixes from 0xfffffffffffffc00 up round to 2**64 as floats."""
+        assert _digest_to_unit("fffffffffffffc00" + "0" * 48) < 1.0
+        assert _digest_to_unit("fffffffffffffbff" + "f" * 48) == (
+            0xFFFFFFFFFFFFFBFF / 2.0**64
+        )
+
+    def test_zero_digest_is_zero(self):
+        assert _digest_to_unit("0" * 64) == 0.0
+
+
+class TestEvaluateMany:
+    def test_equals_one_evaluate_per_input(self):
+        vrf = IdealVrf(seed="batch")
+        keypair = vrf.generate_keypair()
+        inputs = [f"epoch-0|slot-{slot}" for slot in range(1, 60)] + ["", "é"]
+        batch = vrf.evaluate_many(keypair, inputs)
+        assert [(value, digest.hex()) for value, digest in batch] == [
+            vrf.evaluate(keypair, vrf_input) for vrf_input in inputs
+        ]
+
+    def test_batch_values_verify(self):
+        vrf = IdealVrf()
+        keypair = vrf.generate_keypair()
+        [(value, digest)] = vrf.evaluate_many(keypair, ["slot-7"])
+        assert vrf.verify(keypair.public, "slot-7", value, digest.hex())
+
+    def test_foreign_key_rejected(self):
+        vrf = IdealVrf(seed="ours")
+        foreign = IdealVrf(seed="theirs").generate_keypair()
+        with pytest.raises(ValueError):
+            vrf.evaluate_many(foreign, ["slot-1"])
+
+    def test_tampered_secret_rejected(self):
+        vrf = IdealVrf()
+        keypair = vrf.generate_keypair()
+        forged = type(keypair)(keypair.public, "0" * 64)
+        with pytest.raises(ValueError):
+            vrf.evaluate_many(forged, [])

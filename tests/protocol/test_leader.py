@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.distributions import sample_characteristic_string
+from repro.protocol.crypto import IdealVrf, _digest_to_unit
 from repro.protocol.leader import (
     LeaderSchedule,
     Party,
@@ -78,6 +79,94 @@ class TestElection:
             1 for slot in range(1, 4001) if not election.leaders(slot)
         )
         assert abs(empty / 4000 - (1 - activity)) < 0.025
+
+
+def election_cases():
+    """(stakes, activity): uniform, skewed, zero-stake, activity 1."""
+    skewed = StakeDistribution(
+        [
+            Party("whale", 6.0),
+            Party("mid", 2.0),
+            Party("minnow", 0.25),
+            Party("raider", 3.0, corrupted=True),
+        ]
+    )
+    with_zero = StakeDistribution(
+        [Party("a", 1.0), Party("idle", 0.0), Party("b", 2.0)]
+    )
+    return [
+        pytest.param(StakeDistribution.uniform(6, 2), 0.4, id="uniform"),
+        pytest.param(skewed, 0.3, id="skewed"),
+        pytest.param(with_zero, 0.5, id="zero-stake"),
+        pytest.param(skewed, 1.0, id="activity-1"),
+    ]
+
+
+class TestEligibilityTable:
+    """The one-pass table equals lazy per-(party, slot) evaluation."""
+
+    SLOTS = 150
+
+    @pytest.mark.parametrize("stakes, activity", election_cases())
+    def test_schedule_equals_lazy_eligibility(self, stakes, activity):
+        table = VrfLeaderElection(
+            stakes, activity, IdealVrf(seed="table"), "r"
+        ).schedule(self.SLOTS)
+        lazy = VrfLeaderElection(stakes, activity, IdealVrf(seed="table"), "r")
+        assert sorted(table.leaders_by_slot) == list(range(1, self.SLOTS + 1))
+        for slot in range(1, self.SLOTS + 1):
+            assert [p.name for p in table.leaders(slot)] == [
+                p.name for p in stakes.parties if lazy.eligibility(p, slot)[0]
+            ]
+
+    @pytest.mark.parametrize("stakes, activity", election_cases())
+    def test_eligibility_after_schedule_matches_vrf(self, stakes, activity):
+        election = VrfLeaderElection(stakes, activity, IdealVrf(seed="t"), "r")
+        schedule = election.schedule(self.SLOTS)
+        for party in stakes.parties:
+            keypair = election.keypair(party)
+            threshold = phi(activity, stakes.relative_stake(party))
+            for slot in range(1, self.SLOTS + 1):
+                value, proof = election.vrf.evaluate(keypair, f"r|slot-{slot}")
+                assert election.eligibility(party, slot) == (
+                    value < threshold, value, proof
+                )
+                assert (party in schedule.leaders(slot)) == (value < threshold)
+
+    def test_activity_one_elects_every_staked_party(self):
+        stakes = StakeDistribution(
+            [Party("a", 1.0), Party("idle", 0.0), Party("b", 2.0)]
+        )
+        schedule = VrfLeaderElection(stakes, 1.0).schedule(50)
+        for slot in range(1, 51):
+            assert [p.name for p in schedule.leaders(slot)] == ["a", "b"]
+
+    def test_full_stake_party_wins_on_the_max_digest(self, monkeypatch):
+        """φ = 1 at activity 1: even the largest VRF output must win."""
+        stakes = StakeDistribution([Party("whale", 1.0)])
+        whale = stakes.parties[0]
+        max_digest = b"\xff" * 32
+        election = VrfLeaderElection(stakes, 1.0)
+        monkeypatch.setattr(
+            election.vrf,
+            "evaluate",
+            lambda keypair, vrf_input: (
+                _digest_to_unit(max_digest.hex()), max_digest.hex()
+            ),
+        )
+        assert election.eligibility(whale, 1)[0]
+
+        election = VrfLeaderElection(stakes, 1.0)
+        monkeypatch.setattr(
+            election.vrf,
+            "evaluate_many",
+            lambda keypair, inputs: [
+                (_digest_to_unit(max_digest.hex()), max_digest)
+                for _ in inputs
+            ],
+        )
+        schedule = election.schedule(3)
+        assert all(schedule.leaders(slot) == [whale] for slot in (1, 2, 3))
 
 
 class TestSchedule:

@@ -8,6 +8,7 @@ from repro.protocol.adversary import (
     PrivateChainAdversary,
     SplitAdversary,
 )
+from repro.protocol.block import Block
 from repro.protocol.leader import StakeDistribution
 from repro.protocol.simulation import Simulation
 from repro.protocol.tiebreak import consistent_hash_rule
@@ -156,11 +157,75 @@ class TestEligibilityEnforcement:
         node = next(iter(simulation.nodes.values()))
         intruder_keys = simulation.signatures.generate_keypair()
         draft_parent = node.tree.genesis_hash
-        from repro.protocol.block import Block
-
         draft = Block(1, draft_parent, intruder_keys.public, "", "fake-proof")
         signature = simulation.signatures.sign(intruder_keys, draft.header())
         forged = Block(
             1, draft_parent, intruder_keys.public, "", "fake-proof", signature
         )
         assert not node.receive(forged)
+
+
+def signed_block(simulation, party, slot, proof):
+    """A genesis child at ``slot``, validly signed by ``party``."""
+    keypair = simulation.nodes[party.name].keypair
+    parent = next(iter(simulation.nodes.values())).tree.genesis_hash
+    draft = Block(slot, parent, keypair.public, "", proof)
+    signature = simulation.signatures.sign(keypair, draft.header())
+    return Block(slot, parent, keypair.public, "", proof, signature)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "reference"])
+class TestRegisteredIssuerValidation:
+    """Registered, correctly signing parties still face the VRF check.
+
+    The eligibility table only draws the lottery; a received block's
+    proof must still verify for its own slot and beat the threshold,
+    in shared and in reference validation alike.
+    """
+
+    def setup_case(self, shared):
+        simulation = Simulation(
+            StakeDistribution.uniform(4, 0),
+            activity=0.5,
+            total_slots=10,
+            randomness="forge",
+            shared_validation=shared,
+        )
+        election = simulation.election
+        for party in simulation.stakes.parties:
+            wins = [s for s in range(1, 41) if election.eligibility(party, s)[0]]
+            losses = [
+                s for s in range(1, 41) if not election.eligibility(party, s)[0]
+            ]
+            if wins and losses:
+                receiver = next(
+                    node
+                    for name, node in simulation.nodes.items()
+                    if name != party.name
+                )
+                return simulation, receiver, party, wins[0], losses[0]
+        raise AssertionError("no party both wins and loses a slot")
+
+    def test_genuine_winning_block_accepted(self, shared):
+        simulation, receiver, party, won, _lost = self.setup_case(shared)
+        proof = simulation.election.eligibility(party, won)[2]
+        assert receiver.receive(signed_block(simulation, party, won, proof))
+
+    def test_winning_proof_replayed_at_another_slot(self, shared):
+        simulation, receiver, party, won, lost = self.setup_case(shared)
+        proof = simulation.election.eligibility(party, won)[2]
+        assert not receiver.receive(signed_block(simulation, party, lost, proof))
+
+    def test_genuine_proof_of_a_slot_not_won(self, shared):
+        simulation, receiver, party, _won, lost = self.setup_case(shared)
+        eligible, _value, proof = simulation.election.eligibility(party, lost)
+        assert not eligible
+        assert not receiver.receive(signed_block(simulation, party, lost, proof))
+
+    @pytest.mark.parametrize("position", [0, 63])
+    def test_winning_proof_with_one_hex_digit_changed(self, shared, position):
+        simulation, receiver, party, won, _lost = self.setup_case(shared)
+        proof = simulation.election.eligibility(party, won)[2]
+        digit = "0" if proof[position] != "0" else "1"
+        tampered = proof[:position] + digit + proof[position + 1 :]
+        assert not receiver.receive(signed_block(simulation, party, won, tampered))

@@ -37,11 +37,8 @@ TRIALS = {
     "delta_sweep_rate": 250,
     "protocol_attack": 15,
     "tiebreak_ablation": 8,
-    # The engine perf baseline (the run_all.py acceptance point):
-    "engine_trials": 10000,
-    "engine_depth": 200,
     # The protocol-throughput record (E10 workload through the
-    # ProtocolRunner vs the per-run scalar oracle):
+    # ProtocolRunner):
     "protocol_e10_trials": 16,
     # Per-point trials for the Monte-Carlo sweep grids (bench-sized;
     # the grids' own defaults are the production sizes):

@@ -7,18 +7,13 @@ runs executed by :class:`ProtocolRunner` under the chunked seed-tree
 contract, with the private-chain attacker's settlement-violation rate
 compared against the exact optimal-adversary probability from the
 Section 6.6 DP — the concrete attacker must not exceed the optimum.
-The per-run scalar oracle (:func:`run_protocol_scalar`) is asserted
-bit-identical to the batched path; ``run_all.py`` records their
-throughput ratio in ``BENCH_engine.json``.
 """
-
-import pytest
 
 from bench_config import SEEDS, TRIALS
 from repro.analysis.exact import settlement_violation_probability
 from repro.core.distributions import SlotProbabilities
 from repro.engine.cache import cache_from_env
-from repro.engine.protocol import ProtocolRunner, run_protocol_scalar
+from repro.engine.protocol import ProtocolRunner
 from repro.engine.scenarios import get_scenario
 from repro.protocol.adversary import PrivateChainAdversary
 from repro.protocol.leader import (
@@ -72,22 +67,6 @@ def test_private_chain_attack_below_optimum(benchmark):
     assert estimate.value <= min(optimal + 0.40, 1.0)
     benchmark.extra_info["observed_rate"] = f"{estimate.value:.3f}"
     benchmark.extra_info["optimal_adversary"] = f"{optimal:.3f}"
-
-
-def test_scalar_oracle_bit_identical(benchmark):
-    """The per-run reference oracle returns the very same estimate."""
-    scenario = get_scenario("protocol-private-chain", total_slots=60)
-    trials = 6
-
-    scalar = benchmark.pedantic(
-        run_protocol_scalar,
-        (scenario, trials, SEEDS["protocol_attack"]),
-        rounds=1,
-        iterations=1,
-    )
-
-    batched = ProtocolRunner(scenario).run(trials, SEEDS["protocol_attack"])
-    assert scalar == batched
 
 
 def test_execution_fork_extraction(benchmark):

@@ -1,32 +1,27 @@
 """Run the benchmark suite and record the engine performance baseline.
 
-Eleven jobs:
+Ten jobs:
 
-1. measure scalar-vs-batched throughput of the Monte-Carlo estimators
-   (the batched-engine acceptance point: >= 10x on
-   estimate_settlement_violation at depth 200, 10k trials);
-2. measure the protocol workload (engine layer 5): the E10 throughput
+1. measure the protocol workload (engine layer 5): the E10 throughput
    scenario through ProtocolRunner (shared validation + hash-indexed
-   predicates) against the per-run scalar oracle run_protocol_scalar
-   (reference-mode simulations, chain-walking predicates) — asserted
-   bit-identical, floor >= 5x (quick: >= 3x) — plus the worker fan-out
+   predicates) — wall-clock and slots/s — plus the worker fan-out
    ratio and a "protocol" sweep-grid pass against the shared cache
    (warm rerun: zero re-estimation);
-3. run the "table1" sweep grid through the orchestration layer
+2. run the "table1" sweep grid through the orchestration layer
    (repro.engine.sweeps) against the on-disk result cache at
    .sweep-cache/, recording wall-clock, cache traffic, and — on a cold
    cache — the parallel-over-serial speedup.  A warm-cache rerun does
    ZERO re-estimation: every point is served from the cache;
-4. run the Table-1 grid adaptively against the fixed budget — the
+3. run the Table-1 grid adaptively against the fixed budget — the
    "adaptive" record: >= 3x fewer total trials at equal-or-better max
    standard error, and a trials bump on the warm chunk ledger must
    re-sample only the new chunks (the prefix property);
-5. build the tiny settlement-oracle artifact (adaptive MC cross-check
+4. build the tiny settlement-oracle artifact (adaptive MC cross-check
    through the shared cache), assert an identical rebuild is a no-op,
    and measure both query paths against recomputing the exact DP per
    query (floors: scalar >= 100x the DP, batch >= 50k queries/s) — the
    "oracle" record;
-6. load-test the oracle server over localhost — threaded and
+5. load-test the oracle server over localhost — threaded and
    prefork(4) threaded workers — with concurrent persistent-connection
    clients on the scalar GET and columnar-batch POST paths, recording
    sustained rates and client-observed p50/p99 latency per mode, with
@@ -34,30 +29,30 @@ Eleven jobs:
    wire*, prefork batch >= a core-count-scaled multiple of threaded,
    byte-identical bodies across modes, error rate exactly 0, /metrics
    accounted for the load) — the "serving" record;
-7. run one fixed workload on every execution backend — serial, process,
+6. run one fixed workload on every execution backend — serial, process,
    and distributed (two localhost repro.worker subprocesses) — assert
    the three estimates identical, and record
    per-backend chunk throughput, the distributed-over-process overhead
    ratio (floor: >= 0.5x on localhost), and the hot-kernel
    micro-bench (reach kernels, and the slot-major margin scan at
    4096 x 40 and 4096 x 100, median of 5) — the "backend" record;
-8. measure the continuous-time network layer — raw EventScheduler
+7. measure the continuous-time network layer — raw EventScheduler
    events/s, WAN-transport trials/s against the slot-quantized
    simulator's trials/s (floor: >= 0.5x — physics costs something, but
    not more than half the throughput), and the degenerate-configuration
    bit-identity assert — the "wan" record;
-9. resolve the rare-event acceptance cell (alpha = 0.20, fraction 1.0,
+8. resolve the rare-event acceptance cell (alpha = 0.20, fraction 1.0,
    depth 120; exact DP ~8.45e-10, beyond direct MC at any affordable
    budget) by exponential-tilting importance sampling — the
    "rare_event" record: within 6 sigma of the exact DP, and the
    variance-reduction floor — realized IS trials <= 0.1x the direct-MC
    projection (1-p)/(p*rel_se^2);
-10. time the exact Section 6.6 DP — one banded sweep at alpha = 0.30,
-    fraction 0.9 to k = 100, 200, 300 and 500 (median of 5, with min
-    and max) and, outside --quick, the full 180-cell Table 1 — and
-    assert that every read-out at k <= 400 prints Table 1's three
-    digits — the "exact" record;
-11. optionally execute the pytest benchmark suite (skipped with
+9. time the exact Section 6.6 DP — one banded sweep at alpha = 0.30,
+   fraction 0.9 to k = 100, 200, 300 and 500 (median of 5, with min
+   and max) and, outside --quick, the full 180-cell Table 1 — and
+   assert that every read-out at k <= 400 prints Table 1's three
+   digits — the "exact" record;
+10. optionally execute the pytest benchmark suite (skipped with
     --perf-only; shrunk with --quick for CI).  The suite inherits the
     cache via $REPRO_SWEEP_CACHE, so its sweep-driven benches also skip
     already-computed points.
@@ -89,18 +84,8 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_config import SEEDS, TRIALS  # noqa: E402
 
-from repro.analysis.montecarlo import (  # noqa: E402
-    estimate_no_unique_catalan_in_window,
-    estimate_no_unique_catalan_in_window_scalar,
-    estimate_settlement_violation,
-    estimate_settlement_violation_scalar,
-)
-from repro.core.distributions import bernoulli_condition  # noqa: E402
 from repro.engine.cache import CACHE_DIR_ENV, ResultCache  # noqa: E402
-from repro.engine.protocol import (  # noqa: E402
-    ProtocolRunner,
-    run_protocol_scalar,
-)
+from repro.engine.protocol import ProtocolRunner  # noqa: E402
 from repro.engine.scenarios import get_scenario  # noqa: E402
 from repro.engine.sweeps import get_grid, run_grid  # noqa: E402
 from repro.analysis.exact import (  # noqa: E402
@@ -146,84 +131,14 @@ def _repeated(repeats, scale, digits, callable_, *args, **kwargs):
     return spread, result
 
 
-def perf_record(quick: bool) -> dict:
-    """Scalar-vs-batched throughput of the Monte-Carlo estimators."""
-    seed = SEEDS["engine_scalar_vs_batched"]
-    depth = TRIALS["engine_depth"]
-    trials = TRIALS["engine_trials"] // (10 if quick else 1)
-    # Small honest-majority margin: the violation probability at depth 200
-    # is still visible, so the recorded value doubles as a sanity check.
-    probabilities = bernoulli_condition(0.1, 0.3)
-
-    results = []
-
-    # Warm up allocator / ufunc dispatch so the timed region measures the
-    # steady-state throughput the suite actually cares about.
-    estimate_settlement_violation(probabilities, depth, 256, seed)
-    estimate_no_unique_catalan_in_window(probabilities, 20, 40, 120, 256, seed)
-
-    batched_s, batched = _time(
-        estimate_settlement_violation, probabilities, depth, trials, seed
-    )
-    scalar_s, scalar = _time(
-        estimate_settlement_violation_scalar,
-        probabilities,
-        depth,
-        trials,
-        seed,
-    )
-    assert batched == scalar, "batched/scalar estimator pair diverged"
-    results.append(
-        {
-            "estimator": "estimate_settlement_violation",
-            "depth": depth,
-            "trials": trials,
-            "scalar_seconds": round(scalar_s, 4),
-            "batched_seconds": round(batched_s, 4),
-            "speedup": round(scalar_s / batched_s, 1),
-            "value": batched.value,
-        }
-    )
-
-    window_args = (probabilities, 20, 40, 120, trials, seed)
-    batched_s, batched = _time(
-        estimate_no_unique_catalan_in_window, *window_args
-    )
-    scalar_s, scalar = _time(
-        estimate_no_unique_catalan_in_window_scalar, *window_args
-    )
-    assert batched == scalar, "batched/scalar estimator pair diverged"
-    results.append(
-        {
-            "estimator": "estimate_no_unique_catalan_in_window",
-            "total_length": 120,
-            "trials": trials,
-            "scalar_seconds": round(scalar_s, 4),
-            "batched_seconds": round(batched_s, 4),
-            "speedup": round(scalar_s / batched_s, 1),
-            "value": batched.value,
-        }
-    )
-    return {
-        "suite": "engine-scalar-vs-batched",
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "results": results,
-    }
-
-
 def protocol_record(quick: bool, workers: int) -> dict:
-    """Protocol-throughput record: batched engine vs per-run scalar.
+    """Protocol-throughput record of the E10 workload.
 
-    The E10 throughput workload ("protocol-honest": 10 honest nodes,
-    200 synchronous slots) runs once through ProtocolRunner — shared
-    validation, hash-indexed consistency predicates, bucketed message
-    scheduler — and once through run_protocol_scalar, the per-run
-    reference oracle (every node does its own cryptography, predicates
-    walk chains recomputing hashes).  Estimates are bit-identical by
-    the seed-tree contract; the recorded speedup is the layer-5
-    acceptance point.  A workers > 1 pass records the process fan-out
-    ratio (≈ 1 on single-core boxes — the record still tracks it).
+    "protocol-honest" (10 honest nodes, 200 synchronous slots) runs
+    through ProtocolRunner — shared validation, hash-indexed consistency
+    predicates, bucketed message scheduler.  A workers > 1 pass records
+    the process fan-out ratio (≈ 1 on single-core boxes — the record
+    still tracks it).
     """
     scenario = get_scenario("protocol-honest")
     trials = max(TRIALS["protocol_e10_trials"] // (4 if quick else 1), 4)
@@ -233,17 +148,13 @@ def protocol_record(quick: bool, workers: int) -> dict:
     runner.run(2, seed)  # warm-up: allocator, hash machinery, imports
 
     batched_s, batched = _time(runner.run, trials, seed)
-    scalar_s, scalar = _time(run_protocol_scalar, scenario, trials, seed)
-    assert batched == scalar, "batched/scalar protocol pair diverged"
 
     record = {
         "workload": "protocol-honest (E10 throughput)",
         "slots": scenario.total_slots,
         "parties": scenario.parties,
         "trials": trials,
-        "scalar_seconds": round(scalar_s, 4),
         "batched_seconds": round(batched_s, 4),
-        "speedup": round(scalar_s / batched_s, 1),
         "slots_per_second": round(scenario.total_slots * trials / batched_s),
         "value": batched.value,
     }
@@ -933,7 +844,7 @@ def main() -> int:
 
     from bench_oracle_serving import serving_record
 
-    record = perf_record(args.quick)
+    record = {"quick": args.quick, "python": sys.version.split()[0]}
     record["protocol"] = protocol_record(args.quick, args.workers)
     record["protocol_sweep"] = protocol_sweep_record(args.quick, args.workers)
     record["sweep"] = sweep_record(args.quick, args.workers)
@@ -946,12 +857,6 @@ def main() -> int:
     record["rare_event"] = rare_event_record(args.quick)
     out = REPO_ROOT / "BENCH_engine.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
-    for entry in record["results"]:
-        print(
-            f"{entry['estimator']}: scalar {entry['scalar_seconds']}s, "
-            f"batched {entry['batched_seconds']}s -> "
-            f"{entry['speedup']}x (identical estimates)"
-        )
     protocol = record["protocol"]
     parallel_note = (
         f", {protocol['workers']}-worker fan-out "
@@ -960,11 +865,9 @@ def main() -> int:
         else ""
     )
     print(
-        f"protocol '{protocol['workload']}': scalar "
-        f"{protocol['scalar_seconds']}s, batched "
-        f"{protocol['batched_seconds']}s -> {protocol['speedup']}x, "
-        f"{protocol['slots_per_second']} slots/s (identical estimates"
-        f"{parallel_note})"
+        f"protocol '{protocol['workload']}': "
+        f"{protocol['batched_seconds']}s, "
+        f"{protocol['slots_per_second']} slots/s{parallel_note}"
     )
     for sweep, label in (
         (record["protocol_sweep"], "protocol sweep"),
@@ -1067,25 +970,6 @@ def main() -> int:
     )
     print(f"perf record written to {out}")
 
-    # Quick mode times 10x fewer trials, so its measurements are noisier;
-    # enforce a looser floor there rather than none at all.
-    floor = 5 if args.quick else 10
-    settlement = record["results"][0]
-    if settlement["speedup"] < floor:
-        print(
-            f"FAIL: batched settlement estimator below the {floor}x floor "
-            f"({settlement['speedup']}x)",
-            file=sys.stderr,
-        )
-        return 1
-    protocol_floor = 3 if args.quick else 5
-    if protocol["speedup"] < protocol_floor:
-        print(
-            f"FAIL: batched protocol execution below the "
-            f"{protocol_floor}x floor ({protocol['speedup']}x)",
-            file=sys.stderr,
-        )
-        return 1
     if adaptive["trials_ratio"] < 3:
         print(
             "FAIL: adaptive runs below the 3x trial-savings floor "

@@ -80,21 +80,6 @@ def descent_series(epsilon: float, order: int) -> np.ndarray:
     return series
 
 
-def ascent_series(epsilon: float, order: int) -> np.ndarray:
-    """Coefficients of ``A(Z)``: ``a_{2i+1} = C_i q^i p^{i+1}``.
-
-    Defective: the total mass is ``A(1) = p/q < 1``.  Same float-safe
-    ratio recurrence as :func:`descent_series`.
-    """
-    p, q = bias_probabilities(epsilon)
-    series = np.zeros(order + 1)
-    coefficient = p  # a_1 = C_0 p
-    for i in range(0, (order - 1) // 2 + 1):
-        series[2 * i + 1] = coefficient
-        coefficient *= 2.0 * (2 * i + 1) / (i + 2) * p * q
-    return series
-
-
 def z_times(series: np.ndarray, order: int) -> np.ndarray:
     """Multiply a series by ``Z`` (shift coefficients up by one)."""
     shifted = np.zeros(order + 1)

@@ -9,11 +9,11 @@ leader sequences (against the dominance claim of Theorem 1).
 The estimators here are *batched*: they draw ``(trials, T)`` uniform
 blocks from a seeded ``numpy.random.Generator`` and run the vectorized
 recurrences of :mod:`repro.engine.kernels`, so throughput scales with
-array width instead of the Python interpreter.  Every batched estimator
-has a ``*_scalar`` twin that consumes the **same uniform blocks in the
-same order** (the documented seed discipline) but evaluates the scalar
-recurrences of :mod:`repro.core` symbol by symbol — the pairs agree
-bit-for-bit on equal seeds, which is what ``tests/engine`` asserts.
+array width instead of the Python interpreter.  The scalar reference
+estimators that consume the **same uniform blocks in the same order**
+(the documented seed discipline) but evaluate the recurrences of
+:mod:`repro.core` symbol by symbol live in ``tests/engine/test_runner.py``,
+which requires the pairs to agree bit-for-bit on equal seeds.
 
 For backwards compatibility every estimator also accepts a
 ``random.Random``: its ``getrandbits(64)`` seeds the NumPy generator, so
@@ -27,12 +27,7 @@ import random
 
 import numpy as np
 
-from repro.core.catalan import (
-    catalan_slots,
-    uniquely_honest_catalan_slots,
-)
 from repro.core.distributions import SlotProbabilities
-from repro.core.margin import margin_step
 from repro.core.walks import stationary_reach_ratio
 from repro.engine import kernels
 from repro.engine.runner import Estimate, estimate_from_hits
@@ -41,11 +36,8 @@ __all__ = [
     "Estimate",
     "coerce_generator",
     "estimate_no_consecutive_catalan_in_window",
-    "estimate_no_consecutive_catalan_in_window_scalar",
     "estimate_no_unique_catalan_in_window",
-    "estimate_no_unique_catalan_in_window_scalar",
     "estimate_settlement_violation",
-    "estimate_settlement_violation_scalar",
     "estimate_violation_from_sampler",
     "sample_initial_reach",
 ]
@@ -95,8 +87,9 @@ def _settlement_uniform_phases(
 
     Phase 1 (stationary model only): one ``(trials,)`` block for the
     initial reaches.  Phase 2: one ``(trials, |x| + depth)`` block,
-    row-major, for the symbols.  Batched and scalar paths both call this,
-    which is what makes them bit-identical on equal seeds.
+    row-major, for the symbols.  The scalar reference estimator in the
+    tests calls this too, which is what makes the pair bit-identical on
+    equal seeds.
     """
     reach_uniforms = None
     length = depth
@@ -143,66 +136,6 @@ def estimate_settlement_violation(
     return estimate_from_hits(int((mu >= 0).sum()), trials)
 
 
-def estimate_settlement_violation_scalar(
-    probabilities: SlotProbabilities,
-    depth: int,
-    trials: int,
-    rng: random.Random | np.random.Generator | int,
-    prefix_length: int | None = None,
-) -> Estimate:
-    """Scalar oracle for :func:`estimate_settlement_violation`.
-
-    Consumes the identical uniform blocks but evaluates the recurrences
-    one symbol at a time via :func:`repro.core.margin.margin_step` —
-    bit-identical to the batched path on equal seeds, interpreter-bound
-    on purpose.
-    """
-    if probabilities.p_empty:
-        raise ValueError("synchronous probabilities required")
-    generator = coerce_generator(rng)
-    reach_uniforms, symbol_uniforms = _settlement_uniform_phases(
-        depth, trials, generator, prefix_length
-    )
-    start = 0 if prefix_length is None else prefix_length
-    hits = 0
-    for i in range(trials):
-        word = _word_from_uniforms(probabilities, symbol_uniforms[i])
-        if reach_uniforms is not None:
-            reach = int(
-                kernels.initial_reaches_from_uniforms(
-                    probabilities.epsilon, reach_uniforms[i : i + 1]
-                )[0]
-            )
-        else:
-            from repro.core.reach import rho
-
-            reach = rho(word[:start])
-        margin = reach
-        for symbol in word[start:]:
-            reach, margin = margin_step(reach, margin, symbol)
-        if margin >= 0:
-            hits += 1
-    return estimate_from_hits(hits, trials)
-
-
-def _word_from_uniforms(
-    probabilities: SlotProbabilities, uniforms: np.ndarray
-) -> str:
-    """Scalar uniform→symbol mapping (the kernels' threshold discipline)."""
-    t_h, t_bigh, t_adv = kernels.symbol_thresholds(probabilities)
-    symbols = []
-    for u in uniforms:
-        if u < t_h:
-            symbols.append("h")
-        elif u < t_bigh:
-            symbols.append("H")
-        elif u < t_adv:
-            symbols.append("A")
-        else:
-            symbols.append(".")
-    return "".join(symbols)
-
-
 # ----------------------------------------------------------------------
 # Catalan-slot rarity (Bounds 1 and 2)
 # ----------------------------------------------------------------------
@@ -232,27 +165,6 @@ def estimate_no_unique_catalan_in_window(
     return estimate_from_hits(int((~window.any(axis=1)).sum()), trials)
 
 
-def estimate_no_unique_catalan_in_window_scalar(
-    probabilities: SlotProbabilities,
-    window_start: int,
-    window_length: int,
-    total_length: int,
-    trials: int,
-    rng: random.Random | np.random.Generator | int,
-) -> Estimate:
-    """Scalar oracle for :func:`estimate_no_unique_catalan_in_window`."""
-    generator = coerce_generator(rng)
-    uniforms = generator.random((trials, total_length))
-    hits = 0
-    window_end = window_start + window_length - 1
-    for i in range(trials):
-        word = _word_from_uniforms(probabilities, uniforms[i])
-        slots = uniquely_honest_catalan_slots(word)
-        if not any(window_start <= s <= window_end for s in slots):
-            hits += 1
-    return estimate_from_hits(hits, trials)
-
-
 def estimate_no_consecutive_catalan_in_window(
     probabilities: SlotProbabilities,
     window_start: int,
@@ -269,29 +181,6 @@ def estimate_no_consecutive_catalan_in_window(
     pairs = kernels.consecutive_catalan_mask(symbols)
     window = pairs[:, window_start - 1 : window_start - 1 + window_length]
     return estimate_from_hits(int((~window.any(axis=1)).sum()), trials)
-
-
-def estimate_no_consecutive_catalan_in_window_scalar(
-    probabilities: SlotProbabilities,
-    window_start: int,
-    window_length: int,
-    total_length: int,
-    trials: int,
-    rng: random.Random | np.random.Generator | int,
-) -> Estimate:
-    """Scalar oracle for :func:`estimate_no_consecutive_catalan_in_window`."""
-    generator = coerce_generator(rng)
-    uniforms = generator.random((trials, total_length))
-    hits = 0
-    window_end = window_start + window_length - 1
-    for i in range(trials):
-        word = _word_from_uniforms(probabilities, uniforms[i])
-        slots = set(catalan_slots(word))
-        if not any(
-            window_start <= s <= window_end and s + 1 in slots for s in slots
-        ):
-            hits += 1
-    return estimate_from_hits(hits, trials)
 
 
 # ----------------------------------------------------------------------

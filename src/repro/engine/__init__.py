@@ -79,7 +79,6 @@ from repro.engine.protocol import (
     protocol_cp_violation,
     protocol_deep_reorg,
     protocol_settlement_violation,
-    run_protocol_scalar,
 )
 from repro.engine.sweeps import (
     SweepGrid,
@@ -134,7 +133,6 @@ __all__ = [
     "register_grid",
     "run_chunk",
     "run_grid",
-    "run_protocol_scalar",
     "run_scenario",
     "scenario_names",
     "select_points",

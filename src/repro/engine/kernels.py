@@ -436,25 +436,6 @@ def _initial_state(
     return np.asarray(initial_reaches)
 
 
-def batched_margin_step(
-    rho: np.ndarray, mu: np.ndarray, column: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One joint transition ``(ρ, μ) → (ρ', μ')`` for a column of symbols.
-
-    Vector form of :func:`repro.core.margin.margin_step`; ``rho`` is
-    ``ρ(xy)`` *before* consuming the column.  Empty symbols are the
-    identity (used for padding).  The scan's in-place step, applied to
-    int64 copies of the state.
-    """
-    rho = np.array(rho, dtype=np.int64)
-    mu = np.array(mu, dtype=np.int64)
-    hold = np.empty(rho.shape, dtype=bool)
-    _margin_step_in_place(
-        rho, mu, *_decode_slots(column, np.int64), hold, np.empty_like(hold)
-    )
-    return rho, mu
-
-
 def margin_scan(
     symbols: np.ndarray,
     rho: np.ndarray,

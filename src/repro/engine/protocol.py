@@ -18,18 +18,15 @@ from the chunk's generator and derives each run's randomness string from
 it.  A trial's execution is therefore a pure function of its chunk child
 and position — bit-identical for every backend and worker count.
 
-Batched execution runs simulations in ``shared_validation`` mode (pure
-cryptographic checks computed once per block, shared across the node
-set) and evaluates the violation predicates through the block trees'
-hash indexes.  :func:`run_protocol_scalar` is the per-run reference
-oracle: the same seed tree, but reference-mode simulations and the
-``*_scalar`` chain-walking predicates.  The two are bit-identical on
-equal seeds; ``benchmarks/run_all.py`` records their throughput ratio.
+Runs validate in the simulation's shared mode (pure cryptographic
+checks computed once per block, shared across the node set) and
+evaluate the violation predicates through the block trees' hash
+indexes.  The per-run reference execution these are checked against —
+per-node checks and the chain-walking predicates, on the same seed
+tree — lives in ``tests/protocol/test_determinism.py``.
 
-The violation estimators return boolean flag vectors — under the
-runner's accumulator contract these reduce to *degenerate* per-chunk
-triples, so the scalar oracle's ``estimate_from_hits`` aggregation
-stays bit-identical to the batched path by construction.
+The violation estimators return boolean flag vectors, which the
+runner's accumulator contract reduces to degenerate per-chunk triples.
 """
 
 from __future__ import annotations
@@ -39,11 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.runner import (
-    Estimate,
     Estimator,
     ExperimentRunner,
-    chunk_sizes,
-    estimate_from_hits,
 )
 from repro.engine.scenarios import register
 from repro.protocol.adversary import (
@@ -71,7 +65,6 @@ __all__ = [
     "protocol_cp_violation",
     "protocol_deep_reorg",
     "protocol_settlement_violation",
-    "run_protocol_scalar",
 ]
 
 #: Tie-break rules addressable from a frozen scenario (axioms A0 / A0′).
@@ -239,9 +232,7 @@ class ProtocolScenario:
             return None
         return self._transport_config()
 
-    def build_simulation(
-        self, randomness: str, shared_validation: bool = True
-    ) -> Simulation:
+    def build_simulation(self, randomness: str) -> Simulation:
         """A fully configured :class:`Simulation` for one run."""
         return Simulation(
             StakeDistribution.uniform(self.honest, self.corrupted),
@@ -251,7 +242,6 @@ class ProtocolScenario:
             tie_break=TIE_BREAK_RULES[self.tie_break],
             adversary=self.build_adversary(),
             randomness=randomness,
-            shared_validation=shared_validation,
             transport=self.build_transport(),
         )
 
@@ -264,7 +254,7 @@ class ProtocolScenario:
 
         One ``(trials,)`` uint64 block is drawn first (the documented
         randomness phase), then run ``i`` executes with randomness
-        string ``protocol-<seed_i>`` in shared-validation mode.
+        string ``protocol-<seed_i>``.
         """
         seeds = generator.integers(0, 2**63, size=trials, dtype=np.uint64)
         results = tuple(
@@ -282,7 +272,7 @@ class ProtocolScenario:
 
 
 # ----------------------------------------------------------------------
-# Violation estimators (batched) and their scalar twins
+# Violation estimators
 # ----------------------------------------------------------------------
 
 
@@ -322,69 +312,6 @@ def protocol_deep_reorg(
         (r.max_reorg_depth() >= scenario.depth for r in batch.results),
         batch.trials,
     )
-
-
-def _scalar_settlement(scenario, result) -> bool:
-    return result.settlement_violation_scalar(
-        scenario.target_slot, scenario.depth
-    )
-
-
-def _scalar_cp(scenario, result) -> bool:
-    return result.cp_slot_violation_scalar(scenario.depth)
-
-
-def _scalar_deep_reorg(scenario, result) -> bool:
-    return result.max_reorg_depth_scalar() >= scenario.depth
-
-
-#: batched estimator → per-result scalar predicate (the oracle pairing).
-_SCALAR_TWINS = {
-    protocol_settlement_violation: _scalar_settlement,
-    protocol_cp_violation: _scalar_cp,
-    protocol_deep_reorg: _scalar_deep_reorg,
-}
-
-
-def run_protocol_scalar(
-    scenario: ProtocolScenario,
-    trials: int,
-    seed: int,
-    chunk_size: int = PROTOCOL_CHUNK_SIZE,
-    estimator: Estimator | None = None,
-) -> Estimate:
-    """Per-run reference execution of a protocol scenario.
-
-    Walks the *same* spawned seed tree as :class:`ProtocolRunner` (same
-    chunk partition, same per-trial uint64 draws) but executes each run
-    in reference mode — every node performs its own cryptographic checks
-    — and evaluates the ``*_scalar`` chain-walking predicates.  The
-    returned estimate is bit-identical to the batched path on equal
-    ``(trials, seed, chunk_size)``; only the wall-clock differs.  This
-    is the oracle and the baseline of the ``protocol`` record in
-    ``BENCH_engine.json``.
-    """
-    if estimator is None:
-        estimator = scenario.default_estimator()
-    try:
-        predicate = _SCALAR_TWINS[estimator]
-    except KeyError:
-        raise ValueError(
-            f"estimator {estimator!r} has no scalar twin; use one of the "
-            "protocol_* estimators"
-        )
-    sizes = chunk_sizes(trials, chunk_size)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    hits = 0
-    for size, child in zip(sizes, children):
-        generator = np.random.default_rng(child)
-        seeds = generator.integers(0, 2**63, size=size, dtype=np.uint64)
-        for run_seed in seeds:
-            simulation = scenario.build_simulation(
-                f"protocol-{int(run_seed)}", shared_validation=False
-            )
-            hits += bool(predicate(scenario, simulation.run()))
-    return estimate_from_hits(hits, trials)
 
 
 # ----------------------------------------------------------------------

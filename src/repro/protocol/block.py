@@ -15,9 +15,9 @@ so every chain query the protocol layer needs — longest tips, common
 prefix, prefix-at-slot — resolves through dictionary walks without
 recomputing a single block hash.  The batched protocol measurements
 (:mod:`repro.protocol.simulation`, :mod:`repro.engine.protocol`) lean on
-these indexes; the ``*_scalar`` measurement oracles deliberately walk
-:meth:`chain` and recompute hashes, preserving the original cost model
-for the scalar-vs-batched benchmark comparison.
+these indexes; the chain-walking reference predicates in
+``tests/protocol/test_determinism.py`` walk :meth:`chain` and recompute
+hashes instead.
 """
 
 from __future__ import annotations

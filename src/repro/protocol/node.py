@@ -11,11 +11,11 @@ arrival order (which feeds the A0 tie-breaking rule), remembers its
 currently adopted tip (which A0 prefers on rank ties), and mints blocks
 on the selected chain when elected.
 
-By default every node performs its own cryptographic checks — the
-reference cost model of a real deployment.  The simulation may inject
-``verify_signature`` / ``hash_block`` callbacks that share those pure
-functions across the whole node set (the engine's batched execution
-mode); results are identical either way.
+By default a node performs its own cryptographic checks, as an
+independent deployment would.  :class:`~repro.protocol.simulation.Simulation`
+injects ``verify_signature`` / ``hash_block`` callbacks that share those
+pure functions across the whole node set; results are identical either
+way.
 """
 
 from __future__ import annotations

@@ -17,36 +17,29 @@ and exposes the paper's consistency predicates — settlement violations
 execution→fork extraction that converts the run into an abstract fork
 ``F ⊢ w`` for cross-validation against the combinatorial theory.
 
-Execution modes
----------------
+Validation
+----------
 
-Both modes draw the leader schedule the same way: once per run, as an
-eligibility table built by one VRF pass per party over all slots
+The leader schedule is drawn once per run, as an eligibility table
+built by one VRF pass per party over all slots
 (:meth:`~repro.protocol.leader.VrfLeaderElection.schedule`), whose
-winners' proofs the leaders then mint with.  The modes differ only in
-validation, and in both every received block's VRF proof is still
-verified against the VRF — the table is the lottery, not a shortcut
-around the check.
+winners' proofs the leaders then mint with.  Every received block's VRF
+proof is still verified against the VRF — the table is the lottery, not
+a shortcut around the check.
 
-``shared_validation=False`` (default) is the *reference* cost model:
-every node hashes, verifies, and judges eligibility for every block it
-receives, exactly as independent deployments would.  With
-``shared_validation=True`` — the mode the batched engine workload
-(:mod:`repro.engine.protocol`) runs in — those pure functions are
-computed once per block and shared across the node set: block hashes
-are interned, signature checks and eligibility verdicts memoised, and
-redundant adversary observations skipped.  Results are bit-identical in
-both modes (asserted by ``tests/protocol/test_determinism.py``, and
-pinned to known answers by ``tests/protocol/test_golden.py``); only
-wall-clock differs.
+The checks a node runs on a received block are pure functions of the
+block, so the simulation computes each once per block and shares it
+across the node set: block hashes are interned, signature checks and
+eligibility verdicts memoised, and redundant adversary observations
+skipped.  Pinned executions (``tests/protocol/test_golden.py``) and the
+mode-equivalence tests (``tests/protocol/test_determinism.py``) replay
+runs with per-node checks and no memo, and require bit-identical
+results.
 
-Each consistency predicate likewise has two implementations: the public
-methods resolve through the block trees' hash indexes with memoised
-divergence checks, while the ``*_scalar`` twins preserve the original
-chain-walking algorithms (recomputing block hashes along every
-comparison, as a verifier would).  The scalar forms are the
-cross-validation oracles and the per-run baseline the protocol
-throughput benchmark measures against.
+The consistency predicates resolve through the block trees' hash
+indexes with memoised divergence checks; the chain-walking reference
+algorithms they are checked against live in
+``tests/protocol/test_determinism.py``.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ from repro.core.alphabet import EMPTY
 from repro.core.forks import Fork
 from repro.delta.forks import DeltaFork
 from repro.protocol.adversary import Adversary, NullAdversary
-from repro.protocol.block import GENESIS_SLOT, Block, BlockTree
+from repro.protocol.block import Block, BlockTree
 from repro.protocol.crypto import IdealSignatureScheme, IdealVrf
 from repro.protocol.leader import (
     LeaderSchedule,
@@ -96,7 +89,6 @@ class Simulation:
         tie_break: TieBreakRule = adversarial_order_rule,
         adversary: Adversary | None = None,
         randomness: str = "epoch-0",
-        shared_validation: bool = False,
         transport: TransportConfig | None = None,
     ) -> None:
         self.stakes = stakes
@@ -104,7 +96,6 @@ class Simulation:
         self.total_slots = total_slots
         self.delta = delta
         self.adversary = adversary if adversary is not None else NullAdversary()
-        self.shared_validation = shared_validation
 
         self.signatures = IdealSignatureScheme(seed=f"sig|{randomness}")
         self.election = VrfLeaderElection(
@@ -122,16 +113,11 @@ class Simulation:
 
         # Shared-validation state: pure-function results computed once
         # per block and reused across every node (and every redundant
-        # adversary observation).  ``None`` in reference mode.
-        self._hash_intern: dict[Block, str] | None = None
-        self._signature_results: dict[Block, bool] | None = None
-        self._eligibility_results: dict[tuple[str, int, str], bool] | None = None
-        self._observed: set[Block] | None = None
-        if shared_validation:
-            self._hash_intern = {}
-            self._signature_results = {}
-            self._eligibility_results = {}
-            self._observed = set()
+        # adversary observation).
+        self._hash_intern: dict[Block, str] = {}
+        self._signature_results: dict[Block, bool] = {}
+        self._eligibility_results: dict[tuple[str, int, str], bool] = {}
+        self._observed: set[Block] = set()
 
         honest_parties = [p for p in stakes.parties if not p.corrupted]
         self.nodes: dict[str, HonestNode] = {
@@ -141,10 +127,8 @@ class Simulation:
                 self.signatures,
                 tie_break,
                 self._check_eligibility,
-                verify_signature=(
-                    self._verify_block_signature if shared_validation else None
-                ),
-                hash_block=self._intern_hash if shared_validation else None,
+                verify_signature=self._verify_block_signature,
+                hash_block=self._intern_hash,
             )
             for party in honest_parties
         }
@@ -174,21 +158,17 @@ class Simulation:
         )
 
     # ------------------------------------------------------------------
-    # validation (per-node in reference mode, shared in batched mode)
+    # validation, shared across the node set
     # ------------------------------------------------------------------
 
     def _check_eligibility(self, issuer: str, slot: int, proof: str) -> bool:
         """Verify the issuer's VRF proof and threshold for the slot."""
-        cache = self._eligibility_results
-        if cache is not None:
-            key = (issuer, slot, proof)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            result = self._check_eligibility_uncached(issuer, slot, proof)
-            cache[key] = result
-            return result
-        return self._check_eligibility_uncached(issuer, slot, proof)
+        key = (issuer, slot, proof)
+        hit = self._eligibility_results.get(key)
+        if hit is None:
+            hit = self._check_eligibility_uncached(issuer, slot, proof)
+            self._eligibility_results[key] = hit
+        return hit
 
     def _check_eligibility_uncached(
         self, issuer: str, slot: int, proof: str
@@ -197,17 +177,18 @@ class Simulation:
         if party_name is None:
             return False
         party = self._party_by_name[party_name]
-        vrf_key = self.election.keypair(party)
-        vrf_input = self.election.vrf_input(slot)
-        value = self._proof_value(proof)
-        if not self.election.vrf.verify(vrf_key.public, vrf_input, value, proof):
+        # The proof is outside input, so it is compared, never parsed:
+        # the value comes from the VRF's own output.
+        value, expected = self.election.vrf.evaluate(
+            self.election.keypair(party), self.election.vrf_input(slot)
+        )
+        if proof != expected:
             return False
         threshold = phi(self.activity, self.stakes.relative_stake(party))
         return value < threshold
 
     def _verify_block_signature(self, block: Block) -> bool:
         """Shared signature check: one header hash + verify per block."""
-        assert self._signature_results is not None
         hit = self._signature_results.get(block)
         if hit is None:
             hit = self.signatures.verify(
@@ -218,32 +199,23 @@ class Simulation:
 
     def _intern_hash(self, block: Block) -> str:
         """Shared hash: each distinct block is hashed exactly once."""
-        assert self._hash_intern is not None
         cached = self._hash_intern.get(block)
         if cached is None:
             cached = block.block_hash
             self._hash_intern[block] = cached
         return cached
 
-    @staticmethod
-    def _proof_value(proof: str) -> float:
-        from repro.protocol.crypto import _digest_to_unit
-
-        return _digest_to_unit(proof)
-
     def _observe(self, block: Block) -> None:
-        """Adversary observation, deduplicated in shared mode.
+        """Adversary observation, once per distinct block.
 
         ``observe_block`` is idempotent for every provided strategy
         (block trees and slot registries dedupe by hash), so skipping a
         repeat observation never changes behaviour — it only skips the
         repeated hash computation.
         """
-        if self._observed is not None:
-            if block in self._observed:
-                return
+        if block not in self._observed:
             self._observed.add(block)
-        self.adversary.observe_block(block)
+            self.adversary.observe_block(block)
 
     # ------------------------------------------------------------------
 
@@ -331,13 +303,8 @@ class DelayDistribution:
 class SimulationResult:
     """Recorded execution with the paper's consistency measurements.
 
-    Every predicate exists twice: the public method (hash-index walks,
-    memoised pair checks, snapshot deduplication — the engine path) and
-    a ``*_scalar`` twin that preserves the original chain-walking
-    algorithm, recomputing block hashes along every comparison.  The
-    pairs are asserted equal on adversarial executions by
-    ``tests/protocol/test_determinism.py``; benchmarks measure the
-    batched path against the scalar one.
+    The predicates walk the block trees' hash indexes, memoise pair
+    checks, and skip repeated tip snapshots.
     """
 
     def __init__(
@@ -383,7 +350,7 @@ class SimulationResult:
         return union
 
     # ------------------------------------------------------------------
-    # consistency predicates — batched (hash-index) implementations
+    # consistency predicates
     # ------------------------------------------------------------------
 
     def settlement_violation(self, target_slot: int, depth: int) -> bool:
@@ -527,138 +494,6 @@ class SimulationResult:
                         meet_hash = tree.prefix_hash_at_slot(previous, meet_slot)
                         discarded = tree.depth(previous) - tree.depth(meet_hash)
                         self._reorg_cache[key] = discarded
-                    deepest = max(deepest, discarded)
-                previous = tip
-        return deepest
-
-    # ------------------------------------------------------------------
-    # consistency predicates — scalar oracles (the reference algorithms)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _common_prefix_slot_scalar(tree: BlockTree, first: str, second: str) -> int:
-        """Original algorithm: materialise both chains, compare by hash."""
-        chain_a = tree.chain(first)
-        chain_b = tree.chain(second)
-        last_common = GENESIS_SLOT
-        for block_a, block_b in zip(chain_a, chain_b):
-            if block_a.block_hash != block_b.block_hash:
-                break
-            last_common = block_a.slot
-        return last_common
-
-    @staticmethod
-    def _prefix_hash_at_slot_scalar(
-        tree: BlockTree, block_hash: str, slot: int
-    ) -> str:
-        """Original algorithm: walk the chain from genesis, rehashing."""
-        chosen = tree.genesis_hash
-        for block in tree.chain(block_hash):
-            if block.slot <= slot:
-                chosen = block.block_hash
-            else:
-                break
-        return chosen
-
-    def _diverge_before_scalar(
-        self, tree: BlockTree, tip_a: str, tip_b: str, slot: int
-    ) -> bool:
-        if tip_a == tip_b:
-            return False
-        if tip_a not in tree or tip_b not in tree:
-            return False
-        meet = self._common_prefix_slot_scalar(tree, tip_a, tip_b)
-        prefix_a = self._prefix_hash_at_slot_scalar(tree, tip_a, slot)
-        prefix_b = self._prefix_hash_at_slot_scalar(tree, tip_b, slot)
-        return meet < slot and prefix_a != prefix_b
-
-    def settlement_violation_scalar(self, target_slot: int, depth: int) -> bool:
-        """Reference implementation of :meth:`settlement_violation`."""
-        interesting = [
-            r for r in self.records if r.slot >= target_slot + depth
-        ]
-        trees = {
-            name: node.tree for name, node in self.simulation.nodes.items()
-        }
-        for record in interesting:
-            tips = list(record.adopted_tips.items())
-            for i, (name_a, tip_a) in enumerate(tips):
-                for _name_b, tip_b in tips[i + 1 :]:
-                    if self._diverge_before_scalar(
-                        trees[name_a], tip_a, tip_b, target_slot
-                    ):
-                        return True
-        for name in trees:
-            previous: str | None = None
-            for record in interesting:
-                tip = record.adopted_tips[name]
-                if previous is not None and self._diverge_before_scalar(
-                    trees[name], previous, tip, target_slot
-                ):
-                    return True
-                previous = tip
-        return False
-
-    def _is_slot_prefix_scalar(
-        self, tree: BlockTree, tip_a: str, cutoff: int, tip_b: str
-    ) -> bool:
-        anchor = self._prefix_hash_at_slot_scalar(tree, tip_a, cutoff)
-        chain_b = {block.block_hash for block in tree.chain(tip_b)}
-        return anchor in chain_b
-
-    def cp_slot_violation_scalar(self, depth: int) -> bool:
-        """Reference implementation of :meth:`cp_slot_violation`."""
-        trees = {
-            name: node.tree for name, node in self.simulation.nodes.items()
-        }
-        for record in self.records:
-            cutoff = record.slot - depth
-            if cutoff <= 0:
-                continue
-            tips = list(record.adopted_tips.items())
-            for i, (name_a, tip_a) in enumerate(tips):
-                tree = trees[name_a]
-                for name_b, tip_b in tips:
-                    if name_a == name_b:
-                        continue
-                    if tip_b not in tree or tip_a not in tree:
-                        continue
-                    if not self._is_slot_prefix_scalar(
-                        tree, tip_a, cutoff, tip_b
-                    ):
-                        return True
-        for name, tree in trees.items():
-            previous: str | None = None
-            previous_slot = 0
-            for record in self.records:
-                tip = record.adopted_tips[name]
-                cutoff = previous_slot - depth
-                if previous is not None and cutoff > 0:
-                    if not self._is_slot_prefix_scalar(
-                        tree, previous, cutoff, tip
-                    ):
-                        return True
-                previous, previous_slot = tip, record.slot
-        return False
-
-    def max_reorg_depth_scalar(self) -> int:
-        """Reference implementation of :meth:`max_reorg_depth`."""
-        deepest = 0
-        trees = {
-            name: node.tree for name, node in self.simulation.nodes.items()
-        }
-        for name, tree in trees.items():
-            previous: str | None = None
-            for record in self.records:
-                tip = record.adopted_tips[name]
-                if previous is not None and previous in tree and tip in tree:
-                    meet_slot = self._common_prefix_slot_scalar(
-                        tree, previous, tip
-                    )
-                    meet_hash = self._prefix_hash_at_slot_scalar(
-                        tree, previous, meet_slot
-                    )
-                    discarded = tree.depth(previous) - tree.depth(meet_hash)
                     deepest = max(deepest, discarded)
                 previous = tip
         return deepest

@@ -135,8 +135,8 @@ class TestMarginEquivalence:
             symbols.append(s)
             expected.append(margin_step(r, m, s))
         codes = kernels.encode_word("".join(symbols))
-        new_rho, new_mu = kernels.batched_margin_step(
-            np.array(rhos), np.array(mus), codes
+        new_rho, new_mu = kernels.margin_scan(
+            codes[:, None], np.array(rhos), np.array(mus)
         )
         assert list(zip(new_rho.tolist(), new_mu.tolist())) == expected
 

@@ -21,7 +21,6 @@ from repro.engine.protocol import (
     protocol_cp_violation,
     protocol_deep_reorg,
     protocol_settlement_violation,
-    run_protocol_scalar,
 )
 from repro.engine.cache import estimator_token, scenario_fingerprint
 from repro.protocol.adversary import (
@@ -197,13 +196,6 @@ class TestRunnerIntegration:
         ):
             token = estimator_token(estimator)
             assert token.startswith("repro.engine.protocol.")
-
-    def test_scalar_rejects_unknown_estimator(self):
-        scenario = get_scenario("protocol-split", total_slots=20)
-        with pytest.raises(ValueError, match="scalar twin"):
-            run_protocol_scalar(
-                scenario, 2, seed=1, estimator=lambda s, b: None
-            )
 
     def test_cache_round_trip_zero_reexecution(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,25 +1,32 @@
 """ExperimentRunner: reproducibility, estimator equivalence, DP agreement."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.analysis.exact import settlement_violation_probability
 from repro.analysis.montecarlo import (
+    _settlement_uniform_phases,
+    coerce_generator,
     estimate_no_consecutive_catalan_in_window,
-    estimate_no_consecutive_catalan_in_window_scalar,
     estimate_no_unique_catalan_in_window,
-    estimate_no_unique_catalan_in_window_scalar,
     estimate_settlement_violation,
-    estimate_settlement_violation_scalar,
 )
+from repro.core.catalan import catalan_slots, uniquely_honest_catalan_slots
 from repro.core.distributions import (
+    SlotProbabilities,
     bernoulli_condition,
     semi_synchronous_condition,
 )
+from repro.core.margin import margin_step
+from repro.core.reach import rho
 from repro.delta.settlement import is_k_delta_settled
 from repro.engine import (
+    Estimate,
     ExperimentRunner,
     delta_settlement_violation,
+    estimate_from_hits,
     get_scenario,
     kernels,
     run_scenario,
@@ -112,6 +119,114 @@ class TestDeltaEstimator:
                 word, scenario.target_slot, scenario.depth, scenario.delta
             )
             assert bool(hits[i]) == expected
+
+
+# ----------------------------------------------------------------------
+# Scalar reference estimators: the same uniform blocks in the same order
+# as the batched estimators, evaluated one symbol at a time.
+# ----------------------------------------------------------------------
+
+
+def estimate_settlement_violation_scalar(
+    probabilities: SlotProbabilities,
+    depth: int,
+    trials: int,
+    rng: random.Random | np.random.Generator | int,
+    prefix_length: int | None = None,
+) -> Estimate:
+    """Scalar oracle for :func:`estimate_settlement_violation`.
+
+    Consumes the identical uniform blocks but evaluates the recurrences
+    one symbol at a time via :func:`repro.core.margin.margin_step` —
+    bit-identical to the batched path on equal seeds, interpreter-bound
+    on purpose.
+    """
+    if probabilities.p_empty:
+        raise ValueError("synchronous probabilities required")
+    generator = coerce_generator(rng)
+    reach_uniforms, symbol_uniforms = _settlement_uniform_phases(
+        depth, trials, generator, prefix_length
+    )
+    start = 0 if prefix_length is None else prefix_length
+    hits = 0
+    for i in range(trials):
+        word = _word_from_uniforms(probabilities, symbol_uniforms[i])
+        if reach_uniforms is not None:
+            reach = int(
+                kernels.initial_reaches_from_uniforms(
+                    probabilities.epsilon, reach_uniforms[i : i + 1]
+                )[0]
+            )
+        else:
+            reach = rho(word[:start])
+        margin = reach
+        for symbol in word[start:]:
+            reach, margin = margin_step(reach, margin, symbol)
+        if margin >= 0:
+            hits += 1
+    return estimate_from_hits(hits, trials)
+
+
+def _word_from_uniforms(
+    probabilities: SlotProbabilities, uniforms: np.ndarray
+) -> str:
+    """Scalar uniform→symbol mapping (the kernels' threshold discipline)."""
+    t_h, t_bigh, t_adv = kernels.symbol_thresholds(probabilities)
+    symbols = []
+    for u in uniforms:
+        if u < t_h:
+            symbols.append("h")
+        elif u < t_bigh:
+            symbols.append("H")
+        elif u < t_adv:
+            symbols.append("A")
+        else:
+            symbols.append(".")
+    return "".join(symbols)
+
+
+def estimate_no_unique_catalan_in_window_scalar(
+    probabilities: SlotProbabilities,
+    window_start: int,
+    window_length: int,
+    total_length: int,
+    trials: int,
+    rng: random.Random | np.random.Generator | int,
+) -> Estimate:
+    """Scalar oracle for :func:`estimate_no_unique_catalan_in_window`."""
+    generator = coerce_generator(rng)
+    uniforms = generator.random((trials, total_length))
+    hits = 0
+    window_end = window_start + window_length - 1
+    for i in range(trials):
+        word = _word_from_uniforms(probabilities, uniforms[i])
+        slots = uniquely_honest_catalan_slots(word)
+        if not any(window_start <= s <= window_end for s in slots):
+            hits += 1
+    return estimate_from_hits(hits, trials)
+
+
+def estimate_no_consecutive_catalan_in_window_scalar(
+    probabilities: SlotProbabilities,
+    window_start: int,
+    window_length: int,
+    total_length: int,
+    trials: int,
+    rng: random.Random | np.random.Generator | int,
+) -> Estimate:
+    """Scalar oracle for :func:`estimate_no_consecutive_catalan_in_window`."""
+    generator = coerce_generator(rng)
+    uniforms = generator.random((trials, total_length))
+    hits = 0
+    window_end = window_start + window_length - 1
+    for i in range(trials):
+        word = _word_from_uniforms(probabilities, uniforms[i])
+        slots = set(catalan_slots(word))
+        if not any(
+            window_start <= s <= window_end and s + 1 in slots for s in slots
+        ):
+            hits += 1
+    return estimate_from_hits(hits, trials)
 
 
 class TestScalarOracleBitEquality:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.engine.scenarios import get_scenario
 from repro.protocol.crypto import IdealVrf, hash_data
+from tests.protocol.reference_validation import per_node_validation
 
 
 class TestHashKnownAnswers:
@@ -162,9 +163,10 @@ EXECUTION_PINS = {
 )
 def test_execution_pinned(name, randomness, shared):
     scenario = get_scenario(name)
-    result = scenario.build_simulation(
-        randomness, shared_validation=shared
-    ).run()
+    simulation = scenario.build_simulation(randomness)
+    if not shared:
+        per_node_validation(simulation)
+    result = simulation.run()
     fingerprint, settlement, cp, reorg = EXECUTION_PINS[(name, randomness)]
     assert execution_fingerprint(result) == fingerprint
     assert result.settlement_violation(

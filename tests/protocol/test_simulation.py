@@ -12,6 +12,7 @@ from repro.protocol.block import Block
 from repro.protocol.leader import StakeDistribution
 from repro.protocol.simulation import Simulation
 from repro.protocol.tiebreak import consistent_hash_rule
+from tests.protocol.reference_validation import per_node_validation
 
 
 def run_simulation(**overrides):
@@ -189,8 +190,9 @@ class TestRegisteredIssuerValidation:
             activity=0.5,
             total_slots=10,
             randomness="forge",
-            shared_validation=shared,
         )
+        if not shared:
+            per_node_validation(simulation)
         election = simulation.election
         for party in simulation.stakes.parties:
             wins = [s for s in range(1, 41) if election.eligibility(party, s)[0]]
@@ -229,3 +231,10 @@ class TestRegisteredIssuerValidation:
         digit = "0" if proof[position] != "0" else "1"
         tampered = proof[:position] + digit + proof[position + 1 :]
         assert not receiver.receive(signed_block(simulation, party, won, tampered))
+
+    @pytest.mark.parametrize(
+        "proof", ["", "zz" * 32, "0f"], ids=["empty", "non-hex", "two-digits"]
+    )
+    def test_malformed_proof_rejected(self, shared, proof):
+        simulation, receiver, party, won, _lost = self.setup_case(shared)
+        assert not receiver.receive(signed_block(simulation, party, won, proof))

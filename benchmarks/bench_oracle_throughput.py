@@ -5,7 +5,9 @@ queries from DP-speed to memory-speed without giving up safety.  Four
 checks:
 
 * **exact at grid points** — every tabulated cell answers bit-identical
-  to ``settlement_violation_probability`` on the cell's effective law;
+  to the exact DP sweep the builder runs on the cell's effective law
+  (``compute_settlement_probabilities`` to the depth horizon, read out
+  at k);
 * **conservative between grid points** — on a spot-check set of
   off-grid queries, the oracle's answer dominates the exact DP value
   computed directly at the query coordinates;
@@ -25,7 +27,10 @@ import numpy as np
 import pytest
 
 from bench_config import SEEDS, TRIALS
-from repro.analysis.exact import settlement_violation_probability
+from repro.analysis.exact import (
+    compute_settlement_probabilities,
+    settlement_violation_probability,
+)
 from repro.engine import cache_from_env
 from repro.oracle import (
     SettlementOracle,
@@ -73,9 +78,12 @@ def test_exact_at_every_grid_point(oracle):
     spec = oracle.spec
     for i, j, l, alpha, fraction, delta in spec.combos():
         law = effective_probabilities(alpha, fraction, delta, spec.activity)
+        sweep = compute_settlement_probabilities(
+            law, list(range(1, spec.depth_horizon + 1))
+        )
         for k in spec.depths:
             assert oracle.violation_probability(alpha, fraction, delta, k) == (
-                settlement_violation_probability(law, k)
+                sweep[k]
             )
 
 

@@ -9,8 +9,8 @@ Monte-Carlo sweeps riding the engine's ``run_grid`` / ``ProcessBackend``
 mmap-loadable artifact (:mod:`repro.oracle.store`).  The in-memory
 :class:`SettlementOracle` (:mod:`repro.oracle.service`) answers single
 and vectorized batch queries from that artifact: bit-identical to the
-DP at grid points, conservatively rounded (never optimistic) between
-them.  A stdlib serving tier exposes it to the network: one
+builder's one DP sweep per (α, fraction, Δ) combo at grid points,
+conservatively rounded (never optimistic) between them.  A stdlib serving tier exposes it to the network: one
 route/error/metrics core (:mod:`repro.oracle.app`) behind a threaded
 HTTP server (:mod:`repro.oracle.server`), optionally pre-forked across
 worker processes sharing one listening socket, with background

@@ -10,10 +10,11 @@ production questions:
   be for the failure probability to drop to ``target``?
 
 **Exactness at grid points.**  A query whose coordinates all lie on the
-table grid is answered straight from the ``forward`` array, whose cells
-were computed by one per-k exact DP each — the answer is bit-identical
-to ``settlement_violation_probability`` on the cell's effective law
-(asserted by ``tests/oracle/test_service.py`` and the benchmark).
+table grid is answered straight from the ``forward`` array — the answer
+is bit-identical to the exact DP sweep the builder ran for the cell's
+(α, fraction, Δ) combo, read out at k (asserted by
+``tests/oracle/test_service.py`` and the benchmark), and within the
+last ulp of a per-k ``settlement_violation_probability`` run.
 
 **Conservative rounding between grid points.**  Off-grid coordinates
 are snapped one axis at a time, always toward the side that makes the

@@ -68,7 +68,11 @@ FORMAT = "repro-settlement-oracle-tables"
 #: v3: the artifact grew the ``analytic_depth`` array (certified
 #: Theorem 1 fallback for DP-unreachable minimal-depth cells); v2
 #: artifacts lack the file, so they must rebuild rather than load.
-FORMAT_VERSION = 3
+#: v4: ``forward`` cells are read off the combo's one DP sweep to the
+#: depth horizon instead of per-k DP runs; they can differ from v3
+#: cells in the last ulp, so a v3 artifact must rebuild rather than
+#: serve cells that differ from a fresh build.
+FORMAT_VERSION = 4
 
 _ARRAYS = {
     "forward": ("forward.npy", np.float64),

@@ -7,15 +7,10 @@ p_h / (1 − α), delay bound Δ, and confirmation depth k.  This module
 precomputes dense grids of answers so the query service
 (:mod:`repro.oracle.service`) can respond at memory speed:
 
-* ``forward``  — ``(α, fraction, Δ, k) → Pr[k-settlement violation]``,
-  one exact Section 6.6 DP run **per cell** so every stored value is
-  bit-identical to ``settlement_violation_probability`` at that cell
-  (a shared multi-checkpoint sweep differs in the last ulp because the
-  DP grid is sized by the largest checkpoint);
+* ``forward``  — ``(α, fraction, Δ, k) → Pr[k-settlement violation]``;
 * ``minimal_depth`` — ``(α, fraction, Δ, target) → min { k :
-  Pr[violation at k] ≤ target }``, read off one dense DP sweep to the
-  spec's depth horizon per (α, fraction, Δ) combination (sentinel
-  ``−1``: the target is not reachable within the horizon);
+  Pr[violation at k] ≤ target }`` (sentinel ``−1``: the target is not
+  reachable within the spec's depth horizon);
 * ``analytic_depth`` — the same inverse question answered from the
   paper's *certified* Theorem 1 upper bound (Bound 1's dominating
   series with the stationary prefix correction, summed through
@@ -28,6 +23,12 @@ precomputes dense grids of answers so the query service
   tabulated resolution) usually still get a finite certified answer
   here — the query service falls back to it with
   ``source = "analytic"``.
+
+The two DP tables are read off **one** exact Section 6.6 DP sweep per
+(α, fraction, Δ) combination to the depth horizon, so a forward cell
+is within the last ulp of a per-k ``settlement_violation_probability``
+run, not bit-identical: the DP band depends on the horizon (see
+:mod:`repro.analysis.exact`).
 
 Δ handling: the slot distribution is the active-slot composition
 ``from_adversarial_stake(α, fraction)`` thinned to activity ``f``
@@ -58,10 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis import genfunc
-from repro.analysis.exact import (
-    compute_settlement_probabilities,
-    settlement_violation_probability,
-)
+from repro.analysis.exact import compute_settlement_probabilities
 from repro.core.distributions import (
     SlotProbabilities,
     from_adversarial_stake,
@@ -244,8 +242,8 @@ class OracleTables:
 
     ``forward[i, j, l, m]`` is the exact violation probability at
     ``(alphas[i], unique_fractions[j], deltas[l], depths[m])`` —
-    bit-identical to ``settlement_violation_probability`` on the cell's
-    effective law.  ``minimal_depth[i, j, l, n]`` is the smallest
+    bit-identical to the combo's DP sweep to ``depth_horizon`` read out
+    at ``depths[m]``.  ``minimal_depth[i, j, l, n]`` is the smallest
     integer k (≤ ``depth_horizon``) whose violation probability is
     ≤ ``targets[n]``, or ``−1`` when no such k exists in the horizon.
     ``analytic_depth[i, j, l, n]`` is the smallest k whose *certified*
@@ -304,7 +302,6 @@ class BuildReport:
     tables: OracleTables
     rebuilt: bool
     seconds: float
-    dp_cells: int = 0
     mc_points: int = 0
     mc_cached: int = 0
     cache_stats: dict | None = None
@@ -316,20 +313,22 @@ class BuildReport:
 # ----------------------------------------------------------------------
 
 
-def _forward_cell(probabilities: SlotProbabilities, depth: int) -> float:
-    """One forward cell: the per-k DP, the service's exactness anchor."""
-    return settlement_violation_probability(probabilities, depth)
-
-
-def _minimal_depth_row(
+def _dp_rows(
     probabilities: SlotProbabilities,
-    horizon: int,
+    depths: tuple[int, ...],
     targets: tuple[float, ...],
-) -> list[int]:
-    """Minimal settling depth per target from one dense DP sweep."""
+) -> tuple[list[float], list[int]]:
+    """One combo's forward row and minimal-depth row from one DP sweep.
+
+    The sweep checkpoints every k up to ``max(depths)``: the forward row
+    is its read-out at ``depths``, the minimal-depth row the smallest
+    checkpoint at or under each target.
+    """
+    horizon = max(depths)
     computation = compute_settlement_probabilities(
         probabilities, list(range(1, horizon + 1))
     )
+    forward = [computation[k] for k in depths]
     row = []
     search_from = 1
     for target in targets:  # strictly decreasing: minimal k only grows
@@ -343,7 +342,7 @@ def _minimal_depth_row(
             row.extend([-1] * (len(targets) - len(row)))
             break
         search_from = found
-    return row
+    return forward, row
 
 
 def _analytic_depth_row(
@@ -427,9 +426,10 @@ def build_tables(
     a **no-op**: the artifact is loaded and returned with
     ``rebuilt=False`` — nothing is recomputed, nothing rewritten.
 
-    Otherwise: forward cells run one exact DP each and minimal-depth
-    rows one dense DP sweep each — fanned across a shared
-    :class:`ProcessBackend` when ``workers > 1`` — then the
+    Otherwise: each (α, fraction, Δ) combo runs one dense DP sweep,
+    which fills its forward and minimal-depth rows, and one certified
+    analytic row — fanned across a shared :class:`ProcessBackend` when
+    ``workers > 1`` — then the
     ``mc_depths`` cells are Monte-Carlo cross-checked through
     :func:`run_grid` (same backend, optional ``cache``; a warm cache
     serves every point with zero re-estimation) and must agree with the
@@ -490,21 +490,15 @@ def build_tables(
             owned = backend = ProcessBackend(workers)
     try:
         emit(
-            f"building {forward.size} forward cells + {len(laws)} "
-            f"minimal-depth rows (exact DP, workers={workers})"
+            f"building {len(laws)} combos: one exact DP sweep to "
+            f"k = {spec.depth_horizon} + one analytic row each "
+            f"(workers={workers})"
         )
         # Submit everything before collecting anything: on a process
-        # backend the DP cells pipeline across combo boundaries.
-        cell_futures = {
-            (i, j, l, m): backend.submit_task(
-                _forward_cell, law, spec.depths[m]
-            )
-            for (i, j, l), law in laws.items()
-            for m in range(len(spec.depths))
-        }
-        row_futures = {
+        # backend the tasks pipeline across combo boundaries.
+        dp_futures = {
             (i, j, l): backend.submit_task(
-                _minimal_depth_row, law, spec.depth_horizon, spec.targets
+                _dp_rows, law, spec.depths, spec.targets
             )
             for (i, j, l), law in laws.items()
         }
@@ -514,10 +508,8 @@ def build_tables(
             )
             for (i, j, l), law in laws.items()
         }
-        for (i, j, l, m), future in cell_futures.items():
-            forward[i, j, l, m] = future.result()
-        for (i, j, l), future in row_futures.items():
-            minimal[i, j, l, :] = future.result()
+        for (i, j, l), future in dp_futures.items():
+            forward[i, j, l, :], minimal[i, j, l, :] = future.result()
         for (i, j, l), future in analytic_futures.items():
             analytic[i, j, l, :] = future.result()
         rescuable = (minimal < 0) & (analytic >= 0)
@@ -589,7 +581,6 @@ def build_tables(
         tables=tables,
         rebuilt=True,
         seconds=time.perf_counter() - start,
-        dp_cells=int(forward.size) + len(laws),
         mc_points=mc_points,
         mc_cached=mc_cached,
         cache_stats=stats,

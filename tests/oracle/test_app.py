@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.analysis.exact import settlement_violation_probability
+from repro.analysis.exact import compute_settlement_probabilities
 from repro.obs.metrics import MetricsRegistry
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp
 from repro.oracle.refine import SnapTally, quantize_key
@@ -109,10 +109,11 @@ class TestRoutes:
         assert response.status == 200
         assert response.content_type == "application/json"
         law = effective_probabilities(0.2, 1.0, 0, SPEC.activity)
+        sweep = compute_settlement_probabilities(
+            law, list(range(1, SPEC.depth_horizon + 1))
+        )
         assert json.loads(response.body) == {
-            "violation_probability": settlement_violation_probability(
-                law, 10
-            ),
+            "violation_probability": sweep[10],
             "conservative": True,
         }
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.analysis.exact import settlement_violation_probability
+from repro.analysis.exact import compute_settlement_probabilities
 from repro.oracle import cli
 from repro.oracle.store import save_tables
 from repro.oracle.tables import (
@@ -79,9 +79,10 @@ class TestCli:
         )
         answer = json.loads(capsys.readouterr().out)
         law = effective_probabilities(0.2, 1.0, 0, 0.05)
-        assert answer["violation_probability"] == (
-            settlement_violation_probability(law, 10)
+        sweep = compute_settlement_probabilities(
+            law, list(range(1, SPEC.depth_horizon + 1))
         )
+        assert answer["violation_probability"] == sweep[10]
 
         # Identical rebuild: no-op.
         assert (

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.exact import settlement_violation_probability
+from repro.analysis.exact import (
+    compute_settlement_probabilities,
+    settlement_violation_probability,
+)
 from repro.oracle.service import (
     OracleDomainError,
     SettlementOracle,
@@ -38,11 +41,16 @@ def exact(alpha, fraction, delta, k):
 
 class TestExactAtGridPoints:
     def test_every_cell_bit_identical_to_dp(self, oracle):
+        # A grid cell is the combo's DP sweep to the horizon, read out at k.
         for i, j, l, alpha, fraction, delta in SPEC.combos():
+            sweep = compute_settlement_probabilities(
+                effective_probabilities(alpha, fraction, delta, SPEC.activity),
+                list(range(1, SPEC.depth_horizon + 1)),
+            )
             for k in SPEC.depths:
                 assert oracle.violation_probability(
                     alpha, fraction, delta, k
-                ) == exact(alpha, fraction, delta, k)
+                ) == sweep[k]
 
     def test_batch_matches_scalar(self, oracle):
         # Grid cells plus off-grid queries: the bisect scalar fast path

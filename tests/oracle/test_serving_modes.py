@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.analysis.exact import settlement_violation_probability
+from repro.analysis.exact import compute_settlement_probabilities
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp
 from repro.oracle.server import (
     make_listening_socket,
@@ -228,9 +228,10 @@ class TestConformance:
         )
         assert status == 200
         law = effective_probabilities(0.2, 1.0, 0, SPEC.activity)
-        assert json.loads(body)["violation_probability"] == (
-            settlement_violation_probability(law, 10)
+        sweep = compute_settlement_probabilities(
+            law, list(range(1, SPEC.depth_horizon + 1))
         )
+        assert json.loads(body)["violation_probability"] == sweep[10]
 
     def test_scalar_depth(self, served, oracle):
         _, address = served

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.oracle import store
 from repro.oracle.store import (
     FORMAT,
     StoreError,
@@ -107,6 +108,32 @@ class TestCorruption:
             load_tables(tmp_path)
 
 
+def save_v3_artifact(tables, directory, monkeypatch):
+    """Save ``tables`` as a format-3 writer did (per-k forward cells)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "FORMAT_VERSION", 3)
+        save_tables(tables, directory)
+
+
+class TestV3Artifacts:
+    # v4 forward cells are DP-sweep read-outs; a v3 artifact's per-k
+    # cells can differ from a fresh build in the last ulp.
+    def test_v3_manifest_refused(self, tables, tmp_path, monkeypatch):
+        save_v3_artifact(tables, tmp_path, monkeypatch)
+        assert read_manifest(tmp_path)["format_version"] == 3
+        with pytest.raises(StoreError, match="format_version"):
+            load_tables(tmp_path)
+
+    def test_v3_artifact_rebuilds(self, tables, tmp_path, monkeypatch):
+        save_v3_artifact(tables, tmp_path, monkeypatch)
+        report = build_tables(SPEC, out_dir=tmp_path)
+        assert report.rebuilt
+        manifest = read_manifest(tmp_path)
+        assert manifest["format_version"] == store.FORMAT_VERSION == 4
+        assert manifest["fingerprint"] == spec_fingerprint(SPEC)
+        assert np.array_equal(load_tables(tmp_path).forward, tables.forward)
+
+
 class TestAtomicReplace:
     def test_rebuild_never_truncates_under_live_mmap_readers(
         self, tables, tmp_path
@@ -139,7 +166,7 @@ class TestNoopRebuild:
         def exploding(*args):  # pragma: no cover - must not run
             raise AssertionError("no-op rebuild recomputed a DP cell")
 
-        monkeypatch.setattr(tables_module, "_forward_cell", exploding)
+        monkeypatch.setattr(tables_module, "_dp_rows", exploding)
         second = build_tables(SPEC, out_dir=tmp_path)
         assert not second.rebuilt
         assert np.array_equal(

@@ -5,7 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.analysis.exact import settlement_violation_probability
+import repro.oracle.tables as tables_module
+from repro.analysis.exact import (
+    compute_settlement_probabilities,
+    settlement_violation_probability,
+)
 from repro.core.distributions import from_adversarial_stake
 from repro.engine.cache import ResultCache
 from repro.oracle.tables import (
@@ -91,14 +95,45 @@ class TestEffectiveProbabilities:
 
 
 class TestBuild:
-    def test_forward_cells_bit_identical_to_per_depth_dp(self):
+    def test_forward_cells_bit_identical_to_dp_sweep(self):
         tables = build_tables(SPEC).tables
         for i, j, l, alpha, fraction, delta in SPEC.combos():
             law = effective_probabilities(alpha, fraction, delta, SPEC.activity)
+            # A forward cell is the combo's DP sweep read out at k.
+            sweep = compute_settlement_probabilities(
+                law, list(range(1, SPEC.depth_horizon + 1))
+            )
             for m, k in enumerate(SPEC.depths):
-                assert tables.forward[i, j, l, m] == (
-                    settlement_violation_probability(law, k)
+                assert tables.forward[i, j, l, m] == sweep[k]
+
+    def test_forward_cells_match_per_depth_dp(self):
+        # The band depends on the horizon, so a per-k run may differ
+        # from the sweep's read-out in the last ulp — never more.
+        tables = build_tables(TINY_DP_SPEC).tables
+        for i, j, l, alpha, fraction, delta in TINY_DP_SPEC.combos():
+            law = effective_probabilities(
+                alpha, fraction, delta, TINY_DP_SPEC.activity
+            )
+            for m, k in enumerate(TINY_DP_SPEC.depths):
+                per_depth = settlement_violation_probability(law, k)
+                assert tables.forward[i, j, l, m] == pytest.approx(
+                    per_depth, rel=1e-13, abs=0.0
                 )
+
+    def test_one_dp_sweep_per_combo(self, monkeypatch):
+        calls = []
+
+        def counting(probabilities, depths):
+            calls.append(max(depths))
+            return compute_settlement_probabilities(probabilities, depths)
+
+        monkeypatch.setattr(
+            tables_module, "compute_settlement_probabilities", counting
+        )
+        build_tables(TINY_DP_SPEC)
+        combos = len(list(TINY_DP_SPEC.combos()))
+        assert calls == [TINY_DP_SPEC.depth_horizon] * combos
+        assert not hasattr(tables_module, "settlement_violation_probability")
 
     def test_minimal_depth_consistent_with_forward(self):
         tables = build_tables(SPEC).tables

@@ -45,13 +45,48 @@ With t steps done and ``s = k_max − t`` steps left:
   exact reach law, accumulated as it arises rather than as ``1 −`` the
   rest.
 
-Every cell is a sum of non-negative products: there is no subtraction
-anywhere, and the margin-0 mass of an honest step is placed in its
-column directly.  A step touches at most ``(s + 1) × (s + min(t, s))``
-cells, about a quarter of a full ``(k + 1) × 2k`` plane on average, and
-the two ping-pong buffers are updated in place.  Different horizons
-prune different states, so a per-k run and a multi-checkpoint sweep may
+A step touches at most ``(s + 1) × (s + min(t, s))`` cells, about a
+quarter of a full ``(k + 1) × 2k`` plane on average, and the two
+ping-pong buffers are updated in place.  Different horizons prune
+different states, so a per-k run and a multi-checkpoint sweep may
 differ in the last ulp.
+
+The rescaled basis
+------------------
+
+Off its edges the band is a birth–death walk along the diagonal: a cell
+receives ``p_A·P[r−1, m−1] + p_hon·P[r+1, m+1]`` (``p_hon = p_h +
+p_H``).  A diagonal similarity transform symmetrises such a walk.  The
+sweep stores ``g`` with
+
+    P_t[r, m] = σ_t · θ^r · g_t[r, m],   θ = √(p_A / p_hon),
+    σ_{t+1} = σ_t · c,                   c = √(p_A · p_hon),
+
+and in ``g`` both interior moves have weight exactly 1 (``p_A/(c·θ) =
+p_hon·θ/c = 1``), so one step of the interior is one add per half-band
+(m < 0 and m > 0).  Only the moves that leave the diagonal keep a
+coefficient: row 0's honest self-move (``1/θ``), the corner (``p_h/c``
+and ``p_H/c``) and the reaches merging into the top row
+(``θ^(r − top + 1)``).  A read-out weights row r by ``σ·θ^r``, from a
+``θ^r`` vector built once per sweep.
+
+* **no subtraction** — every coefficient is positive, so every cell of
+  ``g`` is a sum of non-negative terms, as every cell of ``P`` was; the
+  margin-0 mass of an honest step is placed in its column directly;
+* **no new underflow** — for p_A < p_hon, θ < 1 and c ≤ 1/2, so
+  ``σ·θ^r ≤ 1`` and ``|g| ≥ |P|`` in every cell: a Table 1 cell down to
+  1e-264 is stored at least that large;
+* **renormalisation** — σ falls by c ≤ 1/2 per step, so once it is below
+  ``FOLD_BELOW = 1e-100`` one pass multiplies the band by σ and σ
+  restarts at 1.  The reach law is dominated by X_∞, whose tail is
+  ``β^r = θ^(2r)``, so with σ ≥ 1e-100 every cell of ``g`` is at most
+  ``1e100·θ^r`` and nothing overflows;
+* **edges** — a law with p_A = 0 or p_hon = 0 (θ = 0 or ∞) moves one
+  way only and has closed-form read-outs (``p_H^k`` and 1).  X_∞ needs
+  an honest majority, so θ > 1 only arises with a finite prefix; there
+  ``|g| ≥ |P| / θ^k_max``, and horizons with ``θ^k_max > 1e280``
+  (:data:`repro.engine.kernels.MAX_ROW_WEIGHT`) raise ``ValueError``
+  rather than lose mass to underflow.
 
 The band kernels (``settlement_*``) live in :mod:`repro.engine.kernels`
 beside the batched Monte-Carlo kernels; this module owns only the sweep
@@ -65,12 +100,18 @@ from dataclasses import dataclass
 from repro.core.distributions import SlotProbabilities, from_adversarial_stake
 from repro.engine.kernels import (
     settlement_adversarial_step,
+    settlement_basis,
     settlement_buffers,
     settlement_decided_mass,
+    settlement_fold,
     settlement_honest_step,
     settlement_initial_band,
     settlement_violation_mass,
 )
+
+#: The sweep folds σ into the band once it falls below this: with
+#: σ ≥ 1e-100 and θ ≤ 1, every cell of g is at most 1e100.
+FOLD_BELOW = 1e-100
 
 
 @dataclass(frozen=True)
@@ -115,7 +156,11 @@ def compute_settlement_probabilities(
     """Run the joint (reach, margin) DP, reading out each checkpoint.
 
     One banded sweep to ``max(checkpoints)`` serves every requested
-    ``k`` (see the module docstring for why the band is exact).
+    ``k`` (see the module docstring for why the band is exact).  Raises
+    ``ValueError`` for empty slots, non-positive checkpoints, a negative
+    ``prefix_length``, X_∞ without an honest majority, and an
+    adversarial-majority law whose row weights θ^k_max exceed the float
+    range.
     """
     if probabilities.p_empty:
         raise ValueError(
@@ -124,30 +169,58 @@ def compute_settlement_probabilities(
         )
     if not checkpoints or min(checkpoints) < 1:
         raise ValueError("checkpoints must be positive suffix lengths")
+    if prefix_length is not None and prefix_length < 0:
+        raise ValueError(f"prefix_length must be ≥ 0, got {prefix_length}")
+    model = "x->infinity" if prefix_length is None else f"|x|={prefix_length}"
+    if probabilities.p_adversarial <= 0 or probabilities.p_honest <= 0:
+        if prefix_length is None:
+            raise ValueError(
+                "the |x| → ∞ reach law X_∞ needs adversarial and honest slots"
+            )
+        return SettlementComputation(
+            probabilities, model, _one_sided(probabilities, checkpoints)
+        )
     k_max = max(checkpoints)
     wanted = set(checkpoints)
 
+    basis = settlement_basis(probabilities, k_max)
+    powers = basis.powers
     src, dst = settlement_buffers(k_max)
-    decided = settlement_initial_band(probabilities, prefix_length, src)
-    p_adv = probabilities.p_adversarial
-    low = 0  # lowest live margin
+    decided = settlement_initial_band(probabilities, prefix_length, src, powers)
+    scale = 1.0  # σ: P = σ · θ^r · g
 
     results: dict[int, float] = {}
     for t in range(1, k_max + 1):
         left = k_max - t
-        settlement_adversarial_step(src, dst, left + 1, low, p_adv)
-        settlement_honest_step(
-            src, dst, left + 1, low,
-            probabilities.p_unique, probabilities.p_multi,
-        )
-        decided += settlement_decided_mass(dst, left)
-        low = -min(t, left)
+        low = -min(t, left)  # lowest live margin after this step
+        settlement_adversarial_step(src, dst, left + 1, low, basis)
+        settlement_honest_step(src, dst, left + 1, low, basis)
+        scale *= basis.step_scale
+        decided += scale * settlement_decided_mass(dst, left, powers)
         if t in wanted:
-            results[t] = decided + settlement_violation_mass(dst, left)
+            results[t] = decided + scale * settlement_violation_mass(
+                dst, left, powers
+            )
+        if scale < FOLD_BELOW:
+            settlement_fold(dst, left, low, scale)
+            scale = 1.0
         src, dst = dst, src
 
-    model = "x->infinity" if prefix_length is None else f"|x|={prefix_length}"
     return SettlementComputation(probabilities, model, results)
+
+
+def _one_sided(
+    probabilities: SlotProbabilities, checkpoints: list[int]
+) -> dict[int, float]:
+    """Read-outs of a law with one kind of move (θ = 0 or ∞), which has no
+    walk to rescale.  Such a law only has a finite-prefix model.
+
+    Without ``A`` the reach stays 0 and only ``H`` keeps the corner's
+    margin at 0; without honest slots the margin never falls.
+    """
+    if probabilities.p_adversarial <= 0:
+        return {k: probabilities.p_multi**k for k in checkpoints}
+    return {k: 1.0 for k in checkpoints}
 
 
 # ----------------------------------------------------------------------

@@ -228,19 +228,6 @@ def enumerate_strings(alphabet: str, length: int):
             yield prefix + symbol
 
 
-def empirical_dominates(
-    stronger: list[str], weaker: list[str], indicator
-) -> bool:
-    """Check ``E[indicator]`` is at least as large under ``stronger`` samples.
-
-    A crude empirical dominance probe for monotone ``indicator`` functions;
-    used by tests to sanity-check :func:`sample_martingale_string`.
-    """
-    mean_strong = sum(indicator(w) for w in stronger) / max(len(stronger), 1)
-    mean_weak = sum(indicator(w) for w in weaker) / max(len(weaker), 1)
-    return mean_strong >= mean_weak - 1e-9
-
-
 def verify_monotone(indicator, words: list[str]) -> bool:
     """Check an event is monotone w.r.t. the Definition 6 partial order.
 

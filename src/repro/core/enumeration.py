@@ -118,18 +118,3 @@ def _extend_by_slot(
             extensions.append(clone)
     return extensions
 
-
-def max_reach_by_enumeration(word: str, **caps) -> int:
-    """``ρ(word)`` by brute force over capped closed forks."""
-    from repro.core.reach import max_reach
-
-    forks = enumerate_forks(word, **caps)
-    return max(max_reach(fork) for fork in forks)
-
-
-def max_margin_by_enumeration(word: str, prefix_length: int, **caps) -> int:
-    """``μ_x(y)`` by brute force over capped closed forks."""
-    from repro.core.margin import margin_of_fork
-
-    forks = enumerate_forks(word, **caps)
-    return max(margin_of_fork(fork, prefix_length) for fork in forks)

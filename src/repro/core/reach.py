@@ -45,11 +45,6 @@ def max_reach(fork: Fork) -> int:
     return max(reach(fork, v) for v in fork.vertices())
 
 
-def reach_by_vertex(fork: Fork) -> dict[Vertex, int]:
-    """Reach of every tine, keyed by terminal vertex."""
-    return {v: reach(fork, v) for v in fork.vertices()}
-
-
 def zero_reach_vertices(fork: Fork) -> list[Vertex]:
     """Tines with reach exactly zero (the set ``Z`` of Figure 4)."""
     return [v for v in fork.vertices() if reach(fork, v) == 0]

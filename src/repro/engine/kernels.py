@@ -43,10 +43,14 @@ throughput).  The joint margin recurrence is one slot-major, in-place
 scan in int32 — int64 when a huge initial reach could leave the int32
 range, so narrowing never changes a value.  The settlement-DP kernels
 at the bottom of this module update the band of a float64 (reach,
-margin) table in place for the exact-DP layer.
+margin) table in place for the exact-DP layer, in a rescaled basis
+where both diagonal moves have weight 1.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -674,25 +678,101 @@ def descent_times(
 # repro.analysis.exact (which proves the band exact and owns the sweep)
 # ----------------------------------------------------------------------
 #
+# The sweep stores the (reach, margin) law P_t in a rescaled basis,
+#
+#     P_t[r, m] = σ_t · θ^r · g_t[r, m],   θ = √(p_A / p_hon),
+#     σ_{t+1} = σ_t · c,                   c = √(p_A · p_hon),
+#
+# a diagonal similarity transform of the transition matrix.  An interior
+# cell receives p_A·P[r−1, m−1] + p_hon·P[r+1, m+1]; in g both weights
+# are exactly 1 (p_A / (c·θ) = p_hon·θ / c = 1), so one step of the
+# interior is one add per half-band.  Only the moves that leave the
+# diagonal keep a coefficient: row 0's honest self-move (1/θ), the corner
+# (p_h/c and p_H/c) and the merged top row (θ^(r − top + 1)).  Every
+# coefficient is positive, so every cell stays a sum of non-negative
+# terms and no step subtracts.  The scalar σ lives in the sweep; a
+# read-out weights row r by σ·θ^r from SettlementBasis.powers.  For
+# p_A < p_hon, σ·θ^r ≤ 1, so |g| ≥ |P| and no cell underflows where P
+# would not; once σ < 1e-100 the sweep folds it into the band
+# (settlement_fold) and restarts it at 1, which keeps g ≤ 1e100.  The
+# analysis.exact module docstring proves these bounds.
+#
 # A DP of horizon k_max lives in two ping-pong buffers from
-# settlement_buffers().  Row r holds reach r; column ``zero + m`` holds
-# margin m, where ``zero = shape[1] − shape[0]`` is the column of m = 0.
-# With s steps left and lowest live margin ``low``, the live band is
-# rows [0, s] × margins [low, s − 1]; row s is the merged top row
-# (every reach ≥ s).  Cells outside the band are stale and never read.
-# One step reads the band of ``src`` and writes rows [0, s − 1] ×
-# margins [low − 1, s] of ``dst``: the adversarial step first (it
-# overwrites), then the honest step (it adds, and consumes ``src``).
+# settlement_buffers().  Buffer row r + 1 holds reach r; row 0 is reach
+# −1, always zero, so the adversarial move into reach 0 reads zeros and
+# needs no special case.  Column ``zero + m`` holds margin m, where
+# ``zero = shape[1] − shape[0]``.  With s steps left and lowest live
+# margin ``low``, the live band is reaches [0, s] × margins [low, s − 1];
+# reach s is the merged top row (every reach ≥ s).  Cells outside the
+# band are stale and never read, except margins below every ``low`` so
+# far, which were never written and are zero.  Step t reads the band of
+# ``src`` and writes reaches [0, s − 1] × margins [low, s] of ``dst``,
+# where ``low = −min(t, s − 1)`` is the lowest live margin after it: the
+# adversarial step first (it overwrites), then the honest step (it adds,
+# and consumes ``src``).
+
+
+class SettlementBasis(NamedTuple):
+    """Constants of the rescaled basis for one law and horizon."""
+
+    #: c = √(p_A·p_hon): the factor σ gains per step.
+    step_scale: float
+    #: θ^r for r = 0..k_max: the row weights of a read-out.
+    powers: np.ndarray
+    #: 1/θ: row 0's honest self-move (r, m) = (0, m) → (0, m − 1).
+    self_move: float
+    #: p_h/c and p_H/c: the corner (0, 0) → (0, −1) and → (0, 0).
+    corner_unique: float
+    corner_multi: float
+    #: (θ, θ²): reaches top and top + 1 merging into the top row.
+    merge: np.ndarray
+
+
+#: Largest row weight θ^k_max an adversarial-majority law (θ > 1) may
+#: need.  A cell of P below 2.2e-308·θ^k_max ≤ 1e-27 may underflow in g;
+#: with at most ~k_max² such cells the loss stays far below an ulp of
+#: the read-out, which is at least 1/2 when p_A > p_hon.
+MAX_ROW_WEIGHT = 1e280
+
+
+def settlement_basis(
+    probabilities: SlotProbabilities, k_max: int
+) -> SettlementBasis:
+    """The rescaled basis of a law with both adversarial and honest slots.
+
+    Raises ``ValueError`` when θ > 1 and θ^k_max exceeds
+    :data:`MAX_ROW_WEIGHT`: the rows of the band would then span more
+    than the float range.
+    """
+    root_adv = math.sqrt(probabilities.p_adversarial)
+    root_hon = math.sqrt(probabilities.p_honest)
+    theta = root_adv / root_hon
+    # θ² is also the weight of reach s merging into the top row.
+    if theta > 1 and max(k_max, 2) * math.log(theta) > math.log(MAX_ROW_WEIGHT):
+        raise ValueError(
+            f"θ = √(p_A/p_hon) = {theta:.6g} to k = {k_max}: row weights "
+            f"θ^k exceed {MAX_ROW_WEIGHT:g}; use a shorter horizon"
+        )
+    step_scale = root_adv * root_hon
+    return SettlementBasis(
+        step_scale=step_scale,
+        powers=theta ** np.arange(k_max + 1, dtype=float),
+        self_move=root_hon / root_adv,
+        corner_unique=probabilities.p_unique / step_scale,
+        corner_multi=probabilities.p_multi / step_scale,
+        merge=np.array([theta, theta * theta]),
+    )
 
 
 def settlement_buffers(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two zeroed ``(k_max + 1, k_max + k_max // 2 + 2)`` band buffers.
+    """Two zeroed ``(k_max + 2, k_max + k_max // 2 + 3)`` band buffers.
 
-    Margins span [−(k_max // 2) − 1, k_max]: a margin never falls below
-    −t after t steps, and below −s it is dropped, so the band's lowest
-    margin is −min(t, s) ≥ −(k_max // 2), and one step lowers it by one.
+    Rows are reaches [−1, k_max].  Margins span [−(k_max // 2) − 1,
+    k_max]: a margin never falls below −t after t steps, and below −s it
+    is dropped, so the band's lowest margin is −min(t, s) ≥ −(k_max // 2),
+    and a step reads one margin below its output band.
     """
-    shape = (k_max + 1, k_max + k_max // 2 + 2)
+    shape = (k_max + 2, k_max + k_max // 2 + 3)
     return np.zeros(shape), np.zeros(shape)
 
 
@@ -705,16 +785,18 @@ def settlement_initial_band(
     probabilities: SlotProbabilities,
     prefix_length: int | None,
     grid: np.ndarray,
+    powers: np.ndarray,
 ) -> float:
     """Write the law of ``(ρ(x), μ_x(ε)) = (r₀, r₀)`` into a fresh
-    :func:`settlement_buffers` buffer.
+    :func:`settlement_buffers` buffer, in the basis σ = 1: cell (r₀, r₀)
+    holds ``Pr[ρ(x) = r₀] / θ^r₀``.
 
     Returns the decided mass ``Pr[r₀ ≥ k_max]``: such a start keeps
     ``m ≥ r₀ − t ≥ 0`` at every checkpoint.  ``prefix_length=None`` uses
     the X_∞ geometric law; an integer uses the exact reach law of an
     i.i.d. prefix of that length.
     """
-    k_max = grid.shape[0] - 1
+    k_max = grid.shape[0] - 2
     zero = _zero_column(grid)
     if prefix_length is None:
         beta = stationary_reach_ratio(probabilities.epsilon)
@@ -723,8 +805,12 @@ def settlement_initial_band(
     else:
         pmf = prefix_reach_pmf(probabilities, prefix_length, k_max)
         reach, decided = pmf[:k_max], pmf[k_max]
+    # Pr[ρ = r] ≤ θ^(2r) wherever θ ≤ 1, so a reach with mass never has
+    # an underflowed weight; empty reaches stay 0 (no 0/0).
+    weights = powers[:k_max]
+    start = np.divide(reach, weights, out=np.zeros(k_max), where=reach > 0)
     diagonal = np.arange(k_max)
-    grid[diagonal, zero + diagonal] = reach
+    grid[diagonal + 1, zero + diagonal] = start
     return float(decided)
 
 
@@ -766,28 +852,41 @@ def settlement_adversarial_step(
     dst: np.ndarray,
     steps_left: int,
     low: int,
-    p_adversarial: float,
+    basis: SettlementBasis,
 ) -> None:
-    """``A``: ``(r, m) → (r+1, m+1)`` with weight p_A; overwrites ``dst``.
+    """The diagonal moves; overwrites every output cell of ``dst``.
 
-    Rows at or above the new top row ``s − 1`` merge into it.  The cells
-    only the honest step reaches (row 0 and margins ``low − 1``, ``low``)
-    are zeroed, so ``dst`` is fully written over the step's output band.
+    Writes reaches [0, s − 1] × margins [low, s], where ``low =
+    −min(t, s − 1)`` is the lowest margin after the step.  Each cell
+    gets ``A``, (r, m) → (r+1, m+1), and the honest move (r, m) →
+    (r−1, m−1) from reaches ≥ 1 and margins ≠ 0, both with weight 1:
+    one add per half-band (margins [low, −2] and [0, s − 2]).  Margins
+    −1, s − 1 and s get ``A`` only: their honest sources would be margin
+    0, whose honest moves the honest step places, and margins s and
+    s + 1, already decided.  The top row adds the reaches that merge
+    into it, with weights (θ, θ²).
     """
     s = steps_left
-    top = s - 1
     zero = _zero_column(src)
-    first, last = zero + low, zero + s  # source margins [low, s − 1]
-    shifted = max(top - 1, 0)  # source rows that land below the top row
-    dst[0, first - 1 : last + 1] = 0.0
-    dst[:s, first - 1 : first + 1] = 0.0
-    np.multiply(
-        src[:shifted, first:last], p_adversarial,
-        out=dst[1 : shifted + 1, first + 1 : last + 1],
-    )
-    merged = dst[top, first + 1 : last + 1]
-    np.sum(src[shifted : s + 1, first:last], axis=0, out=merged)
-    merged *= p_adversarial
+    # dst rows 1..s (reaches 0..s−1): A from rows 0..s−1, honest from 2..s+1.
+    if low <= -2:
+        np.add(
+            src[:s, zero + low - 1 : zero - 2],
+            src[2 : s + 2, zero + low + 1 : zero],
+            out=dst[1 : s + 1, zero + low : zero - 1],
+        )
+    if low <= -1:
+        dst[1 : s + 1, zero - 1] = src[:s, zero - 2]
+    if s >= 2:
+        np.add(
+            src[:s, zero - 1 : zero + s - 2],
+            src[2 : s + 2, zero + 1 : zero + s],
+            out=dst[1 : s + 1, zero : zero + s - 1],
+        )
+    dst[1 : s + 1, zero + s - 1 : zero + s + 1] = src[:s, zero + s - 2 : zero + s]
+    dst[s, zero + low : zero + s + 1] += basis.merge @ src[
+        s : s + 2, zero + low - 1 : zero + s
+    ]
 
 
 def settlement_honest_step(
@@ -795,45 +894,60 @@ def settlement_honest_step(
     dst: np.ndarray,
     steps_left: int,
     low: int,
-    p_unique: float,
-    p_multi: float,
+    basis: SettlementBasis,
 ) -> None:
-    """``h``/``H``: Theorem 5, Eq. (14); adds into ``dst``, scales ``src``.
+    """The honest moves off the diagonal (Theorem 5, Eq. (14)); adds into
+    ``dst`` and scales ``src``'s reach-0 row in place.
 
-    Reach moves ``r → max(r−1, 0)``.  Margin moves ``m → m−1``, except at
-    m = 0: with r > 0 it stays 0 for both symbols, and with r = 0 it
-    stays 0 only for ``H``.  That m = 0 mass is placed in its column
-    directly.  Row 0 holds no margin above 0 (m ≤ r), so only its
-    m ≤ 0 cells move within row 0.
+    At m = 0 with r > 0 the margin stays 0 for both symbols: margin 0 of
+    reaches [0, s − 1].  Row 0 holds no margin above 0 (m ≤ r); its
+    m < 0 cells move within row 0 with weight 1/θ: margins [low, −2] of
+    reach 0.  The corner (0, 0) goes to (0, −1) on ``h`` and stays on
+    ``H``.
     """
     s = steps_left
     zero = _zero_column(src)
-    first, last = zero + low, zero + s  # source margins [low, s − 1]
-    corner = src[0, zero]  # (r, m) = (0, 0), before scaling
-    band = src[: s + 1, first:last]
-    np.multiply(band, p_unique + p_multi, out=band)
-    below = src[1 : s + 1]
-    dst[:s, first - 1 : zero - 1] += below[:, first:zero]
-    dst[:s, zero : last - 1] += below[:, zero + 1 : last]
-    dst[:s, zero] += below[:, zero]
-    dst[0, first - 1 : zero - 1] += src[0, first:zero]
-    dst[0, zero - 1] += p_unique * corner
-    dst[0, zero] += p_multi * corner
+    corner = src[1, zero]
+    dst[1 : s + 1, zero] += src[2 : s + 2, zero]
+    if low <= -2:
+        row = src[1, zero + low + 1 : zero]
+        row *= basis.self_move
+        dst[1, zero + low : zero - 1] += row
+    dst[1, zero - 1] += basis.corner_unique * corner
+    dst[1, zero] += basis.corner_multi * corner
 
 
-def settlement_decided_mass(grid: np.ndarray, steps_left: int) -> float:
-    """Mass a step pushed to ``m ≥ s`` (s = ``steps_left``, after it).
+def settlement_decided_mass(
+    grid: np.ndarray, steps_left: int, powers: np.ndarray
+) -> float:
+    """Mass (in units of σ) a step pushed to ``m ≥ s`` (s = ``steps_left``,
+    after it).
 
     Such states violate at every remaining checkpoint.  One step reaches
     at most margin s + 1, so two columns hold all of it.
     """
     zero = _zero_column(grid)
     s = steps_left
-    return float(grid[: s + 1, zero + s : zero + s + 2].sum())
+    column_mass = powers[: s + 1] @ grid[1 : s + 2, zero + s : zero + s + 2]
+    return float(column_mass[0] + column_mass[1])
 
 
-def settlement_violation_mass(grid: np.ndarray, steps_left: int) -> float:
-    """Band mass at ``m ≥ 0``; add the decided mass for ``Pr[m ≥ 0]``."""
+def settlement_violation_mass(
+    grid: np.ndarray, steps_left: int, powers: np.ndarray
+) -> float:
+    """Band mass (in units of σ) at ``m ≥ 0``; add the decided mass for
+    ``Pr[m ≥ 0]``."""
     zero = _zero_column(grid)
     s = steps_left
-    return float(grid[: s + 1, zero : zero + s].sum())
+    block = grid[1 : s + 2, zero : zero + s]
+    return float((powers[: s + 1] @ block).sum())
+
+
+def settlement_fold(
+    grid: np.ndarray, steps_left: int, low: int, scale: float
+) -> None:
+    """Multiply the band (s = ``steps_left``, lowest margin ``low``) by
+    ``scale``, so the sweep's σ can restart at 1."""
+    zero = _zero_column(grid)
+    s = steps_left
+    grid[1 : s + 2, zero + low : zero + s] *= scale

@@ -13,6 +13,7 @@ from repro.analysis.exact import (
     format_table,
 )
 from repro.core.distributions import (
+    SlotProbabilities,
     bernoulli_condition,
     from_adversarial_stake,
     semi_synchronous_condition,
@@ -120,15 +121,33 @@ def relative_gap(value, reference):
 
 EQUIVALENCE_DEPTHS = (1, 2, 3, 7, 60, 150)
 
+#: Laws and initial-reach models of the dense comparison: Table 1 laws
+#: under every model, then the edges of the sweep's rescaled basis
+#: θ = √(p_A/p_hon), which have finite-prefix models only.
+DENSE_CASES = [
+    pytest.param(
+        from_adversarial_stake(alpha, fraction),
+        prefix_length,
+        id=f"{alpha}-{fraction}-{prefix_length}",
+    )
+    for alpha in (0.01, 0.2, 0.49)
+    for fraction in (1.0, 0.5, 0.01)
+    for prefix_length in (None, 0, 12, 600)
+] + [
+    pytest.param(law, prefix_length, id=f"{name}-{prefix_length}")
+    for name, law in (
+        ("theta=0", SlotProbabilities(0.5, 0.5, 0.0, 0.0)),  # p_multi^k
+        ("theta>1", SlotProbabilities(0.2, 0.1, 0.7, 0.0)),
+    )
+    for prefix_length in (0, 12)
+]
+
 
 class TestAgainstDenseReference:
     """The banded sweep equals the full-grid DP to rounding."""
 
-    @pytest.mark.parametrize("prefix_length", [None, 0, 12, 600])
-    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.01])
-    @pytest.mark.parametrize("alpha", [0.01, 0.2, 0.49])
-    def test_banded_matches_dense(self, alpha, fraction, prefix_length):
-        probs = from_adversarial_stake(alpha, fraction)
+    @pytest.mark.parametrize("probs,prefix_length", DENSE_CASES)
+    def test_banded_matches_dense(self, probs, prefix_length):
         for k_max in EQUIVALENCE_DEPTHS:
             reference = dense_reference(probs, k_max, prefix_length)
             dense = list(range(1, k_max + 1))
@@ -294,6 +313,18 @@ class TestValidation:
             compute_settlement_probabilities(probs, [])
         with pytest.raises(ValueError):
             compute_settlement_probabilities(probs, [0])
+
+    def test_rejects_negative_prefix_length(self):
+        probs = bernoulli_condition(0.3, 0.3)
+        with pytest.raises(ValueError, match="prefix_length"):
+            compute_settlement_probabilities(probs, [10], prefix_length=-5)
+
+    def test_rejects_row_weights_beyond_float_range(self):
+        """θ = 3 to k = 600: θ^k ≈ 1e286 leaves the rescaled basis."""
+        probs = SlotProbabilities(0.05, 0.05, 0.9, 0.0)
+        assert math.isfinite(settlement_violation_probability(probs, 500, 0))
+        with pytest.raises(ValueError, match="θ"):
+            settlement_violation_probability(probs, 600, prefix_length=0)
 
 
 class TestTableGeneration:

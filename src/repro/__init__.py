@@ -17,84 +17,53 @@ Quick start::
     risk = settlement_violation_probability(params, k=100)
     # exact Pr[a slot is not 100-settled]  ≈ 5.1e-8 (Table 1)
 
+Every export is lazy (PEP 562, :mod:`repro._lazy`): a name's module,
+and a subpackage such as ``repro.engine``, is imported on first use, so
+``import repro.analysis.exact`` loads only the exact DP and what it
+needs, not the protocol simulator, the backends or the oracle.
+
 See README.md for the architecture and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from repro.core.adversary_star import AdversaryStar, build_canonical_fork
-from repro.core.alphabet import CharacteristicString
-from repro.core.catalan import catalan_slots, is_catalan
-from repro.core.distributions import (
-    SlotProbabilities,
-    bernoulli_condition,
-    bivalent_condition,
-    from_adversarial_stake,
-    semi_synchronous_condition,
-)
-from repro.core.forks import Fork, Tine, Vertex
-from repro.core.margin import margin, relative_margin
-from repro.core.reach import rho
-from repro.core.settlement import is_k_settled, settlement_time
-from repro.core.uvp import has_uvp, uvp_slots
-from repro.analysis.exact import (
-    settlement_table,
-    settlement_violation_probability,
-)
-from repro.analysis.bounds import (
-    theorem1_settlement_bound,
-    theorem2_settlement_bound,
-    theorem7_settlement_bound,
-    theorem8_cp_bound,
-)
-from repro.delta.reduction import reduce_string
-from repro.engine.cache import ResultCache
-from repro.engine.runner import Estimate, ExperimentRunner, run_scenario
-from repro.engine.scenarios import Scenario, get_scenario, scenario_names
-from repro.engine.sweeps import SweepGrid, get_grid, grid_names, run_grid
-from repro.protocol.leader import StakeDistribution
-from repro.protocol.simulation import Simulation
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdversaryStar",
-    "CharacteristicString",
-    "Estimate",
-    "ExperimentRunner",
-    "Fork",
-    "ResultCache",
-    "Scenario",
-    "Simulation",
-    "SweepGrid",
-    "SlotProbabilities",
-    "StakeDistribution",
-    "Tine",
-    "Vertex",
-    "bernoulli_condition",
-    "bivalent_condition",
-    "build_canonical_fork",
-    "catalan_slots",
-    "from_adversarial_stake",
-    "get_grid",
-    "get_scenario",
-    "grid_names",
-    "has_uvp",
-    "is_catalan",
-    "is_k_settled",
-    "margin",
-    "reduce_string",
-    "relative_margin",
-    "rho",
-    "run_grid",
-    "run_scenario",
-    "scenario_names",
-    "semi_synchronous_condition",
-    "settlement_table",
-    "settlement_time",
-    "settlement_violation_probability",
-    "theorem1_settlement_bound",
-    "theorem2_settlement_bound",
-    "theorem7_settlement_bound",
-    "theorem8_cp_bound",
-    "uvp_slots",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.adversary_star": ("AdversaryStar", "build_canonical_fork"),
+        "repro.core.alphabet": ("CharacteristicString",),
+        "repro.core.catalan": ("catalan_slots", "is_catalan"),
+        "repro.core.distributions": (
+            "SlotProbabilities",
+            "bernoulli_condition",
+            "bivalent_condition",
+            "from_adversarial_stake",
+            "semi_synchronous_condition",
+        ),
+        "repro.core.forks": ("Fork", "Tine", "Vertex"),
+        "repro.core.margin": ("margin", "relative_margin"),
+        "repro.core.reach": ("rho",),
+        "repro.core.settlement": ("is_k_settled", "settlement_time"),
+        "repro.core.uvp": ("has_uvp", "uvp_slots"),
+        "repro.analysis.exact": (
+            "settlement_table",
+            "settlement_violation_probability",
+        ),
+        "repro.analysis.bounds": (
+            "theorem1_settlement_bound",
+            "theorem2_settlement_bound",
+            "theorem7_settlement_bound",
+            "theorem8_cp_bound",
+        ),
+        "repro.delta.reduction": ("reduce_string",),
+        "repro.engine.cache": ("ResultCache",),
+        "repro.engine.runner": ("Estimate", "ExperimentRunner", "run_scenario"),
+        "repro.engine.scenarios": ("Scenario", "get_scenario", "scenario_names"),
+        "repro.engine.sweeps": ("SweepGrid", "get_grid", "grid_names", "run_grid"),
+        "repro.protocol.leader": ("StakeDistribution",),
+        "repro.protocol.simulation": ("Simulation",),
+    },
+)

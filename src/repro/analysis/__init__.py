@@ -11,14 +11,15 @@
 * :mod:`repro.analysis.cp` — common-prefix violation analysis (Section 9).
 """
 
-from repro.analysis.exact import (
-    SettlementComputation,
-    settlement_table,
-    settlement_violation_probability,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SettlementComputation",
-    "settlement_table",
-    "settlement_violation_probability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.exact": (
+            "SettlementComputation",
+            "settlement_table",
+            "settlement_violation_probability",
+        ),
+    },
+)

@@ -8,50 +8,35 @@ slots, the Unique Vertex Property, slot settlement, balanced forks, and the
 optimal online adversary ``A*``.
 """
 
-from repro.core.alphabet import (
-    ADVERSARIAL,
-    EMPTY,
-    HONEST_MULTI,
-    HONEST_UNIQUE,
-    CharacteristicString,
-    Symbol,
-)
-from repro.core.catalan import (
-    catalan_slots,
-    is_catalan,
-    is_left_catalan,
-    is_right_catalan,
-)
-from repro.core.forks import Fork, Tine, Vertex
-from repro.core.margin import margin, margin_sequence, relative_margin
-from repro.core.reach import reach_sequence, rho
-from repro.core.adversary_star import build_canonical_fork
-from repro.core.settlement import is_k_settled, settlement_violation_slots
-from repro.core.uvp import has_bottleneck_property, has_uvp, uvp_slots
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ADVERSARIAL",
-    "EMPTY",
-    "HONEST_MULTI",
-    "HONEST_UNIQUE",
-    "CharacteristicString",
-    "Symbol",
-    "Fork",
-    "Tine",
-    "Vertex",
-    "build_canonical_fork",
-    "catalan_slots",
-    "has_bottleneck_property",
-    "has_uvp",
-    "is_catalan",
-    "is_k_settled",
-    "is_left_catalan",
-    "is_right_catalan",
-    "margin",
-    "margin_sequence",
-    "reach_sequence",
-    "relative_margin",
-    "rho",
-    "settlement_violation_slots",
-    "uvp_slots",
-]
+# ``margin`` the function shares its name with ``repro.core.margin`` the
+# module.  It is bound here, eagerly: bound lazily, the name would turn
+# into the module as soon as anything imported ``repro.core.margin``.
+from repro.core.margin import margin
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.alphabet": (
+            "ADVERSARIAL",
+            "EMPTY",
+            "HONEST_MULTI",
+            "HONEST_UNIQUE",
+            "CharacteristicString",
+            "Symbol",
+        ),
+        "repro.core.catalan": (
+            "catalan_slots",
+            "is_catalan",
+            "is_left_catalan",
+            "is_right_catalan",
+        ),
+        "repro.core.forks": ("Fork", "Tine", "Vertex"),
+        "repro.core.margin": ("margin", "margin_sequence", "relative_margin"),
+        "repro.core.reach": ("reach_sequence", "rho"),
+        "repro.core.adversary_star": ("build_canonical_fork",),
+        "repro.core.settlement": ("is_k_settled", "settlement_violation_slots"),
+        "repro.core.uvp": ("has_bottleneck_property", "has_uvp", "uvp_slots"),
+    },
+)

@@ -1,5 +1,8 @@
 """Reference data: the paper's published Table 1 and cached reproductions."""
 
-from repro.data.table1 import PAPER_TABLE1, paper_table1_value
+from repro._lazy import lazy_exports
 
-__all__ = ["PAPER_TABLE1", "paper_table1_value"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {"repro.data.table1": ("PAPER_TABLE1", "paper_table1_value")},
+)

@@ -9,23 +9,20 @@
   the Theorem 7 error bound.
 """
 
-from repro.delta.reduction import (
-    reduce_string,
-    reduced_probabilities,
-    slot_bijection,
-)
-from repro.delta.forks import DeltaFork, image_fork
-from repro.delta.settlement import (
-    is_k_delta_settled,
-    theorem7_error_bound,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeltaFork",
-    "image_fork",
-    "is_k_delta_settled",
-    "reduce_string",
-    "reduced_probabilities",
-    "slot_bijection",
-    "theorem7_error_bound",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.delta.reduction": (
+            "reduce_string",
+            "reduced_probabilities",
+            "slot_bijection",
+        ),
+        "repro.delta.forks": ("DeltaFork", "image_fork"),
+        "repro.delta.settlement": (
+            "is_k_delta_settled",
+            "theorem7_error_bound",
+        ),
+    },
+)

@@ -35,106 +35,64 @@ See ``docs/ARCHITECTURE.md`` for the full map and the reproducibility
 contract.
 """
 
-from repro.engine import kernels
-from repro.engine.scenarios import (
-    Batch,
-    Scenario,
-    adversarial_stake_sweep,
-    get_scenario,
-    register,
-    scenario_names,
-)
-from repro.engine.runner import (
-    ChunkAccumulator,
-    Estimate,
-    ExperimentRunner,
-    NoConsecutiveCatalanInWindow,
-    NoUniqueCatalanInWindow,
-    RunReport,
-    accumulate_weights,
-    as_accumulator,
-    chunk_sizes,
-    delta_settlement_violation,
-    estimate_from_hits,
-    estimate_from_moments,
-    no_consecutive_catalan_in_window,
-    no_unique_catalan_in_window,
-    run_chunk,
-    run_scenario,
-    settlement_violation,
-)
-from repro.engine.cache import ResultCache, cache_from_env
-from repro.engine.parallel import (
-    WORKERS_ENV,
-    Backend,
-    ProcessBackend,
-    SerialBackend,
-    default_workers,
-)
-from repro.engine.distributed import DistributedBackend, RemoteTaskError
-from repro.engine.protocol import (
-    ProtocolBatch,
-    ProtocolRunner,
-    ProtocolScenario,
-    protocol_cp_violation,
-    protocol_deep_reorg,
-    protocol_settlement_violation,
-)
-from repro.engine.sweeps import (
-    SweepGrid,
-    SweepPoint,
-    get_grid,
-    grid_names,
-    register_grid,
-    run_grid,
-    select_points,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "Batch",
-    "ChunkAccumulator",
-    "DistributedBackend",
-    "Estimate",
-    "ExperimentRunner",
-    "ProtocolBatch",
-    "ProtocolRunner",
-    "ProtocolScenario",
-    "NoConsecutiveCatalanInWindow",
-    "NoUniqueCatalanInWindow",
-    "ProcessBackend",
-    "RemoteTaskError",
-    "ResultCache",
-    "RunReport",
-    "Scenario",
-    "SerialBackend",
-    "SweepGrid",
-    "SweepPoint",
-    "WORKERS_ENV",
-    "accumulate_weights",
-    "adversarial_stake_sweep",
-    "as_accumulator",
-    "cache_from_env",
-    "chunk_sizes",
-    "default_workers",
-    "delta_settlement_violation",
-    "estimate_from_hits",
-    "estimate_from_moments",
-    "get_grid",
-    "get_scenario",
-    "grid_names",
-    "kernels",
-    "no_consecutive_catalan_in_window",
-    "no_unique_catalan_in_window",
-    "protocol_cp_violation",
-    "protocol_deep_reorg",
-    "protocol_settlement_violation",
-    "register",
-    "register_grid",
-    "run_chunk",
-    "run_grid",
-    "run_scenario",
-    "scenario_names",
-    "select_points",
-    "settlement_violation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.scenarios": (
+            "Batch",
+            "Scenario",
+            "adversarial_stake_sweep",
+            "get_scenario",
+            "register",
+            "scenario_names",
+        ),
+        "repro.engine.runner": (
+            "ChunkAccumulator",
+            "Estimate",
+            "ExperimentRunner",
+            "NoConsecutiveCatalanInWindow",
+            "NoUniqueCatalanInWindow",
+            "RunReport",
+            "accumulate_weights",
+            "as_accumulator",
+            "chunk_sizes",
+            "delta_settlement_violation",
+            "estimate_from_hits",
+            "estimate_from_moments",
+            "no_consecutive_catalan_in_window",
+            "no_unique_catalan_in_window",
+            "run_chunk",
+            "run_scenario",
+            "settlement_violation",
+        ),
+        "repro.engine.cache": ("ResultCache", "cache_from_env"),
+        "repro.engine.parallel": (
+            "WORKERS_ENV",
+            "Backend",
+            "ProcessBackend",
+            "SerialBackend",
+            "default_workers",
+        ),
+        "repro.engine.distributed": ("DistributedBackend", "RemoteTaskError"),
+        "repro.engine.protocol": (
+            "ProtocolBatch",
+            "ProtocolRunner",
+            "ProtocolScenario",
+            "protocol_cp_violation",
+            "protocol_deep_reorg",
+            "protocol_settlement_violation",
+        ),
+        "repro.engine.sweeps": (
+            "SweepGrid",
+            "SweepPoint",
+            "get_grid",
+            "grid_names",
+            "register_grid",
+            "run_grid",
+            "select_points",
+        ),
+    },
+    submodules=("kernels",),
+)

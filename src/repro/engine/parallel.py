@@ -33,14 +33,17 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Protocol, runtime_checkable
+from concurrent.futures import Future
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.engine.runner import Estimator, run_chunk
 from repro.engine.scenarios import Scenario
 from repro.obs import metrics
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "BACKEND_NAMES",
@@ -233,6 +236,9 @@ class ProcessBackend:
 
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # Imported here: the serial paths never load multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 

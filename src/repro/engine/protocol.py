@@ -39,7 +39,7 @@ from repro.engine.runner import (
     Estimator,
     ExperimentRunner,
 )
-from repro.engine.scenarios import register
+from repro.engine.scenarios import PROTOCOL_CHUNK_SIZE, register
 from repro.protocol.adversary import (
     Adversary,
     MaxDelayAdversary,
@@ -79,11 +79,6 @@ ADVERSARIES = ("null", "private-chain", "split", "max-delay")
 #: Network models addressable from a frozen scenario: the slot-quantized
 #: Δ model of the paper, or the continuous-time WAN transport.
 NETWORKS = ("slot", "wan")
-
-#: Default chunk size for protocol runs: one trial is a whole simulated
-#: execution (milliseconds, not microseconds), so chunks are small
-#: enough that a process pool has work to interleave.
-PROTOCOL_CHUNK_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,6 +46,13 @@ PREFIX_STATIONARY = "stationary"
 SAMPLER_IID = "iid"
 SAMPLER_MARTINGALE = "martingale"
 
+#: Default chunk size for protocol runs (:mod:`repro.engine.protocol`):
+#: one trial is a whole simulated execution (milliseconds, not
+#: microseconds), so chunks are small enough that a process pool has
+#: work to interleave.  Defined here, beside the registry, so that the
+#: protocol sweep grids can name it without loading the protocol.
+PROTOCOL_CHUNK_SIZE = 8
+
 
 @dataclass(frozen=True, eq=False)
 class Batch:
@@ -200,6 +207,16 @@ class Scenario:
 _REGISTRY: dict[str, Scenario] = {}
 
 
+def _load_builtins() -> None:
+    """Import the modules that register the other built-in scenarios.
+
+    Lookups that miss, and listings, call this first, so the registry
+    is complete whatever module a process imported first, and a process
+    that never asks for a protocol workload never loads the protocol.
+    """
+    import repro.engine.protocol  # noqa: F401  (registers on import)
+
+
 def register(scenario: Scenario, overwrite: bool = False) -> Scenario:
     """Add a scenario to the registry (keyed by its name)."""
     if scenario.name in _REGISTRY and not overwrite:
@@ -215,6 +232,8 @@ def get_scenario(name: str, **overrides) -> Scenario:
     new depth — the registry entry itself is never mutated (scenarios are
     frozen).
     """
+    if name not in _REGISTRY:
+        _load_builtins()
     try:
         scenario = _REGISTRY[name]
     except KeyError:
@@ -227,6 +246,7 @@ def get_scenario(name: str, **overrides) -> Scenario:
 
 def scenario_names() -> list[str]:
     """Names of all registered scenarios, sorted."""
+    _load_builtins()
     return sorted(_REGISTRY)
 
 

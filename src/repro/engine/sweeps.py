@@ -43,6 +43,7 @@ The registered grids double as the CLI surface: ``python -m repro.sweep
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import itertools
 from dataclasses import dataclass
 
@@ -52,19 +53,8 @@ from repro.core.distributions import (
 )
 from repro.engine.cache import ResultCache
 from repro.engine.parallel import Backend, ProcessBackend, SerialBackend
-from repro.engine.protocol import (
-    PROTOCOL_CHUNK_SIZE,
-    protocol_cp_violation,
-    protocol_deep_reorg,
-    protocol_settlement_violation,
-)
-from repro.engine.runner import (
-    Estimator,
-    ExperimentRunner,
-    delta_settlement_violation,
-    settlement_violation,
-)
-from repro.engine.scenarios import Scenario, get_scenario
+from repro.engine.runner import Estimator, ExperimentRunner
+from repro.engine.scenarios import PROTOCOL_CHUNK_SIZE, Scenario, get_scenario
 
 __all__ = [
     "SweepGrid",
@@ -83,13 +73,22 @@ __all__ = [
 VIRTUAL_AXES = ("alpha", "unique_fraction")
 
 #: Named estimators a grid may reference (``None`` ⇒ the scenario's
-#: default: Δ-settlement for reduced scenarios, plain settlement else).
-ESTIMATORS: dict[str, Estimator] = {
-    "settlement-violation": settlement_violation,
-    "delta-settlement-violation": delta_settlement_violation,
-    "protocol-settlement-violation": protocol_settlement_violation,
-    "protocol-cp-violation": protocol_cp_violation,
-    "protocol-deep-reorg": protocol_deep_reorg,
+#: default: Δ-settlement for reduced scenarios, plain settlement else),
+#: as ``(module, function)``.  :meth:`SweepGrid.resolve_estimator`
+#: imports the module on use, so importing the sweeps loads no protocol
+#: code until a protocol grid runs.
+ESTIMATORS: dict[str, tuple[str, str]] = {
+    "settlement-violation": ("repro.engine.runner", "settlement_violation"),
+    "delta-settlement-violation": (
+        "repro.engine.runner",
+        "delta_settlement_violation",
+    ),
+    "protocol-settlement-violation": (
+        "repro.engine.protocol",
+        "protocol_settlement_violation",
+    ),
+    "protocol-cp-violation": ("repro.engine.protocol", "protocol_cp_violation"),
+    "protocol-deep-reorg": ("repro.engine.protocol", "protocol_deep_reorg"),
 }
 
 
@@ -212,7 +211,10 @@ class SweepGrid:
 
     def resolve_estimator(self) -> Estimator | None:
         """The concrete estimator, or ``None`` for the scenario default."""
-        return ESTIMATORS[self.estimator] if self.estimator else None
+        if not self.estimator:
+            return None
+        module, function = ESTIMATORS[self.estimator]
+        return getattr(importlib.import_module(module), function)
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,13 @@ ledger schemas, and instrumented runs are bit-identical to
 uninstrumented runs on every execution backend.
 """
 
-from repro.obs import metrics, trace
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import span
+from repro._lazy import lazy_exports
 
-__all__ = ["MetricsRegistry", "metrics", "span", "trace"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.metrics": ("MetricsRegistry",),
+        "repro.obs.trace": ("span",),
+    },
+    submodules=("metrics", "trace"),
+)

@@ -22,69 +22,46 @@ all.
 See docs/ARCHITECTURE.md ("Layer 6") for the artifact-format contract.
 """
 
-from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp
-from repro.oracle.refine import (
-    RefineDaemon,
-    SnapTally,
-    load_overlay,
-    refine_once,
-    save_overlay,
-)
-from repro.oracle.service import (
-    OracleDomainError,
-    SettlementOracle,
-    UNREACHABLE_DEPTH,
-)
-from repro.oracle.server import (
-    make_listening_socket,
-    make_server,
-    serve_forever,
-)
-from repro.oracle.store import (
-    FORMAT,
-    FORMAT_VERSION,
-    StoreError,
-    load_tables,
-    read_manifest,
-    save_tables,
-    spec_fingerprint,
-)
-from repro.oracle.tables import (
-    DEFAULT_SPEC,
-    TINY_SPEC,
-    BuildReport,
-    OracleSpec,
-    OracleTables,
-    build_tables,
-    effective_probabilities,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BuildReport",
-    "DEFAULT_MAX_BODY_BYTES",
-    "DEFAULT_SPEC",
-    "FORMAT",
-    "FORMAT_VERSION",
-    "OracleApp",
-    "OracleDomainError",
-    "OracleSpec",
-    "OracleTables",
-    "RefineDaemon",
-    "SettlementOracle",
-    "SnapTally",
-    "StoreError",
-    "TINY_SPEC",
-    "UNREACHABLE_DEPTH",
-    "build_tables",
-    "effective_probabilities",
-    "load_overlay",
-    "load_tables",
-    "make_listening_socket",
-    "make_server",
-    "read_manifest",
-    "refine_once",
-    "save_overlay",
-    "save_tables",
-    "serve_forever",
-    "spec_fingerprint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.oracle.app": ("DEFAULT_MAX_BODY_BYTES", "OracleApp"),
+        "repro.oracle.refine": (
+            "RefineDaemon",
+            "SnapTally",
+            "load_overlay",
+            "refine_once",
+            "save_overlay",
+        ),
+        "repro.oracle.service": (
+            "OracleDomainError",
+            "SettlementOracle",
+            "UNREACHABLE_DEPTH",
+        ),
+        "repro.oracle.server": (
+            "make_listening_socket",
+            "make_server",
+            "serve_forever",
+        ),
+        "repro.oracle.store": (
+            "FORMAT",
+            "FORMAT_VERSION",
+            "StoreError",
+            "load_tables",
+            "read_manifest",
+            "save_tables",
+            "spec_fingerprint",
+        ),
+        "repro.oracle.tables": (
+            "DEFAULT_SPEC",
+            "TINY_SPEC",
+            "BuildReport",
+            "OracleSpec",
+            "OracleTables",
+            "build_tables",
+            "effective_probabilities",
+        ),
+    },
+)

@@ -24,9 +24,12 @@ Error contract: every non-200 body is ``{"error": <kind>, "detail":
 non-numeric parameters, a non-boolean ``strict``), ``out-of-domain``
 (outside the conservative hull), ``not-found``, ``too-large`` (a POST
 body over :attr:`OracleApp.max_body_bytes`, HTTP 413 — the server must
-reject on the ``Content-Length`` header *before* reading the body),
+reject on the ``Content-Length`` header *before* reading the body; a
+request line or header block over the transport's limits, HTTP 414 and
+431), ``not-implemented`` (a method other than GET and POST, HTTP 501)
 and ``internal`` (genuine bugs, HTTP 500).  All non-2xx statuses are
-counted in ``repro_oracle_errors_total{code=...}``.
+counted in ``repro_oracle_errors_total{code=...}``, including those
+the transport answers before a request reaches :meth:`OracleApp.handle`.
 
 Telemetry: the app owns a :class:`repro.obs.metrics.MetricsRegistry`
 (pass ``registry=`` to share one).  Transports call :meth:`observe`
@@ -71,6 +74,9 @@ _SINGLE_PARAMS = {
 #: Paths that may appear as a ``route`` label; anything else is folded
 #: into ``"other"`` so scanners cannot inflate label cardinality.
 _ROUTES = frozenset(_SINGLE_PARAMS) | {"/healthz", "/metrics"}
+
+#: Methods that may appear as a ``method`` label; the same folding.
+_METHODS = frozenset({"GET", "POST"})
 
 
 class Response:
@@ -294,7 +300,7 @@ class OracleApp:
             "repro_oracle_requests_total",
             "requests served, by route/method/status",
             route=route,
-            method=method,
+            method=method if method in _METHODS else "other",
             code=code,
             **self._labels,
         ).inc()

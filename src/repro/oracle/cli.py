@@ -27,12 +27,10 @@ import json
 import pathlib
 import sys
 
-from repro.engine.cache import ResultCache, cache_from_env
-from repro.engine.parallel import BACKEND_NAMES, make_backend
+from repro.engine.parallel import BACKEND_NAMES
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES
-from repro.oracle.server import serve_forever
 from repro.oracle.service import SettlementOracle
 from repro.oracle.store import StoreError
 from repro.oracle.tables import DEFAULT_SPEC, TINY_SPEC, OracleSpec, build_tables
@@ -78,6 +76,11 @@ def _build_spec(args) -> OracleSpec:
 
 
 def _cmd_build(args) -> int:
+    # Verb-local imports, here and in _cmd_serve: a one-shot query loads
+    # neither the chunk ledger nor the HTTP server.
+    from repro.engine.cache import ResultCache, cache_from_env
+    from repro.engine.parallel import make_backend
+
     spec = _build_spec(args)
     cache = (
         ResultCache(args.cache_dir)
@@ -174,6 +177,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from repro.oracle.server import serve_forever
+
     oracle = SettlementOracle.load(args.artifact)
     refine_path = None
     if args.refine or args.refine_path is not None:

@@ -49,6 +49,14 @@ __all__ = [
     "serve_forever",
 ]
 
+#: Error kinds of the statuses http.server sends on its own; the others
+#: it sends (400, 505) are ``bad-request``.
+_TRANSPORT_ERROR_KINDS = {
+    414: "too-large",
+    431: "too-large",
+    501: "not-implemented",
+}
+
 
 def make_listening_socket(
     host: str = "127.0.0.1", port: int = 0, backlog: int = 128
@@ -169,6 +177,27 @@ def make_server(
             response = app.handle("POST", self.path, body)
             self._respond(response)
             return response
+
+        def send_error(self, code, message=None, explain=None) -> None:
+            """Answer an error that http.server detects before a route
+            runs (a malformed request line, a request line or header
+            block over its limits, a method no route takes) under the
+            app's error contract, and count it like any other request."""
+            started = time.perf_counter()
+            # A request line that did not parse leaves the version at
+            # HTTP/0.9, for which http.server writes no status line.
+            self.request_version = self.protocol_version
+            kind = _TRANSPORT_ERROR_KINDS.get(code, "bad-request")
+            detail = message or self.responses[code][0]
+            self._respond(app.error(code, kind, detail), close=True)
+            app.observe(
+                self.command or "",
+                # ``path`` is this request's only if its line parsed.
+                urlsplit(self.path).path if self.command else "",
+                code,
+                time.perf_counter() - started,
+                client=self.client_address[0],
+            )
 
         def log_message(self, format, *args):  # noqa: A002
             pass  # replaced by the app's structured access log.

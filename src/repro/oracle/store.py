@@ -8,9 +8,9 @@ An artifact is a directory::
     <dir>/analytic_depth.npy   # int64   (|α|, |frac|, |Δ|, |targets|)
 
 The **fingerprint** is the SHA-256 of the canonical JSON of
-``{"format", "format_version", "spec"}`` — computed by the very same
-digest routine the engine's :class:`~repro.engine.cache.ResultCache`
-keys estimates with, and with the same invalidation rule: *any*
+``{"format", "format_version", "spec"}`` — the same canonical digest
+the engine's :class:`~repro.engine.cache.ResultCache` keys its chunk
+ledgers with, and with the same invalidation rule: *any*
 component change (an axis value, the activity, the MC configuration,
 the format version) is a different fingerprint, and identical
 components always collapse to the same one.  ``build_tables`` uses this
@@ -42,7 +42,6 @@ import tempfile
 
 import numpy as np
 
-from repro.engine.cache import ResultCache
 from repro.oracle.tables import OracleSpec, OracleTables
 
 __all__ = [
@@ -97,10 +96,13 @@ def spec_key(spec: OracleSpec) -> dict:
 def spec_fingerprint(spec: OracleSpec) -> str:
     """SHA-256 over the canonical serialization of :func:`spec_key`.
 
-    Delegates to :meth:`ResultCache.digest` so the oracle's artifacts
-    and the engine's estimate cache share one keying discipline.
+    The serialization is :meth:`~repro.engine.cache.ResultCache.digest`'s
+    (sorted keys, no whitespace), so the oracle's artifacts and the
+    engine's chunk ledger share one keying discipline; it is spelled out
+    here so that loading an artifact does not import the engine's cache.
     """
-    return ResultCache.digest(spec_key(spec))
+    canonical = json.dumps(spec_key(spec), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def manifest_path(directory: str | os.PathLike) -> pathlib.Path:

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -66,10 +67,10 @@ from repro.core.distributions import (
     semi_synchronous_condition,
 )
 from repro.delta.reduction import reduced_probabilities
-from repro.engine.cache import ResultCache, format_stats
-from repro.engine.parallel import ProcessBackend, SerialBackend
-from repro.engine.runner import Estimate
-from repro.engine.sweeps import SweepGrid, run_grid
+
+if TYPE_CHECKING:
+    from repro.engine.cache import ResultCache
+    from repro.engine.sweeps import SweepGrid
 
 __all__ = [
     "ANALYTIC_HORIZON_FACTOR",
@@ -399,6 +400,8 @@ def _mc_grid(
     spec: OracleSpec, combo_index: int, probabilities: SlotProbabilities
 ) -> SweepGrid:
     """The per-combo Monte-Carlo validation grid (depth axis only)."""
+    from repro.engine.sweeps import SweepGrid
+
     return SweepGrid(
         name=f"oracle-mc-{combo_index}",
         base="iid-settlement",
@@ -447,7 +450,10 @@ def build_tables(
     ``log`` is an optional ``print``-like callable for build progress
     (the CLI passes ``print``; the default is silent).
     """
-    from repro.oracle import store  # local: store imports OracleTables
+    # Local imports: store imports OracleTables, and loading the tables
+    # (to serve or query them) needs none of the build machinery.
+    from repro.engine.parallel import ProcessBackend, SerialBackend
+    from repro.oracle import store
 
     emit = log if log is not None else (lambda *_: None)
     start = time.perf_counter()
@@ -531,6 +537,9 @@ def build_tables(
                 f"cross-validating {len(laws)} combos x "
                 f"{len(spec.mc_depths)} depths by Monte Carlo ({budget})"
             )
+            from repro.engine.runner import Estimate
+            from repro.engine.sweeps import run_grid
+
             depth_index = {k: m for m, k in enumerate(spec.depths)}
             for combo_index, ((i, j, l), law) in enumerate(laws.items()):
                 rows = run_grid(
@@ -570,6 +579,8 @@ def build_tables(
     )
     stats = cache.stats() if cache is not None else None
     if stats is not None:
+        from repro.engine.cache import format_stats
+
         emit(f"result {format_stats(stats)}")
 
     manifest_path = None

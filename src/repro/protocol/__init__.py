@@ -23,40 +23,30 @@ implements that protocol end to end:
   execution→fork extractor that closes the loop with the paper's model.
 """
 
-from repro.protocol.block import Block, BlockTree, genesis_block
-from repro.protocol.crypto import IdealSignatureScheme, IdealVrf, hash_data
-from repro.protocol.leader import (
-    LeaderSchedule,
-    StakeDistribution,
-    VrfLeaderElection,
-)
-from repro.protocol.events import Event, EventScheduler
-from repro.protocol.network import NetworkModel
-from repro.protocol.node import HonestNode
-from repro.protocol.simulation import (
-    DelayDistribution,
-    Simulation,
-    SimulationResult,
-)
-from repro.protocol.transport import Transport, TransportConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Block",
-    "BlockTree",
-    "DelayDistribution",
-    "Event",
-    "EventScheduler",
-    "HonestNode",
-    "IdealSignatureScheme",
-    "IdealVrf",
-    "LeaderSchedule",
-    "NetworkModel",
-    "Simulation",
-    "SimulationResult",
-    "StakeDistribution",
-    "Transport",
-    "TransportConfig",
-    "VrfLeaderElection",
-    "genesis_block",
-    "hash_data",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.protocol.block": ("Block", "BlockTree", "genesis_block"),
+        "repro.protocol.crypto": (
+            "IdealSignatureScheme",
+            "IdealVrf",
+            "hash_data",
+        ),
+        "repro.protocol.leader": (
+            "LeaderSchedule",
+            "StakeDistribution",
+            "VrfLeaderElection",
+        ),
+        "repro.protocol.events": ("Event", "EventScheduler"),
+        "repro.protocol.network": ("NetworkModel",),
+        "repro.protocol.node": ("HonestNode",),
+        "repro.protocol.simulation": (
+            "DelayDistribution",
+            "Simulation",
+            "SimulationResult",
+        ),
+        "repro.protocol.transport": ("Transport", "TransportConfig"),
+    },
+)

@@ -10,14 +10,17 @@ streams loudly.
 
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro.engine.distributed as distributed_module
 from repro.engine import (
     DistributedBackend,
     ExperimentRunner,
@@ -177,13 +180,31 @@ class TestFailover:
     def _spawn_worker(self):
         return _spawn_worker()
 
-    def test_worker_killed_mid_run_requeues_onto_survivor(self, caplog):
+    def test_worker_killed_mid_run_requeues_onto_survivor(
+        self, caplog, monkeypatch
+    ):
         scenario = get_scenario("iid-settlement", depth=20)
         runner = ExperimentRunner(scenario, chunk_size=512)
         serial = runner.run(10_240, seed=7, backend=SerialBackend())
 
         victim, victim_address = self._spawn_worker()
         survivor, survivor_address = self._spawn_worker()
+        # The victim must die holding a chunk: killed before the backend
+        # connects, it is retired as unreachable and nothing requeues.
+        # Stopped, it still accepts connections (the kernel's backlog)
+        # but cannot answer, so a chunk sent to it stays in flight.
+        victim_holds_chunk = threading.Event()
+
+        def send_and_flag(sock, message):
+            send_message(sock, message)
+            if (
+                message.get("op") == "chunk"
+                and sock.getpeername()[:2] == victim_address
+            ):
+                victim_holds_chunk.set()
+
+        monkeypatch.setattr(distributed_module, "send_message", send_and_flag)
+        victim.send_signal(signal.SIGSTOP)
         try:
             backend = DistributedBackend(
                 [victim_address, survivor_address], timeout=30.0
@@ -192,7 +213,8 @@ class TestFailover:
                 "WARNING", logger="repro.engine.distributed"
             ):
                 pending = runner.submit(10_240, seed=7, backend=backend)
-                victim.kill()  # hard kill: in-flight chunks requeue
+                assert victim_holds_chunk.wait(timeout=30)
+                victim.kill()  # hard kill: the in-flight chunk requeues
                 distributed = pending.result()
             assert distributed == serial
             # The requeue names the host (and, once a stats frame has

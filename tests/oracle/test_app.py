@@ -300,6 +300,18 @@ class TestObserve:
         )
         assert "wp-admin" not in text
 
+    def test_unknown_methods_fold_into_other(self, app):
+        """The transport answers any method but GET and POST with a 501
+        and counts it; a client-chosen name must not become a label."""
+        for method in ("PUT", "DELETE", "X" * 64):
+            app.observe(method, "/healthz", 501, 0.001)
+        text = app.registry.render()
+        assert (
+            'repro_oracle_requests_total{code="501",method="other",'
+            'route="/healthz"} 3' in text
+        )
+        assert "PUT" not in text
+
     def test_errors_counted_only_from_400(self, app):
         app.observe("GET", "/healthz", 200, 0.001)
         app.observe("GET", "/healthz", 399, 0.001)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.analysis.exact import compute_settlement_probabilities
-from repro.oracle import cli
+from repro.oracle import cli, server
 from repro.oracle.store import save_tables
 from repro.oracle.tables import (
     OracleSpec,
@@ -140,7 +140,7 @@ class TestCli:
         save_tables(tables, artifact)
         captured = {}
         monkeypatch.setattr(
-            cli,
+            server,
             "serve_forever",
             lambda oracle, **kwargs: captured.update(kwargs),
         )
@@ -176,7 +176,7 @@ class TestCli:
         save_tables(tables, artifact)
         captured = {}
         monkeypatch.setattr(
-            cli,
+            server,
             "serve_forever",
             lambda oracle, **kwargs: captured.update(kwargs),
         )

@@ -16,6 +16,7 @@ serving tier's core contract (the bodies are produced once, in
 import http.client
 import json
 import multiprocessing
+import re
 import socket
 import threading
 import time
@@ -149,22 +150,81 @@ def _get(address, target):
     return _exchange(address, "GET", target)
 
 
-def _raw_exchange(address, data, timeout=10):
-    """Write ``data`` on a fresh socket and read until the server
+def _send_until_close(raw, data):
+    """Write ``data`` on the socket ``raw`` and read until the server
     closes; returns ``(status, bytes)``.  A server that rejects a
     request before reading all of it may reset the connection, so a
     reset after the response arrived ends the read like a close."""
     received = b""
-    with socket.create_connection(address, timeout=timeout) as raw:
-        try:
-            raw.sendall(data)
-            while chunk := raw.recv(65536):
-                received += chunk
-        except (BrokenPipeError, ConnectionResetError):
-            if not received:
-                raise
+    try:
+        raw.sendall(data)
+        while chunk := raw.recv(65536):
+            received += chunk
+    except (BrokenPipeError, ConnectionResetError):
+        if not received:
+            raise
     status_line = received.split(b"\r\n", 1)[0]
     return int(status_line.split()[1]), received
+
+
+def _raw_exchange(address, data, timeout=10):
+    """:func:`_send_until_close` on a fresh connection."""
+    with socket.create_connection(address, timeout=timeout) as raw:
+        return _send_until_close(raw, data)
+
+
+def _scrape(connection) -> str:
+    connection.request("GET", "/metrics")
+    return connection.getresponse().read().decode()
+
+
+def _errors_counted(text: str, code: int) -> float:
+    """``repro_oracle_errors_total{code=...}`` in one scrape (0 if the
+    series does not exist yet)."""
+    match = re.search(
+        rf'^repro_oracle_errors_total{{code="{code}"[^}}]*}} (\S+)$',
+        text,
+        re.MULTILINE,
+    )
+    return float(match.group(1)) if match else 0.0
+
+
+def _counted_error(address, data, code):
+    """Send the malformed request ``data``; assert that the answer has
+    an HTTP/1.1 status line with status ``code`` and that the serving
+    process counted it in ``repro_oracle_errors_total``.  Returns the
+    parsed JSON body.
+
+    Which pre-fork worker accepts a connection is the kernel's choice,
+    so the request goes out on a keep-alive connection that is known
+    to share its process with the one scraping ``/metrics``: of any
+    three connections, two share a worker, told apart by the
+    ``worker`` label of their own scrapes."""
+    connections = [
+        http.client.HTTPConnection(*address, timeout=10) for _ in range(3)
+    ]
+    try:
+        by_process = {}
+        for connection in connections:
+            connection.request("GET", "/healthz")
+            connection.getresponse().read()
+            worker = re.search(r'worker="([^"]*)"', _scrape(connection))
+            by_process.setdefault(worker and worker.group(1), []).append(
+                connection
+            )
+        scraper, sender = next(
+            pair for pair in by_process.values() if len(pair) >= 2
+        )[:2]
+        before = _errors_counted(_scrape(scraper), code)
+        status, data = _send_until_close(sender.sock, data)
+        after = _errors_counted(_scrape(scraper), code)
+    finally:
+        for connection in connections:
+            connection.close()
+    assert data.startswith(f"HTTP/1.1 {code} ".encode())
+    assert status == code
+    assert after == before + 1
+    return json.loads(data.split(b"\r\n\r\n", 1)[1])
 
 
 def _post(address, target, payload):
@@ -383,20 +443,48 @@ class TestConformance:
     def test_overlong_request_line_is_414(self, served):
         _, address = served
         target = "/v1/violation?pad=" + "a" * (64 * 1024)
-        status, _ = _raw_exchange(
-            address, f"GET {target} HTTP/1.1\r\nHost: test\r\n\r\n".encode()
+        payload = _counted_error(
+            address,
+            f"GET {target} HTTP/1.1\r\nHost: test\r\n\r\n".encode(),
+            414,
         )
-        assert status == 414
+        assert payload["error"] == "too-large"
         assert _get(address, "/healthz")[0] == 200
 
     def test_too_many_headers_is_431(self, served):
         _, address = served
         headers = "".join(f"X-Pad-{index}: x\r\n" for index in range(128))
-        status, _ = _raw_exchange(
+        payload = _counted_error(
             address,
             f"GET /healthz HTTP/1.1\r\nHost: test\r\n{headers}\r\n".encode(),
+            431,
         )
-        assert status == 431
+        assert payload == {"error": "too-large", "detail": "Too many headers"}
+        assert _get(address, "/healthz")[0] == 200
+
+    def test_malformed_request_line_is_400_with_status_line(self, served):
+        """A one-word request line parses as HTTP/0.9, which http.server
+        answers with no status line; the oracle answers HTTP/1.1."""
+        _, address = served
+        payload = _counted_error(address, b"GARBAGE\r\n", 400)
+        assert payload == {
+            "error": "bad-request",
+            "detail": "Bad request syntax ('GARBAGE')",
+        }
+        assert _get(address, "/healthz")[0] == 200
+
+    def test_unsupported_method_is_501(self, served):
+        _, address = served
+        payload = _counted_error(
+            address,
+            b"PUT /v1/violation HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 2\r\n\r\n{}",
+            501,
+        )
+        assert payload == {
+            "error": "not-implemented",
+            "detail": "Unsupported method ('PUT')",
+        }
         assert _get(address, "/healthz")[0] == 200
 
     def test_stalled_client_does_not_block_others(self, served):

@@ -294,6 +294,9 @@ class OracleApp:
     ) -> None:
         """Count one finished request (the server calls this once per
         request, including error and 413 short-circuits)."""
+        # http.server hands over ``HTTPStatus`` members, whose ``str``
+        # is the member name before Python 3.11; labels are numeric.
+        status = int(status)
         route = path if path in _ROUTES else "other"
         code = str(status)
         self.registry.counter(

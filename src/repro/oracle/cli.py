@@ -27,7 +27,8 @@ import json
 import pathlib
 import sys
 
-from repro.engine.parallel import BACKEND_NAMES
+from repro.engine.cache import ResultCache, cache_from_env
+from repro.engine.parallel import BACKEND_NAMES, make_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES
@@ -76,11 +77,6 @@ def _build_spec(args) -> OracleSpec:
 
 
 def _cmd_build(args) -> int:
-    # Verb-local imports, here and in _cmd_serve: a one-shot query loads
-    # neither the chunk ledger nor the HTTP server.
-    from repro.engine.cache import ResultCache, cache_from_env
-    from repro.engine.parallel import make_backend
-
     spec = _build_spec(args)
     cache = (
         ResultCache(args.cache_dir)
@@ -177,6 +173,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    # Verb-local: a one-shot query does not load the HTTP server.
     from repro.oracle.server import serve_forever
 
     oracle = SettlementOracle.load(args.artifact)

@@ -184,6 +184,7 @@ def make_server(
             block over its limits, a method no route takes) under the
             app's error contract, and count it like any other request."""
             started = time.perf_counter()
+            code = int(code)  # http.server passes ``HTTPStatus`` members
             # A request line that did not parse leaves the version at
             # HTTP/0.9, for which http.server writes no status line.
             self.request_version = self.protocol_version

@@ -42,6 +42,7 @@ import tempfile
 
 import numpy as np
 
+from repro.engine.cache import ResultCache
 from repro.oracle.tables import OracleSpec, OracleTables
 
 __all__ = [
@@ -96,13 +97,10 @@ def spec_key(spec: OracleSpec) -> dict:
 def spec_fingerprint(spec: OracleSpec) -> str:
     """SHA-256 over the canonical serialization of :func:`spec_key`.
 
-    The serialization is :meth:`~repro.engine.cache.ResultCache.digest`'s
-    (sorted keys, no whitespace), so the oracle's artifacts and the
-    engine's chunk ledger share one keying discipline; it is spelled out
-    here so that loading an artifact does not import the engine's cache.
+    Delegates to :meth:`ResultCache.digest` so the oracle's artifacts
+    and the engine's chunk ledger share one keying discipline.
     """
-    canonical = json.dumps(spec_key(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return ResultCache.digest(spec_key(spec))
 
 
 def manifest_path(directory: str | os.PathLike) -> pathlib.Path:

@@ -8,6 +8,8 @@ reaches the branches a well-formed HTTP client never takes.
 """
 
 import json
+from enum import Enum, IntEnum
+from http import HTTPStatus
 
 import pytest
 
@@ -289,6 +291,14 @@ class TestTally:
         assert tally.total == 0
 
 
+class _NamedStatus(IntEnum):
+    """An ``IntEnum`` whose ``str`` is its member name, as it was for
+    every ``IntEnum`` (``HTTPStatus`` included) before Python 3.11."""
+
+    REQUEST_URI_TOO_LONG = 414
+    __str__ = Enum.__str__
+
+
 class TestObserve:
     def test_unknown_paths_fold_into_other(self, app):
         for path in ("/wp-admin", "/.env", "/v2/nothing"):
@@ -311,6 +321,24 @@ class TestObserve:
             'route="/healthz"} 3' in text
         )
         assert "PUT" not in text
+
+    @pytest.mark.parametrize(
+        "status",
+        [HTTPStatus.REQUEST_URI_TOO_LONG, _NamedStatus.REQUEST_URI_TOO_LONG],
+    )
+    def test_enum_statuses_label_as_numbers(self, app, status):
+        """http.server reports its own errors as ``HTTPStatus`` members,
+        whose ``str`` is the member name before Python 3.11
+        (``_NamedStatus`` reproduces that on any interpreter)."""
+        assert str(_NamedStatus.REQUEST_URI_TOO_LONG) != "414"
+        app.observe("GET", "/healthz", status, 0.001)
+        text = app.registry.render()
+        assert (
+            'repro_oracle_requests_total{code="414",method="GET",'
+            'route="/healthz"} 1' in text
+        )
+        assert 'repro_oracle_errors_total{code="414"} 1' in text
+        assert "HTTPStatus" not in text
 
     def test_errors_counted_only_from_400(self, app):
         app.observe("GET", "/healthz", 200, 0.001)

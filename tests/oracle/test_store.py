@@ -78,16 +78,6 @@ class TestFingerprint:
                 dataclasses.replace(SPEC, **change)
             ) != spec_fingerprint(SPEC)
 
-    def test_same_digest_as_the_chunk_ledger(self):
-        """The store spells out the ledger's canonical digest (so that
-        loading an artifact does not import the engine's cache); the
-        two must not drift apart."""
-        from repro.engine.cache import ResultCache
-
-        assert spec_fingerprint(SPEC) == ResultCache.digest(
-            store.spec_key(SPEC)
-        )
-
 
 class TestCorruption:
     def test_missing_artifact(self, tmp_path):

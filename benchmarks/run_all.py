@@ -1,6 +1,6 @@
 """Run the benchmark suite and record the engine performance baseline.
 
-Ten jobs:
+Nine jobs:
 
 1. measure the protocol workload (engine layer 5): the E10 throughput
    scenario through ProtocolRunner (shared validation + hash-indexed
@@ -41,21 +41,15 @@ Ten jobs:
    simulator's trials/s (floor: >= 0.5x — physics costs something, but
    not more than half the throughput), and the degenerate-configuration
    bit-identity assert — the "wan" record;
-8. resolve the rare-event acceptance cell (alpha = 0.20, fraction 1.0,
-   depth 120; exact DP ~8.45e-10, beyond direct MC at any affordable
-   budget) by exponential-tilting importance sampling — the
-   "rare_event" record: within 6 sigma of the exact DP, and the
-   variance-reduction floor — realized IS trials <= 0.1x the direct-MC
-   projection (1-p)/(p*rel_se^2);
-9. time the exact Section 6.6 DP — one banded sweep at alpha = 0.30,
+8. time the exact Section 6.6 DP — one banded sweep at alpha = 0.30,
    fraction 0.9 to k = 100, 200, 300 and 500 (median of 5, with min
    and max) and, outside --quick, the full 180-cell Table 1 — and
    assert that every read-out at k <= 400 prints Table 1's three
    digits — the "exact" record;
-10. optionally execute the pytest benchmark suite (skipped with
-    --perf-only; shrunk with --quick for CI).  The suite inherits the
-    cache via $REPRO_SWEEP_CACHE, so its sweep-driven benches also skip
-    already-computed points.
+9. optionally execute the pytest benchmark suite (skipped with
+   --perf-only; shrunk with --quick for CI).  The suite inherits the
+   cache via $REPRO_SWEEP_CACHE, so its sweep-driven benches also skip
+   already-computed points.
 
 All records land in BENCH_engine.json at the repo root.
 
@@ -568,71 +562,6 @@ def wan_record(quick: bool) -> dict:
     }
 
 
-def rare_event_record(quick: bool) -> dict:
-    """The rare-event record (E12, the PR 8 point).
-
-    The acceptance cell — alpha = 0.20, fully unique honest slots,
-    depth 120 — has exact violation probability ~8.45e-10: resolving it
-    to 30% relative error by direct Monte Carlo would take ~3e10
-    trials.  The record runs the exponential-tilting IS estimator
-    adaptively (relative-SE target with a trial ceiling), cross-checks
-    against the exact DP (within 6 sigma, asserted by main()), and
-    records the variance-reduction floor: realized IS trials must be
-    <= 0.1x the direct-MC projection (measured: ~6 orders of magnitude
-    under it).  The warm chunk ledger makes a rerun free — the same
-    property the CI rare-event-smoke job asserts through the module's
-    CLI.
-    """
-    import dataclasses as dc
-
-    from repro.analysis.rare_event import (
-        direct_mc_projection,
-        settlement_is_estimate,
-    )
-    from repro.core.distributions import from_adversarial_stake
-
-    alpha, fraction, depth = 0.20, 1.0, 120
-    rel_se = 0.3 if quick else 0.25
-    max_trials = 100_000 if quick else 200_000
-    seed = SEEDS.get("rare_event", 7)
-
-    law = from_adversarial_stake(alpha, fraction)
-    scenario = dc.replace(
-        get_scenario("iid-settlement", depth=depth), probabilities=law
-    )
-    exact_s, exact = _time(settlement_violation_probability, law, depth)
-    is_s, estimate = _time(
-        settlement_is_estimate,
-        scenario,
-        seed,
-        rel_se=rel_se,
-        max_trials=max_trials,
-    )
-    relative = (
-        estimate.standard_error / estimate.value
-        if estimate.value > 0
-        else float("inf")
-    )
-    projection = direct_mc_projection(exact, rel_se)
-    return {
-        "cell": {"alpha": alpha, "unique_fraction": fraction, "depth": depth},
-        "exact_dp": exact,
-        "exact_dp_seconds": round(exact_s, 4),
-        "is_estimate": estimate.value,
-        "is_standard_error": estimate.standard_error,
-        "is_relative_se": round(relative, 4),
-        "is_trials": estimate.trials,
-        "is_seconds": round(is_s, 4),
-        "rel_se_target": rel_se,
-        "direct_mc_projection_trials": round(projection),
-        "variance_reduction": round(projection / estimate.trials, 1),
-        "within_6_sigma": (
-            abs(estimate.value - exact) <= 6.0 * estimate.standard_error
-        ),
-        "trials_under_floor": estimate.trials <= 0.1 * projection,
-    }
-
-
 def _spawn_worker(env: dict) -> tuple[subprocess.Popen, str]:
     """Start one ``python -m repro.worker`` subprocess; (proc, host:port)."""
     import re
@@ -854,7 +783,6 @@ def main() -> int:
     record["serving"] = serving_record(args.quick)
     record["backend"] = backend_record(args.quick)
     record["wan"] = wan_record(args.quick)
-    record["rare_event"] = rare_event_record(args.quick)
     out = REPO_ROOT / "BENCH_engine.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     protocol = record["protocol"]
@@ -958,15 +886,6 @@ def main() -> int:
         f"{'bit-identical' if wan['degenerate_bit_identical'] else 'DIVERGED'}"
         f"; delay p99 {wan['delay_distribution']['p99']} slots, "
         f"Delta-exceedance {wan['delay_distribution']['exceedance_rate']}"
-    )
-    rare = record["rare_event"]
-    print(
-        f"rare_event alpha={rare['cell']['alpha']} "
-        f"depth={rare['cell']['depth']}: exact DP {rare['exact_dp']:.3e}, "
-        f"IS {rare['is_estimate']:.3e} "
-        f"(rel. SE {rare['is_relative_se']}, {rare['is_trials']} trials "
-        f"vs ~{rare['direct_mc_projection_trials']:.1e} direct-MC "
-        f"projection -> {rare['variance_reduction']}x variance reduction)"
     )
     print(f"perf record written to {out}")
 
@@ -1087,22 +1006,6 @@ def main() -> int:
         print(
             "FAIL: event scheduler slower than half the slot simulator's "
             f"trial rate ({wan['scheduler_events_per_second']} events/s)",
-            file=sys.stderr,
-        )
-        return 1
-
-    if not rare["within_6_sigma"]:
-        print(
-            "FAIL: rare-event IS estimate more than 6 sigma from the "
-            f"exact DP ({rare['is_estimate']} vs {rare['exact_dp']})",
-            file=sys.stderr,
-        )
-        return 1
-    if not rare["trials_under_floor"]:
-        print(
-            "FAIL: rare-event IS below the variance-reduction floor "
-            f"({rare['is_trials']} trials > 0.1x the "
-            f"{rare['direct_mc_projection_trials']}-trial projection)",
             file=sys.stderr,
         )
         return 1

@@ -49,20 +49,14 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "scenario_names",
         ),
         "repro.engine.runner": (
-            "ChunkAccumulator",
             "Estimate",
             "ExperimentRunner",
             "NoConsecutiveCatalanInWindow",
             "NoUniqueCatalanInWindow",
             "RunReport",
-            "accumulate_weights",
-            "as_accumulator",
             "chunk_sizes",
             "delta_settlement_violation",
             "estimate_from_hits",
-            "estimate_from_moments",
-            "no_consecutive_catalan_in_window",
-            "no_unique_catalan_in_window",
             "run_chunk",
             "run_scenario",
             "settlement_violation",

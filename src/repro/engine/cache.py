@@ -3,15 +3,14 @@
 The cache has one granularity: the **chunk**.  A run configuration —
 the frozen :class:`~repro.engine.scenarios.Scenario`, the estimator,
 the integer seed and the chunk size — owns one *ledger*, and the ledger
-holds one weighted accumulator ``(sum_w, sum_w2, trials)`` per chunk
-the runner ever computed for it, keyed by ``(index, size)``.  Because
-the runner's spawned ``SeedSequence`` children form a prefix-stable
-stream (chunk ``i`` is seeded by ``SeedSequence(seed, spawn_key=(i,))``
-regardless of how many chunks a run needs — see the
-:mod:`repro.engine.runner` reproducibility contract), a trial count
-merely selects a prefix of the chunk stream: an identical rerun reads
-every chunk back and samples nothing, and extending a run samples only
-the chunks the ledger lacks.  The ragged remainder is a shorter draw
+holds one hit count per chunk the runner ever computed for it, keyed by
+``(index, size)``.  Because the runner's spawned ``SeedSequence``
+children form a prefix-stable stream (chunk ``i`` is seeded by
+``SeedSequence(seed, spawn_key=(i,))`` regardless of how many chunks a
+run needs — see the :mod:`repro.engine.runner` reproducibility
+contract), a trial count merely selects a prefix of the chunk stream:
+an identical rerun reads every chunk back and samples nothing, and
+extending a run samples only the chunks the ledger lacks.  The ragged remainder is a shorter draw
 from the same child, so its size is part of its identity: a run of
 1,000 trials in 512-trial chunks ledgers ``(0, 512)`` and ``(1, 488)``,
 and a later run of 1,500 reuses ``(0, 512)`` but samples ``(1, 512)``
@@ -33,14 +32,18 @@ Layout: one append-only JSON-lines file,
 ``<directory>/<sha256-prefix>.ledger.jsonl``, per run configuration.
 The first line is a header carrying the human-readable key, so a cache
 directory doubles as a record of every configuration ever run; each
-later line is one chunk record ``[index, sum_w, sum_w2, trials]``::
+later line is one chunk record ``[index, hits, trials]``::
 
-    {"key": {"kind": "chunk-ledger", "scenario": {...},
+    {"key": {"kind": "chunk-ledger", "version": 4, "scenario": {...},
              "estimator": "...", "seed": 7, "chunk_size": 4096},
-     "version": 3}
-    [0, 51.0, 51.0, 4096]
-    [1, 47.0, 47.0, 4096]
-    [2, 12.0, 12.0, 1808]
+     "version": 4}
+    [0, 51, 4096]
+    [1, 47, 4096]
+    [2, 12, 1808]
+
+The schema version is part of the key, so a ledger another version
+wrote lives at another path and is never read or appended to: a cache
+directory outlives a schema change at the cost of one re-sampling.
 
 Concurrency: :meth:`ResultCache.put_chunks` appends a wave's records in
 one write under an exclusive ``fcntl.flock``, so concurrent writers
@@ -57,11 +60,10 @@ import dataclasses
 import fcntl
 import hashlib
 import json
-import math
 import os
 import pathlib
 
-from repro.engine.runner import ChunkAccumulator, Estimator, as_accumulator
+from repro.engine.runner import Estimator, is_hit_count
 from repro.engine.scenarios import Scenario
 from repro.obs import metrics
 
@@ -76,8 +78,8 @@ __all__ = [
 ]
 
 #: Current on-disk chunk-ledger schema: a JSON-lines file of
-#: ``[index, sum_w, sum_w2, trials]`` records after one header line.
-LEDGER_VERSION = 3
+#: ``[index, hits, trials]`` records after one header line.
+LEDGER_VERSION = 4
 
 
 def format_stats(stats: dict) -> str:
@@ -143,13 +145,17 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """A finite JSON number that is not a bool (strings and booleans
-    would load fine and crash — or silently miscompare — much later)."""
+def _is_record(index, hits, trials, chunk_size: int) -> bool:
+    """Could ``[index, hits, trials]`` be a chunk of a ``chunk_size``
+    ledger?  Strings, floats and booleans would load fine and crash — or
+    silently miscompare — much later, and a hit count outside
+    ``[0, trials]`` is no probability."""
     return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
+        _is_count(index)
+        and index >= 0
+        and _is_count(trials)
+        and 1 <= trials <= chunk_size
+        and is_hit_count(hits, trials)
     )
 
 
@@ -189,10 +195,13 @@ class ResultCache:
 
         Deliberately *without* ``trials``: the ledger is the prefix-
         stable chunk stream itself, and a trial count merely selects a
-        prefix of it.  The ``kind`` marker names the file in its header.
+        prefix of it.  With the schema ``version``: records of another
+        schema go to another file.  The ``kind`` marker names the file in
+        its header.
         """
         return {
             "kind": "chunk-ledger",
+            "version": LEDGER_VERSION,
             "scenario": scenario_fingerprint(scenario),
             "estimator": estimator_token(estimator),
             "seed": int(seed),
@@ -207,14 +216,14 @@ class ResultCache:
 
     def get_chunks(
         self, key: dict, sizes: dict[int, int]
-    ) -> dict[int, ChunkAccumulator]:
-        """Ledgered accumulators for the requested chunks.
+    ) -> dict[int, int]:
+        """Ledgered hit counts for the requested chunks.
 
         ``sizes`` maps each wanted chunk index to its trial count;
-        returns ``{index: ChunkAccumulator}`` for every index whose
-        ``(index, size)`` record is in the ledger, and absent chunks are
-        simply missing from the result.  Found and absent chunks count
-        toward ``chunk_hits`` / ``chunk_misses``.
+        returns ``{index: hits}`` for every index whose ``(index, size)``
+        record is in the ledger, and absent chunks are simply missing
+        from the result.  Found and absent chunks count toward
+        ``chunk_hits`` / ``chunk_misses``.
         """
         stored = self._load_ledger(
             self.ledger_path(key), int(key["chunk_size"])
@@ -240,22 +249,26 @@ class ResultCache:
         return found
 
     def put_chunks(
-        self, key: dict, chunks: dict[int, ChunkAccumulator]
+        self, key: dict, chunks: dict[tuple[int, int], int]
     ) -> pathlib.Path:
-        """Append ``chunks`` (``{index: accumulator}``) to the ledger.
+        """Append ``chunks`` (``{(index, size): hits}``) to the ledger.
 
-        Values may be :class:`~repro.engine.runner.ChunkAccumulator`
-        instances or plain triples — both are normalised before writing,
-        and each record carries its own trial count.  The records go out
-        in one append under an exclusive ``flock`` (with the header
-        first when the file is new), so the I/O is proportional to the
-        new chunks and concurrent writers lose nothing.  Returns the
-        ledger path.
+        A record the loader would skip raises ``ValueError`` instead of
+        being written.  The records go out in one append under an
+        exclusive ``flock`` (with the header first when the file is
+        new), so the I/O is proportional to the new chunks and
+        concurrent writers lose nothing.  Returns the ledger path.
         """
+        chunk_size = int(key["chunk_size"])
+        for (index, size), hits in chunks.items():
+            if not _is_record(index, hits, size, chunk_size):
+                raise ValueError(
+                    f"[{index!r}, {hits!r}, {size!r}] is not a chunk "
+                    f"record of a {chunk_size}-trial ledger"
+                )
         records = "".join(
-            json.dumps([int(index), *as_accumulator(value).as_triple()])
-            + "\n"
-            for index, value in chunks.items()
+            json.dumps([index, hits, size]) + "\n"
+            for (index, size), hits in chunks.items()
         )
         path = self.ledger_path(key)
         with open(path, "ab+") as handle:
@@ -301,13 +314,13 @@ class ResultCache:
     @staticmethod
     def _load_ledger(
         path: pathlib.Path, chunk_size: int
-    ) -> dict[tuple[int, int], ChunkAccumulator]:
-        """The validated ``{(index, size): accumulator}`` map of a ledger.
+    ) -> dict[tuple[int, int], int]:
+        """The validated ``{(index, size): hits}`` map of a ledger.
 
         Each line is judged on its own.  A record must be ``[index,
-        sum_w, sum_w2, trials]`` with a non-negative integer index,
-        finite moments, ``sum_w2 >= 0`` and an integer ``trials`` in
-        ``1..chunk_size``; anything else — a torn tail, a hand-edited
+        hits, trials]`` with a non-negative integer index, an integer
+        ``trials`` in ``1..chunk_size`` and an integer ``hits`` in
+        ``0..trials``; anything else — a torn tail, a hand-edited
         string, a bool — is skipped, so only its own chunk misses.  A
         header from another schema version makes the file an all-miss.
         """
@@ -315,7 +328,7 @@ class ResultCache:
             lines = path.read_bytes().splitlines()
         except OSError:
             return {}
-        ledger: dict[tuple[int, int], ChunkAccumulator] = {}
+        ledger: dict[tuple[int, int], int] = {}
         for line in lines:
             try:
                 record = json.loads(line)
@@ -325,22 +338,13 @@ class ResultCache:
                 if record.get("version") != LEDGER_VERSION:
                     return {}
                 continue
-            if not isinstance(record, list) or len(record) != 4:
-                continue
-            index, sum_w, sum_w2, trials = record
             if (
-                _is_count(index)
-                and index >= 0
-                and _is_real(sum_w)
-                and _is_real(sum_w2)
-                and sum_w2 >= 0
-                and _is_count(trials)
-                and 1 <= trials <= chunk_size
+                isinstance(record, list)
+                and len(record) == 3
+                and _is_record(*record, chunk_size)
             ):
-                ledger.setdefault(
-                    (index, trials),
-                    ChunkAccumulator(float(sum_w), float(sum_w2), trials),
-                )
+                index, hits, trials = record
+                ledger.setdefault((index, trials), hits)
         return ledger
 
 

@@ -3,13 +3,13 @@
 :class:`DistributedBackend` implements the
 :class:`repro.engine.parallel.Backend` protocol by shipping pickled work
 items to ``python -m repro.worker`` processes on other hosts and merging
-the returned chunk accumulators back into the caller's futures (and,
+the returned chunk hit counts back into the caller's futures (and,
 through the runner, into the chunk ledger).  Because a chunk is a pure
 function of ``(scenario, estimator, size, seed)`` — the seed shipped as
 the spawned child's ``(entropy, spawn_key)`` pair, which reconstructs
 the exact ``SeedSequence`` on any host — distribution preserves the
 engine's serial ≡ parallel ≡ distributed bit-identity contract: every
-backend produces the same per-chunk moment triples, so re-execution
+backend produces the same per-chunk hit counts, so re-execution
 after a worker loss is always safe (at-least-once delivery,
 exactly-once *semantics*).
 
@@ -26,8 +26,9 @@ One TCP connection per worker, length-prefixed pickle frames both ways:
   ``shutdown`` (graceful worker exit);
 * reply   = ``{"ok": True, "result": ...}`` or ``{"ok": False,
   "error": <traceback string>}``.  A ``chunk`` reply's ``result`` is
-  the plain ``(sum_w, sum_w2, trials)`` accumulator triple; clients
-  normalise replies through :func:`repro.engine.runner.as_accumulator`.
+  the chunk's hit count, a plain ``int``; the runner rejects a reply
+  that is not an ``int`` within ``[0, size]`` before adding or
+  ledgering it (:func:`repro.engine.runner.is_hit_count`).
 
 Requests are answered in order on each connection; the backend keeps at
 most one request in flight per worker, so the worker needs no request

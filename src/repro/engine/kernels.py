@@ -440,22 +440,6 @@ def _initial_state(
     return np.asarray(initial_reaches)
 
 
-def margin_scan(
-    symbols: np.ndarray,
-    rho: np.ndarray,
-    mu: np.ndarray,
-    prefix_lengths: np.ndarray | int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(ρ, μ)`` after every column of ``symbols``, from a given state.
-
-    The state-in, state-out form of the scan: a staged caller (the
-    splitting estimator) resumes each stage from the last one's state.
-    Returns new int64 arrays; ``rho`` and ``mu`` are left as they were.
-    """
-    rho, mu, _ = _margin_scan(symbols, rho, mu, prefix_lengths, False)
-    return rho, mu
-
-
 def joint_final_states(
     symbols: np.ndarray,
     prefix_lengths: np.ndarray | int = 0,

@@ -5,11 +5,10 @@ The engine's unit of parallelism is the *chunk* (see
 stream with its own spawned ``SeedSequence`` child.  Because a chunk's
 result depends only on ``(scenario, estimator, size, child)`` — never on
 which process evaluates it or in which order — fanning chunks across a
-process pool is *embarrassingly* deterministic: per-chunk accumulators
-(``(sum_w, sum_w2, trials)`` moment triples; exact hit counts in the
-boolean case) are bit-identical to a serial run, and the aggregated
-estimate is therefore the same for every worker count.  That invariant
-is what ``tests/engine/test_parallel.py`` pins down.
+process pool is *embarrassingly* deterministic: per-chunk hit counts
+are bit-identical to a serial run, and the aggregated estimate is
+therefore the same for every worker count.  That invariant is what
+``tests/engine/test_parallel.py`` pins down.
 
 Why processes and not threads: the chunk kernels are NumPy-bound but
 interleave enough Python-level control flow (sampling phases, reduction
@@ -301,13 +300,12 @@ class ProcessBackend:
         sizes: list[int],
         children: list[np.random.SeedSequence],
     ) -> list:
-        """Evaluate every chunk on the pool; accumulators in chunk order.
+        """Evaluate every chunk on the pool; hit counts in chunk order.
 
         Blocking form of :meth:`submit_chunks` — the returned list of
-        :class:`~repro.engine.runner.ChunkAccumulator` is positionally
-        aligned with ``sizes`` and ``children`` regardless of completion
-        order.  An estimator exception in any worker propagates to the
-        caller.
+        hit counts is positionally aligned with ``sizes`` and
+        ``children`` regardless of completion order.  An estimator
+        exception in any worker propagates to the caller.
         """
         return [
             future.result()

@@ -26,7 +26,7 @@ per-node checks and the chain-walking predicates, on the same seed
 tree — lives in ``tests/protocol/test_determinism.py``.
 
 The violation estimators return boolean flag vectors, which the
-runner's accumulator contract reduces to degenerate per-chunk triples.
+runner's hit-count contract reduces to one ``int`` per chunk.
 """
 
 from __future__ import annotations

@@ -2,25 +2,20 @@
 
 The runner is the engine's third layer: it takes a declarative
 :class:`repro.engine.scenarios.Scenario`, an *estimator* (a callable
-mapping one sampled :class:`~repro.engine.scenarios.Batch` to a per-trial
-weight vector — a boolean hit vector in the common Bernoulli case, a
-non-negative float likelihood-ratio vector for importance-sampling
-estimators), and executes the requested number of trials in fixed-size
-chunks.
+mapping one sampled :class:`~repro.engine.scenarios.Batch` to a boolean
+per-trial hit vector), and executes the requested number of trials in
+fixed-size chunks.
 
-Weighted-accumulator contract
------------------------------
+Hit-count contract
+------------------
 
-Every chunk reduces to a :class:`ChunkAccumulator` — the moment triple
-``(sum_w, sum_w2, trials)`` — and every aggregate (ledger entries, wire
-payloads, wave totals) is a sum of such triples.  A boolean hit vector
-is the degenerate weight vector ``w ∈ {0, 1}``, for which
-``sum_w == sum_w2 == hits`` exactly; :func:`estimate_from_moments`
-detects this and delegates to :func:`estimate_from_hits` so weight-1
-runs reproduce the historical hit-count results **bit-identically**
-(the plug-in variance ``p(1−p)`` and the moment form ``m₂ − p̂²`` differ
-in the last float bits, so the degenerate path must not go through the
-general formula).
+Every chunk reduces to one ``int``: the number of trials in it whose
+event occurred.  Chunk workers return it, the chunk ledger stores it,
+the distributed wire carries it, waves add it up, and
+:func:`estimate_from_hits` turns a total into an :class:`Estimate`.
+A chunk result that crosses a process or host boundary is checked on
+arrival — an ``int`` (not a ``bool``) within ``[0, size]`` — before it
+is added or ledgered.
 
 Reproducibility contract
 ------------------------
@@ -41,8 +36,8 @@ Because spawned children form a *prefix-stable* stream (child ``i`` is
 ``SeedSequence(seed, spawn_key=(i,))`` no matter how many children a
 run spawns), ``trials`` is just a prefix length of one infinite chunk
 stream.  The runner exploits this through the cache's **chunk ledger**,
-the cache's only granularity: every chunk's accumulator triple is
-stored under ``(scenario, estimator, seed, chunk_size)`` and keyed by
+the cache's only granularity: every chunk's hit count is stored
+under ``(scenario, estimator, seed, chunk_size)`` and keyed by
 ``(chunk_index, size)``, so an identical rerun samples nothing and
 extending a run (say 10k → 50k trials) samples only the chunks the
 ledger lacks — everything else is reused bit-identically.  The ragged
@@ -55,17 +50,16 @@ ends on the same ragged remainder reuses it.
 targeting** on top of the same chunk stream: waves of full chunks are
 dispatched (doubling per wave) until the estimate's standard error
 meets ``target_se`` / ``rel_se`` or ``max_trials`` is exhausted.  The
-stopping decision is evaluated only at wave boundaries on aggregated
-weighted moments (the weighted SE for importance-sampling estimators),
-so the realized trial count is a deterministic function of
-``(seed, stopping rule)`` — identical for every backend and worker
-count, and fully ledger-cacheable.
+stopping decision is evaluated only at wave boundaries on the
+aggregated hit count, so the realized trial count is a deterministic
+function of ``(seed, stopping rule)`` — identical for every backend and
+worker count, and fully ledger-cacheable.
 
 Both modes resolve chunks through one path: a *wave* of chunk indices is
 looked up in the ledger, the missing chunks are dispatched to the
-backend, collected, folded into one accumulator in index order, and the
-new chunks are written back.  A fixed budget is a single wave over
-its whole partition; :meth:`ExperimentRunner.run_until` loops waves.
+backend, collected, summed into one hit count, and the new chunks are
+written back.  A fixed budget is a single wave over its whole
+partition; :meth:`ExperimentRunner.run_until` loops waves.
 Seeds are integers: a ``numpy.random.Generator`` cannot be replayed
 chunk by chunk and is rejected.
 """
@@ -88,9 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.cache import ResultCache
     from repro.engine.parallel import Backend
 
-#: An estimator maps (scenario, batch) to a per-trial weight vector:
-#: boolean hits for plain Monte Carlo, non-negative float likelihood
-#: ratios for importance-sampling estimators.
+#: An estimator maps (scenario, batch) to a boolean per-trial hit vector.
 Estimator = Callable[[Scenario, Batch], np.ndarray]
 
 
@@ -105,132 +97,14 @@ class Estimate:
     def within(self, target: float, sigmas: float = 4.0) -> bool:
         """Is ``target`` within ``sigmas`` standard errors of the estimate?
 
-        A zero ``standard_error`` only leaves the ``1e-12`` slack, so
-        estimate constructors must never report ``se == 0`` for a sample
-        that carries genuine uncertainty: :func:`estimate_from_hits`
-        Laplace-smooths the all-hit/all-miss boundary and
-        :func:`estimate_from_moments` floors the degenerate
-        all-equal-weight case at ``|p̂| / sqrt(n)``.
+        A zero ``standard_error`` only leaves the ``1e-12`` slack, so an
+        estimate must never report ``se == 0`` for a sample that carries
+        genuine uncertainty: :func:`estimate_from_hits`, which makes
+        every :class:`Estimate` of the engine, Laplace-smooths the
+        all-hit/all-miss boundary.
         """
         slack = sigmas * self.standard_error + 1e-12
         return abs(self.value - target) <= slack
-
-
-@dataclass(frozen=True)
-class ChunkAccumulator:
-    """The weighted moment triple one chunk (or any union of chunks)
-    reduces to: ``sum_w = Σ wᵢ``, ``sum_w2 = Σ wᵢ²`` over ``trials``
-    per-trial weights.
-
-    This is the engine's estimation currency: chunk workers return it,
-    the chunk ledger stores it (schema v3), the distributed wire carries
-    it as a plain ``(sum_w, sum_w2, trials)`` triple, and
-    :func:`estimate_from_moments` turns an aggregate into an
-    :class:`Estimate`.  Addition merges disjoint trial sets; ``0`` is
-    accepted as the additive identity so built-in :func:`sum` works.
-    """
-
-    sum_w: float
-    sum_w2: float
-    trials: int
-
-    def __post_init__(self) -> None:
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if not (math.isfinite(self.sum_w) and math.isfinite(self.sum_w2)):
-            raise ValueError(
-                f"accumulator moments must be finite, got "
-                f"({self.sum_w}, {self.sum_w2})"
-            )
-        if self.sum_w2 < 0:
-            raise ValueError(f"sum_w2 must be >= 0, got {self.sum_w2}")
-
-    @classmethod
-    def zero(cls) -> "ChunkAccumulator":
-        return cls(0.0, 0.0, 0)
-
-    @classmethod
-    def from_hits(cls, hits: int, trials: int) -> "ChunkAccumulator":
-        """The degenerate (0/1-weight) triple: ``sum_w == sum_w2 == hits``."""
-        if not 0 <= hits <= trials:
-            raise ValueError(f"hits = {hits} outside [0, {trials}]")
-        return cls(float(hits), float(hits), int(trials))
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the triple is consistent with 0/1 weights — the
-        exact condition under which :func:`estimate_from_moments`
-        delegates to :func:`estimate_from_hits`."""
-        return (
-            self.sum_w == self.sum_w2
-            and float(self.sum_w).is_integer()
-            and 0.0 <= self.sum_w <= self.trials
-        )
-
-    def as_triple(self) -> tuple[float, float, int]:
-        """The plain-data wire/ledger form."""
-        return (self.sum_w, self.sum_w2, self.trials)
-
-    def __add__(self, other: "ChunkAccumulator") -> "ChunkAccumulator":
-        if isinstance(other, int) and other == 0:
-            return self
-        if not isinstance(other, ChunkAccumulator):
-            return NotImplemented
-        return ChunkAccumulator(
-            self.sum_w + other.sum_w,
-            self.sum_w2 + other.sum_w2,
-            self.trials + other.trials,
-        )
-
-    __radd__ = __add__
-
-
-def as_accumulator(value, size: int | None = None) -> ChunkAccumulator:
-    """Normalise a chunk result of ``size`` trials to a
-    :class:`ChunkAccumulator`.
-
-    Accepts the accumulator itself or the plain ``(sum_w, sum_w2,
-    trials)`` triple the distributed wire and the ledger carry; a result
-    whose trial count is not ``size`` is rejected (``None`` accepts any
-    count — a ledger record carries its own).
-    """
-    if isinstance(value, (tuple, list)) and len(value) == 3:
-        value = ChunkAccumulator(
-            float(value[0]), float(value[1]), int(value[2])
-        )
-    if not isinstance(value, ChunkAccumulator):
-        raise TypeError(
-            f"cannot interpret chunk result {value!r} as an accumulator"
-        )
-    if size is not None and value.trials != size:
-        raise ValueError(
-            f"chunk result covers {value.trials} trials, expected {size}"
-        )
-    return value
-
-
-def accumulate_weights(weights: np.ndarray, size: int) -> ChunkAccumulator:
-    """Reduce one chunk's per-trial weight vector to its moment triple.
-
-    Boolean vectors take the exact integer path (``sum_w == sum_w2 ==
-    hits``, bit-identical to the historical hit count); anything else is
-    treated as non-negative float weights.
-    """
-    if weights.shape != (size,):
-        raise ValueError(
-            "estimator must return one weight per trial, got shape "
-            f"{weights.shape} for chunk of {size}"
-        )
-    if weights.dtype == np.bool_:
-        return ChunkAccumulator.from_hits(int(weights.sum()), size)
-    flat = np.asarray(weights, dtype=np.float64)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("estimator weights must be finite")
-    if flat.size and float(flat.min()) < 0.0:
-        raise ValueError("estimator weights must be non-negative")
-    return ChunkAccumulator(
-        float(flat.sum()), float(np.square(flat).sum()), size
-    )
 
 
 def estimate_from_hits(hits: int, trials: int) -> Estimate:
@@ -261,41 +135,6 @@ def estimate_from_hits(hits: int, trials: int) -> Estimate:
     else:
         se = math.sqrt(rate * (1.0 - rate) / trials)
     return Estimate(rate, se, trials)
-
-
-def estimate_from_moments(accumulator: ChunkAccumulator) -> Estimate:
-    """Turn an aggregated weighted-moment triple into an :class:`Estimate`.
-
-    The mean is ``p̂ = sum_w / n`` and the standard error the plug-in
-    ``sqrt((sum_w2/n − p̂²) / n)``.  Two guards:
-
-    * **Degenerate triples** (consistent with 0/1 weights —
-      ``sum_w == sum_w2``, integral, within ``[0, n]``) delegate to
-      :func:`estimate_from_hits` wholesale.  This is the bit-identity
-      guarantee: weight-1 runs reproduce the historical hit-count
-      estimates exactly, including the Laplace-smoothed boundary SE —
-      the moment-form variance ``m₂ − p̂²`` differs from ``p(1−p)`` in
-      the last float bits, so it must not be used here.
-    * **All-equal non-unit weights** make the moment variance collapse
-      to zero even though the weighted sample carries genuine ``O(1/√n)``
-      uncertainty (e.g. an importance-sampling chunk where every trial
-      hit with the same likelihood ratio).  A zero SE would let
-      :meth:`Estimate.within` and the adaptive ``run_until`` stopping
-      rule terminate on a spuriously exact estimate, so the SE is
-      floored at ``|p̂| / sqrt(n)`` — one trial's worth of relative
-      uncertainty.
-    """
-    trials = accumulator.trials
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if accumulator.degenerate:
-        return estimate_from_hits(int(accumulator.sum_w), trials)
-    value = accumulator.sum_w / trials
-    variance = max(accumulator.sum_w2 / trials - value * value, 0.0)
-    se = math.sqrt(variance / trials)
-    if se == 0.0 and accumulator.sum_w != 0.0:
-        se = abs(value) / math.sqrt(trials)
-    return Estimate(value, se, trials)
 
 
 # ----------------------------------------------------------------------
@@ -387,22 +226,6 @@ class NoConsecutiveCatalanInWindow:
         return ~window.any(axis=1)
 
 
-def no_unique_catalan_in_window(
-    window_start: int, window_length: int
-) -> Estimator:
-    """Estimator factory kept for API compatibility; returns the picklable
-    :class:`NoUniqueCatalanInWindow` instance."""
-    return NoUniqueCatalanInWindow(window_start, window_length)
-
-
-def no_consecutive_catalan_in_window(
-    window_start: int, window_length: int
-) -> Estimator:
-    """Estimator factory kept for API compatibility; returns the picklable
-    :class:`NoConsecutiveCatalanInWindow` instance."""
-    return NoConsecutiveCatalanInWindow(window_start, window_length)
-
-
 # ----------------------------------------------------------------------
 # Chunk execution primitives (shared by the serial and process backends)
 # ----------------------------------------------------------------------
@@ -423,25 +246,45 @@ def chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([remainder] if remainder else [])
 
 
+def is_hit_count(value, size: int) -> bool:
+    """Is ``value`` a possible hit count of a ``size``-trial chunk?
+
+    An ``int`` that is not a ``bool``, within ``[0, size]``: the one
+    test a chunk result passes wherever it comes from — a backend's
+    reply (another process or host) or a ledger record.
+    """
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and 0 <= value <= size
+    )
+
+
 def run_chunk(
     scenario: Scenario,
     estimator: Estimator,
     size: int,
     seed_sequence: np.random.SeedSequence,
-) -> ChunkAccumulator:
-    """Sample and evaluate one chunk; returns its moment triple.
+) -> int:
+    """Sample and evaluate one chunk; returns its hit count.
 
     Top-level (picklable) on purpose: this is the unit of work shipped to
     :class:`repro.engine.parallel.ProcessBackend` workers.  Each chunk
     owns a fresh generator built from its spawned ``SeedSequence`` child,
     so the result is independent of where and in which order the chunk
-    executes.
+    executes.  The estimator must return a boolean vector of one entry
+    per trial; anything else raises ``ValueError``.
     """
     with span("runner.chunk", size=size, scenario=scenario.name):
         generator = np.random.default_rng(seed_sequence)
         batch = scenario.sample_batch(size, generator)
-        weights = np.asarray(estimator(scenario, batch))
-        return accumulate_weights(weights, size)
+        hits = np.asarray(estimator(scenario, batch))
+        if hits.dtype != np.bool_ or hits.shape != (size,):
+            raise ValueError(
+                "estimator must return one bool per trial, got "
+                f"{hits.dtype} of shape {hits.shape} for chunk of {size}"
+            )
+        return int(np.count_nonzero(hits))
 
 
 # ----------------------------------------------------------------------
@@ -523,7 +366,7 @@ class _Wave:
     indices: range
     trials: int
     ledger_key: dict | None
-    reused: dict[int, ChunkAccumulator]
+    reused: dict[int, int]
     futures: dict[int, object]
 
     def size(self, index: int) -> int:
@@ -535,20 +378,21 @@ class _Wave:
     def sampled_trials(self) -> int:
         return sum(self.size(index) for index in self.futures)
 
-    def collect(self) -> ChunkAccumulator:
-        """Block on the futures, ledger the fresh chunks, and fold every
-        chunk of the wave, in index order, into one accumulator."""
-        fresh = {
-            index: as_accumulator(future.result(), self.size(index))
-            for index, future in self.futures.items()
-        }
+    def collect(self) -> int:
+        """Block on the futures, check and ledger the fresh chunks; the
+        wave's total hit count."""
+        fresh = {}
+        for index, future in self.futures.items():
+            hits, size = future.result(), self.size(index)
+            if not is_hit_count(hits, size):
+                raise ValueError(
+                    f"chunk {index} of {size} trials returned {hits!r}, "
+                    "not a hit count"
+                )
+            fresh[index, size] = hits
         if self.ledger_key is not None and fresh:
             self.runner.cache.put_chunks(self.ledger_key, fresh)
-        chunks = {**self.reused, **fresh}
-        total = ChunkAccumulator.zero()
-        for index in self.indices:
-            total += chunks[index]
-        return total
+        return sum(self.reused.values()) + sum(fresh.values())
 
 
 @dataclass
@@ -581,7 +425,9 @@ class PendingEstimate:
                 trials=self.trials,
                 submitted=len(self.wave.futures),
             ):
-                self._resolved = estimate_from_moments(self.wave.collect())
+                self._resolved = estimate_from_hits(
+                    self.wave.collect(), self.trials
+                )
             self.report = RunReport.of_waves(self.trials, [self.wave])
             _record_report(self.report)
         self.runner.last_report = self.report
@@ -676,7 +522,7 @@ class ExperimentRunner:
         trials: int,
         backend: "Backend",
     ) -> _Wave:
-        """The one path from chunk indices to accumulators, first half.
+        """The one path from chunk indices to hit counts, first half.
 
         Looks every chunk of ``indices`` up in the chunk ledger by
         ``(index, size)`` and submits the rest to ``backend``, each from
@@ -773,8 +619,8 @@ class ExperimentRunner:
         exactly ``max_trials`` trials, bit-identical to
         ``run(max_trials, seed)`` — is returned regardless.
 
-        Because per-chunk accumulators are backend-independent and each
-        wave's size is a pure function of the aggregated moments so far
+        Because per-chunk hit counts are backend-independent and each
+        wave's size is a pure function of the aggregated hits so far
         (which are themselves bit-identical on every backend) plus
         ``(chunk_size, initial_chunks, max_trials)``, the realized
         trial count is a deterministic function of
@@ -810,7 +656,7 @@ class ExperimentRunner:
 
         full_max = max_trials // self.chunk_size
         chunks = len(chunk_sizes(max_trials, self.chunk_size))
-        total = ChunkAccumulator.zero()
+        hits = 0
         waves: list[_Wave] = []
         estimate: Estimate | None = None
         done = 0
@@ -852,9 +698,11 @@ class ExperimentRunner:
                     wave = self._dispatch(
                         seed, range(done, goal), max_trials, active
                     )
-                    total += wave.collect()
+                    hits += wave.collect()
                     waves.append(wave)
-                    estimate = estimate_from_moments(total)
+                    estimate = estimate_from_hits(
+                        hits, min(goal * self.chunk_size, max_trials)
+                    )
                 done = goal
                 metrics.gauge(
                     "repro_runner_standard_error",

@@ -15,11 +15,10 @@ trial budget samples only the chunks it adds.  Grids may declare
 per-point precision targets (``target_se`` / ``rel_se`` /
 ``max_trials``): the run then goes through the adaptive
 :meth:`~repro.engine.runner.ExperimentRunner.run_until` path and rare
-cells automatically receive more trials than easy ones.  Estimators may
-return boolean *or* float weight vectors (the accumulator contract of
-:mod:`repro.engine.runner`); the tidy rows carry the weighted value and
-standard error either way, so importance-sampled workloads sweep
-exactly like indicator ones.
+cells automatically receive more trials than easy ones.  Estimators
+return boolean hit vectors (the hit-count contract of
+:mod:`repro.engine.runner`), and the tidy rows carry the hit rate and
+its standard error.
 
 Axes come in two kinds:
 

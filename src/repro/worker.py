@@ -7,9 +7,9 @@ TCP port, answers the wire protocol of :mod:`repro.engine.distributed`
 ``shutdown``), and evaluates each chunk with the *same*
 :func:`repro.engine.runner.run_chunk` the serial and process backends
 use — reconstructing the chunk's spawned ``SeedSequence`` from the
-shipped ``(entropy, spawn_key)`` pair, so per-chunk accumulators are
-bit-identical to every other backend.  A chunk reply carries the plain
-``(sum_w, sum_w2, trials)`` moment triple.
+shipped ``(entropy, spawn_key)`` pair, so per-chunk hit counts are
+bit-identical to every other backend.  A chunk reply carries the
+chunk's hit count, a plain ``int``.
 
 Usage::
 
@@ -55,11 +55,9 @@ def handle_request(request: dict) -> dict:
     ``chunk`` rebuilds the spawned seed as
     ``SeedSequence(entropy, spawn_key=spawn_key)`` — NumPy's documented
     spawn contract makes that child identical to the one the client
-    spawned, which is what keeps distributed accumulators bit-identical
-    to serial ones.  The reply's ``result`` is the chunk's plain
-    ``(sum_w, sum_w2, trials)`` triple — plain data rather than the
-    :class:`~repro.engine.runner.ChunkAccumulator` class so the frame
-    does not pin the client to this worker's class layout.
+    spawned, which is what keeps distributed hit counts bit-identical
+    to serial ones.  The reply's ``result`` is the chunk's hit count,
+    a plain ``int`` that the client's runner checks before using it.
     """
     try:
         op = request.get("op") if isinstance(request, dict) else None
@@ -69,13 +67,13 @@ def handle_request(request: dict) -> dict:
             child = np.random.SeedSequence(
                 request["entropy"], spawn_key=tuple(request["spawn_key"])
             )
-            accumulator = run_chunk(
+            hits = run_chunk(
                 request["scenario"],
                 request["estimator"],
                 request["size"],
                 child,
             )
-            return {"ok": True, "result": accumulator.as_triple()}
+            return {"ok": True, "result": hits}
         if op == "task":
             result = request["function"](*request["args"])
             return {"ok": True, "result": result}

@@ -6,6 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+import repro.engine.cache as cache_module
 import repro.engine.parallel as parallel_module
 from repro.core.distributions import bernoulli_condition
 from repro.engine import (
@@ -46,7 +47,7 @@ def make_runner(cache, **overrides):
 
 
 #: The positions of a ledger record line.
-RECORD_FIELDS = ("index", "sum_w", "sum_w2", "trials")
+RECORD_FIELDS = ("index", "hits", "trials")
 
 
 def ledger_lines(cache) -> list[bytes]:
@@ -192,11 +193,12 @@ class TestRobustness:
             ("index", "0"),
             ("index", 0.0),
             ("index", False),  # a bool compares equal to index 0
-            ("sum_w", "0.25"),  # hand-edited string loads, crashes later
-            ("sum_w", float("nan")),
-            ("sum_w2", "tiny"),
-            ("sum_w2", -0.1),
-            ("sum_w2", True),
+            ("hits", "0.25"),  # hand-edited string loads, crashes later
+            ("hits", float("nan")),
+            ("hits", True),
+            ("hits", 513),  # more hits than the chunk has trials
+            ("hits", -1),
+            ("hits", 0.5),  # a fractional hit count
             ("trials", 512.0),  # float trials breaks exact-int arithmetic
             ("trials", "512"),
             ("trials", 0),
@@ -215,7 +217,7 @@ class TestRobustness:
         (path,) = cache.directory.glob("*.ledger.jsonl")
         header, first, *rest = ledger_lines(cache)
         record = json.loads(first)
-        assert record[0] == 0 and record[3] == 512
+        assert record[0] == 0 and record[2] == 512
         record[RECORD_FIELDS.index(field)] = bad
         bad_line = json.dumps(record).encode()
         path.write_bytes(b"\n".join([header, bad_line, *rest]))
@@ -277,7 +279,7 @@ class TestRobustness:
         assert header["key"]["chunk_size"] == 512
         assert header["key"]["scenario"]["depth"] == 15
         assert header["key"]["estimator"].endswith("settlement_violation")
-        assert [(r[0], r[3]) for r in records] == [
+        assert [(r[0], r[2]) for r in records] == [
             (0, 512),
             (1, 512),
             (2, 512),
@@ -295,6 +297,73 @@ class TestRobustness:
         del counting_run_chunk[:]
         runner.run(1_024, seed=9)
         assert counting_run_chunk == [512, 512]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 513],  # trials > chunk_size
+            [float("nan"), 512],  # a non-finite hit count
+            [-1, 512],  # a negative hit count
+            [1.0, 1.0, 512],  # a v3 moment triple: wrong arity
+            "many",  # wrong type entirely
+            51,  # a bare hit count without its trials
+        ],
+    )
+    def test_corrupt_record_misses_only_its_chunk_and_heals(
+        self, cache, counting_run_chunk, payload
+    ):
+        """A bad chunk-0 record inside a run that is then extended: only
+        chunk 0 and the new chunks are sampled, and the append heals the
+        file so a second extension samples nothing."""
+        runner = make_runner(cache)
+        runner.run(2_048, seed=29)
+        (path,) = cache.directory.glob("*.ledger.jsonl")
+        header, _chunk_0, *rest = path.read_bytes().splitlines()
+        bad = [0, *payload] if isinstance(payload, list) else [0, payload]
+        bad_line = json.dumps(bad).encode()
+        path.write_bytes(b"\n".join([header, bad_line, *rest]))
+        reopened = ExperimentRunner(
+            runner.scenario, chunk_size=512, cache=ResultCache(cache.directory)
+        )
+        del counting_run_chunk[:]
+        result = reopened.run(4_096, seed=29)
+        assert counting_run_chunk == [512] * 5  # chunk 0 and chunks 4..7
+        assert result == make_runner(None).run(4_096, seed=29)
+        del counting_run_chunk[:]
+        again = ExperimentRunner(
+            runner.scenario, chunk_size=512, cache=ResultCache(cache.directory)
+        )
+        assert again.run(4_096, seed=29) == result
+        assert counting_run_chunk == []
+
+    @pytest.mark.parametrize(
+        "version", [LEDGER_VERSION - 1, LEDGER_VERSION + 1]
+    )
+    def test_other_schema_version_starts_a_fresh_ledger(
+        self, cache, counting_run_chunk, monkeypatch, version
+    ):
+        """The schema version is part of the ledger key, so a ledger
+        another version wrote is left alone at its own path: the first
+        run samples every chunk into a fresh ledger, the second samples
+        none."""
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "LEDGER_VERSION", version)
+            fresh = make_runner(cache).run(2_000, seed=9)
+        (foreign,) = cache.directory.glob("*.ledger.jsonl")
+        written = foreign.read_bytes()
+        assert json.loads(written.splitlines()[0])["version"] == version
+        del counting_run_chunk[:]
+        assert make_runner(ResultCache(cache.directory)).run(
+            2_000, seed=9
+        ) == fresh
+        assert counting_run_chunk == [512, 512, 512, 464]
+        del counting_run_chunk[:]
+        assert make_runner(ResultCache(cache.directory)).run(
+            2_000, seed=9
+        ) == fresh
+        assert counting_run_chunk == []
+        assert foreign.read_bytes() == written
+        assert len(list(cache.directory.glob("*.ledger.jsonl"))) == 2
 
     def test_cache_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
@@ -316,8 +385,8 @@ def _ledger_alternate_chunks(directory, parity, barrier) -> None:
     barrier.wait()
     for index in range(parity, CONCURRENT_CHUNKS, 2):
         child = np.random.SeedSequence(3, spawn_key=(index,))
-        chunk = run_chunk(runner.scenario, runner.estimator, 512, child)
-        cache.put_chunks(key, {index: chunk})
+        hits = run_chunk(runner.scenario, runner.estimator, 512, child)
+        cache.put_chunks(key, {(index, 512): hits})
 
 
 CONCURRENT_CHUNKS = 64
@@ -345,7 +414,7 @@ class TestConcurrentWriters:
 
         header, *records = (json.loads(line) for line in ledger_lines(cache))
         assert header["version"] == LEDGER_VERSION
-        assert sorted((r[0], r[3]) for r in records) == [
+        assert sorted((r[0], r[2]) for r in records) == [
             (index, 512) for index in range(CONCURRENT_CHUNKS)
         ]
         trials = CONCURRENT_CHUNKS * 512

@@ -1,14 +1,14 @@
 """The one chunk path: NumPy kernels, one wave primitive, one seed form.
 
 Every run — fixed-budget ``run``, deferred ``submit`` and adaptive
-``run_until`` — turns chunk indices into accumulators the same way:
+``run_until`` — turns chunk indices into hit counts the same way:
 look every chunk up in the ledger by ``(index, size)``, dispatch the
 missing indices (chunk ``i`` from ``SeedSequence(seed, spawn_key=(i,))``),
-collect, ledger the fresh chunks and fold the chunks in index order.  These
-tests watch that path from the backend's side (which indices are
-dispatched, with which seeds, in which waves), pin the reports it
-produces, the fold order for non-integer weights, how the runner picks
-its backend, the integer-seed and triple-only forms, and the in-place
+collect, ledger the fresh chunks and add up their hits.  These tests
+watch that path from the backend's side (which indices are dispatched,
+with which seeds, in which waves), pin the reports it produces, that a
+partly ledgered run equals a cold one, how the runner picks its
+backend, the integer-seed and hit-count-only forms, and the in-place
 NumPy forms of the scan kernels.
 """
 
@@ -27,7 +27,6 @@ from repro.engine import (
     SerialBackend,
     get_scenario,
     kernels,
-    settlement_violation,
 )
 from repro.engine.parallel import BACKEND_NAMES, make_backend
 from tests.conftest import random_strings
@@ -55,11 +54,6 @@ class RecordingBackend(SerialBackend):
     def indices(self):
         """Dispatched chunk indices, one list per call."""
         return [[key[0] for key in keys] for _, keys, _ in self.calls]
-
-
-def graded_violation(scenario, batch):
-    """Non-integer weights: 0.3 per violation, 0.1 otherwise."""
-    return np.where(settlement_violation(scenario, batch), 0.3, 0.1)
 
 
 @pytest.fixture
@@ -225,24 +219,22 @@ class TestRunReports:
         assert report.waves >= 2 and not report.from_cache
 
 
-class TestWeightedFoldOrder:
-    """A wave folds its chunks in index order wherever each came from,
-    so a partly ledgered run of non-integer weights equals a cold one."""
+class TestPartialLedger:
+    """A wave adds up its chunks' hits wherever each came from, so a
+    partly ledgered run equals a cold one."""
 
     def test_adaptive_run_over_partial_ledger_equals_cold(self, cache):
         rule = dict(rel_se=1e-6, max_trials=9 * CHUNK + 30)
-        cold = make_runner(estimator=graded_violation).run_until(61, **rule)
-        warm = make_runner(cache, estimator=graded_violation)
+        cold = make_runner().run_until(61, **rule)
+        warm = make_runner(cache)
         warm.run(3 * CHUNK, seed=61)  # chunks 0..2 of the first wave
         resumed = warm.run_until(61, **rule)
         assert warm.last_report.reused_chunks == 3
         assert resumed == cold
 
     def test_fixed_run_over_partial_ledger_equals_cold(self, cache):
-        cold = make_runner(estimator=graded_violation).run(
-            5 * CHUNK + 3, seed=62
-        )
-        warm = make_runner(cache, estimator=graded_violation)
+        cold = make_runner().run(5 * CHUNK + 3, seed=62)
+        warm = make_runner(cache)
         warm.run(2 * CHUNK, seed=62)
         assert warm.run(5 * CHUNK + 3, seed=62) == cold
         assert warm.last_report.reused_chunks == 2
@@ -328,10 +320,22 @@ class TestBackendNames:
         assert "invalid choice" in capsys.readouterr().err
 
 
-class TestTripleOnlyLedger:
-    def test_put_chunks_rejects_a_bare_count(self, cache):
+class TestHitCountLedger:
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            ((0, CHUNK), (51.0, 51.0, CHUNK)),  # a v3 moment triple
+            ((0, CHUNK), 51.0),  # a float, even an integral one
+            ((0, CHUNK), True),
+            ((0, CHUNK), CHUNK + 1),  # more hits than trials
+            ((0, CHUNK + 1), 51),  # a chunk larger than the ledger's
+        ],
+    )
+    def test_put_chunks_rejects_what_the_loader_would_skip(
+        self, cache, chunk
+    ):
         runner = make_runner(cache)
         key = cache.ledger_key(runner.scenario, runner.estimator, 81, CHUNK)
-        with pytest.raises(TypeError):
-            cache.put_chunks(key, {0: 51})
-        assert cache.get_chunks(key, {0: CHUNK}) == {}
+        with pytest.raises(ValueError, match="not a chunk record"):
+            cache.put_chunks(key, dict([chunk]))
+        assert not cache.ledger_path(key).exists()

@@ -30,6 +30,7 @@ from repro.engine import (
     SerialBackend,
     get_grid,
     get_scenario,
+    run_chunk,
     run_grid,
 )
 from repro.engine.distributed import (
@@ -128,6 +129,44 @@ class TestWireProtocol:
             rebuilt.generate_state(8).tolist()
             == child.generate_state(8).tolist()
         )
+
+    def test_chunk_reply_is_the_plain_hit_count(self):
+        scenario = get_scenario("iid-settlement", depth=15)
+        estimator = ExperimentRunner(scenario).estimator
+        child = np.random.SeedSequence(8).spawn(2)[1]
+        reply = handle_request(chunk_message(scenario, estimator, 256, child))
+        assert reply == {
+            "ok": True,
+            "result": run_chunk(scenario, estimator, 256, child),
+        }
+        assert type(reply["result"]) is int
+
+    @pytest.mark.parametrize(
+        "result",
+        [513, 0.5, (51.0, 51.0, 512)],  # out of range, fractional, v3 triple
+    )
+    def test_runner_rejects_a_worker_reply_that_is_not_a_hit_count(
+        self, workers, monkeypatch, result
+    ):
+        """A reply crossing the wire is checked before it is added or
+        ledgered: a broken or foreign worker fails the run loudly."""
+        import repro.worker as worker_module
+
+        real = worker_module.handle_request
+
+        def corrupted(request):
+            reply = real(request)
+            if request.get("op") == "chunk":
+                reply = {"ok": True, "result": result}
+            return reply
+
+        monkeypatch.setattr(worker_module, "handle_request", corrupted)
+        runner = ExperimentRunner(
+            get_scenario("iid-settlement", depth=15), chunk_size=512
+        )
+        with _backend(workers) as remote:
+            with pytest.raises(ValueError, match="not a hit count"):
+                runner.run(1_024, seed=4, backend=remote)
 
     def test_unknown_op_is_reported_not_raised(self):
         reply = handle_request({"op": "frobnicate"})

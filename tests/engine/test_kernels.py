@@ -135,8 +135,8 @@ class TestMarginEquivalence:
             symbols.append(s)
             expected.append(margin_step(r, m, s))
         codes = kernels.encode_word("".join(symbols))
-        new_rho, new_mu = kernels.margin_scan(
-            codes[:, None], np.array(rhos), np.array(mus)
+        new_rho, new_mu, _ = kernels._margin_scan(
+            codes[:, None], np.array(rhos), np.array(mus), 0, False
         )
         assert list(zip(new_rho.tolist(), new_mu.tolist())) == expected
 
@@ -270,22 +270,6 @@ class TestMarginScanEdges:
         assert trajectories.tolist() == [
             list(range(shape[1] + 1)) for _ in range(shape[0])
         ]
-
-    def test_scan_resumes_from_its_state(self):
-        words = random_strings("hHA", 60, 30, 30, seed=27)
-        matrix, _ = kernels.encode_words(words)
-        initial = kernels.sample_initial_reaches(
-            0.3, len(words), np.random.default_rng(28)
-        )
-        whole = kernels.joint_final_states(matrix, 0, initial)
-        state = (initial, initial)
-        for cut in ((0, 11), (11, 12), (12, 30)):
-            state = kernels.margin_scan(matrix[:, slice(*cut)], *state)
-        assert [s.tolist() for s in state] == [w.tolist() for w in whole]
-        # the state passed in is left as it was
-        assert initial.tolist() == kernels.sample_initial_reaches(
-            0.3, len(words), np.random.default_rng(28)
-        ).tolist()
 
 
 class TestCatalanEquivalence:

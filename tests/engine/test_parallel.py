@@ -9,18 +9,26 @@ generator-continuation path must refuse to parallelize (its stream is
 inherently sequential).
 """
 
+import importlib
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 from repro.engine import (
+    DistributedBackend,
     ExperimentRunner,
     ProcessBackend,
+    ResultCache,
+    SerialBackend,
     chunk_sizes,
     default_workers,
+    estimate_from_hits,
     get_scenario,
     run_chunk,
     run_scenario,
 )
+from repro.engine.sweeps import ESTIMATORS
 
 
 class TestChunkPartition:
@@ -125,6 +133,32 @@ class TestSeedTree:
         assert forward == backward[::-1]
 
 
+class FixedVector:
+    """An estimator returning ``make(trials)`` whatever the batch."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __call__(self, scenario, batch):
+        return self.make(batch.symbols.shape[0])
+
+
+class CannedReplies(SerialBackend):
+    """A backend whose every chunk reply is ``reply``, as a broken or
+    foreign worker might send it."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def submit_chunks(self, scenario, estimator, sizes, children):
+        futures = []
+        for _ in sizes:
+            future = Future()
+            future.set_result(self.reply)
+            futures.append(future)
+        return futures
+
+
 class TestGuards:
     def test_generator_continuation_is_serial_only(self):
         """A Generator seed cannot be replayed chunk by chunk: rejected
@@ -141,8 +175,31 @@ class TestGuards:
             get_scenario("iid-settlement", depth=10),
             estimator=lambda scenario, batch: np.array([True]),
         )
-        with pytest.raises(ValueError, match="one weight per trial"):
+        with pytest.raises(ValueError, match="one bool per trial"):
             runner.run(100, seed=3)
+
+    @pytest.mark.parametrize(
+        "hits",
+        [
+            lambda n: np.ones(n),  # float weights, even 0/1 ones
+            lambda n: np.ones(n, dtype=np.int64),
+            lambda n: np.ones((n, 2), dtype=bool),  # not one per trial
+        ],
+        ids=["float", "int", "shape"],
+    )
+    def test_run_chunk_takes_only_one_bool_per_trial(self, hits):
+        scenario = get_scenario("iid-settlement", depth=10)
+        child = np.random.SeedSequence(3, spawn_key=(0,))
+        with pytest.raises(ValueError, match="one bool per trial"):
+            run_chunk(scenario, FixedVector(hits), 64, child)
+
+    @pytest.mark.parametrize("reply", [-1, True, "51", 2.0])
+    def test_runner_rejects_a_reply_that_is_not_a_hit_count(self, reply):
+        runner = ExperimentRunner(
+            get_scenario("iid-settlement", depth=10), chunk_size=64
+        )
+        with pytest.raises(ValueError, match="not a hit count"):
+            runner.run(128, seed=3, backend=CannedReplies(reply))
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError, match="workers"):
@@ -196,8 +253,6 @@ class TestBackendProtocolCompliance:
         assert [f.result() for f in futures] == [divmod(n, 3) for n in range(5)]
 
     def test_submit_chunks_matches_run_chunk(self, backend):
-        from repro.engine import as_accumulator
-
         scenario = get_scenario("iid-settlement", depth=10)
         estimator = ExperimentRunner(scenario).estimator
         children = np.random.SeedSequence(5).spawn(3)
@@ -207,13 +262,27 @@ class TestBackendProtocolCompliance:
             run_chunk(scenario, estimator, size, child)
             for size, child in zip(sizes, children)
         ]
-        # The distributed wire carries the plain triple; every backend's
-        # reply must normalise to the same accumulator.
-        results = [
-            as_accumulator(future.result(), size)
-            for future, size in zip(futures, sizes)
-        ]
+        # Every backend, the distributed wire included, replies with the
+        # chunk's hit count as a plain int.
+        results = [future.result() for future in futures]
         assert results == expected
+        assert all(type(hits) is int for hits in results)
+
+    def test_ledger_written_through_the_backend_replays_bit_identically(
+        self, backend, tmp_path
+    ):
+        scenario = get_scenario("iid-settlement", depth=15)
+        reference = ExperimentRunner(scenario, chunk_size=512).run(
+            2_048, seed=12
+        )
+        cache = ResultCache(tmp_path)
+        runner = ExperimentRunner(scenario, chunk_size=512, cache=cache)
+        assert runner.run(2_048, seed=12, backend=backend) == reference
+        warm = ExperimentRunner(
+            scenario, chunk_size=512, cache=ResultCache(tmp_path)
+        )
+        assert warm.run(2_048, seed=12) == reference
+        assert warm.last_report.from_cache
 
     def test_submit_chunks_validates_pairing(self, backend):
         scenario = get_scenario("iid-settlement", depth=10)
@@ -233,3 +302,95 @@ class TestBackendProtocolCompliance:
             NoUniqueCatalanInWindow(0, 10)
         with pytest.raises(ValueError, match="window_length"):
             NoConsecutiveCatalanInWindow(1, 0)
+
+
+#: One small workload per registered estimator name:
+#: ``(scenario, overrides, chunk_size, trials)``, each ending on a
+#: ragged chunk.
+ESTIMATOR_WORKLOADS = {
+    "settlement-violation": ("iid-settlement", {"depth": 15}, 256, 1_000),
+    "delta-settlement-violation": (
+        "delta-synchronous",
+        {"total_length": 60, "target_slot": 10, "depth": 8},
+        128,
+        500,
+    ),
+    "protocol-settlement-violation": ("protocol-private-chain", {}, 4, 10),
+    "protocol-cp-violation": ("protocol-private-chain", {}, 4, 10),
+    "protocol-deep-reorg": ("protocol-private-chain", {}, 4, 10),
+}
+
+
+class TestEveryEstimatorHitCounts:
+    """Every estimator a grid can name yields the same per-chunk hit
+    counts — plain ints — on every backend and from a warm ledger."""
+
+    SEED = 5
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with ProcessBackend(2) as pool:
+            yield pool
+
+    @pytest.fixture(scope="class")
+    def remote(self):
+        from repro.worker import serve
+
+        server = serve()
+        with DistributedBackend([server.address], timeout=30.0) as backend:
+            yield backend
+        server.shutdown()
+        server.server_close()
+
+    @staticmethod
+    def workload(name):
+        base, overrides, chunk, trials = ESTIMATOR_WORKLOADS[name]
+        module, function = ESTIMATORS[name]
+        estimator = getattr(importlib.import_module(module), function)
+        return get_scenario(base, **overrides), estimator, chunk, trials
+
+    def serial_hits(self, scenario, estimator, chunk, trials):
+        sizes = chunk_sizes(trials, chunk)
+        children = [
+            np.random.SeedSequence(self.SEED, spawn_key=(i,))
+            for i in range(len(sizes))
+        ]
+        hits = [
+            run_chunk(scenario, estimator, size, child)
+            for size, child in zip(sizes, children)
+        ]
+        assert all(type(count) is int for count in hits)
+        return sizes, children, hits
+
+    def test_workloads_cover_every_estimator(self):
+        assert sorted(ESTIMATOR_WORKLOADS) == sorted(ESTIMATORS)
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATOR_WORKLOADS))
+    @pytest.mark.parametrize("source", ["process", "distributed"])
+    def test_backend_matches_serial(self, request, name, source):
+        scenario, estimator, chunk, trials = self.workload(name)
+        sizes, children, hits = self.serial_hits(
+            scenario, estimator, chunk, trials
+        )
+        backend = request.getfixturevalue(
+            "pool" if source == "process" else "remote"
+        )
+        futures = backend.submit_chunks(scenario, estimator, sizes, children)
+        assert [future.result() for future in futures] == hits
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATOR_WORKLOADS))
+    def test_warm_ledger_matches_serial(self, tmp_path, name):
+        scenario, estimator, chunk, trials = self.workload(name)
+        sizes, _, hits = self.serial_hits(scenario, estimator, chunk, trials)
+        cold = ExperimentRunner(
+            scenario, estimator, chunk, cache=ResultCache(tmp_path)
+        ).run(trials, seed=self.SEED)
+        warm_cache = ResultCache(tmp_path)
+        warm = ExperimentRunner(scenario, estimator, chunk, cache=warm_cache)
+        assert warm.run(trials, seed=self.SEED) == cold
+        assert cold == estimate_from_hits(sum(hits), trials)
+        assert warm_cache.chunk_stores == 0
+        key = warm_cache.ledger_key(scenario, estimator, self.SEED, chunk)
+        assert warm_cache.get_chunks(key, dict(enumerate(sizes))) == dict(
+            enumerate(hits)
+        )

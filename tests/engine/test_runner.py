@@ -29,6 +29,7 @@ from repro.engine import (
     estimate_from_hits,
     get_scenario,
     kernels,
+    run_chunk,
     run_scenario,
 )
 
@@ -56,8 +57,37 @@ class TestReproducibility:
             get_scenario("iid-settlement", depth=10),
             estimator=lambda scenario, batch: np.array([True]),
         )
-        with pytest.raises(ValueError, match="one weight per trial"):
+        with pytest.raises(ValueError, match="one bool per trial"):
             runner.run(100, seed=3)
+
+
+class TestChunkHitPins:
+    """Per-chunk hit counts of the analytical workloads, pinned: chunk
+    ``i`` of seed 2020 in 1024-trial chunks.  Any change to sampling,
+    the kernels or the hit-count reduction shows here."""
+
+    @pytest.mark.parametrize(
+        "name,overrides,expected",
+        [
+            ("iid-settlement", {"depth": 15}, [40, 44, 39, 40]),
+            ("iid-finite-prefix", {}, [305, 347, 322, 349]),
+            ("martingale-damped", {}, [248, 253, 252, 257]),
+            ("delta-synchronous", {"depth": 20}, [6, 12, 7, 8]),
+        ],
+    )
+    def test_first_chunks(self, name, overrides, expected):
+        scenario = get_scenario(name, **overrides)
+        estimator = ExperimentRunner(scenario).estimator
+        hits = [
+            run_chunk(
+                scenario,
+                estimator,
+                1024,
+                np.random.SeedSequence(2020, spawn_key=(index,)),
+            )
+            for index in range(4)
+        ]
+        assert hits == expected
 
 
 class TestAgreementWithExactDP:

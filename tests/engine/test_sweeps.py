@@ -6,6 +6,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 import repro.sweep as sweep_cli
 from repro.engine import (
@@ -476,3 +477,17 @@ class TestEstimateBoundary:
         assert estimate.standard_error == pytest.approx(
             math.sqrt(0.25 * 0.75 / 1_000)
         )
+
+    @given(
+        st.integers(1, 10**12).flatmap(
+            lambda trials: st.tuples(st.integers(0, trials), st.just(trials))
+        )
+    )
+    def test_every_count_is_a_probability_with_positive_error(self, count):
+        """Every Estimate of the engine comes from a hit count, so no
+        estimate is outside [0, 1] or claims to be exact."""
+        hits, trials = count
+        estimate = estimate_from_hits(hits, trials)
+        assert 0.0 <= estimate.value <= 1.0
+        assert estimate.standard_error > 0.0
+        assert estimate.within(estimate.value, sigmas=0.0)

@@ -79,6 +79,7 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 from bench_config import SEEDS, TRIALS  # noqa: E402
 
 from repro.engine.cache import CACHE_DIR_ENV, ResultCache  # noqa: E402
+from repro.engine.parallel import ProcessBackend, SerialBackend  # noqa: E402
 from repro.engine.protocol import ProtocolRunner  # noqa: E402
 from repro.engine.scenarios import get_scenario  # noqa: E402
 from repro.engine.sweeps import get_grid, run_grid  # noqa: E402
@@ -125,14 +126,14 @@ def _repeated(repeats, scale, digits, callable_, *args, **kwargs):
     return spread, result
 
 
-def protocol_record(quick: bool, workers: int) -> dict:
+def protocol_record(quick: bool, workers: int, backend) -> dict:
     """Protocol-throughput record of the E10 workload.
 
     "protocol-honest" (10 honest nodes, 200 synchronous slots) runs
     through ProtocolRunner — shared validation, hash-indexed consistency
-    predicates, bucketed message scheduler.  A workers > 1 pass records
-    the process fan-out ratio (≈ 1 on single-core boxes — the record
-    still tracks it).
+    predicates, bucketed message scheduler.  A workers > 1 pass on
+    ``backend`` records the process fan-out ratio (≈ 1 on single-core
+    boxes — the record still tracks it).
     """
     scenario = get_scenario("protocol-honest")
     trials = max(TRIALS["protocol_e10_trials"] // (4 if quick else 1), 4)
@@ -153,9 +154,7 @@ def protocol_record(quick: bool, workers: int) -> dict:
         "value": batched.value,
     }
     if workers > 1:
-        parallel_s, parallel = _time(
-            ProtocolRunner(scenario, workers=workers).run, trials, seed
-        )
+        parallel_s, parallel = _time(runner.run, trials, seed, backend)
         assert parallel == batched, "worker count changed the estimate"
         record["workers"] = workers
         record["parallel_seconds"] = round(parallel_s, 4)
@@ -163,7 +162,7 @@ def protocol_record(quick: bool, workers: int) -> dict:
     return record
 
 
-def protocol_sweep_record(quick: bool, workers: int) -> dict:
+def protocol_sweep_record(quick: bool, workers: int, backend) -> dict:
     """The "protocol" grid through run_grid + the shared result cache.
 
     Same contract as the table1 sweep record: cold points are estimated
@@ -175,7 +174,7 @@ def protocol_sweep_record(quick: bool, workers: int) -> dict:
     cache = ResultCache(SWEEP_CACHE_DIR)
 
     wall_s, rows = _time(
-        run_grid, grid, trials=trials, workers=workers, cache=cache
+        run_grid, grid, trials=trials, cache=cache, backend=backend
     )
     misses = sum(1 for row in rows if not row["cached"])
     record = {
@@ -192,7 +191,7 @@ def protocol_sweep_record(quick: bool, workers: int) -> dict:
     return record
 
 
-def sweep_record(quick: bool, workers: int) -> dict:
+def sweep_record(quick: bool, workers: int, backend) -> dict:
     """Orchestrated-sweep wall-clock and cache traffic (the PR 2 point).
 
     Runs the "table1" grid through the sweep layer with the persistent
@@ -206,7 +205,7 @@ def sweep_record(quick: bool, workers: int) -> dict:
     cache = ResultCache(SWEEP_CACHE_DIR)
 
     wall_s, rows = _time(
-        run_grid, grid, trials=trials, workers=workers, cache=cache
+        run_grid, grid, trials=trials, cache=cache, backend=backend
     )
     misses = sum(1 for row in rows if not row["cached"])
     record = {
@@ -230,13 +229,13 @@ def sweep_record(quick: bool, workers: int) -> dict:
     else:
         # Fully cold parallel run: a serial uncached pass gives the
         # like-for-like baseline the speedup is recorded against.
-        serial_s, _ = _time(run_grid, grid, trials=trials, workers=1)
+        serial_s, _ = _time(run_grid, grid, trials=trials)
         record["serial_seconds"] = round(serial_s, 4)
         record["parallel_speedup"] = round(serial_s / wall_s, 2)
     return record
 
 
-def adaptive_record(quick: bool, workers: int) -> dict:
+def adaptive_record(quick: bool, backend) -> dict:
     """Adaptive precision targeting vs the fixed budget (the PR 5 point).
 
     Runs the Table-1 grid twice over a fresh chunk ledger: once with
@@ -260,15 +259,15 @@ def adaptive_record(quick: bool, workers: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-ledger-") as ledger_dir:
         cache = ResultCache(ledger_dir)
         fixed_s, fixed = _time(
-            run_grid, grid, trials=trials, workers=workers, cache=cache
+            run_grid, grid, trials=trials, cache=cache, backend=backend
         )
         target_se = max(row["standard_error"] for row in fixed)
         adaptive_s, adaptive = _time(
             run_grid,
             grid,
             trials=trials,
-            workers=workers,
             cache=cache,
+            backend=backend,
             target_se=target_se,
         )
         fixed_total = sum(row["trials"] for row in fixed)
@@ -286,8 +285,8 @@ def adaptive_record(quick: bool, workers: int) -> dict:
             run_grid,
             grid,
             trials=bump_trials,
-            workers=workers,
             cache=bump_cache,
+            backend=backend,
         )
         old_full = (trials // grid.chunk_size) * grid.chunk_size
         extension_ok = all(
@@ -366,7 +365,7 @@ def exact_record(quick: bool) -> dict:
     return record
 
 
-def oracle_record(quick: bool, workers: int) -> dict:
+def oracle_record(quick: bool, backend) -> dict:
     """The settlement-oracle record (E11): build, no-op rebuild, QPS.
 
     Builds the tiny-preset artifact (the Monte-Carlo cross-check runs
@@ -392,8 +391,8 @@ def oracle_record(quick: bool, workers: int) -> dict:
         build_tables,
         TINY_SPEC,
         out_dir=ORACLE_ARTIFACT_DIR,
-        workers=workers,
         cache=cache,
+        backend=backend,
     )
     rebuild_s, rerun = _time(
         build_tables, TINY_SPEC, out_dir=ORACLE_ARTIFACT_DIR, cache=cache
@@ -774,12 +773,16 @@ def main() -> int:
     from bench_oracle_serving import serving_record
 
     record = {"quick": args.quick, "python": sys.version.split()[0]}
-    record["protocol"] = protocol_record(args.quick, args.workers)
-    record["protocol_sweep"] = protocol_sweep_record(args.quick, args.workers)
-    record["sweep"] = sweep_record(args.quick, args.workers)
-    record["adaptive"] = adaptive_record(args.quick, args.workers)
-    record["exact"] = exact_record(args.quick)
-    record["oracle"] = oracle_record(args.quick, args.workers)
+    workers = args.workers
+    with ProcessBackend(workers) if workers > 1 else SerialBackend() as pool:
+        record["protocol"] = protocol_record(args.quick, workers, pool)
+        record["protocol_sweep"] = protocol_sweep_record(
+            args.quick, workers, pool
+        )
+        record["sweep"] = sweep_record(args.quick, workers, pool)
+        record["adaptive"] = adaptive_record(args.quick, pool)
+        record["exact"] = exact_record(args.quick)
+        record["oracle"] = oracle_record(args.quick, pool)
     record["serving"] = serving_record(args.quick)
     record["backend"] = backend_record(args.quick)
     record["wan"] = wan_record(args.quick)

@@ -14,20 +14,18 @@ This module exposes:
   (sufficient conditions from Lemma 2 / Theorem 3 and the exact margin
   criterion on the reduced string);
 * the Theorem 7 probability bound (delegating to
-  :mod:`repro.analysis.bounds`);
-* samplers used by the Δ-sweep benchmark.
+  :mod:`repro.analysis.bounds`).
+
+Sampled (k, Δ)-settlement failure rates run through the engine: the
+``delta-synchronous`` scenario with the batched
+:func:`repro.engine.runner.delta_settlement_violation` estimator.
 """
 
 from __future__ import annotations
 
-import random
-
 from repro.core.alphabet import EMPTY, prefix_sums
 from repro.core.catalan import catalan_slots
-from repro.core.distributions import (
-    SlotProbabilities,
-    sample_characteristic_string,
-)
+from repro.core.distributions import SlotProbabilities
 from repro.core.margin import margin_sequence
 from repro.analysis.bounds import theorem7_settlement_bound
 from repro.delta.reduction import reduce_string, slot_bijection
@@ -101,25 +99,3 @@ def theorem7_error_bound(
         depth,
     )
 
-
-def estimate_violation_rate(
-    probabilities: SlotProbabilities,
-    slot: int,
-    depth: int,
-    delta: int,
-    total_length: int,
-    trials: int,
-    rng: random.Random,
-) -> float:
-    """Monte-Carlo rate of (k, Δ)-settlement failure for one slot.
-
-    Samples semi-synchronous strings, reduces them, and applies the
-    margin criterion; used by the Δ-sweep benchmark to show the measured
-    rate sits below the Theorem 7 bound.
-    """
-    failures = 0
-    for _ in range(trials):
-        word = sample_characteristic_string(probabilities, total_length, rng)
-        if not is_k_delta_settled(word, slot, depth, delta):
-            failures += 1
-    return failures / trials

@@ -213,6 +213,8 @@ class DistributedBackend:
     before its future fails (defaults to three tries per worker).
     """
 
+    name = "distributed"
+
     def __init__(
         self,
         hosts: Sequence[tuple[str, int]],

@@ -236,8 +236,8 @@ def initial_reaches_from_uniforms(
 ) -> np.ndarray:
     """Map uniforms to X_∞ draws (Eq. (9)): ``Pr[X ≥ k] = β^k``.
 
-    Inverse-CDF form of the scalar rejection loop in
-    :func:`repro.analysis.montecarlo.sample_initial_reach`:
+    Inverse-CDF form of the scalar rejection loop ``sample_initial_reach``
+    in ``tests/analysis/test_montecarlo.py``:
     ``X = ⌊log u / log β⌋`` satisfies ``Pr[X ≥ k] = Pr[u < β^k] = β^k``.
     """
     beta = stationary_reach_ratio(epsilon)

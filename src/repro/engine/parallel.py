@@ -18,22 +18,30 @@ frozen ``Scenario`` dataclasses, module-level estimator functions, the
 frozen window-estimator classes, ``SeedSequence`` objects — pickles
 cleanly by construction.
 
-Typical use is through the higher layers (``ExperimentRunner(...,
-workers=8)`` or ``repro.engine.sweeps.run_grid(..., workers=8)``), but
-the backend can be driven directly and shared across many runs::
+The caller owns the pool: it opens one, passes it as ``backend=`` to
+any number of runs (``ExperimentRunner.run``, ``run_scenario``,
+``repro.engine.sweeps.run_grid``, ``repro.oracle.tables.build_tables``)
+and closes it; ``backend=None`` runs in-process::
 
-    with ProcessBackend(workers=8) as pool:
+    with ProcessBackend(8) as pool:
         for scenario in scenarios:
             runner = ExperimentRunner(scenario)
             runner.run(100_000, seed=7, backend=pool)
+
+The command lines (``python -m repro.sweep``, ``python -m repro.oracle
+build``) declare their ``--workers/--backend/--hosts`` flags with
+:func:`add_backend_flags` and open the backend they name with
+:func:`open_backend`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
 import time
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -50,8 +58,10 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "WORKERS_ENV",
+    "add_backend_flags",
     "default_workers",
     "make_backend",
+    "open_backend",
 ]
 
 #: Names accepted by :func:`make_backend` (the CLI ``--backend`` values).
@@ -65,8 +75,8 @@ def make_backend(
 ) -> "Backend":
     """Construct a backend from its CLI name; caller owns ``close()``.
 
-    The single factory behind every ``--backend`` flag (sweep CLI,
-    oracle builder, benchmarks): ``serial``, ``process`` (pool of
+    The single factory behind every ``--backend`` flag (through
+    :func:`open_backend`): ``serial``, ``process`` (pool of
     ``workers``), or ``distributed`` (``hosts`` is the required
     ``"host:port,host:port"`` worker list).  Imports lazily so the
     serial/process path never pays for the socket machinery.
@@ -76,16 +86,78 @@ def make_backend(
     if name == "process":
         return ProcessBackend(workers)
     if name == "distributed":
-        if not hosts:
-            raise ValueError(
-                "--backend distributed requires --hosts host:port[,host:port]"
-            )
         from repro.engine.distributed import DistributedBackend
 
-        return DistributedBackend.from_spec(hosts)
+        return DistributedBackend.from_spec(hosts or "")
     raise ValueError(
         f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
     )
+
+
+def add_backend_flags(parser) -> None:
+    """Declare ``--workers``, ``--backend`` and ``--hosts`` on an
+    ``argparse`` parser; :func:`open_backend` reads them back."""
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool size (default 1 = serial; same results either way)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=BACKEND_NAMES,
+        default=None,
+        help=(
+            "execution backend (default: serial, or process when "
+            "--workers > 1); 'distributed' ships the work to the --hosts "
+            "workers — results are bit-identical on all of them"
+        ),
+    )
+    parser.add_argument(
+        "--hosts",
+        default=None,
+        metavar="HOST:PORT[,HOST:PORT]",
+        help=(
+            "worker addresses for --backend distributed (each runs "
+            "python -m repro.worker)"
+        ),
+    )
+
+
+@contextlib.contextmanager
+def open_backend(args) -> Iterator["Backend"]:
+    """The backend parsed :func:`add_backend_flags` flags name, closed
+    on exit.
+
+    ``--backend`` if given, else ``process`` when ``--workers > 1``,
+    else ``serial``.  Invalid flags build nothing: each error is printed
+    to stderr as one ``error:`` line and the command exits with status
+    2, as ``argparse`` does for a malformed flag.
+    """
+    errors = []
+    if args.workers < 1:
+        errors.append(f"--workers must be positive, got {args.workers}")
+    if args.hosts and args.backend != "distributed":
+        errors.append("--hosts only applies to --backend distributed")
+    if args.backend == "distributed" and not args.hosts:
+        errors.append(
+            "--backend distributed requires --hosts host:port[,host:port]"
+        )
+    name = args.backend or ("process" if args.workers > 1 else "serial")
+    backend = None
+    if not errors:
+        try:
+            backend = make_backend(name, args.workers, args.hosts)
+        except ValueError as error:
+            errors.append(str(error))
+    if errors:
+        for message in errors:
+            print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+    try:
+        yield backend
+    finally:
+        backend.close()
 
 
 @runtime_checkable
@@ -164,6 +236,9 @@ class SerialBackend:
     contract.
     """
 
+    #: The ``--backend`` name this class answers to.
+    name = "serial"
+
     def submit_task(self, function, /, *args) -> _ImmediateFuture:
         """Evaluate an arbitrary pure task now; a resolved future.
 
@@ -226,6 +301,8 @@ class ProcessBackend:
     re-import the interpreter and NumPy; everything shipped to a worker
     pickles under either.)
     """
+
+    name = "process"
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = workers if workers is not None else default_workers()
@@ -292,27 +369,6 @@ class ProcessBackend:
                     )
                 )
         return futures
-
-    def map_chunks(
-        self,
-        scenario: Scenario,
-        estimator: Estimator,
-        sizes: list[int],
-        children: list[np.random.SeedSequence],
-    ) -> list:
-        """Evaluate every chunk on the pool; hit counts in chunk order.
-
-        Blocking form of :meth:`submit_chunks` — the returned list of
-        hit counts is positionally aligned with ``sizes`` and
-        ``children`` regardless of completion order.  An estimator
-        exception in any worker propagates to the caller.
-        """
-        return [
-            future.result()
-            for future in self.submit_chunks(
-                scenario, estimator, sizes, children
-            )
-        ]
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""

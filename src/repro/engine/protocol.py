@@ -336,7 +336,6 @@ class ProtocolRunner(ExperimentRunner):
         scenario: ProtocolScenario,
         estimator: Estimator | None = None,
         chunk_size: int = PROTOCOL_CHUNK_SIZE,
-        workers: int = 1,
         cache=None,
     ) -> None:
         if not isinstance(scenario, ProtocolScenario):
@@ -344,7 +343,7 @@ class ProtocolRunner(ExperimentRunner):
                 "ProtocolRunner needs a ProtocolScenario; use "
                 "ExperimentRunner for analytical scenarios"
             )
-        super().__init__(scenario, estimator, chunk_size, workers, cache)
+        super().__init__(scenario, estimator, chunk_size, cache)
 
 
 # ----------------------------------------------------------------------

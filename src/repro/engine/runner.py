@@ -24,9 +24,9 @@ For an integer ``seed`` the run is bit-reproducible and **independent of
 the execution backend**: the trial count is partitioned into chunks of
 ``chunk_size`` (last chunk ragged), a ``numpy.random.SeedSequence(seed)``
 is spawned into one child per chunk, and chunk ``i`` is always sampled
-from ``default_rng(child_i)`` — whether the chunks run in-process or are
-fanned out across a :class:`repro.engine.parallel.ProcessBackend` with
-any number of workers.  Per-chunk hit counts are therefore bit-identical
+from ``default_rng(child_i)`` — whether the chunks run in-process
+(``backend=None``) or on a caller-owned ``backend=ProcessBackend(n)``
+of any size.  Per-chunk hit counts are therefore bit-identical
 between serial and parallel runs, and so are the aggregated
 :class:`Estimate` values.  (Changing ``chunk_size`` re-partitions the
 trial stream and changes individual samples — the estimate remains
@@ -66,7 +66,6 @@ chunk by chunk and is rejected.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -434,6 +433,15 @@ class PendingEstimate:
         return self._resolved
 
 
+def _serial_if_none(backend: "Backend | None") -> "Backend":
+    """``backend``, or an in-process serial backend when ``None``."""
+    if backend is not None:
+        return backend
+    from repro.engine.parallel import SerialBackend
+
+    return SerialBackend()
+
+
 def _require_integer_seed(seed) -> None:
     if isinstance(seed, np.random.Generator):
         raise ValueError(
@@ -450,12 +458,14 @@ class ExperimentRunner:
     the default keeps chunks comfortably inside cache for typical
     horizons while amortising NumPy dispatch.
 
-    ``workers`` selects the execution backend: ``1`` (default) runs the
-    chunks in-process; ``> 1`` fans them out across a
-    :class:`repro.engine.parallel.ProcessBackend` with that many
-    processes.  Because every chunk is seeded from its own spawned
-    ``SeedSequence`` child, the returned :class:`Estimate` is identical
-    for every worker count (see the module docstring).
+    Where the chunks run is the caller's choice, made per run: every
+    run method takes a ``backend`` (a
+    :class:`repro.engine.parallel.Backend` the caller opened and
+    closes), and ``None`` means an in-process
+    :class:`~repro.engine.parallel.SerialBackend`.  The runner never
+    opens or closes a pool.  Because every chunk is seeded from its own
+    spawned ``SeedSequence`` child, the returned :class:`Estimate` is
+    identical on every backend (see the module docstring).
 
     ``cache`` is an optional :class:`repro.engine.cache.ResultCache`;
     when set, every chunk is looked up in the chunk ledger of
@@ -468,17 +478,13 @@ class ExperimentRunner:
         scenario: Scenario,
         estimator: Estimator | None = None,
         chunk_size: int = 4096,
-        workers: int = 1,
         cache: "ResultCache | None" = None,
     ) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if workers < 1:
-            raise ValueError("workers must be positive")
         self.scenario = scenario
         self.estimator = estimator or self._default_estimator(scenario)
         self.chunk_size = chunk_size
-        self.workers = workers
         self.cache = cache
         #: The :class:`RunReport` of the most recently resolved run on
         #: this runner (``None`` before the first); orchestrators read
@@ -498,22 +504,6 @@ class ExperimentRunner:
             if scenario.reduced
             else settlement_violation
         )
-
-    @contextlib.contextmanager
-    def _backend(self, backend: "Backend | None"):
-        """``backend`` itself, else an ephemeral pool of ``workers``
-        processes (closed on exit) when ``workers > 1``, else serial."""
-        if backend is not None:
-            yield backend
-        elif self.workers > 1:
-            from repro.engine.parallel import ProcessBackend
-
-            with ProcessBackend(self.workers) as pool:
-                yield pool
-        else:
-            from repro.engine.parallel import SerialBackend
-
-            yield SerialBackend()
 
     def _dispatch(
         self,
@@ -556,20 +546,17 @@ class ExperimentRunner:
     ) -> Estimate:
         """Run ``trials`` trials and aggregate into an :class:`Estimate`.
 
-        ``backend`` optionally supplies an already-running backend to
-        reuse across many runs (as the sweep orchestrator does);
-        otherwise ``workers > 1`` starts an ephemeral pool for this run
-        only.
+        The chunks run on ``backend`` (in-process when ``None``).
         """
         if trials < 1:
             raise ValueError("trials must be positive")
-        with self._backend(backend) as active:
-            return self.submit(trials, seed, active).result()
+        return self.submit(trials, seed, backend).result()
 
     def submit(
-        self, trials: int, seed: int, backend: "Backend"
+        self, trials: int, seed: int, backend: "Backend | None" = None
     ) -> PendingEstimate:
-        """Dispatch a run to ``backend`` without waiting for it.
+        """Dispatch a run to ``backend`` (in-process when ``None``)
+        without waiting for it.
 
         The run is one wave over its whole partition, looked up in the
         ledger immediately: ledgered chunks are reused bit-identically
@@ -584,7 +571,9 @@ class ExperimentRunner:
             raise ValueError("trials must be positive")
         _require_integer_seed(seed)
         chunks = len(chunk_sizes(trials, self.chunk_size))
-        wave = self._dispatch(seed, range(chunks), trials, backend)
+        wave = self._dispatch(
+            seed, range(chunks), trials, _serial_if_none(backend)
+        )
         return PendingEstimate(self, trials, wave)
 
     def run_until(
@@ -624,8 +613,8 @@ class ExperimentRunner:
         (which are themselves bit-identical on every backend) plus
         ``(chunk_size, initial_chunks, max_trials)``, the realized
         trial count is a deterministic function of
-        ``(seed, stopping rule)``: 1, 2, and 4 workers return
-        bit-identical estimates with identical trial counts.
+        ``(seed, stopping rule)``: every backend, at any worker count,
+        returns bit-identical estimates with identical trial counts.
         Every wave goes through the same ledger path as a fixed-budget
         run — a warm adaptive rerun samples nothing, and a later
         ``run(realized_trials, seed)`` reuses every chunk.
@@ -660,54 +649,54 @@ class ExperimentRunner:
         waves: list[_Wave] = []
         estimate: Estimate | None = None
         done = 0
-        with self._backend(backend) as active:
-            while done < chunks and (estimate is None or not met(estimate)):
-                if done == full_max:
-                    # Every full chunk is spent: the ragged remainder
-                    # tops the run up to exactly max_trials.
-                    goal = chunks
-                elif done == 0:
-                    goal = min(full_max, initial_chunks)
-                else:
-                    # The largest active threshold at the current value
-                    # is the easiest target to meet; project the trials
-                    # needed to reach it from the aggregate so far, and
-                    # grow by at most 2x but never (knowingly) past the
-                    # projection.
-                    threshold = max(
-                        target_se if target_se is not None else 0.0,
-                        rel_se * estimate.value if rel_se is not None else 0.0,
+        active = _serial_if_none(backend)
+        while done < chunks and (estimate is None or not met(estimate)):
+            if done == full_max:
+                # Every full chunk is spent: the ragged remainder
+                # tops the run up to exactly max_trials.
+                goal = chunks
+            elif done == 0:
+                goal = min(full_max, initial_chunks)
+            else:
+                # The largest active threshold at the current value
+                # is the easiest target to meet; project the trials
+                # needed to reach it from the aggregate so far, and
+                # grow by at most 2x but never (knowingly) past the
+                # projection.
+                threshold = max(
+                    target_se if target_se is not None else 0.0,
+                    rel_se * estimate.value if rel_se is not None else 0.0,
+                )
+                if threshold > 0:
+                    projected = math.ceil(
+                        estimate.trials
+                        * (estimate.standard_error / threshold) ** 2
+                        / self.chunk_size
                     )
-                    if threshold > 0:
-                        projected = math.ceil(
-                            estimate.trials
-                            * (estimate.standard_error / threshold) ** 2
-                            / self.chunk_size
-                        )
-                    else:  # rel-only rule while value == 0: no signal yet
-                        projected = 2 * done
-                    goal = min(
-                        full_max, max(done + 1, min(2 * done, projected))
-                    )
-                with span(
-                    "runner.wave",
-                    scenario=self.scenario.name,
-                    wave=len(waves),
-                    chunks=goal - done,
-                ):
-                    wave = self._dispatch(
-                        seed, range(done, goal), max_trials, active
-                    )
-                    hits += wave.collect()
-                    waves.append(wave)
-                    estimate = estimate_from_hits(
-                        hits, min(goal * self.chunk_size, max_trials)
-                    )
-                done = goal
-                metrics.gauge(
-                    "repro_runner_standard_error",
-                    "SE trajectory of the current adaptive run",
-                ).set(estimate.standard_error)
+                else:  # rel-only rule while value == 0: no signal yet
+                    projected = 2 * done
+                goal = min(
+                    full_max, max(done + 1, min(2 * done, projected))
+                )
+            with span(
+                "runner.wave",
+                scenario=self.scenario.name,
+                wave=len(waves),
+                chunks=goal - done,
+            ):
+                wave = self._dispatch(
+                    seed, range(done, goal), max_trials, active
+                )
+                hits += wave.collect()
+                waves.append(wave)
+                estimate = estimate_from_hits(
+                    hits, min(goal * self.chunk_size, max_trials)
+                )
+            done = goal
+            metrics.gauge(
+                "repro_runner_standard_error",
+                "SE trajectory of the current adaptive run",
+            ).set(estimate.standard_error)
         self.last_report = RunReport.of_waves(estimate.trials, waves)
         _record_report(self.last_report)
         return estimate
@@ -719,18 +708,19 @@ def run_scenario(
     seed: int,
     estimator: Estimator | None = None,
     chunk_size: int = 4096,
-    workers: int = 1,
     cache: "ResultCache | None" = None,
+    backend: "Backend | None" = None,
     **overrides,
 ) -> Estimate:
     """One-call convenience: look up, override, run.
 
     ``run_scenario("iid-settlement", 100_000, seed=7, depth=200)`` is the
-    whole Monte-Carlo pipeline for a Table 1 cell; add ``workers=8`` to
+    whole Monte-Carlo pipeline for a Table 1 cell; pass
+    ``backend=ProcessBackend(8)`` (opened and closed by the caller) to
     fan the chunks across cores (same estimate, less wall-clock).
     """
     from repro.engine.scenarios import get_scenario
 
     scenario = get_scenario(name, **overrides)
-    runner = ExperimentRunner(scenario, estimator, chunk_size, workers, cache)
-    return runner.run(trials, seed)
+    runner = ExperimentRunner(scenario, estimator, chunk_size, cache)
+    return runner.run(trials, seed, backend)

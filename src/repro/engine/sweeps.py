@@ -7,8 +7,9 @@ fourth layer: a :class:`SweepGrid` names a registered base scenario and
 a list of axes, expands their Cartesian product into concrete
 :class:`~repro.engine.scenarios.Scenario` points, and :func:`run_grid`
 executes every point through :class:`~repro.engine.runner.
-ExperimentRunner` — serially, or fanned across a shared
-:class:`~repro.engine.parallel.ProcessBackend`, with an optional
+ExperimentRunner` — serially, or fanned across a backend the caller
+opened (a :class:`~repro.engine.parallel.ProcessBackend`, say), with an
+optional
 :class:`~repro.engine.cache.ResultCache` whose chunk ledger means no
 chunk is ever sampled twice — a rerun samples nothing, and a changed
 trial budget samples only the chunks it adds.  Grids may declare
@@ -51,7 +52,7 @@ from repro.core.distributions import (
     from_adversarial_stake,
 )
 from repro.engine.cache import ResultCache
-from repro.engine.parallel import Backend, ProcessBackend, SerialBackend
+from repro.engine.parallel import Backend
 from repro.engine.runner import Estimator, ExperimentRunner
 from repro.engine.scenarios import PROTOCOL_CHUNK_SIZE, Scenario, get_scenario
 
@@ -269,7 +270,6 @@ def _row(point: SweepPoint, estimate, report) -> dict:
 def run_grid(
     grid: SweepGrid,
     trials: int | None = None,
-    workers: int = 1,
     cache: ResultCache | None = None,
     backend: Backend | None = None,
     seed: int | None = None,
@@ -287,13 +287,13 @@ def run_grid(
     split of where the trials came from), in expansion order — ready
     for ``json.dump`` or a CSV writer.
 
-    ``workers > 1`` opens one shared :class:`ProcessBackend` for the
-    whole grid (per-point estimates are bit-identical to a serial run —
-    the runner's per-chunk seed tree does not depend on the backend).
-    An already-open ``backend`` — *any*
-    :class:`~repro.engine.parallel.Backend`: process pool or
-    :class:`~repro.engine.distributed.DistributedBackend` — is reused
-    and left running; it takes precedence over ``workers``.
+    Every point's chunks run on ``backend`` — *any*
+    :class:`~repro.engine.parallel.Backend` the caller opened and
+    closes: process pool or
+    :class:`~repro.engine.distributed.DistributedBackend` — and
+    in-process when ``None``.  Per-point estimates are bit-identical on
+    every backend: the runner's per-chunk seed tree does not depend on
+    it.
 
     ``seed`` overrides the grid's base seed (point ``i`` then runs with
     ``seed + i`` — a different seed is a different run and re-keys every
@@ -321,55 +321,46 @@ def run_grid(
         grid = dataclasses.replace(grid, seed=seed)
     adaptive = target_se is not None or rel_se is not None
     estimator = grid.resolve_estimator()
-    owned = None
-    if backend is None and workers > 1:
-        owned = backend = ProcessBackend(workers)
-    try:
-        points = grid.points()
-        if only:
-            points = select_points(grid, points, only)
-        runners = [
-            ExperimentRunner(
-                point.scenario,
-                estimator,
-                chunk_size=grid.chunk_size,
-                cache=cache,
+    points = grid.points()
+    if only:
+        points = select_points(grid, points, only)
+    runners = [
+        ExperimentRunner(
+            point.scenario,
+            estimator,
+            chunk_size=grid.chunk_size,
+            cache=cache,
+        )
+        for point in points
+    ]
+    if adaptive:
+        # Adaptive points are sequential by construction: each wave's
+        # stopping decision needs the previous wave's aggregated
+        # moments.  Chunk waves still spread across the shared backend.
+        rows = []
+        for runner, point in zip(runners, points):
+            estimate = runner.run_until(
+                point.seed,
+                target_se=target_se,
+                rel_se=rel_se,
+                max_trials=max_trials,
+                backend=backend,
             )
-            for point in points
-        ]
-        active = backend if backend is not None else SerialBackend()
-        if adaptive:
-            # Adaptive points are sequential by construction: each wave's
-            # stopping decision needs the previous wave's aggregated
-            # moments.  Chunk waves still spread across the shared
-            # backend.
-            rows = []
-            for runner, point in zip(runners, points):
-                estimate = runner.run_until(
-                    point.seed,
-                    target_se=target_se,
-                    rel_se=rel_se,
-                    max_trials=max_trials,
-                    backend=active,
-                )
-                rows.append(_row(point, estimate, runner.last_report))
-            return rows
-        # Submit every point's chunks before collecting anything: on a
-        # process backend the pool pipelines across point boundaries, so
-        # workers never idle while one point's last chunk finishes.  The
-        # serial backend evaluates eagerly through the same code path.
-        pending = [
-            runner.submit(trials, point.seed, active)
-            for runner, point in zip(runners, points)
-        ]
-        results = [(p.result(), p.report) for p in pending]
-        return [
-            _row(point, estimate, report)
-            for point, (estimate, report) in zip(points, results)
-        ]
-    finally:
-        if owned is not None:
-            owned.close()
+            rows.append(_row(point, estimate, runner.last_report))
+        return rows
+    # Submit every point's chunks before collecting anything: on a
+    # process backend the pool pipelines across point boundaries, so
+    # workers never idle while one point's last chunk finishes.  The
+    # serial backend evaluates eagerly through the same code path.
+    pending = [
+        runner.submit(trials, point.seed, backend)
+        for runner, point in zip(runners, points)
+    ]
+    results = [(p.result(), p.report) for p in pending]
+    return [
+        _row(point, estimate, report)
+        for point, (estimate, report) in zip(points, results)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ import pathlib
 import sys
 
 from repro.engine.cache import ResultCache, cache_from_env
-from repro.engine.parallel import BACKEND_NAMES, make_backend
+from repro.engine.parallel import add_backend_flags, open_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES
@@ -83,29 +83,24 @@ def _cmd_build(args) -> int:
         if args.cache_dir
         else cache_from_env()
     )
-    backend = None
-    if args.backend is not None:
-        backend = make_backend(args.backend, args.workers, args.hosts)
-    registry = obs_metrics.enable() if args.metrics else None
-    if args.trace:
-        enable_tracing(args.trace)
-    try:
-        report = build_tables(
-            spec,
-            out_dir=args.out,
-            workers=args.workers,
-            cache=cache,
-            force=args.force,
-            log=print,
-            backend=backend,
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+    with open_backend(args) as backend:
+        registry = obs_metrics.enable() if args.metrics else None
         if args.trace:
-            disable_tracing()
-        if registry is not None:
-            obs_metrics.disable()
+            enable_tracing(args.trace)
+        try:
+            report = build_tables(
+                spec,
+                out_dir=args.out,
+                cache=cache,
+                force=args.force,
+                log=print,
+                backend=backend,
+            )
+        finally:
+            if args.trace:
+                disable_tracing()
+            if registry is not None:
+                obs_metrics.disable()
     action = "built" if report.rebuilt else "reused (no-op rebuild)"
     print(
         f"{action} {report.tables.forward.size} forward cells + "
@@ -239,27 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     build.add_argument("--mc-depths", type=_ints, default=None)
     build.add_argument("--mc-seed", type=int, default=None)
-    build.add_argument("--workers", type=int, default=1)
-    build.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help=(
-            "execution backend for the DP fan-out and MC cross-check "
-            "(default: serial, or process when --workers > 1); "
-            "'distributed' ships the work to the --hosts workers — table "
-            "cells are bit-identical on all of them"
-        ),
-    )
-    build.add_argument(
-        "--hosts",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT]",
-        help=(
-            "worker addresses for --backend distributed (each runs "
-            "python -m repro.worker)"
-        ),
-    )
+    add_backend_flags(build)
     build.add_argument(
         "--cache-dir",
         default=None,

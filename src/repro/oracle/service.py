@@ -6,8 +6,9 @@ production questions:
 
 * ``violation_probability(α, fraction, Δ, k)`` — how likely is a
   k-settlement failure?
-* ``settlement_depth(α, fraction, Δ, target)`` — how deep must a block
-  be for the failure probability to drop to ``target``?
+* ``settlement_depth_with_source(α, fraction, Δ, target)`` — how deep
+  must a block be for the failure probability to drop to ``target``,
+  and did the table or the analytic bound answer?
 
 **Exactness at grid points.**  A query whose coordinates all lie on the
 table grid is answered straight from the ``forward`` array — the answer
@@ -37,7 +38,12 @@ fraction and in k — the monotonicity property-tested in
 ``tests/analysis/test_monotonicity.py``), so the snapped cell's exact
 value is an upper bound on the true value at the query point: the
 oracle never reports a smaller failure probability, or a shallower
-settlement depth, than the exact DP would.
+settlement depth, than the exact DP would — up to its last ulp, the
+slack between a stored cell and a per-k DP run noted above (at α 0.1,
+fraction 1.0, Δ 0, k 5 of a 0.05-activity table the oracle reads
+0.05023999999999981 and the DP 0.050239999999999826).  The dominance
+checks allow exactly that ulp; the stored cells are not nudged, since
+served answers are checked against them bit for bit.
 
 **Certified analytic fallback.**  A depth query whose snapped cell
 holds the ``−1`` sentinel (target below the DP horizon's resolution)
@@ -48,8 +54,7 @@ dominating series with prefix correction) meets the target, searched
 (:meth:`~SettlementOracle.settlement_depth_with_source` and its batch
 twin) fall back to that cell and label the answer
 ``source = "analytic"`` — still conservative, because the bound
-dominates the exact DP and the axis snapping is unchanged.  The plain
-forms keep their historical table-only contract.
+dominates the exact DP and the axis snapping is unchanged.
 
 Queries *outside* the grid hull cannot be conservatively answered from
 the table; by default they raise :class:`OracleDomainError`.  With
@@ -378,11 +383,23 @@ class SettlementOracle:
 
     # -- inverse queries: (alpha, fraction, delta, target) -> depth ----
 
-    def _depth_indexes(
-        self, alphas, fractions, deltas, targets, strict: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Snapped cell + target indexes shared by both batch depth
-        forms; the final mask flags rows with no conservative answer."""
+    def settlement_depths_with_source(
+        self,
+        alphas,
+        fractions,
+        deltas,
+        targets,
+        strict: bool = True,
+    ) -> tuple[np.ndarray, list]:
+        """Batch depths with provenance: ``(depths, sources)``.
+
+        ``sources[i]`` is ``"table"`` when the DP table answered,
+        ``"analytic"`` when the table's cell holds the −1 sentinel but
+        the certified Theorem 1 bound reaches the target within its
+        extended horizon (the returned depth is then that certified
+        upper bound), and ``None`` when neither can answer (the depth
+        is ``UNREACHABLE_DEPTH``).
+        """
         alphas = _as_array(alphas, "alphas")
         fractions = _as_array(fractions, "fractions")
         deltas = _as_array(deltas, "deltas")
@@ -408,53 +425,7 @@ class SettlementOracle:
             )
         ascending = np.maximum(ascending, 0)
         ti = len(self._targets_ascending) - 1 - ascending
-        return ai, fi, di, ti, invalid | loose
-
-    def settlement_depths(
-        self,
-        alphas,
-        fractions,
-        deltas,
-        targets,
-        strict: bool = True,
-    ) -> np.ndarray:
-        """Vectorized minimal settlement depths (int64), table-only.
-
-        For each query: the smallest tabulated k whose exact violation
-        probability at the conservatively snapped cell is ≤ the largest
-        grid target that is ≤ the query target.  ``UNREACHABLE_DEPTH``
-        (−1) marks targets not reachable within the table's depth
-        horizon.  Out-of-hull coordinates — including targets below the
-        grid's strictest — raise (``strict=True``) or return −1
-        (``strict=False``).  Use :meth:`settlement_depths_with_source`
-        to also consult the certified analytic fallback.
-        """
-        ai, fi, di, ti, bad = self._depth_indexes(
-            alphas, fractions, deltas, targets, strict
-        )
-        values = np.asarray(self.tables.minimal_depth)[ai, fi, di, ti]
-        return np.where(bad, UNREACHABLE_DEPTH, values)
-
-    def settlement_depths_with_source(
-        self,
-        alphas,
-        fractions,
-        deltas,
-        targets,
-        strict: bool = True,
-    ) -> tuple[np.ndarray, list]:
-        """Batch depths with provenance: ``(depths, sources)``.
-
-        ``sources[i]`` is ``"table"`` when the DP table answered,
-        ``"analytic"`` when the table's cell holds the −1 sentinel but
-        the certified Theorem 1 bound reaches the target within its
-        extended horizon (the returned depth is then that certified
-        upper bound), and ``None`` when neither can answer (the depth
-        is ``UNREACHABLE_DEPTH``).
-        """
-        ai, fi, di, ti, bad = self._depth_indexes(
-            alphas, fractions, deltas, targets, strict
-        )
+        bad = invalid | loose
         table = np.asarray(self.tables.minimal_depth)[ai, fi, di, ti]
         analytic = np.asarray(self.tables.analytic_depth)[ai, fi, di, ti]
         fallback = (table == UNREACHABLE_DEPTH) & (analytic >= 0) & ~bad
@@ -468,25 +439,6 @@ class SettlementOracle:
         ]
         return depths, sources
 
-    def settlement_depth(
-        self,
-        alpha: float,
-        unique_fraction: float,
-        delta: int,
-        target: float,
-        strict: bool = True,
-    ) -> int | None:
-        """Scalar form of :meth:`settlement_depths` (same bisect fast
-        path as :meth:`violation_probability`), table-only.
-
-        Returns ``None`` instead of the −1 sentinel when the target is
-        not reachable within the table's depth horizon.
-        """
-        depth, _ = self._scalar_depth(
-            alpha, unique_fraction, delta, target, strict
-        )
-        return depth
-
     def settlement_depth_with_source(
         self,
         alpha: float,
@@ -497,19 +449,6 @@ class SettlementOracle:
     ) -> tuple[int | None, str | None]:
         """Scalar :meth:`settlement_depths_with_source`:
         ``(depth | None, "table" | "analytic" | None)``."""
-        return self._scalar_depth(
-            alpha, unique_fraction, delta, target, strict, fallback=True
-        )
-
-    def _scalar_depth(
-        self,
-        alpha: float,
-        unique_fraction: float,
-        delta: int,
-        target: float,
-        strict: bool,
-        fallback: bool = False,
-    ) -> tuple[int | None, str | None]:
         cell = self._scalar_cell(alpha, unique_fraction, delta, strict, "depth")
         if not isinstance(target, numbers.Real) or not math.isfinite(target):
             raise ValueError(
@@ -531,8 +470,8 @@ class SettlementOracle:
         depth = int(self.tables.minimal_depth[ai, fi, di, ti])
         if depth != UNREACHABLE_DEPTH:
             return depth, "table"
-        if fallback:
-            certified = int(self.tables.analytic_depth[ai, fi, di, ti])
-            if certified != UNREACHABLE_DEPTH:
-                return certified, "analytic"
+        certified = int(self.tables.analytic_depth[ai, fi, di, ti])
+        if certified != UNREACHABLE_DEPTH:
+            return certified, "analytic"
         return None, None
+

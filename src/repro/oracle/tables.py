@@ -42,8 +42,8 @@ rounding relies on (property-tested in
 
 Cross-validation rides the sweep engine: every ``mc_depths`` cell is
 also Monte-Carlo estimated through :func:`repro.engine.sweeps.run_grid`
-— fanned across a :class:`~repro.engine.parallel.ProcessBackend` when
-``workers > 1`` and stored in a
+— on whatever backend the caller passes (a
+:class:`~repro.engine.parallel.ProcessBackend`, say) and stored in a
 :class:`~repro.engine.cache.ResultCache` — and the estimate must agree
 with the exact DP within 6 standard errors.  A rebuild against a warm
 cache therefore re-*checks* everything while re-*estimating* nothing,
@@ -70,6 +70,7 @@ from repro.delta.reduction import reduced_probabilities
 
 if TYPE_CHECKING:
     from repro.engine.cache import ResultCache
+    from repro.engine.parallel import Backend
     from repro.engine.sweeps import SweepGrid
 
 __all__ = [
@@ -416,11 +417,10 @@ def _mc_grid(
 def build_tables(
     spec: OracleSpec,
     out_dir=None,
-    workers: int = 1,
     cache: ResultCache | None = None,
     force: bool = False,
     log=None,
-    backend=None,
+    backend: "Backend | None" = None,
 ) -> BuildReport:
     """Build (or load) the settlement tables for ``spec``.
 
@@ -431,28 +431,27 @@ def build_tables(
 
     Otherwise: each (α, fraction, Δ) combo runs one dense DP sweep,
     which fills its forward and minimal-depth rows, and one certified
-    analytic row — fanned across a shared :class:`ProcessBackend` when
-    ``workers > 1`` — then the
-    ``mc_depths`` cells are Monte-Carlo cross-checked through
-    :func:`run_grid` (same backend, optional ``cache``; a warm cache
-    serves every point with zero re-estimation) and must agree with the
-    DP within 6 standard errors.  The result is saved to ``out_dir``
-    when given.
+    analytic row, then the ``mc_depths`` cells are Monte-Carlo
+    cross-checked through :func:`run_grid` (optional ``cache``; a warm
+    cache serves every point with zero re-estimation) and must agree
+    with the DP within 6 standard errors.  The result is saved to
+    ``out_dir`` when given.
 
-    ``backend`` overrides the worker-count heuristic with an explicit
-    :class:`~repro.engine.parallel.Backend` — a shared process pool or
-    a :class:`~repro.engine.distributed.DistributedBackend` — which then
-    carries both the DP task fan-out and the Monte-Carlo cross-check.
-    The caller keeps ownership: ``build_tables`` never closes it.  By
-    the chunk seed-tree contract the backend choice cannot change a
-    single table cell or cross-check estimate.
+    ``backend`` — any :class:`~repro.engine.parallel.Backend`: a
+    process pool or a
+    :class:`~repro.engine.distributed.DistributedBackend` — carries both
+    the DP task fan-out and the Monte-Carlo cross-check; ``None`` runs
+    everything in-process.  The caller keeps ownership:
+    ``build_tables`` never opens or closes a pool.  By the chunk
+    seed-tree contract the backend choice cannot change a single table
+    cell or cross-check estimate.
 
     ``log`` is an optional ``print``-like callable for build progress
     (the CLI passes ``print``; the default is silent).
     """
     # Local imports: store imports OracleTables, and loading the tables
     # (to serve or query them) needs none of the build machinery.
-    from repro.engine.parallel import ProcessBackend, SerialBackend
+    from repro.engine.parallel import SerialBackend
     from repro.oracle import store
 
     emit = log if log is not None else (lambda *_: None)
@@ -488,88 +487,79 @@ def build_tables(
     analytic = np.empty(shape[:3] + (len(spec.targets),), dtype=np.int64)
     analytic_horizon = ANALYTIC_HORIZON_FACTOR * spec.depth_horizon
 
-    owned = None
-    shared = backend is not None
     if backend is None:
         backend = SerialBackend()
-        if workers > 1:
-            owned = backend = ProcessBackend(workers)
-    try:
-        emit(
-            f"building {len(laws)} combos: one exact DP sweep to "
-            f"k = {spec.depth_horizon} + one analytic row each "
-            f"(workers={workers})"
+    emit(
+        f"building {len(laws)} combos: one exact DP sweep to "
+        f"k = {spec.depth_horizon} + one analytic row each"
+    )
+    # Submit everything before collecting anything: on a process
+    # backend the tasks pipeline across combo boundaries.
+    dp_futures = {
+        (i, j, l): backend.submit_task(
+            _dp_rows, law, spec.depths, spec.targets
         )
-        # Submit everything before collecting anything: on a process
-        # backend the tasks pipeline across combo boundaries.
-        dp_futures = {
-            (i, j, l): backend.submit_task(
-                _dp_rows, law, spec.depths, spec.targets
-            )
-            for (i, j, l), law in laws.items()
-        }
-        analytic_futures = {
-            (i, j, l): backend.submit_task(
-                _analytic_depth_row, law, analytic_horizon, spec.targets
-            )
-            for (i, j, l), law in laws.items()
-        }
-        for (i, j, l), future in dp_futures.items():
-            forward[i, j, l, :], minimal[i, j, l, :] = future.result()
-        for (i, j, l), future in analytic_futures.items():
-            analytic[i, j, l, :] = future.result()
-        rescuable = (minimal < 0) & (analytic >= 0)
-        emit(
-            f"certified analytic fallback (horizon {analytic_horizon}) "
-            f"covers {int(rescuable.sum())} of {int((minimal < 0).sum())} "
-            "DP-unreachable minimal-depth cells"
+        for (i, j, l), law in laws.items()
+    }
+    analytic_futures = {
+        (i, j, l): backend.submit_task(
+            _analytic_depth_row, law, analytic_horizon, spec.targets
         )
+        for (i, j, l), law in laws.items()
+    }
+    for (i, j, l), future in dp_futures.items():
+        forward[i, j, l, :], minimal[i, j, l, :] = future.result()
+    for (i, j, l), future in analytic_futures.items():
+        analytic[i, j, l, :] = future.result()
+    rescuable = (minimal < 0) & (analytic >= 0)
+    emit(
+        f"certified analytic fallback (horizon {analytic_horizon}) "
+        f"covers {int(rescuable.sum())} of {int((minimal < 0).sum())} "
+        "DP-unreachable minimal-depth cells"
+    )
 
-        mc_points = mc_cached = 0
-        if spec.mc_trials:
-            budget = (
-                f"SE target {spec.mc_target_se:g}, "
-                f"<= {spec.mc_trials} trials/point"
-                if spec.mc_target_se
-                else f"{spec.mc_trials} trials/point"
-            )
-            emit(
-                f"cross-validating {len(laws)} combos x "
-                f"{len(spec.mc_depths)} depths by Monte Carlo ({budget})"
-            )
-            from repro.engine.runner import Estimate
-            from repro.engine.sweeps import run_grid
+    mc_points = mc_cached = 0
+    if spec.mc_trials:
+        budget = (
+            f"SE target {spec.mc_target_se:g}, "
+            f"<= {spec.mc_trials} trials/point"
+            if spec.mc_target_se
+            else f"{spec.mc_trials} trials/point"
+        )
+        emit(
+            f"cross-validating {len(laws)} combos x "
+            f"{len(spec.mc_depths)} depths by Monte Carlo ({budget})"
+        )
+        from repro.engine.runner import Estimate
+        from repro.engine.sweeps import run_grid
 
-            depth_index = {k: m for m, k in enumerate(spec.depths)}
-            for combo_index, ((i, j, l), law) in enumerate(laws.items()):
-                rows = run_grid(
-                    _mc_grid(spec, combo_index, law),
-                    backend=backend if (shared or workers > 1) else None,
-                    cache=cache,
-                    # mc_target_se > 0: the cross-check targets a fixed
-                    # sigma-resolution per cell instead of a fixed trial
-                    # count; mc_trials becomes the per-cell ceiling.
-                    target_se=spec.mc_target_se or None,
+        depth_index = {k: m for m, k in enumerate(spec.depths)}
+        for combo_index, ((i, j, l), law) in enumerate(laws.items()):
+            rows = run_grid(
+                _mc_grid(spec, combo_index, law),
+                backend=backend,
+                cache=cache,
+                # mc_target_se > 0: the cross-check targets a fixed
+                # sigma-resolution per cell instead of a fixed trial
+                # count; mc_trials becomes the per-cell ceiling.
+                target_se=spec.mc_target_se or None,
+            )
+            for row in rows:
+                mc_points += 1
+                mc_cached += bool(row["cached"])
+                exact = forward[i, j, l, depth_index[row["depth"]]]
+                estimate = Estimate(
+                    row["value"], row["standard_error"], row["trials"]
                 )
-                for row in rows:
-                    mc_points += 1
-                    mc_cached += bool(row["cached"])
-                    exact = forward[i, j, l, depth_index[row["depth"]]]
-                    estimate = Estimate(
-                        row["value"], row["standard_error"], row["trials"]
+                if not estimate.within(exact, sigmas=6.0):
+                    raise RuntimeError(
+                        "Monte-Carlo cross-check failed at "
+                        f"alpha={spec.alphas[i]}, "
+                        f"fraction={spec.unique_fractions[j]}, "
+                        f"delta={spec.deltas[l]}, k={row['depth']}: "
+                        f"MC {row['value']} +- "
+                        f"{row['standard_error']} vs DP {exact}"
                     )
-                    if not estimate.within(exact, sigmas=6.0):
-                        raise RuntimeError(
-                            "Monte-Carlo cross-check failed at "
-                            f"alpha={spec.alphas[i]}, "
-                            f"fraction={spec.unique_fractions[j]}, "
-                            f"delta={spec.deltas[l]}, k={row['depth']}: "
-                            f"MC {row['value']} +- "
-                            f"{row['standard_error']} vs DP {exact}"
-                        )
-    finally:
-        if owned is not None:
-            owned.close()
 
     tables = OracleTables(
         spec=spec,

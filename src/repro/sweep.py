@@ -34,7 +34,13 @@ knob.  ``--backend`` picks the execution backend explicitly:
 ``serial``, ``process``, or ``distributed`` with ``--hosts
 host:port,host:port`` naming ``python -m repro.worker`` processes on
 other machines.  The backend is also purely a wall-clock knob: all three
-produce bit-identical rows.
+produce bit-identical rows.  The flags are read by
+:func:`repro.engine.parallel.open_backend`, shared with ``python -m
+repro.oracle build``: an invalid combination (``--workers 0``,
+``--hosts`` without ``--backend distributed`` or the reverse) exits 2
+before anything runs.  In code, ``run_grid(grid,
+backend=ProcessBackend(n))`` does the same, with the pool owned by the
+caller.
 
 Adaptive precision: ``--target-se`` / ``--rel-se`` switch every point
 to the runner's ``run_until`` path — chunk waves are dispatched until
@@ -55,7 +61,7 @@ import sys
 import time
 
 from repro.engine.cache import ResultCache, cache_from_env, format_stats
-from repro.engine.parallel import BACKEND_NAMES, make_backend
+from repro.engine.parallel import add_backend_flags, open_backend
 from repro.engine.sweeps import SweepGrid, get_grid, grid_names, run_grid
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import disable_tracing, enable_tracing
@@ -165,31 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--list", action="store_true", help="list registered grids and exit"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size (default 1 = serial; same estimates either way)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help=(
-            "execution backend (default: serial, or process when "
-            "--workers > 1); 'distributed' ships chunks to the --hosts "
-            "workers — estimates are bit-identical on all of them"
-        ),
-    )
-    parser.add_argument(
-        "--hosts",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT]",
-        help=(
-            "worker addresses for --backend distributed (each runs "
-            "python -m repro.worker)"
-        ),
-    )
+    add_backend_flags(parser)
     parser.add_argument(
         "--trials",
         type=int,
@@ -332,57 +314,37 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.hosts and args.backend != "distributed":
-        print(
-            "error: --hosts only applies to --backend distributed",
-            file=sys.stderr,
-        )
-        return 2
-    backend = None
-    if args.backend is not None:
-        try:
-            backend = make_backend(args.backend, args.workers, args.hosts)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    registry = obs_metrics.enable() if args.metrics else None
-    if args.trace:
-        enable_tracing(args.trace)
-
-    start = time.perf_counter()
-    try:
-        rows = run_grid(
-            grid,
-            trials=args.trials,
-            workers=args.workers,
-            cache=cache,
-            backend=backend,
-            seed=args.seed,
-            only=only,
-            target_se=args.target_se,
-            rel_se=args.rel_se,
-            max_trials=args.max_trials,
-        )
-    finally:
-        if backend is not None:
-            backend.close()
+    with open_backend(args) as backend:
+        registry = obs_metrics.enable() if args.metrics else None
         if args.trace:
-            disable_tracing()
-        if registry is not None:
-            obs_metrics.disable()
+            enable_tracing(args.trace)
+        start = time.perf_counter()
+        try:
+            rows = run_grid(
+                grid,
+                trials=args.trials,
+                cache=cache,
+                backend=backend,
+                seed=args.seed,
+                only=only,
+                target_se=args.target_se,
+                rel_se=args.rel_se,
+                max_trials=args.max_trials,
+            )
+        finally:
+            if args.trace:
+                disable_tracing()
+            if registry is not None:
+                obs_metrics.disable()
     elapsed = time.perf_counter() - start
 
     print(format_table(grid.axis_names, rows))
     served = sum(1 for row in rows if row["cached"])
     realized = sum(row["trials"] for row in rows)
     reused = sum(row["reused_trials"] for row in rows)
-    backend_name = args.backend or (
-        "process" if args.workers > 1 else "serial"
-    )
     summary = (
         f"{len(rows)} points in {elapsed:.2f}s "
-        f"(backend={backend_name}, workers={args.workers}, "
+        f"(backend={backend.name}, workers={args.workers}, "
         f"{served} from cache, "
         f"{realized} trials realized, {reused} reused from ledger)"
     )

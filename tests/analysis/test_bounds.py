@@ -24,6 +24,23 @@ from repro.analysis.exact import settlement_violation_probability
 from repro.core.distributions import bernoulli_condition
 
 
+def _window_estimate(estimator, probabilities, length, trials):
+    """The engine's estimate of a Catalan-window event over i.i.d.
+    strings of ``length`` slots (the whole string is sampled, so the
+    window sees its boundary effects)."""
+    from repro.engine import run_scenario
+
+    return run_scenario(
+        "iid-settlement",
+        trials,
+        0xC0FFEE,
+        estimator=estimator,
+        probabilities=probabilities,
+        depth=length,
+        prefix_model=0,
+    )
+
+
 class TestBound1:
     def test_decreases_in_k(self):
         values = [bound1_tail(0.3, 0.4, k) for k in (5, 10, 20, 40, 80)]
@@ -60,16 +77,14 @@ class TestBound2:
         """The headline of Theorem 2: consistency with p_h = 0."""
         assert bound2_tail(0.3, 120) < 0.5
 
-    def test_monte_carlo_dominance(self, rng):
+    def test_monte_carlo_dominance(self):
         """M̃ tail ≥ empirical no-consecutive-Catalan rate (corrected Eq. 10)."""
-        from repro.analysis.montecarlo import (
-            estimate_no_consecutive_catalan_in_window,
-        )
+        from repro.engine import NoConsecutiveCatalanInWindow
 
         epsilon, k = 0.3, 25
         probs = bernoulli_condition(epsilon, 0.0)
-        estimate = estimate_no_consecutive_catalan_in_window(
-            probs, 300, k, 600, 1500, rng
+        estimate = _window_estimate(
+            NoConsecutiveCatalanInWindow(300, k), probs, 600, 1500
         )
         bound = bound2_tail(epsilon, k)
         assert bound >= estimate.value - 4 * estimate.standard_error
@@ -85,15 +100,13 @@ class TestTheorem1:
                 bound = theorem1_settlement_bound(epsilon, p_unique, k)
                 assert bound >= exact, (epsilon, p_unique, k)
 
-    def test_monte_carlo_dominance(self, rng):
-        from repro.analysis.montecarlo import (
-            estimate_no_unique_catalan_in_window,
-        )
+    def test_monte_carlo_dominance(self):
+        from repro.engine import NoUniqueCatalanInWindow
 
         epsilon, p_unique, k = 0.35, 0.4, 20
         probs = bernoulli_condition(epsilon, p_unique)
-        estimate = estimate_no_unique_catalan_in_window(
-            probs, 300, k, 600, 1500, rng
+        estimate = _window_estimate(
+            NoUniqueCatalanInWindow(300, k), probs, 600, 1500
         )
         bound = bound1_tail(epsilon, p_unique, k)
         assert bound >= estimate.value - 4 * estimate.standard_error

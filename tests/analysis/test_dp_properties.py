@@ -23,7 +23,7 @@ The examples come from the derandomized ``repro-ci`` profile of
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis.bounds import (
     theorem1_settlement_bound,
@@ -139,6 +139,9 @@ def oracle():
     delta=st.integers(0, 2),
     depth=st.integers(5, 60),
 )
+# On the grid, the stored cell reads 0.05023999999999981 and a per-k DP
+# 0.050239999999999826: the answer is one ulp below the DP.
+@example(alpha=0.1, fraction=1.0, delta=0, depth=5)
 def test_oracle_answer_dominates_dp(oracle, alpha, fraction, delta, depth):
     exact = settlement_violation_probability(
         effective_probabilities(alpha, fraction, delta, SPEC.activity), depth

@@ -196,12 +196,14 @@ class TestAgainstBruteForce:
 
 
 class TestMonteCarloAgreement:
-    def test_dp_matches_monte_carlo(self, rng):
-        from repro.analysis.montecarlo import estimate_settlement_violation
+    def test_dp_matches_monte_carlo(self):
+        from repro.engine import run_scenario
 
         probs = bernoulli_condition(0.3, 0.35)
         depth = 30
-        estimate = estimate_settlement_violation(probs, depth, 4000, rng)
+        estimate = run_scenario(
+            "iid-settlement", 4000, 0xC0FFEE, probabilities=probs, depth=depth
+        )
         exact = settlement_violation_probability(probs, depth)
         assert estimate.within(exact, sigmas=4), (estimate, exact)
 

@@ -1,20 +1,63 @@
-"""Monte-Carlo estimators: calibration and cross-checks."""
+"""Monte-Carlo estimation through the engine: calibration and cross-checks.
+
+The settlement estimates run through ``run_scenario`` and are checked
+against the exact DP; the X_∞ initial-reach law is checked through
+``run_scenario`` and on its scalar rejection-loop reference.
+The scalar references for arbitrary samplers (the Theorem 1 dominance
+check over the string samplers of :mod:`repro.core.distributions`)
+live here, beside the only tests that use them.
+"""
 
 import random
 
 from repro.analysis.exact import settlement_violation_probability
-from repro.analysis.montecarlo import (
-    Estimate,
-    estimate_settlement_violation,
-    estimate_violation_from_sampler,
-    sample_initial_reach,
-)
 from repro.core.distributions import (
     bernoulli_condition,
     sample_characteristic_string,
     sample_martingale_string,
 )
+from repro.core.margin import relative_margin
 from repro.core.walks import stationary_reach_ratio
+from repro.engine import Estimate, estimate_from_hits, run_scenario
+
+SEED = 0xC0FFEE
+
+
+def sample_initial_reach(epsilon: float, rng: random.Random) -> int:
+    """Draw from the X_∞ law of Eq. (9) (geometric with ratio β).
+
+    Scalar rejection-loop sampler, kept as the distributional oracle for
+    :func:`repro.engine.kernels.sample_initial_reaches`.
+    """
+    beta = stationary_reach_ratio(epsilon)
+    reach = 0
+    while rng.random() < beta:
+        reach += 1
+    return reach
+
+
+def estimate_violation_from_sampler(
+    sampler,
+    target_slot: int,
+    depth: int,
+    trials: int,
+) -> Estimate:
+    """Violation rate for strings drawn from an arbitrary sampler.
+
+    ``sampler()`` must return a characteristic string of length at least
+    ``target_slot + depth − 1``.  Scalar by design — the sampler is an
+    opaque callable; batched martingale workloads go through the
+    engine's ``martingale-damped`` scenario instead.
+    """
+    hits = 0
+    for _ in range(trials):
+        word = sampler()
+        needed = target_slot + depth - 1
+        if len(word) < needed:
+            raise ValueError("sampler returned a string that is too short")
+        if relative_margin(word[:needed], target_slot - 1) >= 0:
+            hits += 1
+    return estimate_from_hits(hits, trials)
 
 
 class TestEstimate:
@@ -28,24 +71,40 @@ class TestInitialReach:
     def test_matches_geometric_law(self, rng):
         epsilon = 0.3
         beta = stationary_reach_ratio(epsilon)
-        samples = [sample_initial_reach(epsilon, rng) for _ in range(8000)]
+        scalar = [sample_initial_reach(epsilon, rng) for _ in range(8000)]
         for k in (0, 1, 3):
             expected = (1 - beta) * beta**k
-            observed = sum(1 for s in samples if s == k) / len(samples)
+            observed = sum(1 for s in scalar if s == k) / len(scalar)
             assert abs(observed - expected) < 0.02
+            batched = run_scenario(
+                "iid-settlement",
+                8000,
+                SEED,
+                estimator=lambda scenario, batch: batch.initial_reaches == k,
+                probabilities=bernoulli_condition(epsilon, 0.3),
+                depth=1,
+            )
+            assert abs(batched.value - expected) < 0.02
 
 
 class TestSettlementEstimator:
-    def test_agrees_with_exact_dp(self, rng):
+    def test_agrees_with_exact_dp(self):
         probs = bernoulli_condition(0.4, 0.3)
-        estimate = estimate_settlement_violation(probs, 20, 4000, rng)
+        estimate = run_scenario(
+            "iid-settlement", 4000, SEED, probabilities=probs, depth=20
+        )
         exact = settlement_violation_probability(probs, 20)
         assert estimate.within(exact, sigmas=4)
 
-    def test_finite_prefix_variant(self, rng):
+    def test_finite_prefix_variant(self):
         probs = bernoulli_condition(0.4, 0.3)
-        estimate = estimate_settlement_violation(
-            probs, 15, 3000, rng, prefix_length=10
+        estimate = run_scenario(
+            "iid-finite-prefix",
+            3000,
+            SEED,
+            probabilities=probs,
+            depth=15,
+            prefix_model=10,
         )
         exact = settlement_violation_probability(probs, 15, prefix_length=10)
         assert estimate.within(exact, sigmas=4)

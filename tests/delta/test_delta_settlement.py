@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.distributions import semi_synchronous_condition
 from repro.delta.settlement import (
-    estimate_violation_rate,
     is_k_delta_settled,
     lemma2_settles,
     theorem7_error_bound,
@@ -82,11 +81,20 @@ class TestTheorem7:
         ]
         assert values == sorted(values, reverse=True)
 
-    def test_bound_dominates_empirical_rate(self, rng):
+    def test_bound_dominates_empirical_rate(self):
+        from repro.engine import run_scenario
+
         probs = semi_synchronous_condition(0.08, 0.004, 0.06)
         slot, depth, delta = 40, 60, 2
-        rate = estimate_violation_rate(
-            probs, slot, depth, delta, 200, 300, rng
-        )
+        rate = run_scenario(
+            "delta-synchronous",
+            300,
+            0xC0FFEE,
+            probabilities=probs,
+            depth=depth,
+            delta=delta,
+            target_slot=slot,
+            total_length=200,
+        ).value
         bound = theorem7_error_bound(probs, depth, delta)
         assert bound >= rate - 0.05

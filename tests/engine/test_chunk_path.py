@@ -7,9 +7,9 @@ missing indices (chunk ``i`` from ``SeedSequence(seed, spawn_key=(i,))``),
 collect, ledger the fresh chunks and add up their hits.  These tests
 watch that path from the backend's side (which indices are dispatched,
 with which seeds, in which waves), pin the reports it produces, that a
-partly ledgered run equals a cold one, how the runner picks its
-backend, the integer-seed and hit-count-only forms, and the in-place
-NumPy forms of the scan kernels.
+partly ledgered run equals a cold one, that the runner never opens a
+pool of its own, the integer-seed and hit-count-only forms, and the
+in-place NumPy forms of the scan kernels.
 """
 
 import numpy as np
@@ -61,14 +61,10 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
 
 
-def make_runner(cache=None, estimator=None, workers=1):
+def make_runner(cache=None, estimator=None):
     scenario = get_scenario("iid-settlement", depth=15)
     return ExperimentRunner(
-        scenario,
-        estimator=estimator,
-        chunk_size=CHUNK,
-        workers=workers,
-        cache=cache,
+        scenario, estimator=estimator, chunk_size=CHUNK, cache=cache
     )
 
 
@@ -261,20 +257,13 @@ class TestBackendResolution:
         monkeypatch.setattr(parallel_module, "ProcessBackend", _FakePool)
         return _FakePool.made
 
-    def test_given_backend_wins_over_workers(self, fake_pool):
+    def test_given_backend_runs_every_chunk(self, fake_pool):
         backend = RecordingBackend()
-        make_runner(workers=2).run(CHUNK, seed=71, backend=backend)
+        make_runner().run(CHUNK, seed=71, backend=backend)
         assert backend.indices == [[0]]
         assert fake_pool == []
 
-    def test_workers_above_one_use_an_ephemeral_pool(self, fake_pool):
-        runner = make_runner(workers=3)
-        runner.run(CHUNK, seed=72)
-        runner.run_until(72, target_se=1e-9, max_trials=2 * CHUNK)
-        assert [pool.workers for pool in fake_pool] == [3, 3]
-        assert all(pool.closed for pool in fake_pool)
-
-    def test_one_worker_needs_no_pool(self, fake_pool):
+    def test_no_backend_runs_in_process(self, fake_pool):
         make_runner().run(CHUNK, seed=73)
         make_runner().run_until(73, target_se=1e-9, max_trials=2 * CHUNK)
         assert fake_pool == []
@@ -287,10 +276,9 @@ class TestIntegerSeeds:
                 100, np.random.default_rng(1), SerialBackend()
             )
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_until_rejects_a_generator(self, workers):
+    def test_run_until_rejects_a_generator(self):
         with pytest.raises(ValueError, match="integer seed"):
-            make_runner(workers=workers).run_until(
+            make_runner().run_until(
                 np.random.default_rng(1), target_se=0.1, max_trials=100
             )
 

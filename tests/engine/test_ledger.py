@@ -19,6 +19,7 @@ import pytest
 import repro.engine.parallel as parallel_module
 from repro.engine import (
     ExperimentRunner,
+    ProcessBackend,
     ResultCache,
     get_scenario,
     run_chunk,
@@ -149,11 +150,14 @@ class TestRunUntil:
             42, target_se=0.005, max_trials=50_000
         )
         scenario = get_scenario("iid-settlement", depth=15)
-        runner = ExperimentRunner(scenario, chunk_size=512, workers=workers)
-        assert (
-            runner.run_until(42, target_se=0.005, max_trials=50_000)
-            == serial
-        )
+        runner = ExperimentRunner(scenario, chunk_size=512)
+        with ProcessBackend(workers) as pool:
+            assert (
+                runner.run_until(
+                    42, target_se=0.005, max_trials=50_000, backend=pool
+                )
+                == serial
+            )
 
     def test_realized_trials_deterministic(self):
         first = make_runner(chunk_size=256).run_until(

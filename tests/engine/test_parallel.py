@@ -4,9 +4,10 @@ The engine's reproducibility contract says an integer-seeded run is a
 pure function of ``(scenario, estimator, seed, trials, chunk_size)`` —
 never of the execution backend.  These tests pin that down: serial and
 process-pool runs must return *identical* ``Estimate`` objects across
-1/2/4 workers, chunk partitions must tile exactly, and the legacy
-generator-continuation path must refuse to parallelize (its stream is
-inherently sequential).
+1/2/4 workers, chunk partitions must tile exactly, a ``Generator`` seed
+is refused on every backend (its stream cannot be replayed chunk by
+chunk), and the ``--workers/--backend/--hosts`` flags of both command
+lines are validated the same way.
 """
 
 import importlib
@@ -61,21 +62,19 @@ class TestBackendIndependence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_identical_across_worker_counts(self, serial, workers):
         runner = ExperimentRunner(
-            get_scenario("iid-settlement", depth=20),
-            chunk_size=1024,
-            workers=workers,
+            get_scenario("iid-settlement", depth=20), chunk_size=1024
         )
-        assert runner.run(10_000, seed=42) == serial
+        with ProcessBackend(workers) as pool:
+            assert runner.run(10_000, seed=42, backend=pool) == serial
 
     def test_identical_on_reduced_scenario(self):
         scenario = get_scenario(
             "delta-synchronous", total_length=60, target_slot=10, depth=8
         )
-        serial = ExperimentRunner(scenario, chunk_size=128).run(500, seed=9)
-        parallel = ExperimentRunner(
-            scenario, chunk_size=128, workers=2
-        ).run(500, seed=9)
-        assert serial == parallel
+        runner = ExperimentRunner(scenario, chunk_size=128)
+        with ProcessBackend(2) as pool:
+            parallel = runner.run(500, seed=9, backend=pool)
+        assert runner.run(500, seed=9) == parallel
 
     def test_shared_backend_reuse(self):
         scenario = get_scenario("iid-settlement", depth=15)
@@ -100,11 +99,12 @@ class TestBackendIndependence:
             assert not any(p.from_cache for p in pending)
         assert gathered == [runner.run(1_000, seed) for seed in (31, 32, 33)]
 
-    def test_run_scenario_workers_keyword(self):
+    def test_run_scenario_backend_keyword(self):
         serial = run_scenario("iid-settlement", 3_000, seed=8, depth=12)
-        parallel = run_scenario(
-            "iid-settlement", 3_000, seed=8, depth=12, workers=2
-        )
+        with ProcessBackend(2) as pool:
+            parallel = run_scenario(
+                "iid-settlement", 3_000, seed=8, depth=12, backend=pool
+            )
         assert serial == parallel
 
 
@@ -162,13 +162,12 @@ class CannedReplies(SerialBackend):
 class TestGuards:
     def test_generator_continuation_is_serial_only(self):
         """A Generator seed cannot be replayed chunk by chunk: rejected
-        on every worker count, with run_until's wording."""
-        for workers in (1, 2):
-            runner = ExperimentRunner(
-                get_scenario("iid-settlement", depth=10), workers=workers
-            )
-            with pytest.raises(ValueError, match="integer seed"):
-                runner.run(100, np.random.default_rng(1))
+        on every backend, with run_until's wording."""
+        runner = ExperimentRunner(get_scenario("iid-settlement", depth=10))
+        with ProcessBackend(2) as pool:
+            for backend in (None, pool):
+                with pytest.raises(ValueError, match="integer seed"):
+                    runner.run(100, np.random.default_rng(1), backend)
 
     def test_estimator_shape_validated(self):
         runner = ExperimentRunner(
@@ -202,10 +201,6 @@ class TestGuards:
             runner.run(128, seed=3, backend=CannedReplies(reply))
 
     def test_worker_count_validated(self):
-        with pytest.raises(ValueError, match="workers"):
-            ExperimentRunner(
-                get_scenario("iid-settlement", depth=10), workers=0
-            )
         with pytest.raises(ValueError, match="workers"):
             ProcessBackend(0)
 
@@ -394,3 +389,57 @@ class TestEveryEstimatorHitCounts:
         assert warm_cache.get_chunks(key, dict(enumerate(sizes))) == dict(
             enumerate(hits)
         )
+
+
+def _sweep_cli(flags, tmp_path):
+    from repro.sweep import main
+
+    return main(["stake", "--trials", "64", "--no-cache", *flags])
+
+
+def _oracle_build_cli(flags, tmp_path):
+    from repro.oracle.cli import main
+
+    out = tmp_path / "artifact"
+    argv = ["build", "--out", str(out), "--preset", "tiny", "--mc-trials", "0"]
+    return main([*argv, *flags])
+
+
+class TestBackendFlags:
+    """Both command lines read ``--workers/--backend/--hosts`` through
+    ``open_backend``: a bad combination exits 2, printing one
+    ``error:`` line per error, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "cli", [_sweep_cli, _oracle_build_cli], ids=["sweep", "oracle-build"]
+    )
+    @pytest.mark.parametrize(
+        "flags,errors",
+        [
+            (["--workers", "0"], ["--workers must be positive, got 0"]),
+            (
+                ["--hosts", "1.2.3.4:9"],
+                ["--hosts only applies to --backend distributed"],
+            ),
+            (
+                ["--backend", "distributed"],
+                ["--backend distributed requires --hosts host:port[,host:port]"],
+            ),
+            (
+                ["--workers", "-4", "--hosts", "1.2.3.4:9"],
+                [
+                    "--workers must be positive, got -4",
+                    "--hosts only applies to --backend distributed",
+                ],
+            ),
+        ],
+        ids=["workers-0", "hosts-alone", "distributed-no-hosts", "two-errors"],
+    )
+    def test_invalid_flags_exit_2(self, cli, flags, errors, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli(flags, tmp_path)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {e}" for e in errors]
+        assert captured.out == ""
+        assert not (tmp_path / "artifact").exists()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    ProcessBackend,
     ProtocolRunner,
     ProtocolScenario,
     ResultCache,
@@ -155,9 +156,10 @@ class TestAdaptiveProtocolRuns:
         serial = ProtocolRunner(scenario, chunk_size=4).run_until(
             5, rel_se=0.5, max_trials=16
         )
-        parallel = ProtocolRunner(
-            scenario, chunk_size=4, workers=2
-        ).run_until(5, rel_se=0.5, max_trials=16)
+        with ProcessBackend(2) as pool:
+            parallel = ProtocolRunner(scenario, chunk_size=4).run_until(
+                5, rel_se=0.5, max_trials=16, backend=pool
+            )
         assert serial == parallel
 
     def test_warm_ledger_skips_simulation_batches(self, tmp_path):
@@ -233,7 +235,8 @@ class TestProtocolGrid:
     def test_run_grid_serial_matches_parallel(self, tmp_path):
         grid = get_grid("protocol")
         serial = run_grid(grid, trials=3)
-        parallel = run_grid(grid, trials=3, workers=2)
+        with ProcessBackend(2) as pool:
+            parallel = run_grid(grid, trials=3, backend=pool)
         assert serial == parallel
         # The ablation shows in the tidy rows: the adversarial rule's
         # deep-reorg rate dominates the consistent rule's everywhere.

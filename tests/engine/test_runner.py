@@ -1,18 +1,9 @@
 """ExperimentRunner: reproducibility, estimator equivalence, DP agreement."""
 
-import random
-
 import numpy as np
 import pytest
 
 from repro.analysis.exact import settlement_violation_probability
-from repro.analysis.montecarlo import (
-    _settlement_uniform_phases,
-    coerce_generator,
-    estimate_no_consecutive_catalan_in_window,
-    estimate_no_unique_catalan_in_window,
-    estimate_settlement_violation,
-)
 from repro.core.catalan import catalan_slots, uniquely_honest_catalan_slots
 from repro.core.distributions import (
     SlotProbabilities,
@@ -23,15 +14,18 @@ from repro.core.margin import margin_step
 from repro.core.reach import rho
 from repro.delta.settlement import is_k_delta_settled
 from repro.engine import (
-    Estimate,
     ExperimentRunner,
+    NoConsecutiveCatalanInWindow,
+    NoUniqueCatalanInWindow,
+    Scenario,
     delta_settlement_violation,
-    estimate_from_hits,
     get_scenario,
     kernels,
     run_chunk,
     run_scenario,
+    settlement_violation,
 )
+from repro.engine.scenarios import PREFIX_STATIONARY
 
 
 class TestReproducibility:
@@ -152,39 +146,35 @@ class TestDeltaEstimator:
 
 
 # ----------------------------------------------------------------------
-# Scalar reference estimators: the same uniform blocks in the same order
-# as the batched estimators, evaluated one symbol at a time.
+# Scalar reference estimators: one engine chunk's uniform blocks, drawn
+# in Scenario.sample_batch's order from the chunk's own generator, then
+# evaluated one symbol at a time.  Each returns the chunk's hit count.
 # ----------------------------------------------------------------------
 
 
-def estimate_settlement_violation_scalar(
-    probabilities: SlotProbabilities,
-    depth: int,
-    trials: int,
-    rng: random.Random | np.random.Generator | int,
-    prefix_length: int | None = None,
-) -> Estimate:
-    """Scalar oracle for :func:`estimate_settlement_violation`.
+def settlement_violation_scalar(
+    scenario: Scenario, size: int, child: np.random.SeedSequence
+) -> int:
+    """Scalar oracle for ``run_chunk(scenario, settlement_violation, ...)``.
 
-    Consumes the identical uniform blocks but evaluates the recurrences
-    one symbol at a time via :func:`repro.core.margin.margin_step` —
-    bit-identical to the batched path on equal seeds, interpreter-bound
-    on purpose.
+    Consumes the identical uniform blocks — the ``(size,)`` initial-reach
+    block first for a stationary prefix, then the ``(size, horizon)``
+    symbol block — but evaluates the recurrences one symbol at a time
+    via :func:`repro.core.margin.margin_step`: bit-identical to the
+    batched chunk, interpreter-bound on purpose.
     """
-    if probabilities.p_empty:
-        raise ValueError("synchronous probabilities required")
-    generator = coerce_generator(rng)
-    reach_uniforms, symbol_uniforms = _settlement_uniform_phases(
-        depth, trials, generator, prefix_length
-    )
-    start = 0 if prefix_length is None else prefix_length
+    generator = np.random.default_rng(child)
+    stationary = scenario.prefix_model == PREFIX_STATIONARY
+    reach_uniforms = generator.random(size) if stationary else None
+    symbol_uniforms = generator.random((size, scenario.horizon))
+    start = 0 if stationary else scenario.prefix_model
     hits = 0
-    for i in range(trials):
-        word = _word_from_uniforms(probabilities, symbol_uniforms[i])
-        if reach_uniforms is not None:
+    for i in range(size):
+        word = _word_from_uniforms(scenario.probabilities, symbol_uniforms[i])
+        if stationary:
             reach = int(
                 kernels.initial_reaches_from_uniforms(
-                    probabilities.epsilon, reach_uniforms[i : i + 1]
+                    scenario.probabilities.epsilon, reach_uniforms[i : i + 1]
                 )[0]
             )
         else:
@@ -194,7 +184,7 @@ def estimate_settlement_violation_scalar(
             reach, margin = margin_step(reach, margin, symbol)
         if margin >= 0:
             hits += 1
-    return estimate_from_hits(hits, trials)
+    return hits
 
 
 def _word_from_uniforms(
@@ -215,74 +205,65 @@ def _word_from_uniforms(
     return "".join(symbols)
 
 
-def estimate_no_unique_catalan_in_window_scalar(
-    probabilities: SlotProbabilities,
-    window_start: int,
-    window_length: int,
-    total_length: int,
-    trials: int,
-    rng: random.Random | np.random.Generator | int,
-) -> Estimate:
-    """Scalar oracle for :func:`estimate_no_unique_catalan_in_window`."""
-    generator = coerce_generator(rng)
-    uniforms = generator.random((trials, total_length))
-    hits = 0
-    window_end = window_start + window_length - 1
-    for i in range(trials):
-        word = _word_from_uniforms(probabilities, uniforms[i])
-        slots = uniquely_honest_catalan_slots(word)
-        if not any(window_start <= s <= window_end for s in slots):
-            hits += 1
-    return estimate_from_hits(hits, trials)
+def _window_hits(scenario, size, child, window, no_event) -> int:
+    """Rows of one chunk's words in which ``no_event(word, first, last)``
+    holds for the 1-indexed slot window ``(start, length)``."""
+    generator = np.random.default_rng(child)
+    uniforms = generator.random((size, scenario.horizon))
+    first, last = window[0], window[0] + window[1] - 1
+    return sum(
+        no_event(_word_from_uniforms(scenario.probabilities, row), first, last)
+        for row in uniforms
+    )
 
 
-def estimate_no_consecutive_catalan_in_window_scalar(
-    probabilities: SlotProbabilities,
-    window_start: int,
-    window_length: int,
-    total_length: int,
-    trials: int,
-    rng: random.Random | np.random.Generator | int,
-) -> Estimate:
-    """Scalar oracle for :func:`estimate_no_consecutive_catalan_in_window`."""
-    generator = coerce_generator(rng)
-    uniforms = generator.random((trials, total_length))
-    hits = 0
-    window_end = window_start + window_length - 1
-    for i in range(trials):
-        word = _word_from_uniforms(probabilities, uniforms[i])
-        slots = set(catalan_slots(word))
-        if not any(
-            window_start <= s <= window_end and s + 1 in slots for s in slots
-        ):
-            hits += 1
-    return estimate_from_hits(hits, trials)
+def no_unique_catalan_scalar(word: str, first: int, last: int) -> bool:
+    """Scalar oracle for :class:`NoUniqueCatalanInWindow`."""
+    slots = uniquely_honest_catalan_slots(word)
+    return not any(first <= s <= last for s in slots)
+
+
+def no_consecutive_catalan_scalar(word: str, first: int, last: int) -> bool:
+    """Scalar oracle for :class:`NoConsecutiveCatalanInWindow`."""
+    slots = set(catalan_slots(word))
+    return not any(first <= s <= last and s + 1 in slots for s in slots)
 
 
 class TestScalarOracleBitEquality:
-    """Batched estimators and their *_scalar twins share the documented
-    seed discipline: equal seeds must give bit-identical estimates."""
+    """The batched estimators and their scalar twins share the engine's
+    seed discipline: one chunk from the same ``SeedSequence`` child must
+    give the same hit count."""
 
     probabilities = bernoulli_condition(0.4, 0.3)
 
     @pytest.mark.parametrize("prefix_length", [None, 7])
     def test_settlement_pair(self, prefix_length):
-        batched = estimate_settlement_violation(
-            self.probabilities, 20, 1500, 101, prefix_length=prefix_length
+        scenario = Scenario(
+            "twin",
+            self.probabilities,
+            depth=20,
+            prefix_model=(
+                PREFIX_STATIONARY if prefix_length is None else prefix_length
+            ),
         )
-        scalar = estimate_settlement_violation_scalar(
-            self.probabilities, 20, 1500, 101, prefix_length=prefix_length
+        child = np.random.SeedSequence(101)
+        assert run_chunk(
+            scenario, settlement_violation, 1500, child
+        ) == settlement_violation_scalar(scenario, 1500, child)
+
+    @pytest.mark.parametrize(
+        "estimator,no_event,seed",
+        [
+            (NoUniqueCatalanInWindow, no_unique_catalan_scalar, 102),
+            (NoConsecutiveCatalanInWindow, no_consecutive_catalan_scalar, 103),
+        ],
+        ids=["unique_catalan", "consecutive_catalan"],
+    )
+    def test_catalan_window_pair(self, estimator, no_event, seed):
+        scenario = Scenario(
+            "twin", self.probabilities, depth=60, prefix_model=0
         )
-        assert batched == scalar
-
-    def test_unique_catalan_pair(self):
-        args = (self.probabilities, 10, 20, 60, 1000, 102)
-        assert estimate_no_unique_catalan_in_window(
-            *args
-        ) == estimate_no_unique_catalan_in_window_scalar(*args)
-
-    def test_consecutive_catalan_pair(self):
-        args = (self.probabilities, 10, 20, 60, 1000, 103)
-        assert estimate_no_consecutive_catalan_in_window(
-            *args
-        ) == estimate_no_consecutive_catalan_in_window_scalar(*args)
+        child = np.random.SeedSequence(seed)
+        assert run_chunk(
+            scenario, estimator(10, 20), 1000, child
+        ) == _window_hits(scenario, 1000, child, (10, 20), no_event)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import repro.sweep as sweep_cli
 from repro.engine import (
     ExperimentRunner,
+    ProcessBackend,
     ResultCache,
     SweepGrid,
     estimate_from_hits,
@@ -138,7 +139,8 @@ class TestRunGrid:
             assert row["cached"] is False
 
     def test_parallel_grid_identical_to_serial(self):
-        assert run_grid(self.GRID) == run_grid(self.GRID, workers=2)
+        with ProcessBackend(2) as pool:
+            assert run_grid(self.GRID) == run_grid(self.GRID, backend=pool)
 
     def test_cache_round_trip_marks_rows(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -182,7 +184,9 @@ class TestAdaptiveGrid:
 
     def test_adaptive_identical_across_workers(self):
         serial = run_grid(self.GRID, target_se=0.01)
-        assert run_grid(self.GRID, target_se=0.01, workers=2) == serial
+        with ProcessBackend(2) as pool:
+            parallel = run_grid(self.GRID, target_se=0.01, backend=pool)
+        assert parallel == serial
 
     def test_grid_declared_targets_are_defaults(self):
         declared = dataclasses.replace(

@@ -78,12 +78,15 @@ class TestExactAtGridPoints:
             for target in SPEC.targets
         ] + [(0.15, 0.75, 1, 5e-2)]
         columns = list(zip(*queries))
-        batch = oracle.settlement_depths(*columns)
-        for row, (alpha, fraction, delta, target) in zip(batch, queries):
-            scalar = oracle.settlement_depth(alpha, fraction, delta, target)
-            assert int(row) == (
-                UNREACHABLE_DEPTH if scalar is None else scalar
+        batch, sources = oracle.settlement_depths_with_source(*columns)
+        for row, source, (alpha, fraction, delta, target) in zip(
+            batch, sources, queries
+        ):
+            scalar = oracle.settlement_depth_with_source(
+                alpha, fraction, delta, target
             )
+            depth = UNREACHABLE_DEPTH if scalar[0] is None else scalar[0]
+            assert (int(row), source) == (depth, scalar[1])
 
 
 class TestConservativeBetweenGridPoints:
@@ -113,10 +116,10 @@ class TestConservativeBetweenGridPoints:
         # Off-grid target snaps to the stricter grid target -> deeper k
         # (alpha = 0.1 decays fast enough that 1e-2 is reachable within
         # this tiny table's 20-deep horizon).
-        on_grid = oracle.settlement_depth(0.1, 1.0, 0, 1e-2)
-        between = oracle.settlement_depth(0.1, 1.0, 0, 5e-2)
+        on_grid, _ = oracle.settlement_depth_with_source(0.1, 1.0, 0, 1e-2)
+        between, _ = oracle.settlement_depth_with_source(0.1, 1.0, 0, 5e-2)
         assert between == on_grid
-        loose = oracle.settlement_depth(0.1, 1.0, 0, 1e-1)
+        loose, _ = oracle.settlement_depth_with_source(0.1, 1.0, 0, 1e-1)
         assert between >= loose
         # And the answered depth really does satisfy the asked target.
         assert exact(0.1, 1.0, 0, between) <= 5e-2
@@ -128,14 +131,17 @@ class TestDepthQueries:
         for i, j, l, alpha, fraction, delta in SPEC.combos():
             for n, target in enumerate(SPEC.targets):
                 stored = int(tables.minimal_depth[i, j, l, n])
-                answer = oracle.settlement_depth(alpha, fraction, delta, target)
+                answer, source = oracle.settlement_depth_with_source(
+                    alpha, fraction, delta, target
+                )
                 if stored == UNREACHABLE_DEPTH:
-                    assert answer is None
+                    # Only the analytic fallback may answer a −1 cell.
+                    assert source != "table"
                 else:
-                    assert answer == stored
+                    assert (answer, source) == (stored, "table")
 
     def test_batch_sentinel(self, oracle):
-        depths = oracle.settlement_depths(
+        depths, _ = oracle.settlement_depths_with_source(
             [0.3, 0.1], [0.5, 1.0], [2, 0], [1e-3, 1e-1]
         )
         assert depths.dtype == np.int64
@@ -159,16 +165,16 @@ class TestDomain:
 
     def test_target_below_grid_raises(self, oracle):
         with pytest.raises(OracleDomainError, match="tightest target"):
-            oracle.settlement_depth(0.1, 1.0, 0, 1e-9)
+            oracle.settlement_depth_with_source(0.1, 1.0, 0, 1e-9)
 
     def test_saturation_mode(self, oracle):
         assert (
             oracle.violation_probability(0.45, 1.0, 0, 10, strict=False)
             == 1.0
         )
-        assert (
-            oracle.settlement_depth(0.45, 1.0, 0, 1e-2, strict=False) is None
-        )
+        assert oracle.settlement_depth_with_source(
+            0.45, 1.0, 0, 1e-2, strict=False
+        ) == (None, None)
 
     def test_interior_values_above_grid_depth_allowed(self, oracle):
         # Depth beyond the top of the grid floors to the deepest row —

@@ -12,6 +12,7 @@ from repro.analysis.exact import (
 )
 from repro.core.distributions import from_adversarial_stake
 from repro.engine.cache import ResultCache
+from repro.engine.parallel import ProcessBackend
 from repro.oracle.tables import (
     ANALYTIC_HORIZON_FACTOR,
     DEFAULT_SPEC,
@@ -178,7 +179,8 @@ class TestBuild:
 
     def test_workers_do_not_change_tables(self):
         serial = build_tables(SPEC).tables
-        parallel = build_tables(SPEC, workers=2).tables
+        with ProcessBackend(2) as pool:
+            parallel = build_tables(SPEC, backend=pool).tables
         assert np.array_equal(serial.forward, parallel.forward)
         assert np.array_equal(serial.minimal_depth, parallel.minimal_depth)
 

@@ -27,6 +27,7 @@ from repro.engine.runner import (
     chunk_sizes,
     estimate_from_hits,
 )
+from repro.engine.parallel import ProcessBackend
 from repro.engine.scenarios import get_scenario
 from repro.protocol.adversary import (
     MaxDelayAdversary,
@@ -333,8 +334,9 @@ class TestRunnerBackendIndependence:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_identical_across_worker_counts(self, scenario, serial, workers):
-        runner = ProtocolRunner(scenario, chunk_size=4, workers=workers)
-        assert runner.run(12, seed=99) == serial
+        runner = ProtocolRunner(scenario, chunk_size=4)
+        with ProcessBackend(workers) as pool:
+            assert runner.run(12, seed=99, backend=pool) == serial
 
     def test_scalar_oracle_matches(self, scenario, serial):
         assert run_protocol_scalar(scenario, 12, seed=99, chunk_size=4) == serial

@@ -32,9 +32,12 @@ Recorded SLO floors (asserted here and by ``run_all.py``):
   bodies from both modes — the serving tier's parity contract;
 * the ``/metrics`` endpoint counted the load it served.
 
-Also recorded: the batch-encode micro-benchmark — ``ndarray.tolist()``
-+ one ``json.dumps`` against the per-element ``float()`` loop it
-replaced in the batch route, on a 2 000-wide batch.
+Also recorded: the batch-encode micro-benchmark — the batch route's
+cell splice (:class:`OracleApp` joins the cached JSON text of each
+answer's table cell) against ``json.dumps`` of the answers'
+``tolist()``, which it replaced, on a 2 000-wide batch of the served
+artifact: the two bodies are asserted byte-equal, and each side's
+median, min and max over the repeats are recorded.
 
 The artifact is the tiny preset with the Monte-Carlo cross-check
 disabled (the bench exercises serving, not building) in a throwaway
@@ -273,27 +276,53 @@ def _mode_transcript(address) -> list:
     return transcript
 
 
-def _batch_encode_record(batch_size: int = 2_000) -> dict:
-    """The batch-route encode micro-benchmark: per-element ``float()``
-    conversion (the replaced code) vs ``ndarray.tolist()``."""
-    values = np.random.default_rng(QUERY_SEED).uniform(0, 1, batch_size)
-    repeats = 50
+def _median_spread_ms(seconds: list[float]) -> dict:
+    seconds = sorted(seconds)
+    return {
+        name: _percentile_ms(seconds, fraction)
+        for name, fraction in (("median", 0.5), ("min", 0.0), ("max", 1.0))
+    }
 
-    start = time.perf_counter()
+
+def _batch_encode_record(
+    oracle, batch_size: int = 2_000, repeats: int = 50
+) -> dict:
+    """The batch-route encode micro-benchmark on the served artifact:
+    ``json.dumps`` of the answers (the replaced encoding) vs the cell
+    splice the route now uses.  Both must write the same bytes."""
+    columns = _in_hull_queries(
+        oracle.spec, batch_size, np.random.default_rng(QUERY_SEED)
+    )
+    app = OracleApp(oracle)
+    cells = oracle.violation_cells(*columns)
+    values = oracle.violation_probabilities(*columns)
+
+    def dumps() -> bytes:
+        return json.dumps({"violation_probability": values.tolist()}).encode()
+
+    def splice() -> bytes:
+        return app._violation_body(*cells)
+
+    # The first splice also builds the app's cell-text cache.
+    if splice() != dumps():
+        raise AssertionError("cell splice and json.dumps bodies differ")
+    times = {"dumps": [], "splice": []}
     for _ in range(repeats):
-        json.dumps({"violation_probability": [float(v) for v in values]})
-    per_element = (time.perf_counter() - start) / repeats
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        json.dumps({"violation_probability": values.tolist()})
-    tolist = (time.perf_counter() - start) / repeats
-
+        for name, encode in (("dumps", dumps), ("splice", splice)):
+            start = time.perf_counter()
+            encode()
+            times[name].append(time.perf_counter() - start)
+    dumps_ms, splice_ms = (
+        _median_spread_ms(times["dumps"]),
+        _median_spread_ms(times["splice"]),
+    )
     return {
         "batch_size": batch_size,
-        "per_element_ms": round(per_element * 1e3, 4),
-        "tolist_ms": round(tolist * 1e3, 4),
-        "speedup": round(per_element / tolist, 2),
+        "repeats": repeats,
+        "byte_identical": True,
+        "dumps_ms": dumps_ms,
+        "splice_ms": splice_ms,
+        "speedup": round(dumps_ms["median"] / splice_ms["median"], 2),
     }
 
 
@@ -378,6 +407,7 @@ def serving_record(quick: bool) -> dict:
                     latencies.pop()
             return latencies, errors
 
+        batch_encode = _batch_encode_record(oracle)
         modes = {}
         transcripts = {}
         metrics_ok = False
@@ -449,7 +479,7 @@ def serving_record(quick: bool) -> dict:
         "modes": modes,
         "prefork_batch_speedup": prefork_speedup,
         "answers_identical_across_modes": answers_identical,
-        "batch_encode": _batch_encode_record(),
+        "batch_encode": batch_encode,
         "error_rate": total_errors / total_requests,
         "metrics_endpoint_counted_load": metrics_ok,
         "slo": {

@@ -248,20 +248,26 @@ class SettlementOracle:
 
     # -- forward queries: (alpha, fraction, delta, k) -> probability ---
 
-    def violation_probabilities(
+    def violation_cells(
         self,
         alphas,
         fractions,
         deltas,
         depths,
         strict: bool = True,
-    ) -> np.ndarray:
-        """Vectorized k-settlement violation probabilities.
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, float]]:
+        """The batch violation lookup, as cells: ``(flat, saturated,
+        tightened)``.
 
-        All four inputs are broadcast-compatible 1-D arrays of equal
-        length.  Answers are exact at grid points and conservative
-        (upper bounds) between them; out-of-hull queries raise
-        (``strict=True``) or saturate to 1.0 (``strict=False``).
+        ``flat[i]`` is row ``i``'s index into the flattened (C-order)
+        ``forward`` array, the conservatively snapped grid cell;
+        ``saturated[i]`` marks an out-of-hull row (``strict=False``),
+        whose answer is ``1.0`` whatever its clamped ``flat`` index;
+        ``tightened`` maps each in-hull row the installed overlay
+        lowered to its refined value.  :meth:`violation_probabilities`
+        assembles the float answers from these; the server's batch
+        route splices pre-encoded cell text by the same indexes, so
+        both read one lookup.
         """
         alphas = _as_array(alphas, "alphas")
         fractions = _as_array(fractions, "fractions")
@@ -285,8 +291,9 @@ class SettlementOracle:
             )
         ki = np.maximum(ki, 0)
         saturated = invalid | shallow
-        values = np.asarray(self.tables.forward)[ai, fi, di, ki]
-        values = np.where(saturated, 1.0, values)
+        forward = self.tables.forward
+        flat = np.ravel_multi_index((ai, fi, di, ki), forward.shape)
+        tightened: dict[int, float] = {}
         overlay = self._overlay
         if overlay is not None:
             from repro.oracle.refine import quantize_columns
@@ -296,6 +303,7 @@ class SettlementOracle:
             )
             get = overlay.get
             skip = saturated.tolist()
+            base = np.asarray(forward).take(flat).tolist()
             for index, key in enumerate(
                 zip(qa.tolist(), qf.tolist(), qd.tolist(), qk.tolist())
             ):
@@ -304,8 +312,32 @@ class SettlementOracle:
                 if skip[index]:
                     continue
                 refined = get(key)
-                if refined is not None and refined < values[index]:
-                    values[index] = refined
+                if refined is not None and refined < base[index]:
+                    tightened[index] = refined
+        return flat, saturated, tightened
+
+    def violation_probabilities(
+        self,
+        alphas,
+        fractions,
+        deltas,
+        depths,
+        strict: bool = True,
+    ) -> np.ndarray:
+        """Vectorized k-settlement violation probabilities.
+
+        All four inputs are broadcast-compatible 1-D arrays of equal
+        length.  Answers are exact at grid points and conservative
+        (upper bounds) between them; out-of-hull queries raise
+        (``strict=True``) or saturate to 1.0 (``strict=False``).
+        """
+        flat, saturated, tightened = self.violation_cells(
+            alphas, fractions, deltas, depths, strict=strict
+        )
+        values = np.asarray(self.tables.forward).take(flat)
+        values[saturated] = 1.0
+        for index, refined in tightened.items():
+            values[index] = refined
         return values
 
     def _scalar_cell(

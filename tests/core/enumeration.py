@@ -1,13 +1,13 @@
 """Exhaustive fork enumeration on short strings (test ground truth).
 
 The recurrences of Theorem 5 and the characterisations of Theorem 3 /
-Lemma 1 are verified in this library against brute force: this module
+Lemma 1 are verified by the tests against brute force: this module
 enumerates (up to configurable per-slot caps) every fork ``F ⊢ w``
 satisfying axioms F1–F4, so that quantities like ``ρ(w)``, ``μ_x(y)`` and
 the UVP can be evaluated straight from their definitions.
 
 Enumeration is exponential and intended for ``|w| ≤ 6`` with small caps.
-Caps are sound for the library's tests because
+Caps are sound for these tests because
 
 * honest slots never need more than two vertices to witness any reach or
   margin value (the optimal adversary ``A*`` of Figure 4 adds at most two

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.enumeration import canonical_form, enumerate_forks
+from tests.core.enumeration import canonical_form, enumerate_forks
 from repro.core.forks import Fork
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.adversary_star import build_canonical_fork
-from repro.core.enumeration import enumerate_forks
+from tests.core.enumeration import enumerate_forks
 from repro.core.margin import (
     ever_settlement_violated,
     joint_trajectory,

@@ -1,6 +1,6 @@
 """Gap, reserve, reach and the ρ recurrence (Definitions 13, 14; Theorem 5)."""
 
-from repro.core.enumeration import enumerate_forks
+from tests.core.enumeration import enumerate_forks
 from repro.core.forks import Fork
 from repro.core.reach import (
     gap,

@@ -1,7 +1,7 @@
 """UVP and bottleneck property: Theorems 3, 4 and Lemma 1 cross-checks."""
 
 from repro.core.catalan import catalan_slots, is_catalan
-from repro.core.enumeration import enumerate_forks
+from tests.core.enumeration import enumerate_forks
 from repro.core.uvp import (
     bottleneck_holds_in_fork,
     has_bottleneck_property,

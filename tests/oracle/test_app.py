@@ -7,11 +7,15 @@ through the threaded and pre-fork servers; these tests call
 reaches the branches a well-formed HTTP client never takes.
 """
 
+import itertools
 import json
 from enum import Enum, IntEnum
 from http import HTTPStatus
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.analysis.exact import compute_settlement_probabilities
 from repro.obs.metrics import MetricsRegistry
@@ -20,6 +24,7 @@ from repro.oracle.refine import SnapTally, quantize_key
 from repro.oracle.service import SettlementOracle
 from repro.oracle.tables import (
     OracleSpec,
+    OracleTables,
     build_tables,
     effective_probabilities,
 )
@@ -51,6 +56,33 @@ def oracle():
 @pytest.fixture
 def app(oracle):
     return OracleApp(oracle)
+
+
+#: The query column names of ``POST /v1/violation``, in order.
+VIOLATION_COLUMNS = ("alpha", "unique_fraction", "delta", "depth")
+
+#: One row per grid cell, in the C order of ``forward``.
+EVERY_CELL = {
+    name: list(column)
+    for name, column in zip(
+        VIOLATION_COLUMNS,
+        zip(
+            *itertools.product(
+                SPEC.alphas, SPEC.unique_fractions, SPEC.deltas, SPEC.depths
+            )
+        ),
+    )
+}
+
+#: A non-strict batch whose rows 1, 3 and 4 leave the hull (alpha above,
+#: fraction below, delta above, depth below the grid) and saturate.
+SATURATING_BATCH = {
+    "alpha": [0.1, 0.49, 0.2, 0.15, 0.1],
+    "unique_fraction": [1.0, 1.0, 0.7, 0.2, 0.5],
+    "delta": [0, 0, 1, 5, 2],
+    "depth": [5, 10, 12, 7, 2],
+    "strict": False,
+}
 
 
 def _post(app, path, payload):
@@ -158,6 +190,99 @@ class TestRoutes:
         assert _post(first, "/v1/violation", BATCH).body == (
             _post(second, "/v1/violation", BATCH).body
         )
+
+
+def _dumps_body(values) -> bytes:
+    """The batch violation body as ``json.dumps`` writes it."""
+    return json.dumps({"violation_probability": list(values)}).encode()
+
+
+class TestBatchViolationBody:
+    """The spliced batch body equals ``json.dumps`` of the answers byte
+    for byte: table cells, saturated rows and overlay rows alike."""
+
+    @staticmethod
+    def _expected(oracle, batch) -> bytes:
+        values = oracle.violation_probabilities(
+            *(batch[name] for name in VIOLATION_COLUMNS),
+            strict=batch.get("strict", True),
+        )
+        return _dumps_body(values.tolist())
+
+    def test_strict_batch(self, app, oracle):
+        for batch in (BATCH, EVERY_CELL):
+            response = _post(app, "/v1/violation", batch)
+            assert response.status == 200
+            assert response.body == self._expected(oracle, batch)
+
+    def test_saturated_rows(self, app, oracle):
+        response = _post(app, "/v1/violation", SATURATING_BATCH)
+        assert response.status == 200
+        assert response.body == self._expected(oracle, SATURATING_BATCH)
+        answers = json.loads(response.body)["violation_probability"]
+        assert [answers[row] for row in (1, 3, 4)] == [1.0, 1.0, 1.0]
+        assert answers[0] < 1.0 and answers[2] < 1.0
+
+    def test_overlay_rows(self, oracle):
+        app = OracleApp(oracle)
+        batch = {
+            "alpha": [0.1, 0.49, 0.13, 0.2],
+            "unique_fraction": [1.0, 1.0, 0.8, 0.5],
+            "delta": [0, 0, 1, 2],
+            "depth": [5, 10, 7, 10],
+            "strict": False,
+        }
+        plain = _post(app, "/v1/violation", batch).body
+        base = oracle.violation_probability(0.13, 0.8, 1, 7)
+        overlay = {
+            quantize_key(0.13, 0.8, 1, 7): base / 3,
+            quantize_key(0.1, 1.0, 0, 5): 5e-324,
+            # A saturated row's cell: never tightened.
+            quantize_key(0.49, 1.0, 0, 10): 0.1,
+        }
+        oracle.set_overlay(overlay)
+        try:
+            columns = [batch[name] for name in VIOLATION_COLUMNS]
+            tightened = oracle.violation_cells(*columns, strict=False)[2]
+            response = _post(app, "/v1/violation", batch)
+            expected = self._expected(oracle, batch)
+        finally:
+            oracle.set_overlay(None)
+        assert tightened == {0: 5e-324, 2: base / 3}
+        assert response.body == expected
+        assert response.body != plain
+        answers = json.loads(response.body)["violation_probability"]
+        assert answers[0] == 5e-324 and answers[1] == 1.0
+
+    @given(
+        forward=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=len(EVERY_CELL["alpha"]),
+            max_size=len(EVERY_CELL["alpha"]),
+        )
+    )
+    @example(
+        forward=[5e-324, 1.0, 0.1, 1e-300, 2.5e-310, -0.0, 1e-5, 0.3]
+        + [2.2250738585072014e-308, 1 / 3, 1e16, 123456789.0]
+        + [0.05023999999999981, 4.9e-322, 1e22, 0.0]
+    )
+    def test_any_finite_forward_contents(self, forward):
+        """Every cell of an arbitrary table, plus a saturated row."""
+        tables = OracleTables(
+            SPEC,
+            forward=np.array(forward, dtype=np.float64).reshape(SPEC.shape),
+            minimal_depth=np.full(
+                SPEC.shape[:3] + (len(SPEC.targets),), -1, dtype=np.int64
+            ),
+        )
+        app = OracleApp(SettlementOracle(tables))
+        batch = {
+            **{name: column + [0.49] for name, column in EVERY_CELL.items()},
+            "strict": False,
+        }
+        response = _post(app, "/v1/violation", batch)
+        assert response.status == 200
+        assert response.body == _dumps_body(forward + [1.0])
 
 
 class TestErrorContract:

@@ -618,6 +618,18 @@ GOLDEN_REQUESTS = (
     ("POST", "/v1/violation", GOOD_BATCH),
     (
         "POST",
+        "/v1/violation",
+        {
+            # Rows 1, 3 and 4 leave the hull and saturate to 1.0.
+            "alpha": [0.1, 0.49, 0.2, 0.15, 0.1],
+            "unique_fraction": [1.0, 1.0, 0.7, 0.2, 0.5],
+            "delta": [0, 0, 1, 5, 2],
+            "depth": [5, 10, 12, 7, 2],
+            "strict": False,
+        },
+    ),
+    (
+        "POST",
         "/v1/depth",
         {
             "alpha": [0.1, 0.2],

@@ -1,11 +1,33 @@
-"""Shared configuration for the benchmark suite.
+"""Shared configuration and helpers for the benchmark suite.
 
 Every bench takes its RNG seeds and trial counts from here instead of
 hard-coded literals, so one edit re-scales or re-seeds the whole suite
 (and `run_all.py --quick` can shrink it uniformly via the TRIALS
 dictionary).  Seeds are arbitrary but fixed: the suite is deterministic
 run-to-run.
+
+The helpers are the suite's one way to time a claim (:func:`timed`),
+one way to check it (:class:`Gate`, :func:`check_gates`), and one way
+to start a ``python -m`` server child that announces its port
+(:func:`spawn`, :func:`stop`).
 """
+
+import dataclasses
+import operator
+import os
+import pathlib
+import re
+import signal
+import statistics
+import subprocess
+import sys
+import time
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Interleaved rounds behind every timing of ``run_all.py`` and the
+#: serving bench (see :func:`timed`).
+ROUNDS = 5
 
 #: Per-experiment seeds (one namespace per bench file).  Sweep-driven
 #: benches (bounds-vs-exact, delta, table1 Monte Carlo) take their seeds
@@ -47,3 +69,129 @@ TRIALS = {
     "oracle_batch_queries": 200000,
     "oracle_single_queries": 2000,
 }
+
+
+def timed(rounds, *callables, units=None, scale=1.0, digits=4):
+    """Time ``callables`` over ``rounds`` interleaved rounds.
+
+    Each round calls every callable once, in order, so a change in host
+    speed moves every callable of a round alike.  Returns ``(spreads,
+    ratios, results)``:
+
+    * ``spreads`` — per callable, ``{median, min, max, repeats}`` of its
+      call times, multiplied by ``scale`` (1 for seconds, 1e3 for ms)
+      and rounded to ``digits`` places;
+    * ``ratios`` — per callable after the first, the same summary of
+      its per-round speedup over the first, ``time(first) /
+      time(callable)`` per unit of work (``units`` gives each
+      callable's units per call, 1 by default).  Drift between rounds
+      cancels within a round, so every ratio gate reads the median;
+    * ``results`` — each callable's return value from the last round.
+    """
+    units = units or (1,) * len(callables)
+    times = [[] for _ in callables]
+    results = [None] * len(callables)
+    for _ in range(rounds):
+        for index, callable_ in enumerate(callables):
+            start = time.perf_counter()
+            results[index] = callable_()
+            times[index].append(time.perf_counter() - start)
+
+    def spread(sample, factor, places):
+        return {
+            "median": round(statistics.median(sample) * factor, places),
+            "min": round(min(sample) * factor, places),
+            "max": round(max(sample) * factor, places),
+            "repeats": rounds,
+        }
+
+    first = [seconds / units[0] for seconds in times[0]]
+    ratios = [
+        spread(
+            [base / (seconds / count) for base, seconds in zip(first, sample)],
+            1.0,
+            3,
+        )
+        for sample, count in zip(times[1:], units[1:])
+    ]
+    return [spread(sample, scale, digits) for sample in times], ratios, results
+
+
+_COMPARE = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
+
+
+@dataclasses.dataclass(frozen=True)
+class Gate:
+    """One checked claim of a record.
+
+    The value at ``key`` (a dotted path into the record) must compare
+    by ``op`` (``">="``, ``"<="`` or ``"=="``) with ``bound``: a
+    constant, or a function of the record for a floor the record itself
+    carries.  ``message`` says what a failure means.
+    """
+
+    name: str
+    key: str
+    op: str
+    bound: object
+    message: str
+
+    def check(self, record) -> tuple:
+        """``(value, bound, passed)`` on ``record``; a path the record
+        lacks raises ``KeyError`` or ``TypeError``."""
+        value = record
+        for part in self.key.split("."):
+            value = value[part]
+        bound = self.bound(record) if callable(self.bound) else self.bound
+        return value, bound, _COMPARE[self.op](value, bound)
+
+
+def check_gates(gates, record) -> bool:
+    """Check every gate on ``record``, print one line per gate, and
+    return whether all passed (a failing gate does not stop the rest)."""
+    passed = True
+    for gate in gates:
+        value, bound, ok = gate.check(record)
+        verdict = "PASS" if ok else f"FAIL ({gate.message})"
+        print(f"{gate.name}: {value!r} {gate.op} {bound!r} {verdict}")
+        passed = passed and ok
+    return passed
+
+
+def child_env() -> dict:
+    """This environment with the repo's ``src`` first on PYTHONPATH and
+    unbuffered output, for ``python -m repro...`` children."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def spawn(*args) -> tuple:
+    """Start ``python -m ARGS`` and read the ``host:port`` it announces
+    on its first stdout line; ``(process, (host, port))``."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", *args],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    line = process.stdout.readline()
+    match = re.search(r"([\d.]+):(\d+)", line)
+    if match is None:
+        stop(process)
+        raise RuntimeError(f"{args[0]} did not announce its port: {line!r}")
+    return process, (match.group(1), int(match.group(2)))
+
+
+def stop(process) -> None:
+    """SIGTERM a :func:`spawn` child and reap it (SIGKILL after 30 s)."""
+    if process.poll() is None:
+        process.send_signal(signal.SIGTERM)
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+    process.stdout.close()

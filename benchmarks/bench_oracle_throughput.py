@@ -21,12 +21,10 @@ checks:
   the ``oracle`` record to BENCH_engine.json).
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from bench_config import SEEDS, TRIALS
+from bench_config import ROUNDS, SEEDS, TRIALS, timed
 from repro.analysis.exact import (
     compute_settlement_probabilities,
     settlement_violation_probability,
@@ -130,20 +128,20 @@ def test_single_query_speedup_floor(oracle, benchmark):
             )
         return total
 
+    samples = list(spec.combos())[:DP_SAMPLES]
+
+    def dp_queries():
+        for _, _, _, alpha, fraction, delta in samples:
+            settlement_violation_probability(
+                effective_probabilities(alpha, fraction, delta, spec.activity),
+                spec.depth_horizon,
+            )
+
     benchmark(single_queries)
-    start = time.perf_counter()
-    single_queries()
-    oracle_per_query = (time.perf_counter() - start) / SINGLE_QUERIES
-
-    start = time.perf_counter()
-    for i, j, l, alpha, fraction, delta in list(spec.combos())[:DP_SAMPLES]:
-        settlement_violation_probability(
-            effective_probabilities(alpha, fraction, delta, spec.activity),
-            spec.depth_horizon,
-        )
-    dp_per_query = (time.perf_counter() - start) / DP_SAMPLES
-
-    speedup = dp_per_query / oracle_per_query
+    _, (ratio,), _ = timed(
+        ROUNDS, dp_queries, single_queries, units=(DP_SAMPLES, SINGLE_QUERIES)
+    )
+    speedup = ratio["median"]
     benchmark.extra_info["per_query_speedup"] = round(speedup, 1)
     assert speedup >= PER_QUERY_FLOOR, (
         f"oracle scalar query only {speedup:.1f}x faster than the DP "
@@ -158,10 +156,10 @@ def test_batch_throughput_floor(oracle, benchmark):
     result = benchmark(oracle.violation_probabilities, *columns)
     assert result.shape == (BATCH_QUERIES,)
 
-    start = time.perf_counter()
-    oracle.violation_probabilities(*columns)
-    elapsed = time.perf_counter() - start
-    throughput = BATCH_QUERIES / elapsed
+    (seconds,), _, _ = timed(
+        ROUNDS, lambda: oracle.violation_probabilities(*columns)
+    )
+    throughput = BATCH_QUERIES / seconds["median"]
     benchmark.extra_info["queries_per_second"] = round(throughput)
     assert throughput >= BATCH_FLOOR, (
         f"batch path serves {throughput:.0f} queries/s "

@@ -25,7 +25,10 @@ One TCP connection per worker, length-prefixed pickle frames both ways:
   ``entropy``, ``spawn_key``), ``task`` (``function``, ``args``), and
   ``shutdown`` (graceful worker exit);
 * reply   = ``{"ok": True, "result": ...}`` or ``{"ok": False,
-  "error": <traceback string>}``.  A ``chunk`` reply's ``result`` is
+  "error": <traceback string>}``, with the worker's ``stats`` dict
+  (see :attr:`DistributedBackend.worker_stats`) on every reply; a reply
+  without it is malformed, and malformed replies are requeued like a
+  transport failure.  A ``chunk`` reply's ``result`` is
   the chunk's hit count, a plain ``int``; the runner rejects a reply
   that is not an ``int`` within ``[0, size]`` before adding or
   ledgering it (:func:`repro.engine.runner.is_hit_count`).
@@ -243,7 +246,7 @@ class DistributedBackend:
         self._closed = threading.Event()
         #: Latest stats frame piggybacked by each worker, keyed by
         #: ``"host:port"`` — who served what, and for how long they have
-        #: been up.  v1 workers send no frame; their entry stays absent.
+        #: been up.
         self.worker_stats: dict[str, dict] = {}
 
     @classmethod
@@ -408,9 +411,7 @@ class DistributedBackend:
 
     def _absorb_stats(self, host_key: str, reply: dict) -> None:
         """Merge a worker's piggybacked stats frame into client state."""
-        stats = reply.get("stats")
-        if not isinstance(stats, dict):
-            return  # v1 worker: no frame on the wire.
+        stats = reply["stats"]
         self.worker_stats[host_key] = stats
         registry = metrics.active()
         if registry is None:
@@ -457,7 +458,11 @@ class DistributedBackend:
                 "round-trip latency of worker RPCs, by op",
                 op=op,
             ).observe(time.perf_counter() - started)
-            if not isinstance(reply, dict) or "ok" not in reply:
+            if (
+                not isinstance(reply, dict)
+                or "ok" not in reply
+                or not isinstance(reply.get("stats"), dict)
+            ):
                 self._requeue(
                     item,
                     ProtocolError(f"malformed worker reply: {reply!r}"),

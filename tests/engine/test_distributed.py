@@ -285,6 +285,38 @@ class TestFailover:
             served += frame["served"]["chunk"]
         assert served == 8  # 4096 trials / 512 chunk, across both hosts
 
+    def test_reply_without_stats_frame_is_malformed(self):
+        """Every worker reply carries a stats frame.  A peer answering
+        without one is broken: its item is requeued like a transport
+        failure and fails after ``max_failures``."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_without_frame():
+            while True:
+                try:
+                    connection, _ = listener.accept()
+                except OSError:
+                    return
+                with connection:
+                    try:
+                        while True:
+                            recv_message(connection)
+                            send_message(connection, {"ok": True, "result": 0})
+                    except (OSError, ProtocolError):
+                        pass
+
+        threading.Thread(target=answer_without_frame, daemon=True).start()
+        backend = DistributedBackend(
+            [listener.getsockname()[:2]], timeout=5.0, max_failures=2
+        )
+        try:
+            with pytest.raises(ConnectionError, match="malformed worker reply"):
+                backend.submit_task(abs, -1).result(timeout=30)
+        finally:
+            backend.close()
+            listener.shutdown(socket.SHUT_RDWR)
+            listener.close()
+
     def test_all_workers_lost_fails_loudly(self):
         process, address = self._spawn_worker()
         process.kill()

@@ -161,6 +161,29 @@ class TestRunGrid:
         rerun = run_grid(self.GRID, trials=2_001, cache=cache)
         assert all(not row["cached"] for row in rerun)
 
+    def test_protocol_grid_warm_rerun_estimates_nothing(self, tmp_path):
+        """The protocol grid's simulation batches are ledgered like any
+        other chunk: a warm rerun re-executes no simulation."""
+        grid = get_grid("protocol")
+        only = {"adversary_fraction": (0.2,), "activity": (0.5,), "delta": (2,)}
+        cold = run_grid(grid, trials=8, cache=ResultCache(tmp_path), only=only)
+        assert len(cold) == 2
+        assert all(
+            not row["cached"] and row["sampled_trials"] == 8 for row in cold
+        )
+        warm_cache = ResultCache(tmp_path)
+        warm = run_grid(grid, trials=8, cache=warm_cache, only=only)
+        assert all(row["cached"] and not row["sampled_trials"] for row in warm)
+        assert warm_cache.chunk_stores == 0
+        ledger_columns = ("cached", "reused_trials", "sampled_trials")
+        assert [
+            {k: v for k, v in row.items() if k not in ledger_columns}
+            for row in warm
+        ] == [
+            {k: v for k, v in row.items() if k not in ledger_columns}
+            for row in cold
+        ]
+
 
 class TestAdaptiveGrid:
     """Per-point precision targets: run_grid through run_until."""

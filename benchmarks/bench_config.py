@@ -7,9 +7,11 @@ dictionary).  Seeds are arbitrary but fixed: the suite is deterministic
 run-to-run.
 
 The helpers are the suite's one way to time a claim (:func:`timed`),
-one way to check it (:class:`Gate`, :func:`check_gates`), and one way
-to start a ``python -m`` server child that announces its port
-(:func:`spawn`, :func:`stop`).
+one way to check it (:class:`Gate`, :func:`check_gates`, and the gate
+tables ``GATES`` and ``SERVING_GATES``), and one way to start a
+``python -m`` server child that announces its port (:func:`spawn`,
+:func:`stop`).  This module imports only the standard library, so the
+gate tables load without the benches' import-time set-up.
 """
 
 import dataclasses
@@ -71,7 +73,7 @@ TRIALS = {
 }
 
 
-def timed(rounds, *callables, units=None, scale=1.0, digits=4):
+def timed(rounds, *callables, units=None):
     """Time ``callables`` over ``rounds`` interleaved rounds.
 
     Each round calls every callable once, in order, so a change in host
@@ -79,14 +81,15 @@ def timed(rounds, *callables, units=None, scale=1.0, digits=4):
     ratios, results)``:
 
     * ``spreads`` — per callable, ``{median, min, max, repeats}`` of its
-      call times, multiplied by ``scale`` (1 for seconds, 1e3 for ms)
-      and rounded to ``digits`` places;
+      call times in seconds;
     * ``ratios`` — per callable after the first, the same summary of
       its per-round speedup over the first, ``time(first) /
       time(callable)`` per unit of work (``units`` gives each
       callable's units per call, 1 by default).  Drift between rounds
       cancels within a round, so every ratio gate reads the median;
     * ``results`` — each callable's return value from the last round.
+
+    Every summary value is rounded to four significant digits.
     """
     units = units or (1,) * len(callables)
     times = [[] for _ in callables]
@@ -97,24 +100,22 @@ def timed(rounds, *callables, units=None, scale=1.0, digits=4):
             results[index] = callable_()
             times[index].append(time.perf_counter() - start)
 
-    def spread(sample, factor, places):
+    def spread(sample):
         return {
-            "median": round(statistics.median(sample) * factor, places),
-            "min": round(min(sample) * factor, places),
-            "max": round(max(sample) * factor, places),
+            "median": float(f"{statistics.median(sample):.4g}"),
+            "min": float(f"{min(sample):.4g}"),
+            "max": float(f"{max(sample):.4g}"),
             "repeats": rounds,
         }
 
     first = [seconds / units[0] for seconds in times[0]]
     ratios = [
         spread(
-            [base / (seconds / count) for base, seconds in zip(first, sample)],
-            1.0,
-            3,
+            [base / (seconds / count) for base, seconds in zip(first, sample)]
         )
         for sample, count in zip(times[1:], units[1:])
     ]
-    return [spread(sample, scale, digits) for sample in times], ratios, results
+    return [spread(sample) for sample in times], ratios, results
 
 
 _COMPARE = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
@@ -156,6 +157,67 @@ def check_gates(gates, record) -> bool:
         print(f"{gate.name}: {value!r} {gate.op} {bound!r} {verdict}")
         passed = passed and ok
     return passed
+
+
+#: Serving floors (``bench_oracle_serving.py``): over-HTTP batch
+#: queries/s of the threaded server, and the error rate under load.
+BATCH_HTTP_FLOOR = 50_000.0
+ERROR_RATE_MAX = 0.0
+
+#: The serving gates, on a record holding the serving bench's record at
+#: ``"serving"`` (as ``BENCH_engine.json`` does).
+SERVING_GATES = (
+    Gate("serving threaded batch q/s",
+         "serving.modes.threaded.batch.queries_per_second", ">=",
+         BATCH_HTTP_FLOOR,
+         "oracle serving batch path below the 50k queries/s over-HTTP floor"),
+    Gate("serving prefork4/threaded batch",
+         "serving.prefork_batch_speedup.median", ">=",
+         lambda record: record["serving"]["slo"][
+             "prefork_batch_speedup_floor"],
+         "prefork serving batch path below its core-count speedup floor"),
+    Gate("serving byte parity", "serving.answers_identical_across_modes",
+         "==", True,
+         "serving modes returned different bytes on the golden request set"),
+    Gate("serving error rate", "serving.error_rate", "<=", ERROR_RATE_MAX,
+         "oracle serving returned errors under load"),
+    Gate("serving /metrics", "serving.metrics_endpoint_counted_load", "==",
+         True, "/metrics did not account for the serving load"),
+)
+
+#: Every floor of BENCH_engine.json, which ``run_all.py`` checks after
+#: all records are written.  A ratio gate reads the median of its
+#: per-round ratios.
+GATES = (
+    Gate("adaptive trial savings", "adaptive.trials_ratio", ">=", 3,
+         "adaptive runs below the 3x trial-savings floor"),
+    Gate("adaptive max SE", "adaptive.se_no_worse", "==", True,
+         "adaptive max standard error exceeds the fixed run's"),
+    Gate("warm-ledger extension",
+         "adaptive.warm_extension_resamples_only_new_chunks", "==", True,
+         "warm-ledger trials bump re-sampled previously ledgered chunks"),
+    Gate("Table 1 digits", "exact.printed_mismatches", "==", [],
+         "exact DP does not reproduce Table 1's printed digits"),
+    Gate("oracle no-op rebuild", "oracle.rebuild_noop", "==", True,
+         "identical oracle rebuild re-ran instead of no-op"),
+    Gate("oracle scalar/DP per query", "oracle.per_query_speedup.median",
+         ">=", 100, "oracle scalar query below the 100x-over-DP floor"),
+    Gate("oracle batch q/s", "oracle.batch_queries_per_second", ">=", 50_000,
+         "oracle batch path below the 50k queries/s floor"),
+    *SERVING_GATES,
+    Gate("backend estimates", "backend.identical_estimates", "==", True,
+         "a backend changed the estimate"),
+    Gate("distributed/process chunks/s",
+         "backend.distributed_overhead_ratio.median", ">=", 0.5,
+         "distributed backend below the 0.5x-of-process localhost floor"),
+    Gate("wan degenerate config", "wan.degenerate_bit_identical", "==", True,
+         "default-config Transport diverged from the slot-quantized model"),
+    Gate("wan/slot trials/s", "wan.wan_over_slot_ratio.median", ">=", 0.5,
+         "WAN transport below the 0.5x-of-slot-simulator throughput floor"),
+    Gate("scheduler events/s", "wan.scheduler_events_per_second", ">=",
+         lambda record: record["wan"]["slot_trials_per_second"] * 0.5,
+         "event scheduler slower than half the slot simulator's trial rate"),
+)
 
 
 def child_env() -> dict:

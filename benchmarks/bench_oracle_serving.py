@@ -19,8 +19,8 @@ between the two modes over ``ROUNDS`` interleaved rounds per shape:
 * **batch** — ``POST /v1/violation`` with columnar arrays, the
   throughput path (one NumPy gather answers the whole body).
 
-The gates, ``SERVING_GATES``, are checked here (``slo.met``, the pytest
-entry and ``main()``) and by ``run_all.py``:
+The gates, ``bench_config.SERVING_GATES``, are checked here
+(``slo.met``, the pytest entry and ``main()``) and by ``run_all.py``:
 
 * threaded batch sustains >= 50 000 queries/second over the wire (the
   median round); HTTP framing must not eat the batch advantage;
@@ -61,9 +61,11 @@ import time
 from http.client import HTTPConnection
 
 from bench_config import (
+    BATCH_HTTP_FLOOR,
+    ERROR_RATE_MAX,
     REPO_ROOT,
     ROUNDS,
-    Gate,
+    SERVING_GATES,
     check_gates,
     spawn,
     stop,
@@ -88,34 +90,10 @@ SERVING_SPEC = dataclasses.replace(
 )
 
 QUERY_SEED = 20200707
-BATCH_HTTP_FLOOR = 50_000.0  # queries/s over localhost HTTP (threaded)
-ERROR_RATE_MAX = 0.0
 PREFORK_WORKERS = 4
 #: ``repro.oracle serve`` flags per serving mode, threaded first: the
 #: prefork ratio is prefork's speedup over it.
 MODES = {"threaded": (), "prefork4": ("--workers", str(PREFORK_WORKERS))}
-
-#: The serving gates, on a record holding this bench's record at
-#: ``"serving"`` (as ``BENCH_engine.json`` does).
-SERVING_GATES = (
-    Gate("serving threaded batch q/s",
-         "serving.modes.threaded.batch.queries_per_second", ">=",
-         BATCH_HTTP_FLOOR,
-         "oracle serving batch path below the 50k queries/s over-HTTP floor"),
-    Gate("serving prefork4/threaded batch",
-         "serving.prefork_batch_speedup.median", ">=",
-         lambda record: record["serving"]["slo"][
-             "prefork_batch_speedup_floor"],
-         "prefork serving batch path below its core-count speedup floor"),
-    Gate("serving byte parity", "serving.answers_identical_across_modes",
-         "==", True,
-         "serving modes returned different bytes on the golden request set"),
-    Gate("serving error rate", "serving.error_rate", "<=", ERROR_RATE_MAX,
-         "oracle serving returned errors under load"),
-    Gate("serving /metrics", "serving.metrics_endpoint_counted_load", "==",
-         True, "/metrics did not account for the serving load"),
-)
-
 
 def prefork_speedup_floor(cpu_count: int | None) -> float:
     """The prefork4-vs-threaded batch floor for this host's cores.
@@ -277,14 +255,12 @@ def _batch_encode_record(
     # The first splice also builds the app's cell-text cache.
     if splice() != dumps():
         raise AssertionError("cell splice and json.dumps bodies differ")
-    (dumps_ms, splice_ms), (speedup,), _ = timed(
-        repeats, dumps, splice, scale=1e3, digits=3
-    )
+    (dumps_s, splice_s), (speedup,), _ = timed(repeats, dumps, splice)
     return {
         "batch_size": batch_size,
         "byte_identical": True,
-        "dumps_ms": dumps_ms,
-        "splice_ms": splice_ms,
+        "dumps_seconds": dumps_s,
+        "splice_seconds": splice_s,
         "speedup": speedup,
     }
 
@@ -296,13 +272,13 @@ def _batch_encode_record(
 
 def serving_record(quick: bool) -> dict:
     """Build, serve, and load-test both modes; the ``serving`` record."""
-    # Two connections per prefork worker.  Each new connection goes to
-    # whichever worker accepts it first, so with as few connections as
-    # workers a round often puts most of them on one process, and the
-    # prefork ratio then measures one worker (seen as rounds near 1.0x).
-    clients = 2 * PREFORK_WORKERS
-    scalar_requests = 20 if quick else 250  # per client
-    batch_requests = 4 if quick else 20  # per client
+    # The same connections in both modes.  Each new connection goes to
+    # whichever prefork worker accepts it first, so a round can put
+    # every connection on one process and read near 1.0x; the median
+    # over the rounds is gated.
+    clients = 2 if quick else 4
+    scalar_requests = 150 if quick else 500  # per client
+    batch_requests = 15 if quick else 40  # per client
     batch_size = 1_000 if quick else 2_000  # queries per POST
 
     rng = np.random.default_rng(QUERY_SEED)
@@ -460,7 +436,6 @@ def test_serving_meets_slo_floors():
     """The pytest entry the full bench suite collects."""
     record = serving_record(quick=True)
     assert check_gates(SERVING_GATES, {"serving": record}), record
-    assert record["slo"]["met"]
     assert record["batch_encode"]["speedup"]["median"] > 1.0, record
 
 

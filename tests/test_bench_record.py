@@ -1,10 +1,11 @@
 """The committed ``BENCH_engine.json`` against the bench's gate table.
 
 ``benchmarks/run_all.py`` checks every floor of the record it writes
-through one table, ``GATES``.  Loading that table here means a
-committed record that lags the bench schema (a key some gate reads is
-missing) or that fails a floor fails tier-1, not only the next bench
-run.
+through one table, ``bench_config.GATES``.  Loading that table here
+means a committed record that lags the bench schema (a key some gate
+reads is missing) or that fails a floor fails tier-1, not only the next
+bench run.  ``bench_config`` imports only the standard library, so
+loading it by path leaves ``sys.path`` and the benches alone.
 """
 
 import importlib.util
@@ -16,16 +17,16 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _load_run_all():
+def _load_bench_config():
     spec = importlib.util.spec_from_file_location(
-        "run_all", ROOT / "benchmarks" / "run_all.py"
+        "bench_config", ROOT / "benchmarks" / "bench_config.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-GATES = _load_run_all().GATES
+GATES = _load_bench_config().GATES
 RECORD = json.loads((ROOT / "BENCH_engine.json").read_text())
 
 

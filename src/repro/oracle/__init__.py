@@ -10,14 +10,14 @@ mmap-loadable artifact (:mod:`repro.oracle.store`).  The in-memory
 :class:`SettlementOracle` (:mod:`repro.oracle.service`) answers single
 and vectorized batch queries from that artifact: bit-identical to the
 builder's one DP sweep per (α, fraction, Δ) combo at grid points,
-conservatively rounded (never optimistic) between them.  A stdlib serving tier exposes it to the network: one
-route/error/metrics core (:mod:`repro.oracle.app`) behind a threaded
-HTTP server (:mod:`repro.oracle.server`), optionally pre-forked across
-worker processes sharing one listening socket, with background
-traffic-driven refinement (:mod:`repro.oracle.refine`) tightening hot
-off-grid answers while every reply stays a certified upper bound.  The
-``python -m repro.oracle`` CLI (:mod:`repro.oracle.cli`) drives it
-all.
+conservatively rounded (never optimistic) between them.  A stdlib
+serving tier exposes it to the network: one route/error/metrics core
+(:mod:`repro.oracle.app`) behind a threaded HTTP server
+(:mod:`repro.oracle.server`), optionally pre-forked across worker
+processes sharing one listening socket.  Every answer is a stored
+cell; a finer answer somewhere comes from a build with grid lines
+there.  The ``python -m repro.oracle`` CLI (:mod:`repro.oracle.cli`)
+drives it all.
 
 See docs/ARCHITECTURE.md ("Layer 6") for the artifact-format contract.
 """
@@ -28,13 +28,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.oracle.app": ("DEFAULT_MAX_BODY_BYTES", "OracleApp"),
-        "repro.oracle.refine": (
-            "RefineDaemon",
-            "SnapTally",
-            "load_overlay",
-            "refine_once",
-            "save_overlay",
-        ),
         "repro.oracle.service": (
             "OracleDomainError",
             "SettlementOracle",

@@ -3,16 +3,15 @@
 :class:`OracleApp` owns everything about serving settlement queries
 that does *not* depend on how bytes arrive: routing, parameter and
 body parsing, the structured error contract, per-request metrics and
-the access log, the request-body size limit, and the traffic tally
-that feeds background refinement.  The threaded ``http.server`` front
-end (:mod:`repro.oracle.server`) is a thin byte shovel around it, in
-one process or in each pre-forked worker; the response body is
-produced exactly once, here, so every worker returns byte-identical
-JSON.
+the access log, and the request-body size limit.  The threaded
+``http.server`` front end (:mod:`repro.oracle.server`) is a thin byte
+shovel around it, in one process or in each pre-forked worker; the
+response body is produced exactly once, here, so every worker returns
+byte-identical JSON.
 
 Routes::
 
-    GET  /healthz         -> artifact summary + live overlay cell count
+    GET  /healthz         -> artifact summary
     GET  /metrics         -> Prometheus text exposition
     GET  /v1/violation?alpha=&unique_fraction=&delta=&depth=
     GET  /v1/depth?alpha=&unique_fraction=&delta=&target=
@@ -39,13 +38,6 @@ once per request; it counts
 writes one structured JSON access-log line to stderr.  In pre-fork
 mode every metric additionally carries a ``worker`` label
 (``worker_label=``) so per-process scrape targets stay tellable apart.
-
-Traffic tally: pass ``tally=`` (a
-:class:`repro.oracle.refine.SnapTally`) and every successful
-``/v1/violation`` query — scalar and batch — records its quantized
-off-grid coordinates, which the refinement daemon turns into exact
-per-cell DPs (see :mod:`repro.oracle.refine`).  ``tally=None`` (the
-default) keeps the hot path entirely tally-free.
 """
 
 from __future__ import annotations
@@ -102,11 +94,10 @@ class OracleApp:
     """The shared route/error/metrics core both servers delegate to.
 
     A batch ``POST /v1/violation`` body is not a ``json.dumps`` of the
-    answers: every answer is a stored ``forward`` cell, the saturated
-    ``1.0`` or an overlay value, so the app encodes each cell once (on
-    the first batch, keyed by flat cell index) and joins the cached
-    bytes of the cells :meth:`SettlementOracle.violation_cells` names.
-    Only overlay-tightened rows are formatted per request.  The body is
+    answers: every answer is a stored ``forward`` cell or the saturated
+    ``1.0``, so the app encodes each cell once (on the first batch,
+    keyed by flat cell index) and joins the cached bytes of the cells
+    :meth:`SettlementOracle.violation_cells` names.  The body is
     byte-identical to ``json.dumps({"violation_probability":
     answers})``; encoding the floats was most of a batch's cost.
     """
@@ -118,7 +109,6 @@ class OracleApp:
         quiet: bool = True,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         worker_label: str | None = None,
-        tally=None,
     ) -> None:
         if max_body_bytes < 1:
             raise ValueError("max_body_bytes must be positive")
@@ -126,7 +116,6 @@ class OracleApp:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.quiet = quiet
         self.max_body_bytes = max_body_bytes
-        self.tally = tally
         self.worker_label = worker_label
         self._labels = (
             {"worker": str(worker_label)} if worker_label is not None else {}
@@ -187,9 +176,7 @@ class OracleApp:
         path = split.path
         if method == "GET":
             if path == "/healthz":
-                payload = dict(self._health)
-                payload["overlay_cells"] = self.oracle.overlay_size
-                return self._json(200, payload)
+                return self._json(200, self._health)
             if path == "/metrics":
                 return Response(
                     200,
@@ -247,8 +234,6 @@ class OracleApp:
             probability = self.oracle.violation_probability(
                 alpha, fraction, delta, last
             )
-            if self.tally is not None:
-                self.tally.record(alpha, fraction, delta, last)
             payload = {
                 "violation_probability": probability,
                 "conservative": True,
@@ -282,12 +267,9 @@ class OracleApp:
                 f"strict must be a JSON boolean (true/false), got {strict!r}"
             )
         if path == "/v1/violation":
-            flat, saturated, tightened = self.oracle.violation_cells(
-                *columns, strict=strict
+            return self._violation_body(
+                *self.oracle.violation_cells(*columns, strict=strict)
             )
-            if self.tally is not None:
-                self.tally.record_batch(*columns)
-            return self._violation_body(flat, saturated, tightened)
         depths, sources = self.oracle.settlement_depths_with_source(
             *columns, strict=strict
         )
@@ -312,7 +294,7 @@ class OracleApp:
         cells.append(b"1.0")
         return np.array(cells, dtype=object)
 
-    def _violation_body(self, flat, saturated, tightened) -> bytes:
+    def _violation_body(self, flat, saturated) -> bytes:
         """``json.dumps({"violation_probability": answers}).encode()``,
         byte for byte, spliced from the cached cell text: the float
         repr of a batch's answers is most of its cost, and every table
@@ -320,8 +302,6 @@ class OracleApp:
         texts = self._cell_text
         cells = np.where(saturated, len(texts) - 1, flat)
         parts = texts.take(cells).tolist()
-        for index, refined in tightened.items():
-            parts[index] = json.dumps(float(refined)).encode()
         return b'{"violation_probability": [' + b", ".join(parts) + b"]}"
 
     # -- per-request accounting ---------------------------------------

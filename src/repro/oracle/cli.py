@@ -8,14 +8,14 @@ Verbs::
     query  ARTIFACT --alpha A --fraction F --delta D (--depth K | --target P)
     serve  ARTIFACT [--host H] [--port P] [--workers N]
            [--max-body-bytes B]
-           [--refine] [--refine-path FILE] [--refine-interval S]
-           [--refine-top N]
 
 ``build`` starts from a preset spec and lets every axis be overridden
 (``--alphas 0.1,0.2 --depths 10,20,40 ...``), so CI can build a tiny
-artifact in seconds and production a dense one over many cores.  A
-rebuild into a directory whose manifest already matches the spec is a
-no-op; ``--cache-dir`` (or ``$REPRO_SWEEP_CACHE``) lets the Monte-Carlo
+artifact in seconds and production a dense one over many cores.  An
+override is also how an operator gets an exact answer at an off-grid
+point: add its coordinates as grid lines and rebuild.  A rebuild into
+a directory whose manifest already matches the spec is a no-op;
+``--cache-dir`` (or ``$REPRO_SWEEP_CACHE``) lets the Monte-Carlo
 cross-check reuse the engine's result cache across rebuilds.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import pathlib
 import sys
 
 from repro.engine.cache import ResultCache, cache_from_env
@@ -172,11 +171,6 @@ def _cmd_serve(args) -> int:
     from repro.oracle.server import serve_forever
 
     oracle = SettlementOracle.load(args.artifact)
-    refine_path = None
-    if args.refine or args.refine_path is not None:
-        refine_path = args.refine_path or str(
-            pathlib.Path(args.artifact) / "overlay.json"
-        )
     serve_forever(
         oracle,
         host=args.host,
@@ -184,9 +178,6 @@ def _cmd_serve(args) -> int:
         quiet=args.quiet,
         workers=args.workers,
         max_body_bytes=args.max_body_bytes,
-        refine_path=refine_path,
-        refine_interval=args.refine_interval,
-        refine_top=args.refine_top,
     )
     return 0
 
@@ -303,37 +294,6 @@ def main(argv: list[str] | None = None) -> int:
             "reject POST bodies larger than this with a structured 413 "
             f"(default: {DEFAULT_MAX_BODY_BYTES})"
         ),
-    )
-    serve.add_argument(
-        "--refine",
-        action="store_true",
-        help=(
-            "tally where queries snap conservatively and refine the "
-            "hottest off-grid cells with exact DPs in the background, "
-            "publishing a hot-swapped overlay artifact (answers only "
-            "ever tighten; every reply stays a certified upper bound)"
-        ),
-    )
-    serve.add_argument(
-        "--refine-path",
-        default=None,
-        metavar="FILE",
-        help=(
-            "overlay artifact location (implies --refine; default: "
-            "ARTIFACT/overlay.json)"
-        ),
-    )
-    serve.add_argument(
-        "--refine-interval",
-        type=float,
-        default=5.0,
-        help="seconds between refinement passes (default: 5)",
-    )
-    serve.add_argument(
-        "--refine-top",
-        type=int,
-        default=16,
-        help="hottest off-grid cells refined per pass (default: 16)",
     )
     serve.set_defaults(run=_cmd_serve)
 

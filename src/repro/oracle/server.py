@@ -1,9 +1,9 @@
 """Threaded front end + serving-tier orchestration for the oracle.
 
-The routing, parsing, error contract, metrics, and refinement tally
-all live in :class:`~repro.oracle.app.OracleApp` — this module
-supplies the ``ThreadingHTTPServer`` byte shovel around it, plus the
-serving orchestration:
+The routing, parsing, error contract and metrics all live in
+:class:`~repro.oracle.app.OracleApp` — this module supplies the
+``ThreadingHTTPServer`` byte shovel around it, plus the serving
+orchestration:
 
 * :func:`make_server` — the classic threaded server (one thread per
   connection; the oracle is read-only mmap-backed state, so handler
@@ -16,10 +16,7 @@ serving orchestration:
 * :func:`serve_forever` — the CLI entry.  ``workers > 1`` forks that
   many threaded servers onto one listening socket, each mmap-sharing
   the same artifact pages and labelling its metrics with a ``worker``
-  label.  ``refine_path`` starts the tiered-artifact refinement loop
-  (:mod:`repro.oracle.refine`): worker 0 tallies traffic and publishes
-  overlay artifacts, the other workers watch the overlay file's
-  fingerprint and hot-swap it in.
+  label.  A worker that dies on its own fails the parent.
 
 Routes, the structured error contract, and telemetry are documented on
 :class:`OracleApp`; single-process and pre-fork serving return
@@ -39,7 +36,6 @@ import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from repro.obs.metrics import MetricsRegistry
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp, Response
 from repro.oracle.service import SettlementOracle
 
@@ -73,39 +69,20 @@ def make_listening_socket(
 
 
 def make_server(
-    oracle: SettlementOracle | None = None,
+    app: OracleApp,
     host: str = "127.0.0.1",
     port: int = 0,
-    quiet: bool = True,
-    registry: MetricsRegistry | None = None,
     *,
-    app: OracleApp | None = None,
     sock: socket.socket | None = None,
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    worker_label: str | None = None,
-    tally=None,
 ) -> ThreadingHTTPServer:
-    """Build (and bind, but do not start) the threaded query server.
+    """Build (and bind, but do not start) the threaded server for ``app``.
 
-    Either pass ``oracle`` (an :class:`OracleApp` is built around it —
-    the historical signature) or a prebuilt ``app``.  ``port=0`` binds
-    an ephemeral port; read the actual one from
+    ``port=0`` binds an ephemeral port; read the actual one from
     ``server.server_address[1]``.  ``sock`` adopts an existing
     *listening* socket instead of binding — the pre-fork path.  The
-    shared app is exposed as ``server.app`` and its metrics registry as
+    app is exposed as ``server.app`` and its metrics registry as
     ``server.registry``.
     """
-    if app is None:
-        if oracle is None:
-            raise TypeError("make_server needs an oracle or an app")
-        app = OracleApp(
-            oracle,
-            registry=registry,
-            quiet=quiet,
-            max_body_bytes=max_body_bytes,
-            worker_label=worker_label,
-            tally=tally,
-        )
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -218,53 +195,39 @@ def make_server(
     return server
 
 
-def _worker_main(
-    oracle: SettlementOracle,
-    sock: socket.socket,
-    quiet: bool,
-    max_body_bytes: int,
-    worker_label: str | None,
-    refine_path,
-    refine_interval: float,
-    refine_top: int,
-    leader: bool,
-) -> None:
-    """Serve ``sock`` with one app until interrupted — the body of a
+def _worker_main(app: OracleApp, sock: socket.socket) -> None:
+    """Serve ``sock`` with ``app`` until interrupted — the body of a
     pre-fork worker process (and of single-process serving)."""
-    tally = None
-    daemon = None
-    if refine_path is not None and leader:
-        from repro.oracle.refine import SnapTally
-
-        tally = SnapTally()
-    app = OracleApp(
-        oracle,
-        quiet=quiet,
-        max_body_bytes=max_body_bytes,
-        worker_label=worker_label,
-        tally=tally,
-    )
-    server = make_server(app=app, sock=sock)
-    if refine_path is not None:
-        from repro.oracle.refine import RefineDaemon
-
-        daemon = RefineDaemon(
-            oracle,
-            tally,
-            refine_path,
-            interval=refine_interval,
-            top=refine_top,
-            leader=leader,
-        )
-        daemon.start()
+    server = make_server(app, sock=sock)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
-        if daemon is not None:
-            daemon.stop()
+
+
+def _stop_workers(children: list[int], exited: dict[int, int]) -> None:
+    """SIGTERM and reap every worker not in ``exited`` (index -> exit
+    code); one that has already ended on its own is recorded there."""
+    live = []
+    for index, pid in enumerate(children):
+        if index in exited:
+            continue
+        try:
+            done, status = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue  # already reaped elsewhere
+        if done:
+            exited[index] = os.waitstatus_to_exitcode(status)
+        else:
+            live.append(pid)
+    for pid in live:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGTERM)
+    for pid in live:
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
 
 
 def serve_forever(
@@ -276,60 +239,48 @@ def serve_forever(
     *,
     workers: int = 1,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    refine_path=None,
-    refine_interval: float = 5.0,
-    refine_top: int = 16,
 ) -> None:
     """Bind and serve until interrupted (the CLI ``serve`` verb).
 
     ``workers > 1`` forks that many threaded worker processes sharing
-    the listening socket (worker 0 leads refinement when
-    ``refine_path`` is set, the rest follow the overlay file).  All
-    workers mmap-share the parent's artifact pages.
+    the listening socket; all of them mmap-share the parent's artifact
+    pages.  Every worker's app is built, and so its options checked,
+    before the listening line is announced.  A worker that exits
+    non-zero on its own stops the others and makes this raise
+    :class:`RuntimeError`; a SIGTERM or Ctrl-C to the parent stops them
+    all and returns normally.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    apps = [
+        OracleApp(
+            oracle,
+            quiet=quiet,
+            max_body_bytes=max_body_bytes,
+            worker_label=None if workers == 1 else str(index),
+        )
+        for index in range(workers)
+    ]
     sock = make_listening_socket(host, port)
     bound_host, bound_port = sock.getsockname()[:2]
-    refined = f", refine={refine_path}" if refine_path is not None else ""
     announce(
         f"settlement oracle serving {oracle.describe()['cells']} cells "
         f"on http://{bound_host}:{bound_port} "
-        f"(workers={workers}{refined}) (Ctrl-C to stop)"
+        f"(workers={workers}) (Ctrl-C to stop)"
     )
     if workers == 1:
         try:
-            _worker_main(
-                oracle,
-                sock,
-                quiet=quiet,
-                max_body_bytes=max_body_bytes,
-                worker_label=None,
-                refine_path=refine_path,
-                refine_interval=refine_interval,
-                refine_top=refine_top,
-                leader=True,
-            )
+            _worker_main(apps[0], sock)
         finally:
             sock.close()
         return
     children = []
-    for index in range(workers):
+    for app in apps:
         pid = os.fork()
         if pid == 0:
             status = 0
             try:
-                _worker_main(
-                    oracle,
-                    sock,
-                    quiet=quiet,
-                    max_body_bytes=max_body_bytes,
-                    worker_label=str(index),
-                    refine_path=refine_path,
-                    refine_interval=refine_interval,
-                    refine_top=refine_top,
-                    leader=index == 0,
-                )
+                _worker_main(app, sock)
             except KeyboardInterrupt:
                 pass
             except BaseException:
@@ -346,16 +297,25 @@ def serve_forever(
         # through the same shutdown path Ctrl-C takes.
         raise KeyboardInterrupt
 
+    # Exit codes of the workers that ended on their own, by index.
+    exited: dict[int, int] = {}
     previous = signal.signal(signal.SIGTERM, _forward_term)
     try:
-        for pid in children:
-            os.waitpid(pid, 0)
+        for index, pid in enumerate(children):
+            exited[index] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if exited[index] != 0:
+                break
     except KeyboardInterrupt:
-        for pid in children:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGTERM)
-        for pid in children:
-            with contextlib.suppress(ChildProcessError, OSError):
-                os.waitpid(pid, 0)
+        pass
     finally:
+        _stop_workers(children, exited)
         signal.signal(signal.SIGTERM, previous)
+    failed = {index: code for index, code in exited.items() if code != 0}
+    if failed:
+        raise RuntimeError(
+            "oracle workers exited abnormally: "
+            + ", ".join(
+                f"worker {index} with status {code}"
+                for index, code in sorted(failed.items())
+            )
+        )

@@ -62,17 +62,12 @@ the table; by default they raise :class:`OracleDomainError`.  With
 (probability ``1.0``; depth ``-1`` = "not achievable at this table's
 horizon" — the same sentinel the table uses for unreachable targets).
 
-**Refinement overlays.**  :meth:`~SettlementOracle.set_overlay`
-installs a tier of *refined cells* — exact DP values at quantized
-query coordinates, built from real traffic by
-:mod:`repro.oracle.refine` — with one atomic reference swap.  With an
-overlay installed, every violation answer becomes ``min(base,
-overlay[quantized cell])``: the overlay value is itself a certified
-upper bound for every query in its cell (the quantized coordinates
-dominate the query) and is ≤ the base answer (the grid corner
-dominates the quantized coordinates), so refinement only ever
-*tightens* answers without ever breaking the upper-bound guarantee.
-Without an overlay (the default) the query paths are untouched.
+Every violation answer is one stored ``forward`` cell (or the saturated
+``1.0``), so a query returns the same number for as long as the artifact
+is served.  A tighter answer at some off-grid point comes from a build
+with grid lines there (``python -m repro.oracle build --alphas ...
+--fractions ... --deltas ... --depths ...``): a point on every axis is
+answered exactly.
 
 All queries come in scalar and vectorized-batch forms; the batch forms
 are pure NumPy (``searchsorted`` + fancy indexing) and answer hundreds
@@ -147,24 +142,13 @@ class SettlementOracle:
         self._delta_list = [float(d) for d in spec.deltas]
         self._depth_list = [float(k) for k in spec.depths]
         self._target_list_ascending = [float(t) for t in spec.targets[::-1]]
-        # Refined-cell overlay (quantized key -> certified DP value);
-        # ``None`` keeps the query paths overlay-free.  Installed and
-        # replaced wholesale by :meth:`set_overlay` — a single
-        # reference assignment, so readers on other threads see either
-        # the old tier or the new one, never a half-swap.
-        self._overlay: dict | None = None
 
     @classmethod
-    def load(
-        cls,
-        directory: str | os.PathLike,
-        mmap: bool = True,
-        verify: bool = True,
-    ) -> "SettlementOracle":
-        """Open the artifact at ``directory`` (mmap-backed by default)."""
+    def load(cls, directory: str | os.PathLike) -> "SettlementOracle":
+        """Open the verified, mmap-backed artifact at ``directory``."""
         from repro.oracle.store import load_tables
 
-        return cls(load_tables(directory, mmap=mmap, verify=verify))
+        return cls(load_tables(directory))
 
     @property
     def spec(self):
@@ -194,25 +178,6 @@ class SettlementOracle:
                 ).sum()
             ),
         }
-
-    # -- refinement overlay --------------------------------------------
-
-    def set_overlay(self, overlay: dict | None) -> None:
-        """Atomically install (or clear) a refined-cell overlay.
-
-        ``overlay`` maps quantized cells — the
-        :func:`repro.oracle.refine.quantize_key` tuples — to certified
-        exact-DP violation probabilities.  The dict is copied, so the
-        caller may keep mutating its own; the swap itself is one
-        reference assignment and needs no lock.
-        """
-        self._overlay = dict(overlay) if overlay else None
-
-    @property
-    def overlay_size(self) -> int:
-        """How many refined cells the installed overlay holds."""
-        overlay = self._overlay
-        return len(overlay) if overlay is not None else 0
 
     # -- query plumbing ------------------------------------------------
 
@@ -255,19 +220,16 @@ class SettlementOracle:
         deltas,
         depths,
         strict: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, float]]:
-        """The batch violation lookup, as cells: ``(flat, saturated,
-        tightened)``.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The batch violation lookup, as cells: ``(flat, saturated)``.
 
         ``flat[i]`` is row ``i``'s index into the flattened (C-order)
         ``forward`` array, the conservatively snapped grid cell;
         ``saturated[i]`` marks an out-of-hull row (``strict=False``),
-        whose answer is ``1.0`` whatever its clamped ``flat`` index;
-        ``tightened`` maps each in-hull row the installed overlay
-        lowered to its refined value.  :meth:`violation_probabilities`
-        assembles the float answers from these; the server's batch
-        route splices pre-encoded cell text by the same indexes, so
-        both read one lookup.
+        whose answer is ``1.0`` whatever its clamped ``flat`` index.
+        :meth:`violation_probabilities` assembles the float answers
+        from these; the server's batch route splices pre-encoded cell
+        text by the same indexes, so both read one lookup.
         """
         alphas = _as_array(alphas, "alphas")
         fractions = _as_array(fractions, "fractions")
@@ -291,30 +253,10 @@ class SettlementOracle:
             )
         ki = np.maximum(ki, 0)
         saturated = invalid | shallow
-        forward = self.tables.forward
-        flat = np.ravel_multi_index((ai, fi, di, ki), forward.shape)
-        tightened: dict[int, float] = {}
-        overlay = self._overlay
-        if overlay is not None:
-            from repro.oracle.refine import quantize_columns
-
-            qa, qf, qd, qk = quantize_columns(
-                alphas, fractions, deltas, depth_values
-            )
-            get = overlay.get
-            skip = saturated.tolist()
-            base = np.asarray(forward).take(flat).tolist()
-            for index, key in enumerate(
-                zip(qa.tolist(), qf.tolist(), qd.tolist(), qk.tolist())
-            ):
-                # Saturated rows keep 1.0 (matching the scalar path's
-                # early return); only in-hull answers are tightened.
-                if skip[index]:
-                    continue
-                refined = get(key)
-                if refined is not None and refined < base[index]:
-                    tightened[index] = refined
-        return flat, saturated, tightened
+        flat = np.ravel_multi_index(
+            (ai, fi, di, ki), self.tables.forward.shape
+        )
+        return flat, saturated
 
     def violation_probabilities(
         self,
@@ -331,13 +273,11 @@ class SettlementOracle:
         (upper bounds) between them; out-of-hull queries raise
         (``strict=True``) or saturate to 1.0 (``strict=False``).
         """
-        flat, saturated, tightened = self.violation_cells(
+        flat, saturated = self.violation_cells(
             alphas, fractions, deltas, depths, strict=strict
         )
         values = np.asarray(self.tables.forward).take(flat)
         values[saturated] = 1.0
-        for index, refined in tightened.items():
-            values[index] = refined
         return values
 
     def _scalar_cell(
@@ -401,17 +341,7 @@ class SettlementOracle:
         if cell is None:
             return 1.0
         ai, fi, di = cell
-        value = float(self.tables.forward[ai, fi, di, ki])
-        overlay = self._overlay
-        if overlay is not None:
-            from repro.oracle.refine import quantize_key
-
-            refined = overlay.get(
-                quantize_key(alpha, unique_fraction, delta, depth)
-            )
-            if refined is not None and refined < value:
-                value = refined
-        return value
+        return float(self.tables.forward[ai, fi, di, ki])
 
     # -- inverse queries: (alpha, fraction, delta, target) -> depth ----
 

@@ -26,7 +26,7 @@ Every file — arrays and manifest alike — is written through a
 same-directory temporary and an atomic rename, the manifest last.  A
 crashed build therefore never leaves partially-written bytes under any
 artifact name (at worst: new arrays beside the previous manifest, which
-the default ``verify=True`` load rejects by checksum), and rebuilding
+the load rejects by checksum), and rebuilding
 into a directory that live servers have mmap-mapped never truncates an
 inode under them — their old view stays consistent until they reload.
 """
@@ -55,7 +55,6 @@ __all__ = [
     "save_tables",
     "spec_fingerprint",
     "spec_key",
-    "write_json_atomic",
 ]
 
 #: Artifact family name; a different format is never silently readable.
@@ -152,23 +151,6 @@ def _atomic_replace(
         raise
 
 
-def write_json_atomic(target: str | os.PathLike, payload: dict) -> None:
-    """Publish ``payload`` as canonical JSON at ``target`` atomically.
-
-    The same temporary-plus-rename discipline every base-artifact file
-    uses, exposed for the sibling artifacts that live next to a table
-    directory — the refinement overlay (:mod:`repro.oracle.refine`)
-    publishes through this, so serving processes polling the file can
-    never observe half-written bytes.
-    """
-    target = pathlib.Path(target)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _atomic_replace(
-        target.parent, target, lambda handle: handle.write(text), binary=False
-    )
-
-
 def save_tables(
     tables: OracleTables, directory: str | os.PathLike
 ) -> pathlib.Path:
@@ -211,19 +193,14 @@ def save_tables(
     return target
 
 
-def load_tables(
-    directory: str | os.PathLike,
-    mmap: bool = True,
-    verify: bool = True,
-) -> OracleTables:
+def load_tables(directory: str | os.PathLike) -> OracleTables:
     """Load an artifact back into an :class:`OracleTables`.
 
-    ``mmap=True`` (default) maps the arrays read-only — the load cost
-    is metadata only and the OS shares pages across processes.
-    ``verify=True`` recomputes each array file's SHA-256 against the
-    manifest first (one streaming read; cheap next to any build) and
-    re-derives the fingerprint from the stored spec, so a manifest that
-    was edited by hand is rejected rather than trusted.
+    The arrays are mapped read-only — the OS shares their pages across
+    processes.  Each array file's SHA-256 is first recomputed against
+    the manifest (one streaming read; cheap next to any build) and the
+    fingerprint re-derived from the stored spec, so a truncated file or
+    a manifest edited by hand is rejected rather than trusted.
     """
     directory = pathlib.Path(directory)
     manifest = read_manifest(directory)
@@ -243,7 +220,7 @@ def load_tables(
         )
     except (KeyError, TypeError, ValueError) as error:
         raise StoreError(f"artifact spec at {directory} is invalid: {error}")
-    if verify and manifest.get("fingerprint") != spec_fingerprint(spec):
+    if manifest.get("fingerprint") != spec_fingerprint(spec):
         raise StoreError(
             f"artifact at {directory} fails its fingerprint check "
             "(manifest edited, or written by an incompatible version)"
@@ -256,9 +233,9 @@ def load_tables(
         path = directory / entry["file"]
         if not path.is_file():
             raise StoreError(f"artifact array file missing: {path}")
-        if verify and _sha256_file(path) != entry["sha256"]:
+        if _sha256_file(path) != entry["sha256"]:
             raise StoreError(f"artifact array corrupt (checksum): {path}")
-        array = np.load(path, mmap_mode="r" if mmap else None)
+        array = np.load(path, mmap_mode="r")
         if array.dtype != np.dtype(dtype) or list(array.shape) != list(
             entry["shape"]
         ):

@@ -31,7 +31,6 @@ bind to loopback or a trusted private network only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import socket
@@ -196,14 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         help="TCP port (default 0: OS-assigned, scrape it from the "
         "'listening on' line)",
     )
-    parser.add_argument(
-        "--stats-interval",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="print a JSON stats line (worker id, uptime, served counts) "
-        "every SECONDS; 0 disables (default)",
-    )
     options = parser.parse_args(argv)
 
     server = WorkerServer(options.host, options.port)
@@ -211,18 +202,9 @@ def main(argv: list[str] | None = None) -> int:
         signal.signal(signum, lambda *_: server.request_shutdown())
     host, port = server.address
     print(f"listening on {host}:{port}", flush=True)
-    stop_stats = threading.Event()
-    if options.stats_interval > 0:
-
-        def _report_stats() -> None:
-            while not stop_stats.wait(options.stats_interval):
-                print(json.dumps(server.stats_frame()), flush=True)
-
-        threading.Thread(target=_report_stats, daemon=True).start()
     try:
         server.serve_forever()
     finally:
-        stop_stats.set()
         server.server_close()
     print("worker shut down", flush=True)
     return 0

@@ -337,6 +337,15 @@ class TestFailover:
         assert process.wait(timeout=10) == 0
         assert "worker shut down" in process.stdout.read()
 
+    def test_stats_interval_flag_is_gone(self, capsys):
+        # Stats ride on every reply; there is no periodic stats log.
+        import repro.worker as worker_module
+
+        with pytest.raises(SystemExit) as exit_info:
+            worker_module.main(["--stats-interval", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestProtocolWanConformance:
     """ISSUE 7 satellite 3: the continuous-time protocol workload obeys

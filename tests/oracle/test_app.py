@@ -1,5 +1,5 @@
 """OracleApp without a socket: routing, the error contract, batch
-validation, the traffic tally, and per-request accounting.
+validation, and per-request accounting.
 
 The HTTP conformance suite (test_serving_modes.py) drives the same app
 through the threaded and pre-fork servers; these tests call
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.analysis.exact import compute_settlement_probabilities
 from repro.obs.metrics import MetricsRegistry
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp
-from repro.oracle.refine import SnapTally, quantize_key
 from repro.oracle.service import SettlementOracle
 from repro.oracle.tables import (
     OracleSpec,
@@ -106,7 +105,6 @@ class TestConstruction:
     def test_defaults(self, app):
         assert app.max_body_bytes == DEFAULT_MAX_BODY_BYTES
         assert app.quiet is True
-        assert app.tally is None
         assert isinstance(app.registry, MetricsRegistry)
 
     def test_shared_registry_is_used(self, oracle):
@@ -118,18 +116,13 @@ class TestConstruction:
 
 
 class TestRoutes:
-    def test_healthz_reports_live_overlay_size(self, oracle):
-        app = OracleApp(oracle)
-        assert json.loads(app.handle("GET", "/healthz").body)[
-            "overlay_cells"
-        ] == 0
-        oracle.set_overlay({quantize_key(0.15, 1.0, 0, 10): 0.5})
-        try:
-            payload = json.loads(app.handle("GET", "/healthz").body)
-        finally:
-            oracle.set_overlay(None)
-        assert payload["overlay_cells"] == 1
-        assert payload["cells"] == oracle.describe()["cells"]
+    def test_healthz_is_the_artifact_summary(self, app, oracle):
+        response = app.handle("GET", "/healthz")
+        assert response.status == 200
+        assert json.loads(response.body) == {
+            "status": "ok",
+            **oracle.describe(),
+        }
 
     def test_metrics_is_prometheus_text(self, app):
         app.observe("GET", "/healthz", 200, 0.001)
@@ -199,7 +192,7 @@ def _dumps_body(values) -> bytes:
 
 class TestBatchViolationBody:
     """The spliced batch body equals ``json.dumps`` of the answers byte
-    for byte: table cells, saturated rows and overlay rows alike."""
+    for byte: table cells and saturated rows alike."""
 
     @staticmethod
     def _expected(oracle, batch) -> bytes:
@@ -222,37 +215,6 @@ class TestBatchViolationBody:
         answers = json.loads(response.body)["violation_probability"]
         assert [answers[row] for row in (1, 3, 4)] == [1.0, 1.0, 1.0]
         assert answers[0] < 1.0 and answers[2] < 1.0
-
-    def test_overlay_rows(self, oracle):
-        app = OracleApp(oracle)
-        batch = {
-            "alpha": [0.1, 0.49, 0.13, 0.2],
-            "unique_fraction": [1.0, 1.0, 0.8, 0.5],
-            "delta": [0, 0, 1, 2],
-            "depth": [5, 10, 7, 10],
-            "strict": False,
-        }
-        plain = _post(app, "/v1/violation", batch).body
-        base = oracle.violation_probability(0.13, 0.8, 1, 7)
-        overlay = {
-            quantize_key(0.13, 0.8, 1, 7): base / 3,
-            quantize_key(0.1, 1.0, 0, 5): 5e-324,
-            # A saturated row's cell: never tightened.
-            quantize_key(0.49, 1.0, 0, 10): 0.1,
-        }
-        oracle.set_overlay(overlay)
-        try:
-            columns = [batch[name] for name in VIOLATION_COLUMNS]
-            tightened = oracle.violation_cells(*columns, strict=False)[2]
-            response = _post(app, "/v1/violation", batch)
-            expected = self._expected(oracle, batch)
-        finally:
-            oracle.set_overlay(None)
-        assert tightened == {0: 5e-324, 2: base / 3}
-        assert response.body == expected
-        assert response.body != plain
-        answers = json.loads(response.body)["violation_probability"]
-        assert answers[0] == 5e-324 and answers[1] == 1.0
 
     @given(
         forward=st.lists(
@@ -365,12 +327,8 @@ class TestErrorContract:
 
     def test_handle_never_raises(self, oracle, monkeypatch):
         app = OracleApp(oracle)
-        monkeypatch.setattr(
-            type(oracle),
-            "overlay_size",
-            property(lambda self: 1 // 0),
-        )
-        response = app.handle("GET", "/healthz")
+        monkeypatch.setattr(app.registry, "render", lambda: 1 // 0)
+        response = app.handle("GET", "/metrics")
         assert response.status == 500
         assert _error(response)["detail"].startswith("ZeroDivisionError")
 
@@ -388,32 +346,6 @@ class TestErrorContract:
         chunked = app.unsupported_transfer_encoding()
         assert chunked.status == 400
         assert "Transfer-Encoding" in _error(chunked)["detail"]
-
-
-class TestTally:
-    def test_violation_queries_are_tallied(self, oracle):
-        tally = SnapTally()
-        app = OracleApp(oracle, tally=tally)
-        assert app.handle("GET", SCALAR).status == 200
-        assert _post(app, "/v1/violation", BATCH).status == 200
-        assert tally.total == 4
-        counts = tally.snapshot()
-        assert counts[quantize_key(0.2, 1.0, 0, 10)] == 1
-        for query in zip(*BATCH.values()):
-            assert counts[quantize_key(*query)] == 1
-
-    def test_depth_and_failed_queries_are_not_tallied(self, oracle):
-        tally = SnapTally()
-        app = OracleApp(oracle, tally=tally)
-        app.handle(
-            "GET", "/v1/depth?alpha=0.1&unique_fraction=1.0&delta=0&target=0.1"
-        )
-        app.handle(
-            "GET",
-            "/v1/violation?alpha=0.49&unique_fraction=1.0&delta=0&depth=10",
-        )
-        _post(app, "/v1/violation", {**BATCH, "strict": "yes"})
-        assert tally.total == 0
 
 
 class _NamedStatus(IntEnum):

@@ -156,30 +156,82 @@ class TestCli:
                     "3",
                     "--max-body-bytes",
                     "1024",
-                    "--refine",
-                    "--refine-interval",
-                    "0.5",
-                    "--refine-top",
-                    "4",
                 ]
             )
             == 0
         )
         assert captured["workers"] == 3
         assert captured["max_body_bytes"] == 1024
-        assert captured["refine_path"] == str(artifact / "overlay.json")
-        assert captured["refine_interval"] == 0.5
-        assert captured["refine_top"] == 4
 
-    def test_serve_refine_defaults_off(self, tables, tmp_path, monkeypatch):
-        artifact = tmp_path / "artifact"
-        save_tables(tables, artifact)
-        captured = {}
-        monkeypatch.setattr(
-            server,
-            "serve_forever",
-            lambda oracle, **kwargs: captured.update(kwargs),
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--refine"],
+            ["--refine-path", "overlay.json"],
+            ["--refine-interval", "1"],
+            ["--refine-top", "5"],
+        ],
+    )
+    def test_serve_rejects_refinement_flags(self, tmp_path, flag, capsys):
+        # Finer answers come from `build` grid lines; serve has no
+        # refinement knob left to accept silently.
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["serve", str(tmp_path / "artifact"), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_build_grid_lines_make_an_off_grid_query_exact(
+        self, tmp_path, capsys
+    ):
+        # The CLI form of a build-time grid line: a rebuild with the
+        # query's lattice lines answers it with the DP at that point.
+        flags = [
+            "--preset",
+            "tiny",
+            "--targets",
+            "0.1,0.01",
+            "--mc-trials",
+            "0",
+        ]
+        coarse, fine = tmp_path / "coarse", tmp_path / "fine"
+        assert cli.main(["build", "--out", str(coarse), *flags]) == 0
+        assert (
+            cli.main(
+                [
+                    "build",
+                    "--out",
+                    str(fine),
+                    *flags,
+                    "--alphas",
+                    "0.1,0.140625,0.2,0.3",
+                    "--fractions",
+                    "0.5,0.828125,1.0",
+                    "--deltas",
+                    "0,1,2",
+                    "--depths",
+                    "5,7,10,20,30",
+                ]
+            )
+            == 0
         )
-        assert cli.main(["serve", str(artifact), "--port", "0"]) == 0
-        assert captured["workers"] == 1
-        assert captured["refine_path"] is None
+        capsys.readouterr()
+        query = [
+            "--alpha",
+            "0.13",
+            "--fraction",
+            "0.83",
+            "--delta",
+            "1",
+            "--depth",
+            "7",
+        ]
+        answers = []
+        for artifact in (coarse, fine):
+            assert cli.main(["query", str(artifact), *query]) == 0
+            answers.append(
+                json.loads(capsys.readouterr().out)["violation_probability"]
+            )
+        law = effective_probabilities(9 / 64, 53 / 64, 1, 0.05)
+        sweep = compute_settlement_probabilities(law, list(range(1, 31)))
+        assert answers[1] == sweep[7]
+        assert 0 < answers[1] < answers[0]

@@ -1,5 +1,8 @@
 """SettlementOracle: exactness at grid points, conservatism off them."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,14 @@ from repro.oracle.service import (
     SettlementOracle,
     UNREACHABLE_DEPTH,
 )
+from repro.oracle.store import save_tables
 from repro.oracle.tables import (
+    TINY_SPEC,
     OracleSpec,
     build_tables,
     effective_probabilities,
 )
+from tests.analysis.test_monotonicity import at_most
 
 SPEC = OracleSpec(
     alphas=(0.1, 0.2, 0.3),
@@ -123,6 +129,152 @@ class TestConservativeBetweenGridPoints:
         assert between >= loose
         # And the answered depth really does satisfy the asked target.
         assert exact(0.1, 1.0, 0, between) <= 5e-2
+
+
+#: TINY_SPEC without its Monte-Carlo cross-check (DP cells only).
+TINY_DP_SPEC = dataclasses.replace(
+    TINY_SPEC, mc_depths=(), mc_trials=0, mc_target_se=0.0
+)
+
+
+def lattice_point(alpha, fraction, delta, depth):
+    """A query rounded to the 1/64 lattice in the conservative
+    directions: α up, fraction down, Δ up, k down."""
+    return (
+        math.ceil(alpha * 64) / 64,
+        math.floor(fraction * 64) / 64,
+        math.ceil(delta),
+        math.floor(depth),
+    )
+
+
+def with_grid_lines(spec, point):
+    """``spec`` with one more grid line through ``point`` on each axis."""
+    alpha, fraction, delta, depth = point
+    return dataclasses.replace(
+        spec,
+        alphas=tuple(sorted({*spec.alphas, alpha})),
+        unique_fractions=tuple(sorted({*spec.unique_fractions, fraction})),
+        deltas=tuple(sorted({*spec.deltas, delta})),
+        depths=tuple(sorted({*spec.depths, depth})),
+    )
+
+
+class TestBuildTimeGridLines:
+    """A finer answer at an off-grid point comes from a build with grid
+    lines there, not from the server."""
+
+    QUERIES = [
+        (0.13, 0.83, 1, 7),  # CI's query: lattice point (9/64, 53/64, 1, 7)
+        (0.15, 1.0, 0, 10),
+        (0.25, 0.9, 2, 17),
+        (0.12, 0.51, 1, 19),
+        (0.29, 0.7, 0, 25),
+    ]
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        return SettlementOracle(build_tables(TINY_DP_SPEC).tables)
+
+    @pytest.fixture(scope="class")
+    def fine_oracles(self):
+        # One build per query, shared by every test of the class.
+        return {
+            query: SettlementOracle(
+                build_tables(
+                    with_grid_lines(TINY_DP_SPEC, lattice_point(*query))
+                ).tables
+            )
+            for query in self.QUERIES
+        }
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_grid_lines_tighten_an_off_grid_answer(
+        self, coarse, fine_oracles, query
+    ):
+        point = lattice_point(*query)
+        fine = fine_oracles[query].violation_probability(*query)
+        activity = TINY_DP_SPEC.activity
+        dp = settlement_violation_probability(
+            effective_probabilities(*query[:3], activity), query[3]
+        )
+        assert at_most(dp, fine)
+        assert fine < coarse.violation_probability(*query)
+        # The fine answer is the per-k DP at the lattice point itself.
+        lattice = settlement_violation_probability(
+            effective_probabilities(*point[:3], activity), point[3]
+        )
+        assert at_most(fine, lattice) and at_most(lattice, fine)
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_query_reads_its_lattice_cell(self, fine_oracles, query):
+        fine = fine_oracles[query]
+        assert fine.violation_probability(*query) == (
+            fine.violation_probability(*lattice_point(*query))
+        )
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_existing_cells_are_unchanged(self, coarse, fine_oracles, query):
+        # Extra grid lines add cells; every cell of the coarse grid keeps
+        # its exact value.
+        fine = fine_oracles[query]
+        for _, _, _, alpha, fraction, delta in TINY_DP_SPEC.combos():
+            for k in TINY_DP_SPEC.depths:
+                cell = (alpha, fraction, delta, k)
+                assert fine.violation_probability(*cell) == (
+                    coarse.violation_probability(*cell)
+                )
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_batch_matches_scalar(self, fine_oracles, query):
+        fine = fine_oracles[query]
+        queries = [query, lattice_point(*query)] + [
+            (alpha, fraction, delta, k)
+            for _, _, _, alpha, fraction, delta in fine.spec.combos()
+            for k in fine.spec.depths
+        ]
+        batch = fine.violation_probabilities(*zip(*queries))
+        for row, cell in zip(batch, queries):
+            assert row == fine.violation_probability(*cell)
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_fine_artifact_round_trips(
+        self, coarse, fine_oracles, query, tmp_path
+    ):
+        fine = fine_oracles[query]
+        save_tables(fine.tables, tmp_path)
+        loaded = SettlementOracle.load(tmp_path)
+        assert loaded.describe() == fine.describe()
+        assert loaded.describe()["fingerprint"] != (
+            coarse.describe()["fingerprint"]
+        )
+        assert loaded.violation_probability(*query) == (
+            fine.violation_probability(*query)
+        )
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_depth_answers_tighten_and_stay_conservative(
+        self, coarse, fine_oracles, query
+    ):
+        fine = fine_oracles[query]
+        alpha, fraction, delta, _ = query
+        probabilities = effective_probabilities(
+            alpha, fraction, delta, TINY_DP_SPEC.activity
+        )
+        for target in TINY_DP_SPEC.targets:
+            depth, source = fine.settlement_depth_with_source(
+                alpha, fraction, delta, target
+            )
+            coarse_depth, coarse_source = coarse.settlement_depth_with_source(
+                alpha, fraction, delta, target
+            )
+            if coarse_source is not None:
+                assert source is not None and depth <= coarse_depth
+            if source is not None:
+                assert at_most(
+                    settlement_violation_probability(probabilities, depth),
+                    target,
+                )
 
 
 class TestDepthQueries:

@@ -16,14 +16,19 @@ serving tier's core contract (the bodies are produced once, in
 import http.client
 import json
 import multiprocessing
+import os
 import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.analysis.exact import compute_settlement_probabilities
+from repro.oracle import server as server_module
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES, OracleApp
 from repro.oracle.server import (
     make_listening_socket,
@@ -72,7 +77,7 @@ def _prefork_worker(artifact_dir, sock, index):
         worker_label=str(index),
         max_body_bytes=SMALL_BODY_LIMIT,
     )
-    make_server(app=app, sock=sock).serve_forever()
+    make_server(app, sock=sock).serve_forever()
 
 
 def _wait_ready(address, timeout=30.0):
@@ -92,7 +97,9 @@ def _wait_ready(address, timeout=30.0):
 def _boot(mode, oracle, artifact_dir):
     """Start one serving mode; returns ``(address, stop)``."""
     if mode == "threaded":
-        server = make_server(oracle, max_body_bytes=SMALL_BODY_LIMIT)
+        server = make_server(
+            OracleApp(oracle, max_body_bytes=SMALL_BODY_LIMIT)
+        )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
 
@@ -277,7 +284,6 @@ class TestConformance:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["cells"] == 16
-        assert payload["overlay_cells"] == 0
         assert len(payload["fingerprint"]) == 64
 
     def test_scalar_violation_matches_dp(self, served):
@@ -389,7 +395,7 @@ class TestConformance:
     def test_default_body_cap_is_413(self, oracle):
         """With no cap set, the 413 fires one byte past
         ``DEFAULT_MAX_BODY_BYTES``."""
-        server = make_server(oracle)
+        server = make_server(OracleApp(oracle))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -673,16 +679,89 @@ def test_golden_set_is_byte_identical_across_modes(oracle, artifact_dir):
     )
 
 
-def test_make_server_needs_oracle_or_app():
-    with pytest.raises(TypeError, match="oracle or an app"):
-        make_server()
-
-
 def test_serve_forever_rejects_zero_workers(oracle):
     announced = []
     with pytest.raises(ValueError, match="workers must be >= 1"):
         serve_forever(oracle, port=0, announce=announced.append, workers=0)
     assert announced == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_serve_forever_rejects_bad_options_before_announcing(
+    oracle, workers
+):
+    """A worker's app is built before the listening line goes out, so
+    a bad option fails in the caller, before any fork."""
+    announced = []
+    with pytest.raises(ValueError, match="max_body_bytes"):
+        serve_forever(
+            oracle,
+            port=0,
+            announce=announced.append,
+            workers=workers,
+            max_body_bytes=0,
+        )
+    assert announced == []
+
+
+def test_serve_forever_fails_when_forked_workers_die(oracle, monkeypatch):
+    """Workers that exit non-zero on their own make the parent raise
+    instead of returning as if it had served."""
+
+    def crash(app, sock):
+        raise RuntimeError("worker could not start")
+
+    monkeypatch.setattr(server_module, "_worker_main", crash)
+    announced = []
+    with pytest.raises(RuntimeError, match="worker 0 with status 1"):
+        serve_forever(
+            oracle, port=0, quiet=True, announce=announced.append, workers=2
+        )
+    assert len(announced) == 1
+
+
+def _serve_cli(artifact_dir, *options):
+    """``python -m repro.oracle serve`` in a subprocess, stdout piped."""
+    src = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": src + os.pathsep + path if path else src,
+    }
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.oracle", "serve", str(artifact_dir),
+         "--port", "0", "--quiet", *options],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+def test_serve_cli_bad_option_exits_2_without_announcing(artifact_dir):
+    process = _serve_cli(
+        artifact_dir, "--workers", "2", "--max-body-bytes", "0"
+    )
+    out, err = process.communicate(timeout=60)
+    assert process.returncode == 2
+    assert out == ""
+    assert "max_body_bytes must be positive" in err
+
+
+def test_serve_cli_sigterm_stops_workers_and_exits_0(artifact_dir):
+    process = _serve_cli(artifact_dir, "--workers", "2")
+    try:
+        line = process.stdout.readline()
+        host, port = re.search(r"http://([\d.]+):(\d+)", line).groups()
+        _wait_ready((host, int(port)))
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.communicate()
 
 
 def test_make_server_adopts_listening_socket(oracle):
@@ -691,7 +770,7 @@ def test_make_server_adopts_listening_socket(oracle):
     sock = make_listening_socket()
     assert sock.get_inheritable()
     address = sock.getsockname()[:2]
-    server = make_server(oracle, sock=sock)
+    server = make_server(OracleApp(oracle), sock=sock)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

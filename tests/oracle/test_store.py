@@ -43,7 +43,7 @@ class TestRoundTrip:
 
     def test_mmap_load_is_read_only(self, tables, tmp_path):
         save_tables(tables, tmp_path)
-        loaded = load_tables(tmp_path, mmap=True)
+        loaded = load_tables(tmp_path)
         assert isinstance(loaded.forward, np.memmap)
         with pytest.raises(ValueError):
             loaded.forward[0, 0, 0, 0] = 0.5
@@ -142,7 +142,7 @@ class TestAtomicReplace:
         server has mmap-mapped must leave the old inode (and hence the
         old reader's view) intact, not truncate it in place."""
         save_tables(tables, tmp_path)
-        live = load_tables(tmp_path, mmap=True)
+        live = load_tables(tmp_path)
         before = np.array(live.forward)  # snapshot of the mapped view
         changed = dataclasses.replace(SPEC, depths=(4, 8, 12))
         build_tables(changed, out_dir=tmp_path, force=True)

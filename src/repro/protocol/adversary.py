@@ -21,7 +21,7 @@ Strategies provided:
 
 from __future__ import annotations
 
-from repro.protocol.block import Block, BlockTree
+from repro.protocol.block import Block, BlockTree, signed
 from repro.protocol.crypto import IdealSignatureScheme, KeyPair
 from repro.protocol.leader import Party
 from repro.protocol.network import NetworkModel
@@ -82,8 +82,7 @@ class Adversary:
     ) -> tuple[Block, str]:
         """Create a signed adversarial block on an arbitrary parent.
 
-        Returns ``(block, block_hash)`` — the hash is computed exactly
-        once here, so callers never re-derive it.
+        Returns ``(block, block_hash)``.
         """
         assert self.signatures is not None, "adversary not attached"
         keypair = self.keys[party.name]
@@ -94,18 +93,11 @@ class Adversary:
             payload=f"adv:{party.name}",
             vrf_proof=vrf_proof,
         )
-        signature = self.signatures.sign(keypair, draft.header())
-        block = Block(
-            slot=slot,
-            parent_hash=parent_hash,
-            issuer=keypair.public,
-            payload=f"adv:{party.name}",
-            vrf_proof=vrf_proof,
-            signature=signature,
+        block = signed(
+            draft, lambda header: self.signatures.sign(keypair, header)
         )
-        block_hash = block.block_hash
-        self.tree.add_block(block, block_hash=block_hash)
-        return block, block_hash
+        self.tree.add_block(block)
+        return block, block.block_hash
 
 
 class NullAdversary(Adversary):
@@ -292,7 +284,7 @@ class SplitAdversary(Adversary):
 
     def observe_block(self, block: Block) -> None:
         block_hash = block.block_hash
-        self.tree.add_block(block, block_hash=block_hash)
+        self.tree.add_block(block)
         hashes = self._slot_blocks.setdefault(block.slot, [])
         if block_hash not in hashes:
             hashes.append(block_hash)

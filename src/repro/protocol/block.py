@@ -4,25 +4,26 @@ A :class:`Block` commits to its parent by hash (immutability: a block
 pins its entire prefix — the property behind fork axiom A2/F2) and
 carries the slot number, the issuer's verification key, the VRF
 eligibility proof, an opaque payload, and the issuer's signature.
-``Block.block_hash`` *recomputes* the SHA-256 commitment on every access
-— that is the reference cost model (a verifier hashes what it checks);
-hot paths avoid it by construction, see below.
+A block is frozen, so ``Block.block_hash`` and the signed header digest
+are computed once per instance, on first access, and cached on it.
 
 A :class:`BlockTree` is a node's local view: all valid blocks received
 so far, indexed by hash, rooted at genesis.  Beyond the block map it
 maintains parent, slot, depth, and depth-bucket indexes keyed by hash,
 so every chain query the protocol layer needs — longest tips, common
 prefix, prefix-at-slot — resolves through dictionary walks without
-recomputing a single block hash.  The batched protocol measurements
+touching a block.  The batched protocol measurements
 (:mod:`repro.protocol.simulation`, :mod:`repro.engine.protocol`) lean on
 these indexes; the chain-walking reference predicates in
-``tests/protocol/test_determinism.py`` walk :meth:`chain` and recompute
-hashes instead.
+``tests/protocol/test_determinism.py`` walk :meth:`chain` and compare
+the blocks' hashes instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.protocol.crypto import hash_data
 
@@ -36,8 +37,10 @@ class Block:
 
     ``parent_hash`` is ``""`` only for genesis.  ``issuer`` is the
     issuing party's verification key (empty for genesis); ``signature``
-    and ``vrf_proof`` are the ideal-functionality tags checked by
-    :meth:`BlockTree.validate_block`.
+    and ``vrf_proof`` are the ideal-functionality tags a receiving
+    :class:`~repro.protocol.node.HonestNode` checks.  The hash and the header digest
+    are cached on the instance, outside the dataclass fields, so
+    equality and ``hash()`` see only the content.
     """
 
     slot: int
@@ -47,7 +50,7 @@ class Block:
     vrf_proof: str = ""
     signature: str = ""
 
-    @property
+    @cached_property
     def block_hash(self) -> str:
         """Commitment to the full content (and, transitively, the prefix)."""
         return hash_data(
@@ -59,16 +62,35 @@ class Block:
             self.vrf_proof,
         )
 
-    def header(self) -> str:
-        """The signed portion of the block."""
+    @cached_property
+    def _header(self) -> str:
         return hash_data(
             "header", self.slot, self.parent_hash, self.issuer, self.payload
         )
 
+    def header(self) -> str:
+        """The signed portion of the block."""
+        return self._header
+
+
+def signed(draft: Block, sign: Callable[[str], str]) -> Block:
+    """``draft`` carrying the signature ``sign(draft.header())``.
+
+    The signature is outside the header, so the signed block shares the
+    draft's header digest and hashes it once, not twice.
+    """
+    block = replace(draft, signature=sign(draft.header()))
+    block.__dict__["_header"] = draft.header()
+    return block
+
+
+#: The common genesis block (slot 0), shared by every party and tree.
+GENESIS = Block(slot=GENESIS_SLOT, parent_hash="", issuer="")
+
 
 def genesis_block() -> Block:
     """The common genesis block (slot 0), shared by every party."""
-    return Block(slot=GENESIS_SLOT, parent_hash="", issuer="")
+    return GENESIS
 
 
 class BlockTree:
@@ -81,9 +103,8 @@ class BlockTree:
     """
 
     def __init__(self) -> None:
-        root = genesis_block()
-        root_hash = root.block_hash
-        self._blocks: dict[str, Block] = {root_hash: root}
+        root_hash = GENESIS.block_hash
+        self._blocks: dict[str, Block] = {root_hash: GENESIS}
         self._children: dict[str, list[str]] = {root_hash: []}
         self._depths: dict[str, int] = {root_hash: 0}
         self._parents: dict[str, str] = {root_hash: ""}
@@ -124,17 +145,13 @@ class BlockTree:
         parent_slot = self._slots.get(block.parent_hash)
         return parent_slot is not None and block.slot > parent_slot
 
-    def add_block(self, block: Block, block_hash: str | None = None) -> bool:
+    def add_block(self, block: Block) -> bool:
         """Insert a structurally valid block; idempotent.
 
         Returns ``True`` when the block is (now) present, ``False`` when
-        rejected (unknown parent or non-increasing slot).  Callers that
-        already know the hash (the simulation's shared-validation path
-        interns it once per block) pass it as ``block_hash`` to skip the
-        recomputation; when omitted it is derived here.
+        rejected (unknown parent or non-increasing slot).
         """
-        if block_hash is None:
-            block_hash = block.block_hash
+        block_hash = block.block_hash
         if block_hash in self._blocks:
             return True
         if not self.can_accept(block):

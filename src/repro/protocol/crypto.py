@@ -26,6 +26,7 @@ import hashlib
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def hash_data(*parts: bytes | str | int) -> str:
@@ -126,29 +127,39 @@ class IdealVrf:
         proof = hash_data("vrf", keypair.secret, vrf_input)
         return _digest_to_unit(proof), proof
 
-    def evaluate_many(
-        self, keypair: KeyPair, inputs: Iterable[str]
-    ) -> list[tuple[float, bytes]]:
-        """``(value, digest)`` per input, equal to :meth:`evaluate`.
+    @staticmethod
+    def encode_inputs(inputs: Iterable[str]) -> list[bytes]:
+        """Each input's part of the :func:`hash_data` encoding, for
+        :meth:`evaluate_below` (encoded once, shared across keys)."""
+        return [_encode((vrf_input,)) for vrf_input in inputs]
 
-        The same outputs as one :meth:`evaluate` call per input, with
-        the proof as the raw 32-byte digest (``digest.hex()`` is the
-        proof).  The ``("vrf", secret)`` prefix of the encoding is
-        hashed once into a SHA-256 midstate; each input then costs one
-        ``copy`` and one ``update``.
+    def evaluate_below(
+        self, keypair: KeyPair, encoded_inputs: Iterable[bytes], cutoff: int
+    ) -> list[tuple[int, float, bytes]]:
+        """``(index, value, digest)`` of every input valued below a cutoff.
+
+        ``encoded_inputs`` come from :meth:`encode_inputs`, and
+        ``cutoff`` from :func:`unit_cutoff`: an input is returned
+        exactly when :meth:`evaluate` would give it a value below the
+        cutoff's threshold, with that value and the proof as the raw
+        32-byte digest (``digest.hex()`` is the proof).  The ``("vrf",
+        secret)`` prefix of the encoding is hashed once into a SHA-256
+        midstate; each input then costs one ``copy``, one ``update`` and
+        one integer comparison of the digest's leading 64 bits, and only
+        the inputs returned are mapped to a value.
         """
         if self._registry.get(keypair.public) != keypair.secret:
             raise ValueError("VRF key was not issued by this scheme")
         midstate = hashlib.sha256(_encode(("vrf", keypair.secret)))
-        evaluations = []
-        for vrf_input in inputs:
-            encoded = vrf_input.encode()
+        below = []
+        for index, encoded in enumerate(encoded_inputs):
             hasher = midstate.copy()
-            hasher.update(len(encoded).to_bytes(8, "big") + encoded)
+            hasher.update(encoded)
             digest = hasher.digest()
-            value = _prefix_to_unit(int.from_bytes(digest[:8], "big"))
-            evaluations.append((value, digest))
-        return evaluations
+            prefix = int.from_bytes(digest[:8], "big")
+            if prefix < cutoff:
+                below.append((index, _prefix_to_unit(prefix), digest))
+        return below
 
     def verify(
         self, public: str, vrf_input: str, value: float, proof: str
@@ -175,3 +186,26 @@ def _digest_to_unit(digest: str) -> float:
 def _prefix_to_unit(prefix: int) -> float:
     """Map a digest's leading 64 bits (big-endian) to [0, 1)."""
     return min(prefix / _TWO_TO_64, _BELOW_ONE)
+
+
+@lru_cache(maxsize=1024)
+def unit_cutoff(threshold: float) -> int:
+    """The least 64-bit prefix whose value is not below ``threshold``.
+
+    ``_prefix_to_unit`` is monotone, so ``_prefix_to_unit(p) <
+    threshold`` holds exactly for ``p < unit_cutoff(threshold)``, the
+    ``_BELOW_ONE`` clamp included (at ``threshold > _BELOW_ONE`` every
+    prefix qualifies and the cutoff is ``2**64``).  Found by bisection
+    on the predicate itself, so float rounding cannot shift it.
+    """
+    top = (1 << 64) - 1
+    if _prefix_to_unit(top) < threshold:
+        return top + 1
+    low, high = 0, top  # the least failing prefix lies in [low, high]
+    while low < high:
+        middle = (low + high) // 2
+        if _prefix_to_unit(middle) < threshold:
+            low = middle + 1
+        else:
+            high = middle
+    return low

@@ -33,18 +33,19 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Event", "EventScheduler"]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled event: ``payload`` fires at ``time``.
 
     ``sequence`` is the scheduler's monotone insertion stamp — the
     tie-break that keeps equal-time events in insertion order and
-    value-equal payloads apart.
+    value-equal payloads apart.  The scheduler's heap holds the events
+    themselves: ``(time, sequence)`` is unique, so tuple order never
+    reaches the payload.
     """
 
     time: float
@@ -55,13 +56,13 @@ class Event:
 class EventScheduler:
     """A deterministic event queue with a monotone clock.
 
-    The heap is keyed by ``(time, sequence)`` only — payloads are never
-    compared, so any object (including unorderable ones) can be
+    The heap is ordered by ``(time, sequence)`` only — payloads are
+    never compared, so any object (including unorderable ones) can be
     scheduled.  See the module docstring for the full contract.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._sequence = 0
         self._now = 0.0
 
@@ -86,7 +87,7 @@ class EventScheduler:
             time = self._now
         self._sequence += 1
         event = Event(time, self._sequence, payload)
-        heapq.heappush(self._heap, (time, self._sequence, event))
+        heapq.heappush(self._heap, event)
         return event
 
     def peek_time(self) -> float | None:
@@ -97,9 +98,23 @@ class EventScheduler:
         """Serve the earliest event and advance the clock to its time."""
         if not self._heap:
             raise IndexError("pop from an empty EventScheduler")
-        _time, _sequence, event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)
         self._now = max(self._now, event.time)
         return event
+
+    def advance(self, bound: float) -> bool:
+        """``pop_until(bound)`` for a queue with nothing due before ``bound``.
+
+        When no event has ``time < bound``, advances the clock to
+        ``bound`` exactly as that drain would and returns ``True``;
+        otherwise changes nothing and returns ``False``.  Callers skip
+        idle drains through it without breaking the clock contract.
+        """
+        if self._heap and self._heap[0][0] < bound:
+            return False
+        if bound > self._now:
+            self._now = float(bound)
+        return True
 
     def pop_until(self, bound: float) -> list[Event]:
         """Serve every event with ``time < bound``, in schedule order.
@@ -115,6 +130,6 @@ class EventScheduler:
             raise ValueError(f"drain bound must be finite, got {bound!r}")
         served: list[Event] = []
         while self._heap and self._heap[0][0] < bound:
-            served.append(heapq.heappop(self._heap)[2])
+            served.append(heapq.heappop(self._heap))
         self._now = max(self._now, bound)
         return served

@@ -9,8 +9,8 @@ effect the paper analyses.  This module provides:
 * :class:`StakeDistribution` — named parties with stakes and corruption
   flags;
 * :class:`VrfLeaderElection` — the Praos lottery via the ideal VRF,
-  materialised per trial as an eligibility table: one
-  :meth:`~repro.protocol.crypto.IdealVrf.evaluate_many` pass per party
+  materialised per trial as a leader table: one
+  :meth:`~repro.protocol.crypto.IdealVrf.evaluate_below` pass per party
   over all slots, bit-identical to evaluating each (party, slot) alone;
 * :class:`LeaderSchedule` — a materialised slot→leaders map with its
   induced characteristic string;
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.core.alphabet import ADVERSARIAL, EMPTY, HONEST_MULTI, HONEST_UNIQUE
 from repro.core.distributions import SlotProbabilities
-from repro.protocol.crypto import IdealVrf, KeyPair
+from repro.protocol.crypto import IdealVrf, KeyPair, unit_cutoff
 
 
 @dataclass(frozen=True)
@@ -151,24 +151,31 @@ class VrfLeaderElection:
     def schedule(self, total_slots: int) -> "LeaderSchedule":
         """Materialise the slot→leaders map for slots 1..total_slots.
 
-        One :meth:`IdealVrf.evaluate_many` pass per party builds the
-        whole (party × slot) eligibility table; the winners' results
-        land in the eligibility cache, so the later minting and
-        adversary lookups do not touch the VRF again.  The table equals
-        per-slot :meth:`eligibility` calls: same values, same order of
-        leaders within a slot.
+        Each slot's VRF input is encoded once; one
+        :meth:`IdealVrf.evaluate_below` pass per party then compares
+        every digest's leading 64 bits with the party's
+        :func:`~repro.protocol.crypto.unit_cutoff`, the exact integer
+        form of ``value < φ_f(σ)``.  Only the winners' values and
+        proofs are derived; they land in the eligibility cache, so the
+        later minting and adversary lookups do not touch the VRF again.
+        The table equals per-slot :meth:`eligibility` calls: same
+        values, same order of leaders within a slot.
         """
-        slots = range(1, total_slots + 1)
-        inputs = [self.vrf_input(slot) for slot in slots]
-        leaders_by_slot: dict[int, list[Party]] = {slot: [] for slot in slots}
+        encoded = self.vrf.encode_inputs(
+            self.vrf_input(slot) for slot in range(1, total_slots + 1)
+        )
+        leaders_by_slot: dict[int, list[Party]] = {
+            slot: [] for slot in range(1, total_slots + 1)
+        }
         cache = self._eligibility_cache
         for party in self.stakes.parties:
             threshold = phi(self.activity, self.stakes.relative_stake(party))
-            evaluations = self.vrf.evaluate_many(self._keys[party.name], inputs)
-            for slot, (value, digest) in zip(slots, evaluations):
-                if value < threshold:
-                    cache[(party.name, slot)] = (True, value, digest.hex())
-                    leaders_by_slot[slot].append(party)
+            winners = self.vrf.evaluate_below(
+                self._keys[party.name], encoded, unit_cutoff(threshold)
+            )
+            for index, value, digest in winners:
+                cache[(party.name, index + 1)] = (True, value, digest.hex())
+                leaders_by_slot[index + 1].append(party)
         return LeaderSchedule(leaders_by_slot)
 
 

@@ -9,7 +9,8 @@ drives A0 tie-breaking), and may inject its own blocks to any subset of
 recipients at any time.
 
 :class:`NetworkModel` implements exactly that contract; the simulation
-engine asks it, per slot and per recipient, which messages fall due.
+engine asks it, per slot, which recipients have messages due
+(:meth:`NetworkModel.ready`) and drains only those.
 Adversary strategies interact with the network only through
 :meth:`NetworkModel.broadcast` (honest, deadline-bound) and
 :meth:`NetworkModel.inject` (adversarial, unconstrained).
@@ -145,6 +146,22 @@ class NetworkModel:
             Delivery(recipient, block, slot, priority, self._sequence)
         )
         self._pending += 1
+
+    def ready(self, slot: int) -> list[str]:
+        """Recipients with a message due by the end of ``slot``, in order.
+
+        Draining ``slot`` for any other recipient would return nothing,
+        so the simulation drains only these; an idle slot costs one
+        check, not one drain per recipient.
+        """
+        if not self._pending:
+            return []
+        heaps = self._slot_heaps
+        return [
+            name
+            for name in self.recipients
+            if heaps[name] and heaps[name][0] <= slot
+        ]
 
     def due(self, recipient: str, slot: int) -> list[Block]:
         """Messages for ``recipient`` due at the end of ``slot``, in order.

@@ -11,18 +11,22 @@ arrival order (which feeds the A0 tie-breaking rule), remembers its
 currently adopted tip (which A0 prefers on rank ties), and mints blocks
 on the selected chain when elected.
 
-By default a node performs its own cryptographic checks, as an
-independent deployment would.  :class:`~repro.protocol.simulation.Simulation`
-injects ``verify_signature`` / ``hash_block`` callbacks that share those
-pure functions across the whole node set; results are identical either
-way.
+By default a node performs its own signature checks, as an independent
+deployment would.  :class:`~repro.protocol.simulation.Simulation`
+injects a ``verify_signature`` callback that shares that pure function
+across the whole node set; results are identical either way.
+
+Chain selection runs only when the node's tree changed since the last
+one: the tree, the arrival ranks and the adopted tip are
+:func:`~repro.protocol.tiebreak.select_chain`'s only inputs, and a
+selection whose tip is the adopted tip returns that tip again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.protocol.block import Block, BlockTree
+from repro.protocol.block import Block, BlockTree, signed
 from repro.protocol.crypto import IdealSignatureScheme, KeyPair
 from repro.protocol.tiebreak import TieBreakRule, select_chain
 
@@ -41,7 +45,6 @@ class HonestNode:
         tie_break: TieBreakRule,
         check_eligibility: EligibilityCheck,
         verify_signature: Callable[[Block], bool] | None = None,
-        hash_block: Callable[[Block], str] | None = None,
     ) -> None:
         self.name = name
         self.keypair = keypair
@@ -49,13 +52,14 @@ class HonestNode:
         self.tie_break = tie_break
         self.check_eligibility = check_eligibility
         self._verify_signature = verify_signature
-        self._hash_block = hash_block
         self.tree = BlockTree()
         self._arrival_rank: dict[str, int] = {self.tree.genesis_hash: 0}
         self._arrival_counter = 0
         #: The adopted chain's tip after the last selection (axiom A0's
         #: "keep your current chain" input; starts at genesis).
         self._current_tip = self.tree.genesis_hash
+        #: Whether the tree gained a block since the last selection.
+        self._changed = False
         #: Blocks whose parents have not arrived yet (the network is
         #: allowed to reorder, so children can precede parents in a slot).
         self._orphans: list[Block] = []
@@ -77,7 +81,8 @@ class HonestNode:
             self._orphans.append(block)
             return False
         self._insert(block)
-        self._drain_orphans()
+        if self._orphans:
+            self._drain_orphans()
         return True
 
     def _is_intrinsically_valid(self, block: Block) -> bool:
@@ -93,14 +98,14 @@ class HonestNode:
         return self.check_eligibility(block.issuer, block.slot, block.vrf_proof)
 
     def _insert(self, block: Block) -> str:
-        block_hash = (
-            self._hash_block(block)
-            if self._hash_block is not None
-            else block.block_hash
-        )
-        if self.tree.add_block(block, block_hash=block_hash):
+        """Store an acceptable block; only a new one marks the tree changed."""
+        block_hash = block.block_hash
+        if block_hash in self.tree:
+            self._arrival_counter += 1  # a repeat keeps its first rank
+        elif self.tree.add_block(block):
             self._arrival_counter += 1
-            self._arrival_rank.setdefault(block_hash, self._arrival_counter)
+            self._arrival_rank[block_hash] = self._arrival_counter
+            self._changed = True
         return block_hash
 
     def _drain_orphans(self) -> None:
@@ -119,11 +124,12 @@ class HonestNode:
 
     def best_tip(self) -> str:
         """The adopted chain's tip under LCR + the node's tie-break rule."""
-        tip = select_chain(
-            self.tree, self.tie_break, self._arrival_rank, self._current_tip
-        )
-        self._current_tip = tip
-        return tip
+        if self._changed:
+            self._changed = False
+            self._current_tip = select_chain(
+                self.tree, self.tie_break, self._arrival_rank, self._current_tip
+            )
+        return self._current_tip
 
     def best_chain_depth(self) -> int:
         """Length of the adopted chain."""
@@ -131,22 +137,15 @@ class HonestNode:
 
     def mint_block(self, slot: int, vrf_proof: str, payload: str = "") -> Block:
         """Create and sign a block extending the adopted chain."""
-        parent = self.best_tip()
         draft = Block(
             slot=slot,
-            parent_hash=parent,
+            parent_hash=self.best_tip(),
             issuer=self.keypair.public,
             payload=payload,
             vrf_proof=vrf_proof,
         )
-        signature = self.signatures.sign(self.keypair, draft.header())
-        block = Block(
-            slot=slot,
-            parent_hash=parent,
-            issuer=self.keypair.public,
-            payload=payload,
-            vrf_proof=vrf_proof,
-            signature=signature,
+        block = signed(
+            draft, lambda header: self.signatures.sign(self.keypair, header)
         )
         # A leader adopts its own block immediately.
         self._current_tip = self._insert(block)

@@ -29,16 +29,23 @@ a shortcut around the check.
 
 The checks a node runs on a received block are pure functions of the
 block, so the simulation computes each once per block and shares it
-across the node set: block hashes are interned, signature checks and
-eligibility verdicts memoised, and redundant adversary observations
-skipped.  Pinned executions (``tests/protocol/test_golden.py``) and the
-mode-equivalence tests (``tests/protocol/test_determinism.py``) replay
-runs with per-node checks and no memo, and require bit-identical
-results.
+across the node set: signature checks are memoised by ``(block hash,
+signature)`` (the hash does not cover the signature), eligibility
+verdicts by ``(issuer, slot, proof)``, and redundant adversary
+observations skipped by block hash.  Each block caches its own hash, so
+no table is keyed by ``Block`` objects.  Pinned executions
+(``tests/protocol/test_golden.py``) and the mode-equivalence tests
+(``tests/protocol/test_determinism.py``) replay runs with per-node
+checks and no memo, and require bit-identical results.
+
+A slot costs what its events cost: only recipients with a message due
+are drained (:meth:`~repro.protocol.network.NetworkModel.ready`), only
+nodes whose tree changed reselect their chain, and a slot in which no
+tip moved shares the previous record's ``adopted_tips`` dict.
 
 The consistency predicates resolve through the block trees' hash
-indexes with memoised divergence checks; the chain-walking reference
-algorithms they are checked against live in
+indexes with memoised per-tip prefixes and chain indexes; the
+chain-walking reference algorithms they are checked against live in
 ``tests/protocol/test_determinism.py``.
 """
 
@@ -69,7 +76,11 @@ from repro.protocol.transport import Transport, TransportConfig, transport_seed
 
 @dataclass
 class SlotRecord:
-    """What happened in one slot: symbol, minted blocks, adopted tips."""
+    """What happened in one slot: symbol, minted blocks, adopted tips.
+
+    Consecutive records whose tips did not move share one
+    ``adopted_tips`` dict, so treat it as read-only.
+    """
 
     slot: int
     symbol: str
@@ -114,10 +125,9 @@ class Simulation:
         # Shared-validation state: pure-function results computed once
         # per block and reused across every node (and every redundant
         # adversary observation).
-        self._hash_intern: dict[Block, str] = {}
-        self._signature_results: dict[Block, bool] = {}
+        self._signature_results: dict[tuple[str, str], bool] = {}
         self._eligibility_results: dict[tuple[str, int, str], bool] = {}
-        self._observed: set[Block] = set()
+        self._observed: set[str] = set()
 
         honest_parties = [p for p in stakes.parties if not p.corrupted]
         self.nodes: dict[str, HonestNode] = {
@@ -128,7 +138,6 @@ class Simulation:
                 tie_break,
                 self._check_eligibility,
                 verify_signature=self._verify_block_signature,
-                hash_block=self._intern_hash,
             )
             for party in honest_parties
         }
@@ -188,22 +197,15 @@ class Simulation:
         return value < threshold
 
     def _verify_block_signature(self, block: Block) -> bool:
-        """Shared signature check: one header hash + verify per block."""
-        hit = self._signature_results.get(block)
+        """Shared signature check: one verify per (block, signature)."""
+        key = (block.block_hash, block.signature)
+        hit = self._signature_results.get(key)
         if hit is None:
             hit = self.signatures.verify(
                 block.issuer, block.header(), block.signature
             )
-            self._signature_results[block] = hit
+            self._signature_results[key] = hit
         return hit
-
-    def _intern_hash(self, block: Block) -> str:
-        """Shared hash: each distinct block is hashed exactly once."""
-        cached = self._hash_intern.get(block)
-        if cached is None:
-            cached = block.block_hash
-            self._hash_intern[block] = cached
-        return cached
 
     def _observe(self, block: Block) -> None:
         """Adversary observation, once per distinct block.
@@ -211,10 +213,11 @@ class Simulation:
         ``observe_block`` is idempotent for every provided strategy
         (block trees and slot registries dedupe by hash), so skipping a
         repeat observation never changes behaviour — it only skips the
-        repeated hash computation.
+        repeated tree insert.
         """
-        if block not in self._observed:
-            self._observed.add(block)
+        block_hash = block.block_hash
+        if block_hash not in self._observed:
+            self._observed.add(block_hash)
             self.adversary.observe_block(block)
 
     # ------------------------------------------------------------------
@@ -223,10 +226,15 @@ class Simulation:
         """Execute all slots and return the recorded result."""
         schedule = self.election.schedule(self.total_slots)
         records: list[SlotRecord] = []
+        nodes = self.nodes
+        network = self.network
+        tips = {name: node.best_tip() for name, node in nodes.items()}
 
         for slot in range(1, self.total_slots + 1):
-            for name, node in self.nodes.items():
-                for block in self.network.due(name, slot - 1):
+            ready = network.ready(slot - 1)
+            for name in ready:
+                node = nodes[name]
+                for block in network.due(name, slot - 1):
                     node.receive(block)
                     self._observe(block)
 
@@ -238,13 +246,13 @@ class Simulation:
                 if party.corrupted:
                     continue
                 _eligible, _value, proof = self.election.eligibility(party, slot)
-                node = self.nodes[party.name]
+                node = nodes[party.name]
                 block = node.mint_block(slot, proof)
                 honest_blocks.append(block)
                 self._observe(block)
             for block in honest_blocks:
                 delays, priorities = self.adversary.honest_delays(slot, block)
-                self.network.broadcast(
+                network.broadcast(
                     block,
                     slot,
                     delays,
@@ -257,21 +265,24 @@ class Simulation:
                 for party in leaders
                 if party.corrupted
             ]
-            self.adversary.act(slot, corrupted_leaders, self.network)
+            self.adversary.act(slot, corrupted_leaders, network)
 
+            # Only a received or minted block moves a tip.
+            if ready or honest_blocks:
+                moved = {name: node.best_tip() for name, node in nodes.items()}
+                if moved != tips:
+                    tips = moved
             record.honest_blocks = honest_blocks
-            record.adopted_tips = {
-                name: node.best_tip() for name, node in self.nodes.items()
-            }
+            record.adopted_tips = tips
             records.append(record)
 
         # Final drain so end-of-run views include the last slot's
         # messages.  The network names the slot: ``total + Δ`` for the
         # slot model, its scheduling horizon for the transport (physical
         # transit may legitimately outlast the Δ budget).
-        final_slot = self.network.final_drain_slot(self.total_slots)
-        for name, node in self.nodes.items():
-            for block in self.network.due(name, final_slot):
+        final_slot = network.final_drain_slot(self.total_slots)
+        for name, node in nodes.items():
+            for block in network.due(name, final_slot):
                 node.receive(block)
 
         return SimulationResult(self, schedule, records)
@@ -303,8 +314,8 @@ class DelayDistribution:
 class SimulationResult:
     """Recorded execution with the paper's consistency measurements.
 
-    The predicates walk the block trees' hash indexes, memoise pair
-    checks, and skip repeated tip snapshots.
+    The predicates walk the block trees' hash indexes, memoise per-tip
+    chain indexes, and skip repeated tip snapshots.
     """
 
     def __init__(
@@ -316,11 +327,6 @@ class SimulationResult:
         self.simulation = simulation
         self.schedule = schedule
         self.records = records
-        #: (tip_a, tip_b, target_slot) → divergence verdict.  A block
-        #: hash pins its whole prefix, so the verdict is a pure function
-        #: of the two hash chains — tree-independent and safely shared
-        #: across records and node pairs.
-        self._diverge_cache: dict[tuple[str, str, int], bool] = {}
         #: tip hash → (slots, hashes, hash set) along its chain; chains
         #: are immutable and identical in every tree containing the tip.
         self._tip_index: dict[str, tuple[list[int], list[str], frozenset]] = {}
@@ -339,11 +345,12 @@ class SimulationResult:
         accepted — one pass instead of the quadratic retry loop.
         """
         union = BlockTree()
-        unique: set[Block] = set()
+        unique: dict[str, Block] = {}
         for node in self.simulation.nodes.values():
-            unique.update(node.tree.all_blocks())
+            for block in node.tree.all_blocks():
+                unique[block.block_hash] = block
         for block in sorted(
-            (b for b in unique if b.parent_hash != ""),
+            (b for b in unique.values() if b.parent_hash != ""),
             key=lambda b: (b.slot, b.block_hash),
         ):
             union.add_block(block)
@@ -363,57 +370,62 @@ class SimulationResult:
         diverging before ``target_slot`` from its chain at ``t₁`` (a deep
         reorg past the confirmation depth).
 
-        Identical tip snapshots (the common case once chains stabilise)
-        are checked once; each distinct (tip, tip) divergence is resolved
-        once via the trees' parent index and memoised.
+        Two chains diverge before the target exactly when their
+        prefixes at the target differ (a common ancestor at or past the
+        target would give them one prefix), so each distinct tip's
+        prefix is resolved once, through its tree's parent index.  A
+        snapshot whose tips share one prefix holds no witness (a); a
+        record that shares its predecessor's ``adopted_tips`` dict adds
+        nothing to either witness.
         """
-        interesting = [
-            r for r in self.records if r.slot >= target_slot + depth
-        ]
         trees = {
             name: node.tree for name, node in self.simulation.nodes.items()
         }
-        seen_snapshots: set[tuple] = set()
-        for record in interesting:
-            snapshot = tuple(record.adopted_tips.items())
-            if snapshot in seen_snapshots:
+        snapshots: list[dict[str, str]] = []
+        for record in self.records:
+            if record.slot < target_slot + depth:
                 continue
-            seen_snapshots.add(snapshot)
+            if not snapshots or record.adopted_tips is not snapshots[-1]:
+                snapshots.append(record.adopted_tips)
+        prefixes: dict[str, str] = {}
+        for tips in snapshots:
+            distinct = set()
+            for name, tip in tips.items():
+                prefix = prefixes.get(tip)
+                if prefix is None:
+                    prefix = trees[name].prefix_hash_at_slot(tip, target_slot)
+                    prefixes[tip] = prefix
+                distinct.add(prefix)
+            if len(distinct) == 1:
+                continue
+            snapshot = tuple(tips.items())
             for i, (name_a, tip_a) in enumerate(snapshot):
                 tree = trees[name_a]
                 for _name_b, tip_b in snapshot[i + 1 :]:
-                    if self._diverge_before(tree, tip_a, tip_b, target_slot):
+                    if self._diverge_before(tree, tip_a, tip_b, prefixes):
                         return True
         for name, tree in trees.items():
             previous: str | None = None
-            for record in interesting:
-                tip = record.adopted_tips[name]
-                if (
-                    previous is not None
-                    and previous != tip
-                    and self._diverge_before(tree, previous, tip, target_slot)
+            for tips in snapshots:
+                tip = tips[name]
+                if previous is not None and self._diverge_before(
+                    tree, previous, tip, prefixes
                 ):
                     return True
                 previous = tip
         return False
 
+    @staticmethod
     def _diverge_before(
-        self, tree: BlockTree, tip_a: str, tip_b: str, slot: int
+        tree: BlockTree, tip_a: str, tip_b: str, prefixes: dict[str, str]
     ) -> bool:
-        if tip_a == tip_b:
-            return False
-        if tip_a not in tree or tip_b not in tree:
-            return False
-        key = (tip_a, tip_b, slot)
-        cached = self._diverge_cache.get(key)
-        if cached is not None:
-            return cached
-        meet = tree.common_prefix_slot(tip_a, tip_b)
-        prefix_a = tree.prefix_hash_at_slot(tip_a, slot)
-        prefix_b = tree.prefix_hash_at_slot(tip_b, slot)
-        verdict = meet < slot and prefix_a != prefix_b
-        self._diverge_cache[key] = verdict
-        return verdict
+        """Do two tips of ``tree`` have different prefixes at the target?"""
+        return (
+            tip_a != tip_b
+            and prefixes[tip_a] != prefixes[tip_b]
+            and tip_a in tree
+            and tip_b in tree
+        )
 
     def cp_slot_violation(self, depth: int) -> bool:
         """k-CP^slot check across nodes and across time (Definition 24)."""

@@ -69,6 +69,7 @@ __all__ = [
     "hop_counts",
     "message_size",
     "sample_jitter",
+    "sample_jitters",
     "transport_seed",
 ]
 
@@ -160,12 +161,25 @@ def sample_jitter(config: TransportConfig, generator: np.random.Generator) -> fl
     untouched, so enabling jitter later never silently re-keys
     anything else.
     """
+    return sample_jitters(config, generator, 1)[0]
+
+
+def sample_jitters(
+    config: TransportConfig, generator: np.random.Generator, count: int
+) -> list[float]:
+    """``count`` jitter draws (see :func:`sample_jitter`) in one call.
+
+    One ``size=count`` draw equals ``count`` scalar draws value for
+    value and leaves the generator in the same state, so a broadcast
+    draws its recipients' jitter at once without changing the stream.
+    """
     scale = config.jitter_scale
     if scale == 0 or config.jitter == "fixed":
-        return scale
+        return [scale] * count
     if config.jitter == "uniform":
-        return float(generator.uniform(0.0, scale))
-    return float(min(generator.exponential(scale), config.exponential_cap))
+        return generator.uniform(0.0, scale, size=count).tolist()
+    draws = generator.exponential(scale, size=count)
+    return np.minimum(draws, config.exponential_cap).tolist()
 
 
 def transport_seed(randomness: str) -> int:
@@ -301,15 +315,6 @@ class Transport(NetworkModel):
             self._hops[sender] = cached
         return cached
 
-    def link_delay(self, hops: int, size: int) -> float:
-        """Physical transit over ``hops`` store-and-forward links."""
-        if hops == 0:
-            return 0.0
-        per_hop = self.config.latency
-        if self.config.bandwidth > 0:
-            per_hop += size / self.config.bandwidth
-        return hops * per_hop + sample_jitter(self.config, self._rng)
-
     # -- NetworkModel interface ----------------------------------------
 
     def broadcast(
@@ -328,19 +333,31 @@ class Transport(NetworkModel):
         exceed Δ; :meth:`~NetworkModel.final_drain_slot` and the
         realized-delay sample make that excess observable instead of
         silently clamping it.
+
+        Transit over ``hops`` store-and-forward links is ``hops ·
+        (latency + size / bandwidth) + jitter``; the jitter of every
+        recipient at least one hop away is drawn in one call, in
+        recipient order, and the sender's own copy is free.
         """
         delays = delays or {}
         priorities = priorities or {}
-        size = message_size(block)
-        hops = self.hops_from(sender)
-        for recipient in self.recipients:
-            hold = delays.get(recipient, 0)
+        holds = [delays.get(recipient, 0) for recipient in self.recipients]
+        for hold in holds:
             if not 0 <= hold <= self.delta:
                 raise ValueError(
                     f"delay {hold} outside [0, {self.delta}] for honest "
                     f"broadcast (axiom A0/A4Δ violation)"
                 )
-            transit = self.link_delay(hops.get(recipient, 1), size)
+        per_hop = self.config.latency
+        if self.config.bandwidth > 0:
+            per_hop += message_size(block) / self.config.bandwidth
+        routes = self.hops_from(sender)
+        hops = [routes.get(recipient, 1) for recipient in self.recipients]
+        jitters = iter(
+            sample_jitters(self.config, self._rng, len(hops) - hops.count(0))
+        )
+        for recipient, hold, hop in zip(self.recipients, holds, hops):
+            transit = hop * per_hop + next(jitters) if hop else 0.0
             self._schedule(
                 recipient,
                 block,
@@ -379,6 +396,21 @@ class Transport(NetworkModel):
         event.payload.slot = slot
         self._horizon = max(self._horizon, slot)
         self._pending += 1
+
+    def ready(self, slot: int) -> list[str]:
+        """Recipients with a message landing by the end of ``slot``.
+
+        Every other recipient's drain is skipped through
+        :meth:`~repro.protocol.events.EventScheduler.advance`, which
+        moves its clock to ``slot + 1`` exactly as the empty drain
+        would, so later schedules clamp the same way."""
+        bound = float(slot + 1)
+        schedulers = self._schedulers
+        return [
+            name
+            for name in self.recipients
+            if not schedulers[name].advance(bound)
+        ]
 
     def due(self, recipient: str, slot: int) -> list[Block]:
         """Messages landing by the end of ``slot``, in contract order.

@@ -2,14 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.protocol.crypto import (
+    _BELOW_ONE,
     IdealSignatureScheme,
     IdealVrf,
     _digest_to_unit,
+    _prefix_to_unit,
     hash_data,
+    unit_cutoff,
 )
+from repro.protocol.leader import phi
 
 
 class TestHash:
@@ -114,31 +119,107 @@ class TestDigestToUnit:
         assert _digest_to_unit("0" * 64) == 0.0
 
 
-class TestEvaluateMany:
-    def test_equals_one_evaluate_per_input(self):
+#: Thresholds where an inexact cutoff would show: φ = 1 (one party at
+#: activity 1), tiny stakes, powers of two and their float neighbours
+#: (where ``p / 2**64`` rounds up onto the threshold), the clamp region
+#: next to 1.0, and the degenerate 0.
+CUTOFF_THRESHOLDS = [
+    phi(1.0, 1.0),
+    phi(0.3, 1e-6),
+    phi(0.05, 1e-12),
+    phi(0.5, 1e-18),
+    5e-324,
+    0.0,
+    _BELOW_ONE,
+    math.nextafter(_BELOW_ONE, 0.0),
+    0.3,
+    0.1,
+] + [
+    neighbour
+    for exponent in (1, 2, 10, 40, 53, 60, 63)
+    for neighbour in (
+        math.nextafter(2.0**-exponent, 0.0),
+        2.0**-exponent,
+        math.nextafter(2.0**-exponent, 1.0),
+    )
+]
+
+
+class TestUnitCutoff:
+    """``p < unit_cutoff(t)`` ⟺ ``_prefix_to_unit(p) < t``, exactly."""
+
+    @pytest.mark.parametrize("threshold", CUTOFF_THRESHOLDS)
+    def test_cutoff_is_the_boundary(self, threshold):
+        cutoff = unit_cutoff(threshold)
+        assert 0 <= cutoff <= 1 << 64
+        if cutoff > 0:
+            assert _prefix_to_unit(cutoff - 1) < threshold
+        if cutoff < 1 << 64:
+            assert not _prefix_to_unit(cutoff) < threshold
+
+    def test_full_threshold_admits_every_prefix(self):
+        """φ = 1: the clamp keeps even the all-ones prefix below 1.0."""
+        assert unit_cutoff(1.0) == 1 << 64
+
+    def test_empty_threshold_admits_nothing(self):
+        assert unit_cutoff(0.0) == 0
+        assert unit_cutoff(5e-324) == 1
+
+    def test_power_of_two_boundary_is_below_the_naive_product(self):
+        """Prefixes just under 2**63 round up to 0.5 as floats."""
+        cutoff = unit_cutoff(0.5)
+        assert cutoff < 1 << 63
+        assert cutoff == (1 << 63) - 512
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_thresholds(self, seed):
+        rng = np.random.default_rng(seed)
+        for threshold in rng.random(50) ** 4:
+            threshold = float(threshold)
+            cutoff = unit_cutoff(threshold)
+            assert _prefix_to_unit(cutoff - 1) < threshold
+            assert not _prefix_to_unit(cutoff) < threshold
+
+
+class TestEvaluateBelow:
+    INPUTS = [f"epoch-0|slot-{slot}" for slot in range(1, 60)] + ["", "é"]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.5, 0.9, 1.0])
+    def test_equals_evaluate_filtered_by_threshold(self, threshold):
         vrf = IdealVrf(seed="batch")
         keypair = vrf.generate_keypair()
-        inputs = [f"epoch-0|slot-{slot}" for slot in range(1, 60)] + ["", "é"]
-        batch = vrf.evaluate_many(keypair, inputs)
-        assert [(value, digest.hex()) for value, digest in batch] == [
-            vrf.evaluate(keypair, vrf_input) for vrf_input in inputs
-        ]
+        below = vrf.evaluate_below(
+            keypair, vrf.encode_inputs(self.INPUTS), unit_cutoff(threshold)
+        )
+        expected = []
+        for index, vrf_input in enumerate(self.INPUTS):
+            value, proof = vrf.evaluate(keypair, vrf_input)
+            if value < threshold:
+                expected.append((index, value, proof))
+        assert [
+            (index, value, digest.hex()) for index, value, digest in below
+        ] == expected
 
-    def test_batch_values_verify(self):
+    def test_encoding_is_the_hash_data_part(self):
+        """A midstate over ("vrf", secret) plus the encoded input is
+        exactly hash_data("vrf", secret, input)."""
         vrf = IdealVrf()
         keypair = vrf.generate_keypair()
-        [(value, digest)] = vrf.evaluate_many(keypair, ["slot-7"])
+        [(_, value, digest)] = vrf.evaluate_below(
+            keypair, vrf.encode_inputs(["slot-7"]), 1 << 64
+        )
+        assert digest.hex() == hash_data("vrf", keypair.secret, "slot-7")
         assert vrf.verify(keypair.public, "slot-7", value, digest.hex())
 
     def test_foreign_key_rejected(self):
         vrf = IdealVrf(seed="ours")
         foreign = IdealVrf(seed="theirs").generate_keypair()
         with pytest.raises(ValueError):
-            vrf.evaluate_many(foreign, ["slot-1"])
+            vrf.evaluate_below(foreign, vrf.encode_inputs(["slot-1"]), 1)
 
     def test_tampered_secret_rejected(self):
         vrf = IdealVrf()
         keypair = vrf.generate_keypair()
         forged = type(keypair)(keypair.public, "0" * 64)
         with pytest.raises(ValueError):
-            vrf.evaluate_many(forged, [])
+            vrf.evaluate_below(forged, [], 1)

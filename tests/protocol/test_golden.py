@@ -90,6 +90,32 @@ def execution_fingerprint(result) -> str:
     ).hexdigest()
 
 
+#: Pinned scenario variants that are not registered under their own name:
+#: label → (registered scenario, field overrides).  ``wan-uniform-ring``
+#: is the WAN the engine bench's ``wan`` record runs (uniform jitter on a
+#: ring); the registered ``protocol-wan`` draws exponential jitter on a
+#: random graph.
+VARIANTS = {
+    "wan-uniform-ring": (
+        "protocol-honest",
+        dict(
+            network="wan",
+            latency=0.4,
+            bandwidth=4096.0,
+            jitter="uniform",
+            jitter_scale=0.5,
+            topology="ring",
+        ),
+    ),
+}
+
+
+def pinned_scenario(label: str):
+    """The registered scenario, or the variant, a pin label names."""
+    name, overrides = VARIANTS.get(label, (label, {}))
+    return get_scenario(name, **overrides)
+
+
 #: (scenario, randomness) → (fingerprint, settlement, CP, max reorg depth)
 EXECUTION_PINS = {
     ("protocol-honest", "golden-0"): (
@@ -152,6 +178,18 @@ EXECUTION_PINS = {
         "44d6cd0e35f5086f196cd79d2c75ab526afe19700ecb0ed73a5652bfee6caddf",
         False, True, 5,
     ),
+    ("wan-uniform-ring", "golden-0"): (
+        "d0045130ddbb4f08812a9d14d101c36a747c003a469417a5b8c61d4f2125c936",
+        False, False, 2,
+    ),
+    ("wan-uniform-ring", "golden-1"): (
+        "82d9a926ba8fc559e1ecdc62606cb0556bfa2a90e9216a57bb04e5638390ba98",
+        False, False, 2,
+    ),
+    ("wan-uniform-ring", "golden-2"): (
+        "fb34d3d597bcdf7893988cc96b059f4ca1babbe89b8b12ab1e5ed5ea87ffafd3",
+        False, False, 3,
+    ),
 }
 
 
@@ -162,7 +200,7 @@ EXECUTION_PINS = {
     ids=[f"{name}/{randomness}" for name, randomness in sorted(EXECUTION_PINS)],
 )
 def test_execution_pinned(name, randomness, shared):
-    scenario = get_scenario(name)
+    scenario = pinned_scenario(name)
     simulation = scenario.build_simulation(randomness)
     if not shared:
         per_node_validation(simulation)

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.distributions import sample_characteristic_string
-from repro.protocol.crypto import IdealVrf, _digest_to_unit
+from repro.protocol.crypto import IdealVrf, _digest_to_unit, unit_cutoff
 from repro.protocol.leader import (
     LeaderSchedule,
     Party,
@@ -155,18 +156,35 @@ class TestEligibilityTable:
             ),
         )
         assert election.eligibility(whale, 1)[0]
-
-        election = VrfLeaderElection(stakes, 1.0)
-        monkeypatch.setattr(
-            election.vrf,
-            "evaluate_many",
-            lambda keypair, inputs: [
-                (_digest_to_unit(max_digest.hex()), max_digest)
-                for _ in inputs
-            ],
-        )
-        schedule = election.schedule(3)
+        # The table's integer comparison admits the same digest.
+        prefix = int.from_bytes(max_digest[:8], "big")
+        assert prefix < unit_cutoff(phi(1.0, stakes.relative_stake(whale)))
+        schedule = VrfLeaderElection(stakes, 1.0).schedule(3)
         assert all(schedule.leaders(slot) == [whale] for slot in (1, 2, 3))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_schedule_equals_eligibility_on_random_stake_splits(self, seed):
+        """Random splits over twelve decades of stake, corrupted parties
+        included: the cutoff table elects exactly the lazy winners."""
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(2, 9))
+        raw = rng.random(count) * 10.0 ** -rng.integers(0, 12, size=count)
+        parties = [
+            Party(f"p{i}", float(stake), corrupted=bool(rng.random() < 0.3))
+            for i, stake in enumerate(raw)
+        ]
+        stakes = StakeDistribution(parties)
+        activity = float(rng.choice([0.05, 0.3, 0.9, 1.0]))
+        randomness = f"split-{seed}"
+        table = VrfLeaderElection(
+            stakes, activity, IdealVrf(seed="split"), randomness
+        ).schedule(self.SLOTS)
+        lazy = VrfLeaderElection(
+            stakes, activity, IdealVrf(seed="split"), randomness
+        )
+        for slot in range(1, self.SLOTS + 1):
+            expected = [p for p in parties if lazy.eligibility(p, slot)[0]]
+            assert table.leaders(slot) == expected
 
 
 class TestSchedule:

@@ -31,8 +31,12 @@ from repro.protocol.transport import (
     hop_counts,
     message_size,
     sample_jitter,
+    sample_jitters,
     transport_seed,
 )
+from repro.protocol.adversary import Adversary
+from repro.protocol.leader import StakeDistribution
+from repro.protocol.simulation import Simulation
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
 
@@ -350,6 +354,26 @@ class TestLinkPhysics:
         assert sample_jitter(config, generator) == 0.3
         assert generator.bit_generator.state == state
 
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    @pytest.mark.parametrize("kind", ["uniform", "exponential"])
+    def test_batched_draw_equals_scalar_draws(self, kind, count):
+        """One ``size=count`` draw is ``count`` scalar draws, value for
+        value, and leaves the generator in the same state."""
+        config = TransportConfig(jitter=kind, jitter_scale=0.5, jitter_cap=1.0)
+        batched = np.random.default_rng(11)
+        scalar = np.random.default_rng(11)
+        draws = sample_jitters(config, batched, count)
+        if kind == "uniform":
+            expected = [float(scalar.uniform(0.0, 0.5)) for _ in range(count)]
+        else:
+            expected = [
+                float(min(scalar.exponential(0.5), 1.0)) for _ in range(count)
+            ]
+        assert draws == expected
+        assert all(type(draw) is float for draw in draws)
+        assert batched.bit_generator.state == scalar.bit_generator.state
+        assert batched.random() == scalar.random()
+
     def test_jitter_draws_are_seed_deterministic(self):
         config = TransportConfig(jitter="exponential", jitter_scale=0.5)
 
@@ -444,3 +468,111 @@ class TestRunObservables:
             TransportConfig(edge_probability=1.5)
         with pytest.raises(ValueError, match="latency"):
             TransportConfig(latency=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Skipped drains keep the scheduler clock
+# ----------------------------------------------------------------------
+
+
+class BehindTheClock(Adversary):
+    """Re-injects the newest observed block ``lag`` slots in the past.
+
+    Every recipient's injection is booked behind its scheduler clock, so
+    the booked time is the clamp to ``now``; the log keeps, per
+    injection, the booked ``Delivery.slot`` and the clock after it."""
+
+    def __init__(self, every: int = 3, lag: int = 2) -> None:
+        super().__init__()
+        self.every = every
+        self.lag = lag
+        self.log: list[tuple] = []
+
+    def act(self, slot, corrupted_leaders, network):
+        newest = self.tree.longest_tips()[0]
+        if slot % self.every or newest == self.tree.genesis_hash:
+            return
+        for recipient in self.recipients:
+            network.inject(self.tree.block(newest), recipient, slot - self.lag)
+            if isinstance(network, Transport):
+                scheduler = network._schedulers[recipient]
+                booked = max(scheduler._heap, key=lambda event: event.sequence)
+                self.log.append(
+                    (slot, recipient, booked.payload.slot, scheduler.now)
+                )
+
+
+def run_behind_the_clock(transport, drain_all: bool):
+    """A run with the stub adversary; ``drain_all`` drains every
+    recipient every slot, as a network without idle-drain skipping."""
+    adversary = BehindTheClock()
+    simulation = Simulation(
+        StakeDistribution.uniform(5, 0),
+        activity=0.15,
+        total_slots=60,
+        adversary=adversary,
+        randomness="behind-the-clock",
+        transport=transport,
+    )
+    network = simulation.network
+    if drain_all:
+        network.ready = lambda slot: list(network.recipients)
+    arrivals = []
+    for name, node in simulation.nodes.items():
+        receive = node.receive
+
+        def logged(block, name=name, receive=receive):
+            arrivals.append((name, block.block_hash))
+            return receive(block)
+
+        node.receive = logged
+    result = simulation.run()
+    clocks = (
+        {name: s.now for name, s in network._schedulers.items()}
+        if isinstance(network, Transport)
+        else {}
+    )
+    return (
+        snapshot(result),
+        arrivals,
+        adversary.log,
+        clocks,
+        {name: node._arrival_rank for name, node in simulation.nodes.items()},
+    )
+
+
+class TestSkippedDrainsKeepTheClock:
+    TRANSPORTS = [
+        pytest.param(None, id="slot"),
+        pytest.param(TransportConfig(), id="wan-degenerate"),
+        pytest.param(
+            TransportConfig(
+                latency=0.4, jitter="uniform", jitter_scale=0.5,
+                topology="ring",
+            ),
+            id="wan-jitter",
+        ),
+    ]
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_skipping_equals_draining(self, transport):
+        skipped = run_behind_the_clock(transport, drain_all=False)
+        drained = run_behind_the_clock(transport, drain_all=True)
+        assert skipped == drained
+        _, arrivals, log, clocks, _ = skipped
+        assert arrivals
+        if transport is not None:
+            # The injections really were booked behind the caller's slot,
+            # i.e. clamped to the clock the skipped drains advanced.
+            assert log and all(booked == slot for slot, _, booked, _ in log)
+            assert all(now == slot for slot, _, _, now in log)
+            assert set(clocks.values()) == {61.0}
+
+    def test_ready_advances_idle_clocks(self):
+        transport = Transport(["a", "b"], config=TransportConfig(latency=0.5))
+        transport.broadcast(make_block(), 3, sender="a")  # lands at 3.5
+        assert transport.ready(2) == []
+        assert [s.now for s in transport._schedulers.values()] == [3.0, 3.0]
+        assert transport.ready(3) == ["a", "b"]
+        assert transport.due("b", 3) == [transport.due("a", 3)[0]]
+        assert [s.now for s in transport._schedulers.values()] == [4.0, 4.0]

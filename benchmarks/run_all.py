@@ -575,10 +575,11 @@ def backend_record(quick: bool) -> dict:
         },
         "temporaries_audit": (
             "joint_final_states/margin_trajectories run one slot-major "
-            "scan: the codes are transposed and decoded once, then "
-            "(rho, mu) update in place per slot with preallocated "
-            "boolean scratch, in int32 unless a huge initial reach "
-            "needs int64; prefix_sum_matrix fills a [:, 1:] view and "
+            "scan: the codes are transposed and decoded once into int8 "
+            "steps and hold thresholds, then one stacked (rho, mu) "
+            "array updates in place per slot with preallocated boolean "
+            "scratch, in the narrowest of int8/int16/int32/int64 that "
+            "max |state| + length fits; prefix_sum_matrix fills a [:, 1:] view and "
             "accumulates with out=; final_reaches/reflected walk reduce "
             "to per-row min/max without trajectory or floor matrices"
         ),

@@ -175,6 +175,8 @@ class ResultCache:
         self.chunk_hits = 0
         self.chunk_misses = 0
         self.chunk_stores = 0
+        #: ``(key, path)`` of the last key :meth:`ledger_path` hashed.
+        self._last_path: tuple = (None, None)
 
     # -- keys ----------------------------------------------------------
 
@@ -209,8 +211,17 @@ class ResultCache:
         }
 
     def ledger_path(self, key: dict) -> pathlib.Path:
-        """Where the ledger for ``key`` lives (whether or not it exists)."""
-        return self.directory / f"{self.digest(key)[:32]}.ledger.jsonl"
+        """Where the ledger for ``key`` lives (whether or not it exists).
+
+        The path of the last key is remembered by identity, so a run
+        that hands one key object to every wave hashes it once.  A key
+        is a value: build a new one rather than mutate one in use.
+        """
+        last_key, path = self._last_path
+        if last_key is not key:
+            path = self.directory / f"{self.digest(key)[:32]}.ledger.jsonl"
+            self._last_path = (key, path)
+        return path
 
     # -- traffic -------------------------------------------------------
 

@@ -40,11 +40,11 @@ explicit and deterministic given the uniform block.
 The kernels use ``out=``/in-place forms where the result is
 bit-identical (``BENCH_engine.json``'s ``backend.kernels`` records the
 throughput).  The joint margin recurrence is one slot-major, in-place
-scan in int32 — int64 when a huge initial reach could leave the int32
-range, so narrowing never changes a value.  The settlement-DP kernels
-at the bottom of this module update the band of a float64 (reach,
-margin) table in place for the exact-DP layer, in a rescaled basis
-where both diagonal moves have weight 1.
+scan in the narrowest of int8, int16, int32 and int64 that the state
+can never leave, so narrowing never changes a value.  The settlement-DP
+kernels at the bottom of this module update the band of a float64
+(reach, margin) table in place for the exact-DP layer, in a rescaled
+basis where both diagonal moves have weight 1.
 """
 
 from __future__ import annotations
@@ -165,11 +165,15 @@ def symbol_thresholds(
 def symbols_from_uniforms(
     probabilities: SlotProbabilities, uniforms: np.ndarray
 ) -> np.ndarray:
-    """Map a uniform array to i.i.d. symbol codes (shape-preserving)."""
+    """Map a uniform array to i.i.d. symbol codes (shape-preserving).
+
+    The code is the number of thresholds a uniform reaches; the three
+    comparison masks are summed as uint8 views, with no cast.
+    """
     t_h, t_bigh, t_adv = symbol_thresholds(probabilities)
-    codes = (uniforms >= t_h).astype(np.uint8)
-    codes += uniforms >= t_bigh
-    codes += uniforms >= t_adv
+    codes = (uniforms >= t_h).view(np.uint8)
+    codes += (uniforms >= t_bigh).view(np.uint8)
+    codes += (uniforms >= t_adv).view(np.uint8)
     return codes
 
 
@@ -239,10 +243,15 @@ def initial_reaches_from_uniforms(
     Inverse-CDF form of the scalar rejection loop ``sample_initial_reach``
     in ``tests/analysis/test_montecarlo.py``:
     ``X = ⌊log u / log β⌋`` satisfies ``Pr[X ≥ k] = Pr[u < β^k] = β^k``.
+    The division stays a division: multiplying by ``1 / log β`` is not
+    bit-identical.
     """
     beta = stationary_reach_ratio(epsilon)
-    safe = np.clip(uniforms, np.finfo(float).tiny, None)
-    return np.floor(np.log(safe) / np.log(beta)).astype(np.int64)
+    reaches = np.maximum(uniforms, np.finfo(float).tiny)
+    np.log(reaches, out=reaches)
+    reaches /= np.log(beta)
+    np.floor(reaches, out=reaches)
+    return reaches.astype(np.int64)
 
 
 def sample_initial_reaches(
@@ -332,64 +341,65 @@ def final_reaches(
 # One slot-major scan runs the recurrence for every caller.  The codes
 # are transposed once, so slot t is one contiguous row of every trial,
 # and decoded once into the walk step (+1 for A, −1 honest, 0 for ⊥) and
-# the honest and H masks.  Each slot then updates (ρ, μ) in place with
-# preallocated boolean scratch:
+# a hold threshold (0 for h, −1 for H, the state type's maximum for A
+# and ⊥).  The state is one (2, n) array, row 0 ρ and row 1 μ, in
+# the narrowest integer type that cannot wrap (int8 on the Table 1
+# grid).  Each slot then updates it in place with preallocated boolean
+# scratch:
 #
-#     hold = (μ == 0) & (honest & (ρ > 0) | H)     read before the step
-#     ρ += step;  ρ = max(ρ, 0);  μ += step;  μ += hold
+#     hold = (ρ > threshold) & (μ == 0)     read before the step
+#     (ρ, μ) += step;  ρ = max(ρ, 0);  μ += hold
 #
 # which is margin_step's case split: A raises both, an honest slot
-# lowers both, except that μ = 0 holds when ρ > 0 or the slot is H.
+# lowers both, except that μ = 0 holds when ρ > 0, or ρ ≥ 0 on H.
+# Six ufunc calls per slot, all same-type on an int8 state: a scalar
+# operand or a bool added to an integer array sends NumPy down a slower
+# casting loop.
+
+#: Limits of the scan state's integer types, narrowest first.
+_STATE_LIMITS = tuple(
+    np.iinfo(dtype) for dtype in (np.int8, np.int16, np.int32, np.int64)
+)
 
 
-def _decode_slots(codes: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
-    """Walk steps (in ``dtype``), honest mask and H mask of some codes."""
-    honest = codes < CODE_ADVERSARIAL  # codes h = 0, H = 1
-    steps = (codes == CODE_ADVERSARIAL).astype(dtype)
-    steps -= honest
-    return steps, honest, codes == CODE_MULTI
+def _working_state(rho: np.ndarray, mu: np.ndarray, length: int) -> np.ndarray:
+    """A fresh ``(2, n)`` copy of ``(ρ, μ)`` in the narrowest safe type.
 
-
-def _margin_step_in_place(
-    rho: np.ndarray,
-    mu: np.ndarray,
-    steps: np.ndarray,
-    honest: np.ndarray,
-    multi: np.ndarray,
-    hold: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """One joint transition of every trial, written over ``rho`` and ``mu``.
-
-    ``steps``, ``honest`` and ``multi`` decode one slot (see
-    :func:`_decode_slots`); ``hold`` and ``scratch`` are boolean buffers
-    of the state's shape.  Empty symbols are the identity.
-    """
-    np.greater(rho, 0, out=hold)
-    hold &= honest
-    hold |= multi
-    np.equal(mu, 0, out=scratch)
-    hold &= scratch
-    rho += steps
-    np.maximum(rho, 0, out=rho)
-    mu += steps
-    mu += hold
-
-
-def _working_state(
-    rho: np.ndarray, mu: np.ndarray, length: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh copies of ``(ρ, μ)`` in the narrowest safe integer type.
-
-    Each slot moves ρ and μ by at most one, so int32 can never wrap while
-    ``max |state| + length < 2³¹``.  The stationary initial reach exceeds
-    that when ε < ~1.6e-7 (α just below ½); such a batch runs in int64.
+    Each slot moves ρ and μ by at most one, so a type can never wrap
+    while ``max |state| + length`` fits it.  The scan takes the first of
+    int8, int16 and int32 that holds that bound, else int64: int8 for
+    the Table 1 grid, int16 once a row is longer than ~127 slots, and
+    int64 only for a stationary initial reach beyond the int32 range
+    (ε < ~1.6e-7, α just below ½).
     """
     bound = length
     if rho.size:
-        bound += max(int(np.abs(rho).max()), int(np.abs(mu).max()))
-    dtype = np.int32 if bound < 2**31 else np.int64
-    return rho.astype(dtype), mu.astype(dtype)
+        bound += max(
+            int(rho.max()), -int(rho.min()), int(mu.max()), -int(mu.min())
+        )
+    limits = next(
+        (info for info in _STATE_LIMITS if bound <= info.max),
+        _STATE_LIMITS[-1],
+    )
+    state = np.empty((2, rho.size), dtype=limits.dtype)
+    state[0] = rho
+    state[1] = mu
+    return state
+
+
+def _decode_slots(codes: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Walk steps and hold thresholds of some codes, both in ``dtype``.
+
+    Both are built from int8 views of the comparison masks, so the
+    common int8 scan decodes with no cast at all.
+    """
+    steps = (codes == CODE_ADVERSARIAL).view(np.int8)
+    steps -= (codes < CODE_ADVERSARIAL).view(np.int8)  # codes h = 0, H = 1
+    thresholds = np.multiply(
+        (codes > CODE_MULTI).view(np.int8), np.iinfo(dtype).max, dtype=dtype
+    )
+    thresholds -= (codes == CODE_MULTI).view(np.int8)
+    return steps.astype(dtype, copy=False), thresholds
 
 
 def _margin_scan(
@@ -407,22 +417,26 @@ def _margin_scan(
     margin tracks the reach.  The inputs are not modified.
     """
     trials, length = symbols.shape
-    starts = np.broadcast_to(
-        np.asarray(prefix_lengths, dtype=np.int64), (trials,)
-    )
-    prefix_end = int(starts.max()) if trials else 0
-    rho, mu = _working_state(rho, mu, length)
-    steps, honest, multi = _decode_slots(symbols.T.copy(), rho.dtype)
+    starts = np.asarray(prefix_lengths, dtype=np.int64)
+    prefix_end = int(starts.max(initial=0))
+    state = _working_state(rho, mu, length)
+    rho, mu = state
+    steps, thresholds = _decode_slots(symbols.T.copy(), state.dtype)
+    zeros = np.zeros(trials, dtype=state.dtype)
     hold = np.empty(trials, dtype=bool)
     scratch = np.empty(trials, dtype=bool)
+    increment = hold.view(np.int8)
     margins = None
     if record:
-        margins = np.empty((length + 1, trials), dtype=mu.dtype)
+        margins = np.empty((length + 1, trials), dtype=state.dtype)
         margins[0] = mu
     for t in range(length):
-        _margin_step_in_place(
-            rho, mu, steps[t], honest[t], multi[t], hold, scratch
-        )
+        np.greater(rho, thresholds[t], out=hold)
+        np.equal(mu, zeros, out=scratch)
+        hold &= scratch
+        state += steps[t]
+        np.maximum(rho, zeros, out=rho)
+        mu += increment
         if t < prefix_end:
             np.less(t, starts, out=scratch)
             np.copyto(mu, rho, where=scratch)
@@ -453,9 +467,9 @@ def joint_final_states(
     over.  ``initial_reaches`` seeds ``ρ`` before the first symbol (the
     X_∞ model of Table 1); it defaults to zero.
 
-    One slot-major pass updates the state in place, in int32 unless a
-    huge initial reach could wrap it (then int64); the values returned
-    are int64 either way.
+    One slot-major pass updates the state in place, in the narrowest
+    integer type it cannot wrap (int8 on the Table 1 grid, int64 for a
+    huge initial reach); the values returned are int64 either way.
     """
     initial = _initial_state(symbols.shape[0], initial_reaches)
     rho, mu, _ = _margin_scan(
@@ -475,7 +489,7 @@ def margin_trajectories(
     running reach ``ρ(w_1 … w_t)`` while still inside the prefix (so that
     column ``|x|`` is ``μ_x(ε) = ρ(x)``, matching
     :func:`repro.core.margin.margin_sequence` entry 0).  The same scan as
-    :func:`joint_final_states` (and the same int32 guard), recording
+    :func:`joint_final_states` (and the same type ladder), recording
     each slot's margins slot-major and transposing once at the end.
     """
     initial = _initial_state(symbols.shape[0], initial_reaches)

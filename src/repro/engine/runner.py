@@ -505,26 +505,37 @@ class ExperimentRunner:
             else settlement_violation
         )
 
+    def _ledger_key(self, seed: int) -> dict | None:
+        """The chunk-ledger key of this runner at ``seed`` (``None``
+        without a cache).  Built once per run: every wave of the run
+        shares the key object, so the cache hashes it once."""
+        if self.cache is None:
+            return None
+        return self.cache.ledger_key(
+            self.scenario, self.estimator, seed, self.chunk_size
+        )
+
     def _dispatch(
         self,
         seed: int,
         indices: range,
         trials: int,
         backend: "Backend",
+        ledger_key: dict | None,
     ) -> _Wave:
         """The one path from chunk indices to hit counts, first half.
 
-        Looks every chunk of ``indices`` up in the chunk ledger by
-        ``(index, size)`` and submits the rest to ``backend``, each from
-        its own ``SeedSequence(seed)`` child; :meth:`_Wave.collect` is
-        the second half.  ``trials`` is the budget whose partition the
+        Looks every chunk of ``indices`` up in the chunk ledger of
+        ``ledger_key`` (from :meth:`_ledger_key`) by ``(index, size)``
+        and submits the rest to ``backend``, each from its own
+        ``SeedSequence(seed)`` child; :meth:`_Wave.collect` is the
+        second half.  ``trials`` is the budget whose partition the
         indices come from.
         """
-        wave = _Wave(self, indices, trials, None, reused={}, futures={})
-        if self.cache is not None:
-            wave.ledger_key = self.cache.ledger_key(
-                self.scenario, self.estimator, seed, self.chunk_size
-            )
+        wave = _Wave(
+            self, indices, trials, ledger_key, reused={}, futures={}
+        )
+        if ledger_key is not None:
             wave.reused = self.cache.get_chunks(
                 wave.ledger_key, {index: wave.size(index) for index in indices}
             )
@@ -572,7 +583,11 @@ class ExperimentRunner:
         _require_integer_seed(seed)
         chunks = len(chunk_sizes(trials, self.chunk_size))
         wave = self._dispatch(
-            seed, range(chunks), trials, _serial_if_none(backend)
+            seed,
+            range(chunks),
+            trials,
+            _serial_if_none(backend),
+            self._ledger_key(seed),
         )
         return PendingEstimate(self, trials, wave)
 
@@ -650,6 +665,7 @@ class ExperimentRunner:
         estimate: Estimate | None = None
         done = 0
         active = _serial_if_none(backend)
+        ledger_key = self._ledger_key(seed)
         while done < chunks and (estimate is None or not met(estimate)):
             if done == full_max:
                 # Every full chunk is spent: the ragged remainder
@@ -685,7 +701,7 @@ class ExperimentRunner:
                 chunks=goal - done,
             ):
                 wave = self._dispatch(
-                    seed, range(done, goal), max_trials, active
+                    seed, range(done, goal), max_trials, active, ledger_key
                 )
                 hits += wave.collect()
                 waves.append(wave)

@@ -53,7 +53,16 @@ def enumerate_forks(
     vertices per adversarial slot.  With ``closed_only`` (Definition 12)
     forks with adversarial leaves are discarded — those are the forks over
     which ρ and μ maximise.
+
+    ``closed_only`` also prunes as it goes: an intermediate fork with more
+    adversarial leaves than the rest of the word can still add honest
+    vertices (one per ``h``, ``max_multi_vertices`` per ``H``) can never
+    close.  An honest vertex covers at most one leaf and an adversarial
+    vertex never lowers the count, so every extension of such a fork is
+    pruned too, and the closed forks come out the same and in the same
+    order as without the prune.
     """
+    capacity = _honest_capacity(word, max_multi_vertices)
     forks: dict[tuple, Fork] = {}
     initial = Fork(word)
     forks[canonical_form(initial)] = initial
@@ -65,6 +74,10 @@ def enumerate_forks(
             for extended in _extend_by_slot(
                 fork, slot, symbol, max_multi_vertices, max_adversarial_vertices
             ):
+                if closed_only and (
+                    _adversarial_leaves(extended) > capacity[slot]
+                ):
+                    continue
                 key = canonical_form(extended)
                 if key not in next_forks:
                     next_forks[key] = extended
@@ -74,6 +87,25 @@ def enumerate_forks(
     if closed_only:
         result = [fork for fork in result if fork.is_closed()]
     return result
+
+
+def _honest_capacity(word: str, max_multi: int) -> list[int]:
+    """``capacity[s]``: the most honest vertices slots ``s+1 … |word|``
+    can still add under the enumeration's caps."""
+    capacity = [0] * (len(word) + 1)
+    for slot in range(len(word) - 1, -1, -1):
+        symbol = word[slot]
+        if symbol == HONEST_MULTI:
+            added = max_multi
+        else:
+            added = int(symbol == HONEST_UNIQUE)
+        capacity[slot] = capacity[slot + 1] + added
+    return capacity
+
+
+def _adversarial_leaves(fork: Fork) -> int:
+    """Leaves of ``fork`` that carry an adversarial slot."""
+    return sum(not fork.is_honest_vertex(leaf) for leaf in fork.leaves())
 
 
 def _extend_by_slot(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tests.conftest import all_strings
 from tests.core.enumeration import canonical_form, enumerate_forks
 from repro.core.forks import Fork
 
@@ -64,3 +65,17 @@ class TestEnumeration:
         fewer = enumerate_forks("hAh", max_adversarial_vertices=1)
         more = enumerate_forks("hAh", max_adversarial_vertices=2)
         assert len(more) >= len(fewer)
+
+    def test_closed_pruning_keeps_every_closed_fork_in_order(self):
+        # closed_only prunes forks that can no longer close; filtering
+        # the unpruned enumeration must give the same forks in order.
+        for word in all_strings("hHA", 4):
+            pruned = enumerate_forks(word, 2, 2)
+            unpruned = [
+                fork
+                for fork in enumerate_forks(word, 2, 2, closed_only=False)
+                if fork.is_closed()
+            ]
+            assert [canonical_form(f) for f in pruned] == [
+                canonical_form(f) for f in unpruned
+            ], word

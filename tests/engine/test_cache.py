@@ -159,6 +159,25 @@ class TestInvalidation:
         key_b = cache.ledger_key(scenario, delta_settlement_violation, 1, 512)
         assert cache.digest(key_a) != cache.digest(key_b)
 
+    def test_a_run_hashes_its_key_once(self, cache, monkeypatch):
+        # Every wave of one run shares the run's key object, so its
+        # ledger path is hashed once; the next run's key is hashed anew
+        # and lands in its own ledger.
+        hashed = []
+        digest = ResultCache.digest
+
+        def counted(key):
+            hashed.append(key["seed"])
+            return digest(key)
+
+        monkeypatch.setattr(ResultCache, "digest", staticmethod(counted))
+        runner = make_runner(cache)
+        for seed in (5, 6):
+            runner.run_until(seed, target_se=1e-4, max_trials=8 * 512)
+            assert runner.last_report.waves == 2
+        assert hashed == [5, 6]
+        assert len(list(cache.directory.glob("*.ledger.jsonl"))) == 2
+
 
 class TestEstimatorTokens:
     def test_function_token_is_qualified_name(self):

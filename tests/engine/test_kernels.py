@@ -272,6 +272,99 @@ class TestMarginScanEdges:
         ]
 
 
+def reference_row(initial, word, prefix_length):
+    """Final reach and ``margin_trajectories`` row of ``word`` from a
+    reach ``initial``, by the scalar ``margin_step`` in Python ints.
+
+    ``⊥`` is the identity, and inside the prefix the margin tracks the
+    reach, as in the batched scan.
+    """
+    reach = margin = initial
+    row = [margin]
+    for t, symbol in enumerate(word):
+        if symbol != ".":
+            reach, margin = margin_step(reach, margin, symbol)
+        if t < prefix_length:
+            margin = reach
+        row.append(margin)
+    return reach, row
+
+
+class TestStateTypeLadder:
+    """The scan narrows its state to int8, int16, int32 or int64 by the
+    bound ``max |state| + length``: at a bound just below ``2^(b−1)`` the
+    values reach the edge of the b-bit type, and at the bound itself they
+    would wrap it.  Every case must equal the scalar recurrence and come
+    back as int64."""
+
+    WORDS = [
+        "AAAAAAAA",  # the reach climbs to exactly the bound
+        "hhhhhhhh",
+        "HHHHHHHH",
+        "A.H.hA.A",
+        "..AAhh..",
+        "hHAhHAhH",
+        "AAAA....",
+    ]
+    PREFIXES = [0, 0, 3, 2, 8, 5, 4]
+
+    def check(self, words, prefixes, initial):
+        matrix, _ = kernels.encode_words(words)
+        starts = np.array(prefixes, dtype=np.int64)
+        final_rho, final_mu = kernels.joint_final_states(
+            matrix, starts, initial
+        )
+        trajectories = kernels.margin_trajectories(matrix, starts, initial)
+        assert final_rho.dtype == final_mu.dtype == np.int64
+        assert trajectories.dtype == np.int64
+        for i, (word, prefix) in enumerate(zip(words, prefixes)):
+            reach, row = reference_row(int(initial[i]), word, prefix)
+            assert trajectories[i].tolist() == row, word
+            assert (int(final_rho[i]), int(final_mu[i])) == (reach, row[-1])
+
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    @pytest.mark.parametrize("above", [0, 1], ids=["below", "at"])
+    def test_stationary_starts_at_the_edge(self, bits, above):
+        bound = 2 ** (bits - 1) - 1 + above
+        width = len(self.WORDS[0])
+        # even rows start at bound − width, so the all-A row ends exactly
+        # at the bound; odd rows start near zero, where margins cross it
+        initial = np.full(len(self.WORDS), bound - width, dtype=np.int64)
+        initial[1::2] = np.arange(len(self.WORDS))[1::2] % 3
+        self.check(self.WORDS, self.PREFIXES, initial)
+
+    @pytest.mark.parametrize("above", [0, 1], ids=["below", "at"])
+    def test_row_length_at_the_int8_edge(self, above):
+        width = 127 + above
+        words = [
+            "A" * width,
+            "h" * width,
+            ("AhH." * width)[:width],
+            "." * (width - 1) + "A",
+        ]
+        prefixes = [0, 0, width // 2, width]
+        self.check(words, prefixes, np.zeros(len(words), dtype=np.int64))
+
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    @pytest.mark.parametrize("above", [0, 1], ids=["below", "at"])
+    def test_negative_margins_at_the_edge(self, bits, above):
+        # A margin passed in below zero falls further on honest slots.
+        bound = 2 ** (bits - 1) - 1 + above
+        word = "HhHhHhHh"
+        codes = kernels.encode_word(word)[None, :].repeat(3, axis=0)
+        margins = np.full(3, -(bound - len(word)), dtype=np.int64)
+        reaches = np.array([0, 1, 5], dtype=np.int64)
+        final_rho, final_mu, _ = kernels._margin_scan(
+            codes, reaches, margins, 0, False
+        )
+        for i in range(3):
+            reach, margin = int(reaches[i]), int(margins[i])
+            for symbol in word:
+                reach, margin = margin_step(reach, margin, symbol)
+            assert (int(final_rho[i]), int(final_mu[i])) == (reach, margin)
+        assert final_rho.dtype == final_mu.dtype == np.int64
+
+
 class TestCatalanEquivalence:
     def test_matches_catalan_slots(self):
         words = random_strings("hHA", 120, 1, 60, seed=7)

@@ -16,16 +16,19 @@ The band of live states
 
 One forward sweep to ``k_max = max(checkpoints)`` reads out every
 checkpoint.  It never stores the whole (reach, margin) plane, only the
-band of states that can still change a read-out.  Four facts about
+band of states that can still change a read-out.  Five facts about
 characteristic strings (Theorem 5; cf. "Linear Consistency for
 Proof-of-Stake Blockchains", Blum et al.) make the band exact.  Reach
 and margin each move by at most one per slot.  The margin starts at
 ``ρ(x) ≥ 0``.  The margin transition reads the reach only through the
-predicate ``r = 0``.  And ``m ≤ r`` always holds: it holds at the start
+predicate ``r = 0``.  ``m ≤ r`` always holds: it holds at the start
 (``m = r``), ``A`` raises both by one, an honest symbol lowers ``m`` by
 one and ``r`` by at most one, and where ``m = 0`` stays put, ``r ≥ 0``
-is all that is needed.  So row 0 holds no positive margin, which the
-honest step uses.
+is all that is needed.  So reach 0 holds no positive margin, which the
+honest step uses.  And the diagonal ``d = r − m`` rises by at most one
+per step, so ``d ≤ t`` after step t: it starts at 0, ``A`` keeps it, an
+honest symbol keeps it at ``r > 0`` and lowers it by one where ``m = 0``
+stays put, and only an honest move within reach 0 raises it, by one.
 
 With t steps done and ``s = k_max − t`` steps left:
 
@@ -33,29 +36,44 @@ With t steps done and ``s = k_max − t`` steps left:
   remaining checkpoint, so its mass moves into one ``decided`` scalar;
 * **dropped** — a state with ``m < −s`` can never climb back to 0, so
   its mass leaves the sweep;
-* **empty** — ``m ≥ −t`` (the margin starts non-negative), so the band
-  starts at margin ``−min(t, s)``;
 * **merged top row** — a reach ``r ≥ s`` stays positive for the
-  remaining steps, so every such row acts like one row ``s``;
+  remaining steps, so every such row acts like one row ``s``.  Storing
+  ``min(r, s)`` only lowers d;
+* **strip** — ``0 ≤ d ≤ t``, and a live state has ``r ≤ s`` and
+  ``m ≥ −s``, so ``d ≤ 2s``: the band is the diagonals
+  ``[0, min(t, 2s)]`` of reaches ``[0, s]``.  Its cells with ``m < −s``
+  hold dropped mass, which stays dropped and is never read;
 * **read-out** — a checkpoint's value is ``decided`` plus the band's
-  mass at ``m ≥ 0``;
+  mass at ``m ≥ 0``, i.e. at ``d ≤ r``;
 * **start** — an initial reach ``r₀ ≥ k_max`` gives ``m ≥ r₀ − t ≥ 0``
   at every checkpoint, so that mass is decided before the first step:
   ``β^k_max`` under X_∞, and for a finite prefix the top cell of its
   exact reach law, accumulated as it arises rather than as ``1 −`` the
   rest.
 
-A step touches at most ``(s + 1) × (s + min(t, s))`` cells, about a
-quarter of a full ``(k + 1) × 2k`` plane on average, and the two
-ping-pong buffers are updated in place.  Different horizons prune
-different states, so a per-k run and a multi-checkpoint sweep may
-differ in the last ulp.
+The band is stored by diagonal: row d, column ``r + 1``, and column 0
+an always-zero reach −1.  Both interior moves, ``A`` (r, m) → (r + 1,
+m + 1) and an honest (r, m) → (r − 1, m − 1), keep d, so the interior
+of a step is one add over the whole rectangle, each row a contiguous
+run.  The moves that change d are short strided fix-ups: the margin −1
+cells (the array diagonal) take ``A`` only, the ``m = 0`` hold feeds
+the diagonal above it, and reach 0's honest self-move shifts column
+``r = 0`` one row down.  A step updates ``(min(t, 2s) + 1) × (s + 1)``
+cells, at most ``(k_max/2 + 1)²`` (63 k at ``k_max = 500``, half a
+megabyte), and a sweep about ``0.15·k_max³``, of which about
+``0.14·k_max³`` can ever hold mass.  Two buffers of
+``(2·k_max/3 + 3) × (k_max + 2)`` cells are updated in place,
+ping-pong.  After a step the merged top row may reach
+``m = s + 1``, i.e. ``d = −1``: that cell is decided, and the layout
+does not store it, so its mass is read from the two cells that merge
+into it.  Different horizons prune different states, so a per-k run
+and a multi-checkpoint sweep may differ in the last ulp.
 
 The rescaled basis
 ------------------
 
-Off its edges the band is a birth–death walk along the diagonal: a cell
-receives ``p_A·P[r−1, m−1] + p_hon·P[r+1, m+1]`` (``p_hon = p_h +
+Off its edges the band is a birth–death walk along each diagonal d: a
+cell receives ``p_A·P[r−1, m−1] + p_hon·P[r+1, m+1]`` (``p_hon = p_h +
 p_H``).  A diagonal similarity transform symmetrises such a walk.  The
 sweep stores ``g`` with
 
@@ -63,16 +81,15 @@ sweep stores ``g`` with
     σ_{t+1} = σ_t · c,                   c = √(p_A · p_hon),
 
 and in ``g`` both interior moves have weight exactly 1 (``p_A/(c·θ) =
-p_hon·θ/c = 1``), so one step of the interior is one add per half-band
-(m < 0 and m > 0).  Only the moves that leave the diagonal keep a
-coefficient: row 0's honest self-move (``1/θ``), the corner (``p_h/c``
-and ``p_H/c``) and the reaches merging into the top row
-(``θ^(r − top + 1)``).  A read-out weights row r by ``σ·θ^r``, from a
-``θ^r`` vector built once per sweep.
+p_hon·θ/c = 1``), so one step of the interior is one add.  Only the
+boundary moves keep a coefficient: reach 0's honest self-move (``1/θ``),
+the corner (``p_h/c`` and ``p_H/c``) and the reaches merging into the
+top row (``θ^(r − top + 1)``).  A read-out weights reach r by
+``σ·θ^r``, from a ``θ^r`` vector built once per sweep.
 
 * **no subtraction** — every coefficient is positive, so every cell of
   ``g`` is a sum of non-negative terms, as every cell of ``P`` was; the
-  margin-0 mass of an honest step is placed in its column directly;
+  margin-0 mass of an honest step is placed in its cell directly;
 * **no new underflow** — for p_A < p_hon, θ < 1 and c ≤ 1/2, so
   ``σ·θ^r ≤ 1`` and ``|g| ≥ |P|`` in every cell: a Table 1 cell down to
   1e-264 is stored at least that large;
@@ -192,17 +209,17 @@ def compute_settlement_probabilities(
     results: dict[int, float] = {}
     for t in range(1, k_max + 1):
         left = k_max - t
-        low = -min(t, left)  # lowest live margin after this step
-        settlement_adversarial_step(src, dst, left + 1, low, basis)
-        settlement_honest_step(src, dst, left + 1, low, basis)
+        depth = min(t, 2 * left)  # deepest live diagonal r − m after this step
+        settlement_adversarial_step(src, dst, left + 1, depth, basis)
+        settlement_honest_step(src, dst, left + 1, depth, basis)
         scale *= basis.step_scale
-        decided += scale * settlement_decided_mass(dst, left, powers)
+        decided += scale * settlement_decided_mass(src, dst, left, basis)
         if t in wanted:
             results[t] = decided + scale * settlement_violation_mass(
-                dst, left, powers
+                dst, left, depth, powers
             )
         if scale < FOLD_BELOW:
-            settlement_fold(dst, left, low, scale)
+            settlement_fold(dst, left, depth, scale)
             scale = 1.0
         src, dst = dst, src
 

@@ -43,8 +43,9 @@ throughput).  The joint margin recurrence is one slot-major, in-place
 scan in the narrowest of int8, int16, int32 and int64 that the state
 can never leave, so narrowing never changes a value.  The settlement-DP
 kernels at the bottom of this module update the band of a float64
-(reach, margin) table in place for the exact-DP layer, in a rescaled
-basis where both diagonal moves have weight 1.
+(reach, margin) table in place for the exact-DP layer, stored by
+diagonal r − m in a rescaled basis where both diagonal moves have
+weight 1.
 """
 
 from __future__ import annotations
@@ -684,30 +685,36 @@ def descent_times(
 # a diagonal similarity transform of the transition matrix.  An interior
 # cell receives p_A·P[r−1, m−1] + p_hon·P[r+1, m+1]; in g both weights
 # are exactly 1 (p_A / (c·θ) = p_hon·θ / c = 1), so one step of the
-# interior is one add per half-band.  Only the moves that leave the
-# diagonal keep a coefficient: row 0's honest self-move (1/θ), the corner
-# (p_h/c and p_H/c) and the merged top row (θ^(r − top + 1)).  Every
-# coefficient is positive, so every cell stays a sum of non-negative
-# terms and no step subtracts.  The scalar σ lives in the sweep; a
-# read-out weights row r by σ·θ^r from SettlementBasis.powers.  For
-# p_A < p_hon, σ·θ^r ≤ 1, so |g| ≥ |P| and no cell underflows where P
-# would not; once σ < 1e-100 the sweep folds it into the band
-# (settlement_fold) and restarts it at 1, which keeps g ≤ 1e100.  The
-# analysis.exact module docstring proves these bounds.
+# interior is one add.  Only the boundary moves keep a coefficient:
+# reach 0's honest self-move (1/θ), the corner (p_h/c and p_H/c) and the
+# merged top row (θ^(r − top + 1)).  Every coefficient is positive, so
+# every cell stays a sum of non-negative terms and no step subtracts.
+# The scalar σ lives in the sweep; a read-out weights reach r by σ·θ^r
+# from SettlementBasis.powers.  For p_A < p_hon, σ·θ^r ≤ 1, so
+# |g| ≥ |P| and no cell underflows where P would not; once σ < 1e-100
+# the sweep folds it into the band (settlement_fold) and restarts it at
+# 1, which keeps g ≤ 1e100.  The analysis.exact module docstring proves
+# these bounds.
 #
 # A DP of horizon k_max lives in two ping-pong buffers from
-# settlement_buffers().  Buffer row r + 1 holds reach r; row 0 is reach
-# −1, always zero, so the adversarial move into reach 0 reads zeros and
-# needs no special case.  Column ``zero + m`` holds margin m, where
-# ``zero = shape[1] − shape[0]``.  With s steps left and lowest live
-# margin ``low``, the live band is reaches [0, s] × margins [low, s − 1];
-# reach s is the merged top row (every reach ≥ s).  Cells outside the
-# band are stale and never read, except margins below every ``low`` so
-# far, which were never written and are zero.  Step t reads the band of
-# ``src`` and writes reaches [0, s − 1] × margins [low, s] of ``dst``,
-# where ``low = −min(t, s − 1)`` is the lowest live margin after it: the
-# adversarial step first (it overwrites), then the honest step (it adds,
-# and consumes ``src``).
+# settlement_buffers(), stored by diagonal: row d holds d = r − m and
+# column r + 1 holds reach r, so cell (r, m) is buffer [r − m, r + 1].
+# Column 0 is reach −1, always zero, so the adversarial move into reach
+# 0 reads zeros and needs no special case.  Both interior moves keep d,
+# so the interior step is g'[d, r] = g[d, r − 1] + g[d, r + 1]: one add
+# over a rectangle whose rows are contiguous runs.  After step t, with
+# s steps left, the live band is rows d ∈ [0, min(t, 2s)] × reaches
+# [0, s]; reach s is the merged top row (every reach ≥ s).  Columns past the
+# top are zero: each step zeroes the two columns that leave the band, so
+# a read-out may run a row past the top.  Rows past the band's depth are
+# stale only once the depth shrinks (t > 2·k_max/3), and no step reads
+# them: every read is in a row the previous step wrote, or in one never
+# written, which is zero.  Step t reads the band of ``src`` and writes
+# rows [0, D] × reaches [0, s − 1] of ``dst`` (s steps left before it,
+# D = min(t, 2(s − 1))): the adversarial step first (it overwrites), then
+# the honest step (it adds, and consumes ``src``).  In the array, the
+# margin −1 cells are the diagonal [i, i] and the margin 0 cells the
+# diagonal [i, i + 1] above it.
 
 
 class SettlementBasis(NamedTuple):
@@ -715,9 +722,9 @@ class SettlementBasis(NamedTuple):
 
     #: c = √(p_A·p_hon): the factor σ gains per step.
     step_scale: float
-    #: θ^r for r = 0..k_max: the row weights of a read-out.
+    #: θ^r for r = 0..k_max: the reach weights of a read-out.
     powers: np.ndarray
-    #: 1/θ: row 0's honest self-move (r, m) = (0, m) → (0, m − 1).
+    #: 1/θ: reach 0's honest self-move (r, m) = (0, m) → (0, m − 1).
     self_move: float
     #: p_h/c and p_H/c: the corner (0, 0) → (0, −1) and → (0, 0).
     corner_unique: float
@@ -763,20 +770,14 @@ def settlement_basis(
 
 
 def settlement_buffers(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two zeroed ``(k_max + 2, k_max + k_max // 2 + 3)`` band buffers.
+    """Two zeroed ``(2·k_max // 3 + 3, k_max + 2)`` band buffers.
 
-    Rows are reaches [−1, k_max].  Margins span [−(k_max // 2) − 1,
-    k_max]: a margin never falls below −t after t steps, and below −s it
-    is dropped, so the band's lowest margin is −min(t, s) ≥ −(k_max // 2),
-    and a step reads one margin below its output band.
+    Rows are diagonals d = r − m, columns reaches [−1, k_max].  The band
+    after step t reaches row min(t, 2(k_max − t)), at most 2·k_max // 3,
+    and a step reads two rows past its output (the merged top row).
     """
-    shape = (k_max + 2, k_max + k_max // 2 + 3)
+    shape = (2 * k_max // 3 + 3, k_max + 2)
     return np.zeros(shape), np.zeros(shape)
-
-
-def _zero_column(grid: np.ndarray) -> int:
-    """Column of margin 0 in a :func:`settlement_buffers` buffer."""
-    return grid.shape[1] - grid.shape[0]
 
 
 def settlement_initial_band(
@@ -786,16 +787,15 @@ def settlement_initial_band(
     powers: np.ndarray,
 ) -> float:
     """Write the law of ``(ρ(x), μ_x(ε)) = (r₀, r₀)`` into a fresh
-    :func:`settlement_buffers` buffer, in the basis σ = 1: cell (r₀, r₀)
-    holds ``Pr[ρ(x) = r₀] / θ^r₀``.
+    :func:`settlement_buffers` buffer, in the basis σ = 1: row d = 0,
+    column r₀ + 1 holds ``Pr[ρ(x) = r₀] / θ^r₀``.
 
     Returns the decided mass ``Pr[r₀ ≥ k_max]``: such a start keeps
     ``m ≥ r₀ − t ≥ 0`` at every checkpoint.  ``prefix_length=None`` uses
     the X_∞ geometric law; an integer uses the exact reach law of an
     i.i.d. prefix of that length.
     """
-    k_max = grid.shape[0] - 2
-    zero = _zero_column(grid)
+    k_max = grid.shape[1] - 2
     if prefix_length is None:
         beta = stationary_reach_ratio(probabilities.epsilon)
         reach = (1.0 - beta) * beta ** np.arange(k_max)
@@ -806,9 +806,7 @@ def settlement_initial_band(
     # Pr[ρ = r] ≤ θ^(2r) wherever θ ≤ 1, so a reach with mass never has
     # an underflowed weight; empty reaches stay 0 (no 0/0).
     weights = powers[:k_max]
-    start = np.divide(reach, weights, out=np.zeros(k_max), where=reach > 0)
-    diagonal = np.arange(k_max)
-    grid[diagonal + 1, zero + diagonal] = start
+    np.divide(reach, weights, out=grid[0, 1 : k_max + 1], where=reach > 0)
     return float(decided)
 
 
@@ -849,103 +847,125 @@ def settlement_adversarial_step(
     src: np.ndarray,
     dst: np.ndarray,
     steps_left: int,
-    low: int,
+    depth: int,
     basis: SettlementBasis,
 ) -> None:
-    """The diagonal moves; overwrites every output cell of ``dst``.
+    """The moves that keep d = r − m; overwrites every output cell of
+    ``dst``.
 
-    Writes reaches [0, s − 1] × margins [low, s], where ``low =
-    −min(t, s − 1)`` is the lowest margin after the step.  Each cell
-    gets ``A``, (r, m) → (r+1, m+1), and the honest move (r, m) →
-    (r−1, m−1) from reaches ≥ 1 and margins ≠ 0, both with weight 1:
-    one add per half-band (margins [low, −2] and [0, s − 2]).  Margins
-    −1, s − 1 and s get ``A`` only: their honest sources would be margin
-    0, whose honest moves the honest step places, and margins s and
-    s + 1, already decided.  The top row adds the reaches that merge
-    into it, with weights (θ, θ²).
+    Writes rows [0, D] × reaches [0, s − 1] (s = ``steps_left`` before
+    the step, D = ``depth``, the deepest live diagonal after it).  Each
+    cell gets ``A``, (r, m) → (r+1, m+1), and the honest move (r, m) →
+    (r−1, m−1) from reach r + 1, both with weight 1 and both along row
+    d: one add over the whole rectangle.  Two kinds of cell then get
+    ``A`` only: margin −1 (the array diagonal [i, i]), whose honest
+    source is margin 0, whose moves the honest step places; and the top
+    cell (d = 0, r = s − 1), whose honest source has margin s, already
+    decided.  The top column adds the reaches that merge into it, with
+    weights (θ, θ²), from rows d + 1 and d + 2.  Last, the two columns
+    that leave the band are zeroed.
     """
-    s = steps_left
-    zero = _zero_column(src)
-    # dst rows 1..s (reaches 0..s−1): A from rows 0..s−1, honest from 2..s+1.
-    if low <= -2:
-        np.add(
-            src[:s, zero + low - 1 : zero - 2],
-            src[2 : s + 2, zero + low + 1 : zero],
-            out=dst[1 : s + 1, zero + low : zero - 1],
-        )
-    if low <= -1:
-        dst[1 : s + 1, zero - 1] = src[:s, zero - 2]
-    if s >= 2:
-        np.add(
-            src[:s, zero - 1 : zero + s - 2],
-            src[2 : s + 2, zero + 1 : zero + s],
-            out=dst[1 : s + 1, zero : zero + s - 1],
-        )
-    dst[1 : s + 1, zero + s - 1 : zero + s + 1] = src[:s, zero + s - 2 : zero + s]
-    dst[s, zero + low : zero + s + 1] += basis.merge @ src[
-        s : s + 2, zero + low - 1 : zero + s
+    s, bottom = steps_left, depth + 1
+    width = src.shape[1]
+    diagonal = width + 1  # flat stride along the array diagonal
+    np.add(
+        src[:bottom, :s], src[:bottom, 2 : s + 2], out=dst[:bottom, 1 : s + 1]
+    )
+    # Margin −1 cells [i, i], i = 1..min(D, s), take A only: src[i, i − 1].
+    last = min(depth, s) * diagonal
+    dst.reshape(-1)[diagonal : last + 1 : diagonal] = src.reshape(-1)[
+        width:last:diagonal
     ]
+    dst[0, s] = src[0, s - 1]
+    # Row d: src[d + 1, s] (reach s − 1) and src[d + 2, s + 1] (reach s).
+    merging = np.ndarray(
+        (bottom, 2),
+        buffer=src,
+        offset=(width + s) * src.itemsize,
+        strides=(width * src.itemsize, diagonal * src.itemsize),
+    )
+    top = dst[:bottom, s]
+    top += merging @ basis.merge
+    dst[:, s + 1 : s + 3] = 0.0
 
 
 def settlement_honest_step(
     src: np.ndarray,
     dst: np.ndarray,
     steps_left: int,
-    low: int,
+    depth: int,
     basis: SettlementBasis,
 ) -> None:
-    """The honest moves off the diagonal (Theorem 5, Eq. (14)); adds into
-    ``dst`` and scales ``src``'s reach-0 row in place.
+    """The honest moves that change d = r − m (Theorem 5, Eq. (14));
+    adds into ``dst`` and scales ``src``'s reach-0 column in place.
 
-    At m = 0 with r > 0 the margin stays 0 for both symbols: margin 0 of
-    reaches [0, s − 1].  Row 0 holds no margin above 0 (m ≤ r); its
-    m < 0 cells move within row 0 with weight 1/θ: margins [low, −2] of
-    reach 0.  The corner (0, 0) goes to (0, −1) on ``h`` and stays on
-    ``H``.
+    At m = 0 with r > 0 the margin stays 0 for both symbols, so d falls
+    by one: the margin 0 cells [d, d + 1] of reaches [0, s − 1] take
+    src[d + 1, d + 2].  Reach 0 holds no margin above 0 (m ≤ r); its
+    m < 0 cells move within reach 0 with weight 1/θ, so d rises by one:
+    rows [2, D] of column r = 0 take rows [1, D − 1].  The corner
+    (0, 0) goes to (0, −1) on ``h`` and stays on ``H``.
     """
     s = steps_left
-    zero = _zero_column(src)
-    corner = src[1, zero]
-    dst[1 : s + 1, zero] += src[2 : s + 2, zero]
-    if low <= -2:
-        row = src[1, zero + low + 1 : zero]
-        row *= basis.self_move
-        dst[1, zero + low : zero - 1] += row
-    dst[1, zero - 1] += basis.corner_unique * corner
-    dst[1, zero] += basis.corner_multi * corner
+    diagonal = src.shape[1] + 1
+    # Margin 0 cells [i, i + 1], i = 0..min(D, s − 1), add src[i + 1, i + 2].
+    last = min(depth, s - 1) * diagonal + 1
+    hold = dst.reshape(-1)[1 : last + 1 : diagonal]
+    hold += src.reshape(-1)[diagonal + 1 : last + diagonal + 1 : diagonal]
+    corner = src[0, 1]
+    moving = src[1:depth, 1]
+    moving *= basis.self_move
+    reach_zero = dst[2 : depth + 1, 1]
+    reach_zero += moving
+    dst[1, 1] += basis.corner_unique * corner
+    dst[0, 1] += basis.corner_multi * corner
 
 
 def settlement_decided_mass(
-    grid: np.ndarray, steps_left: int, powers: np.ndarray
+    src: np.ndarray, dst: np.ndarray, steps_left: int, basis: SettlementBasis
 ) -> float:
     """Mass (in units of σ) a step pushed to ``m ≥ s`` (s = ``steps_left``,
     after it).
 
-    Such states violate at every remaining checkpoint.  One step reaches
-    at most margin s + 1, so two columns hold all of it.
+    Such states violate at every remaining checkpoint.  Only the merged
+    top row holds any (m ≤ r elsewhere), and one step reaches at most
+    margin s + 1: the top cell (d = 0) of ``dst``, and its d = −1 cell,
+    which the layout does not store, so it is taken from its merge
+    terms in ``src``.
     """
-    zero = _zero_column(grid)
     s = steps_left
-    column_mass = powers[: s + 1] @ grid[1 : s + 2, zero + s : zero + s + 2]
-    return float(column_mass[0] + column_mass[1])
+    theta, theta_squared = basis.merge
+    above = theta * src[0, s + 1] + theta_squared * src[1, s + 2]
+    return float(basis.powers[s] * (dst[0, s + 1] + above))
 
 
 def settlement_violation_mass(
-    grid: np.ndarray, steps_left: int, powers: np.ndarray
+    grid: np.ndarray, steps_left: int, depth: int, powers: np.ndarray
 ) -> float:
     """Band mass (in units of σ) at ``m ≥ 0``; add the decided mass for
-    ``Pr[m ≥ 0]``."""
-    zero = _zero_column(grid)
+    ``Pr[m ≥ 0]``.
+
+    The margins [0, s − 1] of row d are reaches [d, d + s − 1], one
+    contiguous run; the cells past the top reach s are zero.  So a
+    skewed view of rows [0, min(D, s)] holds every such cell, and reach
+    r = d + m weighs θ^d · θ^m: one matrix-vector product and one dot.
+    No run wraps into the next row: D ≤ t, so d + s ≤ k_max.
+    """
     s = steps_left
-    block = grid[1 : s + 2, zero : zero + s]
-    return float((powers[: s + 1] @ block).sum())
+    rows = min(depth, s) + 1
+    item = grid.itemsize
+    skewed = np.ndarray(
+        (rows, s),
+        buffer=grid,
+        offset=item,
+        strides=((grid.shape[1] + 1) * item, item),
+    )
+    return float(powers[:rows] @ (skewed @ powers[:s]))
 
 
 def settlement_fold(
-    grid: np.ndarray, steps_left: int, low: int, scale: float
+    grid: np.ndarray, steps_left: int, depth: int, scale: float
 ) -> None:
-    """Multiply the band (s = ``steps_left``, lowest margin ``low``) by
-    ``scale``, so the sweep's σ can restart at 1."""
-    zero = _zero_column(grid)
-    s = steps_left
-    grid[1 : s + 2, zero + low : zero + s] *= scale
+    """Multiply the band (s = ``steps_left``, deepest diagonal ``depth``)
+    by ``scale``, so the sweep's σ can restart at 1."""
+    grid[: depth + 1, 1 : steps_left + 2] *= scale

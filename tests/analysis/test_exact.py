@@ -57,14 +57,15 @@ def unsaturated_prefix_reach_pmf(probs, length):
     return pmf
 
 
-def dense_reference(probs, k_max, prefix_length=None):
+def dense_grids(probs, k_max, prefix_length=None):
     """The full-grid (reach, margin) DP, kept here as an oracle.
 
     Rows index reach r ∈ [0, R] with R = k_max + 2 (reach saturates at
     R, which no horizon t ≤ k_max can tell apart); columns index margin
-    m ∈ [−k_max, R].  Initial mass at r₀ ≥ R sits in the corner (R, R),
-    taken from the accumulated tail of the reach law, not as 1 − the
-    rest.  Returns ``Pr[m ≥ 0]`` after every step t = 1..k_max.
+    m ∈ [−k_max, R], so column k_max is m = 0.  Initial mass at r₀ ≥ R
+    sits in the corner (R, R), taken from the accumulated tail of the
+    reach law, not as 1 − the rest.  Yields the grid after every step
+    t = 1..k_max.
     """
     cap = k_max + 2
     zero = k_max  # column of m = 0
@@ -102,15 +103,21 @@ def dense_reference(probs, k_max, prefix_length=None):
             out[0, zero] += g[0, zero]
         return out
 
-    values = []
     for _ in range(k_max):
         grid = (
             probs.p_adversarial * adversarial(grid)
             + probs.p_unique * honest(grid, unique=True)
             + probs.p_multi * honest(grid, unique=False)
         )
-        values.append(float(grid[:, zero:].sum()))
-    return values
+        yield grid
+
+
+def dense_reference(probs, k_max, prefix_length=None):
+    """``Pr[m ≥ 0]`` after every step t = 1..k_max of :func:`dense_grids`."""
+    return [
+        float(grid[:, k_max:].sum())
+        for grid in dense_grids(probs, k_max, prefix_length)
+    ]
 
 
 def relative_gap(value, reference):
@@ -158,6 +165,18 @@ class TestAgainstDenseReference:
                 for k in checkpoints:
                     gap = relative_gap(run[k], reference[k - 1])
                     assert gap <= 1e-13, (k_max, k, run[k], reference[k - 1])
+
+    @pytest.mark.parametrize("probs,prefix_length", DENSE_CASES)
+    @pytest.mark.parametrize("k_max", [7, 60])
+    def test_mass_stays_in_diagonal_strip(self, probs, prefix_length, k_max):
+        """The band's lemma: d = r − m starts at 0 and rises by at most
+        one per step, so after step t every state below the saturated
+        reach has 0 ≤ r − m ≤ t."""
+        for t, grid in enumerate(dense_grids(probs, k_max, prefix_length), 1):
+            reach, column = np.nonzero(grid[:-1])
+            diagonal = reach - (column - k_max)
+            assert diagonal.min() >= 0, (t, diagonal.min())
+            assert diagonal.max() <= t, (t, diagonal.max())
 
     @pytest.mark.parametrize("alpha,fraction", [(0.01, 1.0), (0.3, 0.5), (0.49, 0.01)])
     @pytest.mark.parametrize("k", [1, 2, 5, 40, 100])
@@ -355,7 +374,7 @@ class TestDeepCellPins:
         "alpha,fraction,depth,expected",
         [
             (0.20, 0.8, 300, 8.483867827023524e-22),
-            (0.30, 0.5, 300, 6.188722594737571e-08),
+            (0.30, 0.5, 300, 6.18872259473757e-08),
             (0.20, 1.0, 120, 8.453003893834893e-10),
         ],
     )

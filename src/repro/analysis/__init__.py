@@ -20,7 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.analysis.exact": (
-            "SettlementComputation",
             "settlement_table",
             "settlement_violation_probability",
         ),

@@ -112,8 +112,6 @@ orchestration and the Table 1 presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.distributions import SlotProbabilities, from_adversarial_stake
 from repro.engine.kernels import (
     settlement_adversarial_step,
@@ -131,23 +129,6 @@ from repro.engine.kernels import (
 FOLD_BELOW = 1e-100
 
 
-@dataclass(frozen=True)
-class SettlementComputation:
-    """Result of one DP run: violation probabilities at each checkpoint.
-
-    ``probabilities[k]`` is the exact probability that slot ``|x| + 1`` is
-    not k-settled (margin non-negative at suffix length ``k``) under the
-    configured slot distribution and initial-reach model.
-    """
-
-    slot_probabilities: SlotProbabilities
-    prefix_model: str
-    probabilities: dict[int, float]
-
-    def __getitem__(self, k: int) -> float:
-        return self.probabilities[k]
-
-
 def settlement_violation_probability(
     probabilities: SlotProbabilities,
     k: int,
@@ -159,18 +140,20 @@ def settlement_violation_probability(
     as in Table 1); an integer uses the exact reach distribution of a
     length-``prefix_length`` i.i.d. prefix.
     """
-    computation = compute_settlement_probabilities(
+    return compute_settlement_probabilities(
         probabilities, [k], prefix_length=prefix_length
-    )
-    return computation[k]
+    )[k]
 
 
 def compute_settlement_probabilities(
     probabilities: SlotProbabilities,
     checkpoints: list[int],
     prefix_length: int | None = None,
-) -> SettlementComputation:
+) -> dict[int, float]:
     """Run the joint (reach, margin) DP, reading out each checkpoint.
+
+    Returns ``{k: Pr[slot |x| + 1 is not k-settled]}`` for every
+    checkpoint ``k`` (margin non-negative at suffix length ``k``).
 
     One banded sweep to ``max(checkpoints)`` serves every requested
     ``k`` (see the module docstring for why the band is exact).  Raises
@@ -188,15 +171,12 @@ def compute_settlement_probabilities(
         raise ValueError("checkpoints must be positive suffix lengths")
     if prefix_length is not None and prefix_length < 0:
         raise ValueError(f"prefix_length must be ≥ 0, got {prefix_length}")
-    model = "x->infinity" if prefix_length is None else f"|x|={prefix_length}"
     if probabilities.p_adversarial <= 0 or probabilities.p_honest <= 0:
         if prefix_length is None:
             raise ValueError(
                 "the |x| → ∞ reach law X_∞ needs adversarial and honest slots"
             )
-        return SettlementComputation(
-            probabilities, model, _one_sided(probabilities, checkpoints)
-        )
+        return _one_sided(probabilities, checkpoints)
     k_max = max(checkpoints)
     wanted = set(checkpoints)
 
@@ -223,7 +203,7 @@ def compute_settlement_probabilities(
             scale = 1.0
         src, dst = dst, src
 
-    return SettlementComputation(probabilities, model, results)
+    return results
 
 
 def _one_sided(

@@ -1,4 +1,4 @@
-"""Slot settlement (Definition 3) and the settlement game (Section 2.2).
+"""Slot settlement (Definition 3).
 
 Slot ``s`` is *k-settled* in ``w`` when no fork for any sufficiently long
 prefix of ``w`` contains two maximum-length tines diverging before ``s``.
@@ -12,14 +12,13 @@ The operational characterisations used here:
 * slot ``s`` admits a violation *at the end of* ``w``  ⇔
   ``μ_{w[:s−1]}(w[s−1:]) ≥ 0``  (Fact 6 / Observation 2 via x-balanced
   forks);
-* the settlement game of Section 2.2 is implemented as a challenger that
-  any adversary strategy can be played against; the optimal strategy is
-  :class:`repro.core.adversary_star.AdversaryStar`.
+* the optimal adversary wins the settlement game of Section 2.2 on
+  ``w`` exactly when ``not is_k_settled(w, s, k)``; the move-by-move
+  game, which any adversary strategy can be played in, is
+  :mod:`repro.core.game`.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from repro.core.alphabet import ADVERSARIAL, is_honest
 from repro.core.catalan import catalan_slots
@@ -89,52 +88,6 @@ def settlement_time(word: str, slot: int) -> int | None:
     if last_violation == len(sequence) - 1:
         return None
     return last_violation + 1
-
-
-class SettlementGame:
-    """The (D, T; s, k)-settlement game of Section 2.2.
-
-    The challenger is deterministic; an *adversary strategy* is a callable
-    receiving the characteristic string consumed so far (ending in the
-    current slot's symbol) and the mutable game state.  The optimal
-    strategy builds canonical forks; random or greedy strategies give
-    Monte-Carlo lower bounds on the violation probability.
-
-    For tractability the game records only the quantities that decide the
-    outcome — the joint (reach, margin) trajectory — because Theorem 6
-    shows the optimal adversary attains the Theorem 5 recurrence values
-    and Fact 6 converts the final margin sign into the violation verdict.
-    Concrete fork-building adversaries are exercised separately through
-    :class:`repro.core.adversary_star.AdversaryStar`.
-    """
-
-    def __init__(self, target_slot: int, depth: int) -> None:
-        if target_slot < 1:
-            raise ValueError("target slot must be >= 1")
-        self.target_slot = target_slot
-        self.depth = depth
-
-    def adversary_wins(self, word: str) -> bool:
-        """Outcome under *optimal* play on the drawn string ``word``.
-
-        The adversary wins when slot ``target_slot`` is not k-settled in
-        some fork for some prefix of length ≥ ``target_slot + depth``.
-        """
-        if len(word) < self.target_slot + self.depth:
-            raise ValueError(
-                f"string of length {len(word)} too short for slot "
-                f"{self.target_slot} with depth {self.depth}"
-            )
-        return not is_k_settled(word, self.target_slot, self.depth)
-
-    def win_probability(
-        self,
-        sampler: Callable[[], str],
-        trials: int,
-    ) -> float:
-        """Monte-Carlo estimate of the optimal adversary's win rate."""
-        wins = sum(self.adversary_wins(sampler()) for _ in range(trials))
-        return wins / trials
 
 
 def longest_settlement_free_window(word: str) -> int:

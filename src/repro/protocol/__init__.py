@@ -12,11 +12,12 @@ implements that protocol end to end:
 * :mod:`repro.protocol.tiebreak` — the A0 and A0′ chain-selection rules;
 * :mod:`repro.protocol.network` — synchronous and Δ-bounded networks with
   a rushing adversary;
-* :mod:`repro.protocol.events` — the deterministic discrete-event core
-  (monotone clock, stable ``(time, sequence)`` ordering);
-* :mod:`repro.protocol.transport` — continuous-time WAN delivery
-  (per-link latency + bandwidth, gossip topologies, seeded jitter) with
-  the slot model as its degenerate case;
+* :mod:`repro.protocol.events` — a standalone deterministic event queue
+  (monotone clock, stable ``(time, sequence)`` ordering); no simulation
+  path uses it;
+* :mod:`repro.protocol.transport` — WAN transit times (per-link latency
+  + bandwidth, gossip topologies, seeded jitter) on the slot network,
+  with the slot model as its degenerate case;
 * :mod:`repro.protocol.node` — honest longest-chain nodes;
 * :mod:`repro.protocol.adversary` — protocol-level attack strategies;
 * :mod:`repro.protocol.simulation` — the slot-driven engine and the

@@ -1,9 +1,12 @@
-"""Deterministic discrete-event core for the continuous-time network.
+"""A deterministic discrete-event queue with a monotone clock.
 
-PR 3 established that the event queue is where subtle ordering bugs
-live (the equality-aliased ``(priority, list.index)`` regression), so
-the continuous-time scheduler is specified — and property-tested — as
-its own tiny module with an explicit contract:
+No simulation path uses it: the WAN
+:class:`~repro.protocol.transport.Transport` books its deliveries into
+the slot buckets of :class:`~repro.protocol.network.NetworkModel`, since
+a delivery's continuous time is only ever observed through its slot.
+The scheduler stays as a standalone, property-tested primitive while
+``perfbench/layers.py`` still wraps its ``pop_until`` and the ``wan``
+record of ``benchmarks/run_all.py`` still times it.  Its contract:
 
 * **Stable ordering.**  Events are served in ``(time, sequence)`` order,
   where ``sequence`` is a monotone stamp assigned at schedule time.
@@ -17,11 +20,9 @@ its own tiny module with an explicit contract:
   slot-bucketed :class:`~repro.protocol.network.NetworkModel` when the
   adversary injects into an already-drained slot).
 * **Determinism.**  The scheduler itself draws no randomness.
-  Stochastic delays are sampled by the caller (the transport layer)
-  from seeded generators *before* scheduling, so a schedule is a pure
-  function of the call sequence — bit-identical under re-run with the
-  same seed, which is what lets the engine's per-chunk ``SeedSequence``
-  contract extend to continuous-time networks unchanged.
+  Stochastic delays are sampled by the caller from seeded generators
+  *before* scheduling, so a schedule is a pure function of the call
+  sequence — bit-identical under re-run with the same seed.
 
 ``tests/protocol/test_events.py`` pins all of this down with
 hypothesis-generated workloads: no event is ever lost or duplicated,

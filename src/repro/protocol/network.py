@@ -15,6 +15,13 @@ Adversary strategies interact with the network only through
 :meth:`NetworkModel.broadcast` (honest, deadline-bound) and
 :meth:`NetworkModel.inject` (adversarial, unconstrained).
 
+A broadcast in slot ``t`` with hold ``h`` lands in slot ``⌊t + h +
+transit⌋``, where :meth:`NetworkModel.transits` gives the physical
+transit per recipient: zero here, where links are free, and link
+physics in the WAN :class:`~repro.protocol.transport.Transport`, which
+overrides only that method.  Both models share this one delivery
+queue.
+
 Delivery order is the documented ``(priority, enqueue order)`` contract:
 every :class:`Delivery` carries a monotone sequence number stamped at
 enqueue time, so two *value-equal* messages (same block, recipient,
@@ -22,29 +29,33 @@ slot, and priority — which the adversary can manufacture at will) are
 still distinct schedule entries and drain in exact enqueue order.  The
 queue is bucketed per recipient and per delivery slot; :meth:`due` pops
 whole buckets, so one call costs O(m log m) in the m messages actually
-due rather than rescanning the global queue.
+due rather than rescanning the global queue.  A message booked into a
+slot that was already drained is delivered by the recipient's next
+drain, at its ``(priority, sequence)`` position in that batch.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from typing import NamedTuple
 
 from repro.protocol.block import Block
 
 
-@dataclass
-class Delivery:
-    """One scheduled message: ``block`` reaches ``recipient`` in ``slot``."""
+class Delivery(NamedTuple):
+    """One scheduled message; its bucket names the recipient and slot.
 
-    recipient: str
+    Tuple order is delivery order: ``priority`` (lower = earlier,
+    adversary-chosen) and then ``sequence``, the monotone enqueue stamp
+    that breaks priority ties in enqueue order and keeps value-equal
+    duplicates apart.  Stamps are unique, so a comparison never reaches
+    the block.
+    """
+
+    priority: int
+    sequence: int
     block: Block
-    slot: int
-    #: Within-slot delivery order (lower = earlier), adversary-chosen.
-    priority: int = 0
-    #: Monotone enqueue stamp; breaks priority ties in enqueue order and
-    #: keeps value-equal duplicates apart (they are distinct deliveries).
-    sequence: int = 0
 
 
 class NetworkModel:
@@ -74,13 +85,21 @@ class NetworkModel:
         }
         self._sequence = 0
         self._pending = 0
+        #: The latest slot any message was booked into.
+        self._latest = 0
         #: Realized end-to-end delay (in slot units) of every honest
         #: broadcast delivery to a party other than the sender — the
-        #: sample behind ``SimulationResult.delay_distribution()``.  In
-        #: the slot-quantized model this is just the adversary's hold;
-        #: the continuous-time :class:`~repro.protocol.transport.
-        #: Transport` adds the physical transit on top.
+        #: sample behind ``SimulationResult.delay_distribution()``: the
+        #: adversary's hold plus the physical transit.
         self.realized_delays: list[float] = []
+
+    def transits(self, block: Block, sender: str | None) -> list[float]:
+        """Physical transit of ``block`` to each recipient, in slot units.
+
+        One value per recipient, in recipient order.  The slot model's
+        links are free, so every transit is zero.
+        """
+        return [0.0] * len(self.recipients)
 
     def broadcast(
         self,
@@ -92,30 +111,42 @@ class NetworkModel:
     ) -> None:
         """Honest broadcast: deliver to everyone within the Δ deadline.
 
-        ``delays[name] ∈ [0, Δ]`` is the adversary's per-recipient delay
-        choice (default: maximal allowed delay 0 in the synchronous
-        model, Δ otherwise must be chosen explicitly — the default here
-        is immediate delivery, the honest-friendly schedule).
+        ``delays[name] ∈ [0, Δ]`` is the adversary's per-recipient hold
+        (default 0, immediate delivery — the honest-friendly schedule).
+        Every hold is checked before anything is booked.  The hold
+        *composes* with the physical transit (:meth:`transits`): the
+        adversary delays the hand-off to the network, then physics takes
+        over, so a delivery lands in slot ``⌊sent_slot + hold +
+        transit⌋``.  A4Δ bounds the hold, not the transit, which may
+        legitimately outlast Δ (see :meth:`final_drain_slot`).
 
-        ``sender`` names the broadcasting party; the slot model ignores
-        it for scheduling (the graph is complete and links are free) but
-        uses it to exclude the sender's own loopback delivery from the
-        realized-delay sample.  Transport subclasses additionally route
-        by it.
+        ``sender`` names the broadcasting party; the transit routes by
+        it, and the sender's own loopback delivery is left out of the
+        realized-delay sample.
         """
-        delays = delays or {}
-        priorities = priorities or {}
-        for recipient in self.recipients:
-            delay = delays.get(recipient, 0)
-            if not 0 <= delay <= self.delta:
+        recipients = self.recipients
+        if delays:
+            holds = [delays.get(recipient, 0) for recipient in recipients]
+            if min(holds, default=0) < 0 or max(holds, default=0) > self.delta:
+                hold = next(h for h in holds if not 0 <= h <= self.delta)
                 raise ValueError(
-                    f"delay {delay} outside [0, {self.delta}] for honest "
+                    f"delay {hold} outside [0, {self.delta}] for honest "
                     f"broadcast (axiom A0/A4Δ violation)"
                 )
-            self._push(recipient, block, sent_slot + delay,
-                       priorities.get(recipient, 0))
+        else:
+            holds = [0] * len(recipients)
+        priorities = priorities or {}
+        transits = self.transits(block, sender)
+        push, realized, floor = self._push, self.realized_delays, math.floor
+        for recipient, hold, transit in zip(recipients, holds, transits):
+            push(
+                recipient,
+                block,
+                floor(sent_slot + hold + transit),
+                priorities.get(recipient, 0),
+            )
             if recipient != sender:
-                self.realized_delays.append(float(delay))
+                realized.append(hold + transit)
 
     def inject(
         self,
@@ -126,25 +157,25 @@ class NetworkModel:
     ) -> None:
         """Adversarial injection: any block, any recipient, any time.
 
-        Default priority −1 delivers *before* the slot's honest messages,
-        modelling the rushing adversary's head start.
+        The adversary's own channel: untouched by the transit, and left
+        out of the honest realized-delay sample.  Default priority −1
+        delivers *before* the slot's honest messages, modelling the
+        rushing adversary's head start.
         """
         self._push(recipient, block, deliver_slot, priority)
 
     def _push(
         self, recipient: str, block: Block, slot: int, priority: int
     ) -> None:
+        bucket = self._buckets[recipient]  # KeyError: not a recipient
         self._sequence += 1
-        bucket = self._buckets.setdefault(recipient, {})
         deliveries = bucket.get(slot)
         if deliveries is None:
             deliveries = bucket[slot] = []
-            heapq.heappush(
-                self._slot_heaps.setdefault(recipient, []), slot
-            )
-        deliveries.append(
-            Delivery(recipient, block, slot, priority, self._sequence)
-        )
+            heapq.heappush(self._slot_heaps[recipient], slot)
+            if slot > self._latest:
+                self._latest = slot
+        deliveries.append(Delivery(priority, self._sequence, block))
         self._pending += 1
 
     def ready(self, slot: int) -> list[str]:
@@ -178,7 +209,7 @@ class NetworkModel:
         due_now: list[Delivery] = []
         while heap and heap[0] <= slot:
             due_now.extend(bucket.pop(heapq.heappop(heap)))
-        due_now.sort(key=lambda d: (d.priority, d.sequence))
+        due_now.sort()
         self._pending -= len(due_now)
         return [d.block for d in due_now]
 
@@ -187,11 +218,11 @@ class NetworkModel:
         return self._pending
 
     def final_drain_slot(self, total_slots: int) -> int:
-        """The slot whose drain empties every deadline-bound message.
+        """The slot whose drain empties the network.
 
-        The slot model's deadline is ``total_slots + Δ`` (axiom A4Δ).
-        Transport subclasses override this with their scheduling
-        horizon: physical transit may legitimately outlast the Δ budget,
-        and the end-of-run views must still include those messages.
+        The deadline of the last honest broadcast is ``total_slots + Δ``
+        (axiom A4Δ); physical transit and adversarial injections may be
+        booked later still, and the end-of-run views must include them
+        too, so the drain reaches the latest booked slot.
         """
-        return total_slots + self.delta
+        return max(total_slots + self.delta, self._latest)

@@ -142,7 +142,7 @@ class Simulation:
             for party in honest_parties
         }
         # ``transport=None`` keeps the paper's slot-quantized model;
-        # a config swaps in the continuous-time WAN, whose jitter seed
+        # a config adds WAN transit times, whose jitter seed
         # derives from the same randomness string as the VRF — the
         # schedule stays a pure function of the trial's randomness.
         if transport is None:
@@ -277,9 +277,8 @@ class Simulation:
             records.append(record)
 
         # Final drain so end-of-run views include the last slot's
-        # messages.  The network names the slot: ``total + Δ`` for the
-        # slot model, its scheduling horizon for the transport (physical
-        # transit may legitimately outlast the Δ budget).
+        # messages: ``total + Δ``, or the latest booked slot when transit
+        # or an injection reaches past the Δ budget.
         final_slot = network.final_drain_slot(self.total_slots)
         for name, node in nodes.items():
             for block in network.due(name, final_slot):

@@ -1,4 +1,4 @@
-"""Continuous-time heterogeneous transport (the WAN behind the Δ axiom).
+"""WAN link physics behind the Δ axiom: transit times for the slot network.
 
 The paper's network model quantizes delivery into slots under a single
 worst-case Δ; its guarantees hold against *any* schedule the adversary
@@ -6,21 +6,22 @@ realizes within that budget.  A real WAN produces a distribution of
 effective delays instead of a constant — per-link latency, bandwidth,
 message size, gossip relay hops, and jitter.  :class:`Transport` models
 exactly that, following hydrachain's transport cost model (per-link
-base latency + bandwidth, message-size-dependent transfer time), while
-keeping the paper's adversary intact:
+base latency + bandwidth, message-size-dependent transfer time), as the
+slot-quantized :class:`~repro.protocol.network.NetworkModel` with one
+method overridden: :meth:`Transport.transits`.  Everything else is the
+slot model's, so the paper's adversary stays intact:
 
 * the **adversarial hold** (``delays[recipient]``, slot-granular,
   enforced ≤ Δ) *composes* with the physical transit — the adversary
   delays the hand-off to the network, then physics takes over.  It
   never overwrites or clamps the transit;
 * **per-recipient ordering** within one ingestion batch stays the
-  documented ``(priority, enqueue order)`` contract of
-  :class:`~repro.protocol.network.NetworkModel` — the rushing adversary
-  still controls A0 tie-break order; physics only decides *which slot*
-  a message becomes available in;
+  documented ``(priority, enqueue order)`` contract — the rushing
+  adversary still controls A0 tie-break order; physics only decides
+  *which slot* a message becomes available in;
 * **injection** stays out-of-band: the adversary delivers its own
   blocks on its own channel at whatever slot it names, unconstrained by
-  topology or bandwidth (exactly the slot model's ``inject``).
+  topology or bandwidth.
 
 Delay model (slot units, hydrachain §1 generalized to relays)::
 
@@ -40,24 +41,21 @@ in slot ``⌊t + h + transit⌋``.
 test_transport.py``): with a uniform sub-slot link latency, infinite
 bandwidth, a complete graph, and no jitter — the default
 :class:`TransportConfig` — every delivery lands in exactly the slot the
-slot-quantized :class:`~repro.protocol.network.NetworkModel` assigns,
-with identical ``(priority, sequence)`` ordering, so whole
-``SimulationResult``s are bit-identical.  The paper's model is the
-special case, not a parallel code path.
+slot-quantized model assigns, with identical ``(priority, sequence)``
+ordering, so whole ``SimulationResult``s are bit-identical.  The
+paper's model is the special case, not a parallel code path.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.protocol.block import Block
-from repro.protocol.events import EventScheduler
-from repro.protocol.network import Delivery, NetworkModel
+from repro.protocol.network import NetworkModel
 
 __all__ = [
     "BLOCK_HEADER_BYTES",
@@ -68,7 +66,6 @@ __all__ = [
     "build_adjacency",
     "hop_counts",
     "message_size",
-    "sample_jitter",
     "sample_jitters",
     "transport_seed",
 ]
@@ -150,28 +147,20 @@ def message_size(block: Block) -> int:
     return BLOCK_HEADER_BYTES + len(block.payload.encode("utf-8"))
 
 
-def sample_jitter(config: TransportConfig, generator: np.random.Generator) -> float:
-    """One jitter draw from the configured distribution.
+def sample_jitters(
+    config: TransportConfig, generator: np.random.Generator, count: int
+) -> list[float]:
+    """``count`` draws from the configured jitter distribution.
 
     ``fixed`` is a constant offset of ``jitter_scale``; ``uniform``
     draws from ``[0, jitter_scale)``; ``exponential`` draws with mean
     ``jitter_scale`` truncated at :attr:`TransportConfig.
-    exponential_cap`.  A scale of 0 returns 0.0 *without consuming the
-    generator* — the degenerate configuration leaves the seeded stream
-    untouched, so enabling jitter later never silently re-keys
-    anything else.
-    """
-    return sample_jitters(config, generator, 1)[0]
-
-
-def sample_jitters(
-    config: TransportConfig, generator: np.random.Generator, count: int
-) -> list[float]:
-    """``count`` jitter draws (see :func:`sample_jitter`) in one call.
-
-    One ``size=count`` draw equals ``count`` scalar draws value for
-    value and leaves the generator in the same state, so a broadcast
-    draws its recipients' jitter at once without changing the stream.
+    exponential_cap`.  A scale of 0 returns zeros *without consuming
+    the generator* — the degenerate configuration leaves the seeded
+    stream untouched, so enabling jitter later never silently re-keys
+    anything else.  One ``size=count`` draw equals ``count`` scalar
+    draws value for value and leaves the generator in the same state,
+    so a broadcast draws its recipients' jitter at once.
     """
     scale = config.jitter_scale
     if scale == 0 or config.jitter == "fixed":
@@ -267,15 +256,13 @@ def hop_counts(adjacency: dict[str, list[str]], source: str) -> dict[str, int]:
 
 
 class Transport(NetworkModel):
-    """Continuous-time message delivery with the slot model's adversary.
+    """The slot model's network with WAN link physics.
 
-    A :class:`~repro.protocol.network.NetworkModel` whose delivery times
-    live on the continuous line: one :class:`~repro.protocol.events.
-    EventScheduler` per recipient holds ``(time, sequence)``-ordered
-    deliveries, and :meth:`due` drains everything landing inside the
-    asked slot (``time < slot + 1``), then sorts the batch by the
-    inherited ``(priority, sequence)`` contract.  See the module
-    docstring for the delay model and the degenerate-case guarantee.
+    A :class:`~repro.protocol.network.NetworkModel` whose
+    :meth:`transits` are ``hops · (latency + size / bandwidth) +
+    jitter`` instead of zero; holds, injection, the delivery queue and
+    the final drain are the slot model's own.  See the module docstring
+    for the delay model and the degenerate-case guarantee.
 
     ``seed`` keys the jitter generator; simulations derive it from
     their randomness string via :func:`transport_seed`, so a trial's
@@ -293,12 +280,8 @@ class Transport(NetworkModel):
         super().__init__(recipients, delta)
         self.config = config if config is not None else TransportConfig()
         self._rng = np.random.default_rng(seed)
-        self._schedulers = {name: EventScheduler() for name in self.recipients}
         self._adjacency = build_adjacency(self.recipients, self.config)
         self._hops: dict[str, dict[str, int]] = {}
-        self._horizon = 0
-
-    # -- routing -------------------------------------------------------
 
     def hops_from(self, sender: str | None) -> dict[str, int]:
         """Relay hop counts from ``sender`` to every recipient.
@@ -315,39 +298,13 @@ class Transport(NetworkModel):
             self._hops[sender] = cached
         return cached
 
-    # -- NetworkModel interface ----------------------------------------
+    def transits(self, block: Block, sender: str | None) -> list[float]:
+        """Transit over ``hops`` store-and-forward links, per recipient.
 
-    def broadcast(
-        self,
-        block: Block,
-        sent_slot: int,
-        delays: dict[str, int] | None = None,
-        priorities: dict[str, int] | None = None,
-        sender: str | None = None,
-    ) -> None:
-        """Honest broadcast: adversarial hold, then physics.
-
-        The hold (``delays[recipient]``) is still enforced within the Δ
-        budget — A4Δ bounds the *adversary*, not the network fabric.
-        The physical transit composes on top and may legitimately
-        exceed Δ; :meth:`~NetworkModel.final_drain_slot` and the
-        realized-delay sample make that excess observable instead of
-        silently clamping it.
-
-        Transit over ``hops`` store-and-forward links is ``hops ·
-        (latency + size / bandwidth) + jitter``; the jitter of every
-        recipient at least one hop away is drawn in one call, in
+        ``hops · (latency + size / bandwidth) + jitter``; the jitter of
+        every recipient at least one hop away is drawn in one call, in
         recipient order, and the sender's own copy is free.
         """
-        delays = delays or {}
-        priorities = priorities or {}
-        holds = [delays.get(recipient, 0) for recipient in self.recipients]
-        for hold in holds:
-            if not 0 <= hold <= self.delta:
-                raise ValueError(
-                    f"delay {hold} outside [0, {self.delta}] for honest "
-                    f"broadcast (axiom A0/A4Δ violation)"
-                )
         per_hop = self.config.latency
         if self.config.bandwidth > 0:
             per_hop += message_size(block) / self.config.bandwidth
@@ -356,80 +313,4 @@ class Transport(NetworkModel):
         jitters = iter(
             sample_jitters(self.config, self._rng, len(hops) - hops.count(0))
         )
-        for recipient, hold, hop in zip(self.recipients, holds, hops):
-            transit = hop * per_hop + next(jitters) if hop else 0.0
-            self._schedule(
-                recipient,
-                block,
-                sent_slot + hold + transit,
-                priorities.get(recipient, 0),
-            )
-            if recipient != sender:
-                self.realized_delays.append(hold + transit)
-
-    def inject(
-        self,
-        block: Block,
-        recipient: str,
-        deliver_slot: int,
-        priority: int = -1,
-    ) -> None:
-        """Adversarial injection: the adversary's own channel.
-
-        Lands at the start of the named slot, untouched by topology,
-        bandwidth, or jitter — the slot model's unconstrained delivery,
-        preserved verbatim (and excluded from the honest realized-delay
-        sample)."""
-        self._schedule(recipient, block, float(deliver_slot), priority)
-
-    def _schedule(
-        self, recipient: str, block: Block, time: float, priority: int
-    ) -> None:
-        self._sequence += 1
-        scheduler = self._schedulers[recipient]
-        event = scheduler.schedule(
-            time, Delivery(recipient, block, 0, priority, self._sequence)
-        )
-        # The scheduler may have clamped a behind-the-clock time; the
-        # delivery's quantized slot reflects what was actually booked.
-        slot = math.floor(event.time)
-        event.payload.slot = slot
-        self._horizon = max(self._horizon, slot)
-        self._pending += 1
-
-    def ready(self, slot: int) -> list[str]:
-        """Recipients with a message landing by the end of ``slot``.
-
-        Every other recipient's drain is skipped through
-        :meth:`~repro.protocol.events.EventScheduler.advance`, which
-        moves its clock to ``slot + 1`` exactly as the empty drain
-        would, so later schedules clamp the same way."""
-        bound = float(slot + 1)
-        schedulers = self._schedulers
-        return [
-            name
-            for name in self.recipients
-            if not schedulers[name].advance(bound)
-        ]
-
-    def due(self, recipient: str, slot: int) -> list[Block]:
-        """Messages landing by the end of ``slot``, in contract order.
-
-        Drains every event with ``time < slot + 1`` (i.e. quantized
-        delivery slot ≤ ``slot``), then sorts the batch by
-        ``(priority, sequence)`` — physics picks the batch, the rushing
-        adversary still picks the order within it (A0)."""
-        scheduler = self._schedulers.get(recipient)
-        if scheduler is None:
-            return []
-        drained = [event.payload for event in scheduler.pop_until(slot + 1)]
-        drained.sort(key=lambda d: (d.priority, d.sequence))
-        self._pending -= len(drained)
-        return [d.block for d in drained]
-
-    def pending_count(self) -> int:
-        return self._pending
-
-    def final_drain_slot(self, total_slots: int) -> int:
-        """The transport's horizon: physics may outlast the Δ deadline."""
-        return max(total_slots + self.delta, self._horizon)
+        return [hop * per_hop + next(jitters) if hop else 0.0 for hop in hops]

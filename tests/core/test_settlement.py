@@ -1,10 +1,8 @@
-"""Slot settlement and the settlement game (Definition 3, Section 2.2)."""
+"""Slot settlement (Definition 3)."""
 
 import pytest
 
-from repro.core.distributions import bernoulli_condition, sample_characteristic_string
 from repro.core.settlement import (
-    SettlementGame,
     catalan_settlement_summary,
     is_k_settled,
     longest_settlement_free_window,
@@ -96,28 +94,6 @@ class TestSettlementTime:
                     assert is_k_settled(word, slot, k)
                     if k > 1:
                         assert not is_k_settled(word, slot, k - 1)
-
-
-class TestSettlementGame:
-    def test_game_win_matches_margin(self):
-        game = SettlementGame(target_slot=3, depth=4)
-        assert game.adversary_wins("hAhAhAA")  # slot 3 margin stays >= 0?
-        word = "hh" + "h" * 10
-        game2 = SettlementGame(target_slot=1, depth=4)
-        assert not game2.adversary_wins(word)
-
-    def test_game_requires_long_enough_string(self):
-        game = SettlementGame(target_slot=5, depth=10)
-        with pytest.raises(ValueError):
-            game.adversary_wins("hhh")
-
-    def test_win_probability_estimator(self, rng):
-        probs = bernoulli_condition(0.9, 0.95)  # overwhelmingly honest
-        game = SettlementGame(target_slot=2, depth=8)
-        rate = game.win_probability(
-            lambda: sample_characteristic_string(probs, 12, rng), trials=300
-        )
-        assert rate < 0.1
 
 
 class TestSummaries:

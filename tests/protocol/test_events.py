@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.protocol.events import EventScheduler
-from repro.protocol.transport import TransportConfig, sample_jitter
+from repro.protocol.transport import TransportConfig, sample_jitters
 
 #: Finite, non-negative event times with plenty of exact collisions
 #: (integers are drawn often, and floats quantize to a coarse lattice).
@@ -229,8 +229,8 @@ class TestReplay:
         def execute():
             generator = np.random.default_rng(seed)
             scheduler = EventScheduler()
-            for i in range(draws):
-                delay = sample_jitter(config, generator)
+            delays = sample_jitters(config, generator, draws)
+            for i, delay in enumerate(delays):
                 assert 0.0 <= delay <= config.exponential_cap
                 scheduler.schedule(float(i % 5) + delay, i)
             return [

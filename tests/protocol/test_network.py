@@ -45,6 +45,14 @@ class TestDeltaDelivery:
         with pytest.raises(ValueError):
             net.broadcast(make_block(1, "x"), 1, delays={"a": -1})
 
+    def test_rejected_broadcast_books_nothing(self):
+        """Every hold is checked before any recipient is booked."""
+        net = NetworkModel(["a", "b"], delta=1)
+        with pytest.raises(ValueError, match="delay 2 outside"):
+            net.broadcast(make_block(1, "x"), 1, delays={"a": 0, "b": 2})
+        assert net.pending_count() == 0
+        assert net.realized_delays == []
+
 
 class TestRushingAdversary:
     def test_injection_unconstrained_by_delta(self):
@@ -53,6 +61,14 @@ class TestRushingAdversary:
         net.inject(late, "a", deliver_slot=9)
         assert net.due("a", 8) == []
         assert net.due("a", 9) == [late]
+
+    def test_injection_to_a_stranger_is_refused(self):
+        """A block for a party the network does not serve would stay
+        pending forever; it is refused instead."""
+        net = NetworkModel(["a"], delta=0)
+        with pytest.raises(KeyError):
+            net.inject(make_block(1, "x"), "stranger", 1)
+        assert net.pending_count() == 0
 
     def test_injection_targets_single_recipient(self):
         net = NetworkModel(["a", "b"], delta=0)

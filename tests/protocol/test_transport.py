@@ -30,12 +30,12 @@ from repro.protocol.transport import (
     build_adjacency,
     hop_counts,
     message_size,
-    sample_jitter,
     sample_jitters,
     transport_seed,
 )
 from repro.protocol.adversary import Adversary
 from repro.protocol.leader import StakeDistribution
+from repro.protocol.network import NetworkModel
 from repro.protocol.simulation import Simulation
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
@@ -330,7 +330,7 @@ class TestLinkPhysics:
     def test_uniform_jitter_is_bounded_by_scale(self):
         config = TransportConfig(jitter="uniform", jitter_scale=0.25)
         generator = np.random.default_rng(5)
-        draws = [sample_jitter(config, generator) for _ in range(200)]
+        draws = sample_jitters(config, generator, 200)
         assert all(0.0 <= d < 0.25 for d in draws)
         assert len(set(draws)) > 1
 
@@ -339,7 +339,7 @@ class TestLinkPhysics:
             jitter="exponential", jitter_scale=1.0, jitter_cap=1.5
         )
         generator = np.random.default_rng(5)
-        draws = [sample_jitter(config, generator) for _ in range(300)]
+        draws = sample_jitters(config, generator, 300)
         assert all(0.0 <= d <= 1.5 for d in draws)
         assert any(d == 1.5 for d in draws)  # the cap actually binds
 
@@ -351,7 +351,7 @@ class TestLinkPhysics:
         config = TransportConfig(jitter="fixed", jitter_scale=0.3)
         generator = np.random.default_rng(5)
         state = generator.bit_generator.state
-        assert sample_jitter(config, generator) == 0.3
+        assert sample_jitters(config, generator, 2) == [0.3, 0.3]
         assert generator.bit_generator.state == state
 
     @pytest.mark.parametrize("count", [1, 7, 64])
@@ -471,16 +471,15 @@ class TestRunObservables:
 
 
 # ----------------------------------------------------------------------
-# Skipped drains keep the scheduler clock
+# Skipped drains, late bookings and the final drain
 # ----------------------------------------------------------------------
 
 
 class BehindTheClock(Adversary):
     """Re-injects the newest observed block ``lag`` slots in the past.
 
-    Every recipient's injection is booked behind its scheduler clock, so
-    the booked time is the clamp to ``now``; the log keeps, per
-    injection, the booked ``Delivery.slot`` and the clock after it."""
+    Every injection is booked into a slot the recipients have already
+    drained; the log keeps ``(slot, recipient)`` per injection."""
 
     def __init__(self, every: int = 3, lag: int = 2) -> None:
         super().__init__()
@@ -494,12 +493,7 @@ class BehindTheClock(Adversary):
             return
         for recipient in self.recipients:
             network.inject(self.tree.block(newest), recipient, slot - self.lag)
-            if isinstance(network, Transport):
-                scheduler = network._schedulers[recipient]
-                booked = max(scheduler._heap, key=lambda event: event.sequence)
-                self.log.append(
-                    (slot, recipient, booked.payload.slot, scheduler.now)
-                )
+            self.log.append((slot, recipient))
 
 
 def run_behind_the_clock(transport, drain_all: bool):
@@ -527,52 +521,107 @@ def run_behind_the_clock(transport, drain_all: bool):
 
         node.receive = logged
     result = simulation.run()
-    clocks = (
-        {name: s.now for name, s in network._schedulers.items()}
-        if isinstance(network, Transport)
-        else {}
-    )
     return (
         snapshot(result),
         arrivals,
         adversary.log,
-        clocks,
         {name: node._arrival_rank for name, node in simulation.nodes.items()},
     )
 
 
-class TestSkippedDrainsKeepTheClock:
-    TRANSPORTS = [
-        pytest.param(None, id="slot"),
-        pytest.param(TransportConfig(), id="wan-degenerate"),
-        pytest.param(
-            TransportConfig(
-                latency=0.4, jitter="uniform", jitter_scale=0.5,
-                topology="ring",
-            ),
-            id="wan-jitter",
-        ),
-    ]
+class LateInjector(Adversary):
+    """Mints one block on genesis and books it into ``deliver_slot``."""
 
+    def __init__(self, deliver_slot: int) -> None:
+        super().__init__()
+        self.deliver_slot = deliver_slot
+        self.block = None
+
+    def act(self, slot, corrupted_leaders, network):
+        if self.block is not None or not corrupted_leaders:
+            return
+        party, proof = corrupted_leaders[0]
+        self.block, _ = self._mint(party, slot, self.tree.genesis_hash, proof)
+        for recipient in self.recipients:
+            network.inject(self.block, recipient, self.deliver_slot)
+
+
+TRANSPORTS = [
+    pytest.param(None, id="slot"),
+    pytest.param(TransportConfig(), id="wan-degenerate"),
+    pytest.param(
+        TransportConfig(
+            latency=0.4, jitter="uniform", jitter_scale=0.5, topology="ring",
+        ),
+        id="wan-jitter",
+    ),
+]
+
+
+def make_network(transport, recipients, delta=0):
+    if transport is None:
+        return NetworkModel(recipients, delta=delta)
+    return Transport(recipients, delta=delta, config=transport, seed=3)
+
+
+class TestSkippedDrains:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_skipping_equals_draining(self, transport):
         skipped = run_behind_the_clock(transport, drain_all=False)
         drained = run_behind_the_clock(transport, drain_all=True)
         assert skipped == drained
-        _, arrivals, log, clocks, _ = skipped
+        _, arrivals, log, _ = skipped
         assert arrivals
-        if transport is not None:
-            # The injections really were booked behind the caller's slot,
-            # i.e. clamped to the clock the skipped drains advanced.
-            assert log and all(booked == slot for slot, _, booked, _ in log)
-            assert all(now == slot for slot, _, _, now in log)
-            assert set(clocks.values()) == {61.0}
+        assert log  # the adversary really booked behind the drains
 
-    def test_ready_advances_idle_clocks(self):
-        transport = Transport(["a", "b"], config=TransportConfig(latency=0.5))
-        transport.broadcast(make_block(), 3, sender="a")  # lands at 3.5
-        assert transport.ready(2) == []
-        assert [s.now for s in transport._schedulers.values()] == [3.0, 3.0]
-        assert transport.ready(3) == ["a", "b"]
-        assert transport.due("b", 3) == [transport.due("a", 3)[0]]
-        assert [s.now for s in transport._schedulers.values()] == [4.0, 4.0]
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_late_booking_arrives_in_the_next_drain(self, transport):
+        """A booking behind the last drained slot is not lost: the next
+        drain delivers it at its ``(priority, sequence)`` position."""
+        network = make_network(transport, ["a", "b"])
+        first = make_block(3, "first")
+        network.broadcast(first, 3, sender="a")
+        assert network.ready(3) == ["a", "b"]
+        assert network.due("b", 3) == [first]
+        network.due("a", 3)
+        old = make_block(1, "old")
+        rushed = make_block(4, "rushed")
+        honest = make_block(4, "honest")
+        network.inject(old, "b", 1, priority=0)  # slot 1 is drained
+        network.broadcast(honest, 4, sender="a")
+        network.inject(rushed, "b", 4)
+        assert network.ready(4) == ["a", "b"]
+        assert network.due("b", 4) == [rushed, old, honest]
+        assert network.due("a", 4) == [honest]
+        assert network.pending_count() == 0
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_ready_lists_only_recipients_with_messages_due(self, transport):
+        network = make_network(transport, ["a", "b"])
+        network.broadcast(make_block(), 3, sender="a")
+        assert network.ready(2) == []
+        assert network.ready(3) == ["a", "b"]
+        assert network.due("b", 3) == [network.due("a", 3)[0]]
+        assert network.ready(3) == []
+        assert network.pending_count() == 0
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_final_drain_reaches_injections_past_the_deadline(self, transport):
+        """An injection booked past ``total_slots + Δ`` still reaches the
+        end-of-run node trees: the final drain covers the latest booking."""
+        total_slots, delta = 20, 1
+        adversary = LateInjector(total_slots + delta + 3)
+        simulation = Simulation(
+            StakeDistribution.uniform(3, 2),
+            activity=0.3,
+            total_slots=total_slots,
+            delta=delta,
+            adversary=adversary,
+            randomness="late-injection",
+            transport=transport,
+        )
+        simulation.run()
+        assert adversary.block is not None
+        assert simulation.network.pending_count() == 0
+        for node in simulation.nodes.values():
+            assert adversary.block.block_hash in node.tree

@@ -477,7 +477,7 @@ def backend_record(quick: bool) -> dict:
     steady-state dispatch overhead, not interpreter boot.
 
     The record also carries the hot-kernel micro-bench: per-call
-    seconds of the reach kernels on one ``4096 × 256`` matrix, and
+    seconds of ``prefix_sum_matrix`` on one ``4096 × 256`` matrix, and
     of the slot-major margin scan (``joint_final_states`` with
     stationary initial reaches) at ``4096 × 40`` and ``4096 × 100``.
     """
@@ -518,24 +518,20 @@ def backend_record(quick: bool) -> dict:
         for process, _ in workers:
             stop(process)
 
-    # Hot-kernel micro-bench: the reach kernels on one fixed matrix, and
+    # Hot-kernel micro-bench: the prefix sums on one fixed matrix, and
     # the margin scan at the widths of the Table 1 MC depths.
     rng = np.random.default_rng(seed)
     uniforms = rng.random((chunk_size, 256))
     symbols = kernels.symbols_from_uniforms(scenario.probabilities, uniforms)
     for _ in range(2):  # warm ufunc/allocator
-        kernels.final_reaches(symbols)
+        kernels.prefix_sum_matrix(symbols)
     initial = kernels.sample_initial_reaches(
         scenario.probabilities.epsilon, chunk_size, rng
     )
     widths = (40, 100)
-    (sums_s, final_s, walk_s, *scan_s), _, _ = timed(
+    (sums_s, *scan_s), _, _ = timed(
         ROUNDS,
         functools.partial(kernels.prefix_sum_matrix, symbols),
-        functools.partial(kernels.final_reaches, symbols),
-        functools.partial(
-            kernels.reflected_walk_heights_from_uniforms, 0.1, uniforms
-        ),
         *(
             functools.partial(
                 kernels.joint_final_states,
@@ -566,8 +562,6 @@ def backend_record(quick: bool) -> dict:
         "kernels": {
             "matrix_shape": list(symbols.shape),
             "prefix_sum_matrix_seconds": sums_s,
-            "final_reaches_seconds": final_s,
-            "reflected_walk_seconds": walk_s,
             "joint_final_states_seconds": {
                 f"{chunk_size}x{width}": spread
                 for width, spread in zip(widths, scan_s)
@@ -579,9 +573,8 @@ def backend_record(quick: bool) -> dict:
             "steps and hold thresholds, then one stacked (rho, mu) "
             "array updates in place per slot with preallocated boolean "
             "scratch, in the narrowest of int8/int16/int32/int64 that "
-            "max |state| + length fits; prefix_sum_matrix fills a [:, 1:] view and "
-            "accumulates with out=; final_reaches/reflected walk reduce "
-            "to per-row min/max without trajectory or floor matrices"
+            "max |state| + length fits; prefix_sum_matrix fills a "
+            "[:, 1:] view and accumulates with out="
         ),
     }
 

@@ -10,15 +10,12 @@ downward bias ε.  Three objects from that analysis are implemented here:
   the walk above its running minimum, whose stationary law is the geometric
   distribution ``X_∞`` of Eq. (9) — the initial-reach distribution of the
   Section 6.6 algorithm; and
-* Monte-Carlo samplers used by the test-suite to validate the
-  generating-function coefficients empirically.
+* scalar Monte-Carlo samplers (``sample_descent_time``,
+  ``sample_reflected_walk_height``) used by the test-suite to validate
+  the generating-function coefficients empirically.
 
-The batched samplers (``sample_reflected_walk_heights``,
-``sample_descent_times``) delegate to :mod:`repro.engine.kernels` and
-simulate whole walk populations as ``(trials, steps)`` arrays; the
-scalar per-sample loops are kept as their cross-validation oracles.
-The engine imports this module's closed-form helpers, so the delegation
-is imported lazily.
+The engine imports this module's closed-form helpers; nothing here
+imports the engine.
 """
 
 from __future__ import annotations
@@ -134,10 +131,7 @@ def sample_descent_time(
 def sample_reflected_walk_height(
     epsilon: float, steps: int, rng: random.Random
 ) -> int:
-    """Sample ``X_steps`` of the reflected ε-biased walk started at 0.
-
-    Scalar oracle for :func:`sample_reflected_walk_heights`.
-    """
+    """Sample ``X_steps`` of the reflected ε-biased walk started at 0."""
     p, _q = bias_probabilities(epsilon)
     height = 0
     for _ in range(steps):
@@ -146,37 +140,6 @@ def sample_reflected_walk_height(
         elif height > 0:
             height -= 1
     return height
-
-
-def sample_reflected_walk_heights(
-    epsilon: float, steps: int, trials: int, generator
-) -> "np.ndarray":  # noqa: F821 — numpy imported lazily via the engine
-    """Sample ``trials`` independent ``X_steps`` values in one batch.
-
-    Delegates to the batched kernel: one ``(trials, steps)`` uniform
-    block, closed-form reflection, no per-step Python loop.
-    ``generator`` is a ``numpy.random.Generator``.
-    """
-    from repro.engine.kernels import reflected_walk_heights_from_uniforms
-
-    return reflected_walk_heights_from_uniforms(
-        epsilon, generator.random((trials, steps))
-    )
-
-
-def sample_descent_times(
-    epsilon: float, trials: int, generator, cutoff: int = 10**4
-) -> "np.ndarray":  # noqa: F821 — numpy imported lazily via the engine
-    """Sample ``trials`` descent stopping times in one batch (0 = censored).
-
-    Batched counterpart of :func:`sample_descent_time`; the whole
-    population advances one vectorized step at a time, so the wall-clock
-    cost is ``O(max observed descent)`` NumPy calls rather than
-    ``O(trials × steps)`` Python iterations.
-    """
-    from repro.engine.kernels import descent_times
-
-    return descent_times(epsilon, trials, generator, cutoff)
 
 
 def expected_descent_time(epsilon: float) -> float:

@@ -85,28 +85,6 @@ def reduce_string(word: str, delta: int, mode: str = MODE_EMPTY_RUN) -> str:
     return "".join(reduced)
 
 
-def reduce_strings(
-    words: list[str], delta: int, mode: str = MODE_EMPTY_RUN
-) -> list[str]:
-    """Vectorized ρ_Δ over a whole batch of strings.
-
-    The batched entry point: encodes the batch as a padded symbol matrix,
-    runs :func:`repro.engine.kernels.reduce_matrix` once, and decodes the
-    survivors.  Semantically identical to mapping :func:`reduce_string`
-    over ``words`` (the test-suite asserts exact agreement), but the cost
-    per string is a few array operations instead of a Python loop.
-    """
-    if not words:
-        return []
-    for word in words:
-        validate(word, SEMI_SYNCHRONOUS_ALPHABET)
-    from repro.engine.kernels import encode_words, decode_matrix, reduce_matrix
-
-    symbols, lengths = encode_words(words)
-    reduced, reduced_lengths = reduce_matrix(symbols, delta, mode, lengths)
-    return decode_matrix(reduced, reduced_lengths)
-
-
 def slot_bijection(word: str, delta: int) -> dict[int, int]:
     """The increasing bijection π: non-empty slots of ``w`` → slots of ρ_Δ(w).
 

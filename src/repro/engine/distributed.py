@@ -1,17 +1,16 @@
-"""Multi-host execution backend: chunks over a socket wire protocol.
+"""Multi-host execution backend: tasks over a socket wire protocol.
 
 :class:`DistributedBackend` implements the
-:class:`repro.engine.parallel.Backend` protocol by shipping pickled work
-items to ``python -m repro.worker`` processes on other hosts and merging
-the returned chunk hit counts back into the caller's futures (and,
-through the runner, into the chunk ledger).  Because a chunk is a pure
-function of ``(scenario, estimator, size, seed)`` — the seed shipped as
-the spawned child's ``(entropy, spawn_key)`` pair, which reconstructs
-the exact ``SeedSequence`` on any host — distribution preserves the
-engine's serial ≡ parallel ≡ distributed bit-identity contract: every
-backend produces the same per-chunk hit counts, so re-execution
-after a worker loss is always safe (at-least-once delivery,
-exactly-once *semantics*).
+:class:`repro.engine.parallel.Backend` protocol by shipping pickled
+tasks to ``python -m repro.worker`` processes on other hosts and
+resolving the caller's futures with their results.  A chunk is the task
+``run_chunk(scenario, estimator, size, child)``, a pure function of its
+arguments; the spawned ``SeedSequence`` child is pickled inside the
+task, and a pickle round trip reproduces its stream exactly on any
+host.  So distribution preserves the engine's serial ≡ parallel ≡
+distributed bit-identity contract: every backend produces the same
+per-chunk hit counts, and re-execution after a worker loss is always
+safe (at-least-once delivery, exactly-once *semantics*).
 
 Wire protocol
 -------------
@@ -20,18 +19,16 @@ One TCP connection per worker, length-prefixed pickle frames both ways:
 
 * frame   = 8-byte big-endian payload length ``n`` + ``n`` bytes of
   ``pickle.dumps(obj)``;
-* request = ``{"op": ..., ...}`` with ops ``ping`` (liveness),
-  ``chunk`` (``scenario``, ``fingerprint``, ``estimator``, ``size``,
-  ``entropy``, ``spawn_key``), ``task`` (``function``, ``args``), and
-  ``shutdown`` (graceful worker exit);
+* request = ``{"op": "task", "function": ..., "args": (...)}``, the
+  only op; a worker answers any other op with ``ok: False``;
 * reply   = ``{"ok": True, "result": ...}`` or ``{"ok": False,
   "error": <traceback string>}``, with the worker's ``stats`` dict
   (see :attr:`DistributedBackend.worker_stats`) on every reply; a reply
   without it is malformed, and malformed replies are requeued like a
-  transport failure.  A ``chunk`` reply's ``result`` is
-  the chunk's hit count, a plain ``int``; the runner rejects a reply
-  that is not an ``int`` within ``[0, size]`` before adding or
-  ledgering it (:func:`repro.engine.runner.is_hit_count`).
+  transport failure.  A chunk's ``result`` is its hit count, a plain
+  ``int``; the runner rejects a reply that is not an ``int`` within
+  ``[0, size]`` before adding or ledgering it
+  (:func:`repro.engine.runner.is_hit_count`).
 
 Requests are answered in order on each connection; the backend keeps at
 most one request in flight per worker, so the worker needs no request
@@ -70,11 +67,6 @@ import time
 from concurrent.futures import Future
 from typing import Sequence
 
-import numpy as np
-
-from repro.engine.cache import scenario_fingerprint
-from repro.engine.runner import Estimator
-from repro.engine.scenarios import Scenario
 from repro.obs import metrics
 
 logger = logging.getLogger("repro.engine.distributed")
@@ -141,32 +133,6 @@ def recv_message(sock: socket.socket) -> object | None:
     return pickle.loads(payload)
 
 
-def chunk_message(
-    scenario: Scenario,
-    estimator: Estimator,
-    size: int,
-    child: np.random.SeedSequence,
-) -> dict:
-    """The wire form of one chunk work item.
-
-    The seed travels as the child's ``(entropy, spawn_key)`` pair —
-    ``SeedSequence(entropy, spawn_key=spawn_key)`` reconstructs the
-    spawned child exactly (NumPy's documented spawn contract), making
-    the item self-describing and host-independent.  ``fingerprint``
-    rides along so workers and logs can name the scenario without
-    re-deriving it.
-    """
-    return {
-        "op": "chunk",
-        "scenario": scenario,
-        "fingerprint": scenario_fingerprint(scenario),
-        "estimator": estimator,
-        "size": size,
-        "entropy": child.entropy,
-        "spawn_key": tuple(child.spawn_key),
-    }
-
-
 def _host_key(host: tuple[str, int]) -> str:
     """The ``"host:port"`` form used for stats keys and log lines."""
     return f"{host[0]}:{host[1]}"
@@ -205,13 +171,13 @@ def parse_hosts(spec: str | Sequence[str]) -> list[tuple[str, int]]:
 
 
 class DistributedBackend:
-    """Backend fanning chunks out to ``repro.worker`` hosts.
+    """Backend fanning tasks out to ``repro.worker`` hosts.
 
     ``hosts`` is a list of ``(host, port)`` pairs (or use
     :meth:`from_spec` for the CLI's ``"host:port,host:port"`` form);
     each host runs one ``python -m repro.worker`` process.  ``timeout``
-    bounds every round trip — size chunks so evaluation fits well
-    inside it, since a timed-out chunk is re-executed elsewhere.
+    bounds every round trip — size tasks so evaluation fits well
+    inside it, since a timed-out task is re-executed elsewhere.
     ``max_failures`` caps transport-level re-deliveries *per item*
     before its future fails (defaults to three tries per worker).
     """
@@ -258,71 +224,6 @@ class DistributedBackend:
 
     def submit_task(self, function, /, *args) -> Future:
         """Ship one pure, picklable task to a worker; its future."""
-        return self._enqueue({"op": "task", "function": function, "args": args})
-
-    def submit_chunks(
-        self,
-        scenario: Scenario,
-        estimator: Estimator,
-        sizes: list[int],
-        children: list[np.random.SeedSequence],
-    ) -> list[Future]:
-        """Ship one chunk per (size, child); futures in chunk order."""
-        if len(sizes) != len(children):
-            raise ValueError("one SeedSequence child per chunk required")
-        return [
-            self._enqueue(chunk_message(scenario, estimator, size, child))
-            for size, child in zip(sizes, children)
-        ]
-
-    def ping(self) -> int:
-        """Round-trip a liveness probe; the number of reachable hosts."""
-        reachable = 0
-        for host in self.hosts:
-            try:
-                with socket.create_connection(host, timeout=self.timeout) as s:
-                    s.settimeout(self.timeout)
-                    send_message(s, {"op": "ping"})
-                    reply = recv_message(s)
-                if isinstance(reply, dict) and reply.get("ok"):
-                    reachable += 1
-            except OSError:
-                continue
-        return reachable
-
-    def close(self) -> None:
-        """Stop the client threads; pending futures fail (idempotent).
-
-        Does *not* stop the worker processes — they belong to whoever
-        started them and may be serving other clients.  Use
-        :meth:`shutdown_workers` to take the cluster down too.
-        """
-        self._closed.set()
-        for thread in self._threads:
-            thread.join(timeout=self.timeout + 5.0)
-        self._threads.clear()
-        self._drain(ConnectionError("backend closed with work pending"))
-
-    def shutdown_workers(self) -> None:
-        """Ask every reachable worker to exit gracefully."""
-        for host in self.hosts:
-            try:
-                with socket.create_connection(host, timeout=5.0) as s:
-                    s.settimeout(5.0)
-                    send_message(s, {"op": "shutdown"})
-                    recv_message(s)
-            except OSError:
-                continue
-
-    def __enter__(self) -> "DistributedBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- client threads ---------------------------------------------------
-
-    def _enqueue(self, message: dict) -> Future:
         if self._closed.is_set():
             raise RuntimeError("backend is closed")
         self._ensure_threads()
@@ -332,8 +233,29 @@ class DistributedBackend:
                     f"all {len(self.hosts)} worker hosts were lost"
                 )
         future: Future = Future()
+        message = {"op": "task", "function": function, "args": args}
         self._queue.put(_WorkItem(message, future))
         return future
+
+    def close(self) -> None:
+        """Stop the client threads; pending futures fail (idempotent).
+
+        Does *not* stop the worker processes — they belong to whoever
+        started them and may be serving other clients.
+        """
+        self._closed.set()
+        for thread in self._threads:
+            thread.join(timeout=self.timeout + 5.0)
+        self._threads.clear()
+        self._drain(ConnectionError("backend closed with work pending"))
+
+    def __enter__(self) -> "DistributedBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- client threads ---------------------------------------------------
 
     def _ensure_threads(self) -> None:
         with self._lock:
@@ -445,7 +367,6 @@ class DistributedBackend:
                 item = self._queue.get(timeout=0.1)
             except queue.Empty:
                 continue
-            op = str(item.message.get("op", "unknown"))
             started = time.perf_counter()
             try:
                 send_message(sock, item.message)
@@ -456,7 +377,7 @@ class DistributedBackend:
             metrics.histogram(
                 "repro_rpc_seconds",
                 "round-trip latency of worker RPCs, by op",
-                op=op,
+                op="task",
             ).observe(time.perf_counter() - started)
             if (
                 not isinstance(reply, dict)
@@ -487,9 +408,8 @@ class DistributedBackend:
         if host_key is not None:
             stats = self.worker_stats.get(host_key)
             logger.warning(
-                "requeueing %s item after transport failure on %s "
+                "requeueing task after transport failure on %s "
                 "(worker %s, uptime %.1fs at last frame): %r",
-                item.message.get("op", "unknown"),
                 host_key,
                 stats.get("worker", "unknown") if stats else "unknown",
                 float(stats.get("uptime", 0.0)) if stats else 0.0,

@@ -62,7 +62,7 @@ from repro.core.alphabet import (
     HONEST_UNIQUE,
 )
 from repro.core.distributions import SlotProbabilities
-from repro.core.walks import bias_probabilities, stationary_reach_ratio
+from repro.core.walks import stationary_reach_ratio
 
 #: uint8 code of each symbol (also the index into :data:`SYMBOLS`).
 CODE_UNIQUE = 0
@@ -295,44 +295,6 @@ def prefix_sum_matrix(symbols: np.ndarray) -> np.ndarray:
     body -= symbols < CODE_ADVERSARIAL
     np.cumsum(body, axis=1, out=body)
     return sums
-
-
-def reach_trajectories(
-    symbols: np.ndarray, initial_reaches: np.ndarray | None = None
-) -> np.ndarray:
-    """``(n, T+1)`` reach values ``ρ`` along every row, batched.
-
-    Uses the closed form ``X_t = S_t − min_{i ≤ t} S_i`` of the reflected
-    walk (no per-slot Python loop), generalised to a non-zero start: a
-    walk started at height ``r₀`` reflects only once it has consumed the
-    initial headroom, ``X_t = S_t − min(−r₀, min_{i ≤ t} S_i)``.
-    Agrees exactly with :func:`repro.core.reach.reach_sequence`.
-    """
-    sums = prefix_sum_matrix(symbols)
-    floor = np.minimum.accumulate(sums, axis=1)
-    if initial_reaches is not None:
-        # min with a per-row constant preserves monotonicity, so no
-        # further accumulate pass is needed
-        floor = np.minimum(floor, -initial_reaches[:, None])
-    return sums - floor
-
-
-def final_reaches(
-    symbols: np.ndarray, initial_reaches: np.ndarray | None = None
-) -> np.ndarray:
-    """``ρ`` of every full row (the trajectory's last column).
-
-    Only the final value is needed, so the running-minimum pass of
-    :func:`reach_trajectories` collapses to one row-wise reduction:
-    ``X_T = S_T − min(−r₀, min_i S_i)`` (``min_i`` includes ``S_0 = 0``).
-    Bit-identical to the trajectory's last column, without materializing
-    the ``(n, T+1)`` floor and trajectory matrices.
-    """
-    sums = prefix_sum_matrix(symbols)
-    floor = sums.min(axis=1)
-    if initial_reaches is not None:
-        floor = np.minimum(floor, -initial_reaches)
-    return sums[:, -1] - floor
 
 
 # ----------------------------------------------------------------------
@@ -617,59 +579,6 @@ def reduced_slot_columns(
     rank = non_empty.sum(axis=1) - 1
     has_image = non_empty[:, -1] & (target_slot <= lengths)
     return np.where(has_image, rank, -1)
-
-
-# ----------------------------------------------------------------------
-# Biased-walk samplers (Section 5)
-# ----------------------------------------------------------------------
-
-
-def reflected_walk_heights_from_uniforms(
-    epsilon: float, uniforms: np.ndarray
-) -> np.ndarray:
-    """Final heights ``X_T`` of reflected ε-biased walks, one per row.
-
-    ``u < p`` steps up, else down; same Bernoulli discipline as the
-    scalar :func:`repro.core.walks.sample_reflected_walk_height`.
-
-    Only the final height is needed: ``X_T = S_T − min(0, min_i S_i)``,
-    so the running-minimum pass collapses to one row reduction and the
-    steps land as int64 straight out of ``where`` (the audit dropped a
-    full-matrix ``astype`` copy and the ``(n, T+1)`` floor matrix).
-    """
-    p, _q = bias_probabilities(epsilon)
-    steps = np.where(uniforms < p, np.int64(1), np.int64(-1))
-    sums = np.cumsum(steps, axis=1)
-    floor = np.minimum(sums.min(axis=1), 0)
-    return sums[:, -1] - floor
-
-
-def descent_times(
-    epsilon: float,
-    trials: int,
-    generator: np.random.Generator,
-    cutoff: int = 10**6,
-) -> np.ndarray:
-    """Batched descent stopping times (first hit of ``−1``); 0 = censored.
-
-    One uniform block per time step over the still-active rows' columns
-    (drawn for all rows to keep the stream shape deterministic); rows
-    that never descend within ``cutoff`` steps report 0.
-    """
-    p, _q = bias_probabilities(epsilon)
-    position = np.zeros(trials, dtype=np.int64)
-    times = np.zeros(trials, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
-    for t in range(1, cutoff + 1):
-        if not active.any():
-            break
-        u = generator.random(trials)
-        step = np.where(u < p, 1, -1)
-        position = np.where(active, position + step, position)
-        arrived = active & (position == -1)
-        times[arrived] = t
-        active &= ~arrived
-    return times
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Process-pool execution backend for the experiment runner.
+"""Execution backends: where a pure task runs.
 
-The engine's unit of parallelism is the *chunk* (see
-:func:`repro.engine.runner.run_chunk`): a fixed-size slice of the trial
-stream with its own spawned ``SeedSequence`` child.  Because a chunk's
-result depends only on ``(scenario, estimator, size, child)`` — never on
-which process evaluates it or in which order — fanning chunks across a
+A backend has one submit method, ``submit_task(function, *args)``,
+which returns a future of ``function(*args)``.  Every piece of work
+reaches a backend that way: the runner submits each chunk as
+``submit_task(run_chunk, scenario, estimator, size, child)`` (see
+:func:`repro.engine.runner.run_chunk`) and the settlement-oracle build
+submits its exact-DP cells.  A chunk is a fixed-size slice of the trial
+stream with its own spawned ``SeedSequence`` child, and its hit count
+depends only on ``(scenario, estimator, size, child)`` — never on which
+process evaluates it or in which order.  So fanning chunks across a
 process pool is *embarrassingly* deterministic: per-chunk hit counts
 are bit-identical to a serial run, and the aggregated estimate is
 therefore the same for every worker count.  That invariant is what
@@ -43,10 +47,6 @@ import time
 from concurrent.futures import Future
 from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
-import numpy as np
-
-from repro.engine.runner import Estimator, run_chunk
-from repro.engine.scenarios import Scenario
 from repro.obs import metrics
 
 if TYPE_CHECKING:
@@ -130,13 +130,19 @@ def open_backend(args) -> Iterator["Backend"]:
     on exit.
 
     ``--backend`` if given, else ``process`` when ``--workers > 1``,
-    else ``serial``.  Invalid flags build nothing: each error is printed
-    to stderr as one ``error:`` line and the command exits with status
-    2, as ``argparse`` does for a malformed flag.
+    else ``serial``; only ``process`` has workers to count, so
+    ``--workers > 1`` with another ``--backend`` is an error.  Invalid
+    flags build nothing: each error is printed to stderr as one
+    ``error:`` line and the command exits with status 2, as
+    ``argparse`` does for a malformed flag.
     """
     errors = []
     if args.workers < 1:
         errors.append(f"--workers must be positive, got {args.workers}")
+    if args.workers > 1 and args.backend not in (None, "process"):
+        errors.append(
+            f"--workers only applies to --backend process, not {args.backend}"
+        )
     if args.hosts and args.backend != "distributed":
         errors.append("--hosts only applies to --backend distributed")
     if args.backend == "distributed" and not args.hosts:
@@ -166,24 +172,13 @@ class Backend(Protocol):
 
     The runner (fixed-budget *and* adaptive paths), the sweep
     orchestrator, and the oracle builder all drive exactly this
-    surface — chunks and generic pure tasks in, futures out — so
-    :class:`SerialBackend` and :class:`ProcessBackend` are
+    surface — pure tasks in, futures out — so every backend is
     interchangeable and the choice of backend can never change a
     result, only its wall-clock.
     """
 
     def submit_task(self, function, /, *args):
         """Submit one pure, picklable task; returns its future."""
-        ...  # pragma: no cover - protocol signature only
-
-    def submit_chunks(
-        self,
-        scenario: Scenario,
-        estimator: Estimator,
-        sizes: list[int],
-        children: list[np.random.SeedSequence],
-    ) -> list:
-        """Submit one chunk per (size, child); futures in chunk order."""
         ...  # pragma: no cover - protocol signature only
 
 
@@ -226,8 +221,12 @@ class _ImmediateFuture:
         return self._value
 
 
+#: Help text of the ``repro_task_seconds{backend}`` histogram.
+_TASK_SECONDS_HELP = "task latency by backend"
+
+
 class SerialBackend:
-    """In-process backend: evaluates chunks eagerly, no pool.
+    """In-process backend: evaluates tasks eagerly, no pool.
 
     Exists so the runner and the sweep orchestrator drive *one*
     submit/gather code path for every worker count — the serial case is
@@ -240,42 +239,21 @@ class SerialBackend:
     name = "serial"
 
     def submit_task(self, function, /, *args) -> _ImmediateFuture:
-        """Evaluate an arbitrary pure task now; a resolved future.
+        """Evaluate one pure task now; a resolved future.
 
-        The generic sibling of :meth:`submit_chunks` for deterministic
-        non-chunk work (the settlement-oracle builder ships exact-DP
-        cells through it).  The task must be a top-level callable with
-        picklable arguments so the same call works on a process pool.
+        The task must be a top-level callable with picklable arguments
+        so the same call works on a process pool or a remote worker.
+        With metrics enabled its evaluation time is observed in
+        ``repro_task_seconds{backend="serial"}``.
         """
-        return _ImmediateFuture(function(*args))
-
-    def submit_chunks(
-        self,
-        scenario: Scenario,
-        estimator: Estimator,
-        sizes: list[int],
-        children: list[np.random.SeedSequence],
-    ) -> list[_ImmediateFuture]:
-        """Evaluate every chunk now; resolved futures in chunk order."""
-        if len(sizes) != len(children):
-            raise ValueError("one SeedSequence child per chunk required")
         if metrics.active() is None:
-            return [
-                _ImmediateFuture(run_chunk(scenario, estimator, size, child))
-                for size, child in zip(sizes, children)
-            ]
-        latency = metrics.histogram(
-            "repro_chunk_seconds",
-            "chunk evaluation latency by backend",
-            backend="serial",
-        )
-        futures = []
-        for size, child in zip(sizes, children):
-            start = time.perf_counter()
-            result = run_chunk(scenario, estimator, size, child)
-            latency.observe(time.perf_counter() - start)
-            futures.append(_ImmediateFuture(result))
-        return futures
+            return _ImmediateFuture(function(*args))
+        start = time.perf_counter()
+        result = function(*args)
+        metrics.histogram(
+            "repro_task_seconds", _TASK_SECONDS_HELP, backend="serial"
+        ).observe(time.perf_counter() - start)
+        return _ImmediateFuture(result)
 
     def close(self) -> None:
         """Nothing to tear down (uniform ``make_backend`` lifecycle)."""
@@ -288,9 +266,10 @@ class SerialBackend:
 
 
 class ProcessBackend:
-    """A reusable pool of worker processes evaluating chunks.
+    """A reusable pool of worker processes evaluating tasks.
 
-    The pool is started lazily on first use and torn down by
+    The pool is started lazily on the first submitted task (a run served
+    entirely from the chunk ledger never starts it) and torn down by
     :meth:`close` (or the context-manager exit).  One backend can serve
     many runs — the sweep orchestrator opens a single backend for a
     whole grid and keeps chunks from *all* points in flight at once, so
@@ -319,56 +298,28 @@ class ProcessBackend:
         return self._executor
 
     def submit_task(self, function, /, *args) -> Future:
-        """Submit an arbitrary pure task to the pool; its future.
+        """Submit one pure task to the pool; its future.
 
         ``function`` must be a top-level (picklable) callable and the
         task deterministic — results may be collected in any order.
-        Used by the settlement-oracle builder to fan independent
-        exact-DP cells across the same pool its Monte-Carlo sweeps run
-        on.
-        """
-        return self._pool().submit(function, *args)
-
-    def submit_chunks(
-        self,
-        scenario: Scenario,
-        estimator: Estimator,
-        sizes: list[int],
-        children: list[np.random.SeedSequence],
-    ) -> list[Future]:
-        """Submit every chunk to the pool; futures in chunk order.
-
         Non-blocking: callers may submit the chunks of many runs before
         collecting any result, which is how the sweep orchestrator keeps
-        all workers busy across point boundaries.  An empty submission
-        (a run served entirely from the chunk ledger) never starts the
-        pool.
+        all workers busy across point boundaries.
         """
-        if len(sizes) != len(children):
-            raise ValueError("one SeedSequence child per chunk required")
-        if not sizes:
-            return []
-        pool = self._pool()
-        futures = [
-            pool.submit(run_chunk, scenario, estimator, size, child)
-            for size, child in zip(sizes, children)
-        ]
+        future = self._pool().submit(function, *args)
         if metrics.active() is not None:
             # Latency includes queue wait (submit -> completion): that is
             # the number an operator watching pool saturation wants.  The
             # callback fires in this process, so the observation lands in
             # the caller's registry, not a worker's.
             latency = metrics.histogram(
-                "repro_chunk_seconds", backend="process"
+                "repro_task_seconds", _TASK_SECONDS_HELP, backend="process"
             )
             submitted = time.perf_counter()
-            for future in futures:
-                future.add_done_callback(
-                    lambda _f, _t0=submitted: latency.observe(
-                        time.perf_counter() - _t0
-                    )
-                )
-        return futures
+            future.add_done_callback(
+                lambda _f: latency.observe(time.perf_counter() - submitted)
+            )
+        return future
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""

@@ -226,7 +226,7 @@ class NoConsecutiveCatalanInWindow:
 
 
 # ----------------------------------------------------------------------
-# Chunk execution primitives (shared by the serial and process backends)
+# Chunk execution primitives (one chunk is one backend task)
 # ----------------------------------------------------------------------
 
 
@@ -267,11 +267,12 @@ def run_chunk(
 ) -> int:
     """Sample and evaluate one chunk; returns its hit count.
 
-    Top-level (picklable) on purpose: this is the unit of work shipped to
-    :class:`repro.engine.parallel.ProcessBackend` workers.  Each chunk
-    owns a fresh generator built from its spawned ``SeedSequence`` child,
-    so the result is independent of where and in which order the chunk
-    executes.  The estimator must return a boolean vector of one entry
+    Top-level (picklable) on purpose: the runner submits every chunk to
+    its backend as the task ``submit_task(run_chunk, scenario,
+    estimator, size, seed_sequence)``, which may run it in another
+    process or on another host.  Each chunk owns a fresh generator
+    built from its spawned ``SeedSequence`` child, so the result is
+    independent of where and in which order the chunk executes.  The estimator must return a boolean vector of one entry
     per trial; anything else raises ``ValueError``.
     """
     with span("runner.chunk", size=size, scenario=scenario.name):
@@ -527,10 +528,10 @@ class ExperimentRunner:
 
         Looks every chunk of ``indices`` up in the chunk ledger of
         ``ledger_key`` (from :meth:`_ledger_key`) by ``(index, size)``
-        and submits the rest to ``backend``, each from its own
-        ``SeedSequence(seed)`` child; :meth:`_Wave.collect` is the
-        second half.  ``trials`` is the budget whose partition the
-        indices come from.
+        and submits each of the rest to ``backend`` as one
+        :func:`run_chunk` task on its own ``SeedSequence(seed)`` child;
+        :meth:`_Wave.collect` is the second half.  ``trials`` is the
+        budget whose partition the indices come from.
         """
         wave = _Wave(
             self, indices, trials, ledger_key, reused={}, futures={}
@@ -539,14 +540,15 @@ class ExperimentRunner:
             wave.reused = self.cache.get_chunks(
                 wave.ledger_key, {index: wave.size(index) for index in indices}
             )
-        missing = [index for index in indices if index not in wave.reused]
-        futures = backend.submit_chunks(
-            self.scenario,
-            self.estimator,
-            [wave.size(index) for index in missing],
-            [np.random.SeedSequence(seed, spawn_key=(i,)) for i in missing],
-        )
-        wave.futures.update(zip(missing, futures))
+        for index in indices:
+            if index not in wave.reused:
+                wave.futures[index] = backend.submit_task(
+                    run_chunk,
+                    self.scenario,
+                    self.estimator,
+                    wave.size(index),
+                    np.random.SeedSequence(seed, spawn_key=(index,)),
+                )
         return wave
 
     def run(

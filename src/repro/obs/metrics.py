@@ -12,7 +12,7 @@ Metrics live in a :class:`MetricsRegistry` and are addressed by a
 
     registry = MetricsRegistry()
     registry.counter("repro_runner_trials_total", source="sampled").inc(4096)
-    registry.histogram("repro_rpc_seconds", op="chunk").observe(0.012)
+    registry.histogram("repro_rpc_seconds", op="task").observe(0.012)
     print(registry.render())          # Prometheus text format
 
 Module-level switchboard

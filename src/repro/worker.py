@@ -1,15 +1,15 @@
-"""Chunk-execution worker host: ``python -m repro.worker``.
+"""Task-execution worker host: ``python -m repro.worker``.
 
 One worker process serves one host slot of a
 :class:`repro.engine.distributed.DistributedBackend`.  It listens on a
 TCP port, answers the wire protocol of :mod:`repro.engine.distributed`
-(length-prefixed pickle frames; ops ``ping`` / ``chunk`` / ``task`` /
-``shutdown``), and evaluates each chunk with the *same*
+(length-prefixed pickle frames; one op, ``task``), and evaluates each
+task as ``function(*args)``.  A chunk is the task
+``run_chunk(scenario, estimator, size, child)`` — the *same*
 :func:`repro.engine.runner.run_chunk` the serial and process backends
-use — reconstructing the chunk's spawned ``SeedSequence`` from the
-shipped ``(entropy, spawn_key)`` pair, so per-chunk hit counts are
-bit-identical to every other backend.  A chunk reply carries the
-chunk's hit count, a plain ``int``.
+run, on the unpickled spawned ``SeedSequence`` child — so per-chunk hit
+counts are bit-identical to every other backend.  A chunk reply carries
+the chunk's hit count, a plain ``int``.
 
 Usage::
 
@@ -18,10 +18,9 @@ Usage::
 
 The worker prints ``listening on HOST:PORT`` once bound (so scripts
 using ``--port 0`` can scrape the assigned port) and exits gracefully on
-SIGTERM/SIGINT or a ``shutdown`` request: in-flight requests finish,
-then the listener closes.  Concurrency: one thread per connection;
-point ``$REPRO_WORKERS`` at the host's core budget if chunk evaluation
-itself should be bounded (see
+SIGTERM/SIGINT: in-flight requests finish, then the listener closes.
+Concurrency: one thread per connection; point ``$REPRO_WORKERS`` at the
+host's core budget if task evaluation itself should be bounded (see
 :func:`repro.engine.parallel.default_workers`).
 
 Security: the protocol is pickle over plain TCP with no authentication —
@@ -40,10 +39,11 @@ import threading
 import time
 import traceback
 
-import numpy as np
-
+# Imported for its side effect: every chunk task calls
+# ``repro.engine.runner.run_chunk``, so the worker loads the engine
+# before it announces its port, not while its first task waits.
+import repro.engine.runner  # noqa: F401
 from repro.engine.distributed import recv_message, send_message
-from repro.engine.runner import run_chunk
 
 __all__ = ["WorkerServer", "handle_request", "serve", "main"]
 
@@ -51,34 +51,17 @@ __all__ = ["WorkerServer", "handle_request", "serve", "main"]
 def handle_request(request: dict) -> dict:
     """Evaluate one wire request; the reply frame (never raises).
 
-    ``chunk`` rebuilds the spawned seed as
-    ``SeedSequence(entropy, spawn_key=spawn_key)`` — NumPy's documented
-    spawn contract makes that child identical to the one the client
-    spawned, which is what keeps distributed hit counts bit-identical
-    to serial ones.  The reply's ``result`` is the chunk's hit count,
-    a plain ``int`` that the client's runner checks before using it.
+    ``task`` is the only op: its ``result`` is ``function(*args)``.  For
+    a chunk that is the hit count, a plain ``int`` that the client's
+    runner checks before using it; the chunk's ``SeedSequence`` child
+    arrives pickled inside ``args`` and draws the same stream as the
+    client's.  Any other op gets ``ok: False``.
     """
     try:
         op = request.get("op") if isinstance(request, dict) else None
-        if op == "ping":
-            return {"ok": True, "result": "pong"}
-        if op == "chunk":
-            child = np.random.SeedSequence(
-                request["entropy"], spawn_key=tuple(request["spawn_key"])
-            )
-            hits = run_chunk(
-                request["scenario"],
-                request["estimator"],
-                request["size"],
-                child,
-            )
-            return {"ok": True, "result": hits}
-        if op == "task":
-            result = request["function"](*request["args"])
-            return {"ok": True, "result": result}
-        if op == "shutdown":
-            return {"ok": True, "result": "bye"}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        if op != "task":
+            return {"ok": False, "error": f"unknown op {op!r}"}
+        return {"ok": True, "result": request["function"](*request["args"])}
     except Exception:  # noqa: BLE001 - every failure must cross the wire.
         return {"ok": False, "error": traceback.format_exc()}
 
@@ -96,16 +79,13 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
             op = request.get("op") if isinstance(request, dict) else None
             self.server.record(op, reply.get("ok", False))
             # Piggyback the stats frame on every reply so the client can
-            # attribute each chunk to the worker that served it (and log
+            # attribute each task to the worker that served it (and log
             # the provenance when a later requeue fires).  handle_request
             # itself stays pure — tests drive it directly.
             reply = {**reply, "stats": self.server.stats_frame()}
             try:
                 send_message(self.request, reply)
             except OSError:
-                return
-            if op == "shutdown":
-                self.server.request_shutdown()
                 return
 
 
@@ -118,11 +98,11 @@ class WorkerServer(socketserver.ThreadingTCPServer):
     def __init__(self, host: str, port: int) -> None:
         super().__init__((host, port), _ConnectionHandler)
         #: Stable identity of this worker process: host name + PID —
-        #: what clients log when attributing chunks to hosts.
+        #: what clients log when attributing tasks to hosts.
         self.worker_id = f"{socket.gethostname()}-{os.getpid()}"
         self._started = time.monotonic()
         self._stats_lock = threading.Lock()
-        self._served = {"ping": 0, "chunk": 0, "task": 0, "shutdown": 0}
+        self._served = {"task": 0}
         self._errors = 0
 
     def record(self, op: str | None, ok: bool) -> None:
@@ -157,9 +137,9 @@ class WorkerServer(socketserver.ThreadingTCPServer):
     def request_shutdown(self) -> None:
         """Stop ``serve_forever`` without deadlocking the caller.
 
-        ``shutdown()`` blocks until the serve loop exits, so a handler
-        thread (or a signal handler) must trigger it from a helper
-        thread rather than calling it directly.
+        ``shutdown()`` blocks until the serve loop exits, so a signal
+        handler must trigger it from a helper thread rather than
+        calling it directly.
         """
         threading.Thread(target=self.shutdown, daemon=True).start()
 
@@ -180,7 +160,7 @@ def serve(host: str = "127.0.0.1", port: int = 0) -> WorkerServer:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.worker",
-        description="Serve chunk work items to DistributedBackend clients.",
+        description="Serve tasks to DistributedBackend clients.",
     )
     parser.add_argument(
         "--host",

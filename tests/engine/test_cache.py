@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro.engine.cache as cache_module
-import repro.engine.parallel as parallel_module
+import repro.engine.runner as runner_module
 from repro.core.distributions import bernoulli_condition
 from repro.engine import (
     ExperimentRunner,
@@ -29,14 +29,14 @@ def cache(tmp_path):
 @pytest.fixture
 def counting_run_chunk(monkeypatch):
     """Record the size of every chunk actually sampled (patched where
-    the serial backend resolves ``run_chunk``)."""
+    the runner resolves ``run_chunk``, the task it submits)."""
     calls = []
 
     def counted(scenario, estimator, size, child):
         calls.append(size)
         return run_chunk(scenario, estimator, size, child)
 
-    monkeypatch.setattr(parallel_module, "run_chunk", counted)
+    monkeypatch.setattr(runner_module, "run_chunk", counted)
     return calls
 
 
@@ -75,7 +75,7 @@ class TestRoundTrip:
         def exploding(*args):  # pragma: no cover - must not run
             raise AssertionError("chunk executed on a warm cache")
 
-        monkeypatch.setattr(parallel_module, "run_chunk", exploding)
+        monkeypatch.setattr(runner_module, "run_chunk", exploding)
         assert runner.run(2_000, seed=1) == fresh
         assert runner.last_report.from_cache
 

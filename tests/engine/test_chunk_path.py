@@ -27,6 +27,7 @@ from repro.engine import (
     SerialBackend,
     get_scenario,
     kernels,
+    run_chunk,
 )
 from repro.engine.parallel import BACKEND_NAMES, make_backend
 from tests.conftest import random_strings
@@ -35,25 +36,45 @@ CHUNK = 512
 
 
 class RecordingBackend(SerialBackend):
-    """A serial backend that records every ``submit_chunks`` call."""
+    """A serial backend that records every ``submit_task(run_chunk, …)``
+    call, grouped into waves: a submission after a result has been
+    collected opens a new wave."""
 
     def __init__(self):
-        self.calls = []
+        self.waves = []
+        self.collected = True
 
-    def submit_chunks(self, scenario, estimator, sizes, children):
-        self.calls.append(
-            (
-                list(sizes),
-                [child.spawn_key for child in children],
-                [child.entropy for child in children],
-            )
-        )
-        return super().submit_chunks(scenario, estimator, sizes, children)
+    def submit_task(self, function, /, *args):
+        assert function is run_chunk
+        _, _, size, child = args
+        if self.collected:
+            self.waves.append([])
+            self.collected = False
+        self.waves[-1].append((size, child.spawn_key, child.entropy))
+        return _CollectedFuture(self, super().submit_task(function, *args))
+
+    @property
+    def calls(self):
+        """``(sizes, spawn keys, entropies)`` of each wave."""
+        return [tuple(map(list, zip(*wave))) for wave in self.waves]
 
     @property
     def indices(self):
-        """Dispatched chunk indices, one list per call."""
+        """Dispatched chunk indices, one list per wave."""
         return [[key[0] for key in keys] for _, keys, _ in self.calls]
+
+
+class _CollectedFuture:
+    """A future that tells its :class:`RecordingBackend` it was
+    collected, closing the current wave."""
+
+    def __init__(self, backend, future):
+        self.backend = backend
+        self.future = future
+
+    def result(self):
+        self.backend.collected = True
+        return self.future.result()
 
 
 @pytest.fixture
@@ -140,7 +161,7 @@ class TestOneWavePath:
         backend = RecordingBackend()
         # A shorter prefix of the same chunk stream: all in the ledger.
         reopened.run(3 * CHUNK, seed=33, backend=backend)
-        assert backend.indices == [[]]
+        assert backend.indices == []
         assert reopened.last_report.sampled_chunks == 0
         assert reopened.last_report.reused_chunks == 3
 

@@ -9,6 +9,7 @@ streams loudly.
 """
 
 import os
+import pickle
 import re
 import signal
 import socket
@@ -35,7 +36,6 @@ from repro.engine import (
 )
 from repro.engine.distributed import (
     ProtocolError,
-    chunk_message,
     parse_hosts,
     recv_message,
     send_message,
@@ -84,10 +84,10 @@ def _backend(servers, **kwargs):
 class TestWireProtocol:
     def test_frame_round_trip(self):
         left, right = socket.socketpair()
-        payload = {"op": "chunk", "matrix": np.arange(12).reshape(3, 4)}
+        payload = {"op": "task", "matrix": np.arange(12).reshape(3, 4)}
         send_message(left, payload)
         received = recv_message(right)
-        assert received["op"] == "chunk"
+        assert received["op"] == "task"
         assert np.array_equal(received["matrix"], payload["matrix"])
         left.close()
         assert recv_message(right) is None  # clean EOF at a boundary
@@ -116,25 +116,36 @@ class TestWireProtocol:
             with pytest.raises(ValueError):
                 parse_hosts(bad)
 
-    def test_chunk_message_reconstructs_the_spawned_seed(self):
-        parent = np.random.SeedSequence(42)
-        child = parent.spawn(5)[3]
-        message = chunk_message(
-            get_scenario("iid-settlement"), len, 128, child
-        )
-        rebuilt = np.random.SeedSequence(
-            message["entropy"], spawn_key=tuple(message["spawn_key"])
-        )
-        assert (
-            rebuilt.generate_state(8).tolist()
-            == child.generate_state(8).tolist()
-        )
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_pickled_chunk_task_replays_the_spawned_seed(self, index):
+        """A chunk crosses the wire as a task whose ``SeedSequence``
+        child is pickled inside ``args``: the worker's hit count equals
+        a local ``run_chunk`` on the child the runner spawns."""
+        scenario = get_scenario("iid-settlement", depth=15)
+        estimator = ExperimentRunner(scenario).estimator
+        child = np.random.SeedSequence(42, spawn_key=(index,))
+        message = {
+            "op": "task",
+            "function": run_chunk,
+            "args": (scenario, estimator, 256, child),
+        }
+        reply = handle_request(pickle.loads(pickle.dumps(message)))
+        assert reply == {
+            "ok": True,
+            "result": run_chunk(scenario, estimator, 256, child),
+        }
 
     def test_chunk_reply_is_the_plain_hit_count(self):
         scenario = get_scenario("iid-settlement", depth=15)
         estimator = ExperimentRunner(scenario).estimator
         child = np.random.SeedSequence(8).spawn(2)[1]
-        reply = handle_request(chunk_message(scenario, estimator, 256, child))
+        reply = handle_request(
+            {
+                "op": "task",
+                "function": run_chunk,
+                "args": (scenario, estimator, 256, child),
+            }
+        )
         assert reply == {
             "ok": True,
             "result": run_chunk(scenario, estimator, 256, child),
@@ -156,7 +167,7 @@ class TestWireProtocol:
 
         def corrupted(request):
             reply = real(request)
-            if request.get("op") == "chunk":
+            if request.get("function") is run_chunk:
                 reply = {"ok": True, "result": result}
             return reply
 
@@ -172,6 +183,19 @@ class TestWireProtocol:
         reply = handle_request({"op": "frobnicate"})
         assert reply["ok"] is False
         assert "frobnicate" in reply["error"]
+
+    @pytest.mark.parametrize("op", ["chunk", "ping", "shutdown"])
+    def test_task_is_the_only_op(self, op):
+        reply = handle_request({"op": op})
+        assert reply == {"ok": False, "error": f"unknown op {op!r}"}
+
+    def test_unknown_op_counts_as_an_error_not_a_served_task(self, workers):
+        with socket.create_connection(workers[0].address, timeout=30) as sock:
+            send_message(sock, {"op": "ping"})
+            reply = recv_message(sock)
+        assert reply["ok"] is False
+        assert reply["stats"]["served"] == {"task": 0}
+        assert reply["stats"]["errors"] == 1
 
 
 class TestBitIdentity:
@@ -210,10 +234,6 @@ class TestBitIdentity:
             with pytest.raises(RemoteTaskError, match="ValueError"):
                 future.result()
 
-    def test_ping_counts_reachable_hosts(self, workers):
-        with _backend(workers) as remote:
-            assert remote.ping() == 2
-
 
 class TestFailover:
     def _spawn_worker(self):
@@ -237,7 +257,7 @@ class TestFailover:
         def send_and_flag(sock, message):
             send_message(sock, message)
             if (
-                message.get("op") == "chunk"
+                message.get("op") == "task"
                 and sock.getpeername()[:2] == victim_address
             ):
                 victim_holds_chunk.set()
@@ -282,7 +302,7 @@ class TestFailover:
             frame = stats[key]
             assert frame["worker"] == server.worker_id
             assert frame["uptime"] > 0
-            served += frame["served"]["chunk"]
+            served += frame["served"]["task"]
         assert served == 8  # 4096 trials / 512 chunk, across both hosts
 
     def test_reply_without_stats_frame_is_malformed(self):

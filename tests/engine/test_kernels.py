@@ -19,17 +19,11 @@ from repro.core.distributions import (
 )
 from repro.core.margin import margin_sequence, margin_step
 from repro.core.reach import reach_sequence, rho
-from repro.core.walks import (
-    reflected_walk,
-    sample_reflected_walk_height,
-    sample_reflected_walk_heights,
-    stationary_reach_ratio,
-)
+from repro.core.walks import stationary_reach_ratio
 from repro.delta.reduction import (
     MODE_EMPTY_RUN,
     MODE_QUIET_WINDOW,
     reduce_string,
-    reduce_strings,
 )
 from repro.engine import kernels
 from tests.conftest import random_strings
@@ -73,42 +67,13 @@ class TestEncoding:
 
 
 class TestReachEquivalence:
-    def test_matches_reach_sequence(self):
-        words = random_strings("hHA", 120, 1, 60, seed=2)
-        matrix, lengths = kernels.encode_words(words)
-        trajectories = kernels.reach_trajectories(matrix)
-        for i, word in enumerate(words):
-            expected = reach_sequence(word)
-            assert trajectories[i, : len(word) + 1].tolist() == expected
-
     def test_final_reaches_match_rho(self):
         words = random_strings("hHA", 60, 1, 50, seed=3)
         matrix, lengths = kernels.encode_words(words)
-        # padding is a no-op, so the last column is each row's rho
-        finals = kernels.final_reaches(matrix)
+        # padding is a no-op, so the scan's final reach is each row's rho
+        finals, _mu = kernels.joint_final_states(matrix)
         for i, word in enumerate(words):
             assert finals[i] == rho(word)
-
-    def test_initial_reach_offsets(self):
-        # a reflected walk started at r0 must match the scalar recurrence
-        # seeded with r0 (consume the headroom before reflecting)
-        words = random_strings("hHA", 40, 1, 30, seed=4)
-        matrix, _ = kernels.encode_words(words)
-        starts = np.arange(len(words), dtype=np.int64) % 4
-        trajectories = kernels.reach_trajectories(matrix, starts)
-        for i, word in enumerate(words):
-            value = int(starts[i])
-            for t, symbol in enumerate(word, start=1):
-                if symbol == "A":
-                    value += 1
-                else:
-                    value = max(value - 1, 0)
-                assert trajectories[i, t] == value
-
-    def test_empty_symbol_is_noop(self):
-        matrix, _ = kernels.encode_words(["A.h", "Ah"])
-        a = kernels.reach_trajectories(matrix)
-        assert a[0].tolist() == [0, 1, 1, 0]
 
 
 class TestMarginEquivalence:
@@ -412,7 +377,11 @@ class TestReductionEquivalence:
     @pytest.mark.parametrize("delta", [0, 1, 2, 5])
     def test_matches_reduce_string(self, mode, delta):
         words = random_strings("hHA.", 80, 1, 50, seed=11)
-        assert reduce_strings(words, delta, mode) == [
+        matrix, lengths = kernels.encode_words(words)
+        reduced, reduced_lengths = kernels.reduce_matrix(
+            matrix, delta, mode, lengths
+        )
+        assert kernels.decode_matrix(reduced, reduced_lengths) == [
             reduce_string(word, delta, mode) for word in words
         ]
 
@@ -428,9 +397,6 @@ class TestReductionEquivalence:
                 assert columns[i] == -1
             else:
                 assert columns[i] == slot_bijection(word, 0)[target] - 1
-
-    def test_empty_batch(self):
-        assert reduce_strings([], 2) == []
 
 
 class TestSamplingEquivalence:
@@ -473,24 +439,3 @@ class TestSamplingEquivalence:
             observed = (draws == k).mean()
             assert abs(observed - expected) < 0.01
 
-    def test_reflected_walk_heights_distribution(self):
-        # batched closed-form heights vs the scalar per-step sampler
-        epsilon, steps = 0.3, 40
-        generator = np.random.default_rng(16)
-        batched = sample_reflected_walk_heights(epsilon, steps, 20_000, generator)
-        rng = random.Random(17)
-        scalar = [
-            sample_reflected_walk_height(epsilon, steps, rng)
-            for _ in range(20_000)
-        ]
-        assert abs(batched.mean() - np.mean(scalar)) < 0.1
-
-    def test_reflected_walk_closed_form_identity(self):
-        # the closed form used by the kernel equals the library's
-        # reflected_walk on the induced characteristic string
-        generator = np.random.default_rng(18)
-        uniforms = generator.random((1, 60))
-        p = (1.0 - 0.3) / 2.0
-        word = "".join("A" if u < p else "h" for u in uniforms[0])
-        heights = kernels.reflected_walk_heights_from_uniforms(0.3, uniforms)
-        assert heights[0] == reflected_walk(word)[-1]

@@ -16,7 +16,7 @@ Pins the two halves of the revised reproducibility contract:
 import numpy as np
 import pytest
 
-import repro.engine.parallel as parallel_module
+import repro.engine.runner as runner_module
 from repro.engine import (
     ExperimentRunner,
     ProcessBackend,
@@ -41,8 +41,8 @@ def make_runner(cache=None, chunk_size=512, **overrides):
 def counting_run_chunk(monkeypatch):
     """Count (and record the sizes of) every chunk actually sampled.
 
-    Patched where the serial backend resolves it
-    (``repro.engine.parallel`` imports ``run_chunk`` by name).
+    Patched where the runner resolves it: every chunk is submitted as
+    the task ``run_chunk``.
     """
     calls = []
 
@@ -50,7 +50,7 @@ def counting_run_chunk(monkeypatch):
         calls.append(size)
         return run_chunk(scenario, estimator, size, child)
 
-    monkeypatch.setattr(parallel_module, "run_chunk", counted)
+    monkeypatch.setattr(runner_module, "run_chunk", counted)
     return calls
 
 

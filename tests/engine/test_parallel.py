@@ -144,19 +144,16 @@ class FixedVector:
 
 
 class CannedReplies(SerialBackend):
-    """A backend whose every chunk reply is ``reply``, as a broken or
+    """A backend whose every task reply is ``reply``, as a broken or
     foreign worker might send it."""
 
     def __init__(self, reply):
         self.reply = reply
 
-    def submit_chunks(self, scenario, estimator, sizes, children):
-        futures = []
-        for _ in sizes:
-            future = Future()
-            future.set_result(self.reply)
-            futures.append(future)
-        return futures
+    def submit_task(self, function, /, *args):
+        future = Future()
+        future.set_result(self.reply)
+        return future
 
 
 class TestGuards:
@@ -219,7 +216,7 @@ class TestGuards:
 
 
 class TestBackendProtocolCompliance:
-    """Every backend serves the same submit_task/submit_chunks surface."""
+    """Every backend serves the same submit_task surface."""
 
     @pytest.fixture(params=["serial", "process", "distributed"])
     def backend(self, request):
@@ -247,12 +244,15 @@ class TestBackendProtocolCompliance:
         futures = [backend.submit_task(divmod, n, 3) for n in range(5)]
         assert [f.result() for f in futures] == [divmod(n, 3) for n in range(5)]
 
-    def test_submit_chunks_matches_run_chunk(self, backend):
+    def test_submitted_run_chunk_matches_run_chunk(self, backend):
         scenario = get_scenario("iid-settlement", depth=10)
         estimator = ExperimentRunner(scenario).estimator
         children = np.random.SeedSequence(5).spawn(3)
         sizes = [256, 256, 128]
-        futures = backend.submit_chunks(scenario, estimator, sizes, children)
+        futures = [
+            backend.submit_task(run_chunk, scenario, estimator, size, child)
+            for size, child in zip(sizes, children)
+        ]
         expected = [
             run_chunk(scenario, estimator, size, child)
             for size, child in zip(sizes, children)
@@ -278,14 +278,6 @@ class TestBackendProtocolCompliance:
         )
         assert warm.run(2_048, seed=12) == reference
         assert warm.last_report.from_cache
-
-    def test_submit_chunks_validates_pairing(self, backend):
-        scenario = get_scenario("iid-settlement", depth=10)
-        estimator = ExperimentRunner(scenario).estimator
-        with pytest.raises(ValueError, match="child per chunk"):
-            backend.submit_chunks(
-                scenario, estimator, [256], np.random.SeedSequence(5).spawn(2)
-            )
 
     def test_window_estimators_validate_bounds(self):
         from repro.engine import (
@@ -370,7 +362,10 @@ class TestEveryEstimatorHitCounts:
         backend = request.getfixturevalue(
             "pool" if source == "process" else "remote"
         )
-        futures = backend.submit_chunks(scenario, estimator, sizes, children)
+        futures = [
+            backend.submit_task(run_chunk, scenario, estimator, size, child)
+            for size, child in zip(sizes, children)
+        ]
         assert [future.result() for future in futures] == hits
 
     @pytest.mark.parametrize("name", sorted(ESTIMATOR_WORKLOADS))
@@ -432,8 +427,27 @@ class TestBackendFlags:
                     "--hosts only applies to --backend distributed",
                 ],
             ),
+            (
+                ["--backend", "serial", "--workers", "4"],
+                ["--workers only applies to --backend process, not serial"],
+            ),
+            (
+                ["--backend", "distributed", "--hosts", "127.0.0.1:9",
+                 "--workers", "2"],
+                [
+                    "--workers only applies to --backend process, "
+                    "not distributed"
+                ],
+            ),
         ],
-        ids=["workers-0", "hosts-alone", "distributed-no-hosts", "two-errors"],
+        ids=[
+            "workers-0",
+            "hosts-alone",
+            "distributed-no-hosts",
+            "two-errors",
+            "serial-workers",
+            "distributed-workers",
+        ],
     )
     def test_invalid_flags_exit_2(self, cli, flags, errors, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:

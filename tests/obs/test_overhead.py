@@ -20,6 +20,7 @@ from repro.engine import (
     run_grid,
 )
 from repro.engine.cache import ResultCache
+from repro.engine.parallel import make_backend
 from repro.obs import metrics
 from repro.obs.trace import tracing_to
 from repro.worker import serve
@@ -155,8 +156,20 @@ class TestRecordedTelemetry:
             )
         text = registry.render()
         assert 'repro_runner_trials_total{source="sampled"} 1500' in text
-        assert 'repro_chunk_seconds_count{backend="serial"}' in text
+        assert 'repro_task_seconds_count{backend="serial"}' in text
         assert 'repro_runner_runs_total{cache="miss"} 1' in text
+
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_every_task_is_timed(self, name):
+        """``repro_task_seconds`` times any task — an oracle DP cell as
+        much as a chunk — on the backend that ran it."""
+        with metrics.enabled_registry() as registry:
+            with make_backend(name, 2) as backend:
+                futures = [backend.submit_task(divmod, n, 3) for n in range(3)]
+                assert [f.result() for f in futures] == [(0, 0), (0, 1), (0, 2)]
+        # Closing the pool joins the thread that runs the done-callbacks.
+        text = registry.render()
+        assert f'repro_task_seconds_count{{backend="{name}"}} 3' in text
 
     def test_cache_metrics_split_hits_and_misses(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -199,9 +212,9 @@ class TestRecordedTelemetry:
                 server.shutdown()
                 server.server_close()
         text = registry.render()
-        assert 'repro_rpc_seconds_count{op="chunk"}' in text
+        assert 'repro_rpc_seconds_count{op="task"}' in text
         assert "repro_worker_uptime_seconds" in text
         (frame,) = stats.values()
         assert frame["worker"] == servers[0].worker_id
         assert frame["uptime"] >= 0
-        assert frame["served"]["chunk"] >= 1
+        assert frame["served"]["task"] >= 1

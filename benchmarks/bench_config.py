@@ -8,10 +8,11 @@ run-to-run.
 
 The helpers are the suite's one way to time a claim (:func:`timed`),
 one way to check it (:class:`Gate`, :func:`check_gates`, and the gate
-tables ``GATES`` and ``SERVING_GATES``), and one way to start a
-``python -m`` server child that announces its port (:func:`spawn`,
-:func:`stop`).  This module imports only the standard library, so the
-gate tables load without the benches' import-time set-up.
+tables ``GATES`` and ``SERVING_GATES``), one way to draw oracle queries
+(:func:`random_queries`), and one way to start a ``python -m`` server
+child that announces its port (:func:`spawn`, :func:`stop`).  This
+module imports only the standard library, so the gate tables load
+without the benches' import-time set-up.
 """
 
 import dataclasses
@@ -116,6 +117,19 @@ def timed(rounds, *callables, units=None):
         for sample, count in zip(times[1:], units[1:])
     ]
     return [spread(sample) for sample in times], ratios, results
+
+
+def random_queries(spec, count: int, rng):
+    """Columnar random queries inside an oracle spec's conservative
+    hull: ``count`` each of α, unique fraction, Δ and k drawn uniformly
+    from ``rng`` (a ``numpy.random.Generator``), in that order."""
+    alphas = rng.uniform(spec.alphas[0], spec.alphas[-1], count)
+    fractions = rng.uniform(
+        spec.unique_fractions[0], spec.unique_fractions[-1], count
+    )
+    deltas = rng.uniform(spec.deltas[0], spec.deltas[-1], count)
+    depths = rng.uniform(spec.depths[0], spec.depths[-1], count)
+    return alphas, fractions, deltas, depths
 
 
 _COMPARE = {">=": operator.ge, "<=": operator.le, "==": operator.eq}

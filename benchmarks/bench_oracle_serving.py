@@ -67,6 +67,7 @@ from bench_config import (
     ROUNDS,
     SERVING_GATES,
     check_gates,
+    random_queries,
     spawn,
     stop,
     timed,
@@ -118,18 +119,6 @@ def _percentile_ms(latencies: list[float], fraction: float) -> float:
         0, min(len(latencies) - 1, round(fraction * (len(latencies) - 1)))
     )
     return round(1e3 * latencies[index], 3)
-
-
-def _in_hull_queries(spec, count: int, rng: np.random.Generator):
-    """Columnar random queries inside the table's conservative hull."""
-    return (
-        rng.uniform(spec.alphas[0], spec.alphas[-1], count),
-        rng.uniform(
-            spec.unique_fractions[0], spec.unique_fractions[-1], count
-        ),
-        rng.uniform(spec.deltas[0], spec.deltas[-1], count),
-        rng.uniform(spec.depths[0], spec.depths[-1], count),
-    )
 
 
 def _load(address, clients: int, requester, sink: dict) -> None:
@@ -239,7 +228,7 @@ def _batch_encode_record(
     """The batch-route encode micro-benchmark on the served artifact:
     ``json.dumps`` of the answers (the replaced encoding) vs the cell
     splice the route now uses.  Both must write the same bytes."""
-    columns = _in_hull_queries(
+    columns = random_queries(
         oracle.spec, batch_size, np.random.default_rng(QUERY_SEED)
     )
     app = OracleApp(oracle)
@@ -291,12 +280,12 @@ def serving_record(quick: bool) -> dict:
         # Pre-generate per-client query sets (the generator is not
         # thread-safe; the load threads only read).
         scalar_queries = [
-            list(zip(*_in_hull_queries(spec, scalar_requests, rng)))
+            list(zip(*random_queries(spec, scalar_requests, rng)))
             for _ in range(clients)
         ]
         batch_payloads = []
         for _ in range(clients):
-            alphas, fractions, deltas, depths = _in_hull_queries(
+            alphas, fractions, deltas, depths = random_queries(
                 spec, batch_size, rng
             )
             batch_payloads.append(

@@ -24,7 +24,7 @@ checks:
 import numpy as np
 import pytest
 
-from bench_config import ROUNDS, SEEDS, TRIALS, timed
+from bench_config import ROUNDS, SEEDS, TRIALS, random_queries, timed
 from repro.analysis.exact import (
     compute_settlement_probabilities,
     settlement_violation_probability,
@@ -59,17 +59,6 @@ def artifact(tmp_path_factory):
 def oracle(artifact):
     directory, _ = artifact
     return SettlementOracle.load(directory)
-
-
-def random_queries(spec, count: int, rng: np.random.Generator):
-    """Columnar random queries inside the table's conservative hull."""
-    alphas = rng.uniform(spec.alphas[0], spec.alphas[-1], count)
-    fractions = rng.uniform(
-        spec.unique_fractions[0], spec.unique_fractions[-1], count
-    )
-    deltas = rng.uniform(spec.deltas[0], spec.deltas[-1], count)
-    depths = rng.uniform(spec.depths[0], spec.depths[-1], count)
-    return alphas, fractions, deltas, depths
 
 
 def test_exact_at_every_grid_point(oracle):

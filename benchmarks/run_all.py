@@ -60,6 +60,7 @@ from bench_config import (  # noqa: E402
     TRIALS,
     check_gates,
     child_env,
+    random_queries,
     spawn,
     stop,
     timed,
@@ -69,7 +70,6 @@ from bench_oracle_throughput import (  # noqa: E402
     BATCH_QUERIES,
     QUERY_SEED,
     SINGLE_QUERIES,
-    random_queries,
 )
 
 from repro.engine.cache import CACHE_DIR_ENV, ResultCache  # noqa: E402
@@ -485,7 +485,9 @@ def backend_record(quick: bool) -> dict:
     from repro.engine.runner import ExperimentRunner
     from repro.engine import kernels
 
-    scenario = get_scenario("stake-sweep/alpha=0.3/frac=1")
+    scenario = get_scenario(
+        "iid-settlement", probabilities=from_adversarial_stake(0.3, 1.0)
+    )
     chunk_size = 4096
     trials = chunk_size * (8 if quick else 32)
     seed = SEEDS["engine_scalar_vs_batched"]

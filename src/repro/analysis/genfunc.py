@@ -181,21 +181,6 @@ def stationary_prefix_correction(epsilon: float, order: int) -> np.ndarray:
     return (1.0 - beta) * geometric
 
 
-def tail_sum(series: np.ndarray, k: int) -> float:
-    """``Σ_{t ≥ k} c_t`` — truncated-series tail (may under-count).
-
-    Only the first ``len(series)`` coefficients contribute; use
-    :func:`probability_tail` for probability generating functions, where
-    the total mass is known to be exactly 1 and the tail can be computed
-    without truncation loss.
-    """
-    if k <= 0:
-        return float(series.sum())
-    if k >= len(series):
-        return 0.0
-    return float(series[k:].sum())
-
-
 def probability_tail(series: np.ndarray, k: int) -> float:
     """``Pr[T ≥ k]`` for a PGF's coefficient series, in every regime.
 

@@ -10,7 +10,7 @@ Five layers (bottom to top):
   are kept as cross-validation oracles.
 * :mod:`repro.engine.scenarios` — a frozen :class:`Scenario` dataclass
   plus a registry of declarative Monte-Carlo workloads (i.i.d.,
-  Δ-synchronous–reduced, martingale-damped, adversarial-stake sweeps).
+  Δ-synchronous–reduced, martingale-damped).
 * :mod:`repro.engine.runner` — :class:`ExperimentRunner`: chunked
   batching of a scenario against an estimator, each chunk seeded by its
   own spawned ``SeedSequence`` child, with :class:`Estimate`
@@ -43,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.engine.scenarios": (
             "Batch",
             "Scenario",
-            "adversarial_stake_sweep",
             "get_scenario",
             "register",
             "scenario_names",

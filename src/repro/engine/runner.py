@@ -174,55 +174,53 @@ def delta_settlement_violation(scenario: Scenario, batch: Batch) -> np.ndarray:
     return violated & (starts >= 0)
 
 
-def _validate_window(window_start: int, window_length: int) -> None:
-    """Slots are 1-indexed: a start below 1 would silently slice an
-    empty (or wrapped) window and report probability 1."""
-    if window_start < 1:
-        raise ValueError(f"window_start must be >= 1, got {window_start}")
-    if window_length < 1:
-        raise ValueError(f"window_length must be >= 1, got {window_length}")
-
-
 @dataclass(frozen=True)
-class NoUniqueCatalanInWindow:
-    """Estimator: no uniquely honest Catalan slot in the window.
-
-    The event of Bound 1, evaluated on the whole sampled string (boundary
-    effects included, as in the scalar estimator).  A frozen dataclass
-    rather than a closure so instances pickle across process-pool workers
-    and fingerprint deterministically for the result cache.
-    """
+class _CatalanWindow:
+    """Estimator body: no slot of ``mask`` set in the 1-indexed window
+    ``[window_start, window_start + window_length)``, evaluated on the
+    whole sampled string (boundary effects included, as in the scalar
+    estimators).  A frozen dataclass rather than a closure so instances
+    pickle across process-pool workers and fingerprint deterministically
+    for the result cache; subclasses supply only the mask kernel."""
 
     window_start: int
     window_length: int
 
     def __post_init__(self) -> None:
-        _validate_window(self.window_start, self.window_length)
+        # A start below 1 would silently slice an empty (or wrapped)
+        # window and report probability 1.
+        if self.window_start < 1:
+            raise ValueError(
+                f"window_start must be >= 1, got {self.window_start}"
+            )
+        if self.window_length < 1:
+            raise ValueError(
+                f"window_length must be >= 1, got {self.window_length}"
+            )
 
     def __call__(self, scenario: Scenario, batch: Batch) -> np.ndarray:
-        mask = kernels.uniquely_honest_catalan_mask(batch.symbols)
+        mask = self.mask(batch.symbols)
         start = self.window_start
         window = mask[:, start - 1 : start - 1 + self.window_length]
         return ~window.any(axis=1)
 
 
-@dataclass(frozen=True)
-class NoConsecutiveCatalanInWindow:
+class NoUniqueCatalanInWindow(_CatalanWindow):
+    """Estimator: no uniquely honest Catalan slot in the window (the
+    event of Bound 1)."""
+
+    @staticmethod
+    def mask(symbols: np.ndarray) -> np.ndarray:
+        return kernels.uniquely_honest_catalan_mask(symbols)
+
+
+class NoConsecutiveCatalanInWindow(_CatalanWindow):
     """Estimator: no two consecutive Catalan slots starting in the window
-    (the event of Bound 2).  Picklable and cache-fingerprintable like
-    :class:`NoUniqueCatalanInWindow`."""
+    (the event of Bound 2)."""
 
-    window_start: int
-    window_length: int
-
-    def __post_init__(self) -> None:
-        _validate_window(self.window_start, self.window_length)
-
-    def __call__(self, scenario: Scenario, batch: Batch) -> np.ndarray:
-        pairs = kernels.consecutive_catalan_mask(batch.symbols)
-        start = self.window_start
-        window = pairs[:, start - 1 : start - 1 + self.window_length]
-        return ~window.any(axis=1)
+    @staticmethod
+    def mask(symbols: np.ndarray) -> np.ndarray:
+        return kernels.consecutive_catalan_mask(symbols)
 
 
 # ----------------------------------------------------------------------

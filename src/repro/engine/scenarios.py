@@ -19,9 +19,7 @@ Built-in scenarios cover the paper's four workload families:
 * ``martingale-damped`` — adversarially correlated sampler dominated by
   the i.i.d. law (the Theorem 1 dominance check);
 * ``delta-synchronous`` — semi-synchronous strings pushed through ρ_Δ
-  (the Theorem 7 measurement);
-* ``stake-sweep/…`` — a family over adversarial-stake points α
-  (the Table 1 column sweep).
+  (the Theorem 7 measurement).
 """
 
 from __future__ import annotations
@@ -97,7 +95,6 @@ class Scenario:
     sampler: str = SAMPLER_IID
     correlation: float = 1.0
     delta: int = 0
-    reduction_mode: str = kernels.MODE_EMPTY_RUN
     target_slot: int = 1
     total_length: int = 0
     description: str = ""
@@ -188,9 +185,7 @@ class Scenario:
 
         if self.reduced:
             starts = kernels.reduced_slot_columns(symbols, self.target_slot)
-            symbols, lengths = kernels.reduce_matrix(
-                symbols, self.delta, self.reduction_mode
-            )
+            symbols, lengths = kernels.reduce_matrix(symbols, self.delta)
         else:
             lengths = np.full(trials, self.horizon, dtype=np.int64)
         return Batch(symbols, starts, initial, lengths)
@@ -250,41 +245,6 @@ def scenario_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def adversarial_stake_sweep(
-    alphas: tuple[float, ...],
-    unique_fraction: float = 1.0,
-    depth: int = 100,
-) -> list[Scenario]:
-    """Build (and register, if new) one scenario per stake point α.
-
-    The Table 1 column sweep as a scenario family: names are
-    ``stake-sweep/alpha=<α>/frac=<fraction>``.
-    """
-    scenarios = []
-    for alpha in alphas:
-        name = f"stake-sweep/alpha={alpha:g}/frac={unique_fraction:g}"
-        if name in _REGISTRY:
-            scenarios.append(get_scenario(name, depth=depth))
-            continue
-        scenarios.append(
-            register(
-                Scenario(
-                    name=name,
-                    probabilities=from_adversarial_stake(
-                        alpha, unique_fraction
-                    ),
-                    depth=depth,
-                    description=(
-                        f"i.i.d. stationary settlement at adversarial "
-                        f"stake alpha={alpha:g}, unique fraction "
-                        f"{unique_fraction:g}"
-                    ),
-                )
-            )
-        )
-    return scenarios
-
-
 # Built-in workloads --------------------------------------------------------
 
 register(
@@ -341,5 +301,3 @@ register(
         ),
     )
 )
-
-adversarial_stake_sweep((0.10, 0.20, 0.30))

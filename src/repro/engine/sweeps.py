@@ -136,6 +136,12 @@ class SweepGrid:
     def __post_init__(self) -> None:
         if not self.axes:
             raise ValueError("a grid needs at least one axis")
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.chunk_size < 1:
+            raise ValueError("chunk_size must be positive")
         if self.target_se is not None and not self.target_se > 0:
             raise ValueError("target_se must be positive")
         if self.rel_se is not None and not self.rel_se > 0:

@@ -91,7 +91,7 @@ class Response:
 
 
 class OracleApp:
-    """The shared route/error/metrics core both servers delegate to.
+    """The route/error/metrics core the HTTP transport delegates to.
 
     A batch ``POST /v1/violation`` body is not a ``json.dumps`` of the
     answers: every answer is a stored ``forward`` cell or the saturated

@@ -201,6 +201,10 @@ class OracleSpec:
             raise ValueError("mc_trials > 0 needs mc_depths")
         if self.mc_target_se < 0:
             raise ValueError("mc_target_se must be non-negative")
+        if self.mc_seed < 0:
+            raise ValueError("mc_seed must be non-negative")
+        if self.mc_chunk_size < 1:
+            raise ValueError("mc_chunk_size must be positive")
         if self.mc_target_se and not self.mc_trials:
             raise ValueError(
                 "mc_target_se > 0 needs mc_trials as its trial ceiling"
@@ -251,15 +255,13 @@ class OracleTables:
     ``analytic_depth[i, j, l, n]`` is the smallest k whose *certified*
     Theorem 1 bound is ≤ the target, searched to
     ``ANALYTIC_HORIZON_FACTOR × depth_horizon`` (``−1``: the bound
-    cannot certify the target even there).  ``analytic_depth = None``
-    constructs an all-``−1`` array — the state of artifacts built
-    before the bound was tabulated, and of hand-built test tables.
+    cannot certify the target even there).
     """
 
     spec: OracleSpec
     forward: np.ndarray
     minimal_depth: np.ndarray
-    analytic_depth: np.ndarray | None = None
+    analytic_depth: np.ndarray
 
     def __post_init__(self) -> None:
         expected = self.spec.shape
@@ -273,13 +275,7 @@ class OracleTables:
                 f"minimal_depth shape {self.minimal_depth.shape} != "
                 f"{depth_shape}"
             )
-        if self.analytic_depth is None:
-            object.__setattr__(
-                self,
-                "analytic_depth",
-                np.full(depth_shape, -1, dtype=np.int64),
-            )
-        elif tuple(self.analytic_depth.shape) != depth_shape:
+        if tuple(self.analytic_depth.shape) != depth_shape:
             raise ValueError(
                 f"analytic_depth shape {self.analytic_depth.shape} != "
                 f"{depth_shape}"

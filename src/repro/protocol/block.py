@@ -193,20 +193,6 @@ class BlockTree:
         chain.reverse()
         return chain
 
-    def chain_hashes(self, block_hash: str) -> list[str]:
-        """Hashes along the chain, genesis first — pure index walk."""
-        hashes: list[str] = []
-        cursor = block_hash
-        while cursor != "":
-            hashes.append(cursor)
-            cursor = self._parents[cursor]
-        hashes.reverse()
-        return hashes
-
-    def chain_slots(self, block_hash: str) -> list[int]:
-        """Slot labels along the chain, genesis first."""
-        return [self._slots[h] for h in self.chain_hashes(block_hash)]
-
     def common_prefix_slot(self, first: str, second: str) -> int:
         """Slot of the deepest common ancestor of two chains.
 

@@ -43,15 +43,15 @@ are drained (:meth:`~repro.protocol.network.NetworkModel.ready`), only
 nodes whose tree changed reselect their chain, and a slot in which no
 tip moved shares the previous record's ``adopted_tips`` dict.
 
-The consistency predicates resolve through the block trees' hash
-indexes with memoised per-tip prefixes and chain indexes; the
+The consistency predicates resolve through the block trees' parent
+and slot indexes, walking each chain up to a slot cutoff
+(:meth:`~repro.protocol.block.BlockTree.prefix_hash_at_slot`); the
 chain-walking reference algorithms they are checked against live in
 ``tests/protocol/test_determinism.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,8 +313,8 @@ class DelayDistribution:
 class SimulationResult:
     """Recorded execution with the paper's consistency measurements.
 
-    The predicates walk the block trees' hash indexes, memoise per-tip
-    chain indexes, and skip repeated tip snapshots.
+    The predicates walk the block trees' parent and slot indexes and
+    skip repeated tip snapshots.
     """
 
     def __init__(
@@ -326,9 +326,6 @@ class SimulationResult:
         self.simulation = simulation
         self.schedule = schedule
         self.records = records
-        #: tip hash → (slots, hashes, hash set) along its chain; chains
-        #: are immutable and identical in every tree containing the tip.
-        self._tip_index: dict[str, tuple[list[int], list[str], frozenset]] = {}
         self._reorg_cache: dict[tuple[str, str], int] = {}
 
     @property
@@ -457,30 +454,18 @@ class SimulationResult:
                 previous, previous_slot = tip, record.slot
         return False
 
-    def _chain_index(
-        self, tree: BlockTree, tip: str
-    ) -> tuple[list[int], list[str], frozenset]:
-        entry = self._tip_index.get(tip)
-        if entry is None:
-            hashes = tree.chain_hashes(tip)
-            slots = [tree.slot_of(h) for h in hashes]
-            entry = (slots, hashes, frozenset(hashes))
-            self._tip_index[tip] = entry
-        return entry
-
+    @staticmethod
     def _is_slot_prefix(
-        self, tree: BlockTree, tip_a: str, cutoff: int, tip_b: str
+        tree: BlockTree, tip_a: str, cutoff: int, tip_b: str
     ) -> bool:
         """Is ``chain(tip_a)[0 : cutoff]`` a prefix of ``chain(tip_b)``?
 
-        The anchor lookup is a bisection over the chain's (sorted) slot
-        labels; membership is a set probe — both on per-tip indexes
-        built once per distinct tip.
+        It is exactly when its last block, the anchor, is on
+        ``chain(tip_b)``: slots strictly increase along a chain, so the
+        anchor is there iff ``tip_b``'s prefix at the anchor's slot is it.
         """
-        slots_a, hashes_a, _ = self._chain_index(tree, tip_a)
-        anchor = hashes_a[bisect_right(slots_a, cutoff) - 1]
-        _slots_b, _hashes_b, members_b = self._chain_index(tree, tip_b)
-        return anchor in members_b
+        anchor = tree.prefix_hash_at_slot(tip_a, cutoff)
+        return tree.prefix_hash_at_slot(tip_b, tree.slot_of(anchor)) == anchor
 
     def max_reorg_depth(self) -> int:
         """Deepest observed chain reorganisation (blocks discarded)."""
@@ -554,11 +539,8 @@ class SimulationResult:
         else:
             fork = Fork(word)
         by_hash = {union.genesis_hash: fork.root}
-        blocks = sorted(
-            (b for b in union.all_blocks() if b.parent_hash != ""),
-            key=lambda b: (b.slot, b.block_hash),
-        )
-        for block in blocks:
+        # union_tree inserts in (slot, hash) order, genesis first.
+        for block in union.all_blocks()[1:]:
             parent_vertex = by_hash[block.parent_hash]
             by_hash[block.block_hash] = fork.add_vertex(
                 parent_vertex, block.slot

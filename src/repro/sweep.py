@@ -21,10 +21,11 @@ replaces the grid's base seed (a different seed is a different run and
 re-keys every point).
 
 Caching: pass ``--cache-dir`` (or set ``$REPRO_SWEEP_CACHE``) and every
-``(scenario, estimator, seed, trials, chunk_size)`` point is stored
-after its first estimation; identical reruns do zero sampling.  Any key
-component change — a different seed, trial count, or scenario field —
-misses and recomputes (see ``repro.engine.cache``).
+chunk a point samples is ledgered under ``(scenario, estimator, seed,
+chunk_size)``; identical reruns do zero sampling, and a larger
+``--trials`` samples only the chunks the ledger lacks.  A different
+seed, chunk size, or scenario field is a different key and recomputes
+(see ``repro.engine.cache``).
 
 Parallelism: ``--workers N`` fans the runner's chunks across ``N``
 processes.  Estimates are bit-identical for every worker count — the
@@ -280,15 +281,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    cache = None
-    if not args.no_cache:
-        cache = (
-            ResultCache(args.cache_dir) if args.cache_dir else cache_from_env()
-        )
-
-    # Validate the adaptive flags up front (mirroring run_until's own
-    # checks) so a bad flag is a clean CLI error while genuine runtime
-    # failures keep their tracebacks.
+    # Validate the numeric flags up front (mirroring SweepGrid's and
+    # run_until's own checks) so a bad flag is a clean CLI error while
+    # genuine runtime failures keep their tracebacks.
+    if args.trials is not None and args.trials < 1:
+        print("error: --trials must be positive", file=sys.stderr)
+        return 2
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be non-negative", file=sys.stderr)
+        return 2
     for name, value in (
         ("--target-se", args.target_se),
         ("--rel-se", args.rel_se),
@@ -313,6 +314,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+
+    cache = None
+    if not args.no_cache:
+        cache = (
+            ResultCache(args.cache_dir) if args.cache_dir else cache_from_env()
+        )
 
     with open_backend(args) as backend:
         registry = obs_metrics.enable() if args.metrics else None

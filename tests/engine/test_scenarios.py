@@ -9,7 +9,6 @@ from repro.core.distributions import (
 )
 from repro.engine import (
     Scenario,
-    adversarial_stake_sweep,
     get_scenario,
     kernels,
     register,
@@ -43,11 +42,6 @@ class TestRegistry:
         scenario = get_scenario("iid-settlement")
         with pytest.raises(ValueError, match="already registered"):
             register(scenario)
-
-    def test_stake_sweep_family(self):
-        scenarios = adversarial_stake_sweep((0.10, 0.20), depth=60)
-        assert [s.depth for s in scenarios] == [60, 60]
-        assert all(s.name.startswith("stake-sweep/") for s in scenarios)
 
 
 class TestValidation:

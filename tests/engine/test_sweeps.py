@@ -116,6 +116,18 @@ class TestGridExpansion:
                 estimator="nope",
             )
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("trials", 0, "trials must be positive"),
+            ("seed", -1, "seed must be non-negative"),
+            ("chunk_size", 0, "chunk_size must be positive"),
+        ],
+    )
+    def test_run_knobs_validated_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(get_grid("stake"), **{field: value})
+
 
 class TestRunGrid:
     GRID = SweepGrid(
@@ -465,6 +477,23 @@ class TestCli:
     def test_unknown_grid_exit_code(self, capsys):
         assert sweep_cli.main(["no-such-grid"]) == 2
         assert "unknown grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--trials", "0"], "error: --trials must be positive\n"),
+            (["--seed", "-1"], "error: --seed must be non-negative\n"),
+        ],
+    )
+    def test_bad_run_knobs_exit_2(self, capsys, tmp_path, flags, message):
+        cache_dir = tmp_path / "cache"
+        assert sweep_cli.main(
+            ["stake", "--cache-dir", str(cache_dir), *flags]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+        assert not cache_dir.exists()
 
 
 class TestEstimateBoundary:

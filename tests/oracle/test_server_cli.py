@@ -111,6 +111,20 @@ class TestCli:
         )
         assert "no-op" in capsys.readouterr().out
 
+    def test_build_rejects_negative_mc_seed_before_building(
+        self, tmp_path, capsys
+    ):
+        artifact = tmp_path / "artifact"
+        code = cli.main(
+            ["build", "--preset", "tiny", "--mc-seed", "-1", "--out",
+             str(artifact)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "building" not in captured.out
+        assert "mc_seed must be non-negative" in captured.err
+        assert not artifact.exists()
+
     def test_query_needs_exactly_one_direction(self, tables, tmp_path, capsys):
         artifact = tmp_path / "artifact"
         save_tables(tables, artifact)

@@ -66,6 +66,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="mc_depths"):
             dataclasses.replace(SPEC, mc_trials=100)
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("mc_seed", -1, "mc_seed must be non-negative"),
+            ("mc_chunk_size", 0, "mc_chunk_size must be positive"),
+        ],
+    )
+    def test_mc_run_knobs_checked_at_spec_time(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(MC_SPEC, **{field: value})
+
     def test_reduced_law_must_keep_honest_majority(self):
         # High delta at low activity pushes p'_A past 1/2.
         with pytest.raises(ValueError, match="honest majority"):
@@ -191,6 +202,7 @@ class TestBuild:
                 spec=SPEC,
                 forward=tables.forward[..., :-1],
                 minimal_depth=tables.minimal_depth,
+                analytic_depth=tables.analytic_depth,
             )
 
 

@@ -51,7 +51,7 @@ class TestBlockTree:
         chain_of(tree, 1, 2, 5)
         assert tree.max_depth() == 3
         tip = tree.longest_tips()[0]
-        assert tree.chain_slots(tip) == [0, 1, 2, 5]
+        assert [b.slot for b in tree.chain(tip)] == [0, 1, 2, 5]
 
     def test_unknown_parent_rejected(self):
         tree = BlockTree()

@@ -35,13 +35,15 @@ and closes it; ``backend=None`` runs in-process::
 The command lines (``python -m repro.sweep``, ``python -m repro.oracle
 build``) declare their ``--workers/--backend/--hosts`` flags with
 :func:`add_backend_flags` and open the backend they name with
-:func:`open_backend`.
+:func:`open_backend`; :func:`unwritable` checks their ``--out`` and
+``--trace`` paths before any work runs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pathlib
 import sys
 import time
 from concurrent.futures import Future
@@ -62,6 +64,7 @@ __all__ = [
     "default_workers",
     "make_backend",
     "open_backend",
+    "unwritable",
 ]
 
 #: Names accepted by :func:`make_backend` (the CLI ``--backend`` values).
@@ -164,6 +167,25 @@ def open_backend(args) -> Iterator["Backend"]:
         yield backend
     finally:
         backend.close()
+
+
+def unwritable(flag: str, path, directory: bool = False) -> str | None:
+    """Why ``path`` cannot be written as a file (with ``directory``: be
+    made a directory, parents included), or ``None`` (also when no path
+    is given).  Creates and truncates nothing, so a command can check
+    its ``flag``'s path before it runs any work."""
+    if not path:
+        return None
+    target = pathlib.Path(path)
+    if target.exists() and target.is_dir() != directory:
+        return f"{flag}: {path} is {'not ' if directory else ''}a directory"
+    reach = target.parents if directory else [target.parent]
+    where = next((p for p in (target, *reach) if p.exists()), target.parent)
+    if where != target and not where.is_dir():
+        return f"{flag}: {where} is not a directory"
+    if not os.access(where, os.W_OK):
+        return f"{flag}: {where} is not writable"
+    return None
 
 
 @runtime_checkable

@@ -25,11 +25,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import nullcontext
 
 from repro.engine.cache import ResultCache, cache_from_env
-from repro.engine.parallel import add_backend_flags, open_backend
-from repro.obs import metrics as obs_metrics
-from repro.obs.trace import disable_tracing, enable_tracing
+from repro.engine.parallel import add_backend_flags, open_backend, unwritable
+from repro.obs.metrics import enabled_registry
+from repro.obs.trace import tracing_to
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES
 from repro.oracle.service import SettlementOracle
 from repro.oracle.store import StoreError
@@ -77,29 +78,25 @@ def _build_spec(args) -> OracleSpec:
 
 def _cmd_build(args) -> int:
     spec = _build_spec(args)
-    cache = (
-        ResultCache(args.cache_dir)
-        if args.cache_dir
-        else cache_from_env()
+    problem = unwritable("--out", args.out, directory=True) or unwritable(
+        "--trace", args.trace
     )
-    with open_backend(args) as backend:
-        registry = obs_metrics.enable() if args.metrics else None
-        if args.trace:
-            enable_tracing(args.trace)
-        try:
-            report = build_tables(
-                spec,
-                out_dir=args.out,
-                cache=cache,
-                force=args.force,
-                log=print,
-                backend=backend,
-            )
-        finally:
-            if args.trace:
-                disable_tracing()
-            if registry is not None:
-                obs_metrics.disable()
+    if problem:
+        raise ValueError(problem)
+    cache = ResultCache(args.cache_dir) if args.cache_dir else cache_from_env()
+    with (
+        open_backend(args) as backend,
+        enabled_registry() if args.metrics else nullcontext() as registry,
+        tracing_to(args.trace) if args.trace else nullcontext(),
+    ):
+        report = build_tables(
+            spec,
+            out_dir=args.out,
+            cache=cache,
+            force=args.force,
+            log=print,
+            backend=backend,
+        )
     action = "built" if report.rebuilt else "reused (no-op rebuild)"
     print(
         f"{action} {report.tables.forward.size} forward cells + "

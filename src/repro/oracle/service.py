@@ -45,15 +45,14 @@ fraction 1.0, Δ 0, k 5 of a 0.05-activity table the oracle reads
 checks allow exactly that ulp; the stored cells are not nudged, since
 served answers are checked against them bit for bit.
 
-**Certified analytic fallback.**  A depth query whose snapped cell
-holds the ``−1`` sentinel (target below the DP horizon's resolution)
-need not go unanswered: the table also carries ``analytic_depth`` —
-the smallest k whose *certified* Theorem 1 upper bound (Bound 1's
-dominating series with prefix correction) meets the target, searched
-``8×`` past the DP horizon.  The source-aware query forms
-(:meth:`~SettlementOracle.settlement_depth_with_source` and its batch
-twin) fall back to that cell and label the answer
-``source = "analytic"`` — still conservative, because the bound
+**Certified analytic fallback.**  Where the target lies below the DP
+horizon's resolution, the builder stores the smallest k whose
+*certified* Theorem 1 upper bound (Bound 1's dominating series with
+prefix correction) meets it, searched ``8×`` past the horizon, and
+checks that no certified depth undercuts the DP.  A depth query is one
+read of ``minimal_depth``, and its source follows from the depth: the
+DP's (``"table"``) within ``depth_horizon``, the bound's
+(``"analytic"``) past it — still conservative, because the bound
 dominates the exact DP and the axis snapping is unchanged.
 
 Queries *outside* the grid hull cannot be conservatively answered from
@@ -106,6 +105,14 @@ def _as_array(values, name: str) -> np.ndarray:
     return array
 
 
+def _source(depth, horizon: int) -> str | None:
+    """Who answered a served depth: the build stores a certified
+    Theorem 1 depth only past the DP horizon, and checks it there."""
+    if depth == UNREACHABLE_DEPTH:
+        return None
+    return "table" if depth <= horizon else "analytic"
+
+
 def _snap_up(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Index of the smallest grid value ≥ each query (``len(grid)``:
     none exists — the query exceeds the grid's top)."""
@@ -142,6 +149,7 @@ class SettlementOracle:
         self._delta_list = [float(d) for d in spec.deltas]
         self._depth_list = [float(k) for k in spec.depths]
         self._target_list_ascending = [float(t) for t in spec.targets[::-1]]
+        self._depth_horizon = spec.depth_horizon
 
     @classmethod
     def load(cls, directory: str | os.PathLike) -> "SettlementOracle":
@@ -170,12 +178,9 @@ class SettlementOracle:
             "depth_horizon": spec.depth_horizon,
             "cells": int(self.tables.forward.size),
             # How many DP-unreachable depth cells the certified Theorem 1
-            # bound rescues (finite analytic answer where the table is -1).
+            # bound rescues (the served depths past the DP horizon).
             "analytic_cells": int(
-                (
-                    (np.asarray(self.tables.minimal_depth) == UNREACHABLE_DEPTH)
-                    & (np.asarray(self.tables.analytic_depth) >= 0)
-                ).sum()
+                (self.tables.minimal_depth > spec.depth_horizon).sum()
             ),
         }
 
@@ -355,12 +360,11 @@ class SettlementOracle:
     ) -> tuple[np.ndarray, list]:
         """Batch depths with provenance: ``(depths, sources)``.
 
-        ``sources[i]`` is ``"table"`` when the DP table answered,
-        ``"analytic"`` when the table's cell holds the −1 sentinel but
-        the certified Theorem 1 bound reaches the target within its
-        extended horizon (the returned depth is then that certified
-        upper bound), and ``None`` when neither can answer (the depth
-        is ``UNREACHABLE_DEPTH``).
+        ``sources[i]`` is ``"table"`` when the DP answered (a depth
+        within the spec's ``depth_horizon``), ``"analytic"`` when only
+        the certified Theorem 1 bound reaches the target (a deeper,
+        certified upper bound), and ``None`` when neither can answer
+        (the depth is ``UNREACHABLE_DEPTH``).
         """
         alphas = _as_array(alphas, "alphas")
         fractions = _as_array(fractions, "fractions")
@@ -387,17 +391,10 @@ class SettlementOracle:
             )
         ascending = np.maximum(ascending, 0)
         ti = len(self._targets_ascending) - 1 - ascending
-        bad = invalid | loose
-        table = np.asarray(self.tables.minimal_depth)[ai, fi, di, ti]
-        analytic = np.asarray(self.tables.analytic_depth)[ai, fi, di, ti]
-        fallback = (table == UNREACHABLE_DEPTH) & (analytic >= 0) & ~bad
-        depths = np.where(fallback, analytic, table)
-        depths = np.where(bad, UNREACHABLE_DEPTH, depths)
+        depths = np.asarray(self.tables.minimal_depth)[ai, fi, di, ti]
+        depths[invalid | loose] = UNREACHABLE_DEPTH
         sources = [
-            None
-            if depth == UNREACHABLE_DEPTH
-            else ("analytic" if analytic_used else "table")
-            for depth, analytic_used in zip(depths, fallback)
+            _source(depth, self._depth_horizon) for depth in depths.tolist()
         ]
         return depths, sources
 
@@ -430,10 +427,6 @@ class SettlementOracle:
         ai, fi, di = cell
         ti = len(self._target_list_ascending) - 1 - ascending
         depth = int(self.tables.minimal_depth[ai, fi, di, ti])
-        if depth != UNREACHABLE_DEPTH:
-            return depth, "table"
-        certified = int(self.tables.analytic_depth[ai, fi, di, ti])
-        if certified != UNREACHABLE_DEPTH:
-            return certified, "analytic"
-        return None, None
+        source = _source(depth, self._depth_horizon)
+        return (None if source is None else depth), source
 

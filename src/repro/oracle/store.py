@@ -5,7 +5,6 @@ An artifact is a directory::
     <dir>/manifest.json        # format, version, spec, fingerprint, checksums
     <dir>/forward.npy          # float64 (|α|, |frac|, |Δ|, |k|)
     <dir>/minimal_depth.npy    # int64   (|α|, |frac|, |Δ|, |targets|)
-    <dir>/analytic_depth.npy   # int64   (|α|, |frac|, |Δ|, |targets|)
 
 The **fingerprint** is the SHA-256 of the canonical JSON of
 ``{"format", "format_version", "spec"}`` — the same canonical digest
@@ -71,12 +70,15 @@ FORMAT = "repro-settlement-oracle-tables"
 #: depth horizon instead of per-k DP runs; they can differ from v3
 #: cells in the last ulp, so a v3 artifact must rebuild rather than
 #: serve cells that differ from a fresh build.
-FORMAT_VERSION = 4
+#: v5: ``minimal_depth`` stores the depth each cell serves, certified
+#: Theorem 1 depths included, and the ``analytic_depth`` array is gone;
+#: a v4 ``minimal_depth`` holds −1 where v5 serves a certified depth,
+#: so a v4 artifact must rebuild rather than lose those answers.
+FORMAT_VERSION = 5
 
 _ARRAYS = {
     "forward": ("forward.npy", np.float64),
     "minimal_depth": ("minimal_depth.npy", np.int64),
-    "analytic_depth": ("analytic_depth.npy", np.int64),
 }
 
 
@@ -162,14 +164,9 @@ def save_tables(
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays = {
-        "forward": tables.forward,
-        "minimal_depth": tables.minimal_depth,
-        "analytic_depth": tables.analytic_depth,
-    }
     entries = {}
     for name, (filename, dtype) in _ARRAYS.items():
-        array = np.ascontiguousarray(arrays[name], dtype=dtype)
+        array = np.ascontiguousarray(getattr(tables, name), dtype=dtype)
         path = directory / filename
         _atomic_replace(
             directory, path, lambda handle: np.save(handle, array), binary=True
@@ -245,9 +242,4 @@ def load_tables(directory: str | os.PathLike) -> OracleTables:
                 f"{entry['dtype']}/{entry['shape']}"
             )
         loaded[name] = array
-    return OracleTables(
-        spec=spec,
-        forward=loaded["forward"],
-        minimal_depth=loaded["minimal_depth"],
-        analytic_depth=loaded["analytic_depth"],
-    )
+    return OracleTables(spec=spec, **loaded)

@@ -8,23 +8,18 @@ precomputes dense grids of answers so the query service
 (:mod:`repro.oracle.service`) can respond at memory speed:
 
 * ``forward``  — ``(α, fraction, Δ, k) → Pr[k-settlement violation]``;
-* ``minimal_depth`` — ``(α, fraction, Δ, target) → min { k :
-  Pr[violation at k] ≤ target }`` (sentinel ``−1``: the target is not
-  reachable within the spec's depth horizon);
-* ``analytic_depth`` — the same inverse question answered from the
-  paper's *certified* Theorem 1 upper bound (Bound 1's dominating
-  series with the stationary prefix correction, summed through
-  :func:`repro.analysis.genfunc.probability_tail`) instead of the DP.
-  The bound dominates the exact violation probability at every k
-  (property-tested in ``tests/analysis/test_bounds.py``), so each cell
-  is a *certified upper bound* on the true minimal depth.  Because the
-  bound is analytic, its search horizon extends ``8×`` past the DP
-  horizon: cells whose DP sentinel is ``−1`` (target below the
-  tabulated resolution) usually still get a finite certified answer
-  here — the query service falls back to it with
-  ``source = "analytic"``.
+* ``minimal_depth`` — ``(α, fraction, Δ, target) →`` the one depth a
+  cell serves: ``min { k : Pr[violation at k] ≤ target }`` when the DP
+  reaches the target within the spec's depth horizon; else the smallest
+  k whose *certified* Theorem 1 upper bound (Bound 1's dominating series
+  with the stationary prefix correction, summed through
+  :func:`repro.analysis.genfunc.probability_tail`) meets it, searched
+  ``8×`` past the horizon; ``−1`` when neither does.  The bound
+  dominates the exact DP, and every build checks that no certified
+  depth undercuts the DP's, so a depth past the horizon is exactly a
+  certified one — the query service labels it ``source = "analytic"``.
 
-The two DP tables are read off **one** exact Section 6.6 DP sweep per
+Both tables are read off **one** exact Section 6.6 DP sweep per
 (α, fraction, Δ) combination to the depth horizon, so a forward cell
 is within the last ulp of a per-k ``settlement_violation_probability``
 run, not bit-identical: the DP band depends on the horizon (see
@@ -88,8 +83,9 @@ __all__ = [
 #: horizon.  The bound is a series tail (no DP grid): one coefficient
 #: vector per combo, O(order²) because ``A(Z·D(Z))`` comes from its
 #: algebraic fixed point — tens of milliseconds at ``DEFAULT_SPEC``'s
-#: order 1920.  Part of the artifact format (changing it changes
-#: ``analytic_depth`` cells, which the store's FORMAT_VERSION covers).
+#: order 1920.  Part of the artifact format (changing it changes the
+#: ``minimal_depth`` cells past the DP horizon, which the store's
+#: FORMAT_VERSION covers).
 ANALYTIC_HORIZON_FACTOR = 8
 
 
@@ -249,19 +245,17 @@ class OracleTables:
     ``forward[i, j, l, m]`` is the exact violation probability at
     ``(alphas[i], unique_fractions[j], deltas[l], depths[m])`` —
     bit-identical to the combo's DP sweep to ``depth_horizon`` read out
-    at ``depths[m]``.  ``minimal_depth[i, j, l, n]`` is the smallest
-    integer k (≤ ``depth_horizon``) whose violation probability is
-    ≤ ``targets[n]``, or ``−1`` when no such k exists in the horizon.
-    ``analytic_depth[i, j, l, n]`` is the smallest k whose *certified*
-    Theorem 1 bound is ≤ the target, searched to
-    ``ANALYTIC_HORIZON_FACTOR × depth_horizon`` (``−1``: the bound
-    cannot certify the target even there).
+    at ``depths[m]``.  ``minimal_depth[i, j, l, n]`` is the depth served
+    for ``targets[n]``: the smallest integer k ≤ ``depth_horizon``
+    whose violation probability is ≤ the target; failing that, the
+    smallest k whose certified Theorem 1 bound is ≤ the target, searched
+    to ``ANALYTIC_HORIZON_FACTOR × depth_horizon`` (always above
+    ``depth_horizon``); ``−1`` when neither exists.
     """
 
     spec: OracleSpec
     forward: np.ndarray
     minimal_depth: np.ndarray
-    analytic_depth: np.ndarray
 
     def __post_init__(self) -> None:
         expected = self.spec.shape
@@ -275,22 +269,6 @@ class OracleTables:
                 f"minimal_depth shape {self.minimal_depth.shape} != "
                 f"{depth_shape}"
             )
-        if tuple(self.analytic_depth.shape) != depth_shape:
-            raise ValueError(
-                f"analytic_depth shape {self.analytic_depth.shape} != "
-                f"{depth_shape}"
-            )
-
-    def cell_probabilities(
-        self, i: int, j: int, l: int
-    ) -> SlotProbabilities:
-        """The effective synchronous law of combo ``(i, j, l)``."""
-        return effective_probabilities(
-            self.spec.alphas[i],
-            self.spec.unique_fractions[j],
-            self.spec.deltas[l],
-            self.spec.activity,
-        )
 
 
 @dataclass(frozen=True)
@@ -328,18 +306,11 @@ def _dp_rows(
     )
     forward = [computation[k] for k in depths]
     row = []
-    search_from = 1
+    k = 1
     for target in targets:  # strictly decreasing: minimal k only grows
-        found = -1
-        for k in range(search_from, horizon + 1):
-            if computation[k] <= target:
-                found = k
-                break
-        row.append(found)
-        if found < 0:
-            row.extend([-1] * (len(targets) - len(row)))
-            break
-        search_from = found
+        while k <= horizon and computation[k] > target:
+            k += 1
+        row.append(k if k <= horizon else -1)
     return forward, row
 
 
@@ -388,6 +359,35 @@ def _analytic_depth_row(
     return row
 
 
+def _combo_rows(
+    probabilities: SlotProbabilities,
+    depths: tuple[int, ...],
+    targets: tuple[float, ...],
+    analytic_horizon: int,
+) -> tuple[list[float], list[int]]:
+    """One combo's forward row and served depth row, checked.
+
+    Each served depth is the DP's minimal depth, or, where the DP
+    horizon cannot reach the target, the certified Theorem 1 depth.
+    The bound dominates the exact DP, so a certified depth ``b ≥ 0``
+    may never undercut it: ``b < dp`` where the DP reached the target,
+    or ``b ≤ horizon`` where it did not, raises ``RuntimeError``.
+    """
+    forward, minimal = _dp_rows(probabilities, depths, targets)
+    certified = _analytic_depth_row(probabilities, analytic_horizon, targets)
+    horizon = max(depths)
+    for target, dp, bound in zip(targets, minimal, certified):
+        if bound >= 0 and (bound < dp if dp >= 0 else bound <= horizon):
+            raise RuntimeError(
+                f"certified Theorem 1 depth {bound} undercuts the exact DP "
+                f"(depth {dp}, horizon {horizon}) at target {target:g} "
+                f"for {probabilities}"
+            )
+    return forward, [
+        dp if dp >= 0 else bound for dp, bound in zip(minimal, certified)
+    ]
+
+
 # ----------------------------------------------------------------------
 # The builder
 # ----------------------------------------------------------------------
@@ -427,11 +427,12 @@ def build_tables(
 
     Otherwise: each (α, fraction, Δ) combo runs one dense DP sweep,
     which fills its forward and minimal-depth rows, and one certified
-    analytic row, then the ``mc_depths`` cells are Monte-Carlo
-    cross-checked through :func:`run_grid` (optional ``cache``; a warm
-    cache serves every point with zero re-estimation) and must agree
-    with the DP within 6 standard errors.  The result is saved to
-    ``out_dir`` when given.
+    analytic row, which fills the DP-unreachable depth cells and must
+    dominate the DP (else ``RuntimeError``); then the ``mc_depths``
+    cells are Monte-Carlo cross-checked through :func:`run_grid`
+    (optional ``cache``; a warm cache serves every point with zero
+    re-estimation) and must agree with the DP within 6 standard errors.
+    The result is saved to ``out_dir`` when given.
 
     ``backend`` — any :class:`~repro.engine.parallel.Backend`: a
     process pool or a
@@ -480,7 +481,6 @@ def build_tables(
     shape = spec.shape
     forward = np.empty(shape, dtype=np.float64)
     minimal = np.empty(shape[:3] + (len(spec.targets),), dtype=np.int64)
-    analytic = np.empty(shape[:3] + (len(spec.targets),), dtype=np.int64)
     analytic_horizon = ANALYTIC_HORIZON_FACTOR * spec.depth_horizon
 
     if backend is None:
@@ -491,26 +491,18 @@ def build_tables(
     )
     # Submit everything before collecting anything: on a process
     # backend the tasks pipeline across combo boundaries.
-    dp_futures = {
+    futures = {
         (i, j, l): backend.submit_task(
-            _dp_rows, law, spec.depths, spec.targets
+            _combo_rows, law, spec.depths, spec.targets, analytic_horizon
         )
         for (i, j, l), law in laws.items()
     }
-    analytic_futures = {
-        (i, j, l): backend.submit_task(
-            _analytic_depth_row, law, analytic_horizon, spec.targets
-        )
-        for (i, j, l), law in laws.items()
-    }
-    for (i, j, l), future in dp_futures.items():
+    for (i, j, l), future in futures.items():
         forward[i, j, l, :], minimal[i, j, l, :] = future.result()
-    for (i, j, l), future in analytic_futures.items():
-        analytic[i, j, l, :] = future.result()
-    rescuable = (minimal < 0) & (analytic >= 0)
+    certified = int((minimal > spec.depth_horizon).sum())
     emit(
         f"certified analytic fallback (horizon {analytic_horizon}) "
-        f"covers {int(rescuable.sum())} of {int((minimal < 0).sum())} "
+        f"covers {certified} of {certified + int((minimal < 0).sum())} "
         "DP-unreachable minimal-depth cells"
     )
 
@@ -557,12 +549,7 @@ def build_tables(
                         f"{row['standard_error']} vs DP {exact}"
                     )
 
-    tables = OracleTables(
-        spec=spec,
-        forward=forward,
-        minimal_depth=minimal,
-        analytic_depth=analytic,
-    )
+    tables = OracleTables(spec=spec, forward=forward, minimal_depth=minimal)
     stats = cache.stats() if cache is not None else None
     if stats is not None:
         from repro.engine.cache import format_stats

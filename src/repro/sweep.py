@@ -60,12 +60,13 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 from repro.engine.cache import ResultCache, cache_from_env, format_stats
-from repro.engine.parallel import add_backend_flags, open_backend
+from repro.engine.parallel import add_backend_flags, open_backend, unwritable
 from repro.engine.sweeps import SweepGrid, get_grid, grid_names, run_grid
-from repro.obs import metrics as obs_metrics
-from repro.obs.trace import disable_tracing, enable_tracing
+from repro.obs.metrics import enabled_registry
+from repro.obs.trace import tracing_to
 
 __all__ = ["main", "format_table", "parse_only"]
 
@@ -228,12 +229,13 @@ def main(argv: list[str] | None = None) -> int:
             "full-grid seeds and cache keys)"
         ),
     )
-    parser.add_argument(
+    caching = parser.add_mutually_exclusive_group()
+    caching.add_argument(
         "--cache-dir",
         default=None,
         help="result-cache directory (default: $REPRO_SWEEP_CACHE if set)",
     )
-    parser.add_argument(
+    caching.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore $REPRO_SWEEP_CACHE and run uncached",
@@ -314,6 +316,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    problem = unwritable("--out", args.out) or unwritable(
+        "--trace", args.trace
+    )
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
 
     cache = None
     if not args.no_cache:
@@ -321,28 +329,23 @@ def main(argv: list[str] | None = None) -> int:
             ResultCache(args.cache_dir) if args.cache_dir else cache_from_env()
         )
 
-    with open_backend(args) as backend:
-        registry = obs_metrics.enable() if args.metrics else None
-        if args.trace:
-            enable_tracing(args.trace)
+    with (
+        open_backend(args) as backend,
+        enabled_registry() if args.metrics else nullcontext() as registry,
+        tracing_to(args.trace) if args.trace else nullcontext(),
+    ):
         start = time.perf_counter()
-        try:
-            rows = run_grid(
-                grid,
-                trials=args.trials,
-                cache=cache,
-                backend=backend,
-                seed=args.seed,
-                only=only,
-                target_se=args.target_se,
-                rel_se=args.rel_se,
-                max_trials=args.max_trials,
-            )
-        finally:
-            if args.trace:
-                disable_tracing()
-            if registry is not None:
-                obs_metrics.disable()
+        rows = run_grid(
+            grid,
+            trials=args.trials,
+            cache=cache,
+            backend=backend,
+            seed=args.seed,
+            only=only,
+            target_se=args.target_se,
+            rel_se=args.rel_se,
+            max_trials=args.max_trials,
+        )
     elapsed = time.perf_counter() - start
 
     print(format_table(grid.axis_names, rows))

@@ -495,6 +495,38 @@ class TestCli:
         assert captured.out == ""
         assert not cache_dir.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_path_exit_2_before_work(
+        self, capsys, tmp_path, flag
+    ):
+        (tmp_path / "afile").write_text("")
+        rows = tmp_path / "rows.json"
+        rows.write_text("kept\n")
+        flags = [flag, str(tmp_path / "afile" / "x")]
+        if flag == "--trace":
+            flags += ["--out", str(rows)]
+        cache_dir = tmp_path / "cache"
+        assert sweep_cli.main(
+            ["stake", "--trials", "100", "--cache-dir", str(cache_dir), *flags]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag}: {tmp_path / 'afile'} is not a directory\n"
+        )
+        assert captured.out == ""
+        assert not cache_dir.exists()
+        assert rows.read_text() == "kept\n"
+
+    def test_no_cache_excludes_cache_dir(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit) as raised:
+            sweep_cli.main(
+                ["stake", "--no-cache", "--cache-dir", str(cache_dir)]
+            )
+        assert raised.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not cache_dir.exists()
+
 
 class TestEstimateBoundary:
     """The satellite fix: estimate_from_hits at p ∈ {0, 1} and n = 0."""

@@ -236,9 +236,6 @@ class TestBatchViolationBody:
             minimal_depth=np.full(
                 SPEC.shape[:3] + (len(SPEC.targets),), -1, dtype=np.int64
             ),
-            analytic_depth=np.full(
-                SPEC.shape[:3] + (len(SPEC.targets),), -1, dtype=np.int64
-            ),
         )
         app = OracleApp(SettlementOracle(tables))
         batch = {

@@ -125,6 +125,25 @@ class TestCli:
         assert "mc_seed must be non-negative" in captured.err
         assert not artifact.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_build_rejects_unwritable_path_before_building(
+        self, tmp_path, capsys, flag
+    ):
+        (tmp_path / "afile").write_text("")
+        artifact = tmp_path / "artifact"
+        paths = {"--out": str(artifact), flag: str(tmp_path / "afile" / "x")}
+        code = cli.main(
+            ["build", "--preset", "tiny", "--mc-trials", "0"]
+            + [token for pair in paths.items() for token in pair]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag}: {tmp_path / 'afile'} is not a directory\n"
+        )
+        assert not artifact.exists()
+
     def test_query_needs_exactly_one_direction(self, tables, tmp_path, capsys):
         artifact = tmp_path / "artifact"
         save_tables(tables, artifact)

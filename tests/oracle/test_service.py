@@ -287,8 +287,20 @@ class TestDepthQueries:
                     alpha, fraction, delta, target
                 )
                 if stored == UNREACHABLE_DEPTH:
-                    # Only the analytic fallback may answer a −1 cell.
-                    assert source != "table"
+                    assert (answer, source) == (None, None)
+                elif stored > SPEC.depth_horizon:
+                    # Only the certified bound answers past the horizon,
+                    # where the DP stays above the target.
+                    assert (answer, source) == (stored, "analytic")
+                    law = effective_probabilities(
+                        alpha, fraction, delta, SPEC.activity
+                    )
+                    assert (
+                        settlement_violation_probability(
+                            law, SPEC.depth_horizon
+                        )
+                        > target
+                    )
                 else:
                     assert (answer, source) == (stored, "table")
 

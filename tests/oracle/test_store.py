@@ -54,11 +54,7 @@ class TestRoundTrip:
         assert manifest["format"] == FORMAT
         assert manifest["fingerprint"] == spec_fingerprint(SPEC)
         assert manifest["spec"]["alphas"] == [0.1, 0.3]
-        assert set(manifest["arrays"]) == {
-            "forward",
-            "minimal_depth",
-            "analytic_depth",
-        }
+        assert set(manifest["arrays"]) == {"forward", "minimal_depth"}
 
 
 class TestFingerprint:
@@ -108,30 +104,45 @@ class TestCorruption:
             load_tables(tmp_path)
 
 
-def save_v3_artifact(tables, directory, monkeypatch):
-    """Save ``tables`` as a format-3 writer did (per-k forward cells)."""
+def save_old_artifact(tables, directory, monkeypatch):
+    """Save ``tables`` under a format-4 manifest."""
     with monkeypatch.context() as patch:
-        patch.setattr(store, "FORMAT_VERSION", 3)
+        patch.setattr(store, "FORMAT_VERSION", 4)
         save_tables(tables, directory)
 
 
 class TestV3Artifacts:
-    # v4 forward cells are DP-sweep read-outs; a v3 artifact's per-k
-    # cells can differ from a fresh build in the last ulp.
+    # v5 depth cells past the DP horizon hold certified depths; an older
+    # artifact's -1 there would drop answers a fresh build serves.
     def test_v3_manifest_refused(self, tables, tmp_path, monkeypatch):
-        save_v3_artifact(tables, tmp_path, monkeypatch)
-        assert read_manifest(tmp_path)["format_version"] == 3
+        save_old_artifact(tables, tmp_path, monkeypatch)
+        assert read_manifest(tmp_path)["format_version"] == 4
         with pytest.raises(StoreError, match="format_version"):
             load_tables(tmp_path)
 
     def test_v3_artifact_rebuilds(self, tables, tmp_path, monkeypatch):
-        save_v3_artifact(tables, tmp_path, monkeypatch)
+        save_old_artifact(tables, tmp_path, monkeypatch)
         report = build_tables(SPEC, out_dir=tmp_path)
         assert report.rebuilt
         manifest = read_manifest(tmp_path)
-        assert manifest["format_version"] == store.FORMAT_VERSION == 4
+        assert manifest["format_version"] == store.FORMAT_VERSION == 5
         assert manifest["fingerprint"] == spec_fingerprint(SPEC)
         assert np.array_equal(load_tables(tmp_path).forward, tables.forward)
+
+    def test_v4_layout_refused(self, tables, tmp_path, monkeypatch):
+        """A v4 layout, with its third depth array, is refused by its
+        version rather than loaded with that array ignored."""
+        save_old_artifact(tables, tmp_path, monkeypatch)
+        third = "analytic_depth"
+        np.save(tmp_path / third, np.asarray(tables.minimal_depth))
+        manifest = json.loads(manifest_path(tmp_path).read_text())
+        manifest["arrays"][third] = {
+            **manifest["arrays"]["minimal_depth"],
+            "file": f"{third}.npy",
+        }
+        manifest_path(tmp_path).write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="format_version 4, expected 5"):
+            load_tables(tmp_path)
 
 
 class TestAtomicReplace:

@@ -20,6 +20,7 @@ from repro.oracle.tables import (
     OracleSpec,
     OracleTables,
     _analytic_depth_row,
+    _dp_rows,
     build_tables,
     effective_probabilities,
 )
@@ -153,8 +154,9 @@ class TestBuild:
             law = effective_probabilities(alpha, fraction, delta, SPEC.activity)
             for n, target in enumerate(SPEC.targets):
                 k = int(tables.minimal_depth[i, j, l, n])
-                if k < 0:
-                    # Unreachable: even the horizon depth stays above.
+                if k < 0 or k > SPEC.depth_horizon:
+                    # DP-unreachable (served -1, or a certified depth
+                    # past the horizon): the horizon depth stays above.
                     assert (
                         settlement_violation_probability(
                             law, SPEC.depth_horizon
@@ -202,7 +204,6 @@ class TestBuild:
                 spec=SPEC,
                 forward=tables.forward[..., :-1],
                 minimal_depth=tables.minimal_depth,
-                analytic_depth=tables.analytic_depth,
             )
 
 
@@ -210,8 +211,18 @@ class TestAnalyticDepth:
     """The Bound 1 fallback column: pinned values and certified dominance."""
 
     def test_tiny_spec_analytic_depths_golden(self):
-        tables = build_tables(TINY_DP_SPEC).tables
-        assert tables.analytic_depth.tolist() == [
+        horizon = ANALYTIC_HORIZON_FACTOR * TINY_DP_SPEC.depth_horizon
+        rows = np.empty(
+            TINY_DP_SPEC.shape[:3] + (len(TINY_DP_SPEC.targets),), dtype=int
+        )
+        for i, j, l, alpha, fraction, delta in TINY_DP_SPEC.combos():
+            law = effective_probabilities(
+                alpha, fraction, delta, TINY_DP_SPEC.activity
+            )
+            rows[i, j, l] = _analytic_depth_row(
+                law, horizon, TINY_DP_SPEC.targets
+            )
+        assert rows.tolist() == [
             [[[8, 16, 25], [15, 32, 52]], [[5, 11, 19], [10, 25, 44]]],
             [[[16, 36, 58], [34, 80, 135]], [[11, 29, 50], [25, 69, 121]]],
             [[[43, 106, 179], [125, -1, -1]], [[34, 92, 164], [105, -1, -1]]],
@@ -243,11 +254,40 @@ class TestAnalyticDepth:
         depth is finite and no deeper than the bound's, or the DP horizon
         is too short and the bound's depth lies beyond it.
         """
-        tables = build_tables(spec).tables
-        analytic, minimal = tables.analytic_depth, tables.minimal_depth
-        ok = (
-            (analytic == -1)
-            | ((minimal >= 0) & (minimal <= analytic))
-            | ((minimal == -1) & (analytic > spec.depth_horizon))
-        )
-        assert ok.all(), np.argwhere(~ok).tolist()
+        horizon = ANALYTIC_HORIZON_FACTOR * spec.depth_horizon
+        for *_, alpha, fraction, delta in spec.combos():
+            law = effective_probabilities(alpha, fraction, delta, spec.activity)
+            minimal = np.array(_dp_rows(law, spec.depths, spec.targets)[1])
+            analytic = np.array(_analytic_depth_row(law, horizon, spec.targets))
+            ok = (
+                (analytic == -1)
+                | ((minimal >= 0) & (minimal <= analytic))
+                | ((minimal == -1) & (analytic > spec.depth_horizon))
+            )
+            assert ok.all(), (alpha, fraction, delta, minimal, analytic)
+
+    def test_tiny_spec_served_depths_golden(self):
+        """One depth per cell: the DP's within the horizon (30), the
+        certified bound's past it, -1 where neither reaches the target."""
+        tables = build_tables(TINY_DP_SPEC).tables
+        assert tables.minimal_depth.tolist() == [
+            [[[7, 15, 22], [13, 28, 52]], [[4, 9, 15], [8, 20, 44]]],
+            [[[14, 30, 58], [27, 80, 135]], [[9, 22, 50], [19, 69, 121]]],
+            [[[43, 106, 179], [125, -1, -1]], [[25, 92, 164], [105, -1, -1]]],
+        ]
+
+    def test_undercutting_bound_fails_the_build(self, monkeypatch, tmp_path):
+        """A Bound 1 row shallower than the DP on one combo: no artifact."""
+        victim = effective_probabilities(0.1, 0.5, 0, TINY_DP_SPEC.activity)
+        certified = tables_module._analytic_depth_row
+
+        def undercutting(probabilities, horizon, targets):
+            if probabilities != victim:
+                return certified(probabilities, horizon, targets)
+            _, minimal = _dp_rows(probabilities, TINY_DP_SPEC.depths, targets)
+            return [k - 1 for k in minimal]
+
+        monkeypatch.setattr(tables_module, "_analytic_depth_row", undercutting)
+        with pytest.raises(RuntimeError, match="undercuts the exact DP"):
+            build_tables(TINY_DP_SPEC, out_dir=tmp_path / "artifact")
+        assert not (tmp_path / "artifact").exists()

@@ -85,10 +85,15 @@ from repro.analysis.exact import (  # noqa: E402
 from repro.core.distributions import from_adversarial_stake  # noqa: E402
 from repro.data.table1 import PAPER_TABLE1  # noqa: E402
 from repro.oracle import (  # noqa: E402
+    DEFAULT_SPEC,
     SettlementOracle,
     TINY_SPEC,
     build_tables,
     effective_probabilities,
+)
+from repro.oracle.tables import (  # noqa: E402
+    ANALYTIC_HORIZON_FACTOR,
+    _analytic_depth_row,
 )
 
 SWEEP_CACHE_DIR = REPO_ROOT / ".sweep-cache"
@@ -282,10 +287,13 @@ def oracle_record(quick: bool, backend) -> dict:
     shared .sweep-cache, so only a cold cache estimates) and rebuilds
     it, which must be a manifest-level no-op, and makes one in-memory
     DP-only build of the same grid (forward cells, minimal-depth rows
-    and the Bound 1 analytic rows, no Monte Carlo).  Then scalar
-    lookups, recomputing the exact DP per query, and one batch lookup
-    are timed in interleaved rounds: ``per_query_speedup`` is the
-    per-round scalar speedup over the DP.
+    and the Bound 1 analytic rows, no Monte Carlo).
+    ``analytic_row_seconds`` times one ``DEFAULT_SPEC`` analytic row on
+    its own: the (α 0.30, fraction 0.9, Δ 2) combo at the production
+    analytic horizon (series order 1920).  Then scalar lookups,
+    recomputing the exact DP per query, and one batch lookup are timed
+    in interleaved rounds: ``per_query_speedup`` is the per-round
+    scalar speedup over the DP.
     """
     cache = ResultCache(SWEEP_CACHE_DIR)
     with tempfile.TemporaryDirectory(prefix="repro-oracle-") as root:
@@ -311,6 +319,15 @@ def oracle_record(quick: bool, backend) -> dict:
         )
         oracle = SettlementOracle.load(artifacts[-1])
 
+    (analytic_row_s,), _, _ = timed(
+        ROUNDS,
+        functools.partial(
+            _analytic_depth_row,
+            effective_probabilities(0.30, 0.9, 2, DEFAULT_SPEC.activity),
+            ANALYTIC_HORIZON_FACTOR * DEFAULT_SPEC.depth_horizon,
+            DEFAULT_SPEC.targets,
+        ),
+    )
     spec = oracle.spec
     rng = np.random.default_rng(QUERY_SEED)
     alphas, fractions, deltas, depths = random_queries(
@@ -347,6 +364,7 @@ def oracle_record(quick: bool, backend) -> dict:
         "rebuild_seconds": rebuild_s,
         "rebuild_noop": not rerun.rebuilt,
         "dp_build_seconds": dp_build_s,
+        "analytic_row_seconds": analytic_row_s,
         "mc_points": report.mc_points,
         "mc_cached": report.mc_cached,
         "dp_seconds": dp_s,

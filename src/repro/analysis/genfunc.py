@@ -16,10 +16,12 @@ Series are represented as numpy coefficient arrays ``c[0..N]`` truncated
 at a caller-chosen order.  Closed-form coefficients are used where the
 paper provides them (Catalan numbers for ``D`` and ``A``); the
 composition ``A(Z · D(Z))`` is solved from its algebraic functional
-equation term by term, and rational forms by the reciprocal-series
-recurrence, so the coefficient arrays are the true series coefficients
-up to the truncation order (to float64 rounding) — which is what turns
-the paper's dominance arguments into computable tail bounds.
+equation and rational forms from the reciprocal-series recurrence, both
+by doubling the number of known coefficients per step (a few
+convolutions each, no subtractions), so the coefficient arrays are the
+true series coefficients up to the truncation order (to float64
+rounding) — which is what turns the paper's dominance arguments into
+computable tail bounds.
 """
 
 from __future__ import annotations
@@ -42,17 +44,26 @@ def series_multiply(left: np.ndarray, right: np.ndarray, order: int) -> np.ndarr
 def series_inverse_one_minus(series: np.ndarray, order: int) -> np.ndarray:
     """``1 / (1 − series)`` truncated to ``order`` terms.
 
-    Requires ``series[0] == 0``; computed by the standard recurrence for
-    reciprocal power series.
+    Requires ``series[0] == 0``.  The reciprocal ``r = 1 + f·r`` is
+    extended by doubling: once ``r[:n]`` is known, the next block
+    ``r[n:2n]`` is the part ``owed`` of ``f·r`` that the known
+    coefficients already determine, times ``1/(1 − f)`` — whose first
+    ``n`` terms are ``r[:n]`` itself.  Each step is two convolutions,
+    and for non-negative ``f`` every coefficient is a sum of
+    non-negative products, so no subtraction can cancel digits.
     """
     if abs(series[0]) > 0:
         raise ValueError("1/(1 - f) expansion requires f[0] == 0")
+    f = np.zeros(order + 1)
+    f[: min(len(series), order + 1)] = series[: order + 1]
     result = np.zeros(order + 1)
     result[0] = 1.0
-    f = series[: order + 1]
-    for n in range(1, order + 1):
-        top = min(n, len(f) - 1)
-        result[n] = float(np.dot(f[1 : top + 1], result[n - 1 :: -1][:top]))
+    n = 1
+    while n <= order:
+        block = min(n, order + 1 - n)
+        owed = np.convolve(f[1 : n + block], result[:n])[n - 1 : n + block - 1]
+        result[n : n + block] = np.convolve(result[:block], owed)[:block]
+        n += block
     return result
 
 
@@ -73,10 +84,10 @@ def descent_series(epsilon: float, order: int) -> np.ndarray:
     """
     p, q = bias_probabilities(epsilon)
     series = np.zeros(order + 1)
-    coefficient = q  # d_1 = C_0 q
-    for i in range(0, (order - 1) // 2 + 1):
-        series[2 * i + 1] = coefficient
-        coefficient *= 2.0 * (2 * i + 1) / (i + 2) * p * q
+    terms = (order + 1) // 2  # d_1, d_3, … up to Z^order
+    i = np.arange(terms - 1)
+    factors = np.concatenate(([q], 2.0 * (2 * i + 1) / (i + 2) * p * q))
+    series[1::2] = np.multiply.accumulate(factors[:terms])
     return series
 
 
@@ -92,26 +103,38 @@ def ascent_of_z_descent(epsilon: float, order: int) -> np.ndarray:
 
     The ascent series solves ``A = pZ + qZ·A²`` (first ascent: step up,
     or step down and ascend twice), so ``B = A(X)`` with ``X = Z·D(Z)``
-    solves ``B = pX + qX·B²``.  Since ``X₀ = X₁ = 0`` the coefficient
-    ``b_n`` needs ``B²`` only up to ``n − 2``, which is known once
-    ``b_{n−2}`` is: the online recurrence
+    solves ``B = pX + qX·B²``.  ``B`` is extended by doubling: once
+    ``L = B[:n]`` is known, a coefficient ``b_m`` with ``m < 2n`` needs
+    ``B²`` only below ``2n − 2``, where a product ``b_j b_{k−j}`` has at
+    most one factor in the unknown block ``H = B[n:2n]``.  So the block
+    solves the *linear* equation
 
-        ``S_{n−2} = Σ_j b_j b_{n−2−j}``,
-        ``b_n = p X_n + q Σ_{i=2..n} X_i S_{n−i}``
+        ``H = driven + 2q·g·H``,  ``driven = pX + qX·L²``,  ``g = X·L``
 
-    is two dot products per term, O(order²) in all, against O(order³)
-    for Horner composition.  Every term is non-negative, so no
-    subtraction can cancel digits.
+    (read off at ``Z^n..Z^{2n−1}``), i.e. ``H = driven / (1 − 2q·g)``
+    with the reciprocal from :func:`series_inverse_one_minus`: a few
+    convolutions per doubling step, against O(order³) for Horner
+    composition.  Every term is non-negative, so no subtraction can
+    cancel digits.
     """
     p, q = bias_probabilities(epsilon)
     inner = z_times(descent_series(epsilon, order), order)
     composed = np.zeros(order + 1)
-    squared = np.zeros(order + 1)  # squared[m] = [Z^m] B²
-    for n in range(2, order + 1):
-        squared[n - 2] = np.dot(composed[: n - 1], composed[n - 2 :: -1])
-        composed[n] = p * inner[n] + q * np.dot(
-            inner[2 : n + 1], squared[n - 2 :: -1]
+    n = 1
+    while n <= order:
+        block = min(n, order + 1 - n)
+        known = composed[:n]
+        top = n + block
+        squared = np.convolve(known, known)[:top]
+        driven = (
+            p * inner[n:top]
+            + q * np.convolve(inner[:top], squared)[n:top]
         )
+        coupling = 2.0 * q * np.convolve(inner[:block], known[:block])[:block]
+        composed[n:top] = np.convolve(
+            driven, series_inverse_one_minus(coupling, block - 1)
+        )[:block]
+        n = top
     return composed
 
 

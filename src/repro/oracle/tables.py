@@ -81,11 +81,11 @@ __all__ = [
 
 #: The certified-bound search sweeps to this multiple of the DP depth
 #: horizon.  The bound is a series tail (no DP grid): one coefficient
-#: vector per combo, O(order²) because ``A(Z·D(Z))`` comes from its
-#: algebraic fixed point — tens of milliseconds at ``DEFAULT_SPEC``'s
-#: order 1920.  Part of the artifact format (changing it changes the
-#: ``minimal_depth`` cells past the DP horizon, which the store's
-#: FORMAT_VERSION covers).
+#: vector per combo, built by doubling from the algebraic fixed point
+#: of ``A(Z·D(Z))`` and the reciprocal recurrence — a few milliseconds
+#: at ``DEFAULT_SPEC``'s order 1920.  Part of the artifact format
+#: (changing it changes the ``minimal_depth`` cells past the DP
+#: horizon, which the store's FORMAT_VERSION covers).
 ANALYTIC_HORIZON_FACTOR = 8
 
 

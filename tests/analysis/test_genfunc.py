@@ -4,24 +4,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analysis import genfunc
-from repro.core.walks import bias_probabilities
+from repro.core.walks import bias_probabilities, stationary_reach_ratio
+
+EPSILONS = (0.05, 0.3, 0.6, 0.9)
+
+
+def catalan_ratio_series(lead: float, epsilon: float, order: int) -> np.ndarray:
+    """``c_{2i+1} = lead · C_i (pq)^i`` by the Catalan ratio recurrence.
+
+    ``C_{i+1}/C_i = 2(2i + 1)/(i + 2)``, one float step per term.
+    """
+    p, q = bias_probabilities(epsilon)
+    series = np.zeros(order + 1)
+    coefficient = lead  # c_1 = C_0 · lead
+    for i in range(0, (order - 1) // 2 + 1):
+        series[2 * i + 1] = coefficient
+        coefficient *= 2.0 * (2 * i + 1) / (i + 2) * p * q
+    return series
 
 
 def ascent_series(epsilon: float, order: int) -> np.ndarray:
     """Coefficients of ``A(Z)``: ``a_{2i+1} = C_i q^i p^{i+1}``.
 
-    Defective: the total mass is ``A(1) = p/q < 1``.  Same float-safe
-    ratio recurrence as :func:`genfunc.descent_series`.
+    Defective: the total mass is ``A(1) = p/q < 1``.
     """
-    p, q = bias_probabilities(epsilon)
-    series = np.zeros(order + 1)
-    coefficient = p  # a_1 = C_0 p
-    for i in range(0, (order - 1) // 2 + 1):
-        series[2 * i + 1] = coefficient
-        coefficient *= 2.0 * (2 * i + 1) / (i + 2) * p * q
-    return series
+    p, _ = bias_probabilities(epsilon)
+    return catalan_ratio_series(p, epsilon, order)
+
+
+def descent_series_loop(epsilon: float, order: int) -> np.ndarray:
+    """:func:`genfunc.descent_series` one ratio-recurrence step at a time."""
+    _, q = bias_probabilities(epsilon)
+    return catalan_ratio_series(q, epsilon, order)
 
 
 def horner_compose(outer, inner, order):
@@ -38,6 +55,75 @@ def horner_compose(outer, inner, order):
         result = genfunc.series_multiply(result, inner, order)
         result[0] += coefficient
     return result
+
+
+def inverse_one_minus_recurrence(series, order):
+    """``1 / (1 − series)`` one coefficient at a time.
+
+    The term-by-term reference for :func:`genfunc.series_inverse_one_minus`:
+    ``r_n = Σ_{i=1..n} f_i r_{n−i}``, one dot product per coefficient.
+    """
+    result = np.zeros(order + 1)
+    result[0] = 1.0
+    f = series[: order + 1]
+    for n in range(1, order + 1):
+        top = min(n, len(f) - 1)
+        result[n] = float(np.dot(f[1 : top + 1], result[n - 1 :: -1][:top]))
+    return result
+
+
+def ascent_of_z_descent_recurrence(epsilon, order):
+    """``A(Z·D(Z))`` one coefficient at a time, from ``B = pX + qX·B²``.
+
+    The term-by-term reference for :func:`genfunc.ascent_of_z_descent`:
+    since ``X₀ = X₁ = 0``, ``b_n`` needs ``B²`` only up to ``n − 2``, so
+
+        ``S_{n−2} = Σ_j b_j b_{n−2−j}``,
+        ``b_n = p X_n + q Σ_{i=2..n} X_i S_{n−i}``
+
+    is two dot products per term.
+    """
+    p, q = bias_probabilities(epsilon)
+    inner = genfunc.z_times(genfunc.descent_series(epsilon, order), order)
+    composed = np.zeros(order + 1)
+    squared = np.zeros(order + 1)  # squared[m] = [Z^m] B²
+    for n in range(2, order + 1):
+        squared[n - 2] = np.dot(composed[: n - 1], composed[n - 2 :: -1])
+        composed[n] = p * inner[n] + q * np.dot(
+            inner[2 : n + 1], squared[n - 2 :: -1]
+        )
+    return composed
+
+
+def assert_matches_reference(series, reference):
+    """rtol 1e-13 and the same zeros wherever ``reference`` is normal.
+
+    Past the last coefficient ≥ 1e-290 the tail is subnormal or
+    underflowed, where a different summation order may round a
+    coefficient to zero or not, so the zero pattern is compared only
+    up to there.
+    """
+    normal = reference >= 1e-290
+    head = np.flatnonzero(normal).max(initial=-1) + 1
+    assert np.array_equal(series[:head] == 0.0, reference[:head] == 0.0)
+    assert np.allclose(series[normal], reference[normal], rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def inverse_inputs(draw):
+    """A non-negative ``f`` with ``f[0] = 0``, shorter or longer than the order.
+
+    Coefficients are 0 or in [1e-3, 1], and orders stay ≤ 40, so no
+    product underflows and the zero patterns must agree exactly.
+    """
+    order = draw(st.integers(0, 40))
+    tail = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+            max_size=2 * order + 2,
+        )
+    )
+    return np.array([0.0] + tail), order
 
 
 class TestSeriesArithmetic:
@@ -61,6 +147,35 @@ class TestSeriesArithmetic:
         f = np.array([0.0, 0.5])
         inv = genfunc.series_inverse_one_minus(f, 4)
         assert np.allclose(inv, [1, 0.5, 0.25, 0.125, 0.0625])
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 16, 400, 1920])
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_inverse_one_minus_matches_recurrence(self, epsilon, order):
+        """Doubling reproduces the term-by-term reciprocal on both of
+        Theorem 1's denominators: Bound 1's ``F(Z)`` and ``β·D(Z)``."""
+        p, q = bias_probabilities(epsilon)
+        descent = genfunc.descent_series(epsilon, order)
+        ascent = ascent_of_z_descent_recurrence(epsilon, order)
+        f_series = genfunc.z_times(p * descent + 0.5 * q * ascent, order)
+        f_series[1] += 0.5 * q
+        for series in (f_series, stationary_reach_ratio(epsilon) * descent):
+            assert_matches_reference(
+                genfunc.series_inverse_one_minus(series, order),
+                inverse_one_minus_recurrence(series, order),
+            )
+
+    @given(inverse_inputs())
+    def test_inverse_one_minus_property(self, case):
+        series, order = case
+        inverse = genfunc.series_inverse_one_minus(series, order)
+        reference = inverse_one_minus_recurrence(series, order)
+        assert inverse.shape == (order + 1,)
+        assert np.array_equal(inverse == 0.0, reference == 0.0)
+        assert np.allclose(inverse, reference, rtol=1e-13, atol=0.0)
+
+    def test_inverse_requires_zero_constant(self):
+        with pytest.raises(ValueError):
+            genfunc.series_inverse_one_minus(np.array([0.1, 0.5]), 4)
 
     def test_inverse_identity(self):
         f = np.array([0.0, 0.3, 0.2, 0.1])
@@ -96,10 +211,35 @@ class TestWalkSeries:
         rhs[1] += q
         assert np.allclose(descent, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_descent_series_matches_loop(self, epsilon):
+        """Bit-identical to the ratio-recurrence loop at orders 0–3000.
+
+        The loop's coefficients at a lower order are a prefix of its
+        coefficients at 3000, so one loop serves every order.
+        """
+        reference = descent_series_loop(epsilon, 3000)
+        for order in range(3001):
+            assert np.array_equal(
+                genfunc.descent_series(epsilon, order), reference[: order + 1]
+            )
+        assert np.array_equal(
+            genfunc.descent_series(epsilon, 17), descent_series_loop(epsilon, 17)
+        )
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 16, 400, 1920])
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_ascent_of_z_descent_matches_recurrence(self, epsilon, order):
+        """Doubling reproduces the term-by-term fixed-point recurrence."""
+        assert_matches_reference(
+            genfunc.ascent_of_z_descent(epsilon, order),
+            ascent_of_z_descent_recurrence(epsilon, order),
+        )
+
     @pytest.mark.parametrize("order", [16, 400])
-    @pytest.mark.parametrize("epsilon", [0.05, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("epsilon", EPSILONS)
     def test_ascent_of_z_descent_matches_horner(self, epsilon, order):
-        """The fixed-point recurrence reproduces Horner composition."""
+        """The doubled fixed point reproduces Horner composition."""
         composed = genfunc.ascent_of_z_descent(epsilon, order)
         reference = horner_compose(
             ascent_series(epsilon, order),
@@ -143,7 +283,7 @@ class TestWalkSeries:
 class TestDominatingSeries:
     def test_bound1_series_is_probability_series(self):
         series = genfunc.bound1_dominating_series(0.3, 0.4, 800)
-        assert series.min() >= -1e-15
+        assert series.min() >= 0.0
         assert series.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_bound1_leading_coefficient(self):
@@ -155,7 +295,7 @@ class TestDominatingSeries:
 
     def test_bound2_series_is_probability_series(self):
         series = genfunc.bound2_dominating_series(0.3, 800)
-        assert series.min() >= -1e-15
+        assert series.min() >= 0.0
         assert series.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_bound2_leading_coefficients(self):
@@ -170,6 +310,7 @@ class TestDominatingSeries:
 
     def test_prefix_correction_is_probability_series(self):
         series = genfunc.stationary_prefix_correction(0.3, 800)
+        assert series.min() >= 0.0
         assert series.sum() == pytest.approx(1.0, abs=1e-6)
 
 

@@ -54,20 +54,30 @@ With t steps done and ``s = k_max − t`` steps left:
 The band is stored by diagonal: row d, column ``r + 1``, and column 0
 an always-zero reach −1.  Both interior moves, ``A`` (r, m) → (r + 1,
 m + 1) and an honest (r, m) → (r − 1, m − 1), keep d, so the interior
-of a step is one add over the whole rectangle, each row a contiguous
-run.  The moves that change d are short strided fix-ups: the margin −1
-cells (the array diagonal) take ``A`` only, the ``m = 0`` hold feeds
-the diagonal above it, and reach 0's honest self-move shifts column
-``r = 0`` one row down.  A step updates ``(min(t, 2s) + 1) × (s + 1)``
-cells, at most ``(k_max/2 + 1)²`` (63 k at ``k_max = 500``, half a
-megabyte), and a sweep about ``0.15·k_max³``, of which about
-``0.14·k_max³`` can ever hold mass.  Two buffers of
-``(2·k_max/3 + 3) × (k_max + 2)`` cells are updated in place,
-ping-pong.  After a step the merged top row may reach
-``m = s + 1``, i.e. ``d = −1``: that cell is decided, and the layout
-does not store it, so its mass is read from the two cells that merge
-into it.  Different horizons prune different states, so a per-k run
-and a multi-checkpoint sweep may differ in the last ulp.
+of a step is one 1-D add over the contiguous flat span of rows
+``[0, min(t, 2s)]``, gap columns included.  Columns past the top are
+zero, so the add writes zeros there; only column 0 is spoiled (a row's
+last cell and the next row's reach 0 sum into it), and it is re-zeroed
+right after the add.  The moves that change d are short strided
+fix-ups: the margin −1 cells (the array diagonal) take ``A`` only, the
+``m = 0`` hold feeds the diagonal above it, and reach 0's honest
+self-move shifts column ``r = 0`` one row down.  Two buffers, first
+``(2·k_max/3 + 3) × (k_max + 2)`` cells, are updated in place,
+ping-pong; as s falls, both are repacked, in the same memory, to row
+width ``s + 3`` whenever their width exceeds 1.25× that, down to 32
+columns (11 times at ``k_max = 500``), so the add spans at most ~1.25×
+the live reaches, or 32 columns.  A
+sweep adds about ``0.17·k_max³`` cells (21 M at ``k_max = 500``, at
+most 80 k in one step), against the ``0.15·k_max³`` of the live
+rectangles, of which about ``0.14·k_max³`` can ever hold mass.  After a
+step the merged top row may reach ``m = s + 1``, i.e. ``d = −1``: that
+cell is decided, and the layout does not store it, so its mass is read
+from the two cells that merge into it; the decided top cell ``(d = 0,
+r = s)`` is moved into ``decided`` and zeroed.  So a read-out is the
+dot of the contiguous rows ``[0, min(t, s)]`` with the weights
+``θ^r·[r ≥ d]``, one matrix per sweep whose left columns serve every
+narrower width.  Different horizons prune different states, so a per-k
+run and a multi-checkpoint sweep may differ in the last ulp.
 
 The rescaled basis
 ------------------
@@ -85,7 +95,7 @@ p_hon·θ/c = 1``), so one step of the interior is one add.  Only the
 boundary moves keep a coefficient: reach 0's honest self-move (``1/θ``),
 the corner (``p_h/c`` and ``p_H/c``) and the reaches merging into the
 top row (``θ^(r − top + 1)``).  A read-out weights reach r by
-``σ·θ^r``, from a ``θ^r`` vector built once per sweep.
+``σ·θ^r``, from ``θ^r`` weights built once per sweep.
 
 * **no subtraction** — every coefficient is positive, so every cell of
   ``g`` is a sum of non-negative terms, as every cell of ``P`` was; the
@@ -114,6 +124,7 @@ from __future__ import annotations
 
 from repro.core.distributions import SlotProbabilities, from_adversarial_stake
 from repro.engine.kernels import (
+    SettlementReadout,
     settlement_adversarial_step,
     settlement_basis,
     settlement_buffers,
@@ -121,6 +132,7 @@ from repro.engine.kernels import (
     settlement_fold,
     settlement_honest_step,
     settlement_initial_band,
+    settlement_repack,
     settlement_violation_mass,
 )
 
@@ -183,6 +195,7 @@ def compute_settlement_probabilities(
     basis = settlement_basis(probabilities, k_max)
     powers = basis.powers
     src, dst = settlement_buffers(k_max)
+    readout = SettlementReadout(powers, src.shape)
     decided = settlement_initial_band(probabilities, prefix_length, src, powers)
     scale = 1.0  # σ: P = σ · θ^r · g
 
@@ -190,16 +203,17 @@ def compute_settlement_probabilities(
     for t in range(1, k_max + 1):
         left = k_max - t
         depth = min(t, 2 * left)  # deepest live diagonal r − m after this step
+        src, dst = settlement_repack(src, dst, left + 1)
         settlement_adversarial_step(src, dst, left + 1, depth, basis)
         settlement_honest_step(src, dst, left + 1, depth, basis)
         scale *= basis.step_scale
         decided += scale * settlement_decided_mass(src, dst, left, basis)
         if t in wanted:
             results[t] = decided + scale * settlement_violation_mass(
-                dst, left, depth, powers
+                dst, left, depth, readout
             )
         if scale < FOLD_BELOW:
-            settlement_fold(dst, left, depth, scale)
+            settlement_fold(dst, depth, scale)
             scale = 1.0
         src, dst = dst, src
 

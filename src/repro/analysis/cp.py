@@ -11,20 +11,19 @@ this into the probability bound ``T · e^{−Ω(k·min(ε³, ε²p_h))}``, and
 Theorem 9 (Appendix A) shows the converse construction — a fork with slot
 divergence > k yields an x-balanced fork, i.e. a settlement violation.
 
-This module provides per-string and per-fork CP predicates, the window
-analysis, and samplers for the CP benchmark.
+This module provides per-string CP predicates, the window analysis, and
+samplers for the CP benchmark; on an explicit fork, Definition 24 is
+:func:`repro.core.balanced.slot_divergence` exceeding k.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.core.balanced import slot_divergence
 from repro.core.distributions import (
     SlotProbabilities,
     sample_characteristic_string,
 )
-from repro.core.forks import Fork
 from repro.core.margin import margin_sequence
 from repro.core.uvp import uvp_slots, uvp_slots_consistent_tiebreak
 
@@ -72,11 +71,6 @@ def k_cp_slot_holds_exactly(word: str, depth: int) -> bool:
         if any(value >= 0 for value in sequence[depth:]):
             return False
     return True
-
-
-def fork_violates_k_cp_slot(fork: Fork, depth: int) -> bool:
-    """Definition 24 on an explicit fork: slot divergence exceeding k."""
-    return slot_divergence(fork) >= depth + 1
 
 
 def estimate_cp_violation_rate(

@@ -67,11 +67,6 @@ def series_inverse_one_minus(series: np.ndarray, order: int) -> np.ndarray:
     return result
 
 
-def catalan_number(n: int) -> int:
-    """The n-th Catalan number ``C_n`` (the footnote-2 namesake)."""
-    return math.comb(2 * n, n) // (n + 1)
-
-
 def descent_series(epsilon: float, order: int) -> np.ndarray:
     """Coefficients of ``D(Z)`` up to ``order``.
 

@@ -22,8 +22,6 @@ plain strings.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 #: Type alias: symbols are single-character strings over ``"hHA."``.
 Symbol = str
 
@@ -122,26 +120,6 @@ def string_leq(left: str, right: str) -> bool:
     if len(left) != len(right):
         raise ValueError("strings of different lengths are incomparable")
     return all(symbol_leq(a, b) for a, b in zip(left, right))
-
-
-def dominating_strings(word: str) -> Iterable[str]:
-    """Yield every string ``w' ≥ word`` in the Definition 6 partial order.
-
-    Exponential in the number of non-``A`` symbols; intended for tests on
-    short strings only.
-    """
-    if not word:
-        yield ""
-        return
-    head, tail = word[0], word[1:]
-    heads = {
-        HONEST_UNIQUE: (HONEST_UNIQUE, HONEST_MULTI, ADVERSARIAL),
-        HONEST_MULTI: (HONEST_MULTI, ADVERSARIAL),
-        ADVERSARIAL: (ADVERSARIAL,),
-    }[head]
-    for rest in dominating_strings(tail):
-        for symbol in heads:
-            yield symbol + rest
 
 
 def walk_increments(word: str) -> list[int]:

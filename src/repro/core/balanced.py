@@ -23,7 +23,7 @@ from repro.core.alphabet import ADVERSARIAL
 from repro.core.adversary_star import build_canonical_fork
 from repro.core.forks import Fork, Vertex, lowest_common_ancestor
 from repro.core.margin import relative_margin
-from repro.core.reach import gap, reach, reserve
+from repro.core.reach import reach, reserve
 
 
 def is_balanced(fork: Fork) -> bool:
@@ -39,19 +39,6 @@ def is_x_balanced(fork: Fork, prefix_length: int) -> bool:
             if left.is_disjoint_after(right, prefix_length):
                 return True
     return False
-
-
-def divergence_witnesses(
-    fork: Fork, prefix_length: int
-) -> list[tuple[Vertex, Vertex]]:
-    """All max-length tine pairs witnessing x-balance (tests / rendering)."""
-    longest = fork.maximum_length_tines()
-    witnesses = []
-    for i, left in enumerate(longest):
-        for right in longest[i + 1 :]:
-            if left.is_disjoint_after(right, prefix_length):
-                witnesses.append((left.vertex, right.vertex))
-    return witnesses
 
 
 def slot_divergence(fork: Fork) -> int:

@@ -24,8 +24,9 @@ on ``⊥``):
 
 Both conditions are computed for every slot simultaneously in O(n) via
 prefix minima and suffix maxima, giving :func:`catalan_slots`.  The
-quadratic direct-from-definition versions are kept (``*_naive``) as
-independent oracles for the test-suite cross-checks.
+per-slot tests :func:`is_left_catalan`, :func:`is_right_catalan` and
+:func:`is_catalan` read Definition 11 directly (quadratic); the tests
+hold :func:`catalan_slots` to them slot by slot.
 """
 
 from __future__ import annotations
@@ -90,67 +91,9 @@ def catalan_slots(word: str) -> list[int]:
     return slots
 
 
-def left_catalan_slots(word: str) -> list[int]:
-    """All left-Catalan slots in O(n) (strict new minima of the walk)."""
-    sums = prefix_sums(word)
-    slots = []
-    minimum = 0
-    for s in range(1, len(word) + 1):
-        if sums[s] < minimum and is_honest(word[s - 1]):
-            slots.append(s)
-        minimum = min(minimum, sums[s])
-    return slots
-
-
-def right_catalan_slots(word: str) -> list[int]:
-    """All right-Catalan slots in O(n) (walk stays below pre-slot level)."""
-    length = len(word)
-    sums = prefix_sums(word)
-    suffix_max = [0] * (length + 2)
-    suffix_max[length + 1] = -(10 ** 18)
-    for t in range(length, -1, -1):
-        suffix_max[t] = max(sums[t], suffix_max[t + 1])
-    return [
-        s
-        for s in range(1, length + 1)
-        if is_honest(word[s - 1]) and suffix_max[s] < sums[s - 1]
-    ]
-
-
 def catalan_slots_naive(word: str) -> list[int]:
     """Quadratic-per-slot reference implementation (tests only)."""
     return [s for s in range(1, len(word) + 1) if is_catalan(word, s)]
-
-
-def uniquely_honest_catalan_slots(word: str) -> list[int]:
-    """Catalan slots whose symbol is ``h`` — the slots with the UVP (Thm 3)."""
-    return [s for s in catalan_slots(word) if word[s - 1] == "h"]
-
-
-def first_uniquely_honest_catalan_slot(word: str) -> int | None:
-    """Smallest uniquely honest Catalan slot, or ``None``.
-
-    This is the stopping time whose generating function ``C(Z)`` drives
-    Bound 1 (Section 5.1).
-    """
-    slots = uniquely_honest_catalan_slots(word)
-    return slots[0] if slots else None
-
-
-def consecutive_catalan_pairs(word: str) -> list[int]:
-    """Slots ``s`` with both ``s`` and ``s + 1`` Catalan (Theorem 4).
-
-    Under the consistent tie-breaking axiom A0′, two consecutive Catalan
-    slots give the earlier slot the UVP even when it is multiply honest;
-    the rarity of such pairs is Bound 2.
-    """
-    slots = set(catalan_slots(word))
-    return sorted(s for s in slots if s + 1 in slots)
-
-
-def has_catalan_in_window(word: str, start: int, stop: int) -> bool:
-    """Is some slot in ``[start, stop]`` Catalan in the *whole* string?"""
-    return any(start <= s <= stop for s in catalan_slots(word))
 
 
 def _check_slot(word: str, slot: int) -> None:

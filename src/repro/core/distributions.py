@@ -27,7 +27,6 @@ from repro.core.alphabet import (
     EMPTY,
     HONEST_MULTI,
     HONEST_UNIQUE,
-    string_leq,
 )
 
 
@@ -216,28 +215,3 @@ def exact_string_probability(probabilities: SlotProbabilities, word: str) -> flo
     for symbol in word:
         probability *= weight[symbol]
     return probability
-
-
-def enumerate_strings(alphabet: str, length: int):
-    """Yield every string of ``length`` over ``alphabet`` (tests only)."""
-    if length == 0:
-        yield ""
-        return
-    for prefix in enumerate_strings(alphabet, length - 1):
-        for symbol in alphabet:
-            yield prefix + symbol
-
-
-def verify_monotone(indicator, words: list[str]) -> bool:
-    """Check an event is monotone w.r.t. the Definition 6 partial order.
-
-    For every comparable pair in ``words``, membership must be preserved
-    upward.  Quadratic; tests call it on small exhaustive families.
-    """
-    for low in words:
-        if not indicator(low):
-            continue
-        for high in words:
-            if len(high) == len(low) and string_leq(low, high) and not indicator(high):
-                return False
-    return True

@@ -27,10 +27,9 @@ forks incrementally.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from repro.core.alphabet import (
-    ADVERSARIAL,
     EMPTY,
     HONEST_MULTI,
     HONEST_UNIQUE,
@@ -140,12 +139,6 @@ class Tine:
         """``t1 ≁_x t2`` — disjoint over the suffix past ``prefix_length``."""
         return not self.shares_edge_after(other, prefix_length)
 
-    def is_strict_prefix_of(self, other: "Tine") -> bool:
-        """``t1 ≺ t2`` (Definition 9)."""
-        return self.vertex is not other.vertex and self.vertex.is_ancestor_of(
-            other.vertex
-        )
-
     def length_up_to_slot(self, slot: int) -> int:
         """Length of the portion of the tine over slots ``0..slot``."""
         length = 0
@@ -166,13 +159,6 @@ class Tine:
     def is_adversarial(self) -> bool:
         """True when the terminal vertex is adversarial (Section 3.1)."""
         return not self.fork.is_honest_vertex(self.vertex)
-
-    def last_honest_vertex(self) -> Vertex:
-        """Deepest honest vertex on the tine (the root if none other)."""
-        for vertex in reversed(self.vertices()):
-            if self.fork.is_honest_vertex(vertex):
-                return vertex
-        return self.fork.root
 
     def __repr__(self) -> str:
         labels = [v.label for v in self.vertices()]
@@ -478,20 +464,6 @@ def _embeds(pattern: Vertex, target: Vertex) -> bool:
             return False
         remaining.remove(match)
     return True
-
-
-def build_fork(word: str, edges: Iterable[tuple[int, int]]) -> Fork:
-    """Construct a fork from ``(parent_index, label)`` pairs.
-
-    ``parent_index`` refers to the creation order (0 is genesis, 1 the
-    first added vertex, …).  Convenient for writing paper figures as
-    literal data; see the figure benchmarks.
-    """
-    fork = Fork(word)
-    created = [fork.root]
-    for parent_index, label in edges:
-        created.append(fork.add_vertex(created[parent_index], label))
-    return fork
 
 
 def figure_1_fork() -> Fork:

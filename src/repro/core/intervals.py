@@ -9,8 +9,7 @@ slot intervals ``I = [i, j] ⊆ [T]``:
 A-heavy intervals are exactly the intervals over which an adversary can keep
 a viable chain alive using only adversarial blocks (Fact 1), so all the
 structural results reduce to questions about heavy intervals.  This module
-provides O(1)-per-query interval counting via prefix sums plus the maximal
-A-heavy interval computation used in Fact 3.
+provides O(1)-per-query interval counting via prefix sums.
 """
 
 from __future__ import annotations
@@ -75,34 +74,3 @@ class IntervalOracle:
             raise IndexError(
                 f"interval [{start}, {stop}] outside [1, {len(self.word)}]"
             )
-
-
-def maximal_a_heavy_interval(word: str, slot: int) -> tuple[int, int] | None:
-    """The largest A-heavy interval containing ``slot``, or ``None``.
-
-    Fact 3 uses this interval (with its maximality) to construct a viable
-    adversarial extension skipping a non-Catalan slot.  Quadratic scan —
-    acceptable because callers only use it on analysis-sized strings; the
-    Catalan tests use it as an independent oracle against the O(n) walk
-    characterisation.
-    """
-    oracle = IntervalOracle(word)
-    best: tuple[int, int] | None = None
-    for start in range(1, slot + 1):
-        for stop in range(slot, len(word) + 1):
-            if oracle.is_a_heavy(start, stop):
-                if best is None or (stop - start) > (best[1] - best[0]):
-                    best = (start, stop)
-    return best
-
-
-def all_a_heavy_intervals(word: str) -> list[tuple[int, int]]:
-    """Every A-heavy closed interval of ``word`` (quadratic; tests only)."""
-    oracle = IntervalOracle(word)
-    length = len(word)
-    heavy = []
-    for start in range(1, length + 1):
-        for stop in range(start, length + 1):
-            if oracle.is_a_heavy(start, stop):
-                heavy.append((start, stop))
-    return heavy

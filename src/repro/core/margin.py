@@ -127,26 +127,6 @@ def _margin_step(rho_value: int, margin_value: int, symbol: str) -> int:
     return margin_value - 1
 
 
-def joint_trajectory(
-    word: str, prefix_length: int
-) -> list[tuple[int, int]]:
-    """``[(ρ(x y_{1..t}), μ_x(y_{1..t}))]`` for ``t = 0 … |y|``.
-
-    The Markov chain state of the Section 6.6 algorithm, exposed for tests
-    and for the Monte-Carlo cross-checks.
-    """
-    prefix = word[:prefix_length]
-    suffix = word[prefix_length:]
-    rho_value = reach_sequence(prefix)[-1]
-    margin_value = rho_value
-    trajectory = [(rho_value, margin_value)]
-    for symbol in suffix:
-        margin_value = _margin_step(rho_value, margin_value, symbol)
-        rho_value = _rho_step(rho_value, symbol)
-        trajectory.append((rho_value, margin_value))
-    return trajectory
-
-
 def margin_step(rho_value: int, margin_value: int, symbol: str) -> tuple[int, int]:
     """Public single-step transition: ``(ρ, μ) → (ρ', μ')`` on ``symbol``.
 
@@ -155,27 +135,3 @@ def margin_step(rho_value: int, margin_value: int, symbol: str) -> tuple[int, in
     new_margin = _margin_step(rho_value, margin_value, symbol)
     new_rho = _rho_step(rho_value, symbol)
     return new_rho, new_margin
-
-
-def settlement_violated(word: str, slot: int) -> bool:
-    """Can slot ``slot`` be left unsettled *at the end of* ``word``?
-
-    True iff ``μ_x(y) ≥ 0`` for the split ``x = word[:slot − 1]`` — by
-    Fact 6 exactly the condition for an x-balanced fork for the whole
-    string to exist.  This is the per-string indicator underlying the
-    Table 1 probabilities (with ``|y| = k``).
-    """
-    if not 1 <= slot <= len(word):
-        raise ValueError(f"slot {slot} outside [1, {len(word)}]")
-    return relative_margin(word, slot - 1) >= 0
-
-
-def ever_settlement_violated(word: str, slot: int, from_length: int = 0) -> bool:
-    """Is ``μ_x(y') ≥ 0`` for *some* prefix ``y'`` with ``|y'| ≥ from_length``?
-
-    Definition 3's settlement quantifies over all extensions; this helper
-    checks every intermediate suffix length at once (Lemma 1's condition
-    negated, restricted to suffixes of the given word).
-    """
-    sequence = margin_sequence(word, slot - 1)
-    return any(value >= 0 for value in sequence[max(from_length, 1):])

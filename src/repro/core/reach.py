@@ -45,17 +45,6 @@ def max_reach(fork: Fork) -> int:
     return max(reach(fork, v) for v in fork.vertices())
 
 
-def zero_reach_vertices(fork: Fork) -> list[Vertex]:
-    """Tines with reach exactly zero (the set ``Z`` of Figure 4)."""
-    return [v for v in fork.vertices() if reach(fork, v) == 0]
-
-
-def max_reach_vertices(fork: Fork) -> list[Vertex]:
-    """Tines attaining ``ρ(F)`` (the set ``R`` of Figure 4)."""
-    best = max_reach(fork)
-    return [v for v in fork.vertices() if reach(fork, v) == best]
-
-
 def rho(word: str) -> int:
     """``ρ(w)`` via the Theorem 5 recurrence.
 

@@ -20,8 +20,6 @@ The operational characterisations used here:
 
 from __future__ import annotations
 
-from repro.core.alphabet import ADVERSARIAL, is_honest
-from repro.core.catalan import catalan_slots
 from repro.core.margin import margin_sequence
 from repro.core.uvp import uvp_slots, uvp_slots_consistent_tiebreak
 
@@ -78,8 +76,11 @@ def settlement_time(word: str, slot: int) -> int | None:
     ``None`` when even observing the whole string leaves the slot
     unsettled (i.e. the final margin is still non-negative).  Otherwise
     the returned ``k`` satisfies: every fork for every prefix of length
-    ≥ ``slot + k`` keeps slot ``slot`` settled.
+    ≥ ``slot + k`` keeps slot ``slot`` settled.  Raises ``ValueError``
+    for a slot outside ``[1, len(word)]``, as :func:`is_k_settled` does.
     """
+    if not 1 <= slot <= len(word):
+        raise ValueError(f"slot {slot} outside [1, {len(word)}]")
     sequence = margin_sequence(word, slot - 1)
     violations = [t for t, value in enumerate(sequence) if value >= 0 and t >= 1]
     if not violations:
@@ -88,32 +89,3 @@ def settlement_time(word: str, slot: int) -> int | None:
     if last_violation == len(sequence) - 1:
         return None
     return last_violation + 1
-
-
-def longest_settlement_free_window(word: str) -> int:
-    """Length of the longest window without a UVP slot.
-
-    The Theorem 8 common-prefix argument bounds CP violations by the
-    existence of long UVP-free windows; this helper measures them.
-    """
-    slots = uvp_slots(word)
-    boundaries = [0] + slots + [len(word) + 1]
-    return max(b - a - 1 for a, b in zip(boundaries, boundaries[1:]))
-
-
-def catalan_settlement_summary(word: str) -> dict[str, object]:
-    """Descriptive statistics connecting Catalan slots and settlement.
-
-    Returns counts used by the examples and by EXPERIMENTS.md narration.
-    """
-    catalan = catalan_slots(word)
-    uvp = uvp_slots(word)
-    honest = sum(1 for c in word if is_honest(c))
-    return {
-        "length": len(word),
-        "honest_slots": honest,
-        "adversarial_slots": word.count(ADVERSARIAL),
-        "catalan_slots": len(catalan),
-        "uvp_slots": len(uvp),
-        "longest_uvp_free_window": longest_settlement_free_window(word),
-    }

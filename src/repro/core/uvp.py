@@ -27,7 +27,7 @@ strings.
 from __future__ import annotations
 
 from repro.core.alphabet import HONEST_UNIQUE, is_honest
-from repro.core.catalan import catalan_slots, is_catalan
+from repro.core.catalan import _check_slot, catalan_slots, is_catalan
 from repro.core.forks import Fork
 from repro.core.margin import margin_sequence
 
@@ -128,8 +128,3 @@ def _is_common_to_all_viable(fork: Fork, candidate, slot: int) -> bool:
             if not candidate.is_ancestor_of(tine.vertex):
                 return False
     return True
-
-
-def _check_slot(word: str, slot: int) -> None:
-    if not 1 <= slot <= len(word):
-        raise IndexError(f"slot {slot} outside [1, {len(word)}]")

@@ -71,7 +71,7 @@ def image_fork(fork: DeltaFork) -> Fork:
     is checked explicitly by the tests.
     """
     reduced_word = reduce_string(fork.word, fork.delta)
-    mapping = slot_bijection(fork.word, fork.delta)
+    mapping = slot_bijection(fork.word)
     image = Fork(reduced_word)
     correspondence: dict[Vertex, Vertex] = {fork.root: image.root}
     for vertex in fork.vertices():
@@ -82,17 +82,3 @@ def image_fork(fork: DeltaFork) -> Fork:
             parent_image, mapping[vertex.label]
         )
     return image
-
-
-def max_honest_depth_before(fork: DeltaFork, slot: int) -> int:
-    """Largest depth among honest vertices labelled ≤ ``slot − Δ − 1``.
-
-    The Δ-synchronous viability threshold: a leader at ``slot`` is only
-    guaranteed to have seen honest chains older than Δ slots (axiom A4Δ).
-    """
-    threshold = slot - fork.delta - 1
-    best = 0
-    for vertex in fork.vertices():
-        if vertex.label <= threshold and fork.is_honest_vertex(vertex):
-            best = max(best, vertex.depth)
-    return best

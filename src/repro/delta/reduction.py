@@ -32,10 +32,12 @@ printed rule the survival probability is ``(p_⊥ + p_A)^Δ`` and
 consecutive reduced symbols are correlated).  Both variants are sound
 reductions — relabelling *more* honest slots as adversarial only
 strengthens the adversary — and the empty-run string dominates the
-quiet-window string in the Definition 6 partial order.  This module
-implements both; ``mode="empty-run"`` (the proof's semantics, default)
-is the one the stochastic results of Section 8 apply to, and
-``mode="quiet-window"`` is Definition 22 verbatim.
+quiet-window string in the Definition 6 partial order.
+:func:`reduce_string` implements both; ``mode="empty-run"`` (the proof's
+semantics, default) is the one the stochastic results of Section 8 apply
+to, and ``mode="quiet-window"`` is Definition 22 verbatim.  The batched
+kernel :func:`repro.engine.kernels.reduce_matrix`, which every sampled
+(k, Δ)-settlement estimate runs, implements only the empty-run rule.
 """
 
 from __future__ import annotations
@@ -52,9 +54,6 @@ from repro.core.distributions import SlotProbabilities
 MODE_EMPTY_RUN = "empty-run"
 #: Keep honest symbols followed by Δ symbols in {⊥, A} (Definition 22).
 MODE_QUIET_WINDOW = "quiet-window"
-# repro.engine.kernels mirrors these two literals (importing them from
-# here would cycle through repro.delta.__init__ → settlement → analysis
-# → exact → kernels); tests/engine asserts the mirrors stay equal.
 
 
 def reduce_string(word: str, delta: int, mode: str = MODE_EMPTY_RUN) -> str:
@@ -85,12 +84,12 @@ def reduce_string(word: str, delta: int, mode: str = MODE_EMPTY_RUN) -> str:
     return "".join(reduced)
 
 
-def slot_bijection(word: str, delta: int) -> dict[int, int]:
+def slot_bijection(word: str) -> dict[int, int]:
     """The increasing bijection π: non-empty slots of ``w`` → slots of ρ_Δ(w).
 
     ``π[i] = j`` means source slot ``i`` (1-based) became reduced slot
-    ``j``; empty slots have no image.  ``delta`` is accepted for symmetry
-    with :func:`reduce_string` (π depends only on the ⊥ positions).
+    ``j``; empty slots have no image.  π depends only on the ⊥ positions,
+    so it is the same for every Δ.
     """
     validate(word, SEMI_SYNCHRONOUS_ALPHABET)
     mapping: dict[int, int] = {}
@@ -101,15 +100,6 @@ def slot_bijection(word: str, delta: int) -> dict[int, int]:
         position += 1
         mapping[index] = position
     return mapping
-
-
-def undistorted_length(word: str, delta: int) -> int:
-    """Length of the i.i.d. prefix of ρ_Δ(word) (Proposition 4: ``|x| − Δ``).
-
-    The final Δ symbols of the reduced string are biased toward ``A`` by
-    the end-of-string effect; analyses should restrict to this prefix.
-    """
-    return max(len(reduce_string(word, delta)) - delta, 0)
 
 
 def reduction_beta(activity: float, delta: int) -> float:

@@ -46,7 +46,7 @@ def is_k_delta_settled(word: str, slot: int, depth: int, delta: int) -> bool:
     if word[slot - 1] == EMPTY:
         return True
     reduced = reduce_string(word, delta)
-    mapping = slot_bijection(word, delta)
+    mapping = slot_bijection(word)
     target = mapping[slot]
     sequence = margin_sequence(reduced, target - 1)
     considered = sequence[depth:] if depth >= 1 else sequence[1:]
@@ -62,7 +62,7 @@ def lemma2_settles(word: str, slot: int, depth: int, delta: int) -> bool:
     (|y'|, Δ)-settlement of ``slot``; ``False`` is inconclusive.
     """
     reduced = reduce_string(word, delta)
-    mapping = slot_bijection(word, delta)
+    mapping = slot_bijection(word)
     if word[slot - 1] == EMPTY:
         return True
     target = mapping[slot]

@@ -73,76 +73,6 @@ CODE_EMPTY = 3
 #: Decode table: ``SYMBOLS[code]`` is the character of that code.
 SYMBOLS = HONEST_UNIQUE + HONEST_MULTI + ADVERSARIAL + EMPTY
 
-# Window-semantics modes of the ρ_Δ reduction.  The canonical constants
-# (and the erratum discussion of the two semantics) live in
-# repro.delta.reduction; these literals mirror them because importing the
-# delta package from here would be circular (delta.__init__ → settlement
-# → analysis.bounds → analysis.exact → this module).
-MODE_EMPTY_RUN = "empty-run"
-MODE_QUIET_WINDOW = "quiet-window"
-
-_ENCODE_TABLE = np.full(128, 255, dtype=np.uint8)
-for _code, _char in enumerate(SYMBOLS):
-    _ENCODE_TABLE[ord(_char)] = _code
-
-
-# ----------------------------------------------------------------------
-# Encoding / decoding
-# ----------------------------------------------------------------------
-
-
-def encode_word(word: str) -> np.ndarray:
-    """Encode one characteristic string as a ``(T,)`` uint8 vector.
-
-    Any character outside the four-symbol alphabet — unknown ASCII and
-    non-ASCII alike — raises ``ValueError``; nothing ever maps through
-    the 255 sentinel of the encode table into a kernel.
-    """
-    try:
-        raw = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        bad = sorted(set(word) - set(SYMBOLS))
-        raise ValueError(
-            f"invalid symbols {bad!r} for alphabet {SYMBOLS!r}"
-        ) from None
-    codes = _ENCODE_TABLE[raw]
-    if (codes == 255).any():
-        bad = sorted(set(word) - set(SYMBOLS))
-        raise ValueError(f"invalid symbols {bad!r} for alphabet {SYMBOLS!r}")
-    return codes
-
-
-def encode_words(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a batch of strings into a padded ``(n, T)`` matrix.
-
-    Rows shorter than the longest string are padded with
-    :data:`CODE_EMPTY` (a no-op for every kernel); the returned
-    ``lengths`` vector records each row's true length.
-    """
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    width = int(lengths.max()) if len(words) else 0
-    matrix = np.full((len(words), width), CODE_EMPTY, dtype=np.uint8)
-    for i, word in enumerate(words):
-        matrix[i, : lengths[i]] = encode_word(word)
-    return matrix, lengths
-
-
-def decode_matrix(
-    symbols: np.ndarray, lengths: np.ndarray | None = None
-) -> list[str]:
-    """Decode a ``(n, T)`` code matrix back into strings.
-
-    With ``lengths`` given, each row is truncated to its true length
-    (inverse of :func:`encode_words`).
-    """
-    table = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)
-    rows = table[symbols]
-    out = []
-    for i in range(symbols.shape[0]):
-        row = rows[i] if lengths is None else rows[i, : lengths[i]]
-        out.append(row.tobytes().decode("ascii"))
-    return out
-
 
 # ----------------------------------------------------------------------
 # Sampling
@@ -265,20 +195,6 @@ def sample_initial_reaches(
 # ----------------------------------------------------------------------
 # Reach: the reflected walk (Theorem 5, Eq. (13))
 # ----------------------------------------------------------------------
-
-
-def walk_step_matrix(symbols: np.ndarray) -> np.ndarray:
-    """Section 5 walk steps: ``+1`` for ``A``, ``−1`` honest, ``0`` for ``⊥``.
-
-    Honest is one comparison (``code < CODE_ADVERSARIAL`` — the unique
-    and multi codes are 0 and 1 by construction) and the subtraction
-    runs in place on the adversarial mask's int64 view, so the kernel
-    allocates two temporaries instead of the four of the masked-
-    assignment form it replaced.
-    """
-    steps = (symbols == CODE_ADVERSARIAL).astype(np.int64)
-    steps -= symbols < CODE_ADVERSARIAL
-    return steps
 
 
 def prefix_sum_matrix(symbols: np.ndarray) -> np.ndarray:
@@ -503,18 +419,18 @@ def consecutive_catalan_mask(symbols: np.ndarray) -> np.ndarray:
 def reduce_matrix(
     symbols: np.ndarray,
     delta: int,
-    mode: str = MODE_EMPTY_RUN,
     lengths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched ρ_Δ: reduce every row of a semi-synchronous symbol matrix.
 
     Returns ``(reduced, reduced_lengths)`` where ``reduced`` is padded
     with :data:`CODE_EMPTY` to the input width.  Matches
-    :func:`repro.delta.reduction.reduce_string` row-for-row (both window
-    semantics; see that module's erratum note): an honest symbol is kept
-    iff it is followed — *within its row's true length* — by Δ symbols
-    from the allowed set, otherwise it is relabelled adversarial; empty
-    slots are deleted and the survivors compacted to the left.
+    :func:`repro.delta.reduction.reduce_string` row-for-row under its
+    default empty-run rule, the only one implemented here (see that
+    module's erratum note): an honest symbol is kept iff it is followed
+    — *within its row's true length* — by Δ empty slots, otherwise it is
+    relabelled adversarial; empty slots are deleted and the survivors
+    compacted to the left.
     """
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
@@ -525,19 +441,13 @@ def reduce_matrix(
     columns = np.arange(width)
     valid = columns[None, :] < lengths[:, None]
 
-    if mode == MODE_EMPTY_RUN:
-        allowed = symbols == CODE_EMPTY
-    elif mode == MODE_QUIET_WINDOW:
-        allowed = (symbols == CODE_EMPTY) | (symbols == CODE_ADVERSARIAL)
-    else:
-        raise ValueError(f"unknown reduction mode {mode!r}")
-
-    # Window check: positions j+1 … j+Δ must all be allowed and lie inside
-    # the row (j + Δ < length).  Prefix sums of the allowed mask give every
+    # Window check: positions j+1 … j+Δ must all be empty and lie inside
+    # the row (j + Δ < length).  Prefix sums of the empty mask give every
     # window count in one subtraction.
+    empty = symbols == CODE_EMPTY
     counts = np.zeros((trials, width + 1), dtype=np.int64)
     body = counts[:, 1:]
-    body += allowed & valid
+    body += empty & valid
     np.cumsum(body, axis=1, out=body)
     hi = np.minimum(columns[None, :] + 1 + delta, width)
     window = np.take_along_axis(

@@ -172,10 +172,6 @@ class BlockTree:
         """Hashes of leaf blocks (chains not extended by anything known)."""
         return [h for h, children in self._children.items() if not children]
 
-    def max_depth(self) -> int:
-        """Length of the longest known chain."""
-        return self._max_depth
-
     def longest_tips(self) -> list[str]:
         """All block hashes at maximal depth (the LCR tie set)."""
         return list(self._by_depth[self._max_depth])

@@ -91,10 +91,6 @@ class EventScheduler:
         heapq.heappush(self._heap, event)
         return event
 
-    def peek_time(self) -> float | None:
-        """The earliest pending event time, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
-
     def pop(self) -> Event:
         """Serve the earliest event and advance the clock to its time."""
         if not self._heap:

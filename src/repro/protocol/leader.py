@@ -57,14 +57,6 @@ class StakeDistribution:
         """σ — the party's fraction of total stake."""
         return party.stake / self.total_stake
 
-    def adversarial_stake_fraction(self) -> float:
-        """Combined relative stake of corrupted parties."""
-        return sum(
-            self.relative_stake(party)
-            for party in self.parties
-            if party.corrupted
-        )
-
     @staticmethod
     def uniform(
         honest_count: int, corrupted_count: int, stake: float = 1.0

@@ -131,10 +131,6 @@ class HonestNode:
             )
         return self._current_tip
 
-    def best_chain_depth(self) -> int:
-        """Length of the adopted chain."""
-        return self.tree.depth(self.best_tip())
-
     def mint_block(self, slot: int, vrf_proof: str, payload: str = "") -> Block:
         """Create and sign a block extending the adopted chain."""
         draft = Block(

@@ -2,13 +2,12 @@
 
 from repro.analysis.cp import (
     estimate_cp_violation_rate,
-    fork_violates_k_cp_slot,
     k_cp_slot_holds_exactly,
     satisfies_k_cp_slot,
     uvp_free_windows,
 )
 from repro.analysis.bounds import theorem8_cp_bound
-from repro.core.balanced import figure_2_fork
+from repro.core.balanced import figure_2_fork, slot_divergence
 from repro.core.distributions import bernoulli_condition
 from repro.core.forks import Fork
 
@@ -46,15 +45,16 @@ class TestCpPredicates:
         assert not k_cp_slot_holds_exactly("hAhAhA", 3)
 
     def test_fork_level_violation(self):
+        """Definition 24: slot divergence above k violates k-CP^slot."""
         fork = figure_2_fork()
-        assert fork_violates_k_cp_slot(fork, 3)
+        assert slot_divergence(fork) > 3
 
     def test_fork_level_no_violation_on_chain(self):
         fork = Fork("hhh")
         parent = fork.root
         for slot in (1, 2, 3):
             parent = fork.add_vertex(parent, slot)
-        assert not fork_violates_k_cp_slot(fork, 1)
+        assert slot_divergence(fork) <= 1
 
 
 class TestTheorem8Comparison:

@@ -187,12 +187,6 @@ class TestSeriesArithmetic:
         assert np.allclose(product[1:], 0.0, atol=1e-12)
 
 
-class TestCatalanNumbers:
-    def test_first_values(self):
-        values = [genfunc.catalan_number(n) for n in range(6)]
-        assert values == [1, 1, 2, 5, 14, 42]
-
-
 class TestWalkSeries:
     def test_descent_is_probability_series(self):
         series = genfunc.descent_series(0.3, 400)

@@ -13,7 +13,6 @@ from repro.core.alphabet import (
     CharacteristicString,
     InvalidCharacteristicString,
     count_symbols,
-    dominating_strings,
     is_a_heavy,
     is_hh_heavy,
     prefix_sums,
@@ -24,6 +23,7 @@ from repro.core.alphabet import (
 )
 
 from tests.conftest import all_strings
+from tests.core.references import dominating_strings
 
 
 class TestValidation:
@@ -106,6 +106,13 @@ class TestPartialOrder:
     def test_dominating_strings_contains_all_upper_bounds(self):
         dominated = set(dominating_strings("hH"))
         assert dominated == {"hH", "hA", "HH", "HA", "AH", "AA"}
+
+    def test_dominating_strings_are_the_upper_set_of_string_leq(self):
+        for word in all_strings("hHA", 3):
+            uppers = all_strings("hHA", len(word), min_length=len(word))
+            assert set(dominating_strings(word)) == {
+                upper for upper in uppers if string_leq(word, upper)
+            }
 
     def test_dominating_strings_of_adversarial_is_singleton(self):
         assert set(dominating_strings("AA")) == {"AA"}

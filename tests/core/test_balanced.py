@@ -2,7 +2,6 @@
 
 from repro.core.balanced import (
     build_x_balanced_fork,
-    divergence_witnesses,
     figure_2_fork,
     figure_3_fork,
     is_balanced,
@@ -23,12 +22,18 @@ class TestFigureForks:
 
     def test_figure_2_witness_tines_fully_disjoint(self):
         fork = figure_2_fork()
-        witnesses = divergence_witnesses(fork, 0)
+        longest = fork.maximum_length_tines()
+        witnesses = [
+            (left, right)
+            for i, left in enumerate(longest)
+            for right in longest[i + 1 :]
+            if left.is_disjoint_after(right, 0)
+        ]
         assert witnesses
-        left, right = witnesses[0]
-        labels_left = {v.label for v in left.path_from_root() if v.label}
-        labels_right = {v.label for v in right.path_from_root() if v.label}
-        assert labels_left.isdisjoint(labels_right)
+        for left, right in witnesses:
+            labels_left = {v.label for v in left.vertices() if v.label}
+            labels_right = {v.label for v in right.vertices() if v.label}
+            assert labels_left.isdisjoint(labels_right)
 
     def test_figure_3_is_x_balanced_not_balanced(self):
         fork = figure_3_fork()

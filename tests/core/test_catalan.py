@@ -3,17 +3,12 @@
 from repro.core.catalan import (
     catalan_slots,
     catalan_slots_naive,
-    consecutive_catalan_pairs,
-    first_uniquely_honest_catalan_slot,
-    has_catalan_in_window,
     is_catalan,
     is_left_catalan,
     is_right_catalan,
-    left_catalan_slots,
-    right_catalan_slots,
-    uniquely_honest_catalan_slots,
 )
 from repro.core.alphabet import is_honest
+from repro.core.uvp import uvp_slots
 
 from tests.conftest import all_strings, random_strings
 
@@ -56,12 +51,6 @@ class TestFastDetection:
         for word in random_strings("hHA", 40, 20, 60, seed=11):
             assert catalan_slots(word) == catalan_slots_naive(word), word
 
-    def test_left_right_decomposition(self):
-        for word in random_strings("hHA", 40, 5, 40, seed=12):
-            left = set(left_catalan_slots(word))
-            right = set(right_catalan_slots(word))
-            assert set(catalan_slots(word)) == (left & right), word
-
     def test_catalan_slots_are_honest(self):
         for word in random_strings("hHA", 30, 5, 40, seed=13):
             for slot in catalan_slots(word):
@@ -92,27 +81,13 @@ class TestStructuralFacts:
             assert catalan_slots(word) == catalan_slots(upgraded)
 
 
-class TestHelpers:
-    def test_uniquely_honest_catalan_slots(self):
-        word = "hHh"
-        assert uniquely_honest_catalan_slots(word) == [1, 3]
-
-    def test_first_uniquely_honest_catalan(self):
+class TestUniquelyHonestCatalanSlots:
+    def test_uvp_slots_are_the_uniquely_honest_catalan_slots(self):
+        """Theorem 3: the UVP slots are the Catalan slots labelled h."""
+        assert uvp_slots("hHh") == [1, 3]
         # slot 2 of 'Ahh' is not left-Catalan ([1,2] is a tie); slot 3 is.
-        assert first_uniquely_honest_catalan_slot("Ahh") == 3
-        assert first_uniquely_honest_catalan_slot("AAA") is None
-        assert first_uniquely_honest_catalan_slot("HHH") is None
-
-    def test_consecutive_pairs(self):
-        assert consecutive_catalan_pairs("HHH") == [1, 2]
-        assert consecutive_catalan_pairs("HAH") == []
-
-    def test_window_query(self):
-        word = "AAhhhhhAA"
-        slots = catalan_slots(word)
-        assert slots == [5]
-        assert has_catalan_in_window(word, 3, 5)
-        assert not has_catalan_in_window(word, 6, 9)
+        assert uvp_slots("Ahh") == [3]
+        assert uvp_slots("HHH") == []
 
 
 class TestWalkCharacterisation:

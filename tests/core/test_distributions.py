@@ -1,7 +1,6 @@
 """Slot distributions: the Bernoulli condition and dominance (Defs. 6, 7)."""
 
 import math
-import random
 
 import pytest
 
@@ -9,15 +8,16 @@ from repro.core.distributions import (
     SlotProbabilities,
     bernoulli_condition,
     bivalent_condition,
-    enumerate_strings,
     exact_string_probability,
     from_adversarial_stake,
     sample_characteristic_string,
     sample_martingale_string,
     semi_synchronous_condition,
-    verify_monotone,
 )
 from repro.core.margin import relative_margin
+
+from tests.conftest import all_strings
+from tests.core.references import dominating_strings
 
 
 class TestSlotProbabilities:
@@ -103,7 +103,7 @@ class TestSampling:
         probs = bernoulli_condition(0.4, 0.3)
         total = sum(
             exact_string_probability(probs, w)
-            for w in enumerate_strings("hHA", 4)
+            for w in all_strings("hHA", 4, min_length=4)
         )
         assert math.isclose(total, 1.0)
 
@@ -141,9 +141,7 @@ class TestMartingaleDominance:
 
     def test_violation_indicator_is_monotone(self):
         """Settlement violation is a monotone event in the Def. 6 order."""
-        words = [
-            "".join(w)
-            for w in __import__("itertools").product("hHA", repeat=5)
-        ]
-        indicator = lambda w: relative_margin(w, 2) >= 0
-        assert verify_monotone(indicator, words)
+        for word in all_strings("hHA", 5, min_length=5):
+            if relative_margin(word, 2) >= 0:
+                for upper in dominating_strings(word):
+                    assert relative_margin(upper, 2) >= 0, (word, upper)

@@ -5,7 +5,6 @@ import pytest
 from repro.core.forks import (
     Fork,
     ForkAxiomViolation,
-    build_fork,
     figure_1_fork,
     lowest_common_ancestor,
 )
@@ -150,17 +149,6 @@ class TestTines:
         root_tine = fork.tine(fork.root)
         assert root_tine.is_disjoint_after(root_tine, prefix_length=0)
 
-    def test_strict_prefix(self):
-        fork = linear_fork()
-        vs = fork.vertices()
-        assert fork.tine(vs[1]).is_strict_prefix_of(fork.tine(vs[3]))
-        assert not fork.tine(vs[3]).is_strict_prefix_of(fork.tine(vs[1]))
-
-    def test_last_honest_vertex(self):
-        fork = Fork("hA")
-        v1 = fork.add_vertex(fork.root, 1)
-        v2 = fork.add_vertex(v1, 2)
-        assert fork.tine(v2).last_honest_vertex() is v1
 
 
 class TestViability:
@@ -224,9 +212,3 @@ class TestPrefixes:
         big.add_vertex(v1, 2)
         assert big.contains_as_prefix(small)
         assert not small.contains_as_prefix(big)
-
-    def test_build_fork_helper(self):
-        fork = build_fork("hAh", [(0, 1), (1, 2), (1, 3)])
-        assert fork.height == 2
-        assert len(fork.vertices_with_label(1)) == 1
-        fork.validate()

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.alphabet import is_hh_heavy
-from repro.core.intervals import (
-    IntervalOracle,
-    all_a_heavy_intervals,
-    maximal_a_heavy_interval,
-)
+from repro.core.intervals import IntervalOracle
 
 from tests.conftest import all_strings
 
@@ -50,31 +46,3 @@ class TestIntervalOracle:
         # one honest vs one adversarial: tie, A-heavy
         assert oracle.is_a_heavy(1, 4)
         assert oracle.is_hh_heavy(1, 3)
-
-
-class TestAHeavyIntervals:
-    def test_all_a_heavy_intervals_simple(self):
-        heavy = all_a_heavy_intervals("hA")
-        assert (2, 2) in heavy
-        assert (1, 2) in heavy  # tie counts as A-heavy
-        assert (1, 1) not in heavy
-
-    def test_maximal_interval_contains_slot(self):
-        interval = maximal_a_heavy_interval("hAAh", 2)
-        assert interval is not None
-        start, stop = interval
-        assert start <= 2 <= stop
-
-    def test_maximal_interval_none_when_slot_shielded(self):
-        # 'hhh' has no A-heavy interval at all
-        assert maximal_a_heavy_interval("hhh", 2) is None
-
-    def test_maximal_interval_is_maximal(self):
-        word = "hAAhA"
-        slot = 3
-        interval = maximal_a_heavy_interval(word, slot)
-        assert interval is not None
-        width = interval[1] - interval[0]
-        for start, stop in all_a_heavy_intervals(word):
-            if start <= slot <= stop:
-                assert stop - start <= width

@@ -5,18 +5,17 @@ import pytest
 from repro.core.adversary_star import build_canonical_fork
 from tests.core.enumeration import enumerate_forks
 from repro.core.margin import (
-    ever_settlement_violated,
-    joint_trajectory,
     margin,
     margin_of_fork,
     margin_sequence,
     margin_step,
     relative_margin,
-    settlement_violated,
 )
-from repro.core.reach import reach_sequence, rho
+from repro.core.reach import rho
+from repro.core.settlement import is_k_settled
 
 from tests.conftest import all_strings, random_strings
+from tests.core.references import dominating_strings
 
 
 class TestRecurrenceBasics:
@@ -54,15 +53,6 @@ class TestRecurrenceBasics:
         sequence = margin_sequence(word, 1)
         assert len(sequence) == len(word) - 1 + 1
         assert sequence[0] == rho("h")
-
-    def test_joint_trajectory_consistency(self):
-        word = "AhHAAhhA"
-        for prefix_length in range(len(word) + 1):
-            trajectory = joint_trajectory(word, prefix_length)
-            reaches = reach_sequence(word)[prefix_length:]
-            margins = margin_sequence(word, prefix_length)
-            assert [r for r, _ in trajectory] == reaches
-            assert [m for _, m in trajectory] == margins
 
     def test_margin_step_matches_sequence(self):
         word = "AhHA"
@@ -122,33 +112,37 @@ class TestPaperExamples:
     def test_all_honest_string_settles_immediately(self):
         word = "hhhhh"
         for slot in range(1, 6):
-            assert not settlement_violated(word, slot)
+            assert relative_margin(word, slot - 1) < 0
+            assert is_k_settled(word, slot, 0)
 
 
 class TestSettlementIndicators:
-    def test_settlement_violated_matches_margin_sign(self):
+    def test_full_depth_settlement_is_the_final_margin_sign(self):
+        """Fact 6: at the deepest depth the word witnesses, slot s is
+        unsettled exactly when the final margin is non-negative."""
         for word in random_strings("hHA", 40, 2, 25, seed=34):
             for slot in range(1, len(word) + 1):
-                expected = relative_margin(word, slot - 1) >= 0
-                assert settlement_violated(word, slot) == expected
+                depth = len(word) - slot + 1
+                unsettled = relative_margin(word, slot - 1) >= 0
+                assert is_k_settled(word, slot, depth) == (not unsettled)
 
-    def test_ever_violated_is_weaker_than_final(self):
+    def test_final_violation_unsettles_every_depth(self):
         for word in random_strings("hHA", 40, 2, 25, seed=35):
             for slot in range(1, len(word) + 1):
-                if settlement_violated(word, slot):
-                    assert ever_settlement_violated(word, slot)
+                if relative_margin(word, slot - 1) >= 0:
+                    assert not is_k_settled(word, slot, 0)
 
-    def test_ever_violated_catches_transient(self):
+    def test_transient_violation_unsettles_shallow_depths_only(self):
         # slot 1 of 'hAhh': margin -1, 0, 0, -1 — transient violation only
         # (the third symbol is shielded by ρ = 1 > 0).
-        assert not settlement_violated("hAhh", 1)
-        assert ever_settlement_violated("hAhh", 1)
+        assert margin_sequence("hAhh", 0) == [0, -1, 0, 0, -1]
+        assert relative_margin("hAhh", 0) < 0
+        assert not is_k_settled("hAhh", 1, 0)
+        assert is_k_settled("hAhh", 1, 4)
 
 
 class TestDominance:
     def test_margin_monotone_in_partial_order(self):
-        from repro.core.alphabet import dominating_strings
-
         for word in all_strings("hHA", 4, min_length=1):
             for prefix_length in range(len(word) + 1):
                 base = relative_margin(word, prefix_length)

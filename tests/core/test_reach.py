@@ -5,15 +5,14 @@ from repro.core.forks import Fork
 from repro.core.reach import (
     gap,
     max_reach,
-    max_reach_vertices,
     reach,
     reach_sequence,
     reserve,
     rho,
-    zero_reach_vertices,
 )
 
 from tests.conftest import all_strings, random_strings
+from tests.core.references import dominating_strings
 
 
 def two_tine_fork() -> Fork:
@@ -49,14 +48,6 @@ class TestDefinitions:
         for word in all_strings("hHA", 5, min_length=1):
             for fork in enumerate_forks(word, 2, 2):
                 assert max_reach(fork) >= 0, word
-
-    def test_zero_and_max_reach_vertex_sets(self):
-        fork = two_tine_fork()
-        zeroes = zero_reach_vertices(fork)
-        tops = max_reach_vertices(fork)
-        assert all(reach(fork, v) == 0 for v in zeroes)
-        best = max_reach(fork)
-        assert all(reach(fork, v) == best for v in tops)
 
 
 class TestRecurrence:
@@ -94,8 +85,6 @@ class TestRecurrence:
 
     def test_monotone_in_partial_order(self):
         """More adversarial strings have at least the reach (Def. 6)."""
-        from repro.core.alphabet import dominating_strings
-
         for word in all_strings("hHA", 4, min_length=1):
             base = rho(word)
             for upper in dominating_strings(word):

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.core.settlement import (
-    catalan_settlement_summary,
     is_k_settled,
-    longest_settlement_free_window,
     settled_by_uvp,
     settled_by_uvp_consistent,
     settlement_time,
@@ -82,6 +80,14 @@ class TestSettlementTime:
     def test_unsettled_returns_none(self):
         assert settlement_time("hAhAhA", 1) is None
 
+    @pytest.mark.parametrize("slot", [0, 5, 9, -1])
+    def test_rejects_slots_outside_the_word(self, slot):
+        """Same contract as is_k_settled: a slot must lie in [1, |w|]."""
+        with pytest.raises(ValueError, match="outside"):
+            is_k_settled("hhhh", slot, 0)
+        with pytest.raises(ValueError, match="outside"):
+            settlement_time("hhhh", slot)
+
     def test_settlement_time_is_tight(self):
         for word in random_strings("hHA", 40, 5, 25, seed=64):
             for slot in range(1, len(word) + 1):
@@ -94,16 +100,3 @@ class TestSettlementTime:
                     assert is_k_settled(word, slot, k)
                     if k > 1:
                         assert not is_k_settled(word, slot, k - 1)
-
-
-class TestSummaries:
-    def test_longest_uvp_free_window(self):
-        word = "AAAA"
-        assert longest_settlement_free_window(word) == 4
-
-    def test_summary_fields(self):
-        summary = catalan_settlement_summary("hAhhA")
-        assert summary["length"] == 5
-        assert summary["honest_slots"] == 3
-        assert summary["adversarial_slots"] == 2
-        assert summary["catalan_slots"] >= summary["uvp_slots"]

@@ -1,5 +1,7 @@
 """UVP and bottleneck property: Theorems 3, 4 and Lemma 1 cross-checks."""
 
+import pytest
+
 from repro.core.catalan import catalan_slots, is_catalan
 from tests.core.enumeration import enumerate_forks
 from repro.core.uvp import (
@@ -41,6 +43,14 @@ class TestTheorem3EquivalentCharacterisations:
             s for s in range(1, 5) if has_uvp(word, s)
         ]
         assert uvp_slots(word) == expected
+
+    @pytest.mark.parametrize(
+        "predicate", [has_uvp, has_uvp_by_margin, has_bottleneck_property]
+    )
+    def test_slots_outside_the_word_raise_index_error(self, predicate):
+        for slot in (0, 3):
+            with pytest.raises(IndexError, match="outside"):
+                predicate("hh", slot)
 
 
 class TestStructuralGroundTruth:

@@ -1,26 +1,18 @@
 """Biased walks and the X_∞ barrier law (Section 5, Eq. (9))."""
 
 import math
-import random
 
 import pytest
 
 from repro.core.walks import (
-    ascent_time,
     bias_probabilities,
-    descent_time,
-    expected_descent_time,
-    geometric_tail_exponent,
-    reflected_walk,
-    ruin_probability,
     sample_descent_time,
     sample_reflected_walk_height,
-    stationary_reach_pmf,
     stationary_reach_ratio,
-    stationary_reach_tail,
-    walk_path,
 )
 from repro.core.reach import reach_sequence
+
+from tests.core.references import reflected_walk
 
 
 class TestBias:
@@ -35,24 +27,10 @@ class TestBias:
         with pytest.raises(ValueError):
             bias_probabilities(1.0)
 
-    def test_ruin_probability(self):
-        assert math.isclose(ruin_probability(0.2), 0.4 / 0.6)
-
 
 class TestStationaryLaw:
     def test_ratio(self):
         assert math.isclose(stationary_reach_ratio(0.2), 0.8 / 1.2)
-
-    def test_pmf_is_geometric(self):
-        pmf = stationary_reach_pmf(0.3, 10)
-        beta = stationary_reach_ratio(0.3)
-        for k in range(10):
-            assert math.isclose(pmf[k + 1] / pmf[k], beta)
-
-    def test_pmf_plus_tail_sums_to_one(self):
-        pmf = stationary_reach_pmf(0.25, 40)
-        tail = stationary_reach_tail(0.25, 41)
-        assert math.isclose(sum(pmf) + tail, 1.0)
 
     def test_reflected_walk_converges_to_stationary_law(self, rng):
         """Empirical X_t distribution approaches X_∞ (Eq. (9))."""
@@ -77,15 +55,12 @@ class TestStationaryLaw:
             empirical_tail = sum(1 for s in samples if s >= threshold) / len(
                 samples
             )
-            assert empirical_tail <= stationary_reach_tail(
-                epsilon, threshold
-            ) + 0.02
+            assert empirical_tail <= (
+                stationary_reach_ratio(epsilon) ** threshold + 0.02
+            )
 
 
-class TestPathHelpers:
-    def test_walk_path(self):
-        assert walk_path("AhH.") == [0, 1, 0, -1, -1]
-
+class TestReflectedWalk:
     def test_reflected_walk_is_nonnegative(self):
         heights = reflected_walk("AAhhhhA")
         assert all(h >= 0 for h in heights)
@@ -95,15 +70,6 @@ class TestPathHelpers:
         for word in ("hAhA", "AAAh", "HhAAHh", "hhhhAA"):
             assert reflected_walk(word) == reach_sequence(word)
 
-    def test_descent_time(self):
-        assert descent_time("hAA") == 1
-        assert descent_time("AhhA") == 3
-        assert descent_time("AA") is None
-
-    def test_ascent_time(self):
-        assert ascent_time("Ah") == 1
-        assert ascent_time("hh") is None
-
 
 class TestSampledStoppingTimes:
     def test_descent_time_mean(self, rng):
@@ -112,8 +78,4 @@ class TestSampledStoppingTimes:
         samples = [sample_descent_time(epsilon, rng) for _ in range(4000)]
         assert all(s is not None for s in samples)
         mean = sum(samples) / len(samples)
-        assert abs(mean - expected_descent_time(epsilon)) < 0.15
-
-    def test_geometric_tail_exponent_positive(self):
-        assert geometric_tail_exponent(0.3) > 0
-        assert geometric_tail_exponent(0.5) > geometric_tail_exponent(0.1)
+        assert abs(mean - 1 / epsilon) < 0.15

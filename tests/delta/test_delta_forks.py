@@ -5,8 +5,22 @@ import random
 import pytest
 
 from repro.core.forks import ForkAxiomViolation
-from repro.delta.forks import DeltaFork, image_fork, max_honest_depth_before
+from repro.delta.forks import DeltaFork, image_fork
 from repro.delta.reduction import reduce_string
+
+
+def max_honest_depth_before(fork: DeltaFork, slot: int) -> int:
+    """Largest depth among honest vertices labelled ≤ ``slot − Δ − 1``.
+
+    The Δ-synchronous viability threshold: a leader at ``slot`` is only
+    guaranteed to have seen honest chains older than Δ slots (axiom A4Δ).
+    """
+    threshold = slot - fork.delta - 1
+    best = 0
+    for vertex in fork.vertices():
+        if vertex.label <= threshold and fork.is_honest_vertex(vertex):
+            best = max(best, vertex.depth)
+    return best
 
 
 class TestDeltaForkValidation:

@@ -1,7 +1,6 @@
 """The reduction map ρ_Δ (Definition 22) and Proposition 4."""
 
 import collections
-import math
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.delta.reduction import (
     reduced_probabilities,
     reduction_beta,
     slot_bijection,
-    undistorted_length,
 )
 
 
@@ -72,18 +70,15 @@ class TestReduceString:
 
 class TestBijection:
     def test_bijection_skips_empty_slots(self):
-        mapping = slot_bijection("h.A.H", 2)
+        mapping = slot_bijection("h.A.H")
         assert mapping == {1: 1, 3: 2, 5: 3}
 
     def test_bijection_is_increasing(self):
-        mapping = slot_bijection("hA..hH.A", 1)
+        mapping = slot_bijection("hA..hH.A")
         items = sorted(mapping.items())
         values = [v for _, v in items]
         assert values == sorted(values)
         assert len(set(values)) == len(values)
-
-    def test_undistorted_length(self):
-        assert undistorted_length("h.h.h.", 1) == 2  # 3 active minus Δ=1
 
 
 class TestProposition4:

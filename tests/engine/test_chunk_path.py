@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 import repro.engine.parallel as parallel_module
-from repro.delta.reduction import (
-    MODE_EMPTY_RUN,
-    MODE_QUIET_WINDOW,
-    reduce_string,
-)
+from repro.delta.reduction import reduce_string
 from repro.engine import (
     ExperimentRunner,
     ResultCache,
@@ -31,6 +27,7 @@ from repro.engine import (
 )
 from repro.engine.parallel import BACKEND_NAMES, make_backend
 from tests.conftest import random_strings
+from tests.core.references import decode_matrix, encode_words
 
 CHUNK = 512
 
@@ -94,7 +91,8 @@ class TestNumpyScanKernels:
     def test_prefix_sums_are_the_cumulated_walk_steps(self, shape):
         generator = np.random.default_rng(sum(shape))
         symbols = generator.integers(0, 4, size=shape).astype(np.uint8)
-        steps = kernels.walk_step_matrix(symbols)
+        steps = (symbols == kernels.CODE_ADVERSARIAL).astype(np.int64)
+        steps -= symbols < kernels.CODE_ADVERSARIAL
         expected = np.concatenate(
             [np.zeros((shape[0], 1), dtype=np.int64), steps.cumsum(axis=1)],
             axis=1,
@@ -111,22 +109,19 @@ class TestNumpyScanKernels:
         kernels.prefix_sum_matrix(symbols)
         assert np.array_equal(symbols, before)
 
-    @pytest.mark.parametrize("mode", [MODE_EMPTY_RUN, MODE_QUIET_WINDOW])
-    def test_reduction_ignores_columns_past_each_row_length(self, mode):
+    def test_reduction_ignores_columns_past_each_row_length(self):
         """The in-place window count only sees each row's true length:
         junk written past it changes nothing."""
         words = random_strings("hHA.", 60, 1, 30, seed=17)
-        matrix, lengths = kernels.encode_words(words)
+        matrix, lengths = encode_words(words)
         junk = np.random.default_rng(17).integers(
             0, 4, size=matrix.shape
         ).astype(np.uint8)
         past = np.arange(matrix.shape[1])[None, :] >= lengths[:, None]
         matrix[past] = junk[past]
-        reduced, reduced_lengths = kernels.reduce_matrix(
-            matrix, 2, mode, lengths
-        )
-        assert kernels.decode_matrix(reduced, reduced_lengths) == [
-            reduce_string(word, 2, mode) for word in words
+        reduced, reduced_lengths = kernels.reduce_matrix(matrix, 2, lengths)
+        assert decode_matrix(reduced, reduced_lengths) == [
+            reduce_string(word, 2) for word in words
         ]
 
 

@@ -11,65 +11,58 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.catalan import catalan_slots, uniquely_honest_catalan_slots
+from repro.core.catalan import catalan_slots
 from repro.core.distributions import (
-    SlotProbabilities,
     bernoulli_condition,
     semi_synchronous_condition,
 )
 from repro.core.margin import margin_sequence, margin_step
 from repro.core.reach import reach_sequence, rho
+from repro.core.uvp import uvp_slots
 from repro.core.walks import stationary_reach_ratio
-from repro.delta.reduction import (
-    MODE_EMPTY_RUN,
-    MODE_QUIET_WINDOW,
-    reduce_string,
-)
+from repro.delta.reduction import reduce_string
 from repro.engine import kernels
 from tests.conftest import random_strings
-
-
-def encode_batch(words):
-    return kernels.encode_words(words)
+from tests.core.references import decode_matrix, encode_word, encode_words
 
 
 class TestEncoding:
     def test_roundtrip(self):
         words = random_strings("hHA.", 30, 0, 40, seed=1)
-        matrix, lengths = kernels.encode_words(words)
-        assert kernels.decode_matrix(matrix, lengths) == words
+        matrix, lengths = encode_words(words)
+        assert decode_matrix(matrix, lengths) == words
 
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValueError):
-            kernels.encode_word("hHx")
+            encode_word("hHx")
 
     def test_unknown_symbols_name_the_offenders(self):
         # Unknown ASCII must raise, not flow through the 255 sentinel.
         with pytest.raises(ValueError, match=r"'x'"):
-            kernels.encode_word("hHx")
+            encode_word("hHx")
         with pytest.raises(ValueError, match=r"'z'"):
-            kernels.encode_words(["hH", "Az"])
+            encode_words(["hH", "Az"])
 
     def test_non_ascii_raises_value_error(self):
         # Non-ASCII input must surface as the same ValueError contract,
         # never as a raw UnicodeEncodeError from the codec.
         with pytest.raises(ValueError, match="é"):
-            kernels.encode_word("héllo")
+            encode_word("héllo")
         with pytest.raises(ValueError):
-            kernels.encode_words(["h", "h☃"])
+            encode_words(["h", "h☃"])
 
     def test_empty_word_encodes_to_empty(self):
-        assert kernels.encode_word("").shape == (0,)
+        assert encode_word("").shape == (0,)
 
     def test_padding_is_empty(self):
-        matrix, lengths = kernels.encode_words(["hA", "h"])
+        matrix, lengths = encode_words(["hA", "h"])
         assert matrix[1, 1] == kernels.CODE_EMPTY
 
 
 class TestReachEquivalence:
     def test_final_reaches_match_rho(self):
         words = random_strings("hHA", 60, 1, 50, seed=3)
-        matrix, lengths = kernels.encode_words(words)
+        matrix, lengths = encode_words(words)
         # padding is a no-op, so the scan's final reach is each row's rho
         finals, _mu = kernels.joint_final_states(matrix)
         for i, word in enumerate(words):
@@ -82,7 +75,7 @@ class TestMarginEquivalence:
         rng = random.Random(55)
         for word in words:
             prefix_length = rng.randint(0, len(word))
-            matrix, _ = kernels.encode_words([word])
+            matrix, _ = encode_words([word])
             trajectory = kernels.margin_trajectories(matrix, prefix_length)[0]
             expected = margin_sequence(word, prefix_length)
             assert trajectory[prefix_length:].tolist() == expected
@@ -99,7 +92,7 @@ class TestMarginEquivalence:
             mus.append(m)
             symbols.append(s)
             expected.append(margin_step(r, m, s))
-        codes = kernels.encode_word("".join(symbols))
+        codes = encode_word("".join(symbols))
         new_rho, new_mu, _ = kernels._margin_scan(
             codes[:, None], np.array(rhos), np.array(mus), 0, False
         )
@@ -107,14 +100,14 @@ class TestMarginEquivalence:
 
     def test_joint_final_states_match_trajectory_tail(self):
         words = random_strings("hHA", 40, 2, 40, seed=6)
-        matrix, _ = kernels.encode_words(words)
+        matrix, _ = encode_words(words)
         starts = np.array([len(w) // 2 for w in words], dtype=np.int64)
         trajectories = kernels.margin_trajectories(matrix, starts)
         _rho, mu = kernels.joint_final_states(matrix, starts)
         assert (trajectories[:, -1] == mu).all()
 
     def test_initial_reach_seeds_margin(self):
-        matrix, _ = kernels.encode_words(["hh"])
+        matrix, _ = encode_words(["hh"])
         initial = np.array([3], dtype=np.int64)
         trajectory = kernels.margin_trajectories(
             matrix, 0, initial_reaches=initial
@@ -158,7 +151,7 @@ class TestMarginScanEdges:
         rng = random.Random(22)
         # prefixes up to five slots past the row's end
         prefixes = [rng.randint(0, len(w) + 5) for w in words]
-        matrix, _ = kernels.encode_words(words)
+        matrix, _ = encode_words(words)
         starts = np.array(prefixes, dtype=np.int64)
         trajectories = kernels.margin_trajectories(matrix, starts)
         final_rho, final_mu = kernels.joint_final_states(matrix, starts)
@@ -171,7 +164,7 @@ class TestMarginScanEdges:
 
     def test_stationary_initial_reaches(self):
         words = random_strings("hHA", 120, 0, 40, seed=23)
-        matrix, _ = kernels.encode_words(words)
+        matrix, _ = encode_words(words)
         generator = np.random.default_rng(24)
         initial = kernels.sample_initial_reaches(0.2, len(words), generator)
         assert initial.max() > 5  # the seeded reaches are exercised
@@ -199,7 +192,7 @@ class TestMarginScanEdges:
         # adversarial slots.
         words = ["AAAAAAAA", "hhhhhhhh", "AhHAHhAh", "HHHhhhAA", "AAAAhhhh"]
         prefixes = [0, 0, 3, 8, 2]
-        matrix, _ = kernels.encode_words(words)
+        matrix, _ = encode_words(words)
         starts = np.array(prefixes, dtype=np.int64)
         reaches = np.full(len(words), initial, dtype=np.int64)
         trajectories = kernels.margin_trajectories(matrix, starts, reaches)
@@ -274,7 +267,7 @@ class TestStateTypeLadder:
     PREFIXES = [0, 0, 3, 2, 8, 5, 4]
 
     def check(self, words, prefixes, initial):
-        matrix, _ = kernels.encode_words(words)
+        matrix, _ = encode_words(words)
         starts = np.array(prefixes, dtype=np.int64)
         final_rho, final_mu = kernels.joint_final_states(
             matrix, starts, initial
@@ -316,7 +309,7 @@ class TestStateTypeLadder:
         # A margin passed in below zero falls further on honest slots.
         bound = 2 ** (bits - 1) - 1 + above
         word = "HhHhHhHh"
-        codes = kernels.encode_word(word)[None, :].repeat(3, axis=0)
+        codes = encode_word(word)[None, :].repeat(3, axis=0)
         margins = np.full(3, -(bound - len(word)), dtype=np.int64)
         reaches = np.array([0, 1, 5], dtype=np.int64)
         final_rho, final_mu, _ = kernels._margin_scan(
@@ -333,7 +326,7 @@ class TestStateTypeLadder:
 class TestCatalanEquivalence:
     def test_matches_catalan_slots(self):
         words = random_strings("hHA", 120, 1, 60, seed=7)
-        matrix, lengths = kernels.encode_words(words)
+        matrix, lengths = encode_words(words)
         mask = kernels.catalan_slot_mask(matrix)
         for i, word in enumerate(words):
             slots = (np.nonzero(mask[i, : len(word)])[0] + 1).tolist()
@@ -341,7 +334,7 @@ class TestCatalanEquivalence:
 
     def test_semi_synchronous_strings(self):
         words = random_strings("hHA.", 60, 1, 50, seed=8)
-        matrix, lengths = kernels.encode_words(words)
+        matrix, lengths = encode_words(words)
         mask = kernels.catalan_slot_mask(matrix)
         for i, word in enumerate(words):
             slots = (np.nonzero(mask[i, : len(word)])[0] + 1).tolist()
@@ -349,15 +342,15 @@ class TestCatalanEquivalence:
 
     def test_uniquely_honest_mask(self):
         words = random_strings("hHA", 60, 1, 50, seed=9)
-        matrix, _ = kernels.encode_words(words)
+        matrix, _ = encode_words(words)
         mask = kernels.uniquely_honest_catalan_mask(matrix)
         for i, word in enumerate(words):
             slots = (np.nonzero(mask[i, : len(word)])[0] + 1).tolist()
-            assert slots == uniquely_honest_catalan_slots(word)
+            assert slots == uvp_slots(word)
 
     def test_consecutive_mask(self):
         words = random_strings("hHA", 60, 2, 50, seed=10)
-        matrix, _ = kernels.encode_words(words)
+        matrix, _ = encode_words(words)
         pairs = kernels.consecutive_catalan_mask(matrix)
         for i, word in enumerate(words):
             slots = set(catalan_slots(word))
@@ -367,36 +360,29 @@ class TestCatalanEquivalence:
 
 
 class TestReductionEquivalence:
-    def test_mode_constants_mirror_the_canonical_ones(self):
-        # kernels can't import these from delta.reduction (package cycle);
-        # the literals must stay equal
-        assert kernels.MODE_EMPTY_RUN == MODE_EMPTY_RUN
-        assert kernels.MODE_QUIET_WINDOW == MODE_QUIET_WINDOW
-
-    @pytest.mark.parametrize("mode", [MODE_EMPTY_RUN, MODE_QUIET_WINDOW])
     @pytest.mark.parametrize("delta", [0, 1, 2, 5])
-    def test_matches_reduce_string(self, mode, delta):
+    def test_matches_reduce_string(self, delta):
         words = random_strings("hHA.", 80, 1, 50, seed=11)
-        matrix, lengths = kernels.encode_words(words)
+        matrix, lengths = encode_words(words)
         reduced, reduced_lengths = kernels.reduce_matrix(
-            matrix, delta, mode, lengths
+            matrix, delta, lengths
         )
-        assert kernels.decode_matrix(reduced, reduced_lengths) == [
-            reduce_string(word, delta, mode) for word in words
+        assert decode_matrix(reduced, reduced_lengths) == [
+            reduce_string(word, delta) for word in words
         ]
 
     def test_reduced_slot_columns_match_bijection(self):
         from repro.delta.reduction import slot_bijection
 
         words = random_strings("hHA.", 40, 5, 40, seed=12)
-        matrix, lengths = kernels.encode_words(words)
+        matrix, lengths = encode_words(words)
         target = 3
         columns = kernels.reduced_slot_columns(matrix, target, lengths)
         for i, word in enumerate(words):
             if word[target - 1] == ".":
                 assert columns[i] == -1
             else:
-                assert columns[i] == slot_bijection(word, 0)[target] - 1
+                assert columns[i] == slot_bijection(word)[target] - 1
 
 
 class TestSamplingEquivalence:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.exact import settlement_violation_probability
-from repro.core.catalan import catalan_slots, uniquely_honest_catalan_slots
+from repro.core.catalan import catalan_slots
 from repro.core.distributions import (
     SlotProbabilities,
     bernoulli_condition,
@@ -12,6 +12,7 @@ from repro.core.distributions import (
 )
 from repro.core.margin import margin_step
 from repro.core.reach import rho
+from repro.core.uvp import uvp_slots
 from repro.delta.settlement import is_k_delta_settled
 from repro.engine import (
     ExperimentRunner,
@@ -26,6 +27,7 @@ from repro.engine import (
     settlement_violation,
 )
 from repro.engine.scenarios import PREFIX_STATIONARY
+from tests.core.references import decode_matrix
 
 
 class TestReproducibility:
@@ -138,7 +140,7 @@ class TestDeltaEstimator:
         raw = kernels.sample_characteristic_matrix(
             scenario.probabilities, 400, scenario.total_length, replay
         )
-        for i, word in enumerate(kernels.decode_matrix(raw)):
+        for i, word in enumerate(decode_matrix(raw)):
             expected = not is_k_delta_settled(
                 word, scenario.target_slot, scenario.depth, scenario.delta
             )
@@ -219,7 +221,7 @@ def _window_hits(scenario, size, child, window, no_event) -> int:
 
 def no_unique_catalan_scalar(word: str, first: int, last: int) -> bool:
     """Scalar oracle for :class:`NoUniqueCatalanInWindow`."""
-    slots = uniquely_honest_catalan_slots(word)
+    slots = uvp_slots(word)
     return not any(first <= s <= last for s in slots)
 
 

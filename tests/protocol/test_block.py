@@ -1,7 +1,5 @@
 """Blocks and block trees (the ledger layer)."""
 
-import pytest
-
 from repro.protocol.block import Block, BlockTree, genesis_block
 
 
@@ -44,13 +42,13 @@ class TestBlockTree:
     def test_initial_state(self):
         tree = BlockTree()
         assert len(tree) == 1
-        assert tree.max_depth() == 0
+        assert tree.depth(tree.longest_tips()[0]) == 0
 
     def test_chain_growth(self):
         tree = BlockTree()
         chain_of(tree, 1, 2, 5)
-        assert tree.max_depth() == 3
         tip = tree.longest_tips()[0]
+        assert tree.depth(tip) == 3
         assert [b.slot for b in tree.chain(tip)] == [0, 1, 2, 5]
 
     def test_unknown_parent_rejected(self):

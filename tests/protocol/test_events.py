@@ -187,7 +187,6 @@ class TestClock:
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventScheduler().pop()
-        assert EventScheduler().peek_time() is None
 
 
 class TestReplay:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.distributions import sample_characteristic_string
 from repro.protocol.crypto import IdealVrf, _digest_to_unit, unit_cutoff
 from repro.protocol.leader import (
     LeaderSchedule,
@@ -23,12 +22,17 @@ class TestStakeDistribution:
             [Party("a", 3.0), Party("b", 1.0, corrupted=True)]
         )
         assert stakes.relative_stake(stakes.parties[0]) == pytest.approx(0.75)
-        assert stakes.adversarial_stake_fraction() == pytest.approx(0.25)
+        assert stakes.relative_stake(stakes.parties[1]) == pytest.approx(0.25)
 
     def test_uniform_builder(self):
         stakes = StakeDistribution.uniform(3, 2)
         assert len(stakes.parties) == 5
-        assert stakes.adversarial_stake_fraction() == pytest.approx(0.4)
+        corrupted = [p for p in stakes.parties if p.corrupted]
+        assert len(corrupted) == 2
+        assert all(
+            stakes.relative_stake(p) == pytest.approx(0.2)
+            for p in stakes.parties
+        )
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

@@ -61,7 +61,7 @@ class TestReceive:
         assert not node.receive(child)  # parent unknown: orphaned
         assert node.receive(parent)  # drains the orphan too
         assert child.block_hash in node.tree
-        assert node.best_chain_depth() == 2
+        assert node.tree.depth(node.best_tip()) == 2
 
 
 class TestChainSelection:

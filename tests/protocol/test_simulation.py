@@ -4,7 +4,6 @@ import pytest
 
 from repro.protocol.adversary import (
     MaxDelayAdversary,
-    NullAdversary,
     PrivateChainAdversary,
     SplitAdversary,
 )
@@ -55,7 +54,7 @@ class TestHonestBaseline:
         word = result.characteristic_string
         active = sum(1 for c in word if c != ".")
         union = result.union_tree()
-        assert union.max_depth() == active
+        assert union.depth(union.longest_tips()[0]) == active
 
 
 class TestPrivateChainAttack:

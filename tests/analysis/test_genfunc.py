@@ -187,6 +187,16 @@ class TestSeriesArithmetic:
         assert np.allclose(product[1:], 0.0, atol=1e-12)
 
 
+class TestCatalanNumbers:
+    def test_first_values(self):
+        """``d_{2i+1} / (p^i q^{i+1})`` reads off C_i = 1, 1, 2, 5, 14, 42."""
+        p, q = bias_probabilities(0.3)
+        series = genfunc.descent_series(0.3, 11)
+        values = [series[2 * i + 1] / (p**i * q ** (i + 1)) for i in range(6)]
+        assert np.allclose(values, [1, 1, 2, 5, 14, 42], rtol=1e-12)
+        assert np.all(series[0::2] == 0.0)
+
+
 class TestWalkSeries:
     def test_descent_is_probability_series(self):
         series = genfunc.descent_series(0.3, 400)

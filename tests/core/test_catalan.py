@@ -8,7 +8,8 @@ from repro.core.catalan import (
     is_right_catalan,
 )
 from repro.core.alphabet import is_honest
-from repro.core.uvp import uvp_slots
+from repro.core.settlement import settled_by_uvp
+from repro.core.uvp import uvp_slots, uvp_slots_consistent_tiebreak
 
 from tests.conftest import all_strings, random_strings
 
@@ -51,6 +52,13 @@ class TestFastDetection:
         for word in random_strings("hHA", 40, 20, 60, seed=11):
             assert catalan_slots(word) == catalan_slots_naive(word), word
 
+    def test_left_right_decomposition(self):
+        for word in random_strings("hHA", 40, 5, 40, seed=12):
+            slots = range(1, len(word) + 1)
+            left = {s for s in slots if is_left_catalan(word, s)}
+            right = {s for s in slots if is_right_catalan(word, s)}
+            assert set(catalan_slots(word)) == (left & right), word
+
     def test_catalan_slots_are_honest(self):
         for word in random_strings("hHA", 30, 5, 40, seed=13):
             for slot in catalan_slots(word):
@@ -81,13 +89,31 @@ class TestStructuralFacts:
             assert catalan_slots(word) == catalan_slots(upgraded)
 
 
-class TestUniquelyHonestCatalanSlots:
-    def test_uvp_slots_are_the_uniquely_honest_catalan_slots(self):
+class TestHelpers:
+    def test_uniquely_honest_catalan_slots(self):
         """Theorem 3: the UVP slots are the Catalan slots labelled h."""
         assert uvp_slots("hHh") == [1, 3]
+        for word in random_strings("hHA", 40, 5, 40, seed=14):
+            expected = [s for s in catalan_slots(word) if word[s - 1] == "h"]
+            assert uvp_slots(word) == expected, word
+
+    def test_first_uniquely_honest_catalan(self):
         # slot 2 of 'Ahh' is not left-Catalan ([1,2] is a tie); slot 3 is.
         assert uvp_slots("Ahh") == [3]
+        assert uvp_slots("AAA") == []
         assert uvp_slots("HHH") == []
+
+    def test_consecutive_pairs(self):
+        """Theorem 4: s and s + 1 both Catalan give s the A0′ UVP."""
+        assert uvp_slots_consistent_tiebreak("HHH") == [1, 2]
+        assert uvp_slots_consistent_tiebreak("HAH") == []
+
+    def test_window_query(self):
+        """Eq. (1) asks for a UVP slot in the window [s, s + k]."""
+        word = "AAhhhhhAA"
+        assert catalan_slots(word) == [5]
+        assert settled_by_uvp(word, 3, 2)
+        assert not settled_by_uvp(word, 6, 3)
 
 
 class TestWalkCharacterisation:

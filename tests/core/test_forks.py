@@ -149,6 +149,23 @@ class TestTines:
         root_tine = fork.tine(fork.root)
         assert root_tine.is_disjoint_after(root_tine, prefix_length=0)
 
+    def test_strict_prefix(self):
+        """Tine prefixes are ancestor paths (Definition 9's ``t1 ⪯ t2``)."""
+        fork = linear_fork()
+        vs = fork.vertices()
+        short, long_ = fork.tine(vs[1]), fork.tine(vs[3])
+        assert vs[1].is_ancestor_of(vs[3])
+        assert not vs[3].is_ancestor_of(vs[1])
+        assert short.common_prefix(long_) is vs[1]
+        assert long_.vertices()[: short.length + 1] == short.vertices()
+
+    def test_last_honest_vertex(self):
+        fork = Fork("hA")
+        v1 = fork.add_vertex(fork.root, 1)
+        v2 = fork.add_vertex(v1, 2)
+        honest = [v for v in fork.tine(v2).vertices() if fork.is_honest_vertex(v)]
+        assert honest[-1] is v1
+        assert fork.honest_depth(1) == 1
 
 
 class TestViability:
@@ -212,3 +229,13 @@ class TestPrefixes:
         big.add_vertex(v1, 2)
         assert big.contains_as_prefix(small)
         assert not small.contains_as_prefix(big)
+
+    def test_build_fork_helper(self):
+        fork = Fork("hAh")
+        v1 = fork.add_vertex(fork.root, 1)
+        fork.add_vertex(v1, 2)
+        fork.add_vertex(v1, 3)
+        assert fork.height == 2
+        assert len(fork.vertices_with_label(1)) == 1
+        fork.validate()
+        assert fork.is_valid()

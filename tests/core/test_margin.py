@@ -11,7 +11,7 @@ from repro.core.margin import (
     margin_step,
     relative_margin,
 )
-from repro.core.reach import rho
+from repro.core.reach import reach_sequence, rho
 from repro.core.settlement import is_k_settled
 
 from tests.conftest import all_strings, random_strings
@@ -53,6 +53,20 @@ class TestRecurrenceBasics:
         sequence = margin_sequence(word, 1)
         assert len(sequence) == len(word) - 1 + 1
         assert sequence[0] == rho("h")
+
+    def test_joint_trajectory_consistency(self):
+        """margin_step carries (ρ, μ) along every suffix (Theorem 5)."""
+        word = "AhHAAhhA"
+        for prefix_length in range(len(word) + 1):
+            r = m = rho(word[:prefix_length])
+            trajectory = [(r, m)]
+            for symbol in word[prefix_length:]:
+                r, m = margin_step(r, m, symbol)
+                trajectory.append((r, m))
+            reaches = reach_sequence(word)[prefix_length:]
+            margins = margin_sequence(word, prefix_length)
+            assert [r for r, _ in trajectory] == reaches
+            assert [m for _, m in trajectory] == margins
 
     def test_margin_step_matches_sequence(self):
         word = "AhHA"
@@ -117,7 +131,7 @@ class TestPaperExamples:
 
 
 class TestSettlementIndicators:
-    def test_full_depth_settlement_is_the_final_margin_sign(self):
+    def test_settlement_violated_matches_margin_sign(self):
         """Fact 6: at the deepest depth the word witnesses, slot s is
         unsettled exactly when the final margin is non-negative."""
         for word in random_strings("hHA", 40, 2, 25, seed=34):
@@ -126,13 +140,13 @@ class TestSettlementIndicators:
                 unsettled = relative_margin(word, slot - 1) >= 0
                 assert is_k_settled(word, slot, depth) == (not unsettled)
 
-    def test_final_violation_unsettles_every_depth(self):
+    def test_ever_violated_is_weaker_than_final(self):
         for word in random_strings("hHA", 40, 2, 25, seed=35):
             for slot in range(1, len(word) + 1):
                 if relative_margin(word, slot - 1) >= 0:
                     assert not is_k_settled(word, slot, 0)
 
-    def test_transient_violation_unsettles_shallow_depths_only(self):
+    def test_ever_violated_catches_transient(self):
         # slot 1 of 'hAhh': margin -1, 0, 0, -1 — transient violation only
         # (the third symbol is shielded by ρ = 1 > 0).
         assert margin_sequence("hAhh", 0) == [0, -1, 0, 0, -1]

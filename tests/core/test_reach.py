@@ -50,6 +50,18 @@ class TestDefinitions:
                 assert max_reach(fork) >= 0, word
 
 
+    def test_zero_and_max_reach_vertex_sets(self):
+        """A longest tine has gap 0, so its reach is its reserve ≥ 0;
+        ρ(F) is at least that reserve."""
+        for word in all_strings("hHA", 4, min_length=1):
+            for fork in enumerate_forks(word, 2, 2):
+                for tine in fork.maximum_length_tines():
+                    top = tine.vertex
+                    assert gap(fork, top) == 0
+                    assert reach(fork, top) == reserve(fork, top) >= 0
+                    assert max_reach(fork) >= reserve(fork, top)
+
+
 class TestRecurrence:
     def test_base_cases(self):
         assert rho("") == 0

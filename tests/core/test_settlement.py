@@ -10,6 +10,8 @@ from repro.core.settlement import (
     settlement_violation_slots,
 )
 
+from repro.core.uvp import uvp_slots
+
 from tests.conftest import random_strings
 
 
@@ -100,3 +102,19 @@ class TestSettlementTime:
                     assert is_k_settled(word, slot, k)
                     if k > 1:
                         assert not is_k_settled(word, slot, k - 1)
+
+
+class TestSummaries:
+    def test_longest_uvp_free_window(self):
+        """Eq. (1): a slot settles by the first UVP slot at or after it,
+        so UVP-free windows bound settlement times; "AAAA" has no UVP
+        slot and no settled slot."""
+        assert uvp_slots("AAAA") == []
+        assert settlement_violation_slots("AAAA", 0) == [1, 2, 3, 4]
+        for word in random_strings("hHA", 40, 5, 25, seed=65):
+            uvp = uvp_slots(word)
+            for slot in range(1, len(word) + 1):
+                later = [t for t in uvp if t >= slot]
+                if later:
+                    time = settlement_time(word, slot)
+                    assert time is not None and time <= later[0] - slot + 1

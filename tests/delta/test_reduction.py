@@ -19,6 +19,8 @@ from repro.delta.reduction import (
     slot_bijection,
 )
 
+from tests.conftest import all_strings
+
 
 class TestReduceString:
     def test_delta_zero_drops_empty_slots_only(self):
@@ -79,6 +81,22 @@ class TestBijection:
         values = [v for _, v in items]
         assert values == sorted(values)
         assert len(set(values)) == len(values)
+
+    def test_undistorted_length(self):
+        """ρ_Δ keeps one symbol per non-empty slot; a slot among the last
+        Δ has no full quiet window, so its image is A.  This is the
+        end-of-string effect that Proposition 4 leaves out of the i.i.d.
+        prefix of length |ρ_Δ(w)| − Δ."""
+        assert reduce_string("h.h.h.", 1) == "hhh"
+        assert reduce_string("h.h.h", 1) == "hhA"
+        for word in all_strings("hHA.", 5):
+            mapping = slot_bijection(word)
+            for delta in range(4):
+                reduced = reduce_string(word, delta)
+                assert len(reduced) == len(mapping)
+                for source, image in mapping.items():
+                    if source > len(word) - delta:
+                        assert reduced[image - 1] == "A", (word, delta)
 
 
 class TestProposition4:

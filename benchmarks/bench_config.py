@@ -6,7 +6,8 @@ hard-coded literals, so one edit re-scales or re-seeds the whole suite
 dictionary).  Seeds are arbitrary but fixed: the suite is deterministic
 run-to-run.
 
-The helpers are the suite's one way to time a claim (:func:`timed`),
+The helpers are the suite's one way to time a claim (:func:`timed`,
+scaled by :func:`reference_seconds` where an absolute rate is kept),
 one way to check it (:class:`Gate`, :func:`check_gates`, and the gate
 tables ``GATES`` and ``SERVING_GATES``), one way to draw oracle queries
 (:func:`random_queries`), and one way to start a ``python -m`` server
@@ -74,7 +75,30 @@ TRIALS = {
 }
 
 
-def timed(rounds, *callables, units=None):
+def _reference_loop() -> None:
+    table = {}
+    total = 0
+    for i in range(60_000):
+        total += i & 7
+        table[i & 255] = total
+
+
+#: Seconds :func:`reference_seconds`' loop takes on the reference host
+#: (2-vCPU x86-64 container, CPython 3.11) with nothing else running.
+#: The loop and its nominal time are those of perfbench's ``python``
+#: loop, so the scaled rates here and perfbench's share one reference.
+REFERENCE_LOOP_SECONDS = 0.0065
+
+
+def reference_seconds() -> float:
+    """Seconds one pass of an interpreter-bound reference loop (dict
+    stores and integer arithmetic, no repro code) takes now."""
+    start = time.perf_counter()
+    _reference_loop()
+    return time.perf_counter() - start
+
+
+def timed(rounds, *callables, units=None, reference=False):
     """Time ``callables`` over ``rounds`` interleaved rounds.
 
     Each round calls every callable once, in order, so a change in host
@@ -82,7 +106,8 @@ def timed(rounds, *callables, units=None):
     ratios, results)``:
 
     * ``spreads`` — per callable, ``{median, min, max, repeats}`` of its
-      call times in seconds;
+      call times in seconds; with ``reference=True`` also ``scaled``,
+      the same summary of its times at the reference speed (below);
     * ``ratios`` — per callable after the first, the same summary of
       its per-round speedup over the first, ``time(first) /
       time(callable)`` per unit of work (``units`` gives each
@@ -90,16 +115,33 @@ def timed(rounds, *callables, units=None):
       cancels within a round, so every ratio gate reads the median;
     * ``results`` — each callable's return value from the last round.
 
+    ``reference=True`` is for interpreter-bound callables, whose
+    absolute rates would otherwise mostly show the host: each call is
+    bracketed by :func:`reference_seconds` readings (the reading after
+    one call is the one before the next), and its scaled time is
+    ``elapsed · REFERENCE_LOOP_SECONDS / mean(before, after)``, the time
+    it would take where the loop takes its nominal time.  A change in
+    host speed moves the call and the loop alike and cancels.
+
     Every summary value is rounded to four significant digits.
     """
     units = units or (1,) * len(callables)
     times = [[] for _ in callables]
+    scaled = [[] for _ in callables]
     results = [None] * len(callables)
+    loop = reference_seconds() if reference else 0.0
     for _ in range(rounds):
         for index, callable_ in enumerate(callables):
             start = time.perf_counter()
             results[index] = callable_()
-            times[index].append(time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            times[index].append(elapsed)
+            if reference:
+                after = reference_seconds()
+                scaled[index].append(
+                    elapsed * REFERENCE_LOOP_SECONDS * 2.0 / (loop + after)
+                )
+                loop = after
 
     def spread(sample):
         return {
@@ -116,7 +158,11 @@ def timed(rounds, *callables, units=None):
         )
         for sample, count in zip(times[1:], units[1:])
     ]
-    return [spread(sample) for sample in times], ratios, results
+    spreads = [spread(sample) for sample in times]
+    if reference:
+        for summary, sample in zip(spreads, scaled):
+            summary["scaled"] = spread(sample)
+    return spreads, ratios, results
 
 
 def random_queries(spec, count: int, rng):

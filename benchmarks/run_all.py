@@ -24,7 +24,12 @@ measures), then optionally the pytest benchmark suite:
 
 Every timing goes through ``bench_config.timed``: ROUNDS interleaved
 rounds, recorded as ``{median, min, max, repeats}``, and every ratio is
-the median of its per-round ratios.  All records land in
+the median of its per-round ratios.  The absolute rates of the
+interpreter-bound protocol and WAN records (``slots_per_second``,
+``*_trials_per_second``, ``scheduler_events_per_second``) are scaled
+to a reference host speed by a reference loop timed around each pass
+(``bench_config.reference_seconds``); each keeps its raw wall-clock
+rate beside it as ``*_raw``.  All records land in
 BENCH_engine.json at the repo root; then every gate of
 ``bench_config.GATES`` is checked, one line each, and the run exits 1 if any failed.
 
@@ -118,17 +123,17 @@ def protocol_record(quick: bool, workers: int, backend) -> dict:
     runs = [functools.partial(runner.run, trials, seed)]
     if workers > 1:
         runs.append(functools.partial(runner.run, trials, seed, backend))
-    seconds, speedups, estimates = timed(ROUNDS, *runs)
+    seconds, speedups, estimates = timed(ROUNDS, *runs, reference=True)
 
+    slots = scenario.total_slots * trials
     record = {
         "workload": "protocol-honest (E10 throughput)",
         "slots": scenario.total_slots,
         "parties": scenario.parties,
         "trials": trials,
         "batched_seconds": seconds[0],
-        "slots_per_second": round(
-            scenario.total_slots * trials / seconds[0]["median"]
-        ),
+        "slots_per_second": round(slots / seconds[0]["scaled"]["median"]),
+        "slots_per_second_raw": round(slots / seconds[0]["median"]),
         "value": estimates[0].value,
     }
     if workers > 1:
@@ -423,7 +428,9 @@ def wan_record(quick: bool) -> dict:
         drained += len(scheduler.pop_until(200.0))
         return drained
 
-    (scheduler_s,), _, (drained,) = timed(ROUNDS, scheduler_workload)
+    (scheduler_s,), _, (drained,) = timed(
+        ROUNDS, scheduler_workload, reference=True
+    )
     assert drained == events, "scheduler lost events under the bench load"
 
     # 2. Slot-vs-WAN simulator throughput on the E10 workload.
@@ -444,6 +451,7 @@ def wan_record(quick: bool) -> dict:
         ROUNDS,
         functools.partial(slot_runner.run, trials, seed),
         functools.partial(wan_runner.run, trials, seed),
+        reference=True,
     )
 
     # 3. Degenerate configuration: wan + all-default transport fields
@@ -458,13 +466,22 @@ def wan_record(quick: bool) -> dict:
     return {
         "scheduler_events": events,
         "scheduler_seconds": scheduler_s,
-        "scheduler_events_per_second": round(events / scheduler_s["median"]),
+        "scheduler_events_per_second": round(
+            events / scheduler_s["scaled"]["median"]
+        ),
+        "scheduler_events_per_second_raw": round(
+            events / scheduler_s["median"]
+        ),
         "workload": wan_scenario.name,
         "trials": trials,
         "slot_seconds": slot_s,
-        "slot_trials_per_second": round(trials / slot_s["median"], 2),
+        "slot_trials_per_second": round(
+            trials / slot_s["scaled"]["median"], 2
+        ),
+        "slot_trials_per_second_raw": round(trials / slot_s["median"], 2),
         "wan_seconds": wan_s,
-        "wan_trials_per_second": round(trials / wan_s["median"], 2),
+        "wan_trials_per_second": round(trials / wan_s["scaled"]["median"], 2),
+        "wan_trials_per_second_raw": round(trials / wan_s["median"], 2),
         "wan_over_slot_ratio": ratio,
         "degenerate_bit_identical": degenerate == slot_estimate,
         "wan_value": wan_estimate.value,

@@ -51,11 +51,17 @@ def settlement_violation_slots(word: str, depth: int) -> list[int]:
 
 
 def settled_by_uvp(word: str, slot: int, depth: int) -> bool:
-    """Sufficient condition of Eq. (1): some slot in the window has UVP.
+    """Sufficient condition of Eq. (1): some slot in ``[slot, slot + depth]``
+    has UVP.
 
-    A one-sided (conservative) test: ``True`` guarantees k-settlement; on
-    ``False`` settlement may still hold.  The gap between this and
-    :func:`is_k_settled` is exercised in tests.
+    A one-sided (conservative) test.  The window ends at ``slot + depth``,
+    so ``True`` settles ``slot`` against every prefix reaching one slot
+    past it: in :func:`is_k_settled`'s convention, where the ``depth``
+    observed slots start at ``slot`` itself, ``True`` guarantees
+    ``is_k_settled(word, slot, depth + 1)``, not ``depth``-settlement
+    (``"HHAhHHAHAHAHhhAHHh"`` at slot 12, depth 1 is the witness).  On
+    ``False`` settlement may still hold.  Both gaps are exercised in
+    tests.
     """
     window_end = min(slot + depth, len(word))
     return any(slot <= t <= window_end for t in uvp_slots(word))

@@ -25,7 +25,7 @@ Built-in scenarios cover the paper's four workload families:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,21 +8,24 @@ A block is frozen, so ``Block.block_hash`` and the signed header digest
 are computed once per instance, on first access, and cached on it.
 
 A :class:`BlockTree` is a node's local view: all valid blocks received
-so far, indexed by hash, rooted at genesis.  Beyond the block map it
-maintains parent, slot, depth, and depth-bucket indexes keyed by hash,
-so every chain query the protocol layer needs — longest tips, common
-prefix, prefix-at-slot — resolves through dictionary walks without
-touching a block.  The batched protocol measurements
-(:mod:`repro.protocol.simulation`, :mod:`repro.engine.protocol`) lean on
-these indexes; the chain-walking reference predicates in
-``tests/protocol/test_determinism.py`` walk :meth:`chain` and compare
-the blocks' hashes instead.
+so far, indexed by hash, rooted at genesis.  Each block's parent, slot
+and depth are pure functions of the block, so they live in a
+:class:`BlockIndex` that many trees can share: a simulation keeps one
+index for all its honest nodes and writes each block's entry once, by
+the first node to take it, while each tree keeps only what is its own —
+membership and depth buckets.  Every chain query the protocol layer
+needs — longest tips, common prefix, prefix-at-slot — resolves through
+dictionary walks without touching a block.  The batched protocol
+measurements (:mod:`repro.protocol.simulation`,
+:mod:`repro.engine.protocol`) lean on these indexes; the chain-walking
+reference predicates in ``tests/protocol/test_determinism.py`` walk
+:meth:`BlockTree.chain` and compare the blocks' hashes instead.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from repro.protocol.crypto import hash_data
@@ -79,8 +82,16 @@ def signed(draft: Block, sign: Callable[[str], str]) -> Block:
     The signature is outside the header, so the signed block shares the
     draft's header digest and hashes it once, not twice.
     """
-    block = replace(draft, signature=sign(draft.header()))
-    block.__dict__["_header"] = draft.header()
+    header = draft.header()
+    block = Block(
+        draft.slot,
+        draft.parent_hash,
+        draft.issuer,
+        draft.payload,
+        draft.vrf_proof,
+        sign(header),
+    )
+    block.__dict__["_header"] = header
     return block
 
 
@@ -93,6 +104,22 @@ def genesis_block() -> Block:
     return GENESIS
 
 
+class BlockIndex:
+    """Parent, slot and depth of every block some tree holds, by hash.
+
+    All three are pure functions of the block, so one index serves any
+    number of trees: a :class:`~repro.protocol.simulation.Simulation`
+    gives one to every honest node, and the first tree to take a block
+    writes its entry, once.  A tree built without one keeps its own.
+    """
+
+    def __init__(self) -> None:
+        root_hash = GENESIS.block_hash
+        self.parents: dict[str, str] = {root_hash: ""}
+        self.slots: dict[str, int] = {root_hash: GENESIS_SLOT}
+        self.depths: dict[str, int] = {root_hash: 0}
+
+
 class BlockTree:
     """A party's local set of valid blocks, rooted at genesis.
 
@@ -100,15 +127,22 @@ class BlockTree:
     structural here (parent known, slot increasing); leader-eligibility
     and signature checks are injected by the simulation via a callback so
     the tree stays independent of the election mechanism.
+
+    The tree itself holds its membership (hash → block, in insertion
+    order) and its depth buckets; parents, slots and depths live in
+    ``index``, which other trees may share.  A shared index also knows
+    blocks this tree lacks, so :meth:`depth`, :meth:`parent_of` and
+    :meth:`slot_of` answer for the tree's own blocks only.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, index: BlockIndex | None = None) -> None:
+        if index is None:
+            index = BlockIndex()
         root_hash = GENESIS.block_hash
         self._blocks: dict[str, Block] = {root_hash: GENESIS}
-        self._children: dict[str, list[str]] = {root_hash: []}
-        self._depths: dict[str, int] = {root_hash: 0}
-        self._parents: dict[str, str] = {root_hash: ""}
-        self._slots: dict[str, int] = {root_hash: GENESIS_SLOT}
+        self._parents = index.parents
+        self._slots = index.slots
+        self._depths = index.depths
         #: depth → hashes at that depth, in insertion order.
         self._by_depth: dict[int, list[str]] = {0: [root_hash]}
         self._max_depth = 0
@@ -140,37 +174,41 @@ class BlockTree:
         """All block hashes, genesis included, in insertion order."""
         return list(self._blocks)
 
-    def can_accept(self, block: Block) -> bool:
-        """Structural validity: known parent, strictly increasing slot."""
-        parent_slot = self._slots.get(block.parent_hash)
-        return parent_slot is not None and block.slot > parent_slot
-
     def add_block(self, block: Block) -> bool:
         """Insert a structurally valid block; idempotent.
 
         Returns ``True`` when the block is (now) present, ``False`` when
-        rejected (unknown parent or non-increasing slot).
+        rejected (unknown parent or non-increasing slot).  The index
+        entry is written only if no tree sharing the index wrote it.
         """
         block_hash = block.block_hash
-        if block_hash in self._blocks:
+        blocks = self._blocks
+        if block_hash in blocks:
             return True
-        if not self.can_accept(block):
+        parent_hash = block.parent_hash
+        if parent_hash not in blocks or block.slot <= self._slots[parent_hash]:
             return False
-        self._blocks[block_hash] = block
-        self._children[block_hash] = []
-        self._children[block.parent_hash].append(block_hash)
-        depth = self._depths[block.parent_hash] + 1
-        self._depths[block_hash] = depth
-        self._parents[block_hash] = block.parent_hash
-        self._slots[block_hash] = block.slot
-        self._by_depth.setdefault(depth, []).append(block_hash)
-        if depth > self._max_depth:
+        blocks[block_hash] = block
+        depth = self._depths.get(block_hash)
+        if depth is None:
+            depth = self._depths[parent_hash] + 1
+            self._depths[block_hash] = depth
+            self._parents[block_hash] = parent_hash
+            self._slots[block_hash] = block.slot
+        # The parent sits at depth − 1, so a missing bucket is the
+        # first block one deeper than any before it.
+        bucket = self._by_depth.get(depth)
+        if bucket is None:
+            self._by_depth[depth] = [block_hash]
             self._max_depth = depth
+        else:
+            bucket.append(block_hash)
         return True
 
     def tips(self) -> list[str]:
         """Hashes of leaf blocks (chains not extended by anything known)."""
-        return [h for h, children in self._children.items() if not children]
+        parents = {self._parents[h] for h in self._blocks}
+        return [h for h in self._blocks if h not in parents]
 
     def longest_tips(self) -> list[str]:
         """All block hashes at maximal depth (the LCR tie set)."""

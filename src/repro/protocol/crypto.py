@@ -41,18 +41,29 @@ def hash_data(*parts: bytes | str | int) -> str:
     return hashlib.sha256(_encode(parts)).hexdigest()
 
 
+#: The 8-byte big-endian length prefix of every length below 256, which
+#: covers each part the protocol hashes (tags, decimal ints, hex digests).
+_LENGTH_PREFIXES = tuple(length.to_bytes(8, "big") for length in range(256))
+
+
 def _encode(parts: tuple[bytes | str | int, ...]) -> bytes:
     """The length-prefixed byte stream :func:`hash_data` digests."""
     chunks = []
+    append = chunks.append
     for part in parts:
-        if isinstance(part, int):
-            encoded = str(part).encode()
-        elif isinstance(part, str):
+        if isinstance(part, str):
             encoded = part.encode()
+        elif isinstance(part, int):
+            encoded = str(part).encode()
         else:
             encoded = part
-        chunks.append(len(encoded).to_bytes(8, "big"))
-        chunks.append(encoded)
+        length = len(encoded)
+        append(
+            _LENGTH_PREFIXES[length]
+            if length < 256
+            else length.to_bytes(8, "big")
+        )
+        append(encoded)
     return b"".join(chunks)
 
 

@@ -20,16 +20,21 @@ transit⌋``, where :meth:`NetworkModel.transits` gives the physical
 transit per recipient: zero here, where links are free, and link
 physics in the WAN :class:`~repro.protocol.transport.Transport`, which
 overrides only that method.  Both models share this one delivery
-queue.
+queue.  A broadcast queues one copy per recipient other than its
+sender: the sender's node inserted the block when it minted it, so a
+looped-back copy would only be a repeat.  Validation is not the
+network's concern; the simulation judges each block once, however many
+copies it queues.
 
 Delivery order is the documented ``(priority, enqueue order)`` contract:
-every :class:`Delivery` carries a monotone sequence number stamped at
-enqueue time, so two *value-equal* messages (same block, recipient,
-slot, and priority — which the adversary can manufacture at will) are
-still distinct schedule entries and drain in exact enqueue order.  The
-queue is bucketed per recipient and per delivery slot; :meth:`due` pops
-whole buckets, so one call costs O(m log m) in the m messages actually
-due rather than rescanning the global queue.  A message booked into a
+every queued ``(priority, sequence, block)`` tuple carries a monotone
+sequence number stamped at enqueue time, so two *value-equal* messages
+(same block, recipient, slot, and priority — which the adversary can
+manufacture at will) are still distinct schedule entries and drain in
+exact enqueue order.  The queue is bucketed per recipient and per
+delivery slot; :meth:`due` pops whole buckets, so one call costs
+O(m log m) in the m messages actually due rather than rescanning the
+global queue.  A message booked into a
 slot that was already drained is delivered by the recipient's next
 drain, at its ``(priority, sequence)`` position in that batch.
 """
@@ -38,24 +43,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import NamedTuple
 
 from repro.protocol.block import Block
 
-
-class Delivery(NamedTuple):
-    """One scheduled message; its bucket names the recipient and slot.
-
-    Tuple order is delivery order: ``priority`` (lower = earlier,
-    adversary-chosen) and then ``sequence``, the monotone enqueue stamp
-    that breaks priority ties in enqueue order and keeps value-equal
-    duplicates apart.  Stamps are unique, so a comparison never reaches
-    the block.
-    """
-
-    priority: int
-    sequence: int
-    block: Block
+#: One scheduled message, ``(priority, sequence, block)``; its bucket
+#: names the recipient and slot.  Tuple order is delivery order:
+#: ``priority`` (lower = earlier, adversary-chosen) and then
+#: ``sequence``, the monotone enqueue stamp that breaks priority ties in
+#: enqueue order and keeps value-equal duplicates apart.  Stamps are
+#: unique, so a comparison never reaches the block.
+Delivery = tuple[int, int, Block]
 
 
 class NetworkModel:
@@ -88,7 +85,7 @@ class NetworkModel:
         #: The latest slot any message was booked into.
         self._latest = 0
         #: Realized end-to-end delay (in slot units) of every honest
-        #: broadcast delivery to a party other than the sender — the
+        #: broadcast delivery (none goes to the sender) — the
         #: sample behind ``SimulationResult.delay_distribution()``: the
         #: adversary's hold plus the physical transit.
         self.realized_delays: list[float] = []
@@ -109,7 +106,7 @@ class NetworkModel:
         priorities: dict[str, int] | None = None,
         sender: str | None = None,
     ) -> None:
-        """Honest broadcast: deliver to everyone within the Δ deadline.
+        """Honest broadcast: deliver to every other party within Δ.
 
         ``delays[name] ∈ [0, Δ]`` is the adversary's per-recipient hold
         (default 0, immediate delivery — the honest-friendly schedule).
@@ -121,8 +118,9 @@ class NetworkModel:
         legitimately outlast Δ (see :meth:`final_drain_slot`).
 
         ``sender`` names the broadcasting party; the transit routes by
-        it, and the sender's own loopback delivery is left out of the
-        realized-delay sample.
+        it, and no copy is queued for it: its node inserted the block
+        when it minted it.  Its transit is still computed, so the
+        transit draws do not depend on who is left out.
         """
         recipients = self.recipients
         if delays:
@@ -137,16 +135,19 @@ class NetworkModel:
             holds = [0] * len(recipients)
         priorities = priorities or {}
         transits = self.transits(block, sender)
-        push, realized, floor = self._push, self.realized_delays, math.floor
+        realized, floor = self.realized_delays, math.floor
+        bookings = []
         for recipient, hold, transit in zip(recipients, holds, transits):
-            push(
-                recipient,
-                block,
-                floor(sent_slot + hold + transit),
-                priorities.get(recipient, 0),
-            )
             if recipient != sender:
+                bookings.append(
+                    (
+                        recipient,
+                        floor(sent_slot + hold + transit),
+                        priorities.get(recipient, 0),
+                    )
+                )
                 realized.append(hold + transit)
+        self._book(block, bookings)
 
     def inject(
         self,
@@ -162,21 +163,26 @@ class NetworkModel:
         delivers *before* the slot's honest messages, modelling the
         rushing adversary's head start.
         """
-        self._push(recipient, block, deliver_slot, priority)
+        self._book(block, [(recipient, deliver_slot, priority)])
 
-    def _push(
-        self, recipient: str, block: Block, slot: int, priority: int
+    def _book(
+        self, block: Block, bookings: list[tuple[str, int, int]]
     ) -> None:
-        bucket = self._buckets[recipient]  # KeyError: not a recipient
-        self._sequence += 1
-        deliveries = bucket.get(slot)
-        if deliveries is None:
-            deliveries = bucket[slot] = []
-            heapq.heappush(self._slot_heaps[recipient], slot)
-            if slot > self._latest:
-                self._latest = slot
-        deliveries.append(Delivery(priority, self._sequence, block))
-        self._pending += 1
+        """Queue ``block`` once per ``(recipient, slot, priority)``."""
+        buckets, heaps = self._buckets, self._slot_heaps
+        sequence = self._sequence
+        for recipient, slot, priority in bookings:
+            bucket = buckets[recipient]  # KeyError: not a recipient
+            sequence += 1
+            deliveries = bucket.get(slot)
+            if deliveries is None:
+                deliveries = bucket[slot] = []
+                heapq.heappush(heaps[recipient], slot)
+                if slot > self._latest:
+                    self._latest = slot
+            deliveries.append((priority, sequence, block))
+        self._pending += sequence - self._sequence
+        self._sequence = sequence
 
     def ready(self, slot: int) -> list[str]:
         """Recipients with a message due by the end of ``slot``, in order.
@@ -206,12 +212,12 @@ class NetworkModel:
         if not heap or heap[0] > slot:
             return []
         bucket = self._buckets[recipient]
-        due_now: list[Delivery] = []
+        due_now: list[Delivery] = bucket.pop(heapq.heappop(heap))
         while heap and heap[0] <= slot:
             due_now.extend(bucket.pop(heapq.heappop(heap)))
         due_now.sort()
         self._pending -= len(due_now)
-        return [d.block for d in due_now]
+        return [delivery[2] for delivery in due_now]
 
     def pending_count(self) -> int:
         """Undelivered messages (used by tests to check A0 compliance)."""

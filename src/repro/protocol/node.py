@@ -11,27 +11,54 @@ arrival order (which feeds the A0 tie-breaking rule), remembers its
 currently adopted tip (which A0 prefers on rank ties), and mints blocks
 on the selected chain when elected.
 
-By default a node performs its own signature checks, as an independent
-deployment would.  :class:`~repro.protocol.simulation.Simulation`
-injects a ``verify_signature`` callback that shares that pure function
-across the whole node set; results are identical either way.
+A node judges a received block through one callback, ``validate``,
+covering the signature and the VRF eligibility; :func:`validity_check`
+builds the plain form, as an independent deployment would run it.
+:class:`~repro.protocol.simulation.Simulation` instead gives every node
+the same memoised check, so each distinct block is verified once per
+run, and one shared :class:`~repro.protocol.block.BlockIndex`, so each
+block's parent, slot and depth are stored once; a node's tree keeps
+only its membership and depth buckets, and the node its arrival ranks.
+Results are identical either way.  A node inserts its own minted block
+when it mints it; the network does not loop the broadcast back.
 
 Chain selection runs only when the node's tree changed since the last
 one: the tree, the arrival ranks and the adopted tip are
 :func:`~repro.protocol.tiebreak.select_chain`'s only inputs, and a
-selection whose tip is the adopted tip returns that tip again.
+selection whose tip is the adopted tip returns that tip again.  Minting
+leaves the selection clean: the minted block extends the adopted tip, a
+longest one, so it is the one longest tip.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.protocol.block import Block, BlockTree, signed
+from repro.protocol.block import Block, BlockIndex, BlockTree, signed
 from repro.protocol.crypto import IdealSignatureScheme, KeyPair
 from repro.protocol.tiebreak import TieBreakRule, select_chain
 
 #: Callback checking leader eligibility: (issuer key, slot, proof) → bool.
 EligibilityCheck = Callable[[str, int, str], bool]
+
+#: Callback judging a received block: signature and leader eligibility.
+ValidityCheck = Callable[[Block], bool]
+
+
+def validity_check(
+    signatures: IdealSignatureScheme, check_eligibility: EligibilityCheck
+) -> ValidityCheck:
+    """A block's intrinsic validity: not a second genesis, signed by its
+    issuer, and carrying a winning VRF proof for its slot."""
+
+    def validate(block: Block) -> bool:
+        return (
+            block.parent_hash != ""
+            and signatures.verify(block.issuer, block.header(), block.signature)
+            and check_eligibility(block.issuer, block.slot, block.vrf_proof)
+        )
+
+    return validate
 
 
 class HonestNode:
@@ -43,18 +70,16 @@ class HonestNode:
         keypair: KeyPair,
         signatures: IdealSignatureScheme,
         tie_break: TieBreakRule,
-        check_eligibility: EligibilityCheck,
-        verify_signature: Callable[[Block], bool] | None = None,
+        validate: ValidityCheck,
+        index: BlockIndex | None = None,
     ) -> None:
         self.name = name
         self.keypair = keypair
         self.signatures = signatures
         self.tie_break = tie_break
-        self.check_eligibility = check_eligibility
-        self._verify_signature = verify_signature
-        self.tree = BlockTree()
+        self.validate = validate
+        self.tree = BlockTree(index)
         self._arrival_rank: dict[str, int] = {self.tree.genesis_hash: 0}
-        self._arrival_counter = 0
         #: The adopted chain's tip after the last selection (axiom A0's
         #: "keep your current chain" input; starts at genesis).
         self._current_tip = self.tree.genesis_hash
@@ -75,47 +100,38 @@ class HonestNode:
         descendant chain) was added.  Invalid blocks — bad signature or
         ineligible issuer — are dropped, never orphaned.
         """
-        if not self._is_intrinsically_valid(block):
+        if not self.validate(block):
             return False
-        if not self.tree.can_accept(block):
+        if not self._insert(block):
             self._orphans.append(block)
             return False
-        self._insert(block)
         if self._orphans:
             self._drain_orphans()
         return True
 
-    def _is_intrinsically_valid(self, block: Block) -> bool:
-        if block.parent_hash == "":
-            return False  # a second genesis is never valid
-        if self._verify_signature is not None:
-            if not self._verify_signature(block):
-                return False
-        elif not self.signatures.verify(
-            block.issuer, block.header(), block.signature
-        ):
-            return False
-        return self.check_eligibility(block.issuer, block.slot, block.vrf_proof)
+    def _insert(self, block: Block) -> bool:
+        """Store a block if the tree accepts it; ``True`` when present.
 
-    def _insert(self, block: Block) -> str:
-        """Store an acceptable block; only a new one marks the tree changed."""
+        A new block takes the next arrival rank and marks the tree
+        changed; a repeat keeps its first rank.
+        """
         block_hash = block.block_hash
-        if block_hash in self.tree:
-            self._arrival_counter += 1  # a repeat keeps its first rank
-        elif self.tree.add_block(block):
-            self._arrival_counter += 1
-            self._arrival_rank[block_hash] = self._arrival_counter
-            self._changed = True
-        return block_hash
+        tree = self.tree
+        if block_hash in tree:
+            return True
+        if not tree.add_block(block):
+            return False
+        self._arrival_rank[block_hash] = len(self._arrival_rank)
+        self._changed = True
+        return True
 
     def _drain_orphans(self) -> None:
         progress = True
         while progress:
             progress = False
             for orphan in list(self._orphans):
-                if self.tree.can_accept(orphan):
+                if self._insert(orphan):
                     self._orphans.remove(orphan)
-                    self._insert(orphan)
                     progress = True
 
     # ------------------------------------------------------------------
@@ -143,6 +159,9 @@ class HonestNode:
         block = signed(
             draft, lambda header: self.signatures.sign(self.keypair, header)
         )
-        # A leader adopts its own block immediately.
-        self._current_tip = self._insert(block)
+        # A leader adopts its own block immediately; the selection just
+        # made stays clean, as the block is the one longest tip.
+        self._insert(block)
+        self._changed = False
+        self._current_tip = block.block_hash
         return block

@@ -28,20 +28,25 @@ proof is still verified against the VRF — the table is the lottery, not
 a shortcut around the check.
 
 The checks a node runs on a received block are pure functions of the
-block, so the simulation computes each once per block and shares it
-across the node set: signature checks are memoised by ``(block hash,
-signature)`` (the hash does not cover the signature), eligibility
-verdicts by ``(issuer, slot, proof)``, and redundant adversary
-observations skipped by block hash.  Each block caches its own hash, so
-no table is keyed by ``Block`` objects.  Pinned executions
+block, so the simulation runs them once per block and shares the
+verdict across the node set: one validity memo, keyed by ``(block
+hash, signature)`` (the hash does not cover the signature), covers the
+signature and the VRF eligibility, and every node reaches it through
+its one ``validate`` callback.  Each block's parent, slot and depth are
+written once, into the :class:`~repro.protocol.block.BlockIndex` all
+honest nodes' trees share, and redundant adversary observations are
+skipped by block hash.  Each block caches its own hash, so no table is
+keyed by ``Block`` objects.  Pinned executions
 (``tests/protocol/test_golden.py``) and the mode-equivalence tests
 (``tests/protocol/test_determinism.py``) replay runs with per-node
-checks and no memo, and require bit-identical results.
+checks, per-node indexes and no memo, and require bit-identical
+results.
 
 A slot costs what its events cost: only recipients with a message due
-are drained (:meth:`~repro.protocol.network.NetworkModel.ready`), only
-nodes whose tree changed reselect their chain, and a slot in which no
-tip moved shares the previous record's ``adopted_tips`` dict.
+are drained (:meth:`~repro.protocol.network.NetworkModel.ready`), a
+minter's broadcast is not looped back to it, only nodes that received
+or minted reselect their chain, and a slot in which no tip moved shares
+the previous record's ``adopted_tips`` dict.
 
 The consistency predicates resolve through the block trees' parent
 and slot indexes, walking each chain up to a slot cutoff
@@ -56,20 +61,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.alphabet import EMPTY
 from repro.core.forks import Fork
 from repro.delta.forks import DeltaFork
 from repro.protocol.adversary import Adversary, NullAdversary
-from repro.protocol.block import Block, BlockTree
+from repro.protocol.block import Block, BlockIndex, BlockTree
 from repro.protocol.crypto import IdealSignatureScheme, IdealVrf
 from repro.protocol.leader import (
     LeaderSchedule,
+    Party,
     StakeDistribution,
     VrfLeaderElection,
     phi,
 )
 from repro.protocol.network import NetworkModel
-from repro.protocol.node import HonestNode
+from repro.protocol.node import HonestNode, validity_check
 from repro.protocol.tiebreak import TieBreakRule, adversarial_order_rule
 from repro.protocol.transport import Transport, TransportConfig, transport_seed
 
@@ -122,12 +127,15 @@ class Simulation:
         }
         self._party_by_name = {party.name: party for party in stakes.parties}
 
-        # Shared-validation state: pure-function results computed once
-        # per block and reused across every node (and every redundant
-        # adversary observation).
-        self._signature_results: dict[tuple[str, str], bool] = {}
-        self._eligibility_results: dict[tuple[str, int, str], bool] = {}
+        # Shared across the node set: each distinct block is judged
+        # once (keyed by hash and signature: the hash does not cover
+        # the signature) and indexed once.
+        self._check_validity = validity_check(
+            self.signatures, self._check_eligibility
+        )
+        self._validity: dict[tuple[str, str], bool] = {}
         self._observed: set[str] = set()
+        self.index = BlockIndex()
 
         honest_parties = [p for p in stakes.parties if not p.corrupted]
         self.nodes: dict[str, HonestNode] = {
@@ -136,8 +144,8 @@ class Simulation:
                 self._signing_keys[party.name],
                 self.signatures,
                 tie_break,
-                self._check_eligibility,
-                verify_signature=self._verify_block_signature,
+                self._validate,
+                self.index,
             )
             for party in honest_parties
         }
@@ -172,16 +180,6 @@ class Simulation:
 
     def _check_eligibility(self, issuer: str, slot: int, proof: str) -> bool:
         """Verify the issuer's VRF proof and threshold for the slot."""
-        key = (issuer, slot, proof)
-        hit = self._eligibility_results.get(key)
-        if hit is None:
-            hit = self._check_eligibility_uncached(issuer, slot, proof)
-            self._eligibility_results[key] = hit
-        return hit
-
-    def _check_eligibility_uncached(
-        self, issuer: str, slot: int, proof: str
-    ) -> bool:
         party_name = self._public_to_party.get(issuer)
         if party_name is None:
             return False
@@ -196,15 +194,13 @@ class Simulation:
         threshold = phi(self.activity, self.stakes.relative_stake(party))
         return value < threshold
 
-    def _verify_block_signature(self, block: Block) -> bool:
-        """Shared signature check: one verify per (block, signature)."""
+    def _validate(self, block: Block) -> bool:
+        """Shared validity: one signature and eligibility check per
+        distinct ``(block hash, signature)``."""
         key = (block.block_hash, block.signature)
-        hit = self._signature_results.get(key)
+        hit = self._validity.get(key)
         if hit is None:
-            hit = self.signatures.verify(
-                block.issuer, block.header(), block.signature
-            )
-            self._signature_results[key] = hit
+            hit = self._validity[key] = self._check_validity(block)
         return hit
 
     def _observe(self, block: Block) -> None:
@@ -228,53 +224,47 @@ class Simulation:
         records: list[SlotRecord] = []
         nodes = self.nodes
         network = self.network
+        observe = self._observe
         tips = {name: node.best_tip() for name, node in nodes.items()}
 
         for slot in range(1, self.total_slots + 1):
-            ready = network.ready(slot - 1)
-            for name in ready:
-                node = nodes[name]
+            # Only a node that receives or mints can move its tip.
+            touched = network.ready(slot - 1)
+            for name in touched:
+                receive = nodes[name].receive
                 for block in network.due(name, slot - 1):
-                    node.receive(block)
-                    self._observe(block)
-
-            record = SlotRecord(slot=slot, symbol=schedule.symbol(slot))
-            leaders = schedule.leaders(slot)
+                    receive(block)
+                    observe(block)
 
             honest_blocks: list[Block] = []
-            for party in leaders:
+            minters: list[str] = []
+            corrupted_leaders: list[tuple[Party, str]] = []
+            for party in schedule.leaders(slot):
+                proof = self.election.eligibility(party, slot)[2]
                 if party.corrupted:
+                    corrupted_leaders.append((party, proof))
                     continue
-                _eligible, _value, proof = self.election.eligibility(party, slot)
-                node = nodes[party.name]
-                block = node.mint_block(slot, proof)
+                block = nodes[party.name].mint_block(slot, proof)
                 honest_blocks.append(block)
-                self._observe(block)
-            for block in honest_blocks:
+                minters.append(party.name)
+                observe(block)
+            for block, minter in zip(honest_blocks, minters):
                 delays, priorities = self.adversary.honest_delays(slot, block)
-                network.broadcast(
-                    block,
-                    slot,
-                    delays,
-                    priorities,
-                    sender=self._public_to_party.get(block.issuer),
-                )
-
-            corrupted_leaders = [
-                (party, self.election.eligibility(party, slot)[2])
-                for party in leaders
-                if party.corrupted
-            ]
+                network.broadcast(block, slot, delays, priorities, sender=minter)
             self.adversary.act(slot, corrupted_leaders, network)
 
-            # Only a received or minted block moves a tip.
-            if ready or honest_blocks:
-                moved = {name: node.best_tip() for name, node in nodes.items()}
-                if moved != tips:
-                    tips = moved
-            record.honest_blocks = honest_blocks
-            record.adopted_tips = tips
-            records.append(record)
+            moved: dict[str, str] | None = None
+            for name in touched + minters:
+                tip = nodes[name].best_tip()
+                if tip != tips[name]:
+                    if moved is None:
+                        moved = dict(tips)
+                    moved[name] = tip
+            if moved is not None:
+                tips = moved
+            records.append(
+                SlotRecord(slot, schedule.symbol(slot), honest_blocks, tips)
+            )
 
         # Final drain so end-of-run views include the last slot's
         # messages: ``total + Δ``, or the latest booked slot when transit

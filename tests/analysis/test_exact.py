@@ -1,7 +1,6 @@
 """The exact settlement DP (Section 6.6): correctness and exactness."""
 
 import math
-import random
 
 import numpy as np
 import pytest

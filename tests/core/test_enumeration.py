@@ -1,7 +1,5 @@
 """Exhaustive fork enumeration sanity (the ground-truth machinery itself)."""
 
-import pytest
-
 from tests.conftest import all_strings
 from tests.core.enumeration import canonical_form, enumerate_forks
 from repro.core.forks import Fork

@@ -1,7 +1,5 @@
 """The explicit settlement game of Section 2.2 (arena + strategies)."""
 
-import random
-
 import pytest
 
 from repro.core.game import (

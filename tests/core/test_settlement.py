@@ -12,7 +12,7 @@ from repro.core.settlement import (
 
 from repro.core.uvp import uvp_slots
 
-from tests.conftest import random_strings
+from tests.conftest import all_strings, random_strings
 
 
 class TestIsKSettled:
@@ -63,6 +63,28 @@ class TestUvpSufficiency:
                 for depth in (1, 3, 5):
                     if settled_by_uvp(word, slot, depth - 1):
                         assert is_k_settled(word, slot, depth), (
+                            word,
+                            slot,
+                            depth,
+                        )
+
+    def test_certificate_is_one_slot_short_of_its_window(self):
+        """A UVP slot in [s, s + k] gives (k + 1)-settlement in
+        ``is_k_settled``'s convention, and not always k-settlement."""
+        word = "HHAhHHAHAHAHhhAHHh"
+        assert settled_by_uvp(word, 12, 1)
+        assert not is_k_settled(word, 12, 1)
+        assert is_k_settled(word, 12, 2)
+
+    def test_certificate_implies_next_depth_settlement(self):
+        """``settled_by_uvp(w, s, k)`` ⇒ ``is_k_settled(w, s, k + 1)`` on
+        every string the fork enumeration tests use."""
+        words = [*all_strings("hHA", 4, min_length=1), "hA", "Hh", "AAh", "AhHA"]
+        for word in words:
+            for slot in range(1, len(word) + 1):
+                for depth in range(0, len(word) - slot + 1):
+                    if settled_by_uvp(word, slot, depth):
+                        assert is_k_settled(word, slot, depth + 1), (
                             word,
                             slot,
                             depth,

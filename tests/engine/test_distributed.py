@@ -16,7 +16,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -296,14 +295,19 @@ class TestFailover:
         with _backend(workers) as remote:
             runner.run(4_096, seed=11, backend=remote)
             stats = dict(remote.worker_stats)
+        # The backend is pull-based: one host may take every chunk and
+        # the other none, and a host that served nothing sends no frame.
+        servers = {
+            f"{server.address[0]}:{server.address[1]}": server
+            for server in workers
+        }
+        assert stats and set(stats) <= set(servers)
         served = 0
-        for server in workers:
-            key = f"{server.address[0]}:{server.address[1]}"
-            frame = stats[key]
-            assert frame["worker"] == server.worker_id
+        for key, frame in stats.items():
+            assert frame["worker"] == servers[key].worker_id
             assert frame["uptime"] > 0
             served += frame["served"]["task"]
-        assert served == 8  # 4096 trials / 512 chunk, across both hosts
+        assert served == 8  # 4096 trials / 512 chunk, across the hosts
 
     def test_reply_without_stats_frame_is_malformed(self):
         """Every worker reply carries a stats frame.  A peer answering

@@ -6,8 +6,6 @@ violations respect the optimal-adversary bounds, and the leader election
 induces exactly the characteristic-string law the analysis assumes.
 """
 
-import random
-
 from repro.analysis.exact import settlement_violation_probability
 from repro.core.catalan import catalan_slots
 from repro.core.margin import relative_margin

@@ -7,7 +7,6 @@ from unittest import mock
 
 import pytest
 
-from repro.obs import trace
 from repro.obs.report import load_events, main, render_table, render_tree
 from repro.obs.trace import is_tracing, span, tracing_to
 

@@ -1,16 +1,16 @@
 """Per-node validation: the reference cost model of the protocol run.
 
-:class:`~repro.protocol.simulation.Simulation` computes each received
-block's hash, signature check and eligibility verdict once and shares
-them across the node set.  :func:`per_node_validation` turns a freshly
-built simulation into the reference form of the same run, as
-independent deployments would execute it: every node hashes, verifies
-and judges eligibility for itself, nothing is memoised, and the
-adversary observes every delivery.  The two forms must give
-bit-identical executions.
+:class:`~repro.protocol.simulation.Simulation` judges each received
+block once, through one validity memo, and indexes it once, in one
+block index all its nodes' trees share.  :func:`per_node_validation`
+turns a freshly built simulation into the reference form of the same
+run, as independent deployments would execute it: every node hashes,
+verifies and judges eligibility for itself, keeps its own block index,
+nothing is memoised, and the adversary observes every delivery.  The
+two forms must give bit-identical executions.
 """
 
-from repro.protocol.node import HonestNode
+from repro.protocol.node import HonestNode, validity_check
 from repro.protocol.simulation import Simulation
 
 
@@ -22,7 +22,7 @@ def per_node_validation(simulation: Simulation) -> Simulation:
             node.keypair,
             node.signatures,
             node.tie_break,
-            simulation._check_eligibility_uncached,
+            validity_check(node.signatures, simulation._check_eligibility),
         )
         for name, node in simulation.nodes.items()
     }

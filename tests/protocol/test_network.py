@@ -154,10 +154,10 @@ class TestSchedulerOrdering:
         net.broadcast(same, 1)
         net.broadcast(same, 1)
         sequences = [
-            delivery.sequence
+            sequence
             for bucket in net._buckets.values()
             for deliveries in bucket.values()
-            for delivery in deliveries
+            for _priority, sequence, _block in deliveries
         ]
         assert len(set(sequences)) == 4
         assert all(s > 0 for s in sequences)

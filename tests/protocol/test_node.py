@@ -4,7 +4,7 @@ import pytest
 
 from repro.protocol.block import Block
 from repro.protocol.crypto import IdealSignatureScheme
-from repro.protocol.node import HonestNode
+from repro.protocol.node import HonestNode, validity_check
 from repro.protocol.tiebreak import adversarial_order_rule, consistent_hash_rule
 
 
@@ -18,7 +18,7 @@ def make_node(scheme, rule=adversarial_order_rule, accept_all=True):
     check = (lambda issuer, slot, proof: accept_all) if isinstance(
         accept_all, bool
     ) else accept_all
-    return HonestNode("node", keypair, scheme, rule, check)
+    return HonestNode("node", keypair, scheme, rule, validity_check(scheme, check))
 
 
 def signed_block(scheme, keypair, slot, parent_hash, payload=""):

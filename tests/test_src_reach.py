@@ -30,7 +30,7 @@ KEPT = {
     "uvp_holds_in_fork": "Definition 4 (UVP) on one explicit fork",
     "bottleneck_holds_in_fork": "Definition 4 (bottleneck) on one fork",
     "catalan_slots_naive": "Definition 11 read slot by slot",
-    "settled_by_uvp": "Eq. (1): a UVP slot in [s, s + k] settles s",
+    "settled_by_uvp": "Eq. (1): a UVP slot in [s, s + k] (k+1)-settles s",
     "settled_by_uvp_consistent": "Eq. (1) with Theorem 4's A0' UVP slots",
     "lemma2_settles": "Lemma 2: a reduced Catalan slot settles slot s",
     "play_settlement_game": "The settlement game of Section 2.2",

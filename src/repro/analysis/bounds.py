@@ -89,11 +89,6 @@ def theorem1_asymptotic_rate(epsilon: float, p_unique: float) -> float:
     return genfunc.bound1_decay_rate(epsilon, p_unique)
 
 
-def theorem2_asymptotic_rate(epsilon: float) -> float:
-    """The exact decay rate behind ``Ω(ε³(1 + O(ε)))``."""
-    return genfunc.bound2_decay_rate(epsilon)
-
-
 def nominal_rate_shape(epsilon: float, p_unique: float) -> float:
     """The paper's headline shape ``min(ε³, ε² p_h)`` (up to constants).
 

@@ -24,7 +24,6 @@ from repro.core.distributions import (
     SlotProbabilities,
     sample_characteristic_string,
 )
-from repro.core.margin import margin_sequence
 from repro.core.uvp import uvp_slots, uvp_slots_consistent_tiebreak
 
 
@@ -48,29 +47,10 @@ def uvp_free_windows(word: str, depth: int, consistent: bool = False) -> list[in
 def satisfies_k_cp_slot(word: str, depth: int, consistent: bool = False) -> bool:
     """Sufficient UVP-window certificate for k-CP^slot (one-sided).
 
-    True ⇒ the string satisfies k-CP^slot.  False is inconclusive (the
-    implication (25) only runs one way); the exact per-string predicate
-    is :func:`k_cp_slot_holds_exactly`.
+    True ⇒ the string satisfies k-CP^slot.  False is inconclusive: the
+    implication (25) only runs one way.
     """
     return not uvp_free_windows(word, depth, consistent)
-
-
-def k_cp_slot_holds_exactly(word: str, depth: int) -> bool:
-    """Exact k-CP^slot predicate via slot divergence and relative margin.
-
-    Theorem 9 + Fact 6: a fork for ``w`` with slot divergence ≥ k + 1
-    exists iff some split ``w = xyz`` with ``|y| ≥ k`` has
-    ``μ_x(y) ≥ 0``... more precisely the violation requires an
-    x-balanced fork over a window of length ≥ k, so we check, for every
-    split point ``x``, whether the margin stays non-negative at some
-    suffix length ≥ k.  (Conservative in the same direction as the
-    paper's own reduction from CP to settlement.)
-    """
-    for start in range(len(word)):
-        sequence = margin_sequence(word, start)
-        if any(value >= 0 for value in sequence[depth:]):
-            return False
-    return True
 
 
 def estimate_cp_violation_rate(

@@ -10,10 +10,10 @@ symbols are i.i.d. with
 The semi-synchronous variant of Theorem 7 adds empty slots: ``Pr[⊥] = 1 − f``
 where ``f`` is the *active-slot coefficient* and ``p_h + p_H + p_A = f``.
 
-The module also implements stochastic dominance (Definition 6) checks used
-by the tests, and an adversarially correlated "martingale" sampler that
-satisfies ``Pr[w_i = A | w_1..w_{i-1}] ≤ p_A`` without being i.i.d. — the
-paper's Theorem 1 covers such distributions via dominance.
+An adversarially correlated "martingale" law, which satisfies
+``Pr[w_i = A | w_1..w_{i-1}] ≤ p_A`` without being i.i.d., is sampled by
+:func:`repro.engine.kernels.martingale_from_uniforms`; the paper's
+Theorem 1 covers such laws via stochastic dominance (Definition 6).
 """
 
 from __future__ import annotations
@@ -162,43 +162,6 @@ def sample_characteristic_string(
             symbols.append(ADVERSARIAL)
         else:
             symbols.append(EMPTY)
-    return "".join(symbols)
-
-
-def sample_martingale_string(
-    probabilities: SlotProbabilities,
-    length: int,
-    rng: random.Random,
-    correlation: float = 0.5,
-) -> str:
-    """Draw a correlated string dominated by the i.i.d. distribution.
-
-    Models the martingale-type guarantee of adaptive-adversary analyses
-    (Ouroboros Praos): conditioned on any history,
-    ``Pr[w_i = A | w_1 … w_{i−1}] ≤ p_A``.  After an adversarial slot the
-    conditional adversarial probability is damped by ``correlation``; the
-    slack is given to uniquely honest slots, which only *lowers* every
-    monotone event's probability, so the i.i.d. law stochastically
-    dominates this one (Definition 6).
-    """
-    if not 0 <= correlation <= 1:
-        raise ValueError("correlation must lie in [0, 1]")
-    p_h, p_bigh, p_adv, p_empty = probabilities.as_tuple()
-    symbols: list[str] = []
-    previous_adversarial = False
-    for _ in range(length):
-        adv = p_adv * (correlation if previous_adversarial else 1.0)
-        slack = p_adv - adv
-        u = rng.random()
-        if u < p_h + slack:
-            symbols.append(HONEST_UNIQUE)
-        elif u < p_h + slack + p_bigh:
-            symbols.append(HONEST_MULTI)
-        elif u < p_h + slack + p_bigh + adv:
-            symbols.append(ADVERSARIAL)
-        else:
-            symbols.append(EMPTY)
-        previous_adversarial = symbols[-1] == ADVERSARIAL
     return "".join(symbols)
 
 

@@ -16,8 +16,8 @@ subject to the axioms
 A *tine* is a root-to-vertex path and stands for a blockchain; we identify
 a tine with its terminal :class:`Vertex`.  The module implements fork
 construction, axiom validation, viability (Section 2), the honest-depth
-function ``d(·)``, closedness (Definition 12), the tine relations ``∼_x``
-(Definition 16) and fork prefixes (Definition 10).
+function ``d(·)``, closedness (Definition 12) and the tine relations
+``∼_x`` (Definition 16).
 
 Forks here are plain mutable trees; algorithms that need snapshots use
 :meth:`Fork.copy`.  Validation is explicit (:meth:`Fork.validate`) rather
@@ -26,8 +26,6 @@ forks incrementally.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from repro.core.alphabet import (
     EMPTY,
@@ -72,13 +70,6 @@ class Vertex:
             vertex = vertex.parent
         path.reverse()
         return path
-
-    def ancestors(self) -> Iterator["Vertex"]:
-        """Proper ancestors, closest first (excludes ``self``)."""
-        vertex = self.parent
-        while vertex is not None:
-            yield vertex
-            vertex = vertex.parent
 
     def is_ancestor_of(self, other: "Vertex") -> bool:
         """True when ``self`` lies on the tine ending at ``other``.
@@ -393,22 +384,6 @@ class Fork:
                 )
 
     # ------------------------------------------------------------------
-    # fork prefixes (Definition 10)
-    # ------------------------------------------------------------------
-
-    def contains_as_prefix(self, other: "Fork") -> bool:
-        """``other ⊑ self``: every path of ``other`` appears here.
-
-        Checked structurally by embedding ``other``'s tree into ``self``
-        greedily by (label, children) shape; sufficient for the test-suite's
-        prefix assertions on forks built by our own constructions, where
-        embeddings are label-unique per branch.
-        """
-        if not self.word.startswith(other.word) and self.word != other.word:
-            return False
-        return _embeds(other.root, self.root)
-
-    # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------
 
@@ -447,23 +422,6 @@ def lowest_common_ancestor(left: Vertex, right: Vertex) -> Vertex:
         a = a.parent  # type: ignore[assignment]
         b = b.parent  # type: ignore[assignment]
     return a
-
-
-def _embeds(pattern: Vertex, target: Vertex) -> bool:
-    """Greedy tree embedding helper for :meth:`Fork.contains_as_prefix`."""
-    if pattern.label != target.label:
-        return False
-    remaining = list(target.children)
-    for child in pattern.children:
-        match = None
-        for candidate in remaining:
-            if _embeds(child, candidate):
-                match = candidate
-                break
-        if match is None:
-            return False
-        remaining.remove(match)
-    return True
 
 
 def figure_1_fork() -> Fork:

@@ -12,13 +12,9 @@ on maximum-length tines), while the *adversary* chooses, for each slot,
 
 The adversary wins when slot ``s`` is not ``k``-settled in some fork it
 produced.  :class:`SettlementGameArena` enforces the challenger's rules;
-strategies implement :class:`GameAdversary`.  Provided strategies:
-
-* :class:`LongestChainSycophant` — always extends a current longest tine,
-  mints nothing: the honest baseline (never wins);
-* :class:`RandomForker` — random tie-breaking and random adversarial
-  placements: a weak but legal attacker;
-* :class:`CanonicalForker` — mirrors ``A*``; optimal by Theorem 6.
+strategies implement :class:`GameAdversary`; the ones the game is played
+with (the honest baseline, a random legal attacker and ``A*``, optimal by
+Theorem 6) are in ``tests/core/test_game.py``.
 
 The arena cross-checks every produced fork against the axioms, making it
 also a fuzzing harness for the fork machinery.
@@ -26,14 +22,11 @@ also a fuzzing harness for the fork machinery.
 
 from __future__ import annotations
 
-import random
-
 from repro.core.alphabet import (
     ADVERSARIAL,
     HONEST_MULTI,
     HONEST_UNIQUE,
 )
-from repro.core.adversary_star import AdversaryStar
 from repro.core.balanced import is_x_balanced
 from repro.core.forks import Fork, Vertex
 from repro.core.margin import relative_margin
@@ -111,11 +104,6 @@ class SettlementGameArena:
                 self.fork.add_vertex(parent, label)
         return self.fork
 
-    def longest_vertices(self) -> list[Vertex]:
-        """Current maximum-depth vertices (the legal honest parents)."""
-        height = self.fork.height
-        return [v for v in self.fork.vertices() if v.depth == height]
-
     def adversary_wins(self, target_slot: int, depth: int) -> bool:
         """Is ``target_slot`` left unsettled at depth ``depth``?
 
@@ -135,102 +123,6 @@ class SettlementGameArena:
         from repro.core.margin import margin_of_fork
 
         return margin_of_fork(self.fork, prefix_length) >= 0
-
-
-class LongestChainSycophant(GameAdversary):
-    """Extends the first longest tine, mints nothing — the honest world."""
-
-    def honest_slot(self, arena, slot, multiply):
-        return [arena.longest_vertices()[0]]
-
-
-class RandomForker(GameAdversary):
-    """Random legal play: a fuzzing baseline, far from optimal."""
-
-    def __init__(self, rng: random.Random, multi_cap: int = 2) -> None:
-        self.rng = rng
-        self.multi_cap = multi_cap
-
-    def honest_slot(self, arena, slot, multiply):
-        options = arena.longest_vertices()
-        count = self.rng.randint(1, self.multi_cap) if multiply else 1
-        return [self.rng.choice(options) for _ in range(count)]
-
-    def adversarial_slot(self, arena, slot):
-        placements = []
-        if self.rng.random() < 0.7:
-            candidates = [
-                v for v in arena.fork.vertices() if v.label < slot
-            ]
-            placements.append((self.rng.choice(candidates), slot))
-        return placements
-
-
-class CanonicalForker(GameAdversary):
-    """Plays the moves of ``A*``: optimal against every slot at once.
-
-    Internally runs :class:`~repro.core.adversary_star.AdversaryStar` on
-    the same symbols and mirrors its vertex placements into the arena's
-    fork (conservative extensions become an augmentation of adversarial
-    padding followed by the honest vertex on the padded tine).
-    """
-
-    def start(self, arena) -> None:
-        self._star = AdversaryStar()
-        self._mirror: dict[int, Vertex] = {
-            self._star.fork.root.uid: arena.fork.root
-        }
-        self._unmapped: list[Vertex] = []
-
-    def honest_slot(self, arena, slot, multiply):
-        # Advance A*; its conservative paddings appear as pre-placed
-        # adversarial vertices, so the honest vertices land on tines that
-        # are maximal by construction.
-        self._star.advance(arena.word[slot - 1])
-        star_fork = self._star.fork
-        parents = []
-        for vertex in star_fork.vertices():
-            if vertex.label != slot or vertex.uid in self._mirror:
-                continue
-            chain = [
-                v
-                for v in vertex.path_from_root()
-                if v.uid not in self._mirror
-            ]
-            for missing in chain[:-1]:
-                parent = self._mirror[missing.parent.uid]
-                self._mirror[missing.uid] = arena.fork.add_vertex(
-                    parent, missing.label
-                )
-            parents.append(self._mirror[vertex.parent.uid])
-        # the arena will now create the honest vertices; remember which A*
-        # vertices they correspond to so augment() can reconcile the maps
-        self._unmapped = [
-            v
-            for v in star_fork.vertices_with_label(slot)
-            if v.uid not in self._mirror
-        ]
-        return parents
-
-    def adversarial_slot(self, arena, slot):
-        self._star.advance(arena.word[slot - 1])
-        return []
-
-    def augment(self, arena, slot):
-        # reconcile the honest vertices the arena just added
-        star_fork = self._star.fork
-        if getattr(self, "_unmapped", None):
-            arena_new = [
-                v
-                for v in arena.fork.vertices()
-                if v.label == slot and v.uid not in {
-                    m.uid for m in self._mirror.values()
-                }
-            ]
-            for star_vertex, arena_vertex in zip(self._unmapped, arena_new):
-                self._mirror[star_vertex.uid] = arena_vertex
-            self._unmapped = []
-        return []
 
 
 def play_settlement_game(

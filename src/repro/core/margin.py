@@ -125,13 +125,3 @@ def _margin_step(rho_value: int, margin_value: int, symbol: str) -> int:
     if margin_value == 0 and rho_value == 0 and symbol == HONEST_MULTI:
         return 0
     return margin_value - 1
-
-
-def margin_step(rho_value: int, margin_value: int, symbol: str) -> tuple[int, int]:
-    """Public single-step transition: ``(ρ, μ) → (ρ', μ')`` on ``symbol``.
-
-    Used by the exact DP and by online adversary simulations.
-    """
-    new_margin = _margin_step(rho_value, margin_value, symbol)
-    new_rho = _rho_step(rho_value, symbol)
-    return new_rho, new_margin

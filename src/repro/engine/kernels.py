@@ -127,11 +127,13 @@ def martingale_from_uniforms(
 ) -> np.ndarray:
     """Correlated (martingale-damped) symbols from a ``(n, T)`` uniform block.
 
-    Column ``t`` of the block decides slot ``t`` of every trial at once;
-    after an adversarial slot the conditional adversarial probability is
+    Column ``t`` of the block decides slot ``t`` of every trial at once.
+    This models the martingale-type guarantee of adaptive-adversary
+    analyses (Ouroboros Praos): given any history, ``Pr[w_t = A] ≤ p_A``.
+    After an adversarial slot the conditional adversarial probability is
     damped by ``correlation`` and the slack moved to uniquely honest
-    slots, exactly as the scalar
-    :func:`repro.core.distributions.sample_martingale_string`.
+    slots, which only lowers every monotone event's probability, so the
+    i.i.d. law stochastically dominates this one (Definition 6).
     """
     if not 0 <= correlation <= 1:
         raise ValueError("correlation must lie in [0, 1]")
@@ -229,7 +231,7 @@ def prefix_sum_matrix(symbols: np.ndarray) -> np.ndarray:
 #     hold = (ρ > threshold) & (μ == 0)     read before the step
 #     (ρ, μ) += step;  ρ = max(ρ, 0);  μ += hold
 #
-# which is margin_step's case split: A raises both, an honest slot
+# which is Theorem 5's case split: A raises both, an honest slot
 # lowers both, except that μ = 0 holds when ρ > 0, or ρ ≥ 0 on H.
 # Six ufunc calls per slot, all same-type on an int8 state: a scalar
 # operand or a bool added to an integer array sends NumPy down a slower

@@ -201,7 +201,7 @@ class OracleApp:
                 )
             return self._guarded(lambda: self._batch_answer(path, parsed))
         return self.error(
-            501, "bad-request", f"unsupported method {method!r}"
+            501, "not-implemented", f"unsupported method {method!r}"
         )
 
     def _guarded(self, answer) -> Response:

@@ -227,11 +227,6 @@ class PrivateChainAdversary(Adversary):
                 network.inject(self.tree.block(block_hash), recipient, slot)
         self._released = True
 
-    @property
-    def released(self) -> bool:
-        """Whether the private chain has been published."""
-        return self._released
-
 
 class MaxDelayAdversary(Adversary):
     """Delay every honest broadcast by the full Δ budget (Section 8).

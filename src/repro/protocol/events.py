@@ -12,10 +12,10 @@ record of ``benchmarks/run_all.py`` still times it.  Its contract:
   where ``sequence`` is a monotone stamp assigned at schedule time.
   Two events at the same instant therefore drain in exact insertion
   order, and value-equal payloads are still distinct schedule entries.
-* **Monotone event clock.**  ``now`` never decreases: popping an event
-  advances the clock to its time, draining up to a bound advances the
-  clock to the bound, and scheduling *behind* the clock is clamped to
-  ``now`` (a message cannot be delivered in the past — it is delivered
+* **Monotone event clock.**  The clock, the latest time served so far,
+  never decreases: popping an event advances it to the event's time,
+  draining up to a bound advances it to the bound, and scheduling
+  *behind* the clock is clamped to the clock (a message cannot be delivered in the past — it is delivered
   at the next opportunity instead, exactly the behaviour of the
   slot-bucketed :class:`~repro.protocol.network.NetworkModel` when the
   adversary injects into an already-drained slot).
@@ -67,11 +67,6 @@ class EventScheduler:
         self._sequence = 0
         self._now = 0.0
 
-    @property
-    def now(self) -> float:
-        """The event clock: the latest time served so far."""
-        return self._now
-
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -79,7 +74,7 @@ class EventScheduler:
         """Enqueue ``payload`` at ``time``; returns the stamped event.
 
         ``time`` must be finite.  Times behind the clock are clamped to
-        ``now`` (delivery at the next opportunity, never in the past).
+        the clock (delivery at the next opportunity, never in the past).
         """
         time = float(time)
         if not math.isfinite(time):
@@ -98,20 +93,6 @@ class EventScheduler:
         event = heapq.heappop(self._heap)
         self._now = max(self._now, event.time)
         return event
-
-    def advance(self, bound: float) -> bool:
-        """``pop_until(bound)`` for a queue with nothing due before ``bound``.
-
-        When no event has ``time < bound``, advances the clock to
-        ``bound`` exactly as that drain would and returns ``True``;
-        otherwise changes nothing and returns ``False``.  Callers skip
-        idle drains through it without breaking the clock contract.
-        """
-        if self._heap and self._heap[0][0] < bound:
-            return False
-        if bound > self._now:
-            self._now = float(bound)
-        return True
 
     def pop_until(self, bound: float) -> list[Event]:
         """Serve every event with ``time < bound``, in schedule order.

@@ -34,8 +34,9 @@ hash, signature)`` (the hash does not cover the signature), covers the
 signature and the VRF eligibility, and every node reaches it through
 its one ``validate`` callback.  Each block's parent, slot and depth are
 written once, into the :class:`~repro.protocol.block.BlockIndex` all
-honest nodes' trees share, and redundant adversary observations are
-skipped by block hash.  Each block caches its own hash, so no table is
+honest nodes' trees share.  The adversary observes each honest block
+once, when it is minted; the blocks it injects are its own, already in
+its tree from its own mint.  Each block caches its own hash, so no table is
 keyed by ``Block`` objects.  Pinned executions
 (``tests/protocol/test_golden.py``) and the mode-equivalence tests
 (``tests/protocol/test_determinism.py``) replay runs with per-node
@@ -134,7 +135,6 @@ class Simulation:
             self.signatures, self._check_eligibility
         )
         self._validity: dict[tuple[str, str], bool] = {}
-        self._observed: set[str] = set()
         self.index = BlockIndex()
 
         honest_parties = [p for p in stakes.parties if not p.corrupted]
@@ -203,19 +203,6 @@ class Simulation:
             hit = self._validity[key] = self._check_validity(block)
         return hit
 
-    def _observe(self, block: Block) -> None:
-        """Adversary observation, once per distinct block.
-
-        ``observe_block`` is idempotent for every provided strategy
-        (block trees and slot registries dedupe by hash), so skipping a
-        repeat observation never changes behaviour — it only skips the
-        repeated tree insert.
-        """
-        block_hash = block.block_hash
-        if block_hash not in self._observed:
-            self._observed.add(block_hash)
-            self.adversary.observe_block(block)
-
     # ------------------------------------------------------------------
 
     def run(self) -> "SimulationResult":
@@ -224,7 +211,6 @@ class Simulation:
         records: list[SlotRecord] = []
         nodes = self.nodes
         network = self.network
-        observe = self._observe
         tips = {name: node.best_tip() for name, node in nodes.items()}
 
         for slot in range(1, self.total_slots + 1):
@@ -234,7 +220,6 @@ class Simulation:
                 receive = nodes[name].receive
                 for block in network.due(name, slot - 1):
                     receive(block)
-                    observe(block)
 
             honest_blocks: list[Block] = []
             minters: list[str] = []
@@ -247,7 +232,7 @@ class Simulation:
                 block = nodes[party.name].mint_block(slot, proof)
                 honest_blocks.append(block)
                 minters.append(party.name)
-                observe(block)
+                self.adversary.observe_block(block)
             for block, minter in zip(honest_blocks, minters):
                 delays, priorities = self.adversary.honest_delays(slot, block)
                 network.broadcast(block, slot, delays, priorities, sender=minter)

@@ -13,7 +13,6 @@ from repro.analysis.bounds import (
     nominal_rate_shape,
     theorem1_asymptotic_rate,
     theorem1_settlement_bound,
-    theorem2_asymptotic_rate,
     theorem2_settlement_bound,
     theorem7_condition,
     theorem7_settlement_bound,
@@ -21,6 +20,7 @@ from repro.analysis.bounds import (
     theorem8_cp_bound_consistent,
 )
 from repro.analysis.exact import settlement_violation_probability
+from repro.analysis.genfunc import bound2_decay_rate
 from repro.core.distributions import bernoulli_condition
 
 
@@ -142,9 +142,22 @@ class TestTheorem2:
         strong = theorem2_settlement_bound(epsilon, k)
         assert strong < weak
 
-    def test_rate_epsilon_cubed(self):
-        rate = theorem2_asymptotic_rate(0.2)
-        assert rate == pytest.approx(0.2**3 / 2, rel=0.3)
+    def test_slope_falls_toward_decay_rate(self):
+        """``−log`` of the bound over a window of k climbs faster than
+        Bound 2's rate, and ever closer to it as k grows."""
+        epsilon, window = 0.2, 100
+        rate = bound2_decay_rate(epsilon)
+        slopes = [
+            math.log(
+                theorem2_settlement_bound(epsilon, k)
+                / theorem2_settlement_bound(epsilon, k + window)
+            )
+            / window
+            for k in (400, 800, 1600)
+        ]
+        assert slopes == sorted(slopes, reverse=True)
+        assert slopes[-1] > rate
+        assert slopes[-1] - rate < (slopes[0] - rate) / 2
 
 
 class TestBound3:

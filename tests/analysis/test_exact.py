@@ -17,11 +17,12 @@ from repro.core.distributions import (
     from_adversarial_stake,
     semi_synchronous_condition,
 )
-from repro.core.margin import margin_step
 from repro.core.walks import stationary_reach_ratio
 import repro.analysis.exact as exact_module
 import repro.engine.kernels as kernels
 from repro.engine.kernels import SettlementReadout, prefix_reach_pmf
+
+from tests.core.references import margin_step
 
 
 def brute_force_violation_probability(probs, depth, reach_cap=80):

@@ -3,9 +3,10 @@
 The settlement estimates run through ``run_scenario`` and are checked
 against the exact DP; the X_∞ initial-reach law is checked through
 ``run_scenario`` and on its scalar rejection-loop reference.
-The scalar references for arbitrary samplers (the Theorem 1 dominance
-check over the string samplers of :mod:`repro.core.distributions`)
-live here, beside the only tests that use them.
+The scalar estimator over an arbitrary string sampler lives here,
+beside the only test that uses it; the martingale law's Theorem 1
+dominance is checked through the engine's ``martingale-damped`` scenario
+(``tests/engine/test_runner.py``).
 """
 
 import random
@@ -14,7 +15,6 @@ from repro.analysis.exact import settlement_violation_probability
 from repro.core.distributions import (
     bernoulli_condition,
     sample_characteristic_string,
-    sample_martingale_string,
 )
 from repro.core.margin import relative_margin
 from repro.core.walks import stationary_reach_ratio
@@ -125,25 +125,3 @@ class TestSamplerBridge:
             probs, depth, prefix_length=slot - 1
         )
         assert estimate.within(exact, sigmas=4)
-
-    def test_martingale_sampler_is_dominated(self, rng):
-        """Theorem 1's dominance: damped sampler ≤ i.i.d. probability."""
-        probs = bernoulli_condition(0.2, 0.3)
-        slot, depth = 6, 15
-        length = slot + depth
-
-        damped = estimate_violation_from_sampler(
-            lambda: sample_martingale_string(probs, length, rng, 0.2),
-            slot,
-            depth,
-            4000,
-        )
-        iid = estimate_violation_from_sampler(
-            lambda: sample_characteristic_string(probs, length, rng),
-            slot,
-            depth,
-            4000,
-        )
-        assert damped.value <= iid.value + 4 * (
-            damped.standard_error + iid.standard_error
-        )

@@ -7,6 +7,9 @@ hold the library's faster forms to it; no library code calls them:
   monotonicity checks;
 * :func:`reflected_walk` — the reflected walk whose height is the
   maximum reach (Theorem 5);
+* :func:`margin_step` — one step of the reach and relative-margin
+  recurrences (Theorem 5), the scalar twin of the batched margin scan
+  and of the exact DP's transitions;
 * :func:`encode_word`, :func:`encode_words` and :func:`decode_matrix` —
   strings to and from the ``uint8`` code matrices of
   :mod:`repro.engine.kernels`, for comparing the batched kernels with
@@ -62,6 +65,23 @@ def reflected_walk(word: str) -> list[int]:
         minimum = min(minimum, total)
         heights.append(total - minimum)
     return heights
+
+
+def margin_step(
+    rho_value: int, margin_value: int, symbol: str
+) -> tuple[int, int]:
+    """``(ρ(xy), μ_x(y)) → (ρ(xyb), μ_x(yb))`` on the symbol ``b``.
+
+    Eq. (13): ``A`` raises ρ by one, an honest symbol lowers it to no
+    less than 0.  Eq. (14): ``A`` raises μ by one and an honest symbol
+    lowers it, except that μ = 0 holds when ρ > 0, or on ``H``.
+    """
+    if symbol == ADVERSARIAL:
+        return rho_value + 1, margin_value + 1
+    if symbol not in (HONEST_UNIQUE, HONEST_MULTI):
+        raise ValueError(f"unexpected symbol {symbol!r}")
+    holds = margin_value == 0 and (rho_value > 0 or symbol == HONEST_MULTI)
+    return max(rho_value - 1, 0), margin_value if holds else margin_value - 1
 
 
 _ENCODE_TABLE = np.full(128, 255, dtype=np.uint8)

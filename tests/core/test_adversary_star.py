@@ -49,15 +49,17 @@ class TestForkValidity:
         assert adversary.word == "hA"
 
     def test_online_growth_preserves_prefix_forks(self):
-        """The fork after n symbols embeds in the fork after n + 1."""
+        """The fork after n symbols is a prefix of the fork after n + 1:
+        A* only appends vertices, and never moves one."""
         word = "hAHhAAHh"
         adversary = AdversaryStar()
-        previous = None
+        previous: list[tuple[int, int | None]] = []
         for symbol in word:
             adversary.advance(symbol)
-            current = adversary.fork.copy()
-            if previous is not None:
-                assert current.contains_as_prefix(previous)
+            vertices = adversary.fork.vertices()
+            position = {vertex: i for i, vertex in enumerate(vertices)}
+            current = [(v.label, position.get(v.parent)) for v in vertices]
+            assert current[: len(previous)] == previous
             previous = current
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.distributions import (
@@ -11,10 +12,10 @@ from repro.core.distributions import (
     exact_string_probability,
     from_adversarial_stake,
     sample_characteristic_string,
-    sample_martingale_string,
     semi_synchronous_condition,
 )
 from repro.core.margin import relative_margin
+from repro.engine import ExperimentRunner, get_scenario, kernels
 
 from tests.conftest import all_strings
 from tests.core.references import dominating_strings
@@ -109,35 +110,31 @@ class TestSampling:
 
 
 class TestMartingaleDominance:
-    def test_martingale_sampler_is_less_adversarial(self, rng):
+    def test_martingale_sampler_is_less_adversarial(self):
         """The damped sampler's A-frequency must not exceed the i.i.d. one."""
         probs = bernoulli_condition(0.2, 0.3)
-        word = sample_martingale_string(probs, 40_000, rng, correlation=0.5)
-        assert word.count("A") / len(word) <= probs.p_adversarial + 0.01
+        codes = kernels.sample_martingale_matrix(
+            probs, 40, 1_000, np.random.default_rng(11), correlation=0.5
+        )
+        frequency = (codes == kernels.CODE_ADVERSARIAL).mean()
+        assert frequency <= probs.p_adversarial + 0.01
 
-    def test_martingale_violation_rate_dominated(self, rng):
+    def test_martingale_violation_rate_dominated(self):
         """Monotone events are at most as likely under the damped law.
 
         The settlement-violation indicator is monotone (Theorem 1's
-        argument); compare Monte-Carlo rates.
+        argument); compare Monte-Carlo rates at another law and
+        correlation than the registered ``martingale-damped`` scenario.
         """
-        probs = bernoulli_condition(0.1, 0.2)
-        slot, depth, trials = 5, 12, 4_000
-        needed = slot + depth
-
-        def rate(sampler):
-            hits = 0
-            for _ in range(trials):
-                word = sampler()
-                if relative_margin(word[:needed], slot - 1) >= 0:
-                    hits += 1
-            return hits / trials
-
-        iid = rate(lambda: sample_characteristic_string(probs, needed, rng))
-        damped = rate(
-            lambda: sample_martingale_string(probs, needed, rng, 0.3)
+        law = dict(
+            probabilities=bernoulli_condition(0.1, 0.2), depth=12, prefix_model=4
         )
-        assert damped <= iid + 0.03
+        damped = get_scenario("martingale-damped", correlation=0.3, **law)
+        iid = get_scenario("martingale-damped", sampler="iid", **law)
+        low = ExperimentRunner(damped).run(8_000, seed=12)
+        high = ExperimentRunner(iid).run(8_000, seed=12)
+        slack = 4 * (low.standard_error + high.standard_error)
+        assert low.value <= high.value + slack
 
     def test_violation_indicator_is_monotone(self):
         """Settlement violation is a monotone event in the Def. 6 order."""

@@ -221,15 +221,6 @@ class TestFigure1:
 
 
 class TestPrefixes:
-    def test_contains_as_prefix(self):
-        small = Fork("h")
-        small.add_vertex(small.root, 1)
-        big = Fork("hA")
-        v1 = big.add_vertex(big.root, 1)
-        big.add_vertex(v1, 2)
-        assert big.contains_as_prefix(small)
-        assert not small.contains_as_prefix(big)
-
     def test_build_fork_helper(self):
         fork = Fork("hAh")
         v1 = fork.add_vertex(fork.root, 1)

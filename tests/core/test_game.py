@@ -1,11 +1,13 @@
 """The explicit settlement game of Section 2.2 (arena + strategies)."""
 
+import random
+
 import pytest
 
+from repro.core.adversary_star import AdversaryStar
+from repro.core.forks import Vertex
 from repro.core.game import (
-    CanonicalForker,
-    LongestChainSycophant,
-    RandomForker,
+    GameAdversary,
     SettlementGameArena,
     play_settlement_game,
 )
@@ -13,6 +15,108 @@ from repro.core.margin import margin_of_fork, relative_margin
 from repro.core.reach import max_reach, rho
 
 from tests.conftest import random_strings
+
+
+def longest_vertices(arena: SettlementGameArena) -> list[Vertex]:
+    """The fork's maximum-depth vertices: the legal honest parents."""
+    height = arena.fork.height
+    return [v for v in arena.fork.vertices() if v.depth == height]
+
+
+class LongestChainSycophant(GameAdversary):
+    """Extends the first longest tine, mints nothing — the honest world."""
+
+    def honest_slot(self, arena, slot, multiply):
+        return [longest_vertices(arena)[0]]
+
+
+class RandomForker(GameAdversary):
+    """Random legal play: a fuzzing baseline, far from optimal."""
+
+    def __init__(self, rng: random.Random, multi_cap: int = 2) -> None:
+        self.rng = rng
+        self.multi_cap = multi_cap
+
+    def honest_slot(self, arena, slot, multiply):
+        options = longest_vertices(arena)
+        count = self.rng.randint(1, self.multi_cap) if multiply else 1
+        return [self.rng.choice(options) for _ in range(count)]
+
+    def adversarial_slot(self, arena, slot):
+        placements = []
+        if self.rng.random() < 0.7:
+            candidates = [
+                v for v in arena.fork.vertices() if v.label < slot
+            ]
+            placements.append((self.rng.choice(candidates), slot))
+        return placements
+
+
+class CanonicalForker(GameAdversary):
+    """Plays the moves of ``A*``: optimal against every slot at once.
+
+    Internally runs :class:`~repro.core.adversary_star.AdversaryStar` on
+    the same symbols and mirrors its vertex placements into the arena's
+    fork (conservative extensions become an augmentation of adversarial
+    padding followed by the honest vertex on the padded tine).
+    """
+
+    def start(self, arena) -> None:
+        self._star = AdversaryStar()
+        self._mirror: dict[int, Vertex] = {
+            self._star.fork.root.uid: arena.fork.root
+        }
+        self._unmapped: list[Vertex] = []
+
+    def honest_slot(self, arena, slot, multiply):
+        # Advance A*; its conservative paddings appear as pre-placed
+        # adversarial vertices, so the honest vertices land on tines that
+        # are maximal by construction.
+        self._star.advance(arena.word[slot - 1])
+        star_fork = self._star.fork
+        parents = []
+        for vertex in star_fork.vertices():
+            if vertex.label != slot or vertex.uid in self._mirror:
+                continue
+            chain = [
+                v
+                for v in vertex.path_from_root()
+                if v.uid not in self._mirror
+            ]
+            for missing in chain[:-1]:
+                parent = self._mirror[missing.parent.uid]
+                self._mirror[missing.uid] = arena.fork.add_vertex(
+                    parent, missing.label
+                )
+            parents.append(self._mirror[vertex.parent.uid])
+        # the arena will now create the honest vertices; remember which A*
+        # vertices they correspond to so augment() can reconcile the maps
+        self._unmapped = [
+            v
+            for v in star_fork.vertices_with_label(slot)
+            if v.uid not in self._mirror
+        ]
+        return parents
+
+    def adversarial_slot(self, arena, slot):
+        self._star.advance(arena.word[slot - 1])
+        return []
+
+    def augment(self, arena, slot):
+        # reconcile the honest vertices the arena just added
+        star_fork = self._star.fork
+        if getattr(self, "_unmapped", None):
+            arena_new = [
+                v
+                for v in arena.fork.vertices()
+                if v.label == slot and v.uid not in {
+                    m.uid for m in self._mirror.values()
+                }
+            ]
+            for star_vertex, arena_vertex in zip(self._unmapped, arena_new):
+                self._mirror[star_vertex.uid] = arena_vertex
+            self._unmapped = []
+        return []
 
 
 class TestArenaRules:
@@ -27,7 +131,7 @@ class TestArenaRules:
     def test_unique_honest_slot_must_get_one_vertex(self):
         class Cheater(LongestChainSycophant):
             def honest_slot(self, arena, slot, multiply):
-                return [arena.longest_vertices()[0]] * 2
+                return [longest_vertices(arena)[0]] * 2
 
         arena = SettlementGameArena("h", Cheater())
         with pytest.raises(ValueError):

@@ -8,14 +8,13 @@ from repro.core.margin import (
     margin,
     margin_of_fork,
     margin_sequence,
-    margin_step,
     relative_margin,
 )
 from repro.core.reach import reach_sequence, rho
 from repro.core.settlement import is_k_settled
 
 from tests.conftest import all_strings, random_strings
-from tests.core.references import dominating_strings
+from tests.core.references import dominating_strings, margin_step
 
 
 class TestRecurrenceBasics:

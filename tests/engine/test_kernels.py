@@ -16,14 +16,19 @@ from repro.core.distributions import (
     bernoulli_condition,
     semi_synchronous_condition,
 )
-from repro.core.margin import margin_sequence, margin_step
+from repro.core.margin import margin_sequence
 from repro.core.reach import reach_sequence, rho
 from repro.core.uvp import uvp_slots
 from repro.core.walks import stationary_reach_ratio
 from repro.delta.reduction import reduce_string
 from repro.engine import kernels
 from tests.conftest import random_strings
-from tests.core.references import decode_matrix, encode_word, encode_words
+from tests.core.references import (
+    decode_matrix,
+    encode_word,
+    encode_words,
+    margin_step,
+)
 
 
 class TestEncoding:

@@ -10,7 +10,6 @@ from repro.core.distributions import (
     bernoulli_condition,
     semi_synchronous_condition,
 )
-from repro.core.margin import margin_step
 from repro.core.reach import rho
 from repro.core.uvp import uvp_slots
 from repro.delta.settlement import is_k_delta_settled
@@ -27,7 +26,7 @@ from repro.engine import (
     settlement_violation,
 )
 from repro.engine.scenarios import PREFIX_STATIONARY
-from tests.core.references import decode_matrix
+from tests.core.references import decode_matrix, margin_step
 
 
 class TestReproducibility:
@@ -162,7 +161,7 @@ def settlement_violation_scalar(
     Consumes the identical uniform blocks — the ``(size,)`` initial-reach
     block first for a stationary prefix, then the ``(size, horizon)``
     symbol block — but evaluates the recurrences one symbol at a time
-    via :func:`repro.core.margin.margin_step`: bit-identical to the
+    via :func:`tests.core.references.margin_step`: bit-identical to the
     batched chunk, interpreter-bound on purpose.
     """
     generator = np.random.default_rng(child)

@@ -252,7 +252,7 @@ class TestErrorContract:
         response = app.handle("DELETE", SCALAR)
         assert response.status == 501
         payload = _error(response)
-        assert payload["error"] == "bad-request"
+        assert payload["error"] == "not-implemented"
         assert "'DELETE'" in payload["detail"]
 
     @pytest.mark.parametrize("path", ["/healthz", "/metrics", "/v2/nothing"])

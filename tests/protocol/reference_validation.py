@@ -6,8 +6,8 @@ block index all its nodes' trees share.  :func:`per_node_validation`
 turns a freshly built simulation into the reference form of the same
 run, as independent deployments would execute it: every node hashes,
 verifies and judges eligibility for itself, keeps its own block index,
-nothing is memoised, and the adversary observes every delivery.  The
-two forms must give bit-identical executions.
+and nothing is memoised.  The two forms must give bit-identical
+executions.
 """
 
 from repro.protocol.node import HonestNode, validity_check
@@ -26,5 +26,4 @@ def per_node_validation(simulation: Simulation) -> Simulation:
         )
         for name, node in simulation.nodes.items()
     }
-    simulation._observe = simulation.adversary.observe_block
     return simulation

@@ -64,7 +64,7 @@ class TestPrivateChainAdversary:
         adversary.act(3, [(party, "proof")], network)
         assert adversary._fork_point == early.block_hash
         # private block extends the fork point; hold keeps it unpublished
-        assert not adversary.released
+        assert network.pending_count() == 0
 
     def test_releases_with_lead(self):
         adversary, _ = attached(PrivateChainAdversary(target_slot=1, hold=0))
@@ -72,7 +72,6 @@ class TestPrivateChainAdversary:
         network = NetworkModel(["n0", "n1"])
         adversary.act(1, [(party, "p1")], network)  # fork + first private
         # private chain depth 1 vs public height 0 -> lead achieved
-        assert adversary.released
         assert network.pending_count() == 2  # one block x two recipients
 
     def test_honours_hold_period(self):
@@ -83,7 +82,7 @@ class TestPrivateChainAdversary:
         network = NetworkModel(["n0"])
         for slot in (1, 2, 3):
             adversary.act(slot, [(party, f"p{slot}")], network)
-        assert not adversary.released  # still inside the hold window
+        assert network.pending_count() == 0  # still inside the hold window
 
     def test_one_extension_per_slot(self):
         """Two corrupted leaders in a slot cannot chain two blocks (F2)."""

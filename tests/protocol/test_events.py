@@ -141,20 +141,21 @@ class TestOrdering:
 class TestClock:
     @given(workloads, drain_bounds)
     def test_clock_never_decreases(self, schedule_times, bounds):
+        """No event is stamped or served behind an earlier served time or
+        drain bound: the clock those set never goes back."""
         scheduler = EventScheduler()
-        last = scheduler.now
+        clock = 0.0
         for i, t in enumerate(schedule_times):
-            scheduler.schedule(t, i)
-            assert scheduler.now >= last
-            last = scheduler.now
+            assert scheduler.schedule(t, i).time >= clock
             if i < len(bounds) and bounds[i] is not None:
-                scheduler.pop_until(bounds[i])
-                assert scheduler.now >= last
-                last = scheduler.now
+                for event in scheduler.pop_until(bounds[i]):
+                    assert event.time >= clock
+                    clock = event.time
+                clock = max(clock, bounds[i])
         while len(scheduler):
-            scheduler.pop()
-            assert scheduler.now >= last
-            last = scheduler.now
+            event = scheduler.pop()
+            assert event.time >= clock
+            clock = event.time
 
     @given(workloads)
     def test_schedule_behind_the_clock_is_clamped(self, schedule_times):

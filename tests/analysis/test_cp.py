@@ -34,6 +34,15 @@ class TestWindows:
 
 
 class TestCpPredicates:
+    def test_all_honest_satisfies_cp(self):
+        """An all-``h`` string is certified, and every relative margin
+        past its first step is negative, so no split ``w = xyz`` can
+        carry a balanced fork (Theorem 9 and Fact 6)."""
+        word = "hhhhhhhh"
+        assert satisfies_k_cp_slot(word, 2)
+        for start in range(len(word)):
+            assert max(margin_sequence(word, start)[1:], default=-1) < 0
+
     def test_certificate_implies_negative_margins(self):
         """UVP windows certify k-CP^slot: no split ``w = xyz`` with
         ``|y| ≥ k`` then has ``μ_x(y) ≥ 0`` (Theorem 9 and Fact 6)."""

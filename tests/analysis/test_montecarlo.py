@@ -4,12 +4,15 @@ The settlement estimates run through ``run_scenario`` and are checked
 against the exact DP; the X_∞ initial-reach law is checked through
 ``run_scenario`` and on its scalar rejection-loop reference.
 The scalar estimator over an arbitrary string sampler lives here,
-beside the only test that uses it; the martingale law's Theorem 1
-dominance is checked through the engine's ``martingale-damped`` scenario
-(``tests/engine/test_runner.py``).
+beside the only tests that use it.  The martingale law's Theorem 1
+dominance is checked here on decoded rows of the batched kernel, and
+through the engine's ``martingale-damped`` scenario in
+``tests/engine/test_runner.py``.
 """
 
 import random
+
+import numpy as np
 
 from repro.analysis.exact import settlement_violation_probability
 from repro.core.distributions import (
@@ -19,6 +22,7 @@ from repro.core.distributions import (
 from repro.core.margin import relative_margin
 from repro.core.walks import stationary_reach_ratio
 from repro.engine import Estimate, estimate_from_hits, run_scenario
+from repro.engine.kernels import SYMBOLS, sample_martingale_matrix
 
 SEED = 0xC0FFEE
 
@@ -125,3 +129,30 @@ class TestSamplerBridge:
             probs, depth, prefix_length=slot - 1
         )
         assert estimate.within(exact, sigmas=4)
+
+    def test_martingale_sampler_is_dominated(self, rng):
+        """Theorem 1's dominance: damped strings ≤ i.i.d. probability.
+
+        The damped strings are rows of the batched martingale kernel,
+        decoded and scored one at a time by the scalar estimator.
+        """
+        probs = bernoulli_condition(0.2, 0.3)
+        slot, depth, trials = 6, 15, 4000
+        length = slot + depth
+
+        codes = sample_martingale_matrix(
+            probs, trials, length, np.random.default_rng(SEED), 0.2
+        )
+        rows = iter(["".join(SYMBOLS[c] for c in row) for row in codes])
+        damped = estimate_violation_from_sampler(
+            lambda: next(rows), slot, depth, trials
+        )
+        iid = estimate_violation_from_sampler(
+            lambda: sample_characteristic_string(probs, length, rng),
+            slot,
+            depth,
+            trials,
+        )
+        assert damped.value <= iid.value + 4 * (
+            damped.standard_error + iid.standard_error
+        )

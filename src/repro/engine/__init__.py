@@ -62,11 +62,9 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "repro.engine.cache": ("ResultCache", "cache_from_env"),
         "repro.engine.parallel": (
-            "WORKERS_ENV",
             "Backend",
             "ProcessBackend",
             "SerialBackend",
-            "default_workers",
         ),
         "repro.engine.distributed": ("DistributedBackend", "RemoteTaskError"),
         "repro.engine.protocol": (

@@ -196,6 +196,8 @@ class DistributedBackend:
         self.hosts = list(hosts)
         if not self.hosts:
             raise ValueError("at least one worker host is required")
+        #: One task in flight per host.
+        self.workers = len(self.hosts)
         if timeout <= 0:
             raise ValueError("timeout must be positive")
         self.timeout = timeout

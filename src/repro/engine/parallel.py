@@ -33,10 +33,14 @@ and closes it; ``backend=None`` runs in-process::
             runner.run(100_000, seed=7, backend=pool)
 
 The command lines (``python -m repro.sweep``, ``python -m repro.oracle
-build``) declare their ``--workers/--backend/--hosts`` flags with
-:func:`add_backend_flags` and open the backend they name with
-:func:`open_backend`; :func:`unwritable` checks their ``--out`` and
-``--trace`` paths before any work runs.
+build``) declare the run flags they share with :func:`add_run_flags`
+and open them with :func:`open_run`.  No flag names a backend;
+:func:`open_backend` works it out from ``--workers`` and ``--hosts`` —
+``--hosts`` runs on :class:`~repro.engine.distributed.DistributedBackend`
+workers, ``--workers N > 1`` on a ``ProcessBackend(N)``, anything else
+serially.  Every backend gives the same rows, so the choice only moves
+wall-clock time.  :func:`unwritable` checks an output path before any
+work runs.
 """
 
 from __future__ import annotations
@@ -47,59 +51,37 @@ import pathlib
 import sys
 import time
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Iterator,
+    NoReturn,
+    Protocol,
+    runtime_checkable,
+)
 
 from repro.obs import metrics
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
+    from repro.engine.cache import ResultCache
+
 __all__ = [
-    "BACKEND_NAMES",
     "Backend",
     "ProcessBackend",
     "SerialBackend",
-    "WORKERS_ENV",
-    "add_backend_flags",
-    "default_workers",
-    "make_backend",
+    "add_run_flags",
     "open_backend",
+    "open_run",
     "unwritable",
 ]
 
-#: Names accepted by :func:`make_backend` (the CLI ``--backend`` values).
-BACKEND_NAMES = ("serial", "process", "distributed")
 
-
-def make_backend(
-    name: str,
-    workers: int | None = None,
-    hosts: str | None = None,
-) -> "Backend":
-    """Construct a backend from its CLI name; caller owns ``close()``.
-
-    The single factory behind every ``--backend`` flag (through
-    :func:`open_backend`): ``serial``, ``process`` (pool of
-    ``workers``), or ``distributed`` (``hosts`` is the required
-    ``"host:port,host:port"`` worker list).  Imports lazily so the
-    serial/process path never pays for the socket machinery.
-    """
-    if name == "serial":
-        return SerialBackend()
-    if name == "process":
-        return ProcessBackend(workers)
-    if name == "distributed":
-        from repro.engine.distributed import DistributedBackend
-
-        return DistributedBackend.from_spec(hosts or "")
-    raise ValueError(
-        f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
-    )
-
-
-def add_backend_flags(parser) -> None:
-    """Declare ``--workers``, ``--backend`` and ``--hosts`` on an
-    ``argparse`` parser; :func:`open_backend` reads them back."""
+def add_run_flags(parser) -> None:
+    """Declare the run flags both command lines share on an ``argparse``
+    parser: where the work runs (``--workers``, ``--hosts``), the chunk
+    ledger (``--cache-dir``) and telemetry (``--trace``, ``--metrics``).
+    :func:`open_run` reads them back."""
     parser.add_argument(
         "--workers",
         type=int,
@@ -107,66 +89,118 @@ def add_backend_flags(parser) -> None:
         help="process-pool size (default 1 = serial; same results either way)",
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help=(
-            "execution backend (default: serial, or process when "
-            "--workers > 1); 'distributed' ships the work to the --hosts "
-            "workers — results are bit-identical on all of them"
-        ),
-    )
-    parser.add_argument(
         "--hosts",
         default=None,
         metavar="HOST:PORT[,HOST:PORT]",
         help=(
-            "worker addresses for --backend distributed (each runs "
-            "python -m repro.worker)"
+            "run on these python -m repro.worker hosts instead of locally "
+            "(same results as a serial run)"
+        ),
+    )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        help=(
+            "result-cache directory (default: $REPRO_SWEEP_CACHE if set; "
+            "set it empty to run uncached)"
+        ),
+    )
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help=(
+            "write JSONL span events to FILE (summarize with "
+            "python -m repro.obs.report FILE); telemetry never touches "
+            "the RNG, so traced runs stay bit-identical"
+        ),
+    )
+    parser.add_argument(
+        "--metrics",
+        action="store_true",
+        help=(
+            "collect engine metrics during the run and print the "
+            "Prometheus text exposition afterwards"
         ),
     )
 
 
-@contextlib.contextmanager
-def open_backend(args) -> Iterator["Backend"]:
-    """The backend parsed :func:`add_backend_flags` flags name, closed
-    on exit.
+def _reject(message: str) -> NoReturn:
+    """Print one ``error:`` line and exit 2, as ``argparse`` does for a
+    malformed flag."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    ``--backend`` if given, else ``process`` when ``--workers > 1``,
-    else ``serial``; only ``process`` has workers to count, so
-    ``--workers > 1`` with another ``--backend`` is an error.  Invalid
-    flags build nothing: each error is printed to stderr as one
-    ``error:`` line and the command exits with status 2, as
-    ``argparse`` does for a malformed flag.
+
+def open_backend(args) -> "Backend":
+    """The backend the parsed :func:`add_run_flags` flags state; the
+    caller closes it.
+
+    ``--hosts`` gives a ``DistributedBackend`` over those workers,
+    ``--workers N > 1`` a ``ProcessBackend(N)``, otherwise a
+    ``SerialBackend``.  A non-positive ``--workers``, ``--workers > 1``
+    beside ``--hosts`` and a malformed host list exit 2 before anything
+    is built.  Nothing connects or forks until the first task.
     """
-    errors = []
     if args.workers < 1:
-        errors.append(f"--workers must be positive, got {args.workers}")
-    if args.workers > 1 and args.backend not in (None, "process"):
-        errors.append(
-            f"--workers only applies to --backend process, not {args.backend}"
-        )
-    if args.hosts and args.backend != "distributed":
-        errors.append("--hosts only applies to --backend distributed")
-    if args.backend == "distributed" and not args.hosts:
-        errors.append(
-            "--backend distributed requires --hosts host:port[,host:port]"
-        )
-    name = args.backend or ("process" if args.workers > 1 else "serial")
-    backend = None
-    if not errors:
-        try:
-            backend = make_backend(name, args.workers, args.hosts)
-        except ValueError as error:
-            errors.append(str(error))
-    if errors:
-        for message in errors:
-            print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        _reject(f"--workers must be positive, got {args.workers}")
+    if not args.hosts:
+        if args.workers > 1:
+            return ProcessBackend(args.workers)
+        return SerialBackend()
+    if args.workers > 1:
+        _reject("--workers > 1 and --hosts each pick a backend; pass one")
+    from repro.engine.distributed import DistributedBackend
+
     try:
-        yield backend
-    finally:
-        backend.close()
+        return DistributedBackend.from_spec(args.hosts)
+    except ValueError as error:
+        _reject(str(error))
+
+
+@contextlib.contextmanager
+def open_run(args) -> Iterator[tuple["Backend", "ResultCache | None"]]:
+    """Open what :func:`add_run_flags` declared; yields
+    ``(backend, cache)`` and closes the backend on exit.
+
+    Every flag is checked before anything is made: a bad ``--workers``
+    or ``--hosts`` (see :func:`open_backend`) and a ``--trace`` or
+    ``--cache-dir`` path that cannot be written exit 2.  The cache is
+    ``--cache-dir``, else ``$REPRO_SWEEP_CACHE``, else none.  After a
+    block that completes, the trace footer and the ``--metrics``
+    exposition are printed, once the backend and the trace are closed.
+    """
+    # Imported here: the backends alone load neither the ledger nor the
+    # trace sink.
+    from repro.engine.cache import ResultCache, cache_from_env
+    from repro.obs.trace import tracing_to
+
+    problem = unwritable("--trace", args.trace) or unwritable(
+        "--cache-dir", args.cache_dir, directory=True
+    )
+    if problem:
+        _reject(problem)
+    with (
+        open_backend(args) as backend,
+        (
+            metrics.enabled_registry()
+            if args.metrics
+            else contextlib.nullcontext()
+        ) as registry,
+        tracing_to(args.trace) if args.trace else contextlib.nullcontext(),
+    ):
+        cache = (
+            ResultCache(args.cache_dir) if args.cache_dir else cache_from_env()
+        )
+        yield backend, cache
+    if args.trace:
+        print(
+            f"trace written to {args.trace} "
+            f"(summarize: python -m repro.obs.report {args.trace})"
+        )
+    if registry is not None:
+        print("-- metrics --")
+        print(registry.render(), end="")
 
 
 def unwritable(flag: str, path, directory: bool = False) -> str | None:
@@ -204,35 +238,6 @@ class Backend(Protocol):
         ...  # pragma: no cover - protocol signature only
 
 
-#: Environment variable pinning :func:`default_workers` (positive int).
-WORKERS_ENV = "REPRO_WORKERS"
-
-
-def default_workers() -> int:
-    """A sensible worker count for this machine: the CPU count.
-
-    A positive integer in ``$REPRO_WORKERS`` overrides the detected
-    count — CI runners and ``python -m repro.worker`` hosts pin their
-    core budget through it without code changes (anything non-numeric
-    or < 1 is rejected loudly rather than silently ignored).  Otherwise
-    ``os.process_cpu_count`` (affinity-aware, Python ≥ 3.13) when
-    available, else ``os.cpu_count()``, floored at 1.
-    """
-    pinned = os.environ.get(WORKERS_ENV)
-    if pinned is not None:
-        try:
-            workers = int(pinned)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(
-                f"${WORKERS_ENV} must be a positive integer, got {pinned!r}"
-            )
-        return workers
-    counter = getattr(os, "process_cpu_count", os.cpu_count)
-    return max(counter() or 1, 1)
-
-
 class _ImmediateFuture:
     """A pre-resolved stand-in for ``concurrent.futures.Future``."""
 
@@ -257,8 +262,10 @@ class SerialBackend:
     contract.
     """
 
-    #: The ``--backend`` name this class answers to.
+    #: The name the sweep summary reports.
     name = "serial"
+    #: Tasks in flight at once.
+    workers = 1
 
     def submit_task(self, function, /, *args) -> _ImmediateFuture:
         """Evaluate one pure task now; a resolved future.
@@ -278,7 +285,7 @@ class SerialBackend:
         return _ImmediateFuture(result)
 
     def close(self) -> None:
-        """Nothing to tear down (uniform ``make_backend`` lifecycle)."""
+        """Nothing to tear down (the lifecycle every backend shares)."""
 
     def __enter__(self) -> "SerialBackend":
         return self
@@ -305,10 +312,10 @@ class ProcessBackend:
 
     name = "process"
 
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = workers if workers is not None else default_workers()
-        if self.workers < 1:
+    def __init__(self, workers: int) -> None:
+        if workers < 1:
             raise ValueError("workers must be positive")
+        self.workers = workers
         self._executor: ProcessPoolExecutor | None = None
 
     def _pool(self) -> ProcessPoolExecutor:

@@ -2,8 +2,9 @@
 
 Verbs::
 
-    build  --out DIR [--preset tiny|default] [axis overrides] [--workers N]
-           [--cache-dir DIR] [--force]
+    build  --out DIR [--preset tiny|default] [axis overrides] [--force]
+           [--workers N | --hosts H:P,...] [--cache-dir DIR]
+           [--trace FILE] [--metrics]
     info   ARTIFACT
     query  ARTIFACT --alpha A --fraction F --delta D (--depth K | --target P)
     serve  ARTIFACT [--host H] [--port P] [--workers N]
@@ -16,7 +17,10 @@ override is also how an operator gets an exact answer at an off-grid
 point: add its coordinates as grid lines and rebuild.  A rebuild into
 a directory whose manifest already matches the spec is a no-op;
 ``--cache-dir`` (or ``$REPRO_SWEEP_CACHE``) lets the Monte-Carlo
-cross-check reuse the engine's result cache across rebuilds.
+cross-check reuse the engine's result cache across rebuilds.  The run
+flags are the sweep's (:func:`repro.engine.parallel.add_run_flags`), so
+``--workers``/``--hosts`` pick where the DP cells and the cross-check
+run without changing a byte of the artifact.
 """
 
 from __future__ import annotations
@@ -25,12 +29,8 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import nullcontext
 
-from repro.engine.cache import ResultCache, cache_from_env
-from repro.engine.parallel import add_backend_flags, open_backend, unwritable
-from repro.obs.metrics import enabled_registry
-from repro.obs.trace import tracing_to
+from repro.engine.parallel import add_run_flags, open_run, unwritable
 from repro.oracle.app import DEFAULT_MAX_BODY_BYTES
 from repro.oracle.service import SettlementOracle
 from repro.oracle.store import StoreError
@@ -78,17 +78,10 @@ def _build_spec(args) -> OracleSpec:
 
 def _cmd_build(args) -> int:
     spec = _build_spec(args)
-    problem = unwritable("--out", args.out, directory=True) or unwritable(
-        "--trace", args.trace
-    )
+    problem = unwritable("--out", args.out, directory=True)
     if problem:
         raise ValueError(problem)
-    cache = ResultCache(args.cache_dir) if args.cache_dir else cache_from_env()
-    with (
-        open_backend(args) as backend,
-        enabled_registry() if args.metrics else nullcontext() as registry,
-        tracing_to(args.trace) if args.trace else nullcontext(),
-    ):
+    with open_run(args) as (backend, cache):
         report = build_tables(
             spec,
             out_dir=args.out,
@@ -97,25 +90,18 @@ def _cmd_build(args) -> int:
             log=print,
             backend=backend,
         )
-    action = "built" if report.rebuilt else "reused (no-op rebuild)"
-    print(
-        f"{action} {report.tables.forward.size} forward cells + "
-        f"{report.tables.minimal_depth.size} minimal-depth cells in "
-        f"{report.seconds:.2f}s"
-        + (
-            f" ({report.mc_cached}/{report.mc_points} MC checks from cache)"
-            if report.mc_points
-            else ""
-        )
-    )
-    if args.trace:
+        action = "built" if report.rebuilt else "reused (no-op rebuild)"
         print(
-            f"trace written to {args.trace} "
-            f"(summarize: python -m repro.obs.report {args.trace})"
+            f"{action} {report.tables.forward.size} forward cells + "
+            f"{report.tables.minimal_depth.size} minimal-depth cells in "
+            f"{report.seconds:.2f}s"
+            + (
+                f" ({report.mc_cached}/{report.mc_points} MC checks from "
+                "cache)"
+                if report.mc_points
+                else ""
+            )
         )
-    if registry is not None:
-        print("-- metrics --")
-        print(registry.render(), end="")
     return 0
 
 
@@ -222,35 +208,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     build.add_argument("--mc-depths", type=_ints, default=None)
     build.add_argument("--mc-seed", type=int, default=None)
-    add_backend_flags(build)
-    build.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory for the MC cross-check "
-        "(default: $REPRO_SWEEP_CACHE if set)",
-    )
     build.add_argument(
         "--force",
         action="store_true",
         help="rebuild even when the artifact already matches the spec",
     )
-    build.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help=(
-            "write JSONL span events for the build to FILE (summarize "
-            "with python -m repro.obs.report FILE)"
-        ),
-    )
-    build.add_argument(
-        "--metrics",
-        action="store_true",
-        help=(
-            "collect engine metrics during the build and print the "
-            "Prometheus text exposition afterwards"
-        ),
-    )
+    add_run_flags(build)
     build.set_defaults(run=_cmd_build)
 
     info = verbs.add_parser("info", help="print an artifact's summary")

@@ -12,9 +12,9 @@ record of ``benchmarks/run_all.py`` still times it.  Its contract:
   where ``sequence`` is a monotone stamp assigned at schedule time.
   Two events at the same instant therefore drain in exact insertion
   order, and value-equal payloads are still distinct schedule entries.
-* **Monotone event clock.**  The clock, the latest time served so far,
-  never decreases: popping an event advances it to the event's time,
-  draining up to a bound advances it to the bound, and scheduling
+* **Monotone event clock.**  The clock, the latest drain bound so far,
+  never decreases: draining up to a bound advances it to the bound
+  (every event it serves lies behind that bound), and scheduling
   *behind* the clock is clamped to the clock (a message cannot be delivered in the past — it is delivered
   at the next opportunity instead, exactly the behaviour of the
   slot-bucketed :class:`~repro.protocol.network.NetworkModel` when the
@@ -26,7 +26,7 @@ record of ``benchmarks/run_all.py`` still times it.  Its contract:
 
 ``tests/protocol/test_events.py`` pins all of this down with
 hypothesis-generated workloads: no event is ever lost or duplicated,
-pop times are monotone non-decreasing, equal-time events preserve
+served times are monotone non-decreasing, equal-time events preserve
 insertion order, and schedules replay bit-identically.
 """
 
@@ -84,14 +84,6 @@ class EventScheduler:
         self._sequence += 1
         event = Event(time, self._sequence, payload)
         heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event:
-        """Serve the earliest event and advance the clock to its time."""
-        if not self._heap:
-            raise IndexError("pop from an empty EventScheduler")
-        event = heapq.heappop(self._heap)
-        self._now = max(self._now, event.time)
         return event
 
     def pop_until(self, bound: float) -> list[Event]:

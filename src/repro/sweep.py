@@ -25,23 +25,22 @@ chunk a point samples is ledgered under ``(scenario, estimator, seed,
 chunk_size)``; identical reruns do zero sampling, and a larger
 ``--trials`` samples only the chunks the ledger lacks.  A different
 seed, chunk size, or scenario field is a different key and recomputes
-(see ``repro.engine.cache``).
+(see ``repro.engine.cache``).  ``REPRO_SWEEP_CACHE=`` (empty) runs
+uncached.
 
 Parallelism: ``--workers N`` fans the runner's chunks across ``N``
-processes.  Estimates are bit-identical for every worker count — the
-per-chunk spawned ``SeedSequence`` tree depends only on
-``(seed, trials, chunk_size)`` — so ``--workers`` is purely a wall-clock
-knob.  ``--backend`` picks the execution backend explicitly:
-``serial``, ``process``, or ``distributed`` with ``--hosts
-host:port,host:port`` naming ``python -m repro.worker`` processes on
-other machines.  The backend is also purely a wall-clock knob: all three
-produce bit-identical rows.  The flags are read by
-:func:`repro.engine.parallel.open_backend`, shared with ``python -m
-repro.oracle build``: an invalid combination (``--workers 0``,
-``--hosts`` without ``--backend distributed`` or the reverse) exits 2
-before anything runs.  In code, ``run_grid(grid,
-backend=ProcessBackend(n))`` does the same, with the pool owned by the
-caller.
+processes, and ``--hosts host:port,host:port`` across ``python -m
+repro.worker`` processes on other machines; with neither the grid runs
+serially.  Estimates are bit-identical on every backend — the per-chunk
+spawned ``SeedSequence`` tree depends only on ``(seed, trials,
+chunk_size)`` — so both flags are purely wall-clock knobs.  They, the
+cache flags and ``--trace``/``--metrics`` are shared with ``python -m
+repro.oracle build`` through :func:`repro.engine.parallel.open_run`:
+``--workers 0``, ``--workers > 1`` beside ``--hosts`` or a path that
+cannot be written exits 2 before anything runs.  The summary line
+reports the backend that ran and its width (pool size, host count, or
+1).  In code, ``run_grid(grid, backend=ProcessBackend(n))`` does the
+same, with the pool owned by the caller.
 
 Adaptive precision: ``--target-se`` / ``--rel-se`` switch every point
 to the runner's ``run_until`` path — chunk waves are dispatched until
@@ -60,13 +59,10 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
 
-from repro.engine.cache import ResultCache, cache_from_env, format_stats
-from repro.engine.parallel import add_backend_flags, open_backend, unwritable
+from repro.engine.cache import format_stats
+from repro.engine.parallel import add_run_flags, open_run, unwritable
 from repro.engine.sweeps import SweepGrid, get_grid, grid_names, run_grid
-from repro.obs.metrics import enabled_registry
-from repro.obs.trace import tracing_to
 
 __all__ = ["main", "format_table", "parse_only"]
 
@@ -173,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--list", action="store_true", help="list registered grids and exit"
     )
-    add_backend_flags(parser)
+    add_run_flags(parser)
     parser.add_argument(
         "--trials",
         type=int,
@@ -229,39 +225,10 @@ def main(argv: list[str] | None = None) -> int:
             "full-grid seeds and cache keys)"
         ),
     )
-    caching = parser.add_mutually_exclusive_group()
-    caching.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory (default: $REPRO_SWEEP_CACHE if set)",
-    )
-    caching.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore $REPRO_SWEEP_CACHE and run uncached",
-    )
     parser.add_argument(
         "--out",
         default=None,
         help="also write the tidy rows as JSON to this path",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help=(
-            "write JSONL span events to FILE (summarize with "
-            "python -m repro.obs.report FILE); telemetry never touches "
-            "the RNG, so traced runs stay bit-identical"
-        ),
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help=(
-            "collect engine metrics during the run and print the "
-            "Prometheus text exposition after the summary"
-        ),
     )
     args = parser.parse_args(argv)
 
@@ -316,24 +283,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    problem = unwritable("--out", args.out) or unwritable(
-        "--trace", args.trace
-    )
+    problem = unwritable("--out", args.out)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
 
-    cache = None
-    if not args.no_cache:
-        cache = (
-            ResultCache(args.cache_dir) if args.cache_dir else cache_from_env()
-        )
-
-    with (
-        open_backend(args) as backend,
-        enabled_registry() if args.metrics else nullcontext() as registry,
-        tracing_to(args.trace) if args.trace else nullcontext(),
-    ):
+    with open_run(args) as (backend, cache):
         start = time.perf_counter()
         rows = run_grid(
             grid,
@@ -346,35 +301,25 @@ def main(argv: list[str] | None = None) -> int:
             rel_se=args.rel_se,
             max_trials=args.max_trials,
         )
-    elapsed = time.perf_counter() - start
-
-    print(format_table(grid.axis_names, rows))
-    served = sum(1 for row in rows if row["cached"])
-    realized = sum(row["trials"] for row in rows)
-    reused = sum(row["reused_trials"] for row in rows)
-    summary = (
-        f"{len(rows)} points in {elapsed:.2f}s "
-        f"(backend={backend.name}, workers={args.workers}, "
-        f"{served} from cache, "
-        f"{realized} trials realized, {reused} reused from ledger)"
-    )
-    print(summary)
-    if cache is not None:
-        print(format_stats(cache.stats()))
-    if args.trace:
+        elapsed = time.perf_counter() - start
+        print(format_table(grid.axis_names, rows))
+        served = sum(1 for row in rows if row["cached"])
+        realized = sum(row["trials"] for row in rows)
+        reused = sum(row["reused_trials"] for row in rows)
         print(
-            f"trace written to {args.trace} "
-            f"(summarize: python -m repro.obs.report {args.trace})"
+            f"{len(rows)} points in {elapsed:.2f}s "
+            f"(backend={backend.name}, workers={backend.workers}, "
+            f"{served} from cache, "
+            f"{realized} trials realized, {reused} reused from ledger)"
         )
-    if registry is not None:
-        print("-- metrics --")
-        print(registry.render(), end="")
+        if cache is not None:
+            print(format_stats(cache.stats()))
 
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(
                 {"grid": grid.name, "trials": args.trials or grid.trials,
-                 "workers": args.workers, "rows": rows},
+                 "workers": backend.workers, "rows": rows},
                 handle,
                 indent=2,
             )

@@ -19,9 +19,10 @@ Usage::
 The worker prints ``listening on HOST:PORT`` once bound (so scripts
 using ``--port 0`` can scrape the assigned port) and exits gracefully on
 SIGTERM/SIGINT: in-flight requests finish, then the listener closes.
-Concurrency: one thread per connection; point ``$REPRO_WORKERS`` at the
-host's core budget if task evaluation itself should be bounded (see
-:func:`repro.engine.parallel.default_workers`).
+Concurrency: one thread per connection.  A client keeps one task in
+flight per worker address, so a worker evaluates one task at a time for
+it; to use more of a host's cores, start one worker per core, each on
+its own port, and list each in ``--hosts``.
 
 Security: the protocol is pickle over plain TCP with no authentication —
 bind to loopback or a trusted private network only.

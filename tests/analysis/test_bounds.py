@@ -19,9 +19,17 @@ from repro.analysis.bounds import (
     theorem8_cp_bound,
     theorem8_cp_bound_consistent,
 )
-from repro.analysis.exact import settlement_violation_probability
-from repro.analysis.genfunc import bound2_decay_rate
-from repro.core.distributions import bernoulli_condition
+from repro.analysis.exact import (
+    TABLE1_UNIQUE_FRACTIONS,
+    compute_settlement_probabilities,
+    settlement_violation_probability,
+)
+from repro.analysis.genfunc import bound1_decay_rate, bound2_decay_rate
+from repro.core.distributions import (
+    bernoulli_condition,
+    from_adversarial_stake,
+)
+from repro.oracle.tables import TINY_SPEC, effective_probabilities
 
 
 def _window_estimate(estimator, probabilities, length, trials):
@@ -132,6 +140,87 @@ class TestTheorem1:
     def test_nominal_shape_helper(self):
         assert nominal_rate_shape(0.1, 0.5) == pytest.approx(1e-3)
         assert nominal_rate_shape(0.5, 0.001) == pytest.approx(0.25 * 0.001)
+
+
+#: The Table 1 laws whose rate the DP window below resolves: at α = 0.49
+#: (ε = 0.02) the walk needs ~1/ε³ slots to reach its asymptote.
+RATE_LAWS = [
+    (("table1", alpha, fraction), from_adversarial_stake(alpha, fraction))
+    for alpha in (0.01, 0.10, 0.20, 0.30, 0.40)
+    for fraction in TABLE1_UNIQUE_FRACTIONS
+] + [
+    (
+        ("tiny", alpha, fraction, delta),
+        effective_probabilities(alpha, fraction, delta, TINY_SPEC.activity),
+    )
+    for alpha in TINY_SPEC.alphas
+    for fraction in TINY_SPEC.unique_fractions
+    for delta in TINY_SPEC.deltas
+]
+
+
+@pytest.fixture(scope="module")
+def decay_rates():
+    """``{law: (ε, p_h, rate)}``, the rate read from one DP sweep as
+    −ln(p(600)/p(550))/50.
+
+    p(k+1)/p(k) rises towards the law's λ, so this window reads the true
+    rate −ln λ from above: a bound exponent below it can still exceed
+    −ln λ by the window's error.  At the tightest law, (0.01, 0.01), the
+    bound sits 1.1e-6 (relative) below the window rate.
+    """
+    rates = {}
+    for name, law in RATE_LAWS:
+        p = compute_settlement_probabilities(law, [550, 600])
+        epsilon = 1.0 - 2.0 * law.p_adversarial
+        rates[name] = (epsilon, law.p_unique, -math.log(p[600] / p[550]) / 50)
+    return rates
+
+
+class TestDecayRateAgainstTheLaw:
+    """Theorem 1's exponent against the rate the exact DP decays at."""
+
+    def test_bound1_rate_never_exceeds_the_true_rate(self, decay_rates):
+        """Bound 1 dominates the DP at large k only if its exponent is at
+        most the law's; measured bound/true: 0.2425–0.99999889 on Table 1,
+        0.293–0.724 on the TINY_SPEC laws."""
+        assert len(decay_rates) == 42
+        for name, (epsilon, p_unique, rate) in decay_rates.items():
+            assert bound1_decay_rate(epsilon, p_unique) <= rate, name
+
+    def test_bound1_is_tight_when_unique_slots_are_scarce(self, decay_rates):
+        """At Table 1's fraction 0.01 nearly every honest slot is multiply
+        honest, and Bound 1's exponent is within 3 % of the true one
+        (measured 0.978–0.99999889)."""
+        scarce = [
+            name
+            for name in decay_rates
+            if name[0] == "table1" and name[2] == 0.01
+        ]
+        assert len(scarce) == 5
+        for name in scarce:
+            epsilon, p_unique, rate = decay_rates[name]
+            assert bound1_decay_rate(epsilon, p_unique) >= 0.97 * rate, name
+
+    def test_bound2_rate_only_bounds_uniquely_honest_laws(self, decay_rates):
+        """Theorem 2 is a statement about another model: bivalent strings
+        (every honest slot multiply honest) under the consistent
+        tie-breaking axiom A0′, where two consecutive Catalan slots settle.
+        Its exponent depends on ε alone.  The DP breaks ties adversarially
+        (axiom A0), where only a uniquely honest Catalan slot settles, so
+        that exponent bounds only the laws with no multiply honest slots
+        (fraction 1.0, where it is Bound 1's exponent; measured
+        0.243–0.650 of the true rate).  At fraction 0.01 it is 5–81× the
+        true rate (80.7× at (0.01, 0.01))."""
+        for name, (epsilon, p_unique, rate) in decay_rates.items():
+            fraction = name[2]
+            if fraction == 1.0:
+                assert bound2_decay_rate(epsilon) <= rate, name
+                assert bound2_decay_rate(epsilon) == pytest.approx(
+                    bound1_decay_rate(epsilon, p_unique)
+                )
+            elif fraction == 0.01:
+                assert bound2_decay_rate(epsilon) > rate, name
 
 
 class TestTheorem2:

@@ -25,7 +25,6 @@ from repro.engine import (
     kernels,
     run_chunk,
 )
-from repro.engine.parallel import BACKEND_NAMES, make_backend
 from tests.conftest import random_strings
 from tests.core.references import decode_matrix, encode_words
 
@@ -297,31 +296,6 @@ class TestIntegerSeeds:
             make_runner().run_until(
                 np.random.default_rng(1), target_se=0.1, max_trials=100
             )
-
-
-class TestBackendNames:
-    def test_three_backends(self):
-        assert BACKEND_NAMES == ("serial", "process", "distributed")
-
-    def test_array_is_not_a_backend(self):
-        with pytest.raises(ValueError, match="unknown backend 'array'"):
-            make_backend("array")
-
-    def test_sweep_cli_rejects_array(self, capsys):
-        from repro.sweep import main
-
-        with pytest.raises(SystemExit) as exit_info:
-            main(["table1", "--backend", "array"])
-        assert exit_info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_oracle_cli_rejects_array(self, capsys, tmp_path):
-        from repro.oracle.cli import main
-
-        with pytest.raises(SystemExit) as exit_info:
-            main(["build", "--out", str(tmp_path), "--backend", "array"])
-        assert exit_info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestHitCountLedger:

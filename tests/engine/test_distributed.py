@@ -8,6 +8,7 @@ wall-clock knob), a worker killed mid-run must only cost requeued chunks
 streams loudly.
 """
 
+import json
 import os
 import pickle
 import re
@@ -232,6 +233,32 @@ class TestBitIdentity:
             future = remote.submit_task(int, "not a number")
             with pytest.raises(RemoteTaskError, match="ValueError"):
                 future.result()
+
+
+class TestSweepReportsItsBackend:
+    """The sweep's summary line and its ``--out`` record give the width
+    of the backend that ran: 1 serially, the pool size, the host count."""
+
+    @pytest.mark.parametrize(
+        "name,width", [("serial", 1), ("process", 2), ("distributed", 2)]
+    )
+    def test_width_of_the_backend_that_ran(
+        self, request, tmp_path, capsys, monkeypatch, name, width
+    ):
+        from repro.sweep import main
+
+        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
+        flags = {"serial": [], "process": ["--workers", "2"]}.get(name)
+        if name == "distributed":
+            servers = request.getfixturevalue("workers")
+            hosts = ",".join("%s:%d" % server.address for server in servers)
+            flags = ["--hosts", hosts]
+        out = tmp_path / "rows.json"
+        argv = ["stake", "--trials", "64", "--out", str(out), *flags]
+        assert main(argv) == 0
+        summary = f"(backend={name}, workers={width}, "
+        assert summary in capsys.readouterr().out
+        assert json.loads(out.read_text())["workers"] == width
 
 
 class TestFailover:

@@ -6,10 +6,11 @@ never of the execution backend.  These tests pin that down: serial and
 process-pool runs must return *identical* ``Estimate`` objects across
 1/2/4 workers, chunk partitions must tile exactly, a ``Generator`` seed
 is refused on every backend (its stream cannot be replayed chunk by
-chunk), and the ``--workers/--backend/--hosts`` flags of both command
-lines are validated the same way.
+chunk), and the ``--workers``/``--hosts`` flags of both command lines
+pick the backend by one rule and are validated the same way.
 """
 
+import argparse
 import importlib
 from concurrent.futures import Future
 
@@ -23,7 +24,6 @@ from repro.engine import (
     ResultCache,
     SerialBackend,
     chunk_sizes,
-    default_workers,
     estimate_from_hits,
     get_scenario,
     run_chunk,
@@ -201,19 +201,6 @@ class TestGuards:
         with pytest.raises(ValueError, match="workers"):
             ProcessBackend(0)
 
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert default_workers() == 7
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "many", "2.5", ""])
-    def test_workers_env_rejects_garbage(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_WORKERS", bad)
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            default_workers()
-
 
 class TestBackendProtocolCompliance:
     """Every backend serves the same submit_task surface."""
@@ -389,7 +376,7 @@ class TestEveryEstimatorHitCounts:
 def _sweep_cli(flags, tmp_path):
     from repro.sweep import main
 
-    return main(["stake", "--trials", "64", "--no-cache", *flags])
+    return main(["stake", "--trials", "64", *flags])
 
 
 def _oracle_build_cli(flags, tmp_path):
@@ -401,59 +388,98 @@ def _oracle_build_cli(flags, tmp_path):
 
 
 class TestBackendFlags:
-    """Both command lines read ``--workers/--backend/--hosts`` through
-    ``open_backend``: a bad combination exits 2, printing one
-    ``error:`` line per error, before anything runs."""
+    """Both command lines read ``--workers``/``--hosts`` through
+    ``open_backend``: ``--hosts`` picks the distributed backend,
+    ``--workers N > 1`` a pool of N, anything else the serial one.  A
+    flag the rule cannot honour exits 2 with one ``error:`` line,
+    before anything runs."""
+
+    @pytest.mark.parametrize(
+        "flags,kind,width",
+        [
+            ([], SerialBackend, 1),
+            (["--workers", "3"], ProcessBackend, 3),
+            (["--hosts", "127.0.0.1:9,:10"], DistributedBackend, 2),
+            (
+                ["--workers", "1", "--hosts", "127.0.0.1:9"],
+                DistributedBackend,
+                1,
+            ),
+        ],
+        ids=["default", "workers-3", "hosts", "hosts-workers-1"],
+    )
+    def test_flags_pick_the_backend(self, flags, kind, width):
+        from repro.engine.parallel import add_run_flags, open_backend
+
+        parser = argparse.ArgumentParser()
+        add_run_flags(parser)
+        with open_backend(parser.parse_args(flags)) as backend:
+            assert type(backend) is kind
+            assert backend.workers == width
 
     @pytest.mark.parametrize(
         "cli", [_sweep_cli, _oracle_build_cli], ids=["sweep", "oracle-build"]
     )
     @pytest.mark.parametrize(
-        "flags,errors",
+        "flags,error",
         [
-            (["--workers", "0"], ["--workers must be positive, got 0"]),
-            (
-                ["--hosts", "1.2.3.4:9"],
-                ["--hosts only applies to --backend distributed"],
-            ),
-            (
-                ["--backend", "distributed"],
-                ["--backend distributed requires --hosts host:port[,host:port]"],
-            ),
+            (["--workers", "0"], "--workers must be positive, got 0"),
             (
                 ["--workers", "-4", "--hosts", "1.2.3.4:9"],
-                [
-                    "--workers must be positive, got -4",
-                    "--hosts only applies to --backend distributed",
-                ],
+                "--workers must be positive, got -4",
             ),
             (
-                ["--backend", "serial", "--workers", "4"],
-                ["--workers only applies to --backend process, not serial"],
+                ["--workers", "2", "--hosts", "127.0.0.1:9"],
+                "--workers > 1 and --hosts each pick a backend; pass one",
             ),
             (
-                ["--backend", "distributed", "--hosts", "127.0.0.1:9",
-                 "--workers", "2"],
-                [
-                    "--workers only applies to --backend process, "
-                    "not distributed"
-                ],
+                ["--hosts", "127.0.0.1"],
+                "host entry '127.0.0.1' is not of the form host:port",
+            ),
+            (
+                ["--trace", "/dev/null/t.jsonl"],
+                "--trace: /dev/null is not a directory",
+            ),
+            (
+                ["--cache-dir", "/dev/null/cache"],
+                "--cache-dir: /dev/null is not a directory",
             ),
         ],
         ids=[
             "workers-0",
-            "hosts-alone",
-            "distributed-no-hosts",
-            "two-errors",
-            "serial-workers",
-            "distributed-workers",
+            "workers-negative-hosts",
+            "workers-hosts",
+            "bad-host",
+            "trace-path",
+            "cache-path",
         ],
     )
-    def test_invalid_flags_exit_2(self, cli, flags, errors, tmp_path, capsys):
+    def test_invalid_flags_exit_2(self, cli, flags, error, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli(flags, tmp_path)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: {e}" for e in errors]
+        assert captured.err.splitlines() == [f"error: {error}"]
         assert captured.out == ""
         assert not (tmp_path / "artifact").exists()
+
+    @pytest.mark.parametrize(
+        "cli", [_sweep_cli, _oracle_build_cli], ids=["sweep", "oracle-build"]
+    )
+    def test_trace_and_metrics_footers_close_a_run(
+        self, cli, tmp_path, capsys, monkeypatch
+    ):
+        """A completed run ends with the trace footer, then the metrics
+        exposition, on either command line."""
+        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
+        trace = tmp_path / "run.jsonl"
+        assert cli(["--trace", str(trace), "--metrics"], tmp_path) == 0
+        footer = (
+            f"trace written to {trace} "
+            f"(summarize: python -m repro.obs.report {trace})\n"
+            "-- metrics --\n"
+        )
+        _, found, exposition = capsys.readouterr().out.partition(footer)
+        assert found
+        assert 'repro_task_seconds_count{backend="serial"}' in exposition
+        assert trace.is_file()

@@ -506,9 +506,14 @@ class TestCli:
         if flag == "--trace":
             flags += ["--out", str(rows)]
         cache_dir = tmp_path / "cache"
-        assert sweep_cli.main(
-            ["stake", "--trials", "100", "--cache-dir", str(cache_dir), *flags]
-        ) == 2
+        argv = ["stake", "--trials", "100", "--cache-dir", str(cache_dir)]
+        if flag == "--out":
+            assert sweep_cli.main([*argv, *flags]) == 2
+        else:
+            # A shared run flag: rejected the argparse way, as SystemExit.
+            with pytest.raises(SystemExit) as exit_info:
+                sweep_cli.main([*argv, *flags])
+            assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.err == (
             f"error: {flag}: {tmp_path / 'afile'} is not a directory\n"
@@ -517,15 +522,22 @@ class TestCli:
         assert not cache_dir.exists()
         assert rows.read_text() == "kept\n"
 
-    def test_no_cache_excludes_cache_dir(self, capsys, tmp_path):
-        cache_dir = tmp_path / "cache"
-        with pytest.raises(SystemExit) as raised:
-            sweep_cli.main(
-                ["stake", "--no-cache", "--cache-dir", str(cache_dir)]
-            )
-        assert raised.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
-        assert not cache_dir.exists()
+    def test_cache_dir_then_env_then_uncached(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--cache-dir`` wins over ``$REPRO_SWEEP_CACHE``, which is used
+        when the flag is absent; set empty, it runs uncached."""
+        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(env_dir))
+        argv = ["stake", "--trials", "64"]
+        assert sweep_cli.main([*argv, "--cache-dir", str(flag_dir)]) == 0
+        assert flag_dir.is_dir() and not env_dir.exists()
+        assert sweep_cli.main(argv) == 0
+        assert env_dir.is_dir()
+        assert "ledger:" in capsys.readouterr().out
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "")
+        assert sweep_cli.main(argv) == 0
+        assert "ledger:" not in capsys.readouterr().out
 
 
 class TestEstimateBoundary:

@@ -20,7 +20,7 @@ from repro.engine import (
     run_grid,
 )
 from repro.engine.cache import ResultCache
-from repro.engine.parallel import make_backend
+from repro.engine.parallel import ProcessBackend, SerialBackend
 from repro.obs import metrics
 from repro.obs.trace import tracing_to
 from repro.worker import serve
@@ -163,8 +163,9 @@ class TestRecordedTelemetry:
     def test_every_task_is_timed(self, name):
         """``repro_task_seconds`` times any task — an oracle DP cell as
         much as a chunk — on the backend that ran it."""
+        backend = SerialBackend() if name == "serial" else ProcessBackend(2)
         with metrics.enabled_registry() as registry:
-            with make_backend(name, 2) as backend:
+            with backend:
                 futures = [backend.submit_task(divmod, n, 3) for n in range(3)]
                 assert [f.result() for f in futures] == [(0, 0), (0, 1), (0, 2)]
         # Closing the pool joins the thread that runs the done-callbacks.

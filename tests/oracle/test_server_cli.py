@@ -132,11 +132,16 @@ class TestCli:
         (tmp_path / "afile").write_text("")
         artifact = tmp_path / "artifact"
         paths = {"--out": str(artifact), flag: str(tmp_path / "afile" / "x")}
-        code = cli.main(
-            ["build", "--preset", "tiny", "--mc-trials", "0"]
-            + [token for pair in paths.items() for token in pair]
-        )
-        assert code == 2
+        argv = ["build", "--preset", "tiny", "--mc-trials", "0"] + [
+            token for pair in paths.items() for token in pair
+        ]
+        if flag == "--out":
+            assert cli.main(argv) == 2
+        else:
+            # A shared run flag: rejected the argparse way, as SystemExit.
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
